@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test race vet check overload bench bench-json speedup telemetry-bench statplane-bench lifecycle-bench
+.PHONY: build test race vet check overload bench bench-json speedup telemetry-bench statplane-bench lifecycle-bench ab
 
 build:
 	$(GO) build ./...
@@ -26,6 +26,15 @@ overload:
 
 bench:
 	$(GO) test -bench=. -benchmem
+
+# A/B pairs of one BENCHMARK.json workload, parent revision against the
+# working tree: medians, quartiles and win counts per end-to-end metric.
+#   make ab PARENT=HEAD~1 WORKLOAD=hotel_autoscale PAIRS=10
+PARENT ?= HEAD
+WORKLOAD ?= hotel_autoscale
+PAIRS ?= 10
+ab:
+	./scripts/abbench.sh $(PARENT) $(WORKLOAD) $(PAIRS)
 
 # Inference/training micro-benchmarks; each prints one machine-readable
 # {"bench":...} JSON line, scraped into BENCH_infer.json for CI tracking.

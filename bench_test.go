@@ -83,6 +83,7 @@ func BenchmarkSimulatorThroughput(b *testing.B) {
 	cl := cluster.New(eng, sim.NewRNG(1), app.Tiers)
 	gen := workload.NewGenerator(cl, app, sim.NewRNG(2), workload.Constant(300))
 	gen.Start()
+	b.ReportAllocs()
 	b.ResetTimer()
 	horizon := 0.0
 	for i := 0; i < b.N; i++ {
@@ -342,6 +343,7 @@ func BenchmarkSuiteSpeedup(b *testing.B) {
 // BenchmarkSinanManagedSecond (no model in the loop).
 func BenchmarkAutoscaleManagedSecond(b *testing.B) {
 	app := apps.NewHotelReservation()
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		Manage(app, AutoScaleCons(), RunOptions{Load: Constant(1000), Duration: 10, Seed: int64(i)})

@@ -37,6 +37,9 @@ type Cluster struct {
 	tiers  []*Tier
 	byName map[string]*Tier
 
+	trees     map[*Stage]*node // call trees compiled against this cluster's tiers
+	freeCalls []*call          // recycled stage records; see call
+
 	completed   int64
 	droppedReqs int64
 
@@ -50,7 +53,11 @@ type Cluster struct {
 // New creates a cluster with the given tier configurations. Tier order is
 // preserved and becomes the row order of model inputs.
 func New(eng *sim.Engine, rng *sim.RNG, cfgs []TierConfig) *Cluster {
-	c := &Cluster{Eng: eng, rng: rng, byName: make(map[string]*Tier, len(cfgs))}
+	c := &Cluster{
+		Eng: eng, rng: rng,
+		byName: make(map[string]*Tier, len(cfgs)),
+		trees:  make(map[*Stage]*node),
+	}
 	for i, cfg := range cfgs {
 		if _, dup := c.byName[cfg.Name]; dup {
 			panic(fmt.Sprintf("cluster: duplicate tier %q", cfg.Name))

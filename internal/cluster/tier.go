@@ -8,7 +8,6 @@
 package cluster
 
 import (
-	"container/heap"
 	"fmt"
 	"math"
 
@@ -84,25 +83,89 @@ func (c TierConfig) withDefaults() TierConfig {
 // psJob is one unit of CPU work being processor-shared on a tier. Jobs all
 // progress at the same instantaneous rate min(1, L/n), so completion order
 // is fixed at admission: the tier tracks virtual work V(t) = ∫rate dt and a
-// job admitted at V0 with demand w completes when V reaches V0 + w.
+// job admitted at V0 with demand w completes when V reaches V0 + w. Jobs
+// with equal vFinish complete in admission order (seq).
 type psJob struct {
 	vFinish float64
-	done    func()
+	seq     int64
+	call    *call
 }
 
-type jobHeap []*psJob
+func (a psJob) before(b psJob) bool {
+	return a.vFinish < b.vFinish || (a.vFinish == b.vFinish && a.seq < b.seq)
+}
 
-func (h jobHeap) Len() int            { return len(h) }
-func (h jobHeap) Less(i, j int) bool  { return h[i].vFinish < h[j].vFinish }
-func (h jobHeap) Swap(i, j int)       { h[i], h[j] = h[j], h[i] }
-func (h *jobHeap) Push(x interface{}) { *h = append(*h, x.(*psJob)) }
-func (h *jobHeap) Pop() interface{} {
-	old := *h
-	n := len(old)
-	j := old[n-1]
-	old[n-1] = nil
-	*h = old[:n-1]
-	return j
+// jobQueue is a binary min-heap of jobs by completion order.
+type jobQueue []psJob
+
+func (q *jobQueue) push(j psJob) {
+	h := append(*q, j)
+	*q = h
+	i := len(h) - 1
+	for i > 0 {
+		p := (i - 1) / 2
+		if !j.before(h[p]) {
+			break
+		}
+		h[i] = h[p]
+		i = p
+	}
+	h[i] = j
+}
+
+func (q *jobQueue) pop() psJob {
+	h := *q
+	top, last := h[0], h[len(h)-1]
+	h[len(h)-1] = psJob{}
+	h = h[:len(h)-1]
+	*q = h
+	if len(h) == 0 {
+		return top
+	}
+	i := 0
+	for {
+		m := 2*i + 1
+		if m >= len(h) {
+			break
+		}
+		if m+1 < len(h) && h[m+1].before(h[m]) {
+			m++
+		}
+		if !h[m].before(last) {
+			break
+		}
+		h[i] = h[m]
+		i = m
+	}
+	h[i] = last
+	return top
+}
+
+// callRing is a FIFO of calls waiting for a connection slot.
+type callRing struct {
+	buf  []*call // len is zero or a power of two
+	head int
+	n    int
+}
+
+func (r *callRing) push(k *call) {
+	if r.n == len(r.buf) {
+		grown := make([]*call, max(16, 2*len(r.buf)))
+		for i := 0; i < r.n; i++ {
+			grown[i] = r.buf[(r.head+i)&(len(r.buf)-1)]
+		}
+		r.buf, r.head = grown, 0
+	}
+	r.buf[(r.head+r.n)&(len(r.buf)-1)] = k
+	r.n++
+}
+
+func (r *callRing) pop() *call {
+	k := r.buf[r.head]
+	r.buf[r.head] = nil
+	r.head = (r.head + 1) & (len(r.buf) - 1)
+	r.n--
+	return k
 }
 
 // Tier is the runtime state of one microservice tier.
@@ -115,15 +178,17 @@ type Tier struct {
 	cpuLimit float64
 	alive    float64 // fraction of replica capacity alive (1 = healthy)
 
-	active     jobHeap
+	active     jobQueue
+	jobSeq     int64   // admission order, the tie-break among equal vFinish
 	vwork      float64 // virtual work: ∫ per-job rate dt
 	lastUpdate float64
-	completion *sim.Event
+	completion sim.Handle
+	completeFn func()  // t.complete, bound once
+	finished   []*call // complete's scratch: the calls retired by one event
 
 	slots   int
 	inUse   int
-	waitq   []func() // waiting slot acquisitions, FIFO from qhead
-	qhead   int
+	waitq   callRing
 	dropped int64
 
 	stalled    bool
@@ -138,7 +203,6 @@ type Tier struct {
 
 	servedTotal int64
 	writeBytes  float64 // total write volume driving RSS growth (stateful tiers)
-	maxQueueLen int
 }
 
 func newTier(eng *sim.Engine, rng *sim.RNG, cfg TierConfig, index int) *Tier {
@@ -152,6 +216,7 @@ func newTier(eng *sim.Engine, rng *sim.RNG, cfg TierConfig, index int) *Tier {
 		alive:    1,
 		slots:    cfg.ConnsPerReplica * cfg.Replicas,
 	}
+	t.completeFn = t.complete
 	if cfg.StallInterval > 0 {
 		eng.After(cfg.StallInterval, t.stall)
 	}
@@ -168,7 +233,7 @@ func (t *Tier) Config() TierConfig { return t.cfg }
 func (t *Tier) CPULimit() float64 { return t.cpuLimit }
 
 // QueueLen returns the number of requests waiting for a connection slot.
-func (t *Tier) QueueLen() int { return len(t.waitq) - t.qhead }
+func (t *Tier) QueueLen() int { return t.waitq.n }
 
 // Inflight returns the number of requests holding a connection slot.
 func (t *Tier) Inflight() int { return t.inUse }
@@ -238,7 +303,7 @@ func (t *Tier) rate() float64 {
 	if n == 0 || t.stalled {
 		return 0
 	}
-	return math.Min(1, t.effCPU()/float64(n))
+	return min(1, t.effCPU()/float64(n))
 }
 
 // advance applies elapsed processor-sharing progress up to the current time.
@@ -258,70 +323,74 @@ func (t *Tier) advance() {
 		return
 	}
 	t.vwork += t.rate() * dt
-	t.busyCPU += math.Min(t.effCPU(), float64(n)) * dt
+	t.busyCPU += min(t.effCPU(), float64(n)) * dt
 }
 
 // reschedule recomputes the next completion event after any change to the
-// active set, the CPU limit, or the stall state.
+// active set, the CPU limit, or the stall state. A pending completion event
+// is moved in place, which orders it exactly as cancelling it and
+// scheduling a new one would.
 func (t *Tier) reschedule() {
-	t.eng.Cancel(t.completion)
-	t.completion = nil
 	r := t.rate()
 	if r == 0 || len(t.active) == 0 {
+		t.eng.Cancel(t.completion)
 		return
 	}
 	d := (t.active[0].vFinish - t.vwork) / r
 	if d < 0 {
 		d = 0
 	}
-	t.completion = t.eng.After(d, t.complete)
+	at := t.eng.Now() + d
+	if !t.eng.Reschedule(t.completion, at) {
+		t.completion = t.eng.At(at, t.completeFn)
+	}
 }
 
-// complete retires all jobs whose work has finished.
+// complete retires all jobs whose work has finished. It only ever runs as
+// an engine event, never from inside a call's callbacks, so the scratch
+// slice is not in use when it starts.
 func (t *Tier) complete() {
 	t.advance()
-	var done []func()
+	t.finished = t.finished[:0]
 	for len(t.active) > 0 && t.active[0].vFinish <= t.vwork+workEps {
-		j := heap.Pop(&t.active).(*psJob)
-		done = append(done, j.done)
+		t.finished = append(t.finished, t.active.pop().call)
 	}
 	t.reschedule()
-	for _, fn := range done {
-		fn()
+	for _, k := range t.finished {
+		k.workDone()
 	}
 }
 
 // execWork runs cpuSeconds of CPU demand under processor sharing and calls
-// done when it completes. Zero work completes via an immediate event to keep
-// callback ordering uniform.
-func (t *Tier) execWork(cpuSeconds float64, done func()) {
+// k.workDone when it completes. Zero work completes via an immediate event
+// to keep callback ordering uniform.
+func (t *Tier) execWork(cpuSeconds float64, k *call) {
 	if cpuSeconds <= 0 {
-		t.eng.After(0, done)
+		t.eng.After(0, k.workDoneFn)
 		return
 	}
 	t.advance()
-	heap.Push(&t.active, &psJob{vFinish: t.vwork + cpuSeconds, done: done})
+	t.active.push(psJob{vFinish: t.vwork + cpuSeconds, seq: t.jobSeq, call: k})
+	t.jobSeq++
 	t.servedIntv++
 	t.servedTotal++
 	t.reschedule()
 }
 
-// acquireSlot obtains a connection slot, queueing if the pool is saturated.
-// It reports false if the admission queue is full and the request is dropped.
-func (t *Tier) acquireSlot(granted func()) bool {
+// acquireSlot obtains a connection slot for k, queueing it if the pool is
+// saturated; k.granted runs once it holds the slot. It reports false if the
+// admission queue is full and the request is dropped.
+func (t *Tier) acquireSlot(k *call) bool {
 	if t.inUse < t.effSlots() {
 		t.inUse++
-		granted()
+		k.granted()
 		return true
 	}
 	if t.QueueLen() >= t.cfg.MaxQueue {
 		t.dropped++
 		return false
 	}
-	t.waitq = append(t.waitq, granted)
-	if t.QueueLen() > t.maxQueueLen {
-		t.maxQueueLen = t.QueueLen()
-	}
+	t.waitq.push(k)
 	return true
 }
 
@@ -336,17 +405,9 @@ func (t *Tier) releaseSlot() {
 // drains naturally (releases outnumber admissions until inUse fits again)
 // and a restored pool re-admits the queue.
 func (t *Tier) pumpWaiters() {
-	for t.qhead < len(t.waitq) && t.inUse < t.effSlots() {
-		next := t.waitq[t.qhead]
-		t.waitq[t.qhead] = nil
-		t.qhead++
-		// Compact once the dead prefix dominates, to bound memory.
-		if t.qhead > 1024 && t.qhead*2 > len(t.waitq) {
-			t.waitq = append(t.waitq[:0], t.waitq[t.qhead:]...)
-			t.qhead = 0
-		}
+	for t.waitq.n > 0 && t.inUse < t.effSlots() {
 		t.inUse++
-		next()
+		t.waitq.pop().granted()
 	}
 }
 

@@ -34,17 +34,29 @@ func (g *RNG) Normal(mean, stddev float64) float64 {
 	return g.r.NormFloat64()*stddev + mean
 }
 
+// LogNormalParams converts the mean and coefficient of variation (cv =
+// stddev/mean) of a log-normal distribution into the (mu, sigma) of the
+// underlying normal. A caller that samples one distribution many times
+// computes the pair once and draws with LogNormalFrom. mean must be positive.
+func LogNormalParams(mean, cv float64) (mu, sigma float64) {
+	sigma2 := math.Log(1 + cv*cv)
+	return math.Log(mean) - sigma2/2, math.Sqrt(sigma2)
+}
+
+// LogNormalFrom returns a log-normal sample given LogNormalParams' output.
+func (g *RNG) LogNormalFrom(mu, sigma float64) float64 {
+	return math.Exp(g.r.NormFloat64()*sigma + mu)
+}
+
 // LogNormal returns a log-normal sample parameterised by the mean and
-// coefficient of variation (cv = stddev/mean) of the resulting distribution.
-// Log-normal service times model the heavy right tail of RPC handlers better
-// than exponentials.
+// coefficient of variation of the resulting distribution. Log-normal
+// service times model the heavy right tail of RPC handlers better than
+// exponentials. A non-positive mean yields 0 without consuming a draw.
 func (g *RNG) LogNormal(mean, cv float64) float64 {
 	if mean <= 0 {
 		return 0
 	}
-	sigma2 := math.Log(1 + cv*cv)
-	mu := math.Log(mean) - sigma2/2
-	return math.Exp(g.r.NormFloat64()*math.Sqrt(sigma2) + mu)
+	return g.LogNormalFrom(LogNormalParams(mean, cv))
 }
 
 // Poisson returns a Poisson sample with the given mean, using inversion for

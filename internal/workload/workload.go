@@ -80,6 +80,11 @@ type Generator struct {
 	typeCounts []int64
 	submitted  int64
 	stopped    bool
+
+	// Engine and cluster callbacks, bound once so that a request costs no
+	// closure.
+	arriveFn, pollFn func()
+	recordFn         func(latSec float64, dropped bool)
 }
 
 // NewGenerator creates a generator; call Start to begin injecting load.
@@ -96,6 +101,7 @@ func NewGenerator(cl *cluster.Cluster, app *apps.App, rng *sim.RNG, p Pattern) *
 		g.cumWeights = append(g.cumWeights, cum)
 		g.trees = append(g.trees, r.Tree)
 	}
+	g.arriveFn, g.pollFn, g.recordFn = g.arrive, g.scheduleNext, g.record
 	return g
 }
 
@@ -132,19 +138,23 @@ func (g *Generator) scheduleNext() {
 	rate := g.pattern.RPS(g.eng.Now())
 	if rate <= 0 {
 		// Idle: poll again shortly for the pattern to come back.
-		g.eng.After(0.1, g.scheduleNext)
+		g.eng.After(0.1, g.pollFn)
 		return
 	}
-	g.eng.After(g.rng.Exp(1/rate), func() {
-		if g.stopped {
-			return
-		}
-		g.submitOne()
-		g.scheduleNext()
-	})
+	g.eng.After(g.rng.Exp(1/rate), g.arriveFn)
 }
 
-func (g *Generator) submitOne() {
+func (g *Generator) arrive() {
+	if g.stopped {
+		return
+	}
+	g.cl.Submit(g.pick(), g.recordFn)
+	g.scheduleNext()
+}
+
+// pick draws the next request's type from the mix, counts it as submitted
+// and returns its call tree.
+func (g *Generator) pick() *cluster.Stage {
 	u := g.rng.Float64()
 	idx := len(g.cumWeights) - 1
 	for i, c := range g.cumWeights {
@@ -155,13 +165,16 @@ func (g *Generator) submitOne() {
 	}
 	g.submitted++
 	g.typeCounts[idx]++
-	g.cl.Submit(g.trees[idx], func(latSec float64, dropped bool) {
-		if dropped {
-			g.Window.RecordDrop()
-			return
-		}
-		g.Window.Record(latSec * 1000)
-	})
+	return g.trees[idx]
+}
+
+// record is the completion callback of every request.
+func (g *Generator) record(latSec float64, dropped bool) {
+	if dropped {
+		g.Window.RecordDrop()
+		return
+	}
+	g.Window.Record(latSec * 1000)
 }
 
 // ClosedLoop emulates a fixed population of users that each issue a request,
@@ -172,15 +185,20 @@ type ClosedLoop struct {
 	ThinkMean float64
 
 	gen *Generator
+
+	loopFn func()
+	doneFn func(latSec float64, dropped bool)
 }
 
 // NewClosedLoop wraps a generator's request mix with closed-loop users.
 func NewClosedLoop(cl *cluster.Cluster, app *apps.App, rng *sim.RNG, users int, thinkMean float64) *ClosedLoop {
-	return &ClosedLoop{
+	c := &ClosedLoop{
 		Users:     users,
 		ThinkMean: thinkMean,
 		gen:       NewGenerator(cl, app, rng, Constant(0)),
 	}
+	c.loopFn, c.doneFn = c.loop, c.done
+	return c
 }
 
 // Window exposes the latency sink shared by all users.
@@ -196,26 +214,16 @@ func (c *ClosedLoop) Start() {
 	}
 }
 
+// loop issues one user's next request; done sends the user back here after
+// its think time.
 func (c *ClosedLoop) loop() {
+	c.gen.cl.Submit(c.gen.pick(), c.doneFn)
+}
+
+func (c *ClosedLoop) done(latSec float64, dropped bool) {
 	g := c.gen
-	u := g.rng.Float64()
-	idx := len(g.cumWeights) - 1
-	for i, cw := range g.cumWeights {
-		if u <= cw {
-			idx = i
-			break
-		}
-	}
-	g.submitted++
-	g.typeCounts[idx]++
-	g.cl.Submit(g.trees[idx], func(latSec float64, dropped bool) {
-		if dropped {
-			g.Window.RecordDrop()
-		} else {
-			g.Window.Record(latSec * 1000)
-		}
-		g.eng.After(g.rng.Exp(c.ThinkMean), c.loop)
-	})
+	g.record(latSec, dropped)
+	g.eng.After(g.rng.Exp(c.ThinkMean), c.loopFn)
 }
 
 // Replay is a pattern that replays a recorded per-second RPS series (e.g.

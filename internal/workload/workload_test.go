@@ -166,3 +166,36 @@ func TestReplayPattern(t *testing.T) {
 		t.Fatal("replay step scaling broken")
 	}
 }
+
+// A request in steady state costs no allocation of its own: stage records,
+// engine slots and callbacks are all recycled. What remains is slice growth
+// when a burst runs past every earlier peak, far below one per request; a
+// closure or a record per stage would show as eight or more.
+func TestRequestAllocations(t *testing.T) {
+	for _, c := range []struct {
+		name string
+		app  *apps.App
+		rps  float64
+	}{{"social", apps.NewSocialNetwork(), 300}, {"hotel", apps.NewHotelReservation(), 2000}} {
+		eng := &sim.Engine{}
+		cl := cluster.New(eng, sim.NewRNG(1), c.app.Tiers)
+		g := NewGenerator(cl, c.app, sim.NewRNG(2), Constant(c.rps))
+		g.Start()
+		second := func() {
+			eng.Run(eng.Now() + 1)
+			g.FlushWindow() // as the managed loop does once per interval
+		}
+		for i := 0; i < 5; i++ {
+			second()
+		}
+		before := g.Submitted()
+		const seconds = 10
+		allocs := testing.AllocsPerRun(seconds, second)
+		// AllocsPerRun makes one extra warm-up call.
+		perRequest := allocs * (seconds + 1) / float64(g.Submitted()-before)
+		t.Logf("%s: %.4f allocations per request", c.name, perRequest)
+		if perRequest > 0.5 {
+			t.Errorf("%s: %.2f allocations per request after warm-up, want under 0.5", c.name, perRequest)
+		}
+	}
+}

@@ -66,6 +66,6 @@ echo "== shared-path smoke (race) =="
 go test -race -timeout 10m -run 'Shared' ./...
 
 echo "== bench smoke =="
-go test -run='^$' -bench='ConvForward|PredictBatch$|PredictShared' -benchtime=1x
+go test -run='^$' -bench='ConvForward|PredictBatch$|PredictShared|SimulatorThroughput' -benchtime=1x
 
 echo "OK"
