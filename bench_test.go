@@ -115,8 +115,8 @@ func BenchmarkCNNInference(b *testing.B) {
 }
 
 // BenchmarkConvForward compares the im2col+GEMM Conv2D forward against the
-// naive six-loop reference on a scheduler-sized batch, and prints one JSON
-// line with both timings for CI scraping.
+// naive six-loop reference on a scheduler-sized batch, reporting the naive
+// time and the speedup as extra benchmark metrics.
 func BenchmarkConvForward(b *testing.B) {
 	rng := rand.New(rand.NewSource(1))
 	conv := nn.NewConv2D(rng, "conv", 6, 32, 3, 1)
@@ -134,20 +134,19 @@ func BenchmarkConvForward(b *testing.B) {
 	naiveMS := float64(time.Since(naiveStart).Microseconds()) / 1000
 
 	b.ResetTimer()
-	start := time.Now()
 	for i := 0; i < b.N; i++ {
 		ctx.Reset()
 		conv.Forward(ctx, x)
 	}
-	im2colMS := float64(time.Since(start).Microseconds()) / 1000 / float64(b.N)
 	b.StopTimer()
-	fmt.Printf("{\"bench\":\"conv_forward\",\"batch\":%d,\"im2col_ms\":%.3f,\"naive_ms\":%.3f,\"speedup\":%.2f}\n",
-		cands, im2colMS, naiveMS, naiveMS/im2colMS)
+	im2colMS := float64(b.Elapsed().Microseconds()) / 1000 / float64(b.N)
+	b.ReportMetric(naiveMS, "naive-ms/op")
+	b.ReportMetric(naiveMS/im2colMS, "speedup")
 }
 
 // BenchmarkPredictBatch measures one full hybrid-model query (CNN + boosted
 // trees) through a reused prediction context — the scheduler's steady-state
-// per-decision cost — and prints one JSON line.
+// per-decision cost.
 func BenchmarkPredictBatch(b *testing.B) {
 	l := sharedLab()
 	m, _ := l.SocialModel()
@@ -167,21 +166,17 @@ func BenchmarkPredictBatch(b *testing.B) {
 	ctx := core.NewPredictContext()
 	m.PredictBatch(ctx, in) // warm the context buffers
 	b.ResetTimer()
-	start := time.Now()
 	for i := 0; i < b.N; i++ {
 		m.PredictBatch(ctx, in)
 	}
-	perOp := float64(time.Since(start).Microseconds()) / 1000 / float64(b.N)
-	b.StopTimer()
-	fmt.Printf("{\"bench\":\"predict_batch\",\"cands\":%d,\"ms_per_op\":%.3f}\n", cands, perOp)
 }
 
 // BenchmarkPredictShared compares shared-history candidate evaluation
 // against the naive per-candidate form at scheduler-relevant batch sizes:
 // the naive path recomputes the conv trunk B times on B bit-identical
 // history windows (and would ship B copies over the wire), the shared path
-// runs it once and broadcasts. Prints one JSON line per batch size with
-// both timings and the wire payload sizes (floats per query).
+// runs it once and broadcasts. Reports, per batch size, the naive time, the
+// speedup and both wire payload sizes (floats per query) as extra metrics.
 func BenchmarkPredictShared(b *testing.B) {
 	l := sharedLab()
 	m, _ := l.SocialModel()
@@ -216,22 +211,22 @@ func BenchmarkPredictShared(b *testing.B) {
 
 			m.PredictShared(ctx, in) // warm the shared buffers
 			b.ResetTimer()
-			start := time.Now()
 			for i := 0; i < b.N; i++ {
 				m.PredictShared(ctx, in)
 			}
-			sharedMS := float64(time.Since(start).Microseconds()) / 1000 / float64(b.N)
 			b.StopTimer()
+			sharedMS := float64(b.Elapsed().Microseconds()) / 1000 / float64(b.N)
 			winFloats := d.F*d.N*d.T + d.T*d.M
-			fmt.Printf("{\"bench\":\"predict_shared\",\"cands\":%d,\"shared_ms\":%.3f,\"naive_ms\":%.3f,\"speedup\":%.2f,\"payload_floats\":%d,\"naive_payload_floats\":%d}\n",
-				cands, sharedMS, naiveMS, naiveMS/sharedMS,
-				winFloats+cands*d.N, cands*(winFloats+d.N))
+			b.ReportMetric(naiveMS, "naive-ms/op")
+			b.ReportMetric(naiveMS/sharedMS, "speedup")
+			b.ReportMetric(float64(winFloats+cands*d.N), "payload-floats")
+			b.ReportMetric(float64(cands*(winFloats+d.N)), "naive-payload-floats")
 		})
 	}
 }
 
 // BenchmarkTrainEpoch measures one epoch of data-parallel minibatch training
-// on a synthetic scheduler-sized dataset and prints one JSON line.
+// on a synthetic scheduler-sized dataset.
 func BenchmarkTrainEpoch(b *testing.B) {
 	d := nn.Dims{N: 28, T: 5, F: 6, M: 5}
 	rng := rand.New(rand.NewSource(7))
@@ -253,15 +248,10 @@ func BenchmarkTrainEpoch(b *testing.B) {
 	}
 	const shards = 4
 	b.ResetTimer()
-	start := time.Now()
 	for i := 0; i < b.N; i++ {
 		model := nn.NewLatencyCNN(rand.New(rand.NewSource(1)), d, 32)
 		nn.Train(model, in, y, nn.TrainConfig{Epochs: 1, Batch: 64, QoSMS: 500, Seed: 1, Shards: shards})
 	}
-	perOp := float64(time.Since(start).Microseconds()) / 1000 / float64(b.N)
-	b.StopTimer()
-	fmt.Printf("{\"bench\":\"train_epoch\",\"samples\":%d,\"shards\":%d,\"ms_per_epoch\":%.1f}\n",
-		n, shards, perOp)
 }
 
 // BenchmarkCNNTrainStep measures one SGD step on a 256-sample batch.

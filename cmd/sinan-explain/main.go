@@ -17,6 +17,7 @@ import (
 	"sinan/internal/core"
 	"sinan/internal/dataset"
 	"sinan/internal/explain"
+	"sinan/internal/lifecycle"
 	"sinan/internal/nn"
 	"sinan/internal/tensor"
 )
@@ -36,7 +37,7 @@ func main() {
 	)
 	flag.Parse()
 
-	m, err := core.LoadHybrid(*modelPath)
+	m, _, err := lifecycle.ReadFile(*modelPath)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -94,7 +94,7 @@ func main() {
 			defer c.Close()
 			mkPolicy = func() runner.Policy { return core.NewScheduler(app, c, schedOpts) }
 		} else {
-			m, _, err := lifecycle.LoadModelFile(*model)
+			m, _, err := lifecycle.ReadFile(*model)
 			if err != nil {
 				log.Fatalf("loading model: %v (train one with sinan-train)", err)
 			}

@@ -6,8 +6,8 @@
 //
 //	sinan-serve -model hotel.model -addr :9090
 //
-// The service exposes Sinan.Predict, Sinan.Meta, and Sinan.Stats over
-// net/rpc; schedulers connect with predsvc.Dial and use the remote model
+// The service exposes Sinan.Predict, Sinan.PredictShared, Sinan.Meta, and
+// Sinan.Stats over net/rpc; schedulers connect with predsvc.Dial and use the remote model
 // exactly like a local one. Admission control protects the server under
 // overload: -max-active bounds concurrent predictions (0 = GOMAXPROCS,
 // negative disables the gate) and -max-queue bounds the LIFO burst queue
@@ -32,8 +32,8 @@
 // Sinan.Rollback, so operators can hot-swap models without a restart —
 // every install is versioned and rollback-able. -model-dir serves the
 // CURRENT version of a model registry (written by sinan-train -registry)
-// instead of a single file; -model accepts both artifact envelopes and
-// legacy raw models. -holdout arms the validation gate: candidates pushed
+// instead of a single file; -model takes an artifact written by
+// sinan-train. -holdout arms the validation gate: candidates pushed
 // over UpdateModel replay the pinned holdout and are rejected unless their
 // RMSE is within the gate's margin of the live model's. -shadow-intervals
 // makes accepted candidates shadow-score that many live Predict calls
@@ -59,7 +59,7 @@ import (
 
 func main() {
 	var (
-		model       = flag.String("model", "sinan.model", "hybrid model path (artifact envelope or legacy raw model)")
+		model       = flag.String("model", "sinan.model", "hybrid model path (an artifact written by sinan-train)")
 		modelDir    = flag.String("model-dir", "", "serve the CURRENT version of this model-registry directory instead of -model (empty = disabled)")
 		holdout     = flag.String("holdout", "", "dataset path arming the UpdateModel validation gate (empty = accept any decodable candidate)")
 		shadowIvals = flag.Int("shadow-intervals", 0, "live Predict calls a gated candidate shadow-scores before promotion (0 = promote immediately)")
@@ -85,7 +85,7 @@ func main() {
 		m, man, err = reg.LoadCurrent()
 		source = *modelDir
 	} else {
-		m, man, err = lifecycle.LoadModelFile(*model)
+		m, man, err = lifecycle.ReadFile(*model)
 	}
 	if err != nil {
 		log.Fatalf("loading model: %v", err)
@@ -113,10 +113,8 @@ func main() {
 	}
 	fmt.Fprintf(os.Stderr, "serving %s on %s (QoS %.0fms, pd=%.3f pu=%.3f)\n",
 		source, srv.Addr(), m.QoSMS, m.Pd, m.Pu)
-	if man.SHA256 != "" {
-		fmt.Fprintf(os.Stderr, "artifact v%d: sha256 %.12s…, %d samples, note %q\n",
-			man.Version, man.SHA256, man.Samples, man.Note)
-	}
+	fmt.Fprintf(os.Stderr, "artifact v%d: sha256 %.12s…, %d samples, note %q\n",
+		man.Version, man.SHA256, man.Samples, man.Note)
 	if opts.Guard != nil {
 		fmt.Fprintf(os.Stderr, "lifecycle gate armed (%s); shadow intervals: %d\n", *holdout, *shadowIvals)
 	}

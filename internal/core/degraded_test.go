@@ -2,6 +2,7 @@ package core
 
 import (
 	"errors"
+	"math"
 	"testing"
 
 	"sinan/internal/cluster"
@@ -249,6 +250,62 @@ func TestSchedulerSurvivesTotalStatsBlackout(t *testing.T) {
 	for i, n := range s.staleFor {
 		if n != 0 {
 			t.Fatalf("tier %d staleness survived recovery: %d", i, n)
+		}
+	}
+}
+
+// garbageDownModel answers like its fakeModel except on scale-down
+// candidates (rows allocating less than cur in total), whose p99 or
+// violation probability it replaces with a value no comparison can order.
+type garbageDownModel struct {
+	*fakeModel
+	cur        float64
+	p99, pviol float64 // substituted on down candidates unless zero
+}
+
+func (g *garbageDownModel) PredictBatch(ctx *PredictContext, in nn.Inputs) (*tensor.Dense, []float64, error) {
+	pred, pv, err := g.fakeModel.PredictBatch(ctx, in)
+	for i := range pv {
+		if total(in.RC.Data[i*g.d.N:(i+1)*g.d.N]) >= g.cur-1e-9 {
+			continue
+		}
+		if g.p99 != 0 {
+			pred.Set(g.p99, i, g.d.M-1)
+		}
+		if g.pviol != 0 {
+			pv[i] = g.pviol
+		}
+	}
+	return pred, pv, err
+}
+
+// A NaN p99 or violation probability makes every filter comparison false,
+// which used to read as "this reclaim is safe". Garbage on a down candidate
+// must instead count as a predictor failure: the interval degrades, the
+// error is counted, and nothing is reclaimed.
+func TestGarbagePredictionOnDownCandidateNeverReclaims(t *testing.T) {
+	app := testApp()
+	d := nn.Dims{N: len(app.Tiers), T: 5, F: 6, M: 5}
+	for name, g := range map[string]*garbageDownModel{
+		"NaN p99":       {p99: math.NaN()},
+		"+Inf p99":      {p99: math.Inf(1)},
+		"NaN pviol":     {pviol: math.NaN()},
+		"negative prob": {pviol: -0.5},
+	} {
+		// needCores far below the allocation: every reclaim looks safe.
+		g.fakeModel = &fakeModel{d: d, qos: 200, rmse: 10, needCores: 5}
+		alloc := mkAlloc(app, 4)
+		g.cur = total(alloc)
+		s := warmScheduler(app, g.fakeModel, alloc)
+		s.M = g
+		dec := s.Decide(stateFor(app, 20, alloc, 0.3))
+		for i := range dec.Alloc {
+			if dec.Alloc[i] < alloc[i] {
+				t.Fatalf("%s: tier %d reclaimed on a garbage prediction: %v → %v", name, i, alloc[i], dec.Alloc[i])
+			}
+		}
+		if s.PredictErrors() != 1 || !dec.Degraded {
+			t.Fatalf("%s: predict errors %d, degraded %v; want the predictor-error path", name, s.PredictErrors(), dec.Degraded)
 		}
 	}
 }

@@ -11,8 +11,6 @@ import (
 	"fmt"
 	"io"
 	"math/rand"
-	"os"
-	"path/filepath"
 	"sort"
 
 	"sinan/internal/boost"
@@ -402,7 +400,7 @@ type hybridBlob struct {
 
 // Encode writes the hybrid model (CNN, BT, thresholds) to w as gob. This is
 // the raw payload form; the versioned, checksummed artifact envelope around
-// it lives in internal/lifecycle.
+// it — the only form that goes to disk — lives in internal/lifecycle.
 func (m *HybridModel) Encode(w io.Writer) error {
 	var latBuf, violBuf bytes.Buffer
 	if err := nn.Save(&latBuf, m.Lat); err != nil {
@@ -438,49 +436,4 @@ func DecodeHybrid(r io.Reader) (*HybridModel, error) {
 		K: blob.K, QoSMS: blob.QoSMS, RMSEValid: blob.RMSEValid,
 		Pd: blob.Pd, Pu: blob.Pu,
 	}, nil
-}
-
-// Save writes the hybrid model (CNN, BT, thresholds) to a file with the
-// same atomic-write discipline as lifecycle.WriteFile: encode into a temp
-// file in the destination directory, fsync, check Close (a full disk often
-// surfaces only there — swallowing it would leave a silently truncated
-// model), and rename into place. On any failure the destination is
-// untouched and the temp file is removed.
-func (m *HybridModel) Save(path string) error {
-	dir := filepath.Dir(path)
-	f, err := os.CreateTemp(dir, ".hybrid-*")
-	if err != nil {
-		return err
-	}
-	tmp := f.Name()
-	cleanup := func(err error) error {
-		f.Close()
-		os.Remove(tmp)
-		return err
-	}
-	if err := m.Encode(f); err != nil {
-		return cleanup(err)
-	}
-	if err := f.Sync(); err != nil {
-		return cleanup(err)
-	}
-	if err := f.Close(); err != nil {
-		os.Remove(tmp)
-		return err
-	}
-	if err := os.Rename(tmp, path); err != nil {
-		os.Remove(tmp)
-		return err
-	}
-	return nil
-}
-
-// LoadHybrid reads a model saved with Save.
-func LoadHybrid(path string) (*HybridModel, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, err
-	}
-	defer f.Close()
-	return DecodeHybrid(f)
 }

@@ -1,8 +1,7 @@
 package core
 
 import (
-	"os"
-	"path/filepath"
+	"bytes"
 	"testing"
 
 	"sinan/internal/apps"
@@ -73,20 +72,17 @@ func TestTrainHybridEndToEnd(t *testing.T) {
 		t.Fatalf("thresholds inverted: pd=%v pu=%v", m.Pd, m.Pu)
 	}
 
-	// Save/load round-trips the whole hybrid.
-	path := filepath.Join(t.TempDir(), "hybrid.gob")
-	if err := m.Save(path); err != nil {
+	// Encode/DecodeHybrid round-trips the whole hybrid.
+	var buf bytes.Buffer
+	if err := m.Encode(&buf); err != nil {
 		t.Fatal(err)
 	}
-	m2, err := LoadHybrid(path)
+	m2, err := DecodeHybrid(&buf)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if m2.QoSMS != m.QoSMS || m2.Pu != m.Pu || m2.K != m.K {
 		t.Fatal("hybrid metadata lost in round trip")
-	}
-	if _, err := os.Stat(path); err != nil {
-		t.Fatal(err)
 	}
 }
 

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"errors"
 	"math"
 	"sort"
 	"time"
@@ -883,7 +884,29 @@ func (s *Scheduler) predictCandidates(cands []candidate, d nn.Dims) (*tensor.Den
 	start := time.Now()
 	pred, pviol, err := PredictSharedAuto(s.M, s.predCtx, in)
 	s.predictLatMS.Observe(float64(time.Since(start)) / float64(time.Millisecond))
+	if err == nil {
+		err = checkPredictions(pred, pviol, d.M)
+	}
 	return pred, pviol, err
+}
+
+// errGarbagePrediction marks a model answer the filters cannot compare.
+var errGarbagePrediction = errors.New("core: model returned a non-finite p99 or an invalid violation probability")
+
+// checkPredictions refuses a model answer carrying a NaN or infinite p99 or
+// a NaN, infinite or negative violation probability. Every float
+// comparison against NaN is false, so selectCandidate would otherwise
+// accept a reclaim whose prediction is garbage; as an error the answer
+// takes the predictor-failure path instead (degraded fallback, brownout
+// pressure), which never scales down.
+func checkPredictions(pred *tensor.Dense, pviol []float64, m int) error {
+	for i, pv := range pviol {
+		p99 := pred.Data[i*m+m-1] // not At: its variadic index escapes, one allocation per call
+		if math.IsNaN(p99) || math.IsInf(p99, 0) || !(pv >= 0) || math.IsInf(pv, 1) {
+			return errGarbagePrediction
+		}
+	}
+	return nil
 }
 
 // selectCandidate applies the filters of Sec. 4.3 and returns the index of

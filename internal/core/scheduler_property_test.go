@@ -16,6 +16,9 @@ type chaosModel struct {
 	d    nn.Dims
 	qos  float64
 	seed uint64
+	// garbage is set when the last answer carried a NaN, infinite or
+	// negative value (about one answer in four does).
+	garbage bool
 }
 
 func (f *chaosModel) Meta() ModelMeta {
@@ -38,12 +41,27 @@ func (f *chaosModel) PredictBatch(_ *PredictContext, in nn.Inputs) (*tensor.Dens
 		}
 		pv[i] = f.next()
 	}
+	f.garbage = f.next() < 0.25
+	if f.garbage {
+		i := int(f.next() * float64(b))
+		switch int(f.next() * 4) {
+		case 0:
+			pred.Set(math.NaN(), i, f.d.M-1)
+		case 1:
+			pred.Set(math.Inf(1), i, f.d.M-1)
+		case 2:
+			pv[i] = math.NaN()
+		default:
+			pv[i] = -pv[i] - 0.1
+		}
+	}
 	return pred, pv, nil
 }
 
 // Property: whatever the model says and whatever the observed state, the
 // scheduler's decisions stay inside per-tier bounds, on the 0.1-core grid,
-// and are finite.
+// and are finite — and an interval whose model answer carried garbage never
+// reclaims.
 func TestSchedulerDecisionsAlwaysValidProperty(t *testing.T) {
 	app := testApp()
 	d := nn.Dims{N: len(app.Tiers), T: 5, F: 6, M: 5}
@@ -54,11 +72,15 @@ func TestSchedulerDecisionsAlwaysValidProperty(t *testing.T) {
 		for step := 0; step < int(steps%40)+5; step++ {
 			p99 := m.next() * 600 // may violate QoS arbitrarily
 			usage := m.next()
+			m.garbage = false
 			dec := s.Decide(stateFor(app, p99, alloc, usage))
 			if dec.Alloc == nil {
 				return false
 			}
 			for i, a := range dec.Alloc {
+				if m.garbage && a < alloc[i] {
+					return false
+				}
 				if math.IsNaN(a) || math.IsInf(a, 0) {
 					return false
 				}

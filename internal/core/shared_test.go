@@ -1,10 +1,7 @@
 package core
 
 import (
-	"os"
-	"path/filepath"
 	"sort"
-	"strings"
 	"testing"
 
 	"sinan/internal/boost"
@@ -193,47 +190,6 @@ func TestBTRowChannelLayout(t *testing.T) {
 	for i, w := range want {
 		if row[i] != w {
 			t.Fatalf("bt row[%d] = %v, want %v (full row %v)", i, row[i], w, row)
-		}
-	}
-}
-
-// TestHybridSaveAtomic covers the rewritten Save: a successful save
-// round-trips, and a failed save (here: the destination is a directory, so
-// the final rename fails) reports the error and leaves no temp litter —
-// the write is all-or-nothing.
-func TestHybridSaveAtomic(t *testing.T) {
-	m := tinyHotelHybrid(t)
-	dir := t.TempDir()
-	path := filepath.Join(dir, "model.bin")
-	if err := m.Save(path); err != nil {
-		t.Fatal(err)
-	}
-	m2, err := LoadHybrid(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	in := sharedQueryBatch(m.D, 4)
-	var full nn.Inputs
-	in.Expand(&full)
-	want, _, _ := m.PredictBatch(nil, full)
-	want = want.Clone()
-	got, _, _ := m2.PredictBatch(nil, full)
-	for i := range want.Data {
-		if got.Data[i] != want.Data[i] {
-			t.Fatalf("round-trip pred[%d] = %v, want %v", i, got.Data[i], want.Data[i])
-		}
-	}
-
-	if err := m.Save(dir); err == nil {
-		t.Fatal("Save over an existing directory succeeded")
-	}
-	ents, err := os.ReadDir(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, e := range ents {
-		if strings.HasPrefix(e.Name(), ".hybrid-") {
-			t.Fatalf("failed Save left temp file %s behind", e.Name())
 		}
 	}
 }

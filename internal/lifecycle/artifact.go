@@ -190,18 +190,29 @@ func Encode(m *core.HybridModel, man Manifest) ([]byte, Manifest, error) {
 	return buf.Bytes(), man, nil
 }
 
-// WriteFile writes an artifact atomically: the bytes land in a temp file in
-// the destination directory, are synced, and the temp file is renamed over
-// path — a crashed writer leaves either the old artifact or none, never a
-// torn one.
+// WriteFile writes an artifact atomically (see writeAtomic).
 func WriteFile(path string, m *core.HybridModel, man Manifest) (Manifest, error) {
-	dir := filepath.Dir(path)
-	f, err := os.CreateTemp(dir, ".artifact-*")
+	err := writeAtomic(path, func(w io.Writer) (err error) {
+		man, err = Write(w, m, man)
+		return err
+	})
 	if err != nil {
 		return Manifest{}, err
 	}
-	tmp := f.Name()
-	man, err = Write(f, m, man)
+	return man, nil
+}
+
+// writeAtomic is the one durable-write routine: the bytes land in a temp
+// file in the destination directory, are synced, and the temp file is
+// renamed over path — a crashed writer leaves either the old file or none,
+// never a torn one. Close is checked because a full disk often surfaces
+// only there.
+func writeAtomic(path string, write func(io.Writer) error) error {
+	f, err := os.CreateTemp(filepath.Dir(path), ".tmp-*")
+	if err != nil {
+		return err
+	}
+	err = write(f)
 	if err == nil {
 		err = f.Sync()
 	}
@@ -209,16 +220,17 @@ func WriteFile(path string, m *core.HybridModel, man Manifest) (Manifest, error)
 		err = cerr
 	}
 	if err == nil {
-		err = os.Rename(tmp, path)
+		err = os.Rename(f.Name(), path)
 	}
 	if err != nil {
-		os.Remove(tmp)
-		return Manifest{}, err
+		os.Remove(f.Name())
 	}
-	return man, nil
+	return err
 }
 
-// ReadFile reads an artifact written with WriteFile.
+// ReadFile reads an artifact written with WriteFile. The envelope is the
+// only on-disk model format: sinan-train writes it, and sinan-serve,
+// sinan-run, sinan-explain and the public sinan.LoadModel read it.
 func ReadFile(path string) (*core.HybridModel, Manifest, error) {
 	f, err := os.Open(path)
 	if err != nil {
@@ -226,34 +238,4 @@ func ReadFile(path string) (*core.HybridModel, Manifest, error) {
 	}
 	defer f.Close()
 	return Read(f)
-}
-
-// LoadModelFile loads a model from either on-disk format: a checksummed
-// artifact envelope (this package) or the legacy raw gob that
-// core.HybridModel.Save wrote before artifacts existed. Legacy files carry
-// no manifest; the returned Manifest is zero-valued for them. The format is
-// sniffed from the magic bytes, so a corrupt envelope fails checksum
-// verification rather than being silently retried as legacy gob.
-func LoadModelFile(path string) (*core.HybridModel, Manifest, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, Manifest{}, err
-	}
-	defer f.Close()
-	var magic [8]byte
-	n, err := io.ReadFull(f, magic[:])
-	if err != nil && err != io.ErrUnexpectedEOF && err != io.EOF {
-		return nil, Manifest{}, err
-	}
-	if _, err := f.Seek(0, io.SeekStart); err != nil {
-		return nil, Manifest{}, err
-	}
-	if n == len(magic) && magic == artifactMagic {
-		return Read(f)
-	}
-	m, err := core.DecodeHybrid(f)
-	if err != nil {
-		return nil, Manifest{}, err
-	}
-	return m, Manifest{}, nil
 }

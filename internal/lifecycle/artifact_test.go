@@ -66,76 +66,54 @@ func TestArtifactWriteFileAtomicAndClean(t *testing.T) {
 	if man2 != man || m2 == nil {
 		t.Fatalf("file round trip mismatch: %+v vs %+v", man2, man)
 	}
+	// A failed write (the destination is a directory, so the final rename
+	// fails) reports the error; neither write leaves temp litter behind.
+	sub := filepath.Join(dir, "sub")
+	if err := os.Mkdir(sub, 0o755); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := WriteFile(sub, m, Manifest{}); err == nil {
+		t.Fatal("WriteFile over an existing directory succeeded")
+	}
 	entries, err := os.ReadDir(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, e := range entries {
-		if strings.HasPrefix(e.Name(), ".artifact-") {
-			t.Fatalf("temp file %s left behind", e.Name())
-		}
-	}
-	if len(entries) != 1 {
-		t.Fatalf("expected exactly the artifact in %s, found %d entries", dir, len(entries))
+	if len(entries) != 2 {
+		t.Fatalf("expected exactly the artifact and sub/ in %s, found %d entries", dir, len(entries))
 	}
 }
 
-// LoadModelFile sniffs the format: envelopes verify their checksum, legacy
-// raw-gob files (core.HybridModel.Save) still load with a zero manifest,
-// and junk fails in both decoders without being misclassified.
-func TestLoadModelFileSniffsBothFormats(t *testing.T) {
+// The envelope is the only file format: a corrupt envelope fails checksum
+// verification, and a bare model payload (what the retired raw-gob format
+// held) or junk is refused at the magic — nothing is sniffed or retried.
+func TestReadFileAcceptsOnlyEnvelopes(t *testing.T) {
 	m := trainedHybrid(t)
 	dir := t.TempDir()
-
-	envPath := filepath.Join(dir, "env.model")
-	man, err := WriteFile(envPath, m, Manifest{Note: "sniff"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	em, eman, err := LoadModelFile(envPath)
-	if err != nil || em == nil {
-		t.Fatalf("LoadModelFile(envelope): %v", err)
-	}
-	if eman != man {
-		t.Fatalf("envelope manifest %+v, want %+v", eman, man)
-	}
-
-	legacyPath := filepath.Join(dir, "legacy.model")
-	if err := m.Save(legacyPath); err != nil {
-		t.Fatal(err)
-	}
-	lm, lman, err := LoadModelFile(legacyPath)
-	if err != nil || lm == nil {
-		t.Fatalf("LoadModelFile(legacy): %v", err)
-	}
-	if lman != (Manifest{}) {
-		t.Fatalf("legacy load should carry a zero manifest, got %+v", lman)
-	}
-	if lm.D != m.D || lm.Pd != m.Pd || lm.Pu != m.Pu {
-		t.Fatalf("legacy load changed the model: %+v", lm)
-	}
-
-	// A corrupt envelope must fail checksum verification, not fall back to
-	// the legacy decoder.
-	art, err := os.ReadFile(envPath)
+	art, _, err := Encode(m, Manifest{Note: "strict"})
 	if err != nil {
 		t.Fatal(err)
 	}
 	art[len(art)-1] ^= 0xFF
-	badPath := filepath.Join(dir, "bad.model")
-	if err := os.WriteFile(badPath, art, 0o644); err != nil {
+	var payload bytes.Buffer
+	if err := m.Encode(&payload); err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := LoadModelFile(badPath); err == nil || !strings.Contains(err.Error(), "checksum") {
-		t.Fatalf("corrupt envelope error = %v, want checksum mismatch", err)
-	}
-
-	junkPath := filepath.Join(dir, "junk.model")
-	if err := os.WriteFile(junkPath, []byte("not a model"), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if _, _, err := LoadModelFile(junkPath); err == nil {
-		t.Fatal("junk file should not load")
+	for name, tc := range map[string]struct {
+		data []byte
+		want string
+	}{
+		"corrupt.model": {art, "checksum"},
+		"rawgob.model":  {payload.Bytes(), "magic"},
+		"junk.model":    {[]byte("not a model"), "magic"},
+	} {
+		path := filepath.Join(dir, name)
+		if err := os.WriteFile(path, tc.data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if _, _, err := ReadFile(path); err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Fatalf("ReadFile(%s) error = %v, want %q", name, err, tc.want)
+		}
 	}
 }
 

@@ -1,21 +1,18 @@
 package lifecycle
 
 import (
-	"fmt"
 	"testing"
 
 	"sinan/internal/core"
 	"sinan/internal/nn"
 )
 
-// The lifecycle benchmarks print one {"bench":...} JSON line each (the
-// repository's CI-scrape convention); `make lifecycle-bench` collects them
-// into BENCH_lifecycle.json. They pin the three costs the design leans on:
+// The lifecycle benchmarks measure the three costs the design leans on:
 // gate validation latency (how long a candidate is examined before it may
 // touch traffic), hot-swap cost (the "downtime" of a promotion — one
-// atomic pointer store), and the serve-path overhead Live adds per predict
-// (which must stay allocation-free so the scheduler's 0 allocs/op
-// enumeration path survives the indirection).
+// atomic pointer store under the history mutex), and the serve-path
+// overhead Live adds per predict (which must stay allocation-free so the
+// scheduler's 0 allocs/op enumeration path survives the indirection).
 
 func benchLive() (*Live, *fakeModel) {
 	d := nn.Dims{N: 4, T: 5, F: 6, M: 5}
@@ -41,32 +38,19 @@ func BenchmarkGateValidate(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
-	b.StopTimer()
-	if b.N == 1 {
-		return // warm-up round; only the measured round prints
-	}
-	nsOp := float64(b.Elapsed().Nanoseconds()) / float64(b.N)
-	fmt.Printf("\n{\"bench\":\"lifecycle_gate_validate\",\"ns_per_op\":%.2f,\"rows\":%d}\n", nsOp, g.Rows())
 }
 
 // BenchmarkLiveSwap is the promotion itself: the window during which a
-// model change is in flight. One atomic pointer store — this is the "swap
-// downtime" number, and it is nanoseconds.
+// model change is in flight. One atomic pointer store plus the history
+// push — this is the "swap downtime" number, and it is nanoseconds.
 func BenchmarkLiveSwap(b *testing.B) {
 	l, m := benchLive()
 	m2 := &fakeModel{d: m.d, qos: m.qos, eval: m.eval}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		l.Swap(m2, i)
+		l.Install(m2)
 	}
-	b.StopTimer()
-	if b.N == 1 {
-		return
-	}
-	nsOp := float64(b.Elapsed().Nanoseconds()) / float64(b.N)
-	allocs := testing.AllocsPerRun(1000, func() { l.Swap(m2, 7) })
-	fmt.Printf("\n{\"bench\":\"lifecycle_live_swap\",\"ns_per_op\":%.2f,\"allocs_per_op\":%.0f}\n", nsOp, allocs)
 }
 
 // BenchmarkLiveServeOverhead is the per-predict cost Live adds over calling
@@ -85,14 +69,11 @@ func BenchmarkLiveServeOverhead(b *testing.B) {
 		}
 	}
 	b.StopTimer()
-	if b.N == 1 {
-		return
-	}
-	nsOp := float64(b.Elapsed().Nanoseconds()) / float64(b.N)
 	// Allocations attributable to Live itself: the wrapped call minus the
 	// model's own cost (the fake allocates its output tensor each call).
 	direct := testing.AllocsPerRun(1000, func() { m.PredictBatch(ctx, in) })
 	wrapped := testing.AllocsPerRun(1000, func() { l.PredictBatch(ctx, in) })
-	fmt.Printf("\n{\"bench\":\"lifecycle_live_serve\",\"ns_per_op\":%.2f,\"allocs_per_op\":%.0f,\"wrapper_allocs_per_op\":%.0f}\n",
-		nsOp, wrapped, wrapped-direct)
+	if wrapped != direct {
+		b.Fatalf("Live adds %.0f allocs per predict (wrapped %.0f, direct %.0f)", wrapped-direct, wrapped, direct)
+	}
 }

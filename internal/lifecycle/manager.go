@@ -88,8 +88,6 @@ type Config struct {
 	ProbationGrace     int // default 5
 	BreachTolerance    int // default 8
 
-	// HistoryDepth bounds the in-memory rollback stack (default 4).
-	HistoryDepth int
 	// K is the violation lookahead of the fresh-window recorder (default 5).
 	K int
 	// MaxRetrains caps retrain attempts per run (0 = unlimited).
@@ -126,18 +124,10 @@ func (c Config) withDefaults() Config {
 	if c.BreachTolerance == 0 {
 		c.BreachTolerance = 8
 	}
-	if c.HistoryDepth == 0 {
-		c.HistoryDepth = 4
-	}
 	if c.K == 0 {
 		c.K = 5
 	}
 	return c
-}
-
-type prevEntry struct {
-	p       core.Predictor
-	version int
 }
 
 // Manager is the drift-driven model lifecycle controller, packaged as a
@@ -145,8 +135,9 @@ type prevEntry struct {
 // decision to the scheduler, harvests the scheduler's violation and
 // misprediction feedback into a drift EWMA, records fresh training windows,
 // and advances the candidate → shadow → live → rolled-back state machine.
-// All swaps go through a Live predictor (atomic pointer), so the prediction
-// path never observes an unavailable model.
+// All swaps go through a Live predictor (atomic pointer), which also keeps
+// the rollback stack and scores the shadow candidate, so the prediction path
+// never observes an unavailable model.
 type Manager struct {
 	cfg   Config
 	live  *Live
@@ -162,19 +153,12 @@ type Manager struct {
 	cooldown    int
 	attempts    int
 	shadowLeft  int
-	cand        core.Predictor
 	candSamples int
-	tap         *shadowTap
 	probLeft    int
 	probAge     int
 	breaches    int
-	nextVersion int
 	lastMispred int64
-	history     []prevEntry
 	regVersions map[int]int // live version → registry version
-
-	lastGate   GateReport
-	lastShadow ShadowReport
 
 	// Telemetry ("lifecycle.*"); deterministic — everything advances on the
 	// run's simulated intervals.
@@ -206,7 +190,6 @@ func NewManager(app *apps.App, model core.Predictor, sopts core.SchedulerOptions
 		cfg:         cfg,
 		live:        NewLive(model, 1),
 		qos:         meta.QoSMS,
-		nextVersion: 2,
 		regVersions: map[int]int{},
 	}
 	if !cfg.Blind {
@@ -319,9 +302,7 @@ func (m *Manager) step(violated bool) {
 			m.cooldown = m.cfg.Cooldown
 			return
 		}
-		rep, err := m.gate.Validate(m.live.Current(), cand)
-		m.lastGate = rep
-		if err != nil {
+		if _, err := m.gate.Validate(m.live.Current(), cand); err != nil {
 			m.gateRejected.Inc()
 			m.cooldown = m.cfg.Cooldown
 			return
@@ -332,10 +313,8 @@ func (m *Manager) step(violated bool) {
 			m.beginProbation()
 			return
 		}
-		m.cand = cand
 		m.candSamples = fresh.Len()
-		m.tap = newShadowTap(cand, m.shadowHist)
-		m.live.SetShadow(m.tap)
+		m.live.Shadow(cand, m.shadowHist)
 		m.state = StateShadow
 		m.shadowLeft = m.cfg.ShadowIntervals
 
@@ -344,18 +323,14 @@ func (m *Manager) step(violated bool) {
 		if m.shadowLeft > 0 {
 			return
 		}
-		m.live.SetShadow(nil)
-		m.lastShadow = m.tap.report()
-		m.tap = nil
-		if m.lastShadow.Failed {
+		cand, disqualified, _ := m.live.SettleShadow(0)
+		if disqualified != nil {
 			m.shadowRejected.Inc()
-			m.cand = nil
 			m.state = StateLive
 			m.cooldown = m.cfg.Cooldown
 			return
 		}
-		m.promote(m.cand, m.candSamples)
-		m.cand = nil
+		m.promote(cand, m.candSamples)
 		m.beginProbation()
 
 	case StateProbation:
@@ -383,18 +358,11 @@ func (m *Manager) beginProbation() {
 }
 
 // promote installs cand as the live model: one atomic swap (in-flight
-// predictions finish on the old model), the previous version pushed onto
-// the bounded rollback stack, scheduler thresholds refreshed, and — for
-// hybrid models with a registry — the new version persisted and marked
-// CURRENT.
+// predictions finish on the old model, which Live keeps as the rollback
+// target), scheduler thresholds refreshed, and — for hybrid models with a
+// registry — the new version persisted and marked CURRENT.
 func (m *Manager) promote(cand core.Predictor, samples int) {
-	v := m.nextVersion
-	m.nextVersion++
-	prev, prevV := m.live.Swap(cand, v)
-	m.history = append(m.history, prevEntry{p: prev, version: prevV})
-	if len(m.history) > m.cfg.HistoryDepth {
-		m.history = m.history[1:]
-	}
+	v := m.live.Install(cand)
 	m.promotions.Inc()
 	m.sched.RefreshMeta()
 	m.ewma = 0
@@ -416,17 +384,15 @@ func (m *Manager) promote(cand core.Predictor, samples int) {
 func (m *Manager) rollback() {
 	m.state = StateLive
 	m.cooldown = 2 * m.cfg.Cooldown
-	if len(m.history) == 0 {
+	v, ok := m.live.Rollback()
+	if !ok {
 		return
 	}
-	e := m.history[len(m.history)-1]
-	m.history = m.history[:len(m.history)-1]
-	m.live.Swap(e.p, e.version)
 	m.rollbacks.Inc()
 	m.sched.RefreshMeta()
 	m.ewma = 0
 	if m.cfg.Registry != nil {
-		if rv, ok := m.regVersions[e.version]; ok {
+		if rv, ok := m.regVersions[v]; ok {
 			m.cfg.Registry.SetCurrent(rv)
 		}
 	}
@@ -445,14 +411,8 @@ func (m *Manager) State() State { return m.state }
 // Version returns the live model version.
 func (m *Manager) Version() int { return m.live.Version() }
 
-// DriftEWMA returns the drift detector's current feedback EWMA.
-func (m *Manager) DriftEWMA() float64 { return m.ewma }
-
 // Retrains returns the number of retrain attempts triggered.
 func (m *Manager) Retrains() int { return int(m.retrains.Value()) }
-
-// RetrainErrors returns the number of retrains that failed outright.
-func (m *Manager) RetrainErrors() int { return int(m.retrainErrors.Value()) }
 
 // GateAccepted returns the number of candidates the validation gate passed.
 func (m *Manager) GateAccepted() int { return int(m.gateAccepted.Value()) }
@@ -469,9 +429,3 @@ func (m *Manager) Promotions() int { return int(m.promotions.Value()) }
 
 // Rollbacks returns the number of automatic rollbacks.
 func (m *Manager) Rollbacks() int { return int(m.rollbacks.Value()) }
-
-// LastGateReport returns the most recent gate validation's RMSEs.
-func (m *Manager) LastGateReport() GateReport { return m.lastGate }
-
-// LastShadowReport returns the most recent completed shadow window summary.
-func (m *Manager) LastShadowReport() ShadowReport { return m.lastShadow }

@@ -2,6 +2,7 @@ package lifecycle
 
 import (
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"sort"
@@ -72,18 +73,6 @@ func (r *Registry) Versions() ([]int, error) {
 	return r.versionsLocked()
 }
 
-// Latest returns the highest stored version, or 0 when the registry is
-// empty.
-func (r *Registry) Latest() (int, error) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	vs, err := r.versionsLocked()
-	if err != nil || len(vs) == 0 {
-		return 0, err
-	}
-	return vs[len(vs)-1], nil
-}
-
 // Put stores m as the next version (atomic write) and prunes old versions
 // beyond the retention bound. The completed manifest — version number
 // assigned — is returned.
@@ -150,22 +139,10 @@ func (r *Registry) SetCurrent(v int) error {
 	if _, err := os.Stat(r.Path(v)); err != nil {
 		return fmt.Errorf("lifecycle: version %d not in registry: %w", v, err)
 	}
-	f, err := os.CreateTemp(r.dir, ".current-*")
-	if err != nil {
+	return writeAtomic(r.currentPath(), func(w io.Writer) error {
+		_, err := fmt.Fprintf(w, "%d\n", v)
 		return err
-	}
-	tmp := f.Name()
-	_, err = fmt.Fprintf(f, "%d\n", v)
-	if cerr := f.Close(); err == nil {
-		err = cerr
-	}
-	if err == nil {
-		err = os.Rename(tmp, r.currentPath())
-	}
-	if err != nil {
-		os.Remove(tmp)
-	}
-	return err
+	})
 }
 
 func (r *Registry) currentLocked() (int, error) {

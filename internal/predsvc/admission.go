@@ -98,18 +98,15 @@ type ServiceOptions struct {
 	MaxQueue int
 
 	// Guard, when non-nil, is the validation gate every UpdateModel RPC
-	// (and GuardedSwap) must pass: the candidate replays the gate's pinned
-	// holdout and is refused unless its error stays within margin of the
-	// live model's. Nil accepts any well-formed, dims-compatible artifact.
+	// must pass: the candidate replays the gate's pinned holdout and is
+	// refused unless its error stays within margin of the live model's. Nil
+	// accepts any well-formed, dims-compatible artifact.
 	Guard *lifecycle.Gate
 	// ShadowCalls, when positive, parks a gate-accepted update in shadow:
 	// the candidate scores that many live Predict batches (observed, never
 	// served) and promotes only if every observation stays finite. 0
 	// installs accepted updates immediately.
 	ShadowCalls int
-	// HistoryDepth bounds how many displaced models are retained as
-	// rollback targets (default 4).
-	HistoryDepth int
 }
 
 func (o ServiceOptions) withDefaults() ServiceOptions {

@@ -330,6 +330,44 @@ func TestServerStatsRPC(t *testing.T) {
 	}
 }
 
+// TestServiceMetricsRegistry checks that the service's registry carries the
+// RPC latency histogram, in-flight gauge, and admission outcome counters,
+// and that ServerStats is consistent with the registry snapshot it views.
+func TestServiceMetricsRegistry(t *testing.T) {
+	m := tinyHybrid(t)
+	svc := NewService(m)
+	const n = 5
+	for i := 0; i < n; i++ {
+		var reply PredictReply
+		in := mkBatch(m.D, 2)
+		args := &PredictArgs{RH: in.RH.Data, LH: in.LH.Data, RC: in.RC.Data, Batch: 2}
+		if err := svc.Predict(args, &reply); err != nil {
+			t.Fatal(err)
+		}
+	}
+	snap := svc.Metrics().Snapshot()
+	if got := snap.Counters["server.admission.outcome{result=accepted}"]; got != n {
+		t.Errorf("accepted counter = %d; want %d", got, n)
+	}
+	h := snap.Histograms["server.rpc.predict.latency_ms"]
+	if h == nil {
+		t.Fatal("missing server.rpc.predict.latency_ms histogram")
+	}
+	if h.Count != n {
+		t.Errorf("latency histogram count = %d; want %d", h.Count, n)
+	}
+	if h.P99 <= 0 {
+		t.Errorf("latency histogram p99 = %v; want > 0", h.P99)
+	}
+	if _, ok := snap.Gauges["server.rpc.predict.inflight"]; !ok {
+		t.Error("missing server.rpc.predict.inflight gauge")
+	}
+	st := svc.StatsSnapshot()
+	if st.Accepted != n {
+		t.Errorf("StatsSnapshot.Accepted = %d; want %d", st.Accepted, n)
+	}
+}
+
 // Server.Close racing an overloaded queue: admitted work drains, queued work
 // is rejected immediately (no goroutine parks forever on the gate), and the
 // process returns to its baseline goroutine count.

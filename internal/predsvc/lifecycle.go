@@ -3,9 +3,12 @@
 // scheduler predictor-less. An update arrives as a checksummed lifecycle
 // artifact (corrupt bytes are refused, never panic), passes the service's
 // validation gate if one is configured, optionally shadow-scores against
-// live Predict traffic, and only then becomes the served model — one
-// atomic pointer store. Every swap retains its predecessor in a bounded
-// history so Rollback is a local operation, not a re-upload.
+// live Predict traffic, and only then becomes the served model. The served
+// model, the bounded history that makes Rollback a local operation, the
+// version numbers and the shadow scorer all live in the service's
+// lifecycle.Live — the same mechanism the in-process Manager drives; this
+// file only adds the wire forms, the gate call, and the service's promotion
+// policy (after ShadowCalls scored calls).
 //
 // Both RPCs are deliberately rare-path: they serialize on swapMu and never
 // touch the Predict fast path, which stays a lock-free atomic load.
@@ -14,13 +17,10 @@ package predsvc
 import (
 	"errors"
 	"fmt"
-	"math"
 	"strings"
 
 	"sinan/internal/core"
 	"sinan/internal/lifecycle"
-	"sinan/internal/nn"
-	"sinan/internal/tensor"
 )
 
 // UpdateModelArgs carries a candidate model as a lifecycle artifact
@@ -81,54 +81,6 @@ func IsUpdateRejected(err error) bool {
 	return strings.Contains(msg, rejectedPrefix) || strings.Contains(msg, errNoHistory.Error())
 }
 
-// svcShadow is a candidate under server-side shadow scoring: Predict runs
-// it on the same inputs as the live model (after the live answer is
-// already secured) until `left` observations accumulate, then the service
-// promotes it — unless any observation errored or produced a non-finite
-// prediction, which disqualifies it on the spot.
-type svcShadow struct {
-	cand *core.HybridModel
-	man  lifecycle.Manifest
-
-	// Guarded by the owning Service's swapMu — observations serialize
-	// through resolveShadowLocked, never on the Predict hot path itself.
-	ctx    *core.PredictContext
-	left   int
-	failed bool
-	reason string
-}
-
-// defaultHistoryDepth bounds the rollback history when ServiceOptions
-// leaves HistoryDepth zero.
-const defaultHistoryDepth = 4
-
-// GuardedSwap is the in-process gated install: the same validation
-// UpdateModel applies on the wire (dims fingerprint, then the holdout
-// gate when one is configured), without the artifact round trip. On
-// refusal the service keeps serving its previous model.
-func (s *Service) GuardedSwap(m *core.HybridModel) error {
-	s.swapMu.Lock()
-	defer s.swapMu.Unlock()
-	cur := s.model.Load()
-	if m == nil {
-		s.updRejected.Inc()
-		return fmt.Errorf("%s: nil model", rejectedPrefix)
-	}
-	if m.D != cur.D {
-		s.updRejected.Inc()
-		return fmt.Errorf("%s: dims %+v do not match served model %+v", rejectedPrefix, m.D, cur.D)
-	}
-	if s.guard != nil {
-		if _, err := s.guard.Validate(cur, m); err != nil {
-			s.updRejected.Inc()
-			return fmt.Errorf("%s by validation gate: %w", rejectedPrefix, err)
-		}
-	}
-	s.installLocked(m)
-	s.updates.Inc()
-	return nil
-}
-
 // UpdateModel implements the RPC method: decode → fingerprint check →
 // validation gate → shadow or install. Every refusal is an error return
 // with the service still on its previous model; nothing in this path can
@@ -142,10 +94,10 @@ func (s *Service) UpdateModel(args *UpdateModelArgs, reply *UpdateModelReply) er
 	}
 	s.swapMu.Lock()
 	defer s.swapMu.Unlock()
-	cur := s.model.Load()
-	if cand.D != cur.D {
+	cur := s.live.Current()
+	if d := cur.Meta().D; cand.D != d {
 		s.updRejected.Inc()
-		return fmt.Errorf("%s: dims %+v do not match served model %+v", rejectedPrefix, cand.D, cur.D)
+		return fmt.Errorf("%s: dims %+v do not match served model %+v", rejectedPrefix, cand.D, d)
 	}
 	if s.guard != nil {
 		rep, gerr := s.guard.Validate(cur, cand)
@@ -160,134 +112,72 @@ func (s *Service) UpdateModel(args *UpdateModelArgs, reply *UpdateModelReply) er
 		// Park the candidate for shadow scoring. A newer update replaces
 		// any candidate already in shadow — last write wins, and the
 		// displaced candidate simply never promotes.
-		s.shadowSlot.Store(&svcShadow{
-			cand: cand, man: man,
-			ctx:  core.NewPredictContext(),
-			left: s.shadowN,
-		})
+		s.live.Shadow(cand, nil)
 		reply.Pending = true
-		reply.Version = int(s.version.Load())
+		reply.Version = s.live.Generation()
 		return nil
 	}
-	reply.Version = s.installLocked(cand)
+	reply.Version = s.install(cand)
 	s.updates.Inc()
 	return nil
 }
 
-// Rollback implements the RPC method: restore the most recent predecessor.
-// Any candidate still in shadow is discarded first — a rollback is an
-// operator override, and promoting a pending candidate moments after it
-// would defeat the point.
+// Rollback implements the RPC method: restore the most recent predecessor,
+// discarding any candidate still in shadow.
 func (s *Service) Rollback(_ *RollbackArgs, reply *RollbackReply) error {
 	s.swapMu.Lock()
 	defer s.swapMu.Unlock()
-	if sh := s.shadowSlot.Swap(nil); sh != nil {
+	if s.live.ShadowPending() {
 		s.shadowRejected.Inc()
 	}
-	n := len(s.history)
-	if n == 0 {
+	if _, ok := s.live.Rollback(); !ok {
 		return errNoHistory
 	}
-	prev := s.history[n-1]
-	s.history = s.history[:n-1]
-	s.model.Store(prev)
-	v := s.version.Add(1)
-	s.versionG.Set(float64(v))
 	s.rollbacks.Inc()
-	reply.Version = int(v)
-	reply.Depth = len(s.history)
+	reply.Version = s.live.Generation()
+	reply.Depth = s.live.Depth()
+	s.versionG.Set(float64(reply.Version))
 	return nil
 }
 
-// installLocked makes m the served model, retaining the displaced model as
-// a rollback target (history bounded by HistoryDepth — oldest falls off).
-// Caller holds swapMu. Returns the new generation.
-func (s *Service) installLocked(m *core.HybridModel) int {
-	prev := s.model.Load()
-	s.history = append(s.history, prev)
-	if over := len(s.history) - s.histDepth; over > 0 {
-		s.history = append(s.history[:0], s.history[over:]...)
-	}
-	s.model.Store(m)
-	v := s.version.Add(1)
-	s.versionG.Set(float64(v))
-	return int(v)
+// install makes m the served model and returns the new generation. Caller
+// holds swapMu.
+func (s *Service) install(m core.Predictor) int {
+	s.live.Install(m)
+	g := s.live.Generation()
+	s.versionG.Set(float64(g))
+	return g
 }
 
-// observeShadow feeds one live batch to the candidate in shadow, if any.
-// Called from Predict after the live answer is secured, so shadow cost
-// never delays promotion decisions into the client's critical path — and a
-// candidate failure is recorded, never returned to the caller.
-func (s *Service) observeShadow(in nn.Inputs) {
-	s.resolveShadow(func(sh *svcShadow) (*tensor.Dense, []float64, error) {
-		return sh.cand.PredictBatch(sh.ctx, in)
-	})
-}
-
-// observeShadowShared is observeShadow for the deduplicated wire form: the
-// candidate scores the shared-history batch through its own PredictShared
-// path, so shadow traffic exercises exactly the code the candidate would
-// serve with once promoted.
-func (s *Service) observeShadowShared(in nn.SharedInputs) {
-	s.resolveShadow(func(sh *svcShadow) (*tensor.Dense, []float64, error) {
-		return sh.cand.PredictShared(sh.ctx, in)
-	})
-}
-
-// resolveShadow runs one observation of the shadowed candidate through eval
-// and settles its fate: disqualify on error or non-finite output, promote
-// once the observation budget is spent.
-func (s *Service) resolveShadow(eval func(*svcShadow) (*tensor.Dense, []float64, error)) {
-	sh := s.shadowSlot.Load()
-	if sh == nil {
+// settleShadow is the service's promotion policy: once the candidate in
+// shadow has been disqualified, or has scored shadowN live calls, the
+// audition ends — the candidate is dropped or becomes the served model.
+// Called after the live answer is secured, so it never fails a request.
+func (s *Service) settleShadow() {
+	if !s.live.ShadowPending() {
 		return
 	}
 	s.swapMu.Lock()
 	defer s.swapMu.Unlock()
-	if s.shadowSlot.Load() != sh || sh.left <= 0 {
-		return // replaced or already resolved while we waited
+	cand, disqualified, ok := s.live.SettleShadow(s.shadowN)
+	if !ok {
+		return
 	}
-	pred, pviol, err := eval(sh)
-	switch {
-	case err != nil:
-		sh.failed, sh.reason = true, err.Error()
-	default:
-		for _, v := range pred.Data {
-			if math.IsNaN(v) || math.IsInf(v, 0) {
-				sh.failed, sh.reason = true, "non-finite latency prediction"
-			}
-		}
-		for _, v := range pviol {
-			if math.IsNaN(v) || math.IsInf(v, 0) {
-				sh.failed, sh.reason = true, "non-finite violation probability"
-			}
-		}
+	if disqualified != nil {
+		s.shadowRejected.Inc()
+		return
 	}
-	sh.left--
-	if sh.failed || sh.left == 0 {
-		s.shadowSlot.Store(nil)
-		if sh.failed {
-			s.shadowRejected.Inc()
-			return
-		}
-		s.installLocked(sh.cand)
-		s.updates.Inc()
-		s.shadowPromoted.Inc()
-	}
+	s.install(cand)
+	s.updates.Inc()
+	s.shadowPromoted.Inc()
 }
 
 // ModelVersion returns the service's model generation: 1 at construction,
 // +1 per install or rollback. In-process counterpart of the wire replies.
-func (s *Service) ModelVersion() int { return int(s.version.Load()) }
+func (s *Service) ModelVersion() int { return s.live.Generation() }
 
 // ShadowPending reports whether a candidate is currently shadow scoring.
-func (s *Service) ShadowPending() bool { return s.shadowSlot.Load() != nil }
-
-// ErrLifecycleUnsupported is returned by the client's UpdateModel/Rollback
-// against a server that predates the lifecycle RPCs: the service is
-// healthy — it answered — it just cannot hot-swap models. The connection
-// is kept, mirroring ErrStatsUnsupported.
-var ErrLifecycleUnsupported = errors.New("predsvc: server does not implement the model lifecycle RPCs")
+func (s *Service) ShadowPending() bool { return s.live.ShadowPending() }
 
 // UpdateModel pushes a model artifact to the connected service. On success
 // the client refreshes its cached metadata (thresholds may have changed
@@ -295,21 +185,8 @@ var ErrLifecycleUnsupported = errors.New("predsvc: server does not implement the
 // IsUpdateRejected with the connection intact — the server is healthy and
 // still serving its previous model.
 func (c *Client) UpdateModel(artifact []byte) (UpdateModelReply, error) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
 	var reply UpdateModelReply
-	err := c.callOnce("Sinan.UpdateModel", &UpdateModelArgs{Artifact: artifact}, &reply, c.opts.AdminTimeout)
-	if err != nil {
-		if isUnknownMethod(err) {
-			return reply, fmt.Errorf("%w (server said: %v)", ErrLifecycleUnsupported, err)
-		}
-		if !IsUpdateRejected(err) {
-			c.dropConn()
-		}
-		return reply, err
-	}
-	c.refreshMetaLocked()
-	return reply, nil
+	return reply, c.admin("Sinan.UpdateModel", &UpdateModelArgs{Artifact: artifact}, &reply)
 }
 
 // Rollback asks the connected service to restore its previous model. The
@@ -317,21 +194,24 @@ func (c *Client) UpdateModel(artifact []byte) (UpdateModelReply, error) {
 // breaker is half-open re-arms the scheduler with the restored model's
 // thresholds the moment the probe lands.
 func (c *Client) Rollback() (RollbackReply, error) {
+	var reply RollbackReply
+	return reply, c.admin("Sinan.Rollback", &RollbackArgs{}, &reply)
+}
+
+// admin performs one lifecycle RPC: a single attempt under AdminTimeout,
+// bypassing the circuit breaker. A refusal keeps the connection; any other
+// failure drops it so the next call redials.
+func (c *Client) admin(method string, args, reply interface{}) error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	var reply RollbackReply
-	err := c.callOnce("Sinan.Rollback", &RollbackArgs{}, &reply, c.opts.AdminTimeout)
-	if err != nil {
-		if isUnknownMethod(err) {
-			return reply, fmt.Errorf("%w (server said: %v)", ErrLifecycleUnsupported, err)
-		}
+	if err := c.callOnce(method, args, reply, c.opts.AdminTimeout); err != nil {
 		if !IsUpdateRejected(err) {
 			c.dropConn()
 		}
-		return reply, err
+		return err
 	}
 	c.refreshMetaLocked()
-	return reply, nil
+	return nil
 }
 
 // refreshMetaLocked re-fetches model metadata after a lifecycle change.

@@ -1,7 +1,6 @@
 package predsvc
 
 import (
-	"errors"
 	"math/rand"
 	"sync"
 	"testing"
@@ -246,66 +245,22 @@ func TestUpdateModelShadowPromotes(t *testing.T) {
 	}
 }
 
-// Against a server that predates the lifecycle RPCs, UpdateModel and
-// Rollback return the typed ErrLifecycleUnsupported sentinel and keep the
-// connection — same compatibility contract as ServerStats.
-func TestUpdateModelUnsupportedServer(t *testing.T) {
-	m := tinyHybrid(t)
-	lis := serveLegacy(t, NewService(m))
-	defer lis.Close()
-	c, err := Dial(lis.Addr().String())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.Close()
-
-	if _, err := c.UpdateModel(encodeArtifact(t, m)); !errors.Is(err, ErrLifecycleUnsupported) {
-		t.Fatalf("UpdateModel = %v; want ErrLifecycleUnsupported", err)
-	}
-	if _, err := c.Rollback(); !errors.Is(err, ErrLifecycleUnsupported) {
-		t.Fatalf("Rollback = %v; want ErrLifecycleUnsupported", err)
-	}
-	before := c.Stats().Redials
-	if _, _, err := c.PredictBatch(nil, mkBatch(m.D, 2)); err != nil {
-		t.Fatalf("predict after unsupported lifecycle calls: %v", err)
-	}
-	if c.Stats().Redials != before {
-		t.Fatal("unsupported lifecycle RPC dropped the connection")
-	}
-}
-
-// GuardedSwap applies the wire path's validation to in-process swaps.
-func TestGuardedSwapValidates(t *testing.T) {
-	live := tinyHybrid(t)
-	guard, err := lifecycle.NewGate(lifecycle.GateConfig{Holdout: serveHoldout(t, live, 16)})
-	if err != nil {
-		t.Fatal(err)
-	}
-	svc := NewServiceWith(live, ServiceOptions{Guard: guard})
-
-	if err := svc.GuardedSwap(poisonedHybrid(t)); err == nil || !IsUpdateRejected(err) {
-		t.Fatalf("poisoned GuardedSwap: %v", err)
-	}
-	if err := svc.GuardedSwap(nil); err == nil {
-		t.Fatal("nil GuardedSwap accepted")
-	}
+// A candidate whose dims differ from the served model's can never hot-swap:
+// the update is refused before the gate runs, and nothing changes.
+func TestUpdateModelRefusesDimsChange(t *testing.T) {
+	svc := NewService(tinyHybrid(t))
 	shaped := poisonedHybrid(t)
 	shaped.D.N++
-	if err := svc.GuardedSwap(shaped); err == nil {
-		t.Fatal("dims change accepted")
+	art, _, err := lifecycle.Encode(shaped, lifecycle.Manifest{})
+	if err == nil {
+		var reply UpdateModelReply
+		err = svc.UpdateModel(&UpdateModelArgs{Artifact: art}, &reply)
+	}
+	if err == nil || !IsUpdateRejected(err) {
+		t.Fatalf("dims change: %v, want a rejection", err)
 	}
 	if svc.ModelVersion() != 1 {
-		t.Fatalf("rejected swaps advanced the generation to %d", svc.ModelVersion())
-	}
-	clone, _, err := lifecycle.Decode(encodeArtifact(t, live))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := svc.GuardedSwap(clone); err != nil {
-		t.Fatalf("faithful GuardedSwap rejected: %v", err)
-	}
-	if svc.ModelVersion() != 2 {
-		t.Fatalf("generation %d after accepted swap, want 2", svc.ModelVersion())
+		t.Fatalf("rejected update advanced the generation to %d", svc.ModelVersion())
 	}
 }
 
@@ -348,17 +303,12 @@ func TestLifecycleMutationsRacePredict(t *testing.T) {
 	go func() {
 		defer wg.Done()
 		for i := 0; i < 40; i++ {
-			switch i % 4 {
+			switch i % 3 {
 			case 0:
 				svc.Swap(clone)
 			case 1:
 				var reply UpdateModelReply
 				if err := svc.UpdateModel(&UpdateModelArgs{Artifact: art}, &reply); err != nil {
-					errs <- err
-					return
-				}
-			case 2:
-				if err := svc.GuardedSwap(clone); err != nil {
 					errs <- err
 					return
 				}

@@ -19,9 +19,7 @@ import (
 	"math/rand"
 	"net"
 	"net/rpc"
-	"strings"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"sinan/internal/core"
@@ -31,12 +29,20 @@ import (
 	"sinan/internal/tensor"
 )
 
-// PredictArgs is the wire form of one batched model query. DeadlineMS, when
-// positive, is the caller's remaining deadline budget in milliseconds,
-// measured from the server's receipt of the request (a relative budget
-// needs no clock synchronisation): the server drops the request instead of
-// executing it once that budget is spent, because the client has already
-// timed out and the answer would be wasted work.
+// PredictArgs is the wire form of one model query, in either of two
+// layouts told apart by the RPC method. Sinan.Predict takes a full batch:
+// RH ([Batch·F·N·T]) and LH ([Batch·T·M]) repeat the history per candidate.
+// Sinan.PredictShared takes the deduplicated form: every candidate of a
+// decision interval shares one history window, so RH ([F·N·T]) and LH
+// ([T·M]) are sent once — against a Social Network-sized batch that shrinks
+// the payload by roughly the batch size. RC carries the per-candidate
+// allocations ([Batch·N]) in both.
+//
+// DeadlineMS, when positive, is the caller's remaining deadline budget in
+// milliseconds, measured from the server's receipt of the request (a
+// relative budget needs no clock synchronisation): the server drops the
+// request instead of executing it once that budget is spent, because the
+// client has already timed out and the answer would be wasted work.
 type PredictArgs struct {
 	RH, LH, RC []float64
 	Batch      int
@@ -51,18 +57,6 @@ type PredictReply struct {
 	PViol []float64
 }
 
-// PredictSharedArgs is the deduplicated wire form (v2) of one candidate
-// batch: every candidate of a decision interval shares one history window,
-// so RH ([F·N·T]) and LH ([T·M]) are sent exactly once per query while RC
-// carries the per-candidate allocations ([Batch·N]). Against a Social
-// Network-sized batch this shrinks the payload by roughly the batch size.
-// DeadlineMS has PredictArgs semantics.
-type PredictSharedArgs struct {
-	RH, LH, RC []float64
-	Batch      int
-	DeadlineMS float64
-}
-
 // MetaReply carries the model metadata the scheduler's filters need.
 type MetaReply struct {
 	Meta core.ModelMeta
@@ -71,24 +65,22 @@ type MetaReply struct {
 // Service is the RPC-exported model host. Concurrent Predict RPCs run in
 // parallel up to the admission gate's concurrency limit: a trained model is
 // immutable, so the only shared mutable state is a pool of prediction
-// contexts (one checked out per in-flight request), the atomically-swapped
-// model pointer, and the gate itself.
+// contexts (one checked out per in-flight request), the lifecycle.Live
+// holding the served model, and the gate itself.
 type Service struct {
-	model atomic.Pointer[core.HybridModel]
-	ctxs  sync.Pool
-	gate  *gate
+	// live owns the served model, the rollback history behind it, the
+	// version numbers and the shadow candidate (see lifecycle.go); the
+	// Predict fast path reads it without locks.
+	live *lifecycle.Live
+	ctxs sync.Pool
+	gate *gate
 
-	// Model lifecycle (see lifecycle.go). swapMu serializes the rare-path
-	// mutations — UpdateModel, Rollback, shadow resolution — and guards
-	// history and the shadow slot's interior; the Predict fast path only
-	// ever takes it when a shadow candidate is installed.
-	swapMu     sync.Mutex
-	version    atomic.Int64        // model generation: 1 at birth, +1 per install/rollback
-	history    []*core.HybridModel // displaced models, newest last; rollback targets
-	histDepth  int                 // bound on len(history)
-	guard      *lifecycle.Gate     // nil = updates are not holdout-validated
-	shadowN    int                 // live observations before a candidate promotes; 0 = install immediately
-	shadowSlot atomic.Pointer[svcShadow]
+	// swapMu serializes the rare-path mutations — Swap, UpdateModel,
+	// Rollback, shadow promotion — so each validates and installs against
+	// one served model and the version gauge moves in order.
+	swapMu  sync.Mutex
+	guard   *lifecycle.Gate // nil = updates are not holdout-validated
+	shadowN int             // live calls a candidate scores before promoting; 0 = install immediately
 
 	reg       *telemetry.Registry
 	rpcLatMS  *telemetry.Histogram // wall time of each Predict RPC, ms
@@ -116,10 +108,10 @@ func NewService(m *core.HybridModel) *Service {
 func NewServiceWith(m *core.HybridModel, opts ServiceOptions) *Service {
 	reg := telemetry.NewRegistry()
 	s := &Service{
+		live:      lifecycle.NewLive(m, 1),
 		gate:      newGate(opts, reg),
 		guard:     opts.Guard,
 		shadowN:   opts.ShadowCalls,
-		histDepth: opts.HistoryDepth,
 		reg:       reg,
 		rpcLatMS:  reg.Histogram("server.rpc.predict.latency_ms"),
 		inflight:  reg.Gauge("server.rpc.predict.inflight"),
@@ -133,11 +125,6 @@ func NewServiceWith(m *core.HybridModel, opts ServiceOptions) *Service {
 		shadowRejected: reg.Counter("server.lifecycle.shadow_rejected"),
 		versionG:       reg.Gauge("server.lifecycle.version"),
 	}
-	if s.histDepth <= 0 {
-		s.histDepth = defaultHistoryDepth
-	}
-	s.model.Store(m)
-	s.version.Store(1)
 	s.versionG.Set(1)
 	return s
 }
@@ -149,41 +136,59 @@ func NewServiceWith(m *core.HybridModel, opts ServiceOptions) *Service {
 func (s *Service) Metrics() *telemetry.Registry { return s.reg }
 
 // Swap replaces the served model unconditionally (the in-process trusted
-// path: the caller has already decided). In-flight requests finish on the
-// model they loaded; new requests see the new one. The displaced model is
-// retained for Rollback and the generation counter advances, so blind
-// swaps and gated updates share one history. For a swap that must pass
-// the validation gate first, use GuardedSwap; over the wire, UpdateModel.
+// path: the caller has already decided, and m must keep the served dims).
+// In-flight requests finish on the model they loaded; new requests see the
+// new one. The displaced model is retained for Rollback and the generation
+// counter advances, so blind swaps and gated updates share one history.
+// Over the wire, use UpdateModel, which validates first.
 func (s *Service) Swap(m *core.HybridModel) {
 	s.swapMu.Lock()
 	defer s.swapMu.Unlock()
-	s.installLocked(m)
+	s.install(m)
 }
 
-// Predict implements the RPC method. Requests pass the admission gate
-// before touching the model: saturated, the gate queues briefly and sheds
-// (ErrOverloaded) or expires (ErrExpired) the rest, so admitted requests
-// keep bounded latency no matter the offered load. Validation happens
-// before admission — malformed requests are refused, not shed.
+// Predict implements the RPC method for a full batch. Requests pass the
+// admission gate before touching the model: saturated, the gate queues
+// briefly and sheds (ErrOverloaded) or expires (ErrExpired) the rest, so
+// admitted requests keep bounded latency no matter the offered load.
+// Validation happens before admission — malformed requests are refused, not
+// shed.
 func (s *Service) Predict(args *PredictArgs, reply *PredictReply) error {
+	return s.serve(args, reply, false)
+}
+
+// PredictShared implements the RPC method for the deduplicated form: the
+// history window arrives once and only the per-candidate allocation rows
+// scale with the batch. Admission, validation and shadow discipline are
+// Predict's; only the expected history length and the model entry point
+// differ.
+func (s *Service) PredictShared(args *PredictArgs, reply *PredictReply) error {
+	return s.serve(args, reply, true)
+}
+
+// serve is the one admitted serving path behind both RPC methods.
+func (s *Service) serve(args *PredictArgs, reply *PredictReply, shared bool) error {
 	start := s.gate.now()
 	s.inflight.Add(1)
 	defer func() {
 		s.inflight.Add(-1)
 		s.rpcLatMS.Observe(float64(s.gate.now().Sub(start)) / float64(time.Millisecond))
 	}()
-	m := s.model.Load()
-	d := m.D
+	d := s.live.Meta().D
 	if args.Batch <= 0 {
 		s.rejected.Inc()
 		return fmt.Errorf("predsvc: non-positive batch %d", args.Batch)
 	}
-	if len(args.RH) != args.Batch*d.F*d.N*d.T ||
-		len(args.LH) != args.Batch*d.T*d.M ||
+	windows := args.Batch // history windows on the wire: one per candidate, or one for all
+	if shared {
+		windows = 1
+	}
+	if len(args.RH) != windows*d.F*d.N*d.T ||
+		len(args.LH) != windows*d.T*d.M ||
 		len(args.RC) != args.Batch*d.N {
 		s.rejected.Inc()
-		return fmt.Errorf("predsvc: input sizes %d/%d/%d do not match batch %d and dims %+v",
-			len(args.RH), len(args.LH), len(args.RC), args.Batch, d)
+		return fmt.Errorf("predsvc: input sizes %d/%d/%d do not match batch %d with %d history window(s) and dims %+v",
+			len(args.RH), len(args.LH), len(args.RC), args.Batch, windows, d)
 	}
 	var deadline time.Time
 	if args.DeadlineMS > 0 {
@@ -195,8 +200,8 @@ func (s *Service) Predict(args *PredictArgs, reply *PredictReply) error {
 	}
 	defer release()
 	in := nn.Inputs{
-		RH: tensor.FromSlice(args.RH, args.Batch, d.F, d.N, d.T),
-		LH: tensor.FromSlice(args.LH, args.Batch, d.T, d.M),
+		RH: tensor.FromSlice(args.RH, windows, d.F, d.N, d.T),
+		LH: tensor.FromSlice(args.LH, windows, d.T, d.M),
 		RC: tensor.FromSlice(args.RC, args.Batch, d.N),
 	}
 	ctx, _ := s.ctxs.Get().(*core.PredictContext)
@@ -206,7 +211,16 @@ func (s *Service) Predict(args *PredictArgs, reply *PredictReply) error {
 	// Return the context via defer so the error path recycles it too — an
 	// error storm must not churn a fresh context per failed request.
 	defer s.ctxs.Put(ctx)
-	pred, pviol, err := m.PredictBatch(ctx, in)
+	// The live model answers; a candidate parked in shadow scores the same
+	// inputs on the side, where a failure disqualifies the candidate and
+	// never this request.
+	var pred *tensor.Dense
+	var pviol []float64
+	if shared {
+		pred, pviol, err = s.live.PredictShared(ctx, nn.SharedInputs(in))
+	} else {
+		pred, pviol, err = s.live.PredictBatch(ctx, in)
+	}
 	if err != nil {
 		return err
 	}
@@ -217,67 +231,9 @@ func (s *Service) Predict(args *PredictArgs, reply *PredictReply) error {
 	reply.M = d.M
 	reply.PViol = append([]float64(nil), pviol...)
 	s.predicted.Add(int64(args.Batch))
-	// Feed a shadow candidate, if one is parked, the same inputs the live
-	// model just answered. The live reply above is already secured — a
-	// shadow failure disqualifies the candidate, never this request.
-	s.observeShadow(in)
-	return nil
-}
-
-// PredictShared implements the deduplicated (wire v2) RPC method: the
-// history window arrives once and only the per-candidate allocation rows
-// scale with the batch. It shares Predict's admission, validation, and
-// shadow discipline; only input assembly and the model entry point differ.
-func (s *Service) PredictShared(args *PredictSharedArgs, reply *PredictReply) error {
-	start := s.gate.now()
-	s.inflight.Add(1)
-	defer func() {
-		s.inflight.Add(-1)
-		s.rpcLatMS.Observe(float64(s.gate.now().Sub(start)) / float64(time.Millisecond))
-	}()
-	m := s.model.Load()
-	d := m.D
-	if args.Batch <= 0 {
-		s.rejected.Inc()
-		return fmt.Errorf("predsvc: non-positive batch %d", args.Batch)
+	if s.shadowN > 0 {
+		s.settleShadow()
 	}
-	if len(args.RH) != d.F*d.N*d.T ||
-		len(args.LH) != d.T*d.M ||
-		len(args.RC) != args.Batch*d.N {
-		s.rejected.Inc()
-		return fmt.Errorf("predsvc: shared input sizes %d/%d/%d do not match batch %d and dims %+v (history is sent once, not per candidate)",
-			len(args.RH), len(args.LH), len(args.RC), args.Batch, d)
-	}
-	var deadline time.Time
-	if args.DeadlineMS > 0 {
-		deadline = s.gate.now().Add(time.Duration(args.DeadlineMS * float64(time.Millisecond)))
-	}
-	release, err := s.gate.acquire(deadline)
-	if err != nil {
-		return err
-	}
-	defer release()
-	in := nn.SharedInputs{
-		RH: tensor.FromSlice(args.RH, 1, d.F, d.N, d.T),
-		LH: tensor.FromSlice(args.LH, 1, d.T, d.M),
-		RC: tensor.FromSlice(args.RC, args.Batch, d.N),
-	}
-	ctx, _ := s.ctxs.Get().(*core.PredictContext)
-	if ctx == nil {
-		ctx = core.NewPredictContext()
-	}
-	defer s.ctxs.Put(ctx)
-	pred, pviol, err := m.PredictShared(ctx, in)
-	if err != nil {
-		return err
-	}
-	// Same copy-out discipline as Predict: secure the reply before the
-	// pooled context can be reused.
-	reply.Lat = append([]float64(nil), pred.Data...)
-	reply.M = d.M
-	reply.PViol = append([]float64(nil), pviol...)
-	s.predicted.Add(int64(args.Batch))
-	s.observeShadowShared(in)
 	return nil
 }
 
@@ -285,7 +241,7 @@ func (s *Service) PredictShared(args *PredictSharedArgs, reply *PredictReply) er
 // is a cheap atomic load, and clients probing a saturated service must
 // still be able to dial.
 func (s *Service) Meta(_ *struct{}, reply *MetaReply) error {
-	reply.Meta = s.model.Load().Meta()
+	reply.Meta = s.live.Meta()
 	return nil
 }
 
@@ -521,22 +477,13 @@ type Client struct {
 	opts ClientOptions
 
 	mu         sync.Mutex
-	conn       net.Conn
 	rpc        *rpc.Client
 	meta       core.ModelMeta
 	state      int // breaker
 	fails      int // consecutive failures
 	openedA    time.Time
 	jitter     *rand.Rand
-	lastCostMS float64 // wall cost of the last successful PredictBatch
-
-	// Shared-history (wire v2) negotiation. sharedOff latches true the
-	// first time the server answers Sinan.PredictShared with "unknown
-	// method": every later PredictShared expands client-side (into the
-	// reusable expand scratch) and rides the v1 Predict wire form instead
-	// of re-probing a server that already said no.
-	sharedOff bool
-	expand    nn.Inputs
+	lastCostMS float64 // wall cost of the last successful predict call
 
 	// Telemetry instruments ("client.*"). Handles are rebindable via
 	// AttachMetrics so a run harness can gather the client's counters in a
@@ -550,7 +497,6 @@ type Client struct {
 	fastFails        *telemetry.Counter
 	sheds            *telemetry.Counter
 	deadlineExceeded *telemetry.Counter
-	sharedFallbacks  *telemetry.Counter
 	breakerState     *telemetry.Gauge     // 0 closed, 1 open, 2 half-open
 	predLatMS        *telemetry.Histogram // wall cost of successful PredictBatch calls
 
@@ -585,7 +531,6 @@ func (c *Client) bindLocked(reg *telemetry.Registry) {
 	c.fastFails = reg.Counter("client.breaker.fastfails")
 	c.sheds = reg.Counter("client.predict.sheds")
 	c.deadlineExceeded = reg.Counter("client.predict.deadline_exceeded")
-	c.sharedFallbacks = reg.Counter("client.predict.shared_fallbacks")
 	c.breakerState = reg.Gauge("client.breaker.state")
 	c.predLatMS = reg.Histogram("client.predict.latency_ms")
 }
@@ -639,7 +584,7 @@ func (c *Client) Close() error {
 		return nil
 	}
 	err := c.rpc.Close()
-	c.rpc, c.conn = nil, nil
+	c.rpc = nil
 	return err
 }
 
@@ -669,7 +614,7 @@ func (c *Client) Stats() ClientStats {
 }
 
 // LastPredictMS implements core.CostReporter: the wall-clock cost of the
-// last successful PredictBatch (retries included). The scheduler's brownout
+// last successful predict call (retries included). The scheduler's brownout
 // ladder uses it to shrink candidate batches while the service is slow but
 // not yet failing.
 func (c *Client) LastPredictMS() float64 {
@@ -678,43 +623,13 @@ func (c *Client) LastPredictMS() float64 {
 	return c.lastCostMS
 }
 
-// ErrStatsUnsupported is returned by ServerStats when the connected server
-// predates the Sinan.Stats RPC: the service is healthy — it answered the
-// call — it just doesn't export admission statistics. Callers should treat
-// it as "no data", not as a transport failure; the connection is kept.
-var ErrStatsUnsupported = errors.New("predsvc: server does not implement the Stats RPC")
-
-// ErrSharedUnsupported marks a server that predates the Sinan.PredictShared
-// RPC (wire v2): the service is healthy — it answered the probe — it just
-// cannot accept the deduplicated form. Client.PredictShared handles it
-// internally by latching onto the v1 wire form; it surfaces (wrapped) only
-// through SharedSupported-style probes in tests. Like ErrStatsUnsupported,
-// it never drops the connection or feeds the circuit breaker.
-var ErrSharedUnsupported = errors.New("predsvc: server does not implement the PredictShared RPC")
-
-// isUnknownMethod reports whether err is net/rpc's "no such method/service"
-// response. net/rpc flattens server-side errors to strings on the wire, so
-// string matching is the only classification available.
-func isUnknownMethod(err error) bool {
-	if err == nil {
-		return false
-	}
-	msg := err.Error()
-	return strings.Contains(msg, "can't find method") || strings.Contains(msg, "can't find service")
-}
-
 // ServerStats fetches the service's admission-control counters over the
-// wire (the Sinan.Stats RPC). Against a server old enough to lack the RPC
-// it returns ErrStatsUnsupported (wrapped) and keeps the connection — the
-// server responded, so the transport is healthy.
+// wire (the Sinan.Stats RPC).
 func (c *Client) ServerStats() (ServerStats, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	var reply StatsReply
 	if err := c.callOnce("Sinan.Stats", &struct{}{}, &reply, c.opts.CallTimeout); err != nil {
-		if isUnknownMethod(err) {
-			return ServerStats{}, fmt.Errorf("%w (server said: %v)", ErrStatsUnsupported, err)
-		}
 		c.dropConn()
 		return ServerStats{}, err
 	}
@@ -723,17 +638,30 @@ func (c *Client) ServerStats() (ServerStats, error) {
 
 // PredictBatch implements core.Predictor by delegating to the service; the
 // prediction context is unused (per-call state lives on the server, which
-// keeps its own pool). Transport failures are retried with backoff and a
-// fresh connection; when the service stays down the error is returned to
-// the scheduler — which runs its degraded fallback policy — and repeated
+// keeps its own pool).
+func (c *Client) PredictBatch(_ *core.PredictContext, in nn.Inputs) (*tensor.Dense, []float64, error) {
+	return c.predict("Sinan.Predict", in)
+}
+
+// PredictShared implements core.SharedPredictor over the wire: one history
+// window plus per-candidate allocation rows per query.
+func (c *Client) PredictShared(_ *core.PredictContext, in nn.SharedInputs) (*tensor.Dense, []float64, error) {
+	return c.predict("Sinan.PredictShared", nn.Inputs(in))
+}
+
+// predict is the one breaker-checked call behind both query forms: bounded
+// retries with jittered backoff and a fresh connection, typed shed and
+// expiry handling, breaker and latency accounting on the way out. When the
+// service stays down — or does not know the method — the error is returned
+// to the scheduler, which runs its degraded fallback policy, and repeated
 // failures trip the circuit breaker so subsequent calls fail fast until a
 // cooldown probe succeeds.
-func (c *Client) PredictBatch(_ *core.PredictContext, in nn.Inputs) (*tensor.Dense, []float64, error) {
+func (c *Client) predict(method string, in nn.Inputs) (*tensor.Dense, []float64, error) {
 	args := &PredictArgs{
 		RH:    in.RH.Data,
 		LH:    in.LH.Data,
 		RC:    in.RC.Data,
-		Batch: in.Batch(),
+		Batch: in.RC.Shape[0], // candidates; in the shared form RH/LH hold one window
 		// Propagate the per-call deadline so the server can drop this
 		// request once we have given up waiting for it.
 		DeadlineMS: float64(c.opts.CallTimeout) / float64(time.Millisecond),
@@ -746,75 +674,7 @@ func (c *Client) PredictBatch(_ *core.PredictContext, in nn.Inputs) (*tensor.Den
 		c.errs.Inc()
 		return nil, nil, ErrUnavailable
 	}
-	reply, err := c.predictLocked("Sinan.Predict", args, false, c.now())
-	if err != nil {
-		return nil, nil, err
-	}
-	return tensor.FromSlice(reply.Lat, args.Batch, reply.M), reply.PViol, nil
-}
-
-// PredictShared implements core.SharedPredictor over the wire: one history
-// window plus per-candidate allocation rows per query. Against a server
-// that predates the v2 RPC the first call probes, learns (latching
-// sharedOff), falls back to the expanded v1 form within the same logical
-// call, and never re-probes — the fallback keeps the connection and the
-// breaker untouched, because an "unknown method" answer proves the
-// transport healthy.
-func (c *Client) PredictShared(_ *core.PredictContext, in nn.SharedInputs) (*tensor.Dense, []float64, error) {
-	b := in.Batch()
-	deadlineMS := float64(c.opts.CallTimeout) / float64(time.Millisecond)
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.calls.Inc()
-	if !c.breakerAllow() {
-		c.fastFails.Inc()
-		c.errs.Inc()
-		return nil, nil, ErrUnavailable
-	}
 	start := c.now()
-	if !c.sharedOff {
-		args := &PredictSharedArgs{
-			RH:         in.RH.Data,
-			LH:         in.LH.Data,
-			RC:         in.RC.Data,
-			Batch:      b,
-			DeadlineMS: deadlineMS,
-		}
-		reply, err := c.predictLocked("Sinan.PredictShared", args, true, start)
-		if err == nil {
-			return tensor.FromSlice(reply.Lat, b, reply.M), reply.PViol, nil
-		}
-		if !errors.Is(err, ErrSharedUnsupported) {
-			return nil, nil, err
-		}
-		// Old server: remember, count, and degrade to the v1 wire form for
-		// this and every subsequent call on this client.
-		c.sharedOff = true
-		c.sharedFallbacks.Inc()
-	}
-	in.Expand(&c.expand)
-	args := &PredictArgs{
-		RH:         c.expand.RH.Data,
-		LH:         c.expand.LH.Data,
-		RC:         c.expand.RC.Data,
-		Batch:      b,
-		DeadlineMS: deadlineMS,
-	}
-	reply, err := c.predictLocked("Sinan.Predict", args, false, start)
-	if err != nil {
-		return nil, nil, err
-	}
-	return tensor.FromSlice(reply.Lat, b, reply.M), reply.PViol, nil
-}
-
-// predictLocked is the retry/breaker engine shared by the v1 and v2 wire
-// forms: bounded retries with jittered backoff and redial, typed shed and
-// expiry handling, breaker and latency accounting on the way out. With
-// probe set, an "unknown method" answer returns ErrSharedUnsupported
-// (wrapped) immediately — no retries, no dropped connection, no breaker
-// failure: the server responded, so the transport is healthy and only the
-// method is missing. Caller holds c.mu and has already passed the breaker.
-func (c *Client) predictLocked(method string, args interface{}, probe bool, start time.Time) (PredictReply, error) {
 	var reply PredictReply
 	var err error
 	for attempt := 0; ; attempt++ {
@@ -823,10 +683,7 @@ func (c *Client) predictLocked(method string, args interface{}, probe bool, star
 			c.breakerSuccess()
 			c.lastCostMS = float64(c.now().Sub(start)) / float64(time.Millisecond)
 			c.predLatMS.Observe(c.lastCostMS)
-			return reply, nil
-		}
-		if probe && isUnknownMethod(err) {
-			return reply, fmt.Errorf("%w (server said: %v)", ErrSharedUnsupported, err)
+			return tensor.FromSlice(reply.Lat, args.Batch, reply.M), reply.PViol, nil
 		}
 		if IsOverloaded(err) {
 			// Shed: the service is alive but saturated. Retrying now would
@@ -838,7 +695,7 @@ func (c *Client) predictLocked(method string, args interface{}, probe bool, star
 			c.sheds.Inc()
 			c.errs.Inc()
 			c.breakerFailure()
-			return reply, fmt.Errorf("predsvc: predict shed by overloaded service: %w", ErrOverloaded)
+			return nil, nil, fmt.Errorf("predsvc: predict shed by overloaded service: %w", ErrOverloaded)
 		}
 		if IsExpired(err) {
 			// The server dropped the request as already-expired: a deadline
@@ -855,7 +712,7 @@ func (c *Client) predictLocked(method string, args interface{}, probe bool, star
 	}
 	c.breakerFailure()
 	c.errs.Inc()
-	return reply, fmt.Errorf("predsvc: predict RPC failed after %d attempts: %w", c.opts.MaxRetries+1, err)
+	return nil, nil, fmt.Errorf("predsvc: predict RPC failed after %d attempts: %w", c.opts.MaxRetries+1, err)
 }
 
 // callOnce performs one RPC attempt on the current connection (dialing a
@@ -887,7 +744,6 @@ func (c *Client) redial() error {
 	if err != nil {
 		return err
 	}
-	c.conn = conn
 	c.rpc = rpc.NewClient(conn)
 	c.redials.Inc()
 	return nil
@@ -899,7 +755,7 @@ func (c *Client) dropConn() {
 	if c.rpc != nil {
 		c.rpc.Close()
 	}
-	c.rpc, c.conn = nil, nil
+	c.rpc = nil
 }
 
 // backoff returns the jittered exponential delay before retry attempt+1.

@@ -4,11 +4,17 @@ import (
 	"errors"
 	"net"
 	"net/rpc"
+	"strings"
 	"sync"
 	"testing"
 	"time"
 
+	"sinan/internal/apps"
+	"sinan/internal/cluster"
 	"sinan/internal/core"
+	"sinan/internal/metrics"
+	"sinan/internal/nn"
+	"sinan/internal/runner"
 )
 
 // quickOpts keeps retry/backoff machinery out of the way for tests that
@@ -393,5 +399,64 @@ func TestRollbackWhileBreakerHalfOpen(t *testing.T) {
 	}
 	if c.state != breakerClosed {
 		t.Fatalf("probe success should close the breaker, state=%d", c.state)
+	}
+}
+
+// metaOnlySinan answers Meta and nothing else: a peer that does not know
+// the predict methods.
+type metaOnlySinan struct{ meta core.ModelMeta }
+
+func (s metaOnlySinan) Meta(_ *struct{}, r *MetaReply) error { r.Meta = s.meta; return nil }
+
+// There is no wire negotiation: a method the server does not know is an
+// ordinary RPC failure. The client spends its configured attempts, returns
+// a plain error — no panic, no hang — and the scheduler runs its degraded
+// fallback on it like on any other predictor outage.
+func TestUnknownMethodIsPlainErrorAndSchedulerDegrades(t *testing.T) {
+	app := apps.NewHotelReservation()
+	d := nn.Dims{N: len(app.Tiers), T: 3, F: 6, M: 5}
+	addr, stop := serveRaw(t, metaOnlySinan{core.ModelMeta{D: d, QoSMS: app.QoSMS, RMSEValid: 10, Pd: 0.25, Pu: 0.5}})
+	defer stop()
+	opts := quickOpts()
+	opts.MaxRetries = 2
+	c, err := DialWith(addr, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+
+	if _, _, err := c.PredictShared(nil, mkShared(d, 2)); err == nil || !strings.Contains(err.Error(), "after 3 attempts") {
+		t.Fatalf("PredictShared against a server without the method: %v, want a plain error after 3 attempts", err)
+	}
+	if st := c.Stats(); st.Errors != 1 || st.Retries != 2 {
+		t.Fatalf("stats = %+v, want 1 error after 2 retries", st)
+	}
+	if _, err := c.ServerStats(); err == nil {
+		t.Fatal("ServerStats against a server without the method succeeded")
+	}
+
+	s := core.NewScheduler(app, c, core.SchedulerOptions{})
+	alloc := make([]float64, d.N)
+	stats := make([]cluster.Stats, d.N)
+	for i := range alloc {
+		alloc[i] = 4
+		stats[i] = cluster.Stats{CPUUsage: 1.2, CPULimit: 4, RSS: 100, Cache: 50}
+	}
+	var perc metrics.Percentiles
+	for i := range perc.Values {
+		perc.Values[i] = 20
+	}
+	perc.Count = 100
+	var dec runner.Decision
+	for i := 0; i < d.T+2; i++ {
+		dec = s.Decide(runner.State{Stats: stats, Perc: perc, Alloc: alloc, RPS: 100, QoSMS: app.QoSMS})
+	}
+	if !dec.Degraded || !s.Degraded() || s.PredictErrors() == 0 {
+		t.Fatalf("scheduler did not degrade: %+v (predict errors %d)", dec, s.PredictErrors())
+	}
+	for i, v := range dec.Alloc {
+		if v < alloc[i] {
+			t.Fatalf("degraded fallback reclaimed tier %d: %v → %v", i, alloc[i], v)
+		}
 	}
 }

@@ -29,10 +29,9 @@ func mkShared(d nn.Dims, b int) nn.SharedInputs {
 	return in
 }
 
-// TestRemotePredictSharedMatchesLocal pins the v2 wire path end to end: the
-// deduplicated query against a shared-capable server must answer exactly
-// like the local model's shared path (gob round-trips float64 exactly, so
-// equality is bitwise), without ever taking the fallback.
+// TestRemotePredictSharedMatchesLocal pins the shared wire path end to end:
+// the deduplicated query must answer exactly like the local model's shared
+// path (gob round-trips float64 exactly, so equality is bitwise).
 func TestRemotePredictSharedMatchesLocal(t *testing.T) {
 	m := tinyHybrid(t)
 	l, _, err := ListenAndServe("127.0.0.1:0", m)
@@ -67,71 +66,12 @@ func TestRemotePredictSharedMatchesLocal(t *testing.T) {
 			t.Fatalf("pviol[%d] = %v, want %v", i, gotPV[i], wantPV[i])
 		}
 	}
-	if n := c.Metrics().Counter("client.predict.shared_fallbacks").Value(); n != 0 {
-		t.Fatalf("shared-capable server triggered %d fallbacks", n)
-	}
 }
 
-// TestPredictSharedFallsBackToLegacyServer is the compatibility contract:
-// against a server that predates the PredictShared RPC, the first call
-// probes, silently degrades to the expanded v1 wire form within the same
-// logical call, and latches — no redial, no breaker activity, no error
-// surfaced, correct answers, and exactly one recorded fallback no matter
-// how many calls follow.
-func TestPredictSharedFallsBackToLegacyServer(t *testing.T) {
-	m := tinyHybrid(t)
-	lis := serveLegacy(t, NewService(m))
-	defer lis.Close()
-	c, err := Dial(lis.Addr().String())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.Close()
-	redialsBefore := c.Stats().Redials
-
-	in := mkShared(m.D, 5)
-	var full nn.Inputs
-	in.Expand(&full)
-	wantLat, wantPV, err := m.PredictBatch(nil, full)
-	if err != nil {
-		t.Fatal(err)
-	}
-	wantLat = wantLat.Clone()
-	wantPV = append([]float64(nil), wantPV...)
-
-	for call := 0; call < 3; call++ {
-		gotLat, gotPV, err := c.PredictShared(nil, in)
-		if err != nil {
-			t.Fatalf("call %d against legacy server: %v", call, err)
-		}
-		for i := range wantLat.Data {
-			if gotLat.Data[i] != wantLat.Data[i] {
-				t.Fatalf("call %d: lat[%d] = %v, want %v", call, i, gotLat.Data[i], wantLat.Data[i])
-			}
-		}
-		for i := range wantPV {
-			if gotPV[i] != wantPV[i] {
-				t.Fatalf("call %d: pviol[%d] = %v, want %v", call, i, gotPV[i], wantPV[i])
-			}
-		}
-	}
-	st := c.Stats()
-	if st.Redials != redialsBefore {
-		t.Fatalf("fallback redialed: %d -> %d", redialsBefore, st.Redials)
-	}
-	if st.Errors != 0 || st.BreakerOpens != 0 || st.Retries != 0 {
-		t.Fatalf("fallback counted failures: %+v", st)
-	}
-	if n := c.Metrics().Counter("client.predict.shared_fallbacks").Value(); n != 1 {
-		t.Fatalf("fallbacks = %d, want exactly 1 (probe must not repeat)", n)
-	}
-}
-
-// TestPredictSharedValidatesLengths: the v2 server refuses payloads whose
+// TestPredictSharedValidatesLengths: PredictShared refuses payloads whose
 // history arrives per candidate (the redundancy this wire form exists to
-// eliminate) or whose RC rows disagree with the batch — and the v1 method
-// on the same server still demands full-batch lengths, so an old client
-// talking to a new server is unaffected.
+// eliminate) or whose RC rows disagree with the batch — and Predict on the
+// same server still demands full-batch lengths.
 func TestPredictSharedValidatesLengths(t *testing.T) {
 	m := tinyHybrid(t)
 	svc := NewService(m)
@@ -142,7 +82,7 @@ func TestPredictSharedValidatesLengths(t *testing.T) {
 	in.Expand(&full)
 
 	var reply PredictReply
-	cases := []PredictSharedArgs{
+	cases := []PredictArgs{
 		{RH: full.RH.Data, LH: in.LH.Data, RC: in.RC.Data, Batch: b},     // per-candidate RH
 		{RH: in.RH.Data, LH: full.LH.Data, RC: in.RC.Data, Batch: b},     // per-candidate LH
 		{RH: in.RH.Data, LH: in.LH.Data, RC: in.RC.Data[:d.N], Batch: b}, // short RC
@@ -158,14 +98,14 @@ func TestPredictSharedValidatesLengths(t *testing.T) {
 		t.Fatalf("rejected = %d, want %d", rejected, len(cases))
 	}
 
-	// Well-formed shared args pass; v1 Predict still wants expanded lengths.
-	good := PredictSharedArgs{RH: in.RH.Data, LH: in.LH.Data, RC: in.RC.Data, Batch: b}
+	// Well-formed shared args pass; Predict still wants expanded lengths.
+	good := PredictArgs{RH: in.RH.Data, LH: in.LH.Data, RC: in.RC.Data, Batch: b}
 	if err := svc.PredictShared(&good, &reply); err != nil {
 		t.Fatal(err)
 	}
 	v1short := PredictArgs{RH: in.RH.Data, LH: in.LH.Data, RC: in.RC.Data, Batch: b}
 	if err := svc.Predict(&v1short, &reply); err == nil {
-		t.Fatal("v1 Predict accepted shared-sized history")
+		t.Fatal("Predict accepted shared-sized history")
 	}
 	v1 := PredictArgs{RH: full.RH.Data, LH: full.LH.Data, RC: full.RC.Data, Batch: b}
 	if err := svc.Predict(&v1, &reply); err != nil {
@@ -205,7 +145,7 @@ func TestSwapDuringPredictShared(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			args := PredictSharedArgs{RH: in.RH.Data, LH: in.LH.Data, RC: in.RC.Data, Batch: in.Batch()}
+			args := PredictArgs{RH: in.RH.Data, LH: in.LH.Data, RC: in.RC.Data, Batch: in.Batch()}
 			for r := 0; r < rounds; r++ {
 				var reply PredictReply
 				if err := svc.PredictShared(&args, &reply); err != nil {

@@ -3,17 +3,14 @@ package statplane
 import (
 	"bytes"
 	"encoding/gob"
-	"fmt"
 	"testing"
 
 	"sinan/internal/cluster"
 )
 
-// The stats-plane benchmarks print one {"bench":...} JSON line each (the
-// repository's CI-scrape convention, cf. BENCH_telemetry.json); `make
-// statplane-bench` collects them into BENCH_statplane.json. They measure
-// the three per-interval hot paths: encoding a report onto the wire,
-// decoding it off, and assembling one interval's snapshot.
+// The stats-plane benchmarks measure the three per-interval hot paths:
+// encoding a report onto the wire, decoding it off, and assembling one
+// interval's snapshot.
 
 func benchReport(tiers int) Report {
 	ts := make([]TierStats, tiers)
@@ -48,21 +45,6 @@ func BenchmarkReportEncode(b *testing.B) {
 			enc.Encode(env)
 		}
 	}
-	b.StopTimer()
-	if b.N == 1 {
-		return // warm-up round; only the measured round prints
-	}
-	nsOp := float64(b.Elapsed().Nanoseconds()) / float64(b.N)
-	allocs := testing.AllocsPerRun(1000, func() {
-		rep.Seq++
-		enc.Encode(env)
-		if buf.Len() > 1<<20 {
-			buf.Reset()
-			enc = gob.NewEncoder(&buf)
-			enc.Encode(env)
-		}
-	})
-	fmt.Printf("\n{\"bench\":\"report_encode\",\"ns_per_op\":%.2f,\"allocs_per_op\":%.0f}\n", nsOp, allocs)
 }
 
 // BenchmarkReportDecode measures the collector's per-message decode cost on
@@ -99,22 +81,6 @@ func BenchmarkReportDecode(b *testing.B) {
 			b.StartTimer()
 		}
 	}
-	b.StopTimer()
-	if b.N == 1 {
-		return // warm-up round; only the measured round prints
-	}
-	nsOp := float64(b.Elapsed().Nanoseconds()) / float64(b.N)
-	dec = build()
-	n = 0
-	allocs := testing.AllocsPerRun(1000, func() {
-		var out Envelope
-		dec.Decode(&out)
-		if n++; n == 4096 {
-			dec = build()
-			n = 0
-		}
-	})
-	fmt.Printf("\n{\"bench\":\"report_decode\",\"ns_per_op\":%.2f,\"allocs_per_op\":%.0f}\n", nsOp, allocs)
 }
 
 // BenchmarkIntervalAssemble measures one full aggregator cycle — open the
@@ -151,12 +117,4 @@ func BenchmarkIntervalAssemble(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		cycle(int64(i))
 	}
-	b.StopTimer()
-	if b.N == 1 {
-		return // warm-up round; only the measured round prints
-	}
-	nsOp := float64(b.Elapsed().Nanoseconds()) / float64(b.N)
-	iv := int64(b.N)
-	allocs := testing.AllocsPerRun(1000, func() { cycle(iv); iv++ })
-	fmt.Printf("\n{\"bench\":\"interval_assemble\",\"ns_per_op\":%.2f,\"allocs_per_op\":%.0f}\n", nsOp, allocs)
 }

@@ -29,6 +29,7 @@ import (
 	"sinan/internal/dataset"
 	"sinan/internal/explain"
 	"sinan/internal/harness"
+	"sinan/internal/lifecycle"
 	"sinan/internal/nn"
 	"sinan/internal/runner"
 	"sinan/internal/tensor"
@@ -144,8 +145,19 @@ func Train(ds *Dataset, qosMS float64, o TrainOptions) (*Model, TrainReport) {
 	})
 }
 
-// LoadModel reads a model saved with (*Model).Save.
-func LoadModel(path string) (*Model, error) { return core.LoadHybrid(path) }
+// SaveModel writes a model to path as a checksummed artifact — the one
+// on-disk model format, also what sinan-train writes — atomically.
+func SaveModel(path string, m *Model) error {
+	_, err := lifecycle.WriteFile(path, m, lifecycle.Manifest{})
+	return err
+}
+
+// LoadModel reads a model written by SaveModel or sinan-train, verifying
+// its checksum.
+func LoadModel(path string) (*Model, error) {
+	m, _, err := lifecycle.ReadFile(path)
+	return m, err
+}
 
 // Scheduler returns Sinan's online scheduling policy for an application.
 func Scheduler(app *App, m *Model) Policy {

@@ -1,10 +1,15 @@
 package sinan
 
 import (
+	"math/rand"
 	"path/filepath"
 	"testing"
 
 	"sinan/internal/apps"
+	"sinan/internal/core"
+	"sinan/internal/dataset"
+	"sinan/internal/lifecycle"
+	"sinan/internal/nn"
 )
 
 func TestFacadeConstructors(t *testing.T) {
@@ -38,9 +43,9 @@ func TestFacadePipelineSmall(t *testing.T) {
 	if rep.ValRMSE <= 0 {
 		t.Fatal("training produced no report")
 	}
-	// Save/LoadModel round trip through the facade.
-	path := filepath.Join(t.TempDir(), "m.gob")
-	if err := model.Save(path); err != nil {
+	// SaveModel/LoadModel round trip through the facade.
+	path := filepath.Join(t.TempDir(), "m.model")
+	if err := SaveModel(path, model); err != nil {
 		t.Fatal(err)
 	}
 	loaded, err := LoadModel(path)
@@ -90,4 +95,85 @@ func TestCollectDefaultsPerApp(t *testing.T) {
 		t.Fatal("dims not derived from app")
 	}
 	_ = apps.MixW0
+}
+
+// tinyModel trains a small real hybrid on synthetic data (p99 rises as the
+// total allocation falls) and returns it with the inputs it was trained on.
+func tinyModel(t *testing.T) (*Model, nn.Inputs) {
+	t.Helper()
+	d := nn.Dims{N: 4, T: 3, F: 6, M: 5}
+	ds := dataset.New(d, 3)
+	rng := rand.New(rand.NewSource(1))
+	for i := 0; i < 200; i++ {
+		rh := make([]float64, d.F*d.N*d.T)
+		lh := make([]float64, d.T*d.M)
+		rc := make([]float64, d.N)
+		total := 0.0
+		for j := range rc {
+			rc[j] = 0.5 + 3*rng.Float64()
+			total += rc[j]
+		}
+		lat := min(30+60*max(0, 9-total), 500)
+		for j := range rh {
+			rh[j] = rng.Float64()
+		}
+		ylat := make([]float64, d.M)
+		for j := range ylat {
+			ylat[j] = lat * (0.9 + 0.025*float64(j))
+		}
+		ds.Append(rh, lh, rc, ylat, lat > 200)
+	}
+	m, _ := Train(ds, 200, TrainOptions{Seed: 1, Epochs: 2})
+	return m, ds.Inputs()
+}
+
+func assertSamePredictions(t *testing.T, want, got *Model, in nn.Inputs) {
+	t.Helper()
+	wantLat, wantPV, _ := want.PredictBatch(core.NewPredictContext(), in)
+	gotLat, gotPV, _ := got.PredictBatch(core.NewPredictContext(), in)
+	for i := range wantLat.Data {
+		if gotLat.Data[i] != wantLat.Data[i] {
+			t.Fatalf("latency %d diverged after the file round trip: %v != %v", i, gotLat.Data[i], wantLat.Data[i])
+		}
+	}
+	for i := range wantPV {
+		if gotPV[i] != wantPV[i] {
+			t.Fatalf("violation probability %d diverged after the file round trip: %v != %v", i, gotPV[i], wantPV[i])
+		}
+	}
+}
+
+// README's own sequence: sinan-train writes its model with
+// lifecycle.WriteFile, and the public LoadModel — like sinan-explain's
+// loader, lifecycle.ReadFile — must read that file back to the same model.
+// (LoadModel used to expect a different, raw-gob format and failed here.)
+func TestLoadModelReadsWhatTrainWrites(t *testing.T) {
+	m, in := tinyModel(t)
+	path := filepath.Join(t.TempDir(), "social.model")
+	if _, err := lifecycle.WriteFile(path, m, lifecycle.Manifest{Note: "sinan-train"}); err != nil {
+		t.Fatal(err)
+	}
+	loaded, err := LoadModel(path)
+	if err != nil {
+		t.Fatalf("LoadModel on a sinan-train artifact: %v", err)
+	}
+	assertSamePredictions(t, m, loaded, in)
+	explained, _, err := lifecycle.ReadFile(path)
+	if err != nil {
+		t.Fatalf("sinan-explain's loader on a sinan-train artifact: %v", err)
+	}
+	assertSamePredictions(t, m, explained, in)
+}
+
+func TestSaveModelLoadModelRoundTrip(t *testing.T) {
+	m, in := tinyModel(t)
+	path := filepath.Join(t.TempDir(), "m.model")
+	if err := SaveModel(path, m); err != nil {
+		t.Fatal(err)
+	}
+	loaded, err := LoadModel(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	assertSamePredictions(t, m, loaded, in)
 }
