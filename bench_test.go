@@ -114,9 +114,8 @@ func BenchmarkCNNInference(b *testing.B) {
 	}
 }
 
-// BenchmarkConvForward compares the im2col+GEMM Conv2D forward against the
-// naive six-loop reference on a scheduler-sized batch, reporting the naive
-// time and the speedup as extra benchmark metrics.
+// BenchmarkConvForward measures the im2col+GEMM Conv2D forward on a
+// scheduler-sized batch.
 func BenchmarkConvForward(b *testing.B) {
 	rng := rand.New(rand.NewSource(1))
 	conv := nn.NewConv2D(rng, "conv", 6, 32, 3, 1)
@@ -127,21 +126,11 @@ func BenchmarkConvForward(b *testing.B) {
 	}
 	ctx := nn.NewContext()
 	conv.Forward(ctx, x) // warm the tape buffers
-	ctx.Reset()
-
-	naiveStart := time.Now()
-	conv.NaiveForward(x)
-	naiveMS := float64(time.Since(naiveStart).Microseconds()) / 1000
-
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		ctx.Reset()
 		conv.Forward(ctx, x)
 	}
-	b.StopTimer()
-	im2colMS := float64(b.Elapsed().Microseconds()) / 1000 / float64(b.N)
-	b.ReportMetric(naiveMS, "naive-ms/op")
-	b.ReportMetric(naiveMS/im2colMS, "speedup")
 }
 
 // BenchmarkPredictBatch measures one full hybrid-model query (CNN + boosted

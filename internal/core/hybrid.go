@@ -10,6 +10,7 @@ import (
 	"encoding/gob"
 	"fmt"
 	"io"
+	"math"
 	"math/rand"
 	"sort"
 
@@ -97,25 +98,36 @@ func TrainHybrid(ds *dataset.Dataset, qosMS float64, opts TrainOptions) (*Hybrid
 		Epochs: opts.Epochs, Batch: opts.Batch, LR: opts.LR,
 		QoSMS: qosMS, Seed: opts.Seed, Log: opts.Log,
 	})
+	return fitTrees(tm, train, val, qosMS, opts.Trees)
+}
 
+// fitTrees is the second stage shared by TrainHybrid and RebuildHybrid: it
+// evaluates the trained CNN on both splits, fits the Boosted Trees on Lf ⊕
+// allocation — with positive-class weighting, unless the config sets one, so
+// the rare violation samples are not drowned out — and calibrates the
+// scheduler thresholds on the validation split.
+//
+// Each split is forwarded exactly once, on one reused context: the pass that
+// yields the latents for the trees also yields the predictions the RMSEs
+// are reductions of, and the sub-QoS RMSE is the same reduction over the
+// rows that qualify (a row's prediction does not depend on its batch).
+func fitTrees(tm *nn.TrainedModel, train, val *dataset.Dataset, qosMS float64, treeCfg boost.Config) (*HybridModel, TrainReport) {
+	ctx := nn.NewContext()
+	trX, pred := btFeatures(ctx, tm, train)
 	rep := TrainReport{
 		TrainSamples: train.Len(),
 		ValSamps:     val.Len(),
-		TrainRMSE:    tm.RMSE(train.Inputs(), train.Targets()),
-		ValRMSE:      tm.RMSE(val.Inputs(), val.Targets()),
-		CNNSizeKB:    nn.ModelSizeKB(cnn.Params()),
+		CNNSizeKB:    nn.ModelSizeKB(tm.Model.Params()),
 	}
-	if sub := val.FilterByP99(qosMS); sub.Len() > 0 {
-		rep.ValRMSESubQoS = tm.RMSE(sub.Inputs(), sub.Targets())
-	} else {
-		rep.ValRMSESubQoS = rep.ValRMSE
+	rep.TrainRMSE, _ = rmse(pred, train, math.Inf(1))
+	vaX, pred := btFeatures(ctx, tm, val)
+	rep.ValRMSE, _ = rmse(pred, val, math.Inf(1))
+	rep.ValRMSESubQoS = rep.ValRMSE
+	if sub, n := rmse(pred, val, qosMS); n > 0 {
+		rep.ValRMSESubQoS = sub
 	}
 
-	// Boosted Trees on Lf ⊕ allocation, with positive-class weighting so the
-	// rare violation samples are not drowned out.
-	trX, trY := btFeatures(tm, train)
-	vaX, vaY := btFeatures(tm, val)
-	treeCfg := opts.Trees
+	trY, vaY := train.YViol, val.YViol
 	if treeCfg.PosWeight == 0 {
 		pos := 0
 		for _, v := range trY {
@@ -134,22 +146,45 @@ func TrainHybrid(ds *dataset.Dataset, qosMS float64, opts TrainOptions) (*Hybrid
 	rep.NumTrees = bt.NumTrees()
 
 	m := &HybridModel{
-		Lat: tm, Viol: bt, D: ds.D, K: ds.K, QoSMS: qosMS,
+		Lat: tm, Viol: bt, D: train.D, K: train.K, QoSMS: qosMS,
 		RMSEValid: rep.ValRMSESubQoS,
 	}
 	m.Pd, m.Pu = calibrateThresholds(bt, vaX, vaY)
 	return m, rep
 }
 
-// btFeatures builds the Boosted Trees design matrix: the CNN latent Lf,
-// the candidate allocation vector, and the per-tier prospective utilization
-// (latest CPU usage divided by the candidate allocation). The utilization
-// features make the classifier directly sensitive to the examined
-// allocation, so scale-up candidates genuinely lower the predicted
-// violation probability.
-func btFeatures(tm *nn.TrainedModel, ds *dataset.Dataset) ([][]float64, []bool) {
+// rmse reduces one forward pass (pred, in ms, for every sample of ds) to
+// the root-mean-squared error over the samples whose true next-interval p99
+// is at most maxP99, and reports how many qualified. It sums in sample
+// order, as nn.TrainedModel.RMSE does over the same subset.
+func rmse(pred *tensor.Dense, ds *dataset.Dataset, maxP99 float64) (float64, int) {
+	m := ds.D.M
+	s, n := 0.0, 0
+	for i := 0; i < ds.Len(); i++ {
+		y := ds.YLat[i*m : (i+1)*m]
+		if y[m-1] > maxP99 {
+			continue
+		}
+		for j, p := range pred.Data[i*m : (i+1)*m] {
+			d := p - y[j]
+			s += d * d
+		}
+		n++
+	}
+	return math.Sqrt(s / float64(n*m)), n
+}
+
+// btFeatures forwards ds through the CNN on ctx and builds the Boosted
+// Trees design matrix: the CNN latent Lf, the candidate allocation vector,
+// and the per-tier prospective utilization (latest CPU usage divided by the
+// candidate allocation). The utilization features make the classifier
+// directly sensitive to the examined allocation, so scale-up candidates
+// genuinely lower the predicted violation probability. The pass's latency
+// predictions are returned too; they are owned by ctx and valid until its
+// next use.
+func btFeatures(ctx *nn.Context, tm *nn.TrainedModel, ds *dataset.Dataset) ([][]float64, *tensor.Dense) {
 	in := ds.Inputs()
-	_, latent := tm.PredictWithLatent(in)
+	pred, latent := tm.PredictWithLatentCtx(ctx, in)
 	if latent == nil {
 		panic("core: latency model does not expose a latent vector")
 	}
@@ -158,7 +193,7 @@ func btFeatures(tm *nn.TrainedModel, ds *dataset.Dataset) ([][]float64, []bool) 
 	for i := 0; i < n; i++ {
 		X[i] = btRow(latent, in, ds.D, i)
 	}
-	return X, append([]bool(nil), ds.YViol...)
+	return X, pred
 }
 
 // btRow assembles one BT feature row for sample i of a batch.
@@ -322,34 +357,15 @@ func (m *HybridModel) PredictShared(ctx *PredictContext, in nn.SharedInputs) (*t
 // CNN adapts with a small learning rate, the cheap BT is refit outright.
 func RebuildHybrid(tm *nn.TrainedModel, ds *dataset.Dataset, qosMS float64) *HybridModel {
 	train, val := ds.Split(0.9, 17)
-	trX, trY := btFeatures(tm, train)
-	vaX, vaY := btFeatures(tm, val)
-	cfg := boost.Config{NumTrees: 200, MaxDepth: 5, EarlyStopping: 25}
-	pos := 0
-	for _, v := range trY {
-		if v {
-			pos++
-		}
-	}
-	if pos > 0 && pos < len(trY) {
-		cfg.PosWeight = float64(len(trY)-pos) / float64(pos)
-	}
-	bt := boost.Train(trX, trY, cfg, vaX, vaY)
-	m := &HybridModel{Lat: tm, Viol: bt, D: ds.D, K: ds.K, QoSMS: qosMS}
-	if sub := val.FilterByP99(qosMS); sub.Len() > 0 {
-		m.RMSEValid = tm.RMSE(sub.Inputs(), sub.Targets())
-	} else {
-		m.RMSEValid = tm.RMSE(val.Inputs(), val.Targets())
-	}
-	m.Pd, m.Pu = calibrateThresholds(bt, vaX, vaY)
+	m, _ := fitTrees(tm, train, val, qosMS, boost.Config{NumTrees: 200, MaxDepth: 5, EarlyStopping: 25})
 	return m
 }
 
 // ViolationError returns the BT misclassification rate (threshold 0.5) on
 // a dataset, using the hybrid's own latent features.
 func (m *HybridModel) ViolationError(ds *dataset.Dataset) float64 {
-	X, y := btFeatures(m.Lat, ds)
-	return m.Viol.ErrorRate(X, y)
+	X, _ := btFeatures(nn.NewContext(), m.Lat, ds)
+	return m.Viol.ErrorRate(X, ds.YViol)
 }
 
 // RetrainOptions controls incremental retraining.

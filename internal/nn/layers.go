@@ -220,47 +220,5 @@ func (c *Conv2D) Backward(ctx *Context, dout *tensor.Dense) *tensor.Dense {
 	return dx
 }
 
-// NaiveForward computes the convolution with the direct six-loop kernel.
-// It is the reference implementation the im2col path is verified against
-// (and the baseline BenchmarkConvForward quotes); Forward is the fast path.
-func (c *Conv2D) NaiveForward(x *tensor.Dense) *tensor.Dense {
-	if len(x.Shape) != 4 || x.Shape[1] != c.Cin {
-		panic(fmt.Sprintf("nn: conv expects [B,%d,H,W], got %v", c.Cin, x.Shape))
-	}
-	b, h, w := x.Shape[0], x.Shape[2], x.Shape[3]
-	oh, ow := c.outDims(h, w)
-	y := tensor.New(b, c.Cout, oh, ow)
-	kd := c.W.W.Data
-	for n := 0; n < b; n++ {
-		for co := 0; co < c.Cout; co++ {
-			bias := c.B.W.Data[co]
-			for i := 0; i < oh; i++ {
-				for j := 0; j < ow; j++ {
-					s := bias
-					for ci := 0; ci < c.Cin; ci++ {
-						for ki := 0; ki < c.K; ki++ {
-							ii := i + ki - c.Pad
-							if ii < 0 || ii >= h {
-								continue
-							}
-							xoff := ((n*c.Cin+ci)*h + ii) * w
-							koff := ((co*c.Cin+ci)*c.K + ki) * c.K
-							for kj := 0; kj < c.K; kj++ {
-								jj := j + kj - c.Pad
-								if jj < 0 || jj >= w {
-									continue
-								}
-								s += x.Data[xoff+jj] * kd[koff+kj]
-							}
-						}
-					}
-					y.Data[((n*c.Cout+co)*oh+i)*ow+j] = s
-				}
-			}
-		}
-	}
-	return y
-}
-
 // Params implements Layer.
 func (c *Conv2D) Params() []*Param { return []*Param{c.W, c.B} }

@@ -24,16 +24,22 @@ func (in Inputs) Batch() int { return in.RH.Shape[0] }
 
 // Slice gathers the given sample indices into a new batch.
 func (in Inputs) Slice(idx []int) Inputs {
-	gather := func(t *tensor.Dense) *tensor.Dense {
-		row := t.Size() / t.Shape[0]
-		shape := append([]int{len(idx)}, t.Shape[1:]...)
-		out := tensor.New(shape...)
-		for k, i := range idx {
-			copy(out.Data[k*row:(k+1)*row], t.Data[i*row:(i+1)*row])
-		}
-		return out
+	return Inputs{RH: gatherRows(nil, in.RH, idx), LH: gatherRows(nil, in.LH, idx), RC: gatherRows(nil, in.RC, idx)}
+}
+
+// gatherRows copies rows idx of src (along axis 0) into dst, resized to
+// [len(idx), src.Shape[1:]...] and reusing its storage when the capacity
+// allows; a nil dst allocates.
+func gatherRows(dst, src *tensor.Dense, idx []int) *tensor.Dense {
+	var shape [4]int // on the stack: every model input has at most 4 axes
+	sh := shape[:copy(shape[:], src.Shape)]
+	sh[0] = len(idx)
+	dst = tensor.Ensure(dst, sh...)
+	row := src.Size() / src.Shape[0]
+	for k, i := range idx {
+		copy(dst.Data[k*row:(k+1)*row], src.Data[i*row:(i+1)*row])
 	}
-	return Inputs{RH: gather(in.RH), LH: gather(in.LH), RC: gather(in.RC)}
+	return dst
 }
 
 // Dims describes the model input dimensions.

@@ -90,6 +90,75 @@ func TestPredictCtxSteadyStateAllocs(t *testing.T) {
 	}
 }
 
+// One steady-state training step on a warmed shard — gather the minibatch
+// slice into the shard's buffers, forward, backward — must not allocate:
+// the tape, the gradient accumulators and the gathered batch all live on
+// the shard and are reused. GOMAXPROCS(1) keeps the kernels on their serial
+// path; the fan-out's goroutines are not what this guards.
+func TestTrainStepSteadyStateAllocs(t *testing.T) {
+	prev := runtime.GOMAXPROCS(1)
+	defer runtime.GOMAXPROCS(prev)
+	rng := rand.New(rand.NewSource(52))
+	in, y := synthInputs(rng, 96, testDims)
+	model := NewLatencyCNN(rng, testDims, 16)
+	sh := trainShard{ctx: NewContext()}
+	grad := tensor.New(32, testDims.M)
+	grad.Fill(0.01)
+	idx := rng.Perm(96)
+	step := func(sidx []int) {
+		sh.gather(in, y, sidx)
+		model.Forward(sh.ctx, sh.in)
+		model.Backward(sh.ctx, grad)
+	}
+	step(idx[:32])
+	next := 0
+	allocs := testing.AllocsPerRun(10, func() {
+		next = (next + 32) % 96 // a different slice of the data every step
+		step(idx[next : next+32])
+	})
+	if allocs != 0 {
+		t.Fatalf("steady-state training step allocates %.0f objects, want 0", allocs)
+	}
+}
+
+// naiveConvForward computes c's convolution of x with the direct six-loop
+// kernel: the definition the im2col+GEMM Forward is checked against.
+func naiveConvForward(c *Conv2D, x *tensor.Dense) *tensor.Dense {
+	b, h, w := x.Shape[0], x.Shape[2], x.Shape[3]
+	oh, ow := c.outDims(h, w)
+	y := tensor.New(b, c.Cout, oh, ow)
+	kd := c.W.W.Data
+	for n := 0; n < b; n++ {
+		for co := 0; co < c.Cout; co++ {
+			bias := c.B.W.Data[co]
+			for i := 0; i < oh; i++ {
+				for j := 0; j < ow; j++ {
+					s := bias
+					for ci := 0; ci < c.Cin; ci++ {
+						for ki := 0; ki < c.K; ki++ {
+							ii := i + ki - c.Pad
+							if ii < 0 || ii >= h {
+								continue
+							}
+							xoff := ((n*c.Cin+ci)*h + ii) * w
+							koff := ((co*c.Cin+ci)*c.K + ki) * c.K
+							for kj := 0; kj < c.K; kj++ {
+								jj := j + kj - c.Pad
+								if jj < 0 || jj >= w {
+									continue
+								}
+								s += x.Data[xoff+jj] * kd[koff+kj]
+							}
+						}
+					}
+					y.Data[((n*c.Cout+co)*oh+i)*ow+j] = s
+				}
+			}
+		}
+	}
+	return y
+}
+
 // The im2col+GEMM Conv2D forward must agree with the naive six-loop
 // reference to floating-point roundoff.
 func TestConv2DIm2ColMatchesNaive(t *testing.T) {
@@ -101,7 +170,7 @@ func TestConv2DIm2ColMatchesNaive(t *testing.T) {
 			x.Data[i] = rng.NormFloat64()
 		}
 		got := c.Forward(NewContext(), x)
-		want := c.NaiveForward(x)
+		want := naiveConvForward(c, x)
 		for i := range want.Data {
 			if diff := got.Data[i] - want.Data[i]; diff > 1e-12 || diff < -1e-12 {
 				t.Fatalf("pad=%d: im2col forward diverges from naive at %d: %v vs %v",

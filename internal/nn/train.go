@@ -222,12 +222,11 @@ func (tm *TrainedModel) fit(in Inputs, yMS *tensor.Dense, cfg TrainConfig) {
 		idx[i] = i
 	}
 	params := tm.Model.Params()
-	ctxs := make([]*Context, cfg.Shards)
-	for i := range ctxs {
-		ctxs[i] = NewContext()
+	shards := make([]trainShard, cfg.Shards)
+	for i := range shards {
+		shards[i].ctx = NewContext()
 	}
 	losses := make([]float64, cfg.Shards)
-	yRow := y.Shape[1]
 	for epoch := 0; epoch < cfg.Epochs; epoch++ {
 		rng.Shuffle(n, func(i, j int) { idx[i], idx[j] = idx[j], idx[i] })
 		total := 0.0
@@ -242,33 +241,28 @@ func (tm *TrainedModel) fit(in Inputs, yMS *tensor.Dense, cfg TrainConfig) {
 			// Shard count depends only on the batch size, never on the
 			// machine, so shard boundaries (and FP summation order) are
 			// reproducible everywhere.
-			shards := cfg.Shards
-			if maxS := (bn + minShard - 1) / minShard; shards > maxS {
-				shards = maxS
+			ns := cfg.Shards
+			if maxS := (bn + minShard - 1) / minShard; ns > maxS {
+				ns = maxS
 			}
 			// Each shard computes loss and gradients on its own context;
 			// per-shard results are scaled by the shard's sample fraction
 			// so their ordered sum equals the full-batch mean gradient.
-			tensor.ParallelFor(shards, func(a, b int) {
+			tensor.ParallelFor(ns, func(a, b int) {
 				for si := a; si < b; si++ {
-					lo, hi := si*bn/shards, (si+1)*bn/shards
-					sidx := bidx[lo:hi]
-					bin := norm.Slice(sidx)
-					by := tensor.New(len(sidx), yRow)
-					for k, i := range sidx {
-						copy(by.Data[k*yRow:(k+1)*yRow], y.Data[i*yRow:(i+1)*yRow])
-					}
-					ctx := ctxs[si]
-					pred := tm.Model.Forward(ctx, bin)
-					l, grad := loss.Compute(pred, by)
+					sh := &shards[si]
+					sidx := bidx[si*bn/ns : (si+1)*bn/ns]
+					sh.gather(norm, y, sidx)
+					pred := tm.Model.Forward(sh.ctx, sh.in)
+					l, grad := loss.Compute(pred, sh.y)
 					w := float64(len(sidx)) / float64(bn)
 					tensor.ScaleInPlace(grad, w)
-					tm.Model.Backward(ctx, grad)
+					tm.Model.Backward(sh.ctx, grad)
 					losses[si] = l * w
 				}
 			})
-			for si := 0; si < shards; si++ {
-				ctxs[si].FlushGrads(params)
+			for si := 0; si < ns; si++ {
+				shards[si].ctx.FlushGrads(params)
 				total += losses[si]
 			}
 			ClipGrads(params, cfg.ClipNorm)
@@ -281,8 +275,30 @@ func (tm *TrainedModel) fit(in Inputs, yMS *tensor.Dense, cfg TrainConfig) {
 	}
 }
 
-// predictChunk bounds per-evaluation working-set size on the predict path.
-const predictChunk = 512
+// trainShard is one gradient shard's private state, kept from step to step:
+// the tape and gradient accumulators, and the buffers its slice of each
+// minibatch is gathered into. Once every shard has seen its largest slice, a
+// training step's gather, forward and backward allocate nothing.
+type trainShard struct {
+	ctx *Context
+	in  Inputs
+	y   *tensor.Dense
+}
+
+// gather copies samples idx of the (normalised) inputs and (scaled) targets
+// into the shard's buffers.
+func (sh *trainShard) gather(in Inputs, y *tensor.Dense, idx []int) {
+	sh.in.RH = gatherRows(sh.in.RH, in.RH, idx)
+	sh.in.LH = gatherRows(sh.in.LH, in.LH, idx)
+	sh.in.RC = gatherRows(sh.in.RC, in.RC, idx)
+	sh.y = gatherRows(sh.y, y, idx)
+}
+
+// predictChunk bounds per-evaluation working-set size on the predict path:
+// the size of a training shard (Batch 256 over 4 shards), so a context's
+// workspace is ~12 MB for a SocialNetwork-sized model whatever the dataset.
+// Rows are evaluated independently, so chunking never shows in the output.
+const predictChunk = 64
 
 // Predict returns latency predictions in milliseconds for raw-space inputs.
 // It allocates a fresh Context per call and is therefore trivially safe

@@ -27,33 +27,50 @@ func Im2Col(dst, x *Dense, k, pad int) {
 	im2colRows(dst, x, k, pad, 0, ckk)
 }
 
+// im2colRows fills rows [start, end) of the patch matrix. Row r = (c, ki, kj)
+// is the image shifted by (ki-pad, kj-pad): output rows [ilo, ihi) and
+// columns [jlo, jhi) read inside the image, the rest is padding. When the
+// output is as wide as the image (same padding) the shifted rows are
+// contiguous in both, so a whole image plane is one copy, after which the
+// padding columns it ran through are zeroed again; otherwise each output
+// row's interior is one copy. The per-element loop this replaced is the
+// reference in tensor_test.go.
 func im2colRows(dst, x *Dense, k, pad, start, end int) {
 	b, c, h, w := x.Shape[0], x.Shape[1], x.Shape[2], x.Shape[3]
 	oh, ow := h+2*pad-k+1, w+2*pad-k+1
 	cols := b * oh * ow
 	for r := start; r < end; r++ {
-		ci := r / (k * k)
-		ki := (r / k) % k
-		kj := r % k
+		ci, ki, kj := r/(k*k), (r/k)%k, r%k
 		row := dst.Data[r*cols : (r+1)*cols]
+		ilo, ihi := max(0, pad-ki), min(oh, h+pad-ki)
+		jlo, jhi := max(0, pad-kj), min(ow, w+pad-kj)
+		if ihi <= ilo || jhi <= jlo {
+			clear(row) // the kernel offset lies wholly in the padding
+			continue
+		}
+		off := (ki-pad)*w + kj - pad // out[i][j] = plane[i*w+j+off]
 		for n := 0; n < b; n++ {
-			for i := 0; i < oh; i++ {
-				out := row[(n*oh+i)*ow : (n*oh+i+1)*ow]
-				ii := i + ki - pad
-				if ii < 0 || ii >= h {
-					for j := range out {
-						out[j] = 0
-					}
+			out := row[n*oh*ow : (n+1)*oh*ow]
+			plane := x.Data[(n*c+ci)*h*w : (n*c+ci+1)*h*w]
+			clear(out[:ilo*ow])
+			clear(out[ihi*ow:])
+			if ow == w {
+				q0, q1 := ilo*ow+jlo, (ihi-1)*ow+jhi
+				copy(out[q0:q1], plane[q0+off:q1+off])
+				if jlo == 0 && jhi == ow {
 					continue
 				}
-				xrow := x.Data[((n*c+ci)*h+ii)*w : ((n*c+ci)*h+ii+1)*w]
-				for j := 0; j < ow; j++ {
-					jj := j + kj - pad
-					if jj < 0 || jj >= w {
-						out[j] = 0
-					} else {
-						out[j] = xrow[jj]
-					}
+			}
+			for i := ilo; i < ihi; i++ {
+				o := out[i*ow : (i+1)*ow]
+				if ow != w {
+					copy(o[jlo:jhi], plane[i*w+jlo+off:i*w+jhi+off])
+				}
+				for j := 0; j < jlo; j++ {
+					o[j] = 0
+				}
+				for j := jhi; j < ow; j++ {
+					o[j] = 0
 				}
 			}
 		}
@@ -82,39 +99,50 @@ func Col2Im(dx, cols *Dense, k, pad int) {
 	col2imChannels(dx, cols, k, pad, 0, c)
 }
 
+// col2imChannels scatter-adds the patch rows of channels [cs, ce) back into
+// dx. Kernel offsets are visited in (ki, kj) order, as in the per-element
+// loop this replaced (the reference in tensor_test.go), so every dx element
+// receives its contributions in the same order; within one offset the
+// interior [jlo, jhi) of each output row — the whole plane when no column is
+// padding and the output is as wide as the image — is one slice add.
 func col2imChannels(dx, cols *Dense, k, pad, cs, ce int) {
 	b, c, h, w := dx.Shape[0], dx.Shape[1], dx.Shape[2], dx.Shape[3]
 	oh, ow := h+2*pad-k+1, w+2*pad-k+1
 	ncols := b * oh * ow
 	for ci := cs; ci < ce; ci++ {
 		for n := 0; n < b; n++ {
-			base := (n*c + ci) * h * w
-			for i := 0; i < h*w; i++ {
-				dx.Data[base+i] = 0
-			}
+			clear(dx.Data[(n*c+ci)*h*w : (n*c+ci+1)*h*w])
 		}
 		for ki := 0; ki < k; ki++ {
+			ilo, ihi := max(0, pad-ki), min(oh, h+pad-ki)
 			for kj := 0; kj < k; kj++ {
+				jlo, jhi := max(0, pad-kj), min(ow, w+pad-kj)
+				if ihi <= ilo || jhi <= jlo {
+					continue
+				}
+				off := (ki-pad)*w + kj - pad // src[i][j] adds into plane[i*w+j+off]
 				r := (ci*k+ki)*k + kj
 				row := cols.Data[r*ncols : (r+1)*ncols]
 				for n := 0; n < b; n++ {
-					for i := 0; i < oh; i++ {
-						ii := i + ki - pad
-						if ii < 0 || ii >= h {
-							continue
-						}
-						src := row[(n*oh+i)*ow : (n*oh+i+1)*ow]
-						drow := dx.Data[((n*c+ci)*h+ii)*w : ((n*c+ci)*h+ii+1)*w]
-						for j := 0; j < ow; j++ {
-							jj := j + kj - pad
-							if jj < 0 || jj >= w {
-								continue
-							}
-							drow[jj] += src[j]
-						}
+					src := row[n*oh*ow : (n+1)*oh*ow]
+					plane := dx.Data[(n*c+ci)*h*w : (n*c+ci+1)*h*w]
+					if ow == w && jlo == 0 && jhi == ow {
+						addInto(plane[ilo*w+off:], src[ilo*ow:ihi*ow])
+						continue
+					}
+					for i := ilo; i < ihi; i++ {
+						addInto(plane[i*w+jlo+off:], src[i*ow+jlo:i*ow+jhi])
 					}
 				}
 			}
 		}
+	}
+}
+
+// addInto adds src into the front of dst.
+func addInto(dst, src []float64) {
+	dst = dst[:len(src)]
+	for j, v := range src {
+		dst[j] += v
 	}
 }

@@ -45,18 +45,3 @@ func ParallelFor(n int, fn func(start, end int)) {
 	}
 	wg.Wait()
 }
-
-// Transpose returns the transpose of a 2-D tensor.
-func Transpose(a *Dense) *Dense {
-	if len(a.Shape) != 2 {
-		panic("tensor: transpose requires 2-D")
-	}
-	m, n := a.Shape[0], a.Shape[1]
-	out := New(n, m)
-	for i := 0; i < m; i++ {
-		for j := 0; j < n; j++ {
-			out.Data[j*m+i] = a.Data[i*n+j]
-		}
-	}
-	return out
-}

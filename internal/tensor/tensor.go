@@ -147,29 +147,71 @@ func MatMulInto(dst, a, b *Dense) {
 	// The closure is built only on the parallel path, so small (serial)
 	// products stay allocation-free.
 	if parallelizable(m * k * n) {
-		ParallelFor(m, func(start, end int) { matMulRows(dst, a, b, k, n, start, end) })
+		ParallelFor(m, func(start, end int) { mulRows(dst.Data, a.Data, b.Data, k, 1, k, n, start, end) })
 		return
 	}
-	matMulRows(dst, a, b, k, n, 0, m)
+	mulRows(dst.Data, a.Data, b.Data, k, 1, k, n, 0, m)
 }
 
-func matMulRows(dst, a, b *Dense, k, n, start, end int) {
+// mulRows computes rows [start, end) of C[m,n] = A·B, reading A's element
+// (i, p) at a[i*si+p*sp]: strides (k, 1) are a row-major A, strides (1, m)
+// are Aᵀ given as the row-major [k,m], so MatMulInto and MatMulTransAInto
+// are one kernel and neither ever materialises a transpose.
+//
+// Every output element is the sum, started from +0 and taken in ascending p,
+// of the products a[i,p]·b[p,j] whose a[i,p] is not zero (±0); a product
+// whose a is zero is not formed at all, so a zero activation times an Inf or
+// NaN weight contributes nothing. The kernel walks a row of A once, gathers
+// the non-zero entries four at a time, and folds each group into the output
+// row in one pass (axpy4) — one load and one store of C per four
+// multiply-adds instead of per one. The adds inside a group are separate
+// statements in p order, so each element sees exactly the operation sequence
+// of the plain p-then-j loop (kept as the reference in tensor_test.go) and
+// the result is bit-identical to it.
+func mulRows(dst, a, b []float64, si, sp, k, n, start, end int) {
 	for i := start; i < end; i++ {
-		arow := a.Data[i*k : (i+1)*k]
-		crow := dst.Data[i*n : (i+1)*n]
-		for j := range crow {
-			crow[j] = 0
-		}
-		for p := 0; p < k; p++ {
-			av := arow[p]
-			if av == 0 {
+		crow := dst[i*n : (i+1)*n]
+		clear(crow)
+		var av [4]float64
+		var bo [4]int
+		cnt := 0
+		for p, ai := 0, i*si; p < k; p, ai = p+1, ai+sp {
+			v := a[ai]
+			if v == 0 {
 				continue
 			}
-			brow := b.Data[p*n : (p+1)*n]
-			for j := 0; j < n; j++ {
-				crow[j] += av * brow[j]
+			av[cnt], bo[cnt] = v, p*n
+			if cnt++; cnt == 4 {
+				axpy4(crow, av, b[bo[0]:bo[0]+n], b[bo[1]:bo[1]+n], b[bo[2]:bo[2]+n], b[bo[3]:bo[3]+n])
+				cnt = 0
 			}
 		}
+		for q := 0; q < cnt; q++ {
+			axpy(crow, av[q], b[bo[q]:bo[q]+n])
+		}
+	}
+}
+
+// axpy4 adds a[0]·b0 + a[1]·b1 + a[2]·b2 + a[3]·b3 into c, one product at a
+// time in that order. The slices must have c's length.
+func axpy4(c []float64, a [4]float64, b0, b1, b2, b3 []float64) {
+	b0, b1, b2, b3 = b0[:len(c)], b1[:len(c)], b2[:len(c)], b3[:len(c)]
+	a0, a1, a2, a3 := a[0], a[1], a[2], a[3]
+	for j := range c {
+		s := c[j]
+		s += a0 * b0[j]
+		s += a1 * b1[j]
+		s += a2 * b2[j]
+		s += a3 * b3[j]
+		c[j] = s
+	}
+}
+
+// axpy adds a·b into c.
+func axpy(c []float64, a float64, b []float64) {
+	b = b[:len(c)]
+	for j := range c {
+		c[j] += a * b[j]
 	}
 }
 
@@ -181,9 +223,8 @@ func MatMulTransA(a, b *Dense) *Dense {
 }
 
 // MatMulTransAInto computes C = Aᵀ·B into dst, which must be [m,n]. dst is
-// overwritten; it must not alias a or b. Above the parallel threshold it
-// materialises Aᵀ (one allocation) to reuse the row-parallel kernel — that
-// path only triggers for training-sized products.
+// overwritten; it must not alias a or b. It is MatMulInto's kernel reading A
+// by columns; nothing is allocated on the serial path.
 func MatMulTransAInto(dst, a, b *Dense) {
 	if len(a.Shape) != 2 || len(b.Shape) != 2 || a.Shape[0] != b.Shape[0] {
 		panic(fmt.Sprintf("tensor: matmulᵀa shapes %v × %v", a.Shape, b.Shape))
@@ -193,26 +234,10 @@ func MatMulTransAInto(dst, a, b *Dense) {
 		panic(fmt.Sprintf("tensor: matmulᵀa dst %v for %v × %v", dst.Shape, a.Shape, b.Shape))
 	}
 	if parallelizable(k * m * n) {
-		MatMulInto(dst, Transpose(a), b)
+		ParallelFor(m, func(start, end int) { mulRows(dst.Data, a.Data, b.Data, 1, m, k, n, start, end) })
 		return
 	}
-	for i := range dst.Data {
-		dst.Data[i] = 0
-	}
-	for p := 0; p < k; p++ {
-		arow := a.Data[p*m : (p+1)*m]
-		brow := b.Data[p*n : (p+1)*n]
-		for i := 0; i < m; i++ {
-			av := arow[i]
-			if av == 0 {
-				continue
-			}
-			crow := dst.Data[i*n : (i+1)*n]
-			for j := 0; j < n; j++ {
-				crow[j] += av * brow[j]
-			}
-		}
-	}
+	mulRows(dst.Data, a.Data, b.Data, 1, m, k, n, 0, m)
 }
 
 // MatMulTransB computes C = A·Bᵀ for [m,k]·[n,k]ᵀ → [m,n].
@@ -233,25 +258,53 @@ func MatMulTransBInto(dst, a, b *Dense) {
 		panic(fmt.Sprintf("tensor: matmulᵀb dst %v for %v × %v", dst.Shape, a.Shape, b.Shape))
 	}
 	if parallelizable(m * k * n) {
-		ParallelFor(m, func(start, end int) { matMulTransBRows(dst, a, b, k, n, start, end) })
+		ParallelFor(m, func(start, end int) { mulTransBRows(dst.Data, a.Data, b.Data, k, n, start, end) })
 		return
 	}
-	matMulTransBRows(dst, a, b, k, n, 0, m)
+	mulTransBRows(dst.Data, a.Data, b.Data, k, n, 0, m)
 }
 
-func matMulTransBRows(dst, a, b *Dense, k, n, start, end int) {
+// mulTransBRows computes rows [start, end) of C[m,n] = A·Bᵀ: every output
+// element is the dot product of a row of A and a row of B, summed from +0 in
+// ascending p with no zero skip. One dot product is a single serial add
+// chain, bound by the add latency, so the kernel runs four of them — four
+// adjacent output columns, sharing each load of the A row — side by side
+// (dot4). Each chain is still its own p-ordered sum: bit-identical to the
+// one-at-a-time loop kept as the reference in tensor_test.go.
+func mulTransBRows(dst, a, b []float64, k, n, start, end int) {
 	for i := start; i < end; i++ {
-		arow := a.Data[i*k : (i+1)*k]
-		crow := dst.Data[i*n : (i+1)*n]
-		for j := 0; j < n; j++ {
-			brow := b.Data[j*k : (j+1)*k]
-			s := 0.0
-			for p := 0; p < k; p++ {
-				s += arow[p] * brow[p]
-			}
-			crow[j] = s
+		arow := a[i*k : (i+1)*k]
+		crow := dst[i*n : (i+1)*n]
+		j := 0
+		for ; j+4 <= n; j += 4 {
+			crow[j], crow[j+1], crow[j+2], crow[j+3] = dot4(arow,
+				b[j*k:(j+1)*k], b[(j+1)*k:(j+2)*k], b[(j+2)*k:(j+3)*k], b[(j+3)*k:(j+4)*k])
+		}
+		for ; j < n; j++ {
+			crow[j] = dot(arow, b[j*k:(j+1)*k])
 		}
 	}
+}
+
+// dot4 returns a·b0, a·b1, a·b2 and a·b3. The slices must have a's length.
+func dot4(a, b0, b1, b2, b3 []float64) (s0, s1, s2, s3 float64) {
+	b0, b1, b2, b3 = b0[:len(a)], b1[:len(a)], b2[:len(a)], b3[:len(a)]
+	for p, v := range a {
+		s0 += v * b0[p]
+		s1 += v * b1[p]
+		s2 += v * b2[p]
+		s3 += v * b3[p]
+	}
+	return
+}
+
+// dot returns a·b.
+func dot(a, b []float64) (s float64) {
+	b = b[:len(a)]
+	for p, v := range a {
+		s += v * b[p]
+	}
+	return
 }
 
 // RepeatRows tiles src's rows cyclically b times along axis 0 into a new

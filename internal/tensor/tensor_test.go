@@ -1,7 +1,10 @@
 package tensor
 
 import (
+	"fmt"
 	"math"
+	"math/rand"
+	"runtime"
 	"sync"
 	"testing"
 	"testing/quick"
@@ -178,48 +181,6 @@ func TestElementwiseHelpers(t *testing.T) {
 	}
 }
 
-func TestTranspose(t *testing.T) {
-	a := FromSlice([]float64{1, 2, 3, 4, 5, 6}, 2, 3)
-	at := Transpose(a)
-	if at.Shape[0] != 3 || at.Shape[1] != 2 {
-		t.Fatalf("transpose shape %v", at.Shape)
-	}
-	if at.At(2, 1) != 6 || at.At(0, 1) != 4 {
-		t.Fatal("transpose values wrong")
-	}
-}
-
-func TestLargeMatMulParallelMatchesSerial(t *testing.T) {
-	// Big enough to trigger the parallel path; verify against definition.
-	m, k, n := 80, 90, 100
-	a, b := New(m, k), New(k, n)
-	for i := range a.Data {
-		a.Data[i] = float64(i%7) - 3
-	}
-	for i := range b.Data {
-		b.Data[i] = float64(i%5) - 2
-	}
-	c := MatMul(a, b)
-	for _, probe := range [][2]int{{0, 0}, {m - 1, n - 1}, {m / 2, n / 3}} {
-		i, j := probe[0], probe[1]
-		s := 0.0
-		for p := 0; p < k; p++ {
-			s += a.At(i, p) * b.At(p, j)
-		}
-		if math.Abs(c.At(i, j)-s) > 1e-9 {
-			t.Fatalf("parallel matmul wrong at (%d,%d): %v vs %v", i, j, c.At(i, j), s)
-		}
-	}
-	// Transposed variants agree on the same operands.
-	c2 := MatMulTransA(Transpose(a), b)
-	c3 := MatMulTransB(a, Transpose(b))
-	for i := range c.Data {
-		if math.Abs(c.Data[i]-c2.Data[i]) > 1e-9 || math.Abs(c.Data[i]-c3.Data[i]) > 1e-9 {
-			t.Fatal("transposed variants disagree with MatMul")
-		}
-	}
-}
-
 func TestParallelFor(t *testing.T) {
 	covered := make([]int, 1000)
 	var mu sync.Mutex
@@ -297,4 +258,385 @@ func TestView(t *testing.T) {
 		}
 	}()
 	View(nil, data, 4, 2)
+}
+
+// The reference kernels below are the loops the blocked kernels replaced,
+// kept verbatim: the differential tests hold every output element of the
+// production kernels to them bit for bit, which is what "the blocking does
+// not change the floating-point operation order" means in practice.
+
+func refMatMulRows(dst, a, b *Dense, k, n, start, end int) {
+	for i := start; i < end; i++ {
+		arow := a.Data[i*k : (i+1)*k]
+		crow := dst.Data[i*n : (i+1)*n]
+		for j := range crow {
+			crow[j] = 0
+		}
+		for p := 0; p < k; p++ {
+			av := arow[p]
+			if av == 0 {
+				continue
+			}
+			brow := b.Data[p*n : (p+1)*n]
+			for j := 0; j < n; j++ {
+				crow[j] += av * brow[j]
+			}
+		}
+	}
+}
+
+func refMatMul(dst, a, b *Dense) {
+	refMatMulRows(dst, a, b, a.Shape[1], b.Shape[1], 0, a.Shape[0])
+}
+
+// refMatMulTransA is the former serial path of MatMulTransAInto.
+func refMatMulTransA(dst, a, b *Dense) {
+	k, m, n := a.Shape[0], a.Shape[1], b.Shape[1]
+	for i := range dst.Data {
+		dst.Data[i] = 0
+	}
+	for p := 0; p < k; p++ {
+		arow := a.Data[p*m : (p+1)*m]
+		brow := b.Data[p*n : (p+1)*n]
+		for i := 0; i < m; i++ {
+			av := arow[i]
+			if av == 0 {
+				continue
+			}
+			crow := dst.Data[i*n : (i+1)*n]
+			for j := 0; j < n; j++ {
+				crow[j] += av * brow[j]
+			}
+		}
+	}
+}
+
+func refMatMulTransB(dst, a, b *Dense) {
+	m, k, n := a.Shape[0], a.Shape[1], b.Shape[0]
+	for i := 0; i < m; i++ {
+		arow := a.Data[i*k : (i+1)*k]
+		crow := dst.Data[i*n : (i+1)*n]
+		for j := 0; j < n; j++ {
+			brow := b.Data[j*k : (j+1)*k]
+			s := 0.0
+			for p := 0; p < k; p++ {
+				s += arow[p] * brow[p]
+			}
+			crow[j] = s
+		}
+	}
+}
+
+func refIm2Col(dst, x *Dense, k, pad int) {
+	b, c, h, w := x.Shape[0], x.Shape[1], x.Shape[2], x.Shape[3]
+	oh, ow := h+2*pad-k+1, w+2*pad-k+1
+	cols := b * oh * ow
+	for r := 0; r < c*k*k; r++ {
+		ci := r / (k * k)
+		ki := (r / k) % k
+		kj := r % k
+		row := dst.Data[r*cols : (r+1)*cols]
+		for n := 0; n < b; n++ {
+			for i := 0; i < oh; i++ {
+				out := row[(n*oh+i)*ow : (n*oh+i+1)*ow]
+				ii := i + ki - pad
+				if ii < 0 || ii >= h {
+					for j := range out {
+						out[j] = 0
+					}
+					continue
+				}
+				xrow := x.Data[((n*c+ci)*h+ii)*w : ((n*c+ci)*h+ii+1)*w]
+				for j := 0; j < ow; j++ {
+					jj := j + kj - pad
+					if jj < 0 || jj >= w {
+						out[j] = 0
+					} else {
+						out[j] = xrow[jj]
+					}
+				}
+			}
+		}
+	}
+}
+
+func refCol2Im(dx, cols *Dense, k, pad int) {
+	b, c, h, w := dx.Shape[0], dx.Shape[1], dx.Shape[2], dx.Shape[3]
+	oh, ow := h+2*pad-k+1, w+2*pad-k+1
+	ncols := b * oh * ow
+	for ci := 0; ci < c; ci++ {
+		for n := 0; n < b; n++ {
+			base := (n*c + ci) * h * w
+			for i := 0; i < h*w; i++ {
+				dx.Data[base+i] = 0
+			}
+		}
+		for ki := 0; ki < k; ki++ {
+			for kj := 0; kj < k; kj++ {
+				r := (ci*k+ki)*k + kj
+				row := cols.Data[r*ncols : (r+1)*ncols]
+				for n := 0; n < b; n++ {
+					for i := 0; i < oh; i++ {
+						ii := i + ki - pad
+						if ii < 0 || ii >= h {
+							continue
+						}
+						src := row[(n*oh+i)*ow : (n*oh+i+1)*ow]
+						drow := dx.Data[((n*c+ci)*h+ii)*w : ((n*c+ci)*h+ii+1)*w]
+						for j := 0; j < ow; j++ {
+							jj := j + kj - pad
+							if jj < 0 || jj >= w {
+								continue
+							}
+							drow[jj] += src[j]
+						}
+					}
+				}
+			}
+		}
+	}
+}
+
+// randDense fills a tensor with normal samples; a fraction zeros of the
+// entries is replaced by zeros, every third of them a negative zero.
+func randDense(rng *rand.Rand, zeros float64, shape ...int) *Dense {
+	t := New(shape...)
+	for i := range t.Data {
+		switch {
+		case rng.Float64() >= zeros:
+			t.Data[i] = rng.NormFloat64()
+		case i%3 == 0:
+			t.Data[i] = math.Copysign(0, -1)
+		}
+	}
+	return t
+}
+
+// sameBits fails unless got and want agree in every bit of every element —
+// stricter than ==, which would let a -0 pass for a +0 — or are both NaN
+// (which payload survives an operation on two NaNs is the instruction
+// selector's choice, not the kernel's).
+func sameBits(t *testing.T, what string, got, want *Dense) {
+	t.Helper()
+	for i := range want.Data {
+		if math.IsNaN(got.Data[i]) && math.IsNaN(want.Data[i]) {
+			continue
+		}
+		if math.Float64bits(got.Data[i]) != math.Float64bits(want.Data[i]) {
+			t.Fatalf("%s: element %d is %v (%#x), reference %v (%#x)", what, i,
+				got.Data[i], math.Float64bits(got.Data[i]), want.Data[i], math.Float64bits(want.Data[i]))
+		}
+	}
+}
+
+// withProcs runs fn with GOMAXPROCS 1 — every kernel on its serial path —
+// and with GOMAXPROCS 4, where products of parallelThreshold multiplies and
+// more fan out over row chunks (real goroutines even on a one-CPU machine).
+func withProcs(fn func(procs int)) {
+	for _, procs := range []int{1, 4} {
+		prev := runtime.GOMAXPROCS(procs)
+		fn(procs)
+		runtime.GOMAXPROCS(prev)
+	}
+}
+
+// gemmShapes is every (m, k, n) over sizes that are below, at and one past a
+// multiple of the blocking factor 4 — so each blocked dimension meets all of
+// its tails, and 64·64·64 lands exactly on parallelThreshold — plus the
+// training shapes of the LatencyCNN on SocialNetwork and two cubes whose
+// parallel row chunks are uneven.
+func gemmShapes() [][3]int {
+	dims := []int{1, 3, 4, 5, 7, 8, 9, 64}
+	var shapes [][3]int
+	for _, m := range dims {
+		for _, k := range dims {
+			for _, n := range dims {
+				shapes = append(shapes, [3]int{m, k, n})
+			}
+		}
+	}
+	return append(shapes,
+		[3]int{8, 54, 8960}, [3]int{8, 8960, 54}, [3]int{54, 8, 8960}, // conv: forward, dW, dcols
+		[3]int{64, 1120, 24}, [3]int{1120, 64, 24}, [3]int{64, 24, 1120}, // rh.fc: forward, dW, dx
+		[3]int{67, 70, 69}, [3]int{5, 1121, 63})
+}
+
+// The three GEMM kernels agree with the loops they replaced in every bit of
+// every output element: for all tails of every blocked dimension, with zeros
+// and negative zeros in A (the skip), with an Inf and a NaN in B (dropped
+// under a zero of A by the skipping kernels, always propagated by A·Bᵀ), on
+// the serial and the parallel path.
+func TestGEMMKernelsMatchReferenceBitForBit(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	for _, s := range gemmShapes() {
+		m, k, n := s[0], s[1], s[2]
+		for _, zeros := range []float64{0, 0.4} {
+			a := randDense(rng, zeros, m, k)
+			b := randDense(rng, 0, k, n)
+			if zeros > 0 {
+				// Non-finite weights, wherever they fall: skipped under a
+				// zero of A, poisoning the element otherwise.
+				b.Data[rng.Intn(len(b.Data))] = math.Inf(1)
+				b.Data[rng.Intn(len(b.Data))] = math.NaN()
+			}
+			at := New(k, m) // a transposed, for Aᵀ·B
+			bt := New(n, k) // b transposed, for A·Bᵀ
+			for i := 0; i < m; i++ {
+				for p := 0; p < k; p++ {
+					at.Data[p*m+i] = a.Data[i*k+p]
+				}
+			}
+			for p := 0; p < k; p++ {
+				for j := 0; j < n; j++ {
+					bt.Data[j*k+p] = b.Data[p*n+j]
+				}
+			}
+			want, wantTA, wantTB := New(m, n), New(m, n), New(m, n)
+			refMatMul(want, a, b)
+			refMatMulTransA(wantTA, at, b)
+			refMatMulTransB(wantTB, a, bt)
+			// The two skipping references agree with each other, so one
+			// shared kernel can stand in for both.
+			sameBits(t, fmt.Sprintf("reference Aᵀ·B vs A·B %v", s), wantTA, want)
+			withProcs(func(procs int) {
+				what := fmt.Sprintf("%v zeros=%v procs=%d", s, zeros, procs)
+				got := New(m, n)
+				got.Fill(math.NaN()) // dst must be overwritten, not accumulated into
+				MatMulInto(got, a, b)
+				sameBits(t, "MatMulInto "+what, got, want)
+				got.Fill(math.NaN())
+				MatMulTransAInto(got, at, b)
+				sameBits(t, "MatMulTransAInto "+what, got, wantTA)
+				got.Fill(math.NaN())
+				MatMulTransBInto(got, a, bt)
+				sameBits(t, "MatMulTransBInto "+what, got, wantTB)
+			})
+		}
+	}
+}
+
+// A zero in A removes its product from the sum altogether: 0·Inf and 0·NaN
+// are not formed, so one non-finite weight under a dead activation does not
+// poison the row. A·Bᵀ has no skip and does propagate.
+func TestMatMulZeroSkipSemantics(t *testing.T) {
+	a := FromSlice([]float64{0, 2, math.Copysign(0, -1)}, 1, 3)
+	b := FromSlice([]float64{math.Inf(1), 3, math.NaN()}, 3, 1)
+	if got := MatMul(a, b).Data[0]; got != 6 {
+		t.Fatalf("A·B with zeros over Inf/NaN = %v, want 6", got)
+	}
+	if got := MatMulTransA(FromSlice(a.Data, 3, 1), b).Data[0]; got != 6 {
+		t.Fatalf("Aᵀ·B with zeros over Inf/NaN = %v, want 6", got)
+	}
+	if got := MatMulTransB(a, FromSlice(b.Data, 1, 3)).Data[0]; !math.IsNaN(got) {
+		t.Fatalf("A·Bᵀ with zeros over Inf/NaN = %v, want NaN", got)
+	}
+	// An all-zero row sums nothing and stays +0.
+	if got := MatMul(FromSlice([]float64{0, 0}, 1, 2), FromSlice([]float64{-1, -1}, 2, 1)).Data[0]; math.Float64bits(got) != 0 {
+		t.Fatalf("empty sum = %v (%#x), want +0", got, math.Float64bits(got))
+	}
+}
+
+// Im2Col and Col2Im agree bit for bit with the per-element loops they
+// replaced: same padding (whole-plane copies) and not, kernels reaching
+// wholly into the padding, both sides of parallelThreshold.
+func TestIm2ColCol2ImMatchReferenceBitForBit(t *testing.T) {
+	rng := rand.New(rand.NewSource(9))
+	type dims struct{ b, c, h, w int }
+	images := []dims{{1, 1, 1, 1}, {2, 1, 3, 1}, {1, 2, 1, 4}, {3, 2, 5, 6}, {2, 3, 6, 5}, {64, 6, 28, 5}}
+	for _, im := range images {
+		for _, k := range []int{1, 2, 3, 5} {
+			for _, pad := range []int{0, 1, 2, 3} {
+				oh, ow := im.h+2*pad-k+1, im.w+2*pad-k+1
+				if oh <= 0 || ow <= 0 {
+					continue
+				}
+				x := randDense(rng, 0.1, im.b, im.c, im.h, im.w)
+				cols := randDense(rng, 0.1, im.c*k*k, im.b*oh*ow)
+				wantCols := New(im.c*k*k, im.b*oh*ow)
+				refIm2Col(wantCols, x, k, pad)
+				wantDx := New(im.b, im.c, im.h, im.w)
+				refCol2Im(wantDx, cols, k, pad)
+				withProcs(func(procs int) {
+					what := fmt.Sprintf("%+v k=%d pad=%d procs=%d", im, k, pad, procs)
+					gotCols := New(im.c*k*k, im.b*oh*ow)
+					gotCols.Fill(math.NaN()) // every entry must be written
+					Im2Col(gotCols, x, k, pad)
+					sameBits(t, "Im2Col "+what, gotCols, wantCols)
+					gotDx := New(im.b, im.c, im.h, im.w)
+					gotDx.Fill(math.NaN())
+					Col2Im(gotDx, cols, k, pad)
+					sameBits(t, "Col2Im "+what, gotDx, wantDx)
+				})
+			}
+		}
+	}
+}
+
+// The *Into kernels allocate nothing on the serial path — in particular
+// MatMulTransAInto, which used to materialise a transpose for training-sized
+// products — at shapes on both sides of parallelThreshold.
+func TestIntoKernelsDoNotAllocate(t *testing.T) {
+	prev := runtime.GOMAXPROCS(1)
+	defer runtime.GOMAXPROCS(prev)
+	rng := rand.New(rand.NewSource(3))
+	for _, s := range [][3]int{{5, 7, 9}, {64, 1120, 24}} {
+		m, k, n := s[0], s[1], s[2]
+		a, at := randDense(rng, 0.3, m, k), randDense(rng, 0.3, k, m)
+		b, bt := randDense(rng, 0, k, n), randDense(rng, 0, n, k)
+		dst := New(m, n)
+		for name, fn := range map[string]func(){
+			"MatMulInto":       func() { MatMulInto(dst, a, b) },
+			"MatMulTransAInto": func() { MatMulTransAInto(dst, at, b) },
+			"MatMulTransBInto": func() { MatMulTransBInto(dst, a, bt) },
+		} {
+			if allocs := testing.AllocsPerRun(10, fn); allocs != 0 {
+				t.Errorf("%s %v allocates %.0f objects per call, want 0", name, s, allocs)
+			}
+		}
+	}
+}
+
+// BenchmarkGEMM times the three kernels, and the reference loops they
+// replaced, at the GEMM shapes of one 64-sample training shard of the
+// LatencyCNN on SocialNetwork (28 tiers × 5 timesteps, 8960 patch columns):
+// the table in DESIGN.md §7 "Kernels" is this benchmark's output at -cpu 1.
+func BenchmarkGEMM(b *testing.B) {
+	rng := rand.New(rand.NewSource(1))
+	type kernel struct {
+		fn, ref func(dst, a, b *Dense)
+		aT, bT  bool    // operand stored transposed
+		zeros   float64 // fraction of zeros in A (post-ReLU activations)
+		m, k, n int
+		name    string
+	}
+	ab, ta, tb := MatMulInto, MatMulTransAInto, MatMulTransBInto
+	for _, kn := range []kernel{
+		{ab, refMatMul, false, false, 0, 8, 54, 8960, "AB/conv1-forward"},
+		{ab, refMatMul, false, false, 0, 8, 72, 8960, "AB/conv2-forward"},
+		{ab, refMatMul, false, false, 0.5, 64, 1120, 24, "AB/rhfc-forward"},
+		{tb, refMatMulTransB, false, true, 0, 8, 8960, 72, "ABt/conv2-dW"},
+		{tb, refMatMulTransB, false, true, 0, 64, 24, 1120, "ABt/rhfc-dx"},
+		{ta, refMatMulTransA, true, false, 0, 72, 8, 8960, "AtB/conv2-dcols"},
+		{ta, refMatMulTransA, true, false, 0.5, 1120, 64, 24, "AtB/rhfc-dW"},
+	} {
+		a, bb := randDense(rng, kn.zeros, kn.m, kn.k), randDense(rng, 0, kn.k, kn.n)
+		if kn.aT {
+			a.Shape[0], a.Shape[1] = kn.k, kn.m
+		}
+		if kn.bT {
+			bb.Shape[0], bb.Shape[1] = kn.n, kn.k
+		}
+		dst := New(kn.m, kn.n)
+		for _, side := range []struct {
+			name string
+			fn   func(dst, a, b *Dense)
+		}{{"ref", kn.ref}, {"kernel", kn.fn}} {
+			b.Run(fmt.Sprintf("%s-%dx%dx%d/%s", kn.name, kn.m, kn.k, kn.n, side.name), func(b *testing.B) {
+				for i := 0; i < b.N; i++ {
+					side.fn(dst, a, bb)
+				}
+				b.ReportMetric(2*float64(kn.m*kn.k*kn.n)*float64(b.N)/b.Elapsed().Seconds()/1e9, "gflop/s")
+			})
+		}
+	}
 }

@@ -30,6 +30,13 @@ echo "== go test =="
 # accidental inter-test state dependence; failures print the seed to replay.
 go test -shuffle=on ./... "$@"
 
+echo "== go test -cpu 1,4 (kernels, sharding) =="
+# The GEMM kernels and the sharded training loop split their work by
+# GOMAXPROCS; their bit-identity tests must hold at one worker (serial
+# paths) and at more workers than a 2-core runner has, so a result that
+# depends on where a chunk boundary falls cannot pass by luck of the host.
+go test -cpu 1,4 ./internal/tensor ./internal/nn "$@"
+
 echo "== go test -race (short) =="
 go test -race -short -timeout 30m ./... "$@"
 
@@ -46,6 +53,6 @@ echo "== go test -race (full, by package) =="
 go test -race -timeout 30m ./internal/experiments ./internal/workload ./internal/statplane
 
 echo "== bench smoke =="
-go test -run='^$' -bench='ConvForward|PredictBatch$|PredictShared|SimulatorThroughput' -benchtime=1x
+go test -run='^$' -bench='ConvForward|PredictBatch$|PredictShared|SimulatorThroughput|TrainEpoch' -benchtime=1x
 
 echo "OK"
