@@ -57,29 +57,38 @@ func main() {
 	// reuse a sequence number, or the hub will discard its reports as
 	// duplicates.
 	var seq uint64
-	backoff := time.Second
+	fails := 0 // consecutive sessions that never got a valid Assign
 	for {
-		err := session(*hub, name, *drop, *dup, *delay, rng, &seq)
+		assigned, err := session(*hub, name, *drop, *dup, *delay, rng, &seq)
 		if err == errNoPartition {
 			log.Fatalf("hub %s has no partition left for %s", *hub, name)
 		}
-		log.Printf("session ended: %v; redialling in %s", err, backoff)
-		time.Sleep(backoff)
-		if backoff < 10*time.Second {
-			backoff *= 2
+		if assigned {
+			fails = 0
 		}
+		wait := redialDelay(fails)
+		log.Printf("session ended: %v; redialling in %s", err, wait)
+		time.Sleep(wait)
+		fails++
 	}
 }
+
+// redialDelay backs off 1, 2, 4, 8, then 16 s while the hub stays
+// unreachable. A session that was assigned a partition starts it over:
+// every second spent waiting is an interval of imputed StatsOK=false tiers,
+// so outages long past must not slow the recovery from this one.
+func redialDelay(fails int) time.Duration { return time.Second << min(fails, 4) }
 
 var errNoPartition = fmt.Errorf("no partition assigned")
 
 // session runs one connection's lifetime: Hello, Assign, then the
-// sample→report echo loop. It returns when the connection dies.
+// sample→report echo loop. It returns when the connection dies, and
+// whether the hub had assigned it a partition by then.
 func session(addr, name string, drop, dup float64, delay time.Duration,
-	rng *rand.Rand, seq *uint64) error {
+	rng *rand.Rand, seq *uint64) (assigned bool, err error) {
 	conn, err := net.DialTimeout("tcp", addr, 5*time.Second)
 	if err != nil {
-		return err
+		return false, err
 	}
 	defer conn.Close()
 	dec := gob.NewDecoder(conn)
@@ -88,24 +97,24 @@ func session(addr, name string, drop, dup float64, delay time.Duration,
 	if err := enc.Encode(&statplane.Envelope{
 		Hello: &statplane.Hello{Version: statplane.WireVersion, Agent: name},
 	}); err != nil {
-		return err
+		return false, err
 	}
 	var env statplane.Envelope
 	if err := dec.Decode(&env); err != nil {
-		return err
+		return false, err
 	}
 	if env.Assign == nil || env.Assign.Version != statplane.WireVersion {
-		return fmt.Errorf("hub speaks a different protocol version")
+		return false, fmt.Errorf("hub speaks a different protocol version")
 	}
 	if len(env.Assign.Tiers) == 0 {
-		return errNoPartition
+		return false, errNoPartition
 	}
 	log.Printf("%s: assigned tiers %v (interval %.0fs)", name, env.Assign.Tiers, env.Assign.IntervalSec)
 
 	for {
 		var env statplane.Envelope
 		if err := dec.Decode(&env); err != nil {
-			return err
+			return true, err
 		}
 		s := env.Sample
 		if s == nil {
@@ -124,12 +133,12 @@ func session(addr, name string, drop, dup float64, delay time.Duration,
 			Interval: s.Interval, Time: s.Time, Tiers: s.Tiers,
 		}}
 		if err := enc.Encode(rep); err != nil {
-			return err
+			return true, err
 		}
 		if dup > 0 && rng.Float64() < dup {
 			log.Printf("%s: duplicating report seq=%d interval=%d", name, *seq, s.Interval)
 			if err := enc.Encode(rep); err != nil {
-				return err
+				return true, err
 			}
 		}
 	}

@@ -23,11 +23,6 @@
 //	sinan-serve -model hotel.model -addr :9090 -metrics-addr :9091
 //	curl -s localhost:9091/metrics
 //
-// With -stats-listen the server additionally accepts stats-plane reports
-// from sinan-agent/statplane reporters and exports per-agent report flow
-// ("plane.*") on the same registry — a model host doubling as a passive
-// stats endpoint for fleet visibility.
-//
 // Model lifecycle: the server also exposes Sinan.UpdateModel and
 // Sinan.Rollback, so operators can hot-swap models without a restart —
 // every install is versioned and rollback-able. -model-dir serves the
@@ -53,7 +48,6 @@ import (
 	"sinan/internal/dataset"
 	"sinan/internal/lifecycle"
 	"sinan/internal/predsvc"
-	"sinan/internal/statplane"
 	"sinan/internal/telemetry"
 )
 
@@ -67,7 +61,6 @@ func main() {
 		maxActive   = flag.Int("max-active", 0, "max concurrent predictions (0 = GOMAXPROCS, <0 = no admission control)")
 		maxQueue    = flag.Int("max-queue", 0, "max queued predictions (0 = 4x max-active, <0 = no queue)")
 		metricsAddr = flag.String("metrics-addr", "", "serve live JSON metrics and pprof on this address (empty = disabled)")
-		statsListen = flag.String("stats-listen", "", "accept stats-plane reports on this address and export per-agent flow on the metrics registry (empty = disabled)")
 	)
 	flag.Parse()
 
@@ -125,14 +118,6 @@ func main() {
 		}
 		defer msrv.Close()
 		fmt.Fprintf(os.Stderr, "metrics on http://%s/metrics (pprof at /debug/pprof/)\n", maddr)
-	}
-	if *statsListen != "" {
-		col, err := statplane.ListenAndCollect(*statsListen, statplane.NewMetricsSink(svc.Metrics()))
-		if err != nil {
-			log.Fatalf("stats listener: %v", err)
-		}
-		defer col.Close()
-		fmt.Fprintf(os.Stderr, "stats-plane collector on %s (plane.* on the metrics registry)\n", col.Addr())
 	}
 
 	ch := make(chan os.Signal, 1)

@@ -129,14 +129,9 @@ func (m *Model) ErrorRate(X [][]float64, y []bool) float64 {
 	return float64(wrong) / float64(len(X))
 }
 
-// LogLoss returns the mean binary cross-entropy on a dataset; it is the
-// early-stopping metric (more sensitive than the error rate on imbalanced
-// violation data).
-func (m *Model) LogLoss(X [][]float64, y []bool) float64 {
-	return m.WeightedLogLoss(X, y, 1)
-}
-
-// WeightedLogLoss is LogLoss with positive examples weighted by posW. When
+// WeightedLogLoss returns the mean binary cross-entropy on a dataset with
+// positive examples weighted by posW; it is the early-stopping metric (more
+// sensitive than the error rate on imbalanced violation data). When
 // training uses PosWeight, early stopping must track the same weighted
 // objective — otherwise the unweighted metric looks "best" at the trivial
 // all-negative classifier and stops immediately on imbalanced data.

@@ -191,7 +191,7 @@ func TestLogLossDecreasesWithTraining(t *testing.T) {
 	X, y := synthData(rng, 1500, 0.1)
 	small := Train(X, y, Config{NumTrees: 2, MaxDepth: 3}, nil, nil)
 	big := Train(X, y, Config{NumTrees: 60, MaxDepth: 4}, nil, nil)
-	if big.LogLoss(X, y) >= small.LogLoss(X, y) {
+	if big.WeightedLogLoss(X, y, 1) >= small.WeightedLogLoss(X, y, 1) {
 		t.Fatal("more boosting rounds should reduce training log loss")
 	}
 }

@@ -97,24 +97,6 @@ func (c *Cluster) SetAlloc(cores []float64) {
 	}
 }
 
-// TotalAlloc returns the aggregate CPU allocation across tiers.
-func (c *Cluster) TotalAlloc() float64 {
-	sum := 0.0
-	for _, t := range c.tiers {
-		sum += t.cpuLimit
-	}
-	return sum
-}
-
-// MaxAlloc returns the allocation vector with every tier at its maximum.
-func (c *Cluster) MaxAlloc() []float64 {
-	out := make([]float64, len(c.tiers))
-	for i, t := range c.tiers {
-		out[i] = t.cfg.MaxCPU
-	}
-	return out
-}
-
 // SampleTier returns one tier's statistics accumulated since that tier was
 // last sampled and resets its interval accumulators — the read a node
 // agent performs on each tier it owns, once per decision interval. Each

@@ -226,9 +226,6 @@ func newTier(eng *sim.Engine, rng *sim.RNG, cfg TierConfig, index int) *Tier {
 // Name returns the tier name.
 func (t *Tier) Name() string { return t.cfg.Name }
 
-// Config returns the tier's configuration.
-func (t *Tier) Config() TierConfig { return t.cfg }
-
 // CPULimit returns the current CPU allocation in cores.
 func (t *Tier) CPULimit() float64 { return t.cpuLimit }
 

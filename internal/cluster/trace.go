@@ -1,7 +1,5 @@
 package cluster
 
-import "sort"
-
 // Span is one traced RPC stage execution, the simulator's stand-in for a
 // Jaeger span (Fig. 8 of the paper collects metrics through Docker and
 // Jaeger). Enqueue is when the request asked the tier for a connection
@@ -41,69 +39,10 @@ func (c *Cluster) EnableTracing(t Tracer, rate float64) {
 	}
 }
 
-// SpanCollector is a Tracer that accumulates spans in memory and computes
-// per-tier breakdowns.
+// SpanCollector is a Tracer that accumulates spans in memory.
 type SpanCollector struct {
 	Spans []Span
 }
 
 // Record implements Tracer.
 func (sc *SpanCollector) Record(s Span) { sc.Spans = append(sc.Spans, s) }
-
-// Reset discards collected spans.
-func (sc *SpanCollector) Reset() { sc.Spans = sc.Spans[:0] }
-
-// TierBreakdown is a per-tier latency decomposition from traced spans.
-type TierBreakdown struct {
-	Tier          string
-	Count         int
-	MeanQueueWait float64 // seconds
-	MeanDuration  float64 // seconds (service + downstream subtree)
-	MaxQueueWait  float64
-	P99QueueWait  float64
-}
-
-// Breakdown aggregates the collected spans per tier, sorted by mean queue
-// wait descending — the tier at the top is where requests spend the most
-// time waiting for admission (the symptom PowerChief reacts to; Sinan's
-// models decide whether it is also the cause).
-func (sc *SpanCollector) Breakdown() []TierBreakdown {
-	byTier := map[string][]Span{}
-	for _, s := range sc.Spans {
-		if s.Dropped {
-			continue
-		}
-		byTier[s.Tier] = append(byTier[s.Tier], s)
-	}
-	var out []TierBreakdown
-	for tier, spans := range byTier {
-		b := TierBreakdown{Tier: tier, Count: len(spans)}
-		waits := make([]float64, len(spans))
-		for i, s := range spans {
-			w := s.QueueWait()
-			waits[i] = w
-			b.MeanQueueWait += w
-			b.MeanDuration += s.Duration()
-			if w > b.MaxQueueWait {
-				b.MaxQueueWait = w
-			}
-		}
-		n := float64(len(spans))
-		b.MeanQueueWait /= n
-		b.MeanDuration /= n
-		sort.Float64s(waits)
-		idx := int(0.99*float64(len(waits))) - 1
-		if idx < 0 {
-			idx = 0
-		}
-		b.P99QueueWait = waits[idx]
-		out = append(out, b)
-	}
-	sort.Slice(out, func(a, b int) bool {
-		if out[a].MeanQueueWait != out[b].MeanQueueWait {
-			return out[a].MeanQueueWait > out[b].MeanQueueWait
-		}
-		return out[a].Tier < out[b].Tier
-	})
-	return out
-}

@@ -82,7 +82,9 @@ func TestTracingSampling(t *testing.T) {
 	}
 }
 
-func TestBreakdownIdentifiesQueueingTier(t *testing.T) {
+// The spans of a request chain show where it queued: the starved tier's
+// connection-slot wait dwarfs the roomy one's.
+func TestTracingIdentifiesQueueingTier(t *testing.T) {
 	eng := &sim.Engine{}
 	c := New(eng, sim.NewRNG(4), []TierConfig{
 		{Name: "fast", InitCPU: 8, WorkCV: detCV},
@@ -96,22 +98,16 @@ func TestBreakdownIdentifiesQueueingTier(t *testing.T) {
 		eng.At(at, func() { c.Submit(tree, nil) })
 	}
 	eng.Run(100)
-	bd := sc.Breakdown()
-	if len(bd) != 2 {
-		t.Fatalf("breakdown tiers = %d", len(bd))
+	wait, n := map[string]float64{}, map[string]int{}
+	for _, s := range sc.Spans {
+		wait[s.Tier] += s.QueueWait()
+		n[s.Tier]++
 	}
-	if bd[0].Tier != "slow" {
-		t.Fatalf("top queueing tier = %s, want slow", bd[0].Tier)
+	if n["fast"] != 40 || n["slow"] != 40 {
+		t.Fatalf("spans per tier = %v, want 40 each", n)
 	}
-	if bd[0].MeanQueueWait <= bd[1].MeanQueueWait {
-		t.Fatal("breakdown not sorted by queue wait")
-	}
-	if bd[0].P99QueueWait < bd[0].MeanQueueWait {
-		t.Fatal("p99 wait below mean wait")
-	}
-	sc.Reset()
-	if len(sc.Spans) != 0 {
-		t.Fatal("reset failed")
+	if wait["slow"]/40 <= wait["fast"]/40+0.01 {
+		t.Fatalf("mean queue wait: slow %v s, fast %v s; want slow far above fast", wait["slow"]/40, wait["fast"]/40)
 	}
 }
 
@@ -134,12 +130,6 @@ func TestTracingDroppedSpans(t *testing.T) {
 	}
 	if dropped != 2 {
 		t.Fatalf("dropped spans = %d, want 2", dropped)
-	}
-	// Breakdown excludes dropped spans.
-	for _, b := range sc.Breakdown() {
-		if b.Count != 2 {
-			t.Fatalf("breakdown count = %d, want 2 served", b.Count)
-		}
 	}
 }
 

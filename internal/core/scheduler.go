@@ -609,7 +609,7 @@ func (s *Scheduler) biasStale(alloc []float64) []float64 {
 }
 
 // clampTier quantises an allocation to the 0.1-core grid within the tier's
-// bounds (the same normalisation candidate enumeration applies).
+// bounds.
 func (s *Scheduler) clampTier(i int, v float64) float64 {
 	v = math.Round(v*10) / 10
 	if v < s.minCPU[i] {
@@ -627,10 +627,6 @@ func (s *Scheduler) clampTier(i int, v float64) float64 {
 // distribution by construction.
 func (s *Scheduler) pushHistory(st runner.State, d nn.Dims) {
 	dataset.PushWindow(s.statHist, s.latHist, d, st.Stats, st.Perc, 2.5*s.meta.QoSMS)
-}
-
-func (s *Scheduler) maxAlloc() []float64 {
-	return append([]float64(nil), s.maxCPU...)
 }
 
 // ultraSafe reports whether the current and all remembered intervals ran
@@ -677,16 +673,6 @@ func (s *Scheduler) candidates(st runner.State) []candidate {
 			total += v
 		}
 		out = append(out, candidate{alloc: alloc, total: total, kind: kind, tier: tier})
-	}
-	clamp := func(i int, v float64) float64 {
-		v = math.Round(v*10) / 10
-		if v < s.minCPU[i] {
-			v = s.minCPU[i]
-		}
-		if v > s.maxCPU[i] {
-			v = s.maxCPU[i]
-		}
-		return v
 	}
 
 	// Hold.
@@ -758,7 +744,7 @@ func (s *Scheduler) candidates(st runner.State) []candidate {
 		}
 		seen := map[float64]bool{}
 		try := func(next float64) {
-			next = clamp(i, next)
+			next = s.clampTier(i, next)
 			if seen[next] || !canShrink(i, next) {
 				return
 			}
@@ -789,9 +775,9 @@ func (s *Scheduler) candidates(st runner.State) []candidate {
 			for _, i := range order[:k] {
 				var next float64
 				if ratio > 0 {
-					next = clamp(i, alloc[i]*ratio)
+					next = s.clampTier(i, alloc[i]*ratio)
 				} else {
-					next = clamp(i, alloc[i]-0.2)
+					next = s.clampTier(i, alloc[i]-0.2)
 				}
 				if canShrink(i, next) {
 					alloc[i] = next
@@ -811,7 +797,7 @@ func (s *Scheduler) candidates(st runner.State) []candidate {
 		}
 		seen := map[float64]bool{}
 		try := func(next float64) {
-			next = clamp(i, next)
+			next = s.clampTier(i, next)
 			if seen[next] || next <= st.Alloc[i] {
 				return
 			}
@@ -832,7 +818,7 @@ func (s *Scheduler) candidates(st runner.State) []candidate {
 	{
 		alloc := make([]float64, n)
 		for i := range alloc {
-			alloc[i] = clamp(i, math.Max(st.Alloc[i]*1.3, st.Alloc[i]+0.2))
+			alloc[i] = s.clampTier(i, math.Max(st.Alloc[i]*1.3, st.Alloc[i]+0.2))
 		}
 		add(alloc, kindUpAll, -1)
 	}
@@ -843,7 +829,7 @@ func (s *Scheduler) candidates(st runner.State) []candidate {
 		changed := false
 		for i := 0; i < n; i++ {
 			if s.downAge[i] <= s.Opts.VictimWindow {
-				next := clamp(i, math.Max(alloc[i]*1.3, alloc[i]+0.2))
+				next := s.clampTier(i, math.Max(alloc[i]*1.3, alloc[i]+0.2))
 				if next > alloc[i] {
 					alloc[i] = next
 					changed = true

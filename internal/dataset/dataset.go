@@ -372,14 +372,3 @@ func WindowInputsInto(rh, lh []float64, d nn.Dims, statHist, latHist *metrics.Hi
 	}
 	return rh, lh
 }
-
-// Pending returns the number of samples awaiting future observations.
-func (r *Recorder) Pending() int { return len(r.pending) }
-
-// Reset clears history and pending samples (e.g. across run boundaries, so
-// windows never straddle two runs).
-func (r *Recorder) Reset() {
-	r.statHist.Reset()
-	r.latHist.Reset()
-	r.pending = nil
-}

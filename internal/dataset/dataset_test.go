@@ -241,30 +241,3 @@ func TestRecorderDropCountsAsViolation(t *testing.T) {
 		t.Fatal("drop should label the sample as a violation")
 	}
 }
-
-func TestRecorderReset(t *testing.T) {
-	d := nn.Dims{N: 2, T: 3, F: 6, M: 5}
-	ds := New(d, 2)
-	r := NewRecorder(ds, 100)
-	alloc := []float64{1, 1}
-	for i := 0; i < 4; i++ {
-		r.Observe(mkStats(2, 1), mkPerc(10), alloc)
-	}
-	if r.Pending() == 0 {
-		t.Fatal("expected pending samples")
-	}
-	r.Reset()
-	if r.Pending() != 0 {
-		t.Fatal("reset should clear pending")
-	}
-	n := ds.Len()
-	// After reset, a full window is needed again before new samples.
-	r.Observe(mkStats(2, 1), mkPerc(10), alloc)
-	r.Observe(mkStats(2, 1), mkPerc(10), alloc)
-	if r.Pending() != 0 {
-		t.Fatal("window should not be full yet after reset")
-	}
-	if ds.Len() != n {
-		t.Fatal("no samples should complete right after reset")
-	}
-}

@@ -60,25 +60,9 @@ func Chaos(l *Lab) []*Table {
 			Header: []string{"manager", "P(meet QoS)", "mean CPU", "degraded ivals", "pred errors", "recoveries"},
 		}
 		for _, run := range l.runSuite("chaos-"+env.name, seed, specs) {
-			res := run.Result
-			degraded := 0
-			for _, row := range res.Trace {
-				if row.Degraded {
-					degraded++
-				}
-			}
-			errs, recov := "-", "-"
-			if s, ok := schedulerOf(run.Policy); ok {
-				errs = fmt.Sprintf("%d", s.PredictErrors())
-				recov = fmt.Sprintf("%d", s.Recoveries())
-			}
-			t.Rows = append(t.Rows, []string{
-				run.Spec.Name,
-				f3(res.Meter.MeetProb()), f1(res.Meter.MeanAlloc()),
-				fmt.Sprintf("%d", degraded), errs, recov,
-			})
-			l.logf("chaos %s: %s meet=%.3f mean=%.1f degraded=%d",
-				env.name, run.Spec.Name, res.Meter.MeetProb(), res.Meter.MeanAlloc(), degraded)
+			row := chaosRow(run)
+			t.Rows = append(t.Rows, row)
+			l.logf("chaos %s: %s meet=%s mean=%s degraded=%s", env.name, row[0], row[1], row[2], row[3])
 		}
 		t.Notes = append(t.Notes,
 			"fault schedule: predictor outage, slowdown past deadline, metric dropout, half-tier crash, RPC blips (faults.Standard)",
@@ -86,6 +70,28 @@ func Chaos(l *Lab) []*Table {
 		tables = append(tables, t)
 	}
 	return tables
+}
+
+// chaosRow renders one manager's outcome; the scheduler counters apply only
+// to Sinan arms.
+func chaosRow(run harness.Outcome) []string {
+	res := run.Result
+	degraded := 0
+	for _, row := range res.Trace {
+		if row.Degraded {
+			degraded++
+		}
+	}
+	errs, recov := "-", "-"
+	if s, ok := schedulerOf(run.Policy); ok {
+		errs = fmt.Sprintf("%d", s.PredictErrors())
+		recov = fmt.Sprintf("%d", s.Recoveries())
+	}
+	return []string{
+		run.Spec.Name,
+		f3(res.Meter.MeetProb()), f1(res.Meter.MeanAlloc()),
+		fmt.Sprintf("%d", degraded), errs, recov,
+	}
 }
 
 // chaosSpecs builds the five managed runs of one chaos scenario. model is

@@ -144,6 +144,7 @@ func TestChaosFallbackDegradesAndRecovers(t *testing.T) {
 	if sNF, _ := schedulerOf(nf.Policy); sNF.PredictErrors() != 0 {
 		t.Fatalf("no-fault run saw %d predictor errors", sNF.PredictErrors())
 	}
+	pinTable(t, outs, chaosRow, 0x7ad222d67d24fe24)
 }
 
 // Chaos runs must stay bit-identical regardless of harness worker count:

@@ -246,4 +246,5 @@ func TestDriftGateProtectsBlindSwapDoesNot(t *testing.T) {
 			t.Fatalf("run %s not deterministic across workers:\n  %s\n  %s", outs[i].Spec.Name, a, b)
 		}
 	}
+	pinTable(t, outs, driftRow, 0x5884450f3deb220d)
 }

@@ -327,9 +327,3 @@ func Find(id string) (Experiment, bool) {
 	}
 	return Experiment{}, false
 }
-
-// fmtSscanf is a tiny indirection so test files avoid importing fmt for a
-// single call site.
-func fmtSscanf(s, format string, args ...interface{}) (int, error) {
-	return fmt.Sscanf(s, format, args...)
-}

@@ -2,9 +2,34 @@ package experiments
 
 import (
 	"bytes"
+	"fmt"
+	"hash/fnv"
 	"strings"
 	"testing"
+
+	"sinan/internal/harness"
 )
+
+// pinTable fails the test unless outs, rendered row by row as their
+// experiment's table, hash (FNV-1a over Table.Render's bytes) to want. The
+// digests were recorded at 16bf9ac from the runs these tests already make;
+// never re-record one to make a change pass. None of the pinned tables has
+// a wall-clock column (the serving-overload table, which does, is not
+// pinned), so nothing is masked.
+func pinTable(t *testing.T, outs []harness.Outcome, row func(harness.Outcome) []string, want uint64) {
+	t.Helper()
+	tab := &Table{Title: t.Name()}
+	for _, o := range outs {
+		tab.Rows = append(tab.Rows, row(o))
+	}
+	h := fnv.New64a()
+	tab.Render(h)
+	if got := h.Sum64(); got != want {
+		var b strings.Builder
+		tab.Render(&b)
+		t.Errorf("table digest %#x, want %#x — the experiment's numbers moved:%s", got, want, b.String())
+	}
+}
 
 func TestRegistryComplete(t *testing.T) {
 	want := []string{"fig3", "fig4", "fig9", "fig10", "table2", "table3",
@@ -91,7 +116,7 @@ func TestFig3Shape(t *testing.T) {
 	// The delayed-queueing claim: the late manager violates strictly longer
 	// than the eager one.
 	var eagerV, lateV int
-	if _, err := fmtSscanf(tab.Notes[0], "violating seconds after step: eager=%d late=%d", &eagerV, &lateV); err != nil {
+	if _, err := fmt.Sscanf(tab.Notes[0], "violating seconds after step: eager=%d late=%d", &eagerV, &lateV); err != nil {
 		t.Fatalf("cannot parse note %q: %v", tab.Notes[0], err)
 	}
 	if lateV <= eagerV {
@@ -109,10 +134,10 @@ func TestFig16Shape(t *testing.T) {
 		t.Fatalf("fig16 tables = %d", len(tables))
 	}
 	var withSync, withoutSync int
-	if _, err := fmtSscanf(tables[0].Rows[0][1], "%d", &withSync); err != nil {
+	if _, err := fmt.Sscanf(tables[0].Rows[0][1], "%d", &withSync); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := fmtSscanf(tables[0].Rows[1][1], "%d", &withoutSync); err != nil {
+	if _, err := fmt.Sscanf(tables[0].Rows[1][1], "%d", &withoutSync); err != nil {
 		t.Fatal(err)
 	}
 	if withSync <= withoutSync {

@@ -57,28 +57,33 @@ func Overload(l *Lab) []*Table {
 			"degraded ivals", "sheds", "pred errors", "cands scored"},
 	}
 	for _, run := range l.runSuite("overload-hotel", seed, specs) {
-		res := run.Result
-		brown, sheds, degr, errs, cands := "-", "-", "-", "-", "-"
-		if s, ok := schedulerOf(run.Policy); ok {
-			brown = fmt.Sprintf("%d", s.BrownoutIntervals())
-			sheds = fmt.Sprintf("%d", s.PredictSheds())
-			degr = fmt.Sprintf("%d", s.DegradedIntervals())
-			errs = fmt.Sprintf("%d", s.PredictErrors())
-			cands = fmt.Sprintf("%d", s.CandidatesScored())
-		}
-		t.Rows = append(t.Rows, []string{
-			run.Spec.Name,
-			f3(res.Meter.MeetProb()), f1(res.Meter.MeanAlloc()),
-			brown, degr, sheds, errs, cands,
-		})
-		l.logf("overload %s: meet=%.3f mean=%.1f brownout=%s sheds=%s",
-			run.Spec.Name, res.Meter.MeetProb(), res.Meter.MeanAlloc(), brown, sheds)
+		row := overloadRow(run)
+		t.Rows = append(t.Rows, row)
+		l.logf("overload %s: meet=%s mean=%s brownout=%s sheds=%s", row[0], row[1], row[2], row[3], row[5])
 	}
 	t.Notes = append(t.Notes,
 		"fault schedule: moderate overload, sub-deadline slowdown, severe overload (faults.Overload); shed probability scales with candidate-batch size",
 		"every manager decides every 1 s interval throughout — under pressure Sinan browns out (smaller batches) instead of skipping intervals")
 	tables = append(tables, t)
 	return tables
+}
+
+// overloadRow renders one manager's outcome of the scheduler-side scenario.
+func overloadRow(run harness.Outcome) []string {
+	res := run.Result
+	brown, sheds, degr, errs, cands := "-", "-", "-", "-", "-"
+	if s, ok := schedulerOf(run.Policy); ok {
+		brown = fmt.Sprintf("%d", s.BrownoutIntervals())
+		sheds = fmt.Sprintf("%d", s.PredictSheds())
+		degr = fmt.Sprintf("%d", s.DegradedIntervals())
+		errs = fmt.Sprintf("%d", s.PredictErrors())
+		cands = fmt.Sprintf("%d", s.CandidatesScored())
+	}
+	return []string{
+		run.Spec.Name,
+		f3(res.Meter.MeetProb()), f1(res.Meter.MeanAlloc()),
+		brown, degr, sheds, errs, cands,
+	}
 }
 
 // overloadSchedulerSpecs builds the three managed runs of the scheduler-side

@@ -104,6 +104,7 @@ func TestOverloadBrownoutLadderEngages(t *testing.T) {
 		t.Fatalf("no-fault run saw errors=%d brownout=%d",
 			nofault.PredictErrors(), nofault.BrownoutIntervals())
 	}
+	pinTable(t, outs, overloadRow, 0x19ff3bed1064ebc1)
 }
 
 // Overload runs must stay bit-identical regardless of harness worker count —

@@ -63,12 +63,6 @@ type Suite struct {
 	Specs    []RunSpec
 }
 
-// Add appends a spec and returns the suite for chaining.
-func (s *Suite) Add(spec RunSpec) *Suite {
-	s.Specs = append(s.Specs, spec)
-	return s
-}
-
 // Outcome pairs a spec with its result. Policy is the instance the run
 // used, so callers can read policy-side counters (e.g. the scheduler's
 // misprediction tally) after the fact.

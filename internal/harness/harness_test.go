@@ -25,22 +25,22 @@ func testSuite(keepTrace bool) Suite {
 	s := Suite{Name: "determinism", BaseSeed: 7}
 	for _, load := range []float64{1200, 2600} {
 		load := load
-		s.Add(RunSpec{
+		s.Specs = append(s.Specs, RunSpec{
 			Name: fmt.Sprintf("opt-%.0f", load), App: app,
 			Policy:  func() runner.Policy { return baselines.NewAutoScaleOpt() },
 			Pattern: workload.Constant(load), Duration: dur, Warmup: warm, KeepTrace: keepTrace,
 		})
-		s.Add(RunSpec{
+		s.Specs = append(s.Specs, RunSpec{
 			Name: fmt.Sprintf("cons-%.0f", load), App: app,
 			Policy:  func() runner.Policy { return baselines.NewAutoScaleCons() },
 			Pattern: workload.Constant(load), Duration: dur, Warmup: warm, KeepTrace: keepTrace,
 		})
-		s.Add(RunSpec{
+		s.Specs = append(s.Specs, RunSpec{
 			Name: fmt.Sprintf("pc-%.0f", load), App: app,
 			Policy:  func() runner.Policy { return baselines.NewPowerChief() },
 			Pattern: workload.Constant(load), Duration: dur, Warmup: warm, KeepTrace: keepTrace,
 		})
-		s.Add(RunSpec{
+		s.Specs = append(s.Specs, RunSpec{
 			Name: fmt.Sprintf("ramp-%.0f", load), App: app,
 			Policy: func() runner.Policy {
 				// Closure state: ramps allocations once latency crosses half
@@ -146,8 +146,8 @@ func TestExplicitSeedsHonored(t *testing.T) {
 	app := apps.NewHotelReservation()
 	mk := func() runner.Policy { return &runner.Static{Label: "static"} }
 	s := Suite{Name: "seeds", BaseSeed: 3}
-	s.Add(RunSpec{Name: "pinned", App: app, Policy: mk, Pattern: workload.Constant(800), Duration: 5, Seed: 42})
-	s.Add(RunSpec{Name: "derived", App: app, Policy: mk, Pattern: workload.Constant(800), Duration: 5})
+	s.Specs = append(s.Specs, RunSpec{Name: "pinned", App: app, Policy: mk, Pattern: workload.Constant(800), Duration: 5, Seed: 42})
+	s.Specs = append(s.Specs, RunSpec{Name: "derived", App: app, Policy: mk, Pattern: workload.Constant(800), Duration: 5})
 	outs := Run(s, Options{Workers: 2})
 	if outs[0].Seed != 42 {
 		t.Fatalf("pinned seed = %d", outs[0].Seed)

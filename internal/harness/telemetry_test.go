@@ -52,7 +52,7 @@ func TestTelemetryDeterministicAcrossWorkers(t *testing.T) {
 		}
 	}
 	if len(runs) != wantRuns {
-		t.Fatalf("found run.intervals under %d namespaces, want %d: %v", len(runs), wantRuns, snap.Names())
+		t.Fatalf("found run.intervals under %d namespaces, want %d: %v", len(runs), wantRuns, runs)
 	}
 	for ns := range runs {
 		if !strings.HasPrefix(ns, "determinism#1/") {
@@ -84,7 +84,7 @@ func TestTelemetryGroupsDoNotDoubleCount(t *testing.T) {
 	key := "determinism#1/000-" + s.Specs[0].Name + "/run.intervals"
 	v1, ok := first.Counters[key]
 	if !ok || v1 == 0 {
-		t.Fatalf("first execution missing %s (names: %v)", key, first.Names())
+		t.Fatalf("first execution missing %s (counters: %v)", key, first.Counters)
 	}
 	if v2 := second.Counters[key]; v2 != v1 {
 		t.Fatalf("re-execution mutated first group's counter: %d -> %d", v1, v2)

@@ -88,9 +88,6 @@ func NewGate(cfg GateConfig) (*Gate, error) {
 	}, nil
 }
 
-// Rows returns the number of pinned holdout rows the gate replays.
-func (g *Gate) Rows() int { return g.rows }
-
 // rmse replays the holdout through p and returns the root-mean-squared
 // error across all predicted percentiles, in ms. Non-finite predictions are
 // an error: a model that emits NaN must never be promoted, and NaN would

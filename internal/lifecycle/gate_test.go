@@ -32,7 +32,7 @@ func TestGateAcceptsAccurateCandidate(t *testing.T) {
 	if rep.CandRMSE >= rep.LiveRMSE {
 		t.Fatalf("candidate RMSE %.1f not better than stale live %.1f", rep.CandRMSE, rep.LiveRMSE)
 	}
-	if rep.Rows != g.Rows() || rep.Rows == 0 {
+	if rep.Rows != g.rows || rep.Rows == 0 {
 		t.Fatalf("gate replayed %d rows", rep.Rows)
 	}
 }
@@ -90,8 +90,8 @@ func TestGatePinsHoldoutPrefix(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if g.Rows() != 10 {
-		t.Fatalf("MaxRows 10 pinned %d rows", g.Rows())
+	if g.rows != 10 {
+		t.Fatalf("MaxRows 10 pinned %d rows", g.rows)
 	}
 	if _, err := NewGate(GateConfig{}); err == nil {
 		t.Fatal("gate built without a holdout")

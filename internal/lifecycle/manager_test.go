@@ -223,7 +223,7 @@ func TestManagerPersistsVersionsToRegistry(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cur, err := reg.Current()
+	cur, err := reg.currentLocked()
 	if err != nil || cur != 1 {
 		t.Fatalf("initial model not registered as CURRENT: v%d, %v", cur, err)
 	}

@@ -38,9 +38,6 @@ func OpenRegistry(dir string, keep int) (*Registry, error) {
 	return &Registry{dir: dir, keep: keep}, nil
 }
 
-// Dir returns the registry's root directory.
-func (r *Registry) Dir() string { return r.dir }
-
 // Path returns the artifact path for a version.
 func (r *Registry) Path(v int) string {
 	return filepath.Join(r.dir, fmt.Sprintf("v%06d.model", v))
@@ -64,13 +61,6 @@ func (r *Registry) versionsLocked() ([]int, error) {
 	}
 	sort.Ints(out)
 	return out, nil
-}
-
-// Versions lists the stored version numbers, ascending.
-func (r *Registry) Versions() ([]int, error) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.versionsLocked()
 }
 
 // Put stores m as the next version (atomic write) and prunes old versions
@@ -124,14 +114,6 @@ func (r *Registry) pruneLocked(vs []int) {
 	}
 }
 
-// Load reads a stored version.
-func (r *Registry) Load(v int) (*core.HybridModel, Manifest, error) {
-	r.mu.Lock()
-	path := r.Path(v)
-	r.mu.Unlock()
-	return ReadFile(path)
-}
-
 // SetCurrent atomically marks v as the live version.
 func (r *Registry) SetCurrent(v int) error {
 	r.mu.Lock()
@@ -158,13 +140,6 @@ func (r *Registry) currentLocked() (int, error) {
 		return 0, fmt.Errorf("lifecycle: corrupt CURRENT marker: %w", err)
 	}
 	return v, nil
-}
-
-// Current returns the version the CURRENT marker names, or 0 when unset.
-func (r *Registry) Current() (int, error) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.currentLocked()
 }
 
 // LoadCurrent loads the live version: the CURRENT marker's, falling back to

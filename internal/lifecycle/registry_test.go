@@ -21,7 +21,7 @@ func TestRegistryVersioningAndRetention(t *testing.T) {
 			t.Fatalf("Put %d assigned version %d", i, man.Version)
 		}
 	}
-	vs, err := reg.Versions()
+	vs, err := reg.versionsLocked()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -62,7 +62,7 @@ func TestRegistryCurrentAndRollbackTargetSurvivePrune(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	vs, _ := reg.Versions()
+	vs, _ := reg.versionsLocked()
 	has := map[int]bool{}
 	for _, v := range vs {
 		has[v] = true
@@ -71,7 +71,7 @@ func TestRegistryCurrentAndRollbackTargetSurvivePrune(t *testing.T) {
 		t.Fatalf("CURRENT (2) or its rollback target (1) was pruned: %v", vs)
 	}
 
-	cur, err := reg.Current()
+	cur, err := reg.currentLocked()
 	if err != nil || cur != 2 {
 		t.Fatalf("Current = %d, %v; want 2", cur, err)
 	}
@@ -124,7 +124,7 @@ func TestRegistryRejectsCorruptArtifact(t *testing.T) {
 	if err := os.WriteFile(path, data, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := reg.Load(man.Version); err == nil {
+	if _, _, err := ReadFile(reg.Path(man.Version)); err == nil {
 		t.Fatal("corrupt stored artifact loaded without error")
 	}
 }

@@ -5,7 +5,6 @@
 package metrics
 
 import (
-	"math"
 	"sort"
 
 	"sinan/internal/telemetry"
@@ -27,9 +26,6 @@ type Percentiles struct {
 // P99 returns the 99th-percentile latency in milliseconds.
 func (p Percentiles) P99() float64 { return p.Values[NumPercentiles-1] }
 
-// P95 returns the 95th-percentile latency in milliseconds.
-func (p Percentiles) P95() float64 { return p.Values[0] }
-
 // DropLatencyMS is the latency assigned to dropped requests so they land in
 // (and dominate) the tail rather than vanishing from the distribution.
 const DropLatencyMS = 10000
@@ -49,9 +45,6 @@ func (w *LatencyWindow) RecordDrop() {
 	w.lats = append(w.lats, DropLatencyMS)
 	w.drops++
 }
-
-// Pending returns how many requests have been recorded this interval.
-func (w *LatencyWindow) Pending() int { return len(w.lats) }
 
 // Flush computes the interval percentiles and resets the window. An empty
 // interval yields all-zero percentiles (an idle system meets QoS trivially).
@@ -175,9 +168,6 @@ func (h *History[T]) Push(v T) {
 // Len returns the number of stored items.
 func (h *History[T]) Len() int { return h.n }
 
-// Cap returns the ring capacity.
-func (h *History[T]) Cap() int { return len(h.buf) }
-
 // Full reports whether the ring holds capacity items.
 func (h *History[T]) Full() bool { return h.n == len(h.buf) }
 
@@ -189,21 +179,6 @@ func (h *History[T]) At(i int) T {
 	return h.buf[(h.start+i)%len(h.buf)]
 }
 
-// Last returns the most recent item.
-func (h *History[T]) Last() T { return h.At(h.n - 1) }
-
-// Slice returns the items oldest-first in a fresh slice.
-func (h *History[T]) Slice() []T {
-	out := make([]T, h.n)
-	for i := 0; i < h.n; i++ {
-		out[i] = h.At(i)
-	}
-	return out
-}
-
-// Reset discards all items.
-func (h *History[T]) Reset() { h.start, h.n = 0, 0 }
-
 // Mean returns the arithmetic mean of a slice (0 for empty input).
 func Mean(xs []float64) float64 {
 	if len(xs) == 0 {
@@ -214,17 +189,4 @@ func Mean(xs []float64) float64 {
 		s += x
 	}
 	return s / float64(len(xs))
-}
-
-// RMSE returns the root-mean-squared error between two equal-length slices.
-func RMSE(pred, truth []float64) float64 {
-	if len(pred) != len(truth) || len(pred) == 0 {
-		return math.NaN()
-	}
-	s := 0.0
-	for i := range pred {
-		d := pred[i] - truth[i]
-		s += d * d
-	}
-	return math.Sqrt(s / float64(len(pred)))
 }

@@ -43,7 +43,7 @@ func TestLatencyWindowFlush(t *testing.T) {
 		w.Record(float64(i))
 	}
 	p := w.Flush()
-	if p.Count != 100 || p.P95() != 95 || p.P99() != 99 {
+	if p.Count != 100 || p.Values[0] != 95 || p.P99() != 99 {
 		t.Fatalf("flush: %+v", p)
 	}
 	if math.Abs(p.Mean-50.5) > 1e-9 {
@@ -110,19 +110,10 @@ func TestHistoryRing(t *testing.T) {
 		t.Fatal("ring should be full after 3 pushes")
 	}
 	h.Push(4) // evicts 1
-	want := []int{2, 3, 4}
-	got := h.Slice()
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("slice = %v, want %v", got, want)
+	for i, want := range []int{2, 3, 4} {
+		if h.At(i) != want {
+			t.Fatalf("At(%d) = %v, want %v", i, h.At(i), want)
 		}
-	}
-	if h.Last() != 4 || h.At(0) != 2 {
-		t.Fatalf("Last/At wrong: last=%v at0=%v", h.Last(), h.At(0))
-	}
-	h.Reset()
-	if h.Len() != 0 {
-		t.Fatal("reset failed")
 	}
 }
 
@@ -144,17 +135,16 @@ func TestHistoryOrderProperty(t *testing.T) {
 		for i := 0; i < int(n); i++ {
 			h.Push(i)
 		}
-		s := h.Slice()
-		// Slice is strictly increasing and ends at the last pushed value.
-		for i := 1; i < len(s); i++ {
-			if s[i] != s[i-1]+1 {
+		// The items are strictly increasing and end at the last pushed value.
+		for i := 1; i < h.Len(); i++ {
+			if h.At(i) != h.At(i-1)+1 {
 				return false
 			}
 		}
-		if int(n) > 0 && s[len(s)-1] != int(n)-1 {
+		if int(n) > 0 && h.At(h.Len()-1) != int(n)-1 {
 			return false
 		}
-		return len(s) == min(capacity, int(n))
+		return h.Len() == min(capacity, int(n))
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)
@@ -162,7 +152,7 @@ func TestHistoryOrderProperty(t *testing.T) {
 }
 
 // The scheduler's stat window wraps its ring every Cap pushes for the whole
-// run, so eviction order, At, and Slice must stay consistent through many
+// run, so eviction order, Len and At must stay consistent through many
 // wraparounds, not just the first.
 func TestHistoryMultipleWraparounds(t *testing.T) {
 	const capacity = 4
@@ -176,44 +166,14 @@ func TestHistoryMultipleWraparounds(t *testing.T) {
 		if h.At(0) != oldest {
 			t.Fatalf("after push %d: At(0) = %d, want %d", i, h.At(0), oldest)
 		}
-		if h.Last() != i {
-			t.Fatalf("after push %d: Last = %d", i, h.Last())
+		if h.Len() != min(capacity, i+1) {
+			t.Fatalf("after push %d: Len = %d", i, h.Len())
 		}
-		s := h.Slice()
-		if len(s) != min(capacity, i+1) {
-			t.Fatalf("after push %d: len(Slice) = %d", i, len(s))
-		}
-		for j, v := range s {
-			if v != oldest+j {
-				t.Fatalf("after push %d: Slice = %v (bad entry %d)", i, s, j)
-			}
-			if h.At(j) != v {
-				t.Fatalf("after push %d: At(%d) = %d disagrees with Slice %v", i, j, h.At(j), s)
+		for j := 0; j < h.Len(); j++ {
+			if h.At(j) != oldest+j {
+				t.Fatalf("after push %d: At(%d) = %d, want %d", i, j, h.At(j), oldest+j)
 			}
 		}
-	}
-	// A reset ring must wrap cleanly again from a non-zero start offset.
-	h.Reset()
-	for i := 100; i < 100+2*capacity; i++ {
-		h.Push(i)
-	}
-	want := []int{100 + capacity, 101 + capacity, 102 + capacity, 103 + capacity}
-	for i, v := range h.Slice() {
-		if v != want[i] {
-			t.Fatalf("post-reset Slice = %v, want %v", h.Slice(), want)
-		}
-	}
-}
-
-func TestRMSE(t *testing.T) {
-	if got := RMSE([]float64{1, 2, 3}, []float64{1, 2, 3}); got != 0 {
-		t.Fatalf("identical RMSE = %v", got)
-	}
-	if got := RMSE([]float64{0, 0}, []float64{3, 4}); math.Abs(got-math.Sqrt(12.5)) > 1e-9 {
-		t.Fatalf("RMSE = %v", got)
-	}
-	if !math.IsNaN(RMSE([]float64{1}, []float64{1, 2})) {
-		t.Fatal("mismatched lengths should yield NaN")
 	}
 }
 

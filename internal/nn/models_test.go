@@ -172,7 +172,6 @@ func TestMultiTaskNN(t *testing.T) {
 	dlat.Fill(1)
 	dlog := tensor.New(logits.Shape...)
 	dlog.Fill(1)
-	ZeroGrads(m.Params())
 	m.Backward(ctx, dlat, dlog)
 	ctx.FlushGrads(m.Params())
 	nonzero := false

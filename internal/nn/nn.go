@@ -116,13 +116,6 @@ func (o *SGD) Step(ps []*Param) {
 	}
 }
 
-// ZeroGrads clears all gradients.
-func ZeroGrads(ps []*Param) {
-	for _, p := range ps {
-		p.Grad.Zero()
-	}
-}
-
 // ClipGrads rescales gradients so their global L2 norm is at most c.
 func ClipGrads(ps []*Param, c float64) {
 	total := 0.0

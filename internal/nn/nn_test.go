@@ -23,7 +23,6 @@ func numGradCheck(t *testing.T, layer Layer, x *tensor.Dense, tol float64) {
 		return s
 	}
 	// Analytic gradients, flushed from the context into Param.Grad.
-	ZeroGrads(layer.Params())
 	ctx.Reset()
 	out := layer.Forward(ctx, x.Clone())
 	dx := layer.Backward(ctx, out.Clone())

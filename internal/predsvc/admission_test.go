@@ -335,7 +335,7 @@ func TestServerStatsRPC(t *testing.T) {
 // and that ServerStats is consistent with the registry snapshot it views.
 func TestServiceMetricsRegistry(t *testing.T) {
 	m := tinyHybrid(t)
-	svc := NewService(m)
+	svc := NewServiceWith(m, ServiceOptions{})
 	const n = 5
 	for i := 0; i < n; i++ {
 		var reply PredictReply

@@ -172,13 +172,6 @@ func (s *Service) settleShadow() {
 	s.shadowPromoted.Inc()
 }
 
-// ModelVersion returns the service's model generation: 1 at construction,
-// +1 per install or rollback. In-process counterpart of the wire replies.
-func (s *Service) ModelVersion() int { return s.live.Generation() }
-
-// ShadowPending reports whether a candidate is currently shadow scoring.
-func (s *Service) ShadowPending() bool { return s.live.ShadowPending() }
-
 // UpdateModel pushes a model artifact to the connected service. On success
 // the client refreshes its cached metadata (thresholds may have changed
 // with the model). A gate rejection comes back as an error satisfying

@@ -132,8 +132,8 @@ func TestUpdateModelGatedOverWire(t *testing.T) {
 	if rep.Gate.CandRMSE > rep.Gate.BoundRMSE {
 		t.Fatalf("accepted candidate outside bound: %+v", rep.Gate)
 	}
-	if svc.ModelVersion() != 2 {
-		t.Fatalf("service generation %d, want 2", svc.ModelVersion())
+	if svc.live.Generation() != 2 {
+		t.Fatalf("service generation %d, want 2", svc.live.Generation())
 	}
 
 	// The poisoned candidate is a valid artifact — checksum and dims all
@@ -153,8 +153,8 @@ func TestUpdateModelGatedOverWire(t *testing.T) {
 	if _, err := c.UpdateModel(good[:30]); err == nil || !IsUpdateRejected(err) {
 		t.Fatalf("truncated artifact: %v", err)
 	}
-	if svc.ModelVersion() != 2 {
-		t.Fatalf("rejections changed the generation to %d", svc.ModelVersion())
+	if svc.live.Generation() != 2 {
+		t.Fatalf("rejections changed the generation to %d", svc.live.Generation())
 	}
 	// Rejections keep the connection: predictions flow without a redial.
 	before := c.Stats().Redials
@@ -170,8 +170,8 @@ func TestUpdateModelGatedOverWire(t *testing.T) {
 	if err != nil {
 		t.Fatalf("rollback: %v", err)
 	}
-	if rb.Version != 3 || svc.ModelVersion() != 3 {
-		t.Fatalf("rollback generation %d/%d, want 3", rb.Version, svc.ModelVersion())
+	if rb.Version != 3 || svc.live.Generation() != 3 {
+		t.Fatalf("rollback generation %d/%d, want 3", rb.Version, svc.live.Generation())
 	}
 	if _, err := c.Rollback(); err == nil || !IsUpdateRejected(err) {
 		t.Fatalf("rollback on empty history: %v", err)
@@ -209,19 +209,19 @@ func TestUpdateModelShadowPromotes(t *testing.T) {
 	if !rep.Pending || rep.Version != 1 {
 		t.Fatalf("update should park in shadow: %+v", rep)
 	}
-	if !svc.ShadowPending() {
+	if !svc.live.ShadowPending() {
 		t.Fatal("no shadow candidate installed")
 	}
 	for i := 0; i < 3; i++ {
-		if svc.ModelVersion() != 1 {
+		if svc.live.Generation() != 1 {
 			t.Fatalf("promoted after %d shadow calls, want 3", i)
 		}
 		if _, _, err := c.PredictBatch(nil, in); err != nil {
 			t.Fatalf("predict %d during shadow: %v", i, err)
 		}
 	}
-	if svc.ModelVersion() != 2 || svc.ShadowPending() {
-		t.Fatalf("shadow did not promote: generation %d pending %v", svc.ModelVersion(), svc.ShadowPending())
+	if svc.live.Generation() != 2 || svc.live.ShadowPending() {
+		t.Fatalf("shadow did not promote: generation %d pending %v", svc.live.Generation(), svc.live.ShadowPending())
 	}
 
 	// Park another candidate, then roll back: the shadow is discarded —
@@ -232,7 +232,7 @@ func TestUpdateModelShadowPromotes(t *testing.T) {
 	if _, err := c.Rollback(); err != nil {
 		t.Fatalf("rollback during shadow: %v", err)
 	}
-	if svc.ShadowPending() {
+	if svc.live.ShadowPending() {
 		t.Fatal("rollback left a candidate in shadow")
 	}
 	for i := 0; i < 5; i++ {
@@ -240,15 +240,15 @@ func TestUpdateModelShadowPromotes(t *testing.T) {
 			t.Fatalf("predict after rollback: %v", err)
 		}
 	}
-	if svc.ModelVersion() != 3 {
-		t.Fatalf("discarded shadow still promoted: generation %d", svc.ModelVersion())
+	if svc.live.Generation() != 3 {
+		t.Fatalf("discarded shadow still promoted: generation %d", svc.live.Generation())
 	}
 }
 
 // A candidate whose dims differ from the served model's can never hot-swap:
 // the update is refused before the gate runs, and nothing changes.
 func TestUpdateModelRefusesDimsChange(t *testing.T) {
-	svc := NewService(tinyHybrid(t))
+	svc := NewServiceWith(tinyHybrid(t), ServiceOptions{})
 	shaped := poisonedHybrid(t)
 	shaped.D.N++
 	art, _, err := lifecycle.Encode(shaped, lifecycle.Manifest{})
@@ -259,8 +259,8 @@ func TestUpdateModelRefusesDimsChange(t *testing.T) {
 	if err == nil || !IsUpdateRejected(err) {
 		t.Fatalf("dims change: %v, want a rejection", err)
 	}
-	if svc.ModelVersion() != 1 {
-		t.Fatalf("rejected update advanced the generation to %d", svc.ModelVersion())
+	if svc.live.Generation() != 1 {
+		t.Fatalf("rejected update advanced the generation to %d", svc.live.Generation())
 	}
 }
 
@@ -327,7 +327,7 @@ func TestLifecycleMutationsRacePredict(t *testing.T) {
 	for err := range errs {
 		t.Fatalf("lifecycle race: %v", err)
 	}
-	if v := svc.ModelVersion(); v < 2 {
+	if v := svc.live.Generation(); v < 2 {
 		t.Fatalf("generation never advanced: %d", v)
 	}
 }

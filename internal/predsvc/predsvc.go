@@ -96,15 +96,10 @@ type Service struct {
 	versionG       *telemetry.Gauge   // current model generation
 }
 
-// NewService wraps a hybrid model for serving with default admission
-// control (concurrency sized to GOMAXPROCS, a small LIFO burst queue).
-func NewService(m *core.HybridModel) *Service {
-	return NewServiceWith(m, ServiceOptions{})
-}
-
-// NewServiceWith wraps a hybrid model for serving with explicit admission
-// options (a negative MaxConcurrent disables admission control — the
-// unprotected baseline).
+// NewServiceWith wraps a hybrid model for serving. The zero options give
+// default admission control (concurrency sized to GOMAXPROCS, a small LIFO
+// burst queue); a negative MaxConcurrent disables admission control — the
+// unprotected baseline.
 func NewServiceWith(m *core.HybridModel, opts ServiceOptions) *Service {
 	reg := telemetry.NewRegistry()
 	s := &Service{
@@ -542,13 +537,6 @@ func (c *Client) AttachMetrics(reg *telemetry.Registry) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	c.bindLocked(reg)
-}
-
-// Metrics returns the registry the client's instruments currently live on.
-func (c *Client) Metrics() *telemetry.Registry {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.reg
 }
 
 // Dial connects to a prediction service with default options.

@@ -107,7 +107,7 @@ func TestRemotePredictionMatchesLocal(t *testing.T) {
 
 func TestServiceRejectsMalformedBatch(t *testing.T) {
 	m := tinyHybrid(t)
-	svc := NewService(m)
+	svc := NewServiceWith(m, ServiceOptions{})
 	var reply PredictReply
 	err := svc.Predict(&PredictArgs{Batch: 2, RH: []float64{1}, LH: nil, RC: nil}, &reply)
 	if err == nil {
@@ -120,7 +120,7 @@ func TestServiceRejectsMalformedBatch(t *testing.T) {
 
 func TestSwapReplacesModel(t *testing.T) {
 	m1 := tinyHybrid(t)
-	svc := NewService(m1)
+	svc := NewServiceWith(m1, ServiceOptions{})
 	var meta MetaReply
 	if err := svc.Meta(&struct{}{}, &meta); err != nil {
 		t.Fatal(err)

@@ -322,7 +322,7 @@ func TestRollbackWhileBreakerHalfOpen(t *testing.T) {
 		t.Fatal(err)
 	}
 	addr := lis.Addr().String()
-	svc := NewService(m1)
+	svc := NewServiceWith(m1, ServiceOptions{})
 	srv, err := Serve(lis, svc)
 	if err != nil {
 		t.Fatal(err)
@@ -369,7 +369,7 @@ func TestRollbackWhileBreakerHalfOpen(t *testing.T) {
 	// a registry-backed host would reload it: m2 live, m1 retained) and
 	// the cooldown elapses — the breaker is poised half-open but no probe
 	// has run yet.
-	svc2 := NewService(m1)
+	svc2 := NewServiceWith(m1, ServiceOptions{})
 	svc2.Swap(&m2)
 	lis2, err := net.Listen("tcp", addr)
 	if err != nil {

@@ -74,7 +74,7 @@ func TestRemotePredictSharedMatchesLocal(t *testing.T) {
 // same server still demands full-batch lengths.
 func TestPredictSharedValidatesLengths(t *testing.T) {
 	m := tinyHybrid(t)
-	svc := NewService(m)
+	svc := NewServiceWith(m, ServiceOptions{})
 	d := m.D
 	b := 4
 	in := mkShared(d, b)
@@ -120,7 +120,7 @@ func TestPredictSharedValidatesLengths(t *testing.T) {
 // no mutable state across requests.
 func TestSwapDuringPredictShared(t *testing.T) {
 	m1 := tinyHybrid(t)
-	svc := NewService(m1)
+	svc := NewServiceWith(m1, ServiceOptions{})
 	m2 := tinyHybrid(t)
 	d := m1.D
 	in := mkShared(d, 6)

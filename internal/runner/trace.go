@@ -61,53 +61,3 @@ func sanitize(s string) string {
 		}
 	}, s)
 }
-
-// TraceSummary aggregates a run trace into the quantities the paper's
-// processing scripts compute: QoS attainment, mean/max aggregate CPU, and
-// mean prediction bias where predictions exist.
-type TraceSummary struct {
-	Intervals   int
-	MeetQoS     float64
-	MeanCPU     float64
-	MaxCPU      float64
-	MeanP99     float64
-	MaxP99      float64
-	PredBias    float64 // mean (predicted − measured) p99 over predicted rows
-	PredGuarded int     // rows with a model prediction attached
-}
-
-// Summarize computes a TraceSummary for rows after the warmup time.
-func Summarize(trace []TraceRow, qosMS, warmup float64) TraceSummary {
-	var s TraceSummary
-	met := 0
-	for _, row := range trace {
-		if row.Time <= warmup {
-			continue
-		}
-		s.Intervals++
-		if row.P99MS <= qosMS && row.Drops == 0 {
-			met++
-		}
-		s.MeanCPU += row.Total
-		if row.Total > s.MaxCPU {
-			s.MaxCPU = row.Total
-		}
-		s.MeanP99 += row.P99MS
-		if row.P99MS > s.MaxP99 {
-			s.MaxP99 = row.P99MS
-		}
-		if row.PredP99MS != 0 {
-			s.PredBias += row.PredP99MS - row.P99MS
-			s.PredGuarded++
-		}
-	}
-	if s.Intervals > 0 {
-		s.MeetQoS = float64(met) / float64(s.Intervals)
-		s.MeanCPU /= float64(s.Intervals)
-		s.MeanP99 /= float64(s.Intervals)
-	}
-	if s.PredGuarded > 0 {
-		s.PredBias /= float64(s.PredGuarded)
-	}
-	return s
-}

@@ -2,7 +2,6 @@ package runner
 
 import (
 	"bytes"
-	"math"
 	"strings"
 	"testing"
 )
@@ -45,39 +44,5 @@ func TestWriteTraceCSVNoTiers(t *testing.T) {
 	}
 	if strings.Contains(buf.String(), "cpu_") && strings.Contains(strings.SplitN(buf.String(), "\n", 2)[0], "cpu_f") {
 		t.Fatal("nil tier names should omit per-tier columns")
-	}
-}
-
-func TestSummarize(t *testing.T) {
-	s := Summarize(sampleTrace(), 200, 0)
-	if s.Intervals != 3 {
-		t.Fatalf("intervals = %d", s.Intervals)
-	}
-	if math.Abs(s.MeetQoS-2.0/3) > 1e-9 {
-		t.Fatalf("meet = %v", s.MeetQoS)
-	}
-	if math.Abs(s.MeanCPU-10) > 1e-9 || s.MaxCPU != 12 {
-		t.Fatalf("cpu stats: mean=%v max=%v", s.MeanCPU, s.MaxCPU)
-	}
-	if s.MaxP99 != 250 {
-		t.Fatalf("max p99 = %v", s.MaxP99)
-	}
-	// Bias over the two predicted rows: (200−250 + 100−80)/2 = −15.
-	if s.PredGuarded != 2 || math.Abs(s.PredBias-(-15)) > 1e-9 {
-		t.Fatalf("bias = %v over %d rows", s.PredBias, s.PredGuarded)
-	}
-}
-
-func TestSummarizeWarmupExcluded(t *testing.T) {
-	s := Summarize(sampleTrace(), 200, 1)
-	if s.Intervals != 2 {
-		t.Fatalf("warmup not excluded: %d intervals", s.Intervals)
-	}
-}
-
-func TestSummarizeEmpty(t *testing.T) {
-	s := Summarize(nil, 200, 0)
-	if s.Intervals != 0 || s.MeetQoS != 0 || s.PredBias != 0 {
-		t.Fatalf("empty summary: %+v", s)
 	}
 }

@@ -43,7 +43,7 @@ type slot struct {
 // Engine is a discrete-event simulator: an indexed binary min-heap of live
 // events over a slab of slots recycled through a free list, so steady-state
 // scheduling allocates nothing. (A 4-ary heap measured the same from 20 to
-// 100 000 pending events — DESIGN.md §5 — so the simpler one stays.) The
+// 100 000 pending events — CHANGES.md, PR 13 — so the simpler one stays.) The
 // zero value is ready to use.
 type Engine struct {
 	heap  []entry

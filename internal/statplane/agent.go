@@ -22,26 +22,26 @@ type NodeAgent struct {
 	Tiers []int
 
 	sampler TierSampler
-	tr      Transport
+	tr      *InProcess
 	seq     uint64
 	scratch []TierStats
 }
 
 // NewNodeAgent creates an agent owning the given tier indices.
-func NewNodeAgent(id string, tiers []int, sampler TierSampler, tr Transport) *NodeAgent {
+func NewNodeAgent(id string, tiers []int, sampler TierSampler, tr *InProcess) *NodeAgent {
 	return &NodeAgent{ID: id, Tiers: tiers, sampler: sampler, tr: tr,
 		scratch: make([]TierStats, len(tiers))}
 }
 
 // Emit samples the agent's tiers and sends one report for the given
-// interval. The report's backing storage is reused across calls — sinks
-// copy on receipt.
-func (a *NodeAgent) Emit(interval int64, now float64) error {
+// interval. The report's backing storage is reused across calls — the
+// aggregator copies on receipt.
+func (a *NodeAgent) Emit(interval int64, now float64) {
 	a.seq++
 	for i, t := range a.Tiers {
 		a.scratch[i] = TierStats{Tier: t, Stats: a.sampler.SampleTier(t)}
 	}
-	return a.tr.SendReport(Report{
+	a.tr.SendReport(Report{
 		Version: WireVersion, Agent: a.ID, Seq: a.seq,
 		Interval: interval, Time: now, Tiers: a.scratch,
 	})
@@ -63,7 +63,7 @@ type GatewayReporter struct {
 	ID string
 
 	src           GatewaySource
-	tr            Transport
+	tr            *InProcess
 	intervalSec   float64
 	seq           uint64
 	lastSubmitted int64
@@ -71,19 +71,19 @@ type GatewayReporter struct {
 
 // NewGatewayReporter creates a reporter over src for intervals of
 // intervalSec simulated seconds.
-func NewGatewayReporter(id string, src GatewaySource, intervalSec float64, tr Transport) *GatewayReporter {
+func NewGatewayReporter(id string, src GatewaySource, intervalSec float64, tr *InProcess) *GatewayReporter {
 	return &GatewayReporter{ID: id, src: src, intervalSec: intervalSec, tr: tr}
 }
 
 // Emit flushes the source's latency window and sends the interval's
 // gateway report.
-func (g *GatewayReporter) Emit(interval int64) error {
+func (g *GatewayReporter) Emit(interval int64) {
 	perc := g.src.FlushWindow()
 	submitted := g.src.Submitted()
 	rps := float64(submitted-g.lastSubmitted) / g.intervalSec
 	g.lastSubmitted = submitted
 	g.seq++
-	return g.tr.SendGatewayReport(GatewayReport{
+	g.tr.SendGatewayReport(GatewayReport{
 		Version: WireVersion, Gateway: g.ID, Seq: g.seq,
 		Interval: interval, RPS: rps, Perc: perc,
 	})

@@ -47,8 +47,8 @@ type agentEntry struct {
 }
 
 // Aggregator assembles each decision interval's snapshot from whatever
-// reports the transports deliver. It is the single snapshot builder shared
-// by the simulated (in-process) and distributed (TCP) paths:
+// reports arrive. It is the single snapshot builder shared by the simulated
+// (in-process Pipeline) and distributed (Hub) paths:
 //
 //   - duplicate or reordered deliveries are dropped by per-agent sequence
 //     number;
@@ -61,8 +61,8 @@ type agentEntry struct {
 //   - per-agent staleness (consecutive missed intervals) and the live
 //     agent count are exported as gauges.
 //
-// Offer* are safe to call concurrently with Assemble (the TCP collector
-// calls them from connection goroutines); BeginInterval/Assemble are
+// Offer* are safe to call concurrently with Assemble (the Hub calls them
+// from connection goroutines); BeginInterval/Assemble are
 // driven by the control loop, one open interval at a time.
 type Aggregator struct {
 	mu   sync.Mutex
@@ -177,8 +177,9 @@ func (a *Aggregator) BeginInterval(id int64) {
 	a.perc = metrics.Percentiles{}
 }
 
-// OfferReport implements Sink: sequence-checks, interval-checks, and
-// copies an arriving node-agent report into the open snapshot.
+// OfferReport sequence-checks, interval-checks, and copies an arriving
+// node-agent report into the open snapshot; the caller may reuse the
+// report's backing storage afterwards.
 func (a *Aggregator) OfferReport(r Report) {
 	a.mu.Lock()
 	defer a.mu.Unlock()
@@ -216,7 +217,7 @@ func (a *Aggregator) OfferReport(r Report) {
 	}
 }
 
-// OfferGatewayReport implements Sink.
+// OfferGatewayReport does the same for the gateway's report.
 func (a *Aggregator) OfferGatewayReport(g GatewayReport) {
 	a.mu.Lock()
 	defer a.mu.Unlock()

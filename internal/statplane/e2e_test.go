@@ -1,7 +1,9 @@
 package statplane_test
 
 import (
-	"sync"
+	"encoding/gob"
+	"fmt"
+	"net"
 	"testing"
 	"time"
 
@@ -37,32 +39,80 @@ func (p *safePredictor) PredictBatch(_ *core.PredictContext, in nn.Inputs) (*ten
 	return pred, pv, nil
 }
 
-// flakyTransport wraps the TCP reporter with two scripted wire faults:
-// node-1's report for interval dropAt is lost, node-2's report for interval
-// dupAt is transmitted twice (a retransmit racing its original, same
-// sequence number). Gateway reports pass untouched.
-type flakyTransport struct {
-	inner         statplane.Transport
+// wireAgent is a minimal sinan-agent with two scripted wire faults: it
+// dials the hub, says Hello, reads its Assign, then echoes every Sample
+// push back as a sequenced Report — except that node-1's report for
+// interval dropAt is lost, and node-2's report for interval dupAt is
+// transmitted twice (a retransmit racing its original, same sequence
+// number).
+type wireAgent struct {
+	name          string
+	conn          net.Conn
+	dec           *gob.Decoder
+	enc           *gob.Encoder
+	tiers         []int
 	dropAt, dupAt int64
-	drops, dups   int
+	drops, dups   int // read after done is closed
+	done          chan struct{}
 }
 
-func (f *flakyTransport) SendReport(r statplane.Report) error {
-	if r.Interval == f.dropAt && r.Agent == "node-1" {
-		f.drops++
-		return nil
+func dialWireAgent(addr, name string, dropAt, dupAt int64) (*wireAgent, error) {
+	conn, err := net.DialTimeout("tcp", addr, 2*time.Second)
+	if err != nil {
+		return nil, err
 	}
-	if r.Interval == f.dupAt && r.Agent == "node-2" {
-		f.dups++
-		if err := f.inner.SendReport(r); err != nil {
-			return err
+	a := &wireAgent{name: name, conn: conn, dec: gob.NewDecoder(conn), enc: gob.NewEncoder(conn),
+		dropAt: dropAt, dupAt: dupAt, done: make(chan struct{})}
+	err = a.enc.Encode(&statplane.Envelope{
+		Hello: &statplane.Hello{Version: statplane.WireVersion, Agent: name}})
+	var env statplane.Envelope
+	if err == nil {
+		err = a.dec.Decode(&env)
+	}
+	if err == nil && env.Assign == nil {
+		err = fmt.Errorf("agent %s: first message from the hub is not an Assign", name)
+	}
+	if err != nil {
+		conn.Close()
+		return nil, err
+	}
+	a.tiers = env.Assign.Tiers
+	go a.loop()
+	return a, nil
+}
+
+func (a *wireAgent) loop() {
+	defer close(a.done)
+	var seq uint64
+	for {
+		var env statplane.Envelope
+		if err := a.dec.Decode(&env); err != nil {
+			return // the hub closed the connection: the run is over
+		}
+		s := env.Sample
+		if s == nil {
+			continue
+		}
+		seq++
+		if s.Interval == a.dropAt && a.name == "node-1" {
+			a.drops++
+			continue
+		}
+		rep := &statplane.Envelope{Report: &statplane.Report{
+			Version: statplane.WireVersion, Agent: a.name, Seq: seq,
+			Interval: s.Interval, Time: s.Time, Tiers: s.Tiers,
+		}}
+		sends := 1
+		if s.Interval == a.dupAt && a.name == "node-2" {
+			a.dups++
+			sends = 2
+		}
+		for ; sends > 0; sends-- {
+			if err := a.enc.Encode(rep); err != nil {
+				return
+			}
 		}
 	}
-	return f.inner.SendReport(r)
-}
-
-func (f *flakyTransport) SendGatewayReport(g statplane.GatewayReport) error {
-	return f.inner.SendGatewayReport(g)
 }
 
 // spyPolicy records the StatsOK mask of every interval before handing the
@@ -84,7 +134,8 @@ func (p *spyPolicy) Decide(st runner.State) runner.Decision {
 }
 
 // The acceptance test for the distributed stats plane: a full managed run
-// whose node-agent reports travel over a real TCP loopback connection, with
+// on a Hub whose node-agent reports travel over real TCP loopback
+// connections, with
 // one report dropped in flight and one duplicated. The aggregator must
 // flag the lost interval's tier StatsOK=false, swallow the duplicate by
 // sequence number, and the scheduler's hold-last-value imputation must
@@ -105,32 +156,34 @@ func TestE2ETCPLoopbackRunWithDropAndDuplicate(t *testing.T) {
 	)
 
 	var (
-		mu    sync.Mutex
-		flaky *flakyTransport
-		col   *statplane.Collector
+		hub    *statplane.Hub
+		agents []*wireAgent
 	)
 	plane := func(cl *cluster.Cluster, gw statplane.GatewaySource) statplane.Plane {
-		agg := statplane.NewAggregator(statplane.AggregatorOptions{
-			NumTiers: n, Deadline: 2 * time.Second,
+		h, err := statplane.NewHub("127.0.0.1:0", statplane.HubConfig{
+			Sampler: cl, NumTiers: n, Gateway: gw, IntervalSec: runner.Interval,
+			TiersPerAgent: 1, Deadline: 2 * time.Second,
 		})
-		c, err := statplane.ListenAndCollect("127.0.0.1:0", agg)
 		if err != nil {
 			t.Fatalf("listen: %v", err)
 		}
-		rep := statplane.NewReporter(c.Addr(), statplane.ReporterOptions{})
-		ft := &flakyTransport{inner: rep, dropAt: dropInterval, dupAt: dupInterval}
-		var agents []*statplane.NodeAgent
-		for i, tiers := range statplane.PartitionTiers(n, 1) {
-			name := statplane.AgentName(i)
-			agg.RegisterAgent(name)
-			agents = append(agents, statplane.NewNodeAgent(name, tiers, cl, ft))
+		hub = h
+		// The hub hands out partitions in Hello order, so dialling one agent
+		// at a time (each waits for its Assign) gives node-i tier i.
+		for i := 0; i < n; i++ {
+			a, err := dialWireAgent(h.Addr(), statplane.AgentName(i), dropInterval, dupInterval)
+			if err != nil {
+				t.Fatalf("agent %d: %v", i, err)
+			}
+			if len(a.tiers) != 1 || a.tiers[0] != i {
+				t.Fatalf("%s assigned tiers %v, want [%d]", a.name, a.tiers, i)
+			}
+			agents = append(agents, a)
 		}
-		agg.ExpectGateway()
-		gwRep := statplane.NewGatewayReporter("gateway", gw, runner.Interval, rep)
-		mu.Lock()
-		flaky, col = ft, c
-		mu.Unlock()
-		return statplane.New(agg, agents, gwRep)
+		if got := h.AwaitAgents(n, 5*time.Second); got != n {
+			t.Fatalf("agents holding a partition = %d, want %d", got, n)
+		}
+		return h
 	}
 
 	d := nn.Dims{N: n, T: 5, F: 6, M: 5}
@@ -144,13 +197,21 @@ func TestE2ETCPLoopbackRunWithDropAndDuplicate(t *testing.T) {
 		Duration: duration, Seed: 7, KeepTrace: true,
 		Plane: plane, Metrics: reg,
 	})
-	mu.Lock()
-	defer mu.Unlock()
-	defer col.Close()
+	// Closing the hub closes every agent connection, which ends the agents.
+	if err := hub.Close(); err != nil {
+		t.Fatalf("hub close: %v", err)
+	}
+	drops, dups := 0, 0
+	for _, a := range agents {
+		<-a.done
+		a.conn.Close()
+		drops += a.drops
+		dups += a.dups
+	}
 
 	// The wire faults fired exactly as scripted.
-	if flaky.drops != 1 || flaky.dups != 1 {
-		t.Fatalf("fault script: drops=%d dups=%d, want 1/1", flaky.drops, flaky.dups)
+	if drops != 1 || dups != 1 {
+		t.Fatalf("fault script: drops=%d dups=%d, want 1/1", drops, dups)
 	}
 
 	// The lost report surfaced as StatsOK=false for node-1's tier in the

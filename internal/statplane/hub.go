@@ -10,6 +10,47 @@ import (
 	"sinan/internal/telemetry"
 )
 
+// Envelope is the single gob message type of the stats-plane wire
+// protocol; exactly one field is non-nil per message. Agent→hub traffic
+// carries Report/GatewayReport (and Hello on connect); the hub→agent
+// direction carries Assign and per-interval Sample pushes.
+// One message type keeps the stream self-describing without a length
+// -prefixed framing layer: gob streams are already delimited.
+type Envelope struct {
+	Report  *Report
+	Gateway *GatewayReport
+	Hello   *Hello
+	Assign  *Assign
+	Sample  *Sample
+}
+
+// Hello introduces an agent to the hub. Version gates the session the
+// same way WireVersion gates individual reports.
+type Hello struct {
+	Version int
+	Agent   string
+}
+
+// Assign is the hub's response to Hello: the tier indices the agent now
+// owns and the decision-interval length. An empty Tiers means the hub had
+// no partition left and the agent should back off and retry.
+type Assign struct {
+	Version     int
+	Tiers       []int
+	IntervalSec float64
+}
+
+// Sample is a per-interval stats push from the hub to a remote agent: the
+// simulated cluster lives with the scheduler, so the hub samples on the
+// agent's behalf and the agent turns the sample into its own sequenced
+// Report — giving the report path (loss, duplication, reordering, delay)
+// a real wire to misbehave on.
+type Sample struct {
+	Interval int64
+	Time     float64
+	Tiers    []TierStats
+}
+
 // HubConfig configures a distributed stats hub.
 type HubConfig struct {
 	Sampler     TierSampler
@@ -253,13 +294,10 @@ func (h *Hub) Collect(interval int64, now float64) IntervalState {
 		h.pushes.Inc()
 	}
 	if h.gw != nil {
-		_ = h.gw.Emit(interval)
+		h.gw.Emit(interval)
 	}
 	return h.agg.Assemble(interval, now)
 }
-
-// Aggregator exposes the hub's aggregator (tests, metrics assertions).
-func (h *Hub) Aggregator() *Aggregator { return h.agg }
 
 // Close stops the hub: listener first, then every agent connection, then
 // the handler goroutines.

@@ -15,10 +15,8 @@ type Plane interface {
 
 // Pipeline is the in-process stats plane of a simulated run: node agents
 // (one per tier partition) and a gateway reporter emitting through a
-// shared transport into one aggregator, all synchronously within Collect.
-// With the InProcess transport the whole plane is deterministic; swap in a
-// TCP Reporter (as the loopback e2e test does) and the same pipeline
-// exercises the wire path.
+// shared InProcess transport into one aggregator, all synchronously within
+// Collect, so the whole plane is deterministic.
 type Pipeline struct {
 	agents  []*NodeAgent
 	gateway *GatewayReporter
@@ -58,23 +56,15 @@ func NewInProcess(cfg Config) *Pipeline {
 	return p
 }
 
-// New builds a pipeline from explicit parts (agents may use any
-// transport); every agent must already be registered with agg.
-func New(agg *Aggregator, agents []*NodeAgent, gateway *GatewayReporter) *Pipeline {
-	return &Pipeline{agents: agents, gateway: gateway, agg: agg}
-}
-
 // Collect implements Plane: open the interval, let every emitter report,
-// and assemble the snapshot. Send errors are deliberately dropped — a
-// report that could not be sent is indistinguishable from one lost in
-// flight, and both surface as StatsOK=false.
+// and assemble the snapshot.
 func (p *Pipeline) Collect(interval int64, now float64) IntervalState {
 	p.agg.BeginInterval(interval)
 	for _, a := range p.agents {
-		_ = a.Emit(interval, now)
+		a.Emit(interval, now)
 	}
 	if p.gateway != nil {
-		_ = p.gateway.Emit(interval)
+		p.gateway.Emit(interval)
 	}
 	return p.agg.Assemble(interval, now)
 }
@@ -84,6 +74,3 @@ func (p *Pipeline) Collect(interval int64, now float64) IntervalState {
 func (p *Pipeline) AttachMetrics(reg *telemetry.Registry) {
 	p.agg.AttachMetrics(reg)
 }
-
-// Aggregator exposes the pipeline's aggregator (tests, hub wiring).
-func (p *Pipeline) Aggregator() *Aggregator { return p.agg }

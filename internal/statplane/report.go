@@ -3,9 +3,9 @@
 // and report them to the centralized scheduler, while an API-gateway
 // reporter contributes the arrival rate and end-to-end latency summary.
 // The package separates WHAT flows (versioned, sequence-numbered reports)
-// from HOW it flows (a Transport seam with a deterministic in-process
-// implementation and a TCP/gob implementation following predsvc's
-// deadline/retry/redial conventions) from HOW the scheduler's per-interval
+// from HOW it flows (the in-process Pipeline of simulated runs, whose one
+// ReportGate seam lets fault injection lose or duplicate reports, or the
+// TCP/gob Hub of distributed ones) from HOW the scheduler's per-interval
 // snapshot is assembled (an Aggregator that dedupes by sequence, flags
 // late or missing reports as StatsOK=false for the scheduler's
 // hold-last-value imputation, and tracks per-agent liveness).

@@ -1,7 +1,6 @@
 package statplane
 
 import (
-	"net"
 	"reflect"
 	"testing"
 	"time"
@@ -258,126 +257,6 @@ func TestInProcessPlaneDropGate(t *testing.T) {
 	}
 	if !st.GatewayOK || st.RPS != 100 {
 		t.Fatalf("gateway must not be gated: %+v", st)
-	}
-}
-
-// chanSink forwards received reports to channels for wire-path tests.
-type chanSink struct {
-	reports chan Report
-	gateway chan GatewayReport
-}
-
-func newChanSink() *chanSink {
-	return &chanSink{reports: make(chan Report, 16), gateway: make(chan GatewayReport, 16)}
-}
-
-func (s *chanSink) OfferReport(r Report) {
-	cp := r
-	cp.Tiers = append([]TierStats(nil), r.Tiers...)
-	s.reports <- cp
-}
-
-func (s *chanSink) OfferGatewayReport(g GatewayReport) { s.gateway <- g }
-
-// The TCP transport must round-trip reports byte-faithfully and the
-// reporter must survive a collector restart by redialling.
-func TestReporterCollectorRoundTripAndRedial(t *testing.T) {
-	sink := newChanSink()
-	col, err := ListenAndCollect("127.0.0.1:0", sink)
-	if err != nil {
-		t.Fatal(err)
-	}
-	addr := col.Addr()
-	rep := NewReporter(addr, ReporterOptions{MaxRetries: 5, BackoffBase: 5 * time.Millisecond})
-	defer rep.Close()
-
-	sent := report("node-0", 1, 3, 2, 7.5)
-	sent.Time = 3.5
-	if err := rep.SendReport(sent); err != nil {
-		t.Fatalf("send: %v", err)
-	}
-	gw := GatewayReport{Version: WireVersion, Gateway: "gw", Seq: 1, Interval: 3, RPS: 123.5}
-	if err := rep.SendGatewayReport(gw); err != nil {
-		t.Fatalf("send gateway: %v", err)
-	}
-	select {
-	case got := <-sink.reports:
-		if !reflect.DeepEqual(got, sent) {
-			t.Fatalf("report mangled in flight:\nsent %+v\ngot  %+v", sent, got)
-		}
-	case <-time.After(5 * time.Second):
-		t.Fatal("report never arrived")
-	}
-	select {
-	case got := <-sink.gateway:
-		if !reflect.DeepEqual(got, gw) {
-			t.Fatalf("gateway report mangled: %+v vs %+v", gw, got)
-		}
-	case <-time.After(5 * time.Second):
-		t.Fatal("gateway report never arrived")
-	}
-
-	// Kill the collector, rebind the same address, and keep sending: the
-	// reporter's retry/redial loop must reconnect without caller help.
-	if err := col.Close(); err != nil {
-		t.Fatalf("close: %v", err)
-	}
-	lis, err := net.Listen("tcp", addr)
-	if err != nil {
-		t.Skipf("could not rebind %s: %v", addr, err)
-	}
-	col2 := NewCollector(lis, sink)
-	defer col2.Close()
-
-	// A send into the dead socket can "succeed" into the OS buffer before
-	// the RST comes back, so keep emitting until a report actually lands:
-	// the first failed encode drops the connection and the retry redials.
-	deadline := time.Now().Add(10 * time.Second)
-	seq := uint64(2)
-	for {
-		_ = rep.SendReport(report("node-0", seq, 4, 2, 8))
-		seq++
-		select {
-		case got := <-sink.reports:
-			if got.Seq < 2 {
-				t.Fatalf("post-redial report seq = %d, want ≥2", got.Seq)
-			}
-			return
-		case <-time.After(100 * time.Millisecond):
-		}
-		if time.Now().After(deadline) {
-			t.Fatal("post-redial report never arrived")
-		}
-	}
-}
-
-// MetricsSink mirrors the aggregator's validation without assembling.
-func TestMetricsSinkDedupesAndCounts(t *testing.T) {
-	reg := telemetry.NewRegistry()
-	s := NewMetricsSink(reg)
-	s.OfferReport(report("node-0", 1, 0, 0, 1))
-	s.OfferReport(report("node-0", 1, 0, 0, 1)) // duplicate
-	s.OfferReport(report("node-1", 1, 0, 1, 1))
-	bad := report("node-0", 2, 0, 0, 1)
-	bad.Version = 99
-	s.OfferReport(bad)
-	s.OfferGatewayReport(GatewayReport{Version: WireVersion, Seq: 1})
-	s.OfferGatewayReport(GatewayReport{Version: WireVersion, Seq: 1}) // duplicate
-
-	if v := reg.Counter("plane.reports.received").Value(); v != 2 {
-		t.Fatalf("received = %d, want 2", v)
-	}
-	if v := reg.Counter("plane.reports.duplicate").Value(); v != 2 {
-		t.Fatalf("duplicate = %d, want 2 (one node, one gateway)", v)
-	}
-	if v := reg.Counter("plane.reports.rejected").Value(); v != 1 {
-		t.Fatalf("rejected = %d, want 1", v)
-	}
-	if v := reg.Gauge("plane.agents.seen").Value(); v != 2 {
-		t.Fatalf("agents.seen = %v, want 2", v)
-	}
-	if v := reg.Counter("plane.agent.reports", "agent", "node-0").Value(); v != 1 {
-		t.Fatalf("per-agent counter = %d, want 1", v)
 	}
 }
 

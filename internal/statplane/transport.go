@@ -1,25 +1,5 @@
 package statplane
 
-// Transport carries reports from an emitter (node agent, gateway reporter)
-// toward the aggregator. Implementations: InProcess (deterministic, used
-// by simulated runs) and Reporter (TCP/gob, used by remote agents). A
-// transport error means the report may not have arrived — the plane is
-// best-effort by design, and a lost report surfaces downstream as a
-// StatsOK=false entry, never as a control-loop failure.
-type Transport interface {
-	SendReport(Report) error
-	SendGatewayReport(GatewayReport) error
-}
-
-// Sink is the receiving end of a transport. The Aggregator is the
-// canonical implementation; MetricsSink is an observe-only one.
-// Implementations copy what they keep: the caller may reuse the report's
-// backing storage after the call returns.
-type Sink interface {
-	OfferReport(Report)
-	OfferGatewayReport(GatewayReport)
-}
-
 // Verdict is a ReportGate's decision about one report delivery.
 type Verdict int
 
@@ -45,37 +25,39 @@ type ReportGate interface {
 	DeliverReport(Report) Verdict
 }
 
-// InProcess is the deterministic transport of simulated runs: delivery is
-// a synchronous method call, optionally filtered through a ReportGate.
-// No goroutines, no wall clock, no buffering — the harness's bit-identical
-// serial-vs-parallel guarantee holds because nothing here can reorder.
+// InProcess carries reports from an emitter (node agent, gateway reporter)
+// to the aggregator: delivery is a synchronous method call, optionally
+// filtered through a ReportGate. No goroutines, no wall clock, no
+// buffering — the harness's bit-identical serial-vs-parallel guarantee
+// holds because nothing here can reorder. The plane is best-effort by
+// design: a report the gate drops surfaces downstream as a StatsOK=false
+// entry, never as a control-loop failure. The aggregator copies what it
+// keeps, so the emitter may reuse the report's backing storage after the
+// call returns.
 type InProcess struct {
-	Sink Sink
+	Sink *Aggregator
 	Gate ReportGate // optional; nil delivers everything
 }
 
-// SendReport implements Transport.
-func (t *InProcess) SendReport(r Report) error {
+// SendReport delivers one node-agent report through the gate.
+func (t *InProcess) SendReport(r Report) {
 	v := Deliver
 	if t.Gate != nil {
 		v = t.Gate.DeliverReport(r)
 	}
 	switch v {
 	case Drop:
-		return nil
 	case Duplicate:
 		t.Sink.OfferReport(r)
 		t.Sink.OfferReport(r)
 	default:
 		t.Sink.OfferReport(r)
 	}
-	return nil
 }
 
-// SendGatewayReport implements Transport. Gateway reports are not gated:
-// the gateway is co-located with the scheduler in every deployment this
-// repository models, so its loss modes are not interesting to inject.
-func (t *InProcess) SendGatewayReport(g GatewayReport) error {
+// SendGatewayReport delivers the gateway's report. Gateway reports are not
+// gated: the gateway is co-located with the scheduler in every deployment
+// this repository models, so its loss modes are not interesting to inject.
+func (t *InProcess) SendGatewayReport(g GatewayReport) {
 	t.Sink.OfferGatewayReport(g)
-	return nil
 }

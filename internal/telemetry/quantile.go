@@ -33,12 +33,3 @@ func ExactQuantile(sorted []float64, q float64) float64 {
 	}
 	return sorted[idx]
 }
-
-// QuantileErrorBound returns the worst-case multiplicative error of a
-// bucketed quantile relative to the exact one: bucket midpoints are within
-// a half-bucket ratio of any value in the bucket, i.e. a factor of
-// 2^(1/(2·histSub)). Exported for the accuracy test and for callers that
-// want to display error bars next to exported percentiles.
-func QuantileErrorBound() float64 {
-	return math.Exp2(1.0 / (2 * histSub))
-}

@@ -7,6 +7,11 @@ import (
 	"testing"
 )
 
+// quantileErrorBound is the worst-case multiplicative error of a bucketed
+// quantile relative to the exact one: bucket midpoints are within a
+// half-bucket ratio of any value in the bucket.
+var quantileErrorBound = math.Exp2(1.0 / (2 * histSub))
+
 // TestQuantileAgreement pins the repository's two percentile
 // implementations against each other: the exact nearest-rank quantile over
 // sorted samples (what metrics.LatencyWindow.Flush computes per decision
@@ -30,7 +35,7 @@ func TestQuantileAgreement(t *testing.T) {
 		},
 	}
 	quantiles := []float64{0.5, 0.9, 0.95, 0.99, 0.999}
-	bound := QuantileErrorBound()
+	bound := quantileErrorBound
 
 	for name, draw := range distributions {
 		var h Histogram

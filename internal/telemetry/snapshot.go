@@ -4,7 +4,6 @@ import (
 	"encoding/json"
 	"io"
 	"math"
-	"sort"
 )
 
 // Bucket is one non-empty histogram cell in a snapshot: the inclusive
@@ -27,24 +26,6 @@ type HistSnapshot struct {
 	P99     float64  `json:"p99"`
 	P999    float64  `json:"p999"`
 	Buckets []Bucket `json:"buckets,omitempty"`
-
-	// counts is the dense bucket array the quantiles were computed from,
-	// kept for Quantile and Delta; omitted from JSON (Buckets carries the
-	// sparse form).
-	counts []uint64
-}
-
-// Mean returns the mean observation (0 if empty).
-func (h *HistSnapshot) Mean() float64 {
-	if h.Count == 0 {
-		return 0
-	}
-	return h.Sum / float64(h.Count)
-}
-
-// Quantile returns the q-quantile (q in [0,1]) of the snapshot.
-func (h *HistSnapshot) Quantile(q float64) float64 {
-	return bucketQuantile(h.counts, h.Count, q)
 }
 
 // Snapshot is a point-in-time copy of every instrument in a registry,
@@ -70,7 +51,7 @@ func snapshotHist(h *Histogram) *HistSnapshot {
 }
 
 func histFromCounts(counts []uint64, total uint64, sum, max float64) *HistSnapshot {
-	s := &HistSnapshot{Count: total, Sum: sum, Max: max, counts: counts}
+	s := &HistSnapshot{Count: total, Sum: sum, Max: max}
 	for i, c := range counts {
 		if c != 0 {
 			s.Buckets = append(s.Buckets, Bucket{LE: jsonSafe(bucketUpper(i)), Count: c})
@@ -146,68 +127,10 @@ func (r *Registry) snapshotInto(s *Snapshot, prefix string) {
 	}
 }
 
-// Delta returns the change from prev to s: counters and histogram buckets
-// are subtracted (instruments absent from prev count from zero), gauges
-// keep their current reading (a gauge is a level, not a flow). Use it to
-// turn two live-export scrapes into a rate window.
-func (s *Snapshot) Delta(prev *Snapshot) *Snapshot {
-	if prev == nil {
-		return s
-	}
-	d := &Snapshot{
-		Counters:   make(map[string]int64, len(s.Counters)),
-		Gauges:     make(map[string]float64, len(s.Gauges)),
-		Histograms: make(map[string]*HistSnapshot, len(s.Histograms)),
-	}
-	for k, v := range s.Counters {
-		d.Counters[k] = v - prev.Counters[k]
-	}
-	for k, v := range s.Gauges {
-		d.Gauges[k] = v
-	}
-	for k, h := range s.Histograms {
-		p := prev.Histograms[k]
-		if p == nil {
-			d.Histograms[k] = h
-			continue
-		}
-		counts := make([]uint64, len(h.counts))
-		var total uint64
-		for i := range counts {
-			var pc uint64
-			if i < len(p.counts) {
-				pc = p.counts[i]
-			}
-			if h.counts[i] > pc {
-				counts[i] = h.counts[i] - pc
-			}
-			total += counts[i]
-		}
-		d.Histograms[k] = histFromCounts(counts, total, h.Sum-p.Sum, h.Max)
-	}
-	return d
-}
-
 // WriteJSON writes the snapshot as indented JSON. Keys are sorted, so
 // equal snapshots produce identical bytes.
 func (s *Snapshot) WriteJSON(w io.Writer) error {
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", "  ")
 	return enc.Encode(s)
-}
-
-// Names returns every instrument name in the snapshot, sorted.
-func (s *Snapshot) Names() []string {
-	names := make([]string, 0, len(s.Counters)+len(s.Gauges)+len(s.Histograms))
-	for k := range s.Counters {
-		names = append(names, k)
-	}
-	for k := range s.Gauges {
-		names = append(names, k)
-	}
-	for k := range s.Histograms {
-		names = append(names, k)
-	}
-	sort.Strings(names)
-	return names
 }

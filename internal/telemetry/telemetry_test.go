@@ -84,7 +84,7 @@ func TestHistogramObserveAndQuantiles(t *testing.T) {
 	if h.Max() != 1000 {
 		t.Fatalf("max = %g", h.Max())
 	}
-	bound := QuantileErrorBound()
+	bound := quantileErrorBound
 	for _, tc := range []struct{ q, exact float64 }{
 		{0.50, 500}, {0.95, 950}, {0.99, 990}, {0.999, 999},
 	} {
@@ -122,7 +122,7 @@ func TestHistogramEdgeValues(t *testing.T) {
 	}
 }
 
-func TestSnapshotAndDelta(t *testing.T) {
+func TestSnapshot(t *testing.T) {
 	r := NewRegistry()
 	c := r.Counter("req.total")
 	h := r.Histogram("req.latency_ms")
@@ -138,23 +138,15 @@ func TestSnapshotAndDelta(t *testing.T) {
 	h.Observe(40)
 	s2 := r.Snapshot()
 
-	d := s2.Delta(s1)
-	if d.Counters["req.total"] != 7 {
-		t.Fatalf("delta counter = %d, want 7", d.Counters["req.total"])
+	if s1.Counters["req.total"] != 3 || s2.Counters["req.total"] != 10 {
+		t.Fatalf("counter snapshots = %d, %d, want 3, 10", s1.Counters["req.total"], s2.Counters["req.total"])
 	}
-	if d.Gauges["req.inflight"] != 5 {
-		t.Fatalf("delta gauge = %g, want current value 5", d.Gauges["req.inflight"])
+	if s1.Gauges["req.inflight"] != 2 || s2.Gauges["req.inflight"] != 5 {
+		t.Fatalf("gauge snapshots = %g, %g, want 2, 5", s1.Gauges["req.inflight"], s2.Gauges["req.inflight"])
 	}
-	dh := d.Histograms["req.latency_ms"]
-	if dh.Count != 1 {
-		t.Fatalf("delta histogram count = %d, want 1", dh.Count)
-	}
-	if math.Abs(dh.Sum-40) > 1e-9 {
-		t.Fatalf("delta histogram sum = %g, want 40", dh.Sum)
-	}
-	bound := QuantileErrorBound()
-	if q := dh.Quantile(0.5); q < 40/bound || q > 40*bound {
-		t.Fatalf("delta median = %g, want ~40", q)
+	h1, h2 := s1.Histograms["req.latency_ms"], s2.Histograms["req.latency_ms"]
+	if h1.Count != 2 || h2.Count != 3 || math.Abs(h2.Sum-70) > 1e-9 || h2.Max != 40 {
+		t.Fatalf("histogram snapshots: %+v then %+v", h1, h2)
 	}
 }
 

@@ -4,10 +4,7 @@
 // contiguous.
 package tensor
 
-import (
-	"fmt"
-	"math"
-)
+import "fmt"
 
 // Dense is a row-major dense tensor.
 type Dense struct {
@@ -48,15 +45,6 @@ func (t *Dense) Size() int {
 // Clone returns a deep copy.
 func (t *Dense) Clone() *Dense {
 	return &Dense{Shape: append([]int(nil), t.Shape...), Data: append([]float64(nil), t.Data...)}
-}
-
-// Reshape returns a view with a new shape of identical size.
-func (t *Dense) Reshape(shape ...int) *Dense {
-	v := &Dense{Shape: append([]int(nil), shape...), Data: t.Data}
-	if v.Size() != t.Size() {
-		panic(fmt.Sprintf("tensor: cannot reshape %v to %v", t.Shape, shape))
-	}
-	return v
 }
 
 // Zero sets all elements to zero.
@@ -125,13 +113,6 @@ func Ensure(t *Dense, shape ...int) *Dense {
 
 func panicNonPositiveDim(s int) {
 	panic(fmt.Sprintf("tensor: non-positive dim %d", s))
-}
-
-// MatMul computes C = A·B for 2-D tensors [m,k]·[k,n] → [m,n].
-func MatMul(a, b *Dense) *Dense {
-	c := New(a.Shape[0], b.Shape[1])
-	MatMulInto(c, a, b)
-	return c
 }
 
 // MatMulInto computes C = A·B into dst, which must be [m,n]. dst is
@@ -215,13 +196,6 @@ func axpy(c []float64, a float64, b []float64) {
 	}
 }
 
-// MatMulTransA computes C = Aᵀ·B for [k,m]ᵀ·[k,n] → [m,n].
-func MatMulTransA(a, b *Dense) *Dense {
-	c := New(a.Shape[1], b.Shape[1])
-	MatMulTransAInto(c, a, b)
-	return c
-}
-
 // MatMulTransAInto computes C = Aᵀ·B into dst, which must be [m,n]. dst is
 // overwritten; it must not alias a or b. It is MatMulInto's kernel reading A
 // by columns; nothing is allocated on the serial path.
@@ -238,13 +212,6 @@ func MatMulTransAInto(dst, a, b *Dense) {
 		return
 	}
 	mulRows(dst.Data, a.Data, b.Data, 1, m, k, n, 0, m)
-}
-
-// MatMulTransB computes C = A·Bᵀ for [m,k]·[n,k]ᵀ → [m,n].
-func MatMulTransB(a, b *Dense) *Dense {
-	c := New(a.Shape[0], b.Shape[0])
-	MatMulTransBInto(c, a, b)
-	return c
 }
 
 // MatMulTransBInto computes C = A·Bᵀ into dst, which must be [m,n]. dst is
@@ -307,15 +274,6 @@ func dot(a, b []float64) (s float64) {
 	return
 }
 
-// RepeatRows tiles src's rows cyclically b times along axis 0 into a new
-// tensor: src [r, ...] → [b·r, ...].
-func RepeatRows(src *Dense, b int) *Dense {
-	shape := append([]int{src.Shape[0] * b}, src.Shape[1:]...)
-	dst := New(shape...)
-	RepeatRowsInto(dst, src)
-	return dst
-}
-
 // RepeatRowsInto tiles src's rows cyclically into dst along axis 0. Both
 // tensors must have the same per-row element count (product of the trailing
 // dims), and dst's leading dim must be a multiple of src's. This is the
@@ -372,33 +330,6 @@ func ScaleInPlace(a *Dense, s float64) {
 	}
 }
 
-// Norm returns the L2 norm of the tensor.
-func Norm(a *Dense) float64 {
-	s := 0.0
-	for _, v := range a.Data {
-		s += v * v
-	}
-	return math.Sqrt(s)
-}
-
-// Concat concatenates 2-D tensors [B, d_i] along axis 1 → [B, Σd_i].
-func Concat(ts ...*Dense) *Dense {
-	if len(ts) == 0 {
-		panic("tensor: concat of nothing")
-	}
-	b := ts[0].Shape[0]
-	total := 0
-	for _, t := range ts {
-		if len(t.Shape) != 2 || t.Shape[0] != b {
-			panic("tensor: concat requires 2-D tensors with equal batch")
-		}
-		total += t.Shape[1]
-	}
-	out := New(b, total)
-	ConcatInto(out, ts...)
-	return out
-}
-
 // ConcatInto concatenates 2-D tensors [B, d_i] along axis 1 into dst, which
 // must be [B, Σd_i].
 func ConcatInto(dst *Dense, ts ...*Dense) {
@@ -426,28 +357,9 @@ func ConcatInto(dst *Dense, ts ...*Dense) {
 	}
 }
 
-// SplitGrad splits a concatenated gradient [B, Σd_i] back into parts with
-// widths dims, inverting Concat.
-func SplitGrad(g *Dense, dims ...int) []*Dense {
-	b := g.Shape[0]
-	total := 0
-	for _, d := range dims {
-		total += d
-	}
-	if len(g.Shape) != 2 || g.Shape[1] != total {
-		panic("tensor: split width mismatch")
-	}
-	outs := make([]*Dense, len(dims))
-	for k, d := range dims {
-		outs[k] = New(b, d)
-	}
-	SplitInto(g, outs...)
-	return outs
-}
-
 // SplitInto splits a concatenated gradient [B, Σd_i] into the pre-shaped
-// 2-D tensors outs (widths taken from each out's shape), inverting Concat
-// without allocating.
+// 2-D tensors outs (widths taken from each out's shape), inverting
+// ConcatInto without allocating.
 func SplitInto(g *Dense, outs ...*Dense) {
 	b := g.Shape[0]
 	total := 0

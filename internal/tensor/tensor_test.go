@@ -26,7 +26,6 @@ func TestOutOfRangePanics(t *testing.T) {
 	for _, fn := range []func(){
 		func() { a.At(2, 0) },
 		func() { a.At(0) },
-		func() { a.Reshape(3, 3) },
 		func() { FromSlice([]float64{1, 2}, 3) },
 		func() { New(0) },
 	} {
@@ -38,15 +37,6 @@ func TestOutOfRangePanics(t *testing.T) {
 			}()
 			fn()
 		}()
-	}
-}
-
-func TestReshapeSharesData(t *testing.T) {
-	a := New(2, 3)
-	v := a.Reshape(3, 2)
-	v.Set(9, 0, 1)
-	if a.At(0, 1) != 9 {
-		t.Fatal("reshape should share data")
 	}
 }
 
@@ -63,7 +53,8 @@ func TestCloneIndependent(t *testing.T) {
 func TestMatMul(t *testing.T) {
 	a := FromSlice([]float64{1, 2, 3, 4, 5, 6}, 2, 3)
 	b := FromSlice([]float64{7, 8, 9, 10, 11, 12}, 3, 2)
-	c := MatMul(a, b)
+	c := New(2, 2)
+	MatMulInto(c, a, b)
 	want := []float64{58, 64, 139, 154}
 	for i, v := range want {
 		if c.Data[i] != v {
@@ -76,10 +67,10 @@ func TestMatMulTransposedVariants(t *testing.T) {
 	a := FromSlice([]float64{1, 2, 3, 4, 5, 6}, 2, 3)
 	b := FromSlice([]float64{7, 8, 9, 10, 11, 12}, 3, 2)
 
-	// Aᵀ·B with A [2,3] reinterpreted: use MatMulTransA(aT-ish).
 	at := FromSlice([]float64{1, 4, 2, 5, 3, 6}, 3, 2) // transpose of a
-	c1 := MatMul(a, b)
-	c2 := MatMulTransA(at, b)
+	c1, c2, c3 := New(2, 2), New(2, 2), New(2, 2)
+	MatMulInto(c1, a, b)
+	MatMulTransAInto(c2, at, b)
 	for i := range c1.Data {
 		if math.Abs(c1.Data[i]-c2.Data[i]) > 1e-12 {
 			t.Fatalf("transA mismatch: %v vs %v", c1.Data, c2.Data)
@@ -87,7 +78,7 @@ func TestMatMulTransposedVariants(t *testing.T) {
 	}
 
 	bt := FromSlice([]float64{7, 9, 11, 8, 10, 12}, 2, 3) // transpose of b
-	c3 := MatMulTransB(a, bt)
+	MatMulTransBInto(c3, a, bt)
 	for i := range c1.Data {
 		if math.Abs(c1.Data[i]-c3.Data[i]) > 1e-12 {
 			t.Fatalf("transB mismatch: %v vs %v", c1.Data, c3.Data)
@@ -101,20 +92,22 @@ func TestMatMulShapePanics(t *testing.T) {
 			t.Fatal("incompatible matmul should panic")
 		}
 	}()
-	MatMul(New(2, 3), New(2, 3))
+	MatMulInto(New(2, 3), New(2, 3), New(2, 3))
 }
 
 func TestConcatAndSplit(t *testing.T) {
 	a := FromSlice([]float64{1, 2, 10, 20}, 2, 2)
 	b := FromSlice([]float64{3, 30}, 2, 1)
-	c := Concat(a, b)
+	c := New(2, 3)
+	ConcatInto(c, a, b)
 	want := []float64{1, 2, 3, 10, 20, 30}
 	for i, v := range want {
 		if c.Data[i] != v {
 			t.Fatalf("concat = %v, want %v", c.Data, want)
 		}
 	}
-	parts := SplitGrad(c, 2, 1)
+	parts := []*Dense{New(2, 2), New(2, 1)}
+	SplitInto(c, parts...)
 	for i, v := range a.Data {
 		if parts[0].Data[i] != v {
 			t.Fatal("split part 0 mismatch")
@@ -138,8 +131,10 @@ func TestConcatSplitRoundTripProperty(t *testing.T) {
 		for i := range c.Data {
 			c.Data[i] = float64((seed-int64(i))%13) * 0.25
 		}
-		cat := Concat(a, c)
-		parts := SplitGrad(cat, d1, d2)
+		cat := New(b, d1+d2)
+		ConcatInto(cat, a, c)
+		parts := []*Dense{New(b, d1), New(b, d2)}
+		SplitInto(cat, parts...)
 		for i := range a.Data {
 			if parts[0].Data[i] != a.Data[i] {
 				return false
@@ -167,9 +162,6 @@ func TestElementwiseHelpers(t *testing.T) {
 	ScaleInPlace(a, 0.5)
 	if a.Data[0] != 2 || a.Data[1] != 3 {
 		t.Fatal("scale broken")
-	}
-	if got := Norm(FromSlice([]float64{3, 4}, 2)); math.Abs(got-5) > 1e-12 {
-		t.Fatalf("norm = %v", got)
 	}
 	a.Fill(9)
 	if a.Data[0] != 9 || a.Data[1] != 9 {
@@ -205,10 +197,8 @@ func TestParallelFor(t *testing.T) {
 
 func TestRepeatRows(t *testing.T) {
 	src := FromSlice([]float64{1, 2, 3, 4, 5, 6}, 1, 2, 3)
-	dst := RepeatRows(src, 4)
-	if dst.Shape[0] != 4 || dst.Shape[1] != 2 || dst.Shape[2] != 3 {
-		t.Fatalf("repeat shape %v", dst.Shape)
-	}
+	dst := New(4, 2, 3)
+	RepeatRowsInto(dst, src)
 	for i := 0; i < 4; i++ {
 		for j := 0; j < 6; j++ {
 			if dst.Data[i*6+j] != src.Data[j] {
@@ -521,17 +511,19 @@ func TestGEMMKernelsMatchReferenceBitForBit(t *testing.T) {
 func TestMatMulZeroSkipSemantics(t *testing.T) {
 	a := FromSlice([]float64{0, 2, math.Copysign(0, -1)}, 1, 3)
 	b := FromSlice([]float64{math.Inf(1), 3, math.NaN()}, 3, 1)
-	if got := MatMul(a, b).Data[0]; got != 6 {
-		t.Fatalf("A·B with zeros over Inf/NaN = %v, want 6", got)
+	c := New(1, 1)
+	if MatMulInto(c, a, b); c.Data[0] != 6 {
+		t.Fatalf("A·B with zeros over Inf/NaN = %v, want 6", c.Data[0])
 	}
-	if got := MatMulTransA(FromSlice(a.Data, 3, 1), b).Data[0]; got != 6 {
-		t.Fatalf("Aᵀ·B with zeros over Inf/NaN = %v, want 6", got)
+	if MatMulTransAInto(c, FromSlice(a.Data, 3, 1), b); c.Data[0] != 6 {
+		t.Fatalf("Aᵀ·B with zeros over Inf/NaN = %v, want 6", c.Data[0])
 	}
-	if got := MatMulTransB(a, FromSlice(b.Data, 1, 3)).Data[0]; !math.IsNaN(got) {
-		t.Fatalf("A·Bᵀ with zeros over Inf/NaN = %v, want NaN", got)
+	if MatMulTransBInto(c, a, FromSlice(b.Data, 1, 3)); !math.IsNaN(c.Data[0]) {
+		t.Fatalf("A·Bᵀ with zeros over Inf/NaN = %v, want NaN", c.Data[0])
 	}
 	// An all-zero row sums nothing and stays +0.
-	if got := MatMul(FromSlice([]float64{0, 0}, 1, 2), FromSlice([]float64{-1, -1}, 2, 1)).Data[0]; math.Float64bits(got) != 0 {
+	MatMulInto(c, FromSlice([]float64{0, 0}, 1, 2), FromSlice([]float64{-1, -1}, 2, 1))
+	if got := c.Data[0]; math.Float64bits(got) != 0 {
 		t.Fatalf("empty sum = %v (%#x), want +0", got, math.Float64bits(got))
 	}
 }
@@ -599,7 +591,8 @@ func TestIntoKernelsDoNotAllocate(t *testing.T) {
 // BenchmarkGEMM times the three kernels, and the reference loops they
 // replaced, at the GEMM shapes of one 64-sample training shard of the
 // LatencyCNN on SocialNetwork (28 tiers × 5 timesteps, 8960 patch columns):
-// the table in DESIGN.md §7 "Kernels" is this benchmark's output at -cpu 1.
+// the ≈ 6 gflop/s of DESIGN.md §7 "Kernels" is this benchmark's output at
+// -cpu 1 (CHANGES.md, PR 15, has the per-shape history).
 func BenchmarkGEMM(b *testing.B) {
 	rng := rand.New(rand.NewSource(1))
 	type kernel struct {

@@ -77,9 +77,7 @@ type Generator struct {
 
 	cumWeights []float64
 	trees      []*cluster.Stage
-	typeCounts []int64
 	submitted  int64
-	stopped    bool
 
 	// Engine and cluster callbacks, bound once so that a request costs no
 	// closure.
@@ -91,8 +89,7 @@ type Generator struct {
 func NewGenerator(cl *cluster.Cluster, app *apps.App, rng *sim.RNG, p Pattern) *Generator {
 	g := &Generator{
 		eng: cl.Eng, cl: cl, app: app, rng: rng, pattern: p,
-		Window:     &metrics.LatencyWindow{},
-		typeCounts: make([]int64, len(app.Requests)),
+		Window: &metrics.LatencyWindow{},
 	}
 	total := app.TotalWeight()
 	cum := 0.0
@@ -106,13 +103,7 @@ func NewGenerator(cl *cluster.Cluster, app *apps.App, rng *sim.RNG, p Pattern) *
 }
 
 // Start begins the arrival process.
-func (g *Generator) Start() {
-	g.stopped = false
-	g.scheduleNext()
-}
-
-// Stop halts future arrivals (in-flight requests still complete).
-func (g *Generator) Stop() { g.stopped = true }
+func (g *Generator) Start() { g.scheduleNext() }
 
 // Submitted returns the number of requests injected so far.
 func (g *Generator) Submitted() int64 { return g.submitted }
@@ -123,18 +114,7 @@ func (g *Generator) Submitted() int64 { return g.submitted }
 // the gateway reporter's data source.
 func (g *Generator) FlushWindow() metrics.Percentiles { return g.Window.Flush() }
 
-// TypeCounts returns per-request-type submission counts, in app order.
-func (g *Generator) TypeCounts() []int64 {
-	return append([]int64(nil), g.typeCounts...)
-}
-
-// CurrentRPS returns the pattern's target rate at the current time.
-func (g *Generator) CurrentRPS() float64 { return g.pattern.RPS(g.eng.Now()) }
-
 func (g *Generator) scheduleNext() {
-	if g.stopped {
-		return
-	}
 	rate := g.pattern.RPS(g.eng.Now())
 	if rate <= 0 {
 		// Idle: poll again shortly for the pattern to come back.
@@ -145,9 +125,6 @@ func (g *Generator) scheduleNext() {
 }
 
 func (g *Generator) arrive() {
-	if g.stopped {
-		return
-	}
 	g.cl.Submit(g.pick(), g.recordFn)
 	g.scheduleNext()
 }
@@ -164,7 +141,6 @@ func (g *Generator) pick() *cluster.Stage {
 		}
 	}
 	g.submitted++
-	g.typeCounts[idx]++
 	return g.trees[idx]
 }
 

@@ -25,6 +25,10 @@ go vet ./...
 echo "== go build =="
 go build ./...
 
+echo "== unused identifiers =="
+# Fails on a name no file references; names only tests reference are listed.
+./scripts/unused.sh
+
 echo "== go test =="
 # -shuffle=on randomises test order within each package, flushing out
 # accidental inter-test state dependence; failures print the seed to replay.
@@ -43,7 +47,8 @@ go test -race -short -timeout 30m ./... "$@"
 echo "== go test -race (full, by package) =="
 # The concurrency-heavy tests that skip under -short — the chaos, overload
 # and drift experiment arms on the parallel harness, the starved-cluster
-# overload runs, the stats plane's TCP loopback e2e — get the race detector
+# overload runs, the stats plane's managed run on a Hub over TCP loopback
+# (internal/statplane/e2e_test.go) — get the race detector
 # too. Selected by package, not by test name, so a renamed or new test in
 # one of these packages cannot silently drop out. The list is every package
 # where a non-short race run adds tests over the -short stage above and
