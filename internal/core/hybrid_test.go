@@ -110,6 +110,10 @@ func sqrt(x float64) float64 {
 	return z
 }
 
+// pinSinanRun checks the digest of the real-model managed run below. It is
+// set only in builds whose floating-point results are pinned (pin_test.go).
+var pinSinanRun func(*testing.T, *runner.Result)
+
 func TestSinanMeetsQoSAndSavesCPU(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full pipeline")
@@ -122,10 +126,13 @@ func TestSinanMeetsQoSAndSavesCPU(t *testing.T) {
 	runWith := func(p runner.Policy) *runner.Result {
 		return runner.Run(runner.Config{
 			App: app, Policy: p, Pattern: workload.Constant(load),
-			Duration: 180, Seed: 33, Warmup: 30,
+			Duration: 180, Seed: 33, Warmup: 30, KeepTrace: true,
 		})
 	}
 	sinan := runWith(NewScheduler(app, m, SchedulerOptions{}))
+	if pinSinanRun != nil {
+		pinSinanRun(t, sinan)
+	}
 	cons := runWith(baselines.NewAutoScaleCons())
 	t.Logf("sinan: meet=%.3f mean=%.1f max=%.1f", sinan.Meter.MeetProb(), sinan.Meter.MeanAlloc(), sinan.Meter.MaxAlloc())
 	t.Logf("cons : meet=%.3f mean=%.1f max=%.1f", cons.Meter.MeetProb(), cons.Meter.MeanAlloc(), cons.Meter.MaxAlloc())

@@ -11,7 +11,33 @@ import (
 
 	"sinan/internal/dataset"
 	"sinan/internal/nn"
+	"sinan/internal/runner"
 )
+
+// A real-model Sinan trajectory: every field of every TraceRow of the 180
+// managed seconds TestSinanMeetsQoSAndSavesCPU runs on the Hotel model it
+// trains, plus the completed and dropped totals. Recorded at commit d791db7,
+// before the scheduler was rebuilt around enumerate and choose; do not
+// re-record it to make a change pass. Build-constrained like
+// TestTrainHybridPinned because the trajectory hangs on trained weights.
+func init() {
+	pinSinanRun = func(t *testing.T, res *runner.Result) {
+		h := fnv.New64a()
+		for _, r := range res.Trace {
+			deg := 0.0
+			if r.Degraded {
+				deg = 1
+			}
+			pinFloats(h, r.Time, r.RPS, r.P99MS, float64(r.Drops), r.PredP99MS, r.PViol, r.Total, deg, float64(r.Brownout))
+			pinFloats(h, r.Alloc...)
+		}
+		pinFloats(h, float64(res.Completed), float64(res.Dropped))
+		const want uint64 = 0xe9a3df4f9896e5a2
+		if got := h.Sum64(); got != want {
+			t.Errorf("managed-run trace digest %#016x, want %#016x", got, want)
+		}
+	}
+}
 
 // pinDataset is a seeded synthetic dataset: latency rises when load outruns
 // the allocation, and about a third of the samples are violations.
