@@ -85,20 +85,26 @@ func main() {
 	var mkPolicy runner.PolicyFactory
 	switch *policy {
 	case "sinan":
-		schedOpts := core.SchedulerOptions{Pd: *pd, Pu: *pu}
+		var p core.Predictor
 		if *connect != "" {
 			c, err := predsvc.Dial(*connect)
 			if err != nil {
 				log.Fatalf("connecting to prediction service: %v", err)
 			}
 			defer c.Close()
-			mkPolicy = func() runner.Policy { return core.NewScheduler(app, c, schedOpts) }
+			p = c
 		} else {
 			m, _, err := lifecycle.ReadFile(*model)
 			if err != nil {
 				log.Fatalf("loading model: %v (train one with sinan-train)", err)
 			}
-			mkPolicy = core.SchedulerFactory(app, m, schedOpts)
+			p = m
+		}
+		if n := p.Meta().D.N; n != len(app.Tiers) {
+			log.Fatalf("the model was trained on %d tiers, %s has %d", n, *appName, len(app.Tiers))
+		}
+		mkPolicy = func() runner.Policy {
+			return core.NewScheduler(app, p, core.SchedulerOptions{Pd: *pd, Pu: *pu})
 		}
 	case "autoscale-opt":
 		mkPolicy = func() runner.Policy { return baselines.NewAutoScaleOpt() }

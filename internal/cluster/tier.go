@@ -59,12 +59,7 @@ func (c TierConfig) withDefaults() TierConfig {
 	if c.MaxQueue <= 0 {
 		c.MaxQueue = 20000
 	}
-	if c.MinCPU <= 0 {
-		c.MinCPU = 0.2
-	}
-	if c.MaxCPU <= 0 {
-		c.MaxCPU = 8
-	}
+	c.MinCPU, c.MaxCPU = c.CPUBounds()
 	if c.InitCPU <= 0 {
 		c.InitCPU = c.MaxCPU
 	}
@@ -78,6 +73,27 @@ func (c TierConfig) withDefaults() TierConfig {
 		c.CacheTau = 5000
 	}
 	return c
+}
+
+// CPUBounds returns the allocation range schedulers may set: [MinCPU,
+// MaxCPU], with 0.2 and 8 cores where the config leaves a bound unset. Every
+// policy reads it here, so none can disagree with what the tier enforces.
+func (c TierConfig) CPUBounds() (lo, hi float64) {
+	lo, hi = c.MinCPU, c.MaxCPU
+	if lo <= 0 {
+		lo = 0.2
+	}
+	if hi <= 0 {
+		hi = 8
+	}
+	return lo, hi
+}
+
+// ClampCPU quantises an allocation to the 0.1-core granularity the Docker
+// API accepts and clamps it to CPUBounds.
+func (c TierConfig) ClampCPU(cores float64) float64 {
+	lo, hi := c.CPUBounds()
+	return min(max(math.Round(cores*10)/10, lo), hi)
 }
 
 // psJob is one unit of CPU work being processor-shared on a tier. Jobs all
@@ -241,16 +257,10 @@ func (t *Tier) Active() int { return len(t.active) }
 // Dropped returns the cumulative number of requests dropped at admission.
 func (t *Tier) Dropped() int64 { return t.dropped }
 
-// SetCPULimit changes the tier's CPU allocation, clamped to [MinCPU, MaxCPU]
-// and quantised to the 0.1-core granularity the Docker API accepts.
+// SetCPULimit changes the tier's CPU allocation, quantised and clamped by
+// TierConfig.ClampCPU.
 func (t *Tier) SetCPULimit(cores float64) {
-	cores = math.Round(cores*10) / 10
-	if cores < t.cfg.MinCPU {
-		cores = t.cfg.MinCPU
-	}
-	if cores > t.cfg.MaxCPU {
-		cores = t.cfg.MaxCPU
-	}
+	cores = t.cfg.ClampCPU(cores)
 	if cores == t.cpuLimit {
 		return
 	}

@@ -108,16 +108,9 @@ func NewBandit(app *apps.App, seed int64) *Bandit {
 		rng:       rand.New(rand.NewSource(seed)),
 	}
 	for _, tc := range app.Tiers {
-		cfg := tc
-		minC, maxC := cfg.MinCPU, cfg.MaxCPU
-		if minC <= 0 {
-			minC = 0.2
-		}
-		if maxC <= 0 {
-			maxC = 8
-		}
-		b.MinCPU = append(b.MinCPU, minC)
-		b.MaxCPU = append(b.MaxCPU, maxC)
+		lo, hi := tc.CPUBounds()
+		b.MinCPU = append(b.MinCPU, lo)
+		b.MaxCPU = append(b.MaxCPU, hi)
 	}
 	return b
 }
@@ -269,15 +262,9 @@ type Random struct {
 func NewRandom(app *apps.App, seed int64) *Random {
 	r := &Random{rng: rand.New(rand.NewSource(seed))}
 	for _, tc := range app.Tiers {
-		minC, maxC := tc.MinCPU, tc.MaxCPU
-		if minC <= 0 {
-			minC = 0.2
-		}
-		if maxC <= 0 {
-			maxC = 8
-		}
-		r.MinCPU = append(r.MinCPU, minC)
-		r.MaxCPU = append(r.MaxCPU, maxC)
+		lo, hi := tc.CPUBounds()
+		r.MinCPU = append(r.MinCPU, lo)
+		r.MaxCPU = append(r.MaxCPU, hi)
 	}
 	return r
 }

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"slices"
 	"testing"
 
 	"sinan/internal/nn"
@@ -53,7 +54,7 @@ func brownoutTestScheduler(t *testing.T, opts SchedulerOptions) (*shedModel, *Sc
 
 // Sheds escalate the ladder immediately (one level per shed query), the
 // decision records the level that shaped its enumeration, and recovery is
-// hysteretic: BrownoutRecover consecutive healthy queries per step down.
+// hysteretic: brownoutRecover consecutive healthy queries per step down.
 func TestBrownoutEscalatesOnShedsAndRecoversHysteretically(t *testing.T) {
 	app := testApp()
 	m, s, alloc := brownoutTestScheduler(t, SchedulerOptions{})
@@ -78,9 +79,9 @@ func TestBrownoutEscalatesOnShedsAndRecoversHysteretically(t *testing.T) {
 	}
 
 	// Recovery: each successful query is a batch-of-one probe at hold level;
-	// BrownoutRecover of them step the ladder down one level at a time.
+	// brownoutRecover of them step the ladder down one level at a time.
 	m.shed = false
-	for i := 0; i < s.Opts.BrownoutRecover; i++ {
+	for i := 0; i < brownoutRecover; i++ {
 		dec := s.Decide(stateFor(app, 20, alloc, 0.3))
 		if dec.Brownout != BrownoutHold {
 			t.Fatalf("probe %d should still run at hold level, got %d", i, dec.Brownout)
@@ -91,7 +92,7 @@ func TestBrownoutEscalatesOnShedsAndRecoversHysteretically(t *testing.T) {
 		alloc = dec.Alloc
 	}
 	if s.BrownoutLevel() != BrownoutTopK {
-		t.Fatalf("level = %d after %d healthy probes, want top-k", s.BrownoutLevel(), s.Opts.BrownoutRecover)
+		t.Fatalf("level = %d after %d healthy probes, want top-k", s.BrownoutLevel(), brownoutRecover)
 	}
 	// A single shed resets the healthy streak and re-escalates immediately.
 	m.shed = true
@@ -124,7 +125,7 @@ func TestBrownoutSlowQueriesEscalate(t *testing.T) {
 
 	// Healthy-again queries recover with the same hysteresis.
 	m.costMS = 0
-	for i := 0; i < s.Opts.BrownoutRecover; i++ {
+	for i := 0; i < brownoutRecover; i++ {
 		alloc = s.Decide(stateFor(app, 20, alloc, 0.3)).Alloc
 	}
 	if s.BrownoutLevel() != BrownoutNone {
@@ -137,34 +138,27 @@ func TestBrownoutSlowQueriesEscalate(t *testing.T) {
 // candidate.
 func TestBrownoutShrinksCandidateEnumeration(t *testing.T) {
 	app := testApp()
-	_, s, alloc := brownoutTestScheduler(t, SchedulerOptions{})
-	st := stateFor(app, 20, alloc, 0.3)
+	o := obsFor(app, stateFor(app, 20, mkAlloc(app, 4), 0.3))
+	c := newCandidates(len(app.Tiers))
 
-	full := len(s.candidates(st))
-	s.brownLevel = BrownoutTopK
-	topk := len(s.candidates(st))
-	s.brownLevel = BrownoutHold
-	hold := s.candidates(st)
-	s.brownLevel = BrownoutNone
-
-	if len(hold) != 1 || hold[0].kind != kindHold {
-		t.Fatalf("hold level should enumerate exactly the hold candidate, got %d", len(hold))
+	enumerate(c, o)
+	full := len(c.kind)
+	o.level = BrownoutHold
+	enumerate(c, o)
+	if len(c.kind) != 1 || c.kind[0] != kindHold {
+		t.Fatalf("hold level should enumerate exactly the hold candidate, got %v", c.kind)
 	}
+	o.level = BrownoutTopK
+	enumerate(c, o)
 	// Hotel has far more tiers than the top-k budget, so the restriction
 	// must strictly shrink the batch.
-	if topk >= full {
-		t.Fatalf("top-k level did not shrink the batch: %d vs full %d", topk, full)
+	if len(c.kind) >= full {
+		t.Fatalf("top-k level did not shrink the batch: %d vs full %d", len(c.kind), full)
 	}
 	// Safety candidates survive the top-k cut: hold and at least one
 	// capacity-adding variant.
-	s.brownLevel = BrownoutTopK
-	kinds := map[candKind]bool{}
-	for _, c := range s.candidates(st) {
-		kinds[c.kind] = true
-	}
-	s.brownLevel = BrownoutNone
-	if !kinds[kindHold] || !kinds[kindUpAll] {
-		t.Fatalf("top-k enumeration lost safety candidates: %v", kinds)
+	if !slices.Contains(c.kind, kindHold) || !slices.Contains(c.kind, kindUpAll) {
+		t.Fatalf("top-k enumeration lost safety candidates: %v", c.kind)
 	}
 }
 

@@ -92,10 +92,10 @@ func TestSchedulerDegradesOnPredictorErrorAndRecovers(t *testing.T) {
 	}
 	// Post-recovery grace: no reclamation until the victim window expires.
 	preTotal := total(alloc)
-	for i := 0; i < s.Opts.VictimWindow-1; i++ {
+	for i := 0; i < victimWindow-1; i++ {
 		dec = s.Decide(stateFor(app, 20, alloc, 0.3))
 		if total(dec.Alloc) < preTotal {
-			t.Fatalf("scale-down %d intervals after recovery (window %d)", i+1, s.Opts.VictimWindow)
+			t.Fatalf("scale-down %d intervals after recovery (window %d)", i+1, victimWindow)
 		}
 		alloc = dec.Alloc
 		preTotal = total(alloc)
@@ -120,8 +120,8 @@ func TestDegradedViolationTriggersEmergencyRamp(t *testing.T) {
 	}
 	for i := range dec.Alloc {
 		boosted := alloc[i]*2 + 0.5
-		if boosted > s.maxCPU[i] {
-			boosted = s.maxCPU[i]
+		if boosted > app.Tiers[i].MaxCPU {
+			boosted = app.Tiers[i].MaxCPU
 		}
 		if dec.Alloc[i] < boosted-1e-9 {
 			t.Fatalf("tier %d ramped to %v, want %v", i, dec.Alloc[i], boosted)
@@ -147,19 +147,19 @@ func TestImputeStatsHoldsLastValue(t *testing.T) {
 	st.Stats[0] = want // zero it the way the injector would
 	st.Stats[0].CPUUsage, st.Stats[0].RSS = 0, 0
 	zeroed := st.Stats[0]
-	out := s.imputeStats(st)
-	if out.Stats[0].CPUUsage != want.CPUUsage || out.Stats[0].RSS != want.RSS {
-		t.Fatalf("tier 0 not imputed: got %+v (zeroed %+v, want %+v)", out.Stats[0], zeroed, want)
+	s.imputeStats(st) // in place
+	if st.Stats[0].CPUUsage != want.CPUUsage || st.Stats[0].RSS != want.RSS {
+		t.Fatalf("tier 0 not imputed: got %+v (zeroed %+v, want %+v)", st.Stats[0], zeroed, want)
 	}
-	if out.Stats[0].CPULimit != alloc[0] {
-		t.Fatalf("imputed CPU limit %v, want in-force alloc %v", out.Stats[0].CPULimit, alloc[0])
+	if st.Stats[0].CPULimit != alloc[0] {
+		t.Fatalf("imputed CPU limit %v, want in-force alloc %v", st.Stats[0].CPULimit, alloc[0])
 	}
-	if s.staleFor[0] != 1 || !s.missing[0] {
-		t.Fatalf("staleness not tracked: staleFor=%d missing=%v", s.staleFor[0], s.missing[0])
+	if s.staleFor[0] != 1 {
+		t.Fatalf("staleness not tracked: staleFor=%d", s.staleFor[0])
 	}
 	// A healthy report clears the staleness state.
 	s.imputeStats(stateFor(app, 20, alloc, 0.4))
-	if s.staleFor[0] != 0 || s.missing[0] {
+	if s.staleFor[0] != 0 {
 		t.Fatal("healthy report should clear staleness")
 	}
 }
@@ -169,7 +169,7 @@ func TestImputeStatsHoldsLastValue(t *testing.T) {
 func TestStaleBiasUpscalesSilentTier(t *testing.T) {
 	app := testApp()
 	_, s, _ := degradedTestScheduler(t)
-	s.staleFor[0] = s.Opts.StaleCap + 1
+	s.staleFor[0] = staleCap + 1
 	alloc := mkAlloc(app, 2)
 	out := s.biasStale(append([]float64(nil), alloc...))
 	if out[0] <= alloc[0] {
@@ -186,12 +186,14 @@ func TestStaleBiasUpscalesSilentTier(t *testing.T) {
 // shrinking it: scale-down decisions need evidence.
 func TestNoShrinkCandidatesForMissingTier(t *testing.T) {
 	app := testApp()
-	_, s, alloc := degradedTestScheduler(t)
-	st := stateFor(app, 20, alloc, 0.2)
-	s.missing[1] = true
-	for _, c := range s.candidates(st) {
-		if c.alloc[1] < st.Alloc[1]-1e-9 {
-			t.Fatalf("candidate shrinks missing tier 1: %v < %v", c.alloc[1], st.Alloc[1])
+	st := stateFor(app, 20, mkAlloc(app, 4), 0.2)
+	o := obsFor(app, st)
+	o.stale[1] = 1
+	c := newCandidates(len(app.Tiers))
+	enumerate(c, o)
+	for r := range c.kind {
+		if c.row(r)[1] < st.Alloc[1] {
+			t.Fatalf("candidate %d shrinks missing tier 1: %v < %v", r, c.row(r)[1], st.Alloc[1])
 		}
 	}
 }
@@ -217,7 +219,7 @@ func TestSchedulerSurvivesTotalStatsBlackout(t *testing.T) {
 		return st
 	}
 
-	for i := 0; i < 3*s.Opts.StaleCap; i++ {
+	for i := 0; i < 3*staleCap; i++ {
 		prev := append([]float64(nil), alloc...)
 		dec := s.Decide(blackout(alloc))
 		if dec.Alloc == nil {
@@ -228,15 +230,15 @@ func TestSchedulerSurvivesTotalStatsBlackout(t *testing.T) {
 				t.Fatalf("interval %d: blind scale-down of tier %d: %v → %v",
 					i, j, prev[j], dec.Alloc[j])
 			}
-			if dec.Alloc[j] > s.maxCPU[j]+1e-9 || dec.Alloc[j] < s.minCPU[j]-1e-9 {
+			if dec.Alloc[j] > app.Tiers[j].MaxCPU+1e-9 || dec.Alloc[j] < app.Tiers[j].MinCPU-1e-9 {
 				t.Fatalf("interval %d: tier %d out of bounds: %v", i, j, dec.Alloc[j])
 			}
 		}
 		alloc = dec.Alloc
 	}
 	for i, n := range s.staleFor {
-		if n != 3*s.Opts.StaleCap {
-			t.Fatalf("tier %d staleness = %d, want %d", i, n, 3*s.Opts.StaleCap)
+		if n != 3*staleCap {
+			t.Fatalf("tier %d staleness = %d, want %d", i, n, 3*staleCap)
 		}
 	}
 	// Past the cap the stale bias must actually have moved capacity up.

@@ -45,3 +45,45 @@ const (
 	// emergency ramp still armed behind it.
 	BrownoutHold = 2
 )
+
+const (
+	// brownoutTopK is the per-direction tier budget at BrownoutTopK.
+	brownoutTopK = 4
+	// brownoutRecover is the hysteresis on the way down the ladder: the
+	// number of consecutive healthy model queries per step toward full
+	// enumeration. Escalation is immediate — one shed, slow, or failed query
+	// per step — because under overload every oversized query makes the
+	// overload worse; recovery is slower so that one lucky query while the
+	// predictor is still saturated cannot flap the ladder.
+	brownoutRecover = 3
+)
+
+// BrownoutLevel reports the scheduler's current brownout ladder level
+// (BrownoutNone, BrownoutTopK, or BrownoutHold).
+func (s *Scheduler) BrownoutLevel() int { return s.brownLevel }
+
+// brownoutPressure escalates the ladder one level in response to a shed,
+// slow, or failed model query. This is the only place the level rises, so a
+// NoBrownout scheduler stays at BrownoutNone by never climbing.
+func (s *Scheduler) brownoutPressure() {
+	s.brownGood = 0
+	if s.brownLevel < BrownoutHold && !s.Opts.NoBrownout {
+		s.brownLevel++
+	}
+}
+
+// brownoutObserve processes a successful model query: one that cost more than
+// SlowPredictMS is pressure like a failure, a healthy one counts toward
+// recovery.
+func (s *Scheduler) brownoutObserve() {
+	slow := s.Opts.SlowPredictMS
+	if cr, ok := s.M.(CostReporter); ok && slow > 0 && cr.LastPredictMS() > slow {
+		s.brownoutPressure()
+	} else if s.brownLevel > BrownoutNone {
+		s.brownGood++
+		if s.brownGood >= brownoutRecover {
+			s.brownLevel--
+			s.brownGood = 0
+		}
+	}
+}

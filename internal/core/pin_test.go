@@ -3,7 +3,6 @@
 package core
 
 import (
-	"encoding/binary"
 	"hash/fnv"
 	"math"
 	"math/rand"
@@ -86,13 +85,7 @@ func TestTrainHybridPinned(t *testing.T) {
 	m, rep := TrainHybrid(pinDataset(700), 200, TrainOptions{Seed: 3, Epochs: 2})
 
 	h := fnv.New64a()
-	var buf [8]byte
-	floats := func(vs ...float64) {
-		for _, v := range vs {
-			binary.LittleEndian.PutUint64(buf[:], math.Float64bits(v))
-			h.Write(buf[:])
-		}
-	}
+	floats := func(vs ...float64) { pinFloats(h, vs...) }
 	for _, p := range m.Lat.Model.Params() {
 		floats(p.W.Data...)
 	}

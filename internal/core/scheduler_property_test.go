@@ -84,7 +84,7 @@ func TestSchedulerDecisionsAlwaysValidProperty(t *testing.T) {
 				if math.IsNaN(a) || math.IsInf(a, 0) {
 					return false
 				}
-				if a < s.minCPU[i]-1e-9 || a > s.maxCPU[i]+1e-9 {
+				if a < app.Tiers[i].MinCPU-1e-9 || a > app.Tiers[i].MaxCPU+1e-9 {
 					return false
 				}
 				// 0.1-core quantisation.

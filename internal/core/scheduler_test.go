@@ -155,8 +155,8 @@ func TestSchedulerSafetyUpscaleOnMispredictedViolation(t *testing.T) {
 	dec = s.Decide(stateFor(app, 500, prev, 0.9))
 	for i, a := range dec.Alloc {
 		want := prev[i]*1.5 + 0.5
-		if want > s.maxCPU[i] {
-			want = s.maxCPU[i]
+		if want > app.Tiers[i].MaxCPU {
+			want = app.Tiers[i].MaxCPU
 		}
 		if a < want-1e-9 {
 			t.Fatalf("safety upscale missing: tier %d at %v, want ≥ %v", i, a, want)
@@ -192,22 +192,26 @@ func TestSchedulerUtilCapBlocksDownscale(t *testing.T) {
 	f := &fakeModel{d: nn.Dims{N: len(app.Tiers), T: 5, F: 6, M: 5}, qos: 200, rmse: 10, needCores: 0}
 	alloc := mkAlloc(app, 1)
 	s := warmScheduler(app, f, alloc)
-	// Utilization at 84% of limit: a 0.2-core cut would exceed UtilCap 0.85.
-	dec := s.Decide(stateFor(app, 20, alloc, 0.84))
+	// The gentlest cut takes a 1.0-core tier to 0.9. At 55% utilization that
+	// lands at 0.61, past the default cap of 0.6, so nothing may shrink; at
+	// 53% it lands at 0.59 and the reclaim goes ahead.
+	dec := s.Decide(stateFor(app, 20, alloc, 0.55))
 	if total(dec.Alloc) < total(alloc) {
 		t.Fatal("downscale allowed past the utilization cap")
+	}
+	dec = s.Decide(stateFor(app, 20, alloc, 0.53))
+	if total(dec.Alloc) >= total(alloc) {
+		t.Fatal("downscale refused under the utilization cap")
 	}
 }
 
 func TestSchedulerCandidateEnumeration(t *testing.T) {
 	app := testApp()
-	f := &fakeModel{d: nn.Dims{N: len(app.Tiers), T: 5, F: 6, M: 5}, qos: 200, rmse: 10, needCores: 10}
-	alloc := mkAlloc(app, 4)
-	s := warmScheduler(app, f, alloc)
-	cands := s.candidates(stateFor(app, 20, alloc, 0.3))
+	c := newCandidates(len(app.Tiers))
+	enumerate(c, obsFor(app, stateFor(app, 20, mkAlloc(app, 4), 0.3)))
 	var kinds [6]int
-	for _, c := range cands {
-		kinds[c.kind]++
+	for _, k := range c.kind {
+		kinds[k]++
 	}
 	if kinds[kindHold] != 1 {
 		t.Fatalf("hold candidates = %d", kinds[kindHold])
@@ -220,10 +224,10 @@ func TestSchedulerCandidateEnumeration(t *testing.T) {
 	}
 	// Allocation quantisation: all candidates on the 0.1-core grid within
 	// bounds.
-	for _, c := range cands {
-		for i, a := range c.alloc {
-			if a < s.minCPU[i]-1e-9 || a > s.maxCPU[i]+1e-9 {
-				t.Fatalf("candidate out of bounds: tier %d = %v", i, a)
+	for r := range c.kind {
+		for i, a := range c.row(r) {
+			if a != app.Tiers[i].ClampCPU(a) {
+				t.Fatalf("candidate %d off the grid or out of bounds: tier %d = %v", r, i, a)
 			}
 		}
 	}
@@ -245,10 +249,13 @@ func TestSchedulerVictimTracking(t *testing.T) {
 		t.Fatal("expected a downscale")
 	}
 	// A victim candidate must now exist.
-	cands := s.candidates(stateFor(app, 20, dec.Alloc, 0.3))
+	o := obsFor(app, stateFor(app, 20, dec.Alloc, 0.3))
+	o.downAge = s.downAge
+	c := newCandidates(len(app.Tiers))
+	enumerate(c, o)
 	found := false
-	for _, c := range cands {
-		if c.kind == kindUpVictim && c.alloc[downscaled] > dec.Alloc[downscaled] {
+	for r, k := range c.kind {
+		if k == kindUpVictim && c.row(r)[downscaled] > dec.Alloc[downscaled] {
 			found = true
 		}
 	}

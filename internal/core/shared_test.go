@@ -80,7 +80,7 @@ func (p plainPredictor) PredictBatch(ctx *PredictContext, in nn.Inputs) (*tensor
 
 // TestPredictSharedAutoFallback proves the scheduler-facing dispatch: a
 // predictor without a shared path gets the expanded batch and produces the
-// same answer, so predictCandidates never needs to branch.
+// same answer, so Scheduler.score never needs to branch.
 func TestPredictSharedAutoFallback(t *testing.T) {
 	m := tinyHotelHybrid(t)
 	in := sharedQueryBatch(m.D, 9)
@@ -196,7 +196,7 @@ func TestBTRowChannelLayout(t *testing.T) {
 
 // sharedFake upgrades the scheduler tests' fakeModel to a SharedPredictor
 // by expanding internally — its answers are unchanged, only the dispatch
-// in predictCandidates differs.
+// in Scheduler.score differs.
 type sharedFake struct{ *fakeModel }
 
 func (s sharedFake) PredictShared(ctx *PredictContext, in nn.SharedInputs) (*tensor.Dense, []float64, error) {

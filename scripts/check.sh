@@ -34,12 +34,15 @@ echo "== go test =="
 # accidental inter-test state dependence; failures print the seed to replay.
 go test -shuffle=on ./... "$@"
 
-echo "== go test -cpu 1,4 (kernels, sharding) =="
+echo "== go test -cpu 1,4 (kernels, sharding, scheduler pins) =="
 # The GEMM kernels and the sharded training loop split their work by
 # GOMAXPROCS; their bit-identity tests must hold at one worker (serial
 # paths) and at more workers than a 2-core runner has, so a result that
 # depends on where a chunk boundary falls cannot pass by luck of the host.
 go test -cpu 1,4 ./internal/tensor ./internal/nn "$@"
+# The scheduler's decision digest and the shared-path parity likewise: one
+# proc, and more procs than the runner has.
+go test -cpu 1,4 -run 'Pinned|Property|BitIdentical' ./internal/core "$@"
 
 echo "== go test -race (short) =="
 go test -race -short -timeout 30m ./... "$@"
@@ -59,5 +62,9 @@ go test -race -timeout 30m ./internal/experiments ./internal/workload ./internal
 
 echo "== bench smoke =="
 go test -run='^$' -bench='ConvForward|PredictBatch$|PredictShared|SimulatorThroughput|TrainEpoch' -benchtime=1x
+
+echo "== size =="
+# The number every simplicity PR quotes: non-test Go outside bench/.
+echo "non-test Go lines outside bench/: $(find . -name '*.go' ! -name '*_test.go' ! -path './bench/*' | xargs cat | wc -l)"
 
 echo "OK"
