@@ -6,8 +6,8 @@
 //
 //	sinan-serve -model hotel.model -addr :9090
 //
-// The service exposes Sinan.Predict, Sinan.PredictShared, Sinan.Meta, and
-// Sinan.Stats over net/rpc; schedulers connect with predsvc.Dial and use the remote model
+// The service answers Predict, PredictShared, Meta and Stats in length-prefixed
+// frames over TCP; schedulers connect with predsvc.Dial and use the remote model
 // exactly like a local one. Admission control protects the server under
 // overload: -max-active bounds concurrent predictions (0 = GOMAXPROCS,
 // negative disables the gate) and -max-queue bounds the LIFO burst queue
@@ -23,8 +23,8 @@
 //	sinan-serve -model hotel.model -addr :9090 -metrics-addr :9091
 //	curl -s localhost:9091/metrics
 //
-// Model lifecycle: the server also exposes Sinan.UpdateModel and
-// Sinan.Rollback, so operators can hot-swap models without a restart —
+// Model lifecycle: the server also answers UpdateModel and Rollback
+// (predsvc.Client has both), so operators can hot-swap models without a restart —
 // every install is versioned and rollback-able. -model-dir serves the
 // CURRENT version of a model registry (written by sinan-train -registry)
 // instead of a single file; -model takes an artifact written by

@@ -1,7 +1,7 @@
 // Distributed deployment: the paper's system architecture (Sec. 4.1) splits
 // the centralized scheduler from a prediction service that hosts the ML
 // models on a separate server. This example trains a model, serves it over
-// net/rpc, and runs the online scheduler against the REMOTE model —
+// loopback TCP, and runs the online scheduler against the REMOTE model —
 // verifying the managed run behaves identically to using the model
 // in-process.
 //

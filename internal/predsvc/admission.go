@@ -60,8 +60,8 @@ var ErrExpired = errors.New("predsvc: request deadline expired before execution"
 var errDraining = fmt.Errorf("predsvc: server draining: %w", ErrOverloaded)
 
 // IsOverloaded reports whether err is a load-shed response — either the
-// local typed sentinel (possibly wrapped) or its wire form, since net/rpc
-// flattens server errors to strings.
+// local typed sentinel (possibly wrapped) or its wire form, since a server
+// error crosses the wire as its message.
 func IsOverloaded(err error) bool {
 	if err == nil {
 		return false
@@ -123,8 +123,8 @@ func (o ServiceOptions) withDefaults() ServiceOptions {
 }
 
 // ServerStats is a snapshot of what the admission gate has done, exposed
-// in-process via Service.StatsSnapshot and over the wire via the
-// Sinan.Stats RPC. It is a thin view assembled from the service's telemetry
+// in-process via Service.StatsSnapshot and over the wire via
+// Client.ServerStats. It is a thin view assembled from the service's telemetry
 // registry (the instruments under "server.admission.*"), kept as a struct so
 // the wire format and experiment tables are stable.
 type ServerStats struct {

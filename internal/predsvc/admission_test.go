@@ -3,7 +3,6 @@ package predsvc
 import (
 	"errors"
 	"net"
-	"net/rpc"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -222,48 +221,53 @@ func TestClientCountsShedsWithoutRetrying(t *testing.T) {
 	}
 }
 
-// serveRaw exposes an arbitrary Sinan-shaped RPC service for wire-form error
-// tests.
-func serveRaw(t *testing.T, svc interface{}) (addr string, stop func()) {
+// unknownSinan is a handler that knows no method; the fakes embed it and
+// override what they answer.
+type unknownSinan struct{}
+
+var errUnknownMethod = errors.New("predsvc: unknown method")
+
+func (unknownSinan) Predict(*PredictArgs, *PredictReply) error             { return errUnknownMethod }
+func (unknownSinan) PredictShared(*PredictArgs, *PredictReply) error       { return errUnknownMethod }
+func (unknownSinan) Meta(*struct{}, *MetaReply) error                      { return errUnknownMethod }
+func (unknownSinan) Stats(*struct{}, *StatsReply) error                    { return errUnknownMethod }
+func (unknownSinan) UpdateModel(*UpdateModelArgs, *UpdateModelReply) error { return errUnknownMethod }
+func (unknownSinan) Rollback(*RollbackArgs, *RollbackReply) error          { return errUnknownMethod }
+
+// serveRaw serves an arbitrary handler on a loopback listener, for wire-form
+// error tests. stop is Server.Close: it waits for the handler to return.
+func serveRaw(t *testing.T, h handler) (addr string, stop func()) {
 	t.Helper()
-	srv := rpc.NewServer()
-	if err := srv.RegisterName("Sinan", svc); err != nil {
-		t.Fatal(err)
-	}
 	l, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
-	go func() {
-		for {
-			conn, err := l.Accept()
-			if err != nil {
-				return
-			}
-			go srv.ServeConn(conn)
-		}
-	}()
-	return l.Addr().String(), func() { l.Close() }
+	srv := serve(l, h, nil)
+	return l.Addr().String(), func() { srv.Close() }
 }
 
-type expiringSinan struct{}
+type expiringSinan struct{ unknownSinan }
 
-func (expiringSinan) Meta(_ *struct{}, r *MetaReply) error { return nil }
-func (expiringSinan) Predict(_ *PredictArgs, _ *PredictReply) error {
+func (expiringSinan) Meta(*struct{}, *MetaReply) error { return nil }
+func (expiringSinan) Predict(*PredictArgs, *PredictReply) error {
 	return ErrExpired
 }
 
-type stallSinan struct{ d time.Duration }
+// stallSinan holds every Predict until release is closed.
+type stallSinan struct {
+	unknownSinan
+	release chan struct{}
+}
 
-func (s stallSinan) Meta(_ *struct{}, r *MetaReply) error { return nil }
-func (s stallSinan) Predict(_ *PredictArgs, _ *PredictReply) error {
-	time.Sleep(s.d)
+func (s stallSinan) Meta(*struct{}, *MetaReply) error { return nil }
+func (s stallSinan) Predict(*PredictArgs, *PredictReply) error {
+	<-s.release
 	return nil
 }
 
 // Deadline losses are counted apart from sheds and generic errors — both the
-// server-side drop (which net/rpc flattens to a string) and the client's own
-// call timer.
+// server-side drop (which crosses the wire as its message) and the client's
+// own call deadline.
 func TestClientCountsDeadlineExceeded(t *testing.T) {
 	d := nn.Dims{N: 4, T: 3, F: 6, M: 5}
 
@@ -288,8 +292,10 @@ func TestClientCountsDeadlineExceeded(t *testing.T) {
 	}
 
 	// Local form: the client's own deadline fires first.
-	addr2, stop2 := serveRaw(t, stallSinan{d: 2 * time.Second})
+	stall := stallSinan{release: make(chan struct{})}
+	addr2, stop2 := serveRaw(t, stall)
 	defer stop2()
+	defer close(stall.release) // runs first, so stop2 has nothing left to wait for
 	opts := quickOpts()
 	opts.CallTimeout = 50 * time.Millisecond
 	c2, err := DialWith(addr2, opts)
@@ -301,7 +307,7 @@ func TestClientCountsDeadlineExceeded(t *testing.T) {
 		t.Fatal("predict against a stalled server should time out")
 	}
 	if st := c2.Stats(); st.DeadlineExceeded != 1 {
-		t.Fatalf("stats = %+v, want 1 deadline loss from the local timer", st)
+		t.Fatalf("stats = %+v, want 1 deadline loss from the local deadline", st)
 	}
 }
 

@@ -1,4 +1,4 @@
-// Model lifecycle over the wire: the RPCs that let a trainer push a new
+// Model lifecycle over the wire: the calls that let a trainer push a new
 // model into a running prediction service without ever leaving the
 // scheduler predictor-less. An update arrives as a checksummed lifecycle
 // artifact (corrupt bytes are refused, never panic), passes the service's
@@ -65,8 +65,8 @@ var errNoHistory = errors.New("predsvc: rollback rejected: no previous model ret
 
 // rejectedPrefix marks server-side lifecycle refusals so clients can tell
 // "the server examined and declined this model" (an application outcome;
-// the connection is healthy) from a transport failure. net/rpc flattens
-// errors to strings, so the prefix is the classification.
+// the connection is healthy) from a transport failure. A handler's error
+// crosses the wire as its message, so the prefix is the classification.
 const rejectedPrefix = "predsvc: update rejected"
 
 // IsUpdateRejected reports whether err is a lifecycle refusal — corrupt
@@ -179,7 +179,7 @@ func (s *Service) settleShadow() {
 // still serving its previous model.
 func (c *Client) UpdateModel(artifact []byte) (UpdateModelReply, error) {
 	var reply UpdateModelReply
-	return reply, c.admin("Sinan.UpdateModel", &UpdateModelArgs{Artifact: artifact}, &reply)
+	return reply, c.admin(methodUpdateModel, &UpdateModelArgs{Artifact: artifact}, &reply)
 }
 
 // Rollback asks the connected service to restore its previous model. The
@@ -188,13 +188,13 @@ func (c *Client) UpdateModel(artifact []byte) (UpdateModelReply, error) {
 // thresholds the moment the probe lands.
 func (c *Client) Rollback() (RollbackReply, error) {
 	var reply RollbackReply
-	return reply, c.admin("Sinan.Rollback", &RollbackArgs{}, &reply)
+	return reply, c.admin(methodRollback, &RollbackArgs{}, &reply)
 }
 
 // admin performs one lifecycle RPC: a single attempt under AdminTimeout,
 // bypassing the circuit breaker. A refusal keeps the connection; any other
 // failure drops it so the next call redials.
-func (c *Client) admin(method string, args, reply interface{}) error {
+func (c *Client) admin(method byte, args, reply any) error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if err := c.callOnce(method, args, reply, c.opts.AdminTimeout); err != nil {
@@ -213,7 +213,7 @@ func (c *Client) admin(method string, args, reply interface{}) error {
 // c.mu.
 func (c *Client) refreshMetaLocked() {
 	var mr MetaReply
-	if err := c.callOnce("Sinan.Meta", &struct{}{}, &mr, c.opts.CallTimeout); err == nil {
+	if err := c.callOnce(methodMeta, &struct{}{}, &mr, c.opts.CallTimeout); err == nil {
 		c.meta = mr.Meta
 	}
 }

@@ -1,8 +1,8 @@
 // Package predsvc implements Sinan's prediction service (Sec. 4.1): in the
 // paper the ML models are hosted on a separate GPU server that the
 // centralized scheduler queries once per decision interval. Here the
-// service exposes the hybrid model over net/rpc so the scheduler can run in
-// a different process (or host) from model inference, exactly mirroring the
+// service exposes the hybrid model over TCP (wire.go) so the scheduler can run
+// in a different process (or host) from model inference, exactly mirroring the
 // paper's deployment split. A Client implements core.Predictor, so a
 // Scheduler works identically against a local model or a remote service.
 //
@@ -18,7 +18,7 @@ import (
 	"fmt"
 	"math/rand"
 	"net"
-	"net/rpc"
+	"os"
 	"sync"
 	"time"
 
@@ -29,14 +29,13 @@ import (
 	"sinan/internal/tensor"
 )
 
-// PredictArgs is the wire form of one model query, in either of two
-// layouts told apart by the RPC method. Sinan.Predict takes a full batch:
-// RH ([Batch·F·N·T]) and LH ([Batch·T·M]) repeat the history per candidate.
-// Sinan.PredictShared takes the deduplicated form: every candidate of a
-// decision interval shares one history window, so RH ([F·N·T]) and LH
-// ([T·M]) are sent once — against a Social Network-sized batch that shrinks
-// the payload by roughly the batch size. RC carries the per-candidate
-// allocations ([Batch·N]) in both.
+// PredictArgs is one model query, in either of two layouts told apart by
+// the method. Predict takes a full batch: RH ([Batch·F·N·T]) and LH
+// ([Batch·T·M]) repeat the history per candidate. PredictShared takes the
+// deduplicated form: every candidate of a decision interval shares one
+// history window, so RH ([F·N·T]) and LH ([T·M]) are sent once — against a
+// Social Network-sized batch that shrinks the payload by roughly the batch
+// size. RC carries the per-candidate allocations ([Batch·N]) in both.
 //
 // DeadlineMS, when positive, is the caller's remaining deadline budget in
 // milliseconds, measured from the server's receipt of the request (a
@@ -62,7 +61,7 @@ type MetaReply struct {
 	Meta core.ModelMeta
 }
 
-// Service is the RPC-exported model host. Concurrent Predict RPCs run in
+// Service is the model host behind the wire. Concurrent Predict calls run in
 // parallel up to the admission gate's concurrency limit: a trained model is
 // immutable, so the only shared mutable state is a pool of prediction
 // contexts (one checked out per in-flight request), the lifecycle.Live
@@ -219,12 +218,13 @@ func (s *Service) serve(args *PredictArgs, reply *PredictReply, shared bool) err
 	if err != nil {
 		return err
 	}
-	// Copy out of the context before returning: net/rpc encodes the reply
-	// after this method returns, by which time another request may be
-	// overwriting the context's buffers (the deferred Put runs first).
-	reply.Lat = append([]float64(nil), pred.Data...)
+	// Copy out of the context before returning: the reply is encoded after
+	// this method returns, when another request may be overwriting the
+	// context's buffers (the deferred Put runs first). The connection loop's
+	// reused reply costs no allocation here; a zero reply gets fresh slices.
+	reply.Lat = append(reply.Lat[:0], pred.Data...)
 	reply.M = d.M
-	reply.PViol = append([]float64(nil), pviol...)
+	reply.PViol = append(reply.PViol[:0], pviol...)
 	s.predicted.Add(int64(args.Batch))
 	if s.shadowN > 0 {
 		s.settleShadow()
@@ -256,9 +256,8 @@ func (s *Service) StatsSnapshot() ServerStats { return s.gate.stats() }
 // accepted, so Close can shut down gracefully: stop accepting, stop
 // reading new requests, drain in-flight RPCs, then release the sockets.
 type Server struct {
-	rpc *rpc.Server
-	lis net.Listener
-	svc *Service
+	lis  net.Listener
+	gate *gate // drained by Close; nil when a test serves a fake handler
 
 	mu     sync.Mutex
 	conns  map[net.Conn]struct{}
@@ -271,8 +270,8 @@ func (s *Server) Addr() net.Addr { return s.lis.Addr() }
 
 // Close shuts the server down gracefully: the listener closes first (no
 // new connections), then every tracked connection stops reading (no new
-// requests; net/rpc finishes and answers the in-flight ones before its
-// per-connection loop exits), then the admission gate drains — requests
+// requests; each connection's loop answers the one in flight before it sees
+// the end of input and exits), then the admission gate drains — requests
 // already executing finish normally, requests still queued for a slot are
 // rejected with a shed error so their goroutines answer immediately — and
 // Close blocks until all connection goroutines have drained. Safe to call
@@ -294,8 +293,8 @@ func (s *Server) Close() error {
 		}
 	}
 	s.mu.Unlock()
-	if s.svc != nil {
-		s.svc.gate.close()
+	if s.gate != nil {
+		s.gate.close()
 	}
 	s.wg.Wait()
 	return err
@@ -320,15 +319,16 @@ func (s *Server) untrack(conn net.Conn) {
 	s.wg.Done()
 }
 
-// Serve registers the service and accepts connections on l until the
-// server is closed. The returned Server handle exposes Addr and graceful
-// Close.
+// Serve accepts connections on l and answers them from svc until the server
+// is closed. The returned Server handle exposes Addr and graceful Close; the
+// error is always nil.
 func Serve(l net.Listener, svc *Service) (*Server, error) {
-	srv := rpc.NewServer()
-	if err := srv.RegisterName("Sinan", svc); err != nil {
-		return nil, err
-	}
-	s := &Server{rpc: srv, lis: l, svc: svc, conns: make(map[net.Conn]struct{})}
+	return serve(l, svc, svc.gate), nil
+}
+
+// serve is Serve over any handler, one serveConn goroutine per connection.
+func serve(l net.Listener, h handler, g *gate) *Server {
+	s := &Server{lis: l, gate: g, conns: make(map[net.Conn]struct{})}
 	go func() {
 		for {
 			conn, err := l.Accept()
@@ -341,11 +341,11 @@ func Serve(l net.Listener, svc *Service) (*Server, error) {
 			}
 			go func() {
 				defer s.untrack(conn)
-				srv.ServeConn(conn)
+				serveConn(conn, h)
 			}()
 		}
 	}()
-	return s, nil
+	return s
 }
 
 // ListenAndServe starts the service on the given TCP address with default
@@ -363,11 +363,7 @@ func ListenAndServeWith(addr string, m *core.HybridModel, opts ServiceOptions) (
 	}
 	svc := NewServiceWith(m, opts)
 	s, err := Serve(l, svc)
-	if err != nil {
-		l.Close()
-		return nil, nil, err
-	}
-	return s, svc, nil
+	return s, svc, err
 }
 
 // ErrUnavailable is returned without touching the network while the
@@ -381,7 +377,7 @@ var ErrUnavailable = errors.New("predsvc: prediction service unavailable (circui
 // defaults" for every field.
 type ClientOptions struct {
 	DialTimeout time.Duration // TCP connect + initial Meta deadline (default 2s)
-	CallTimeout time.Duration // per-RPC deadline (default 1s)
+	CallTimeout time.Duration // per-call deadline (default 1s)
 	MaxRetries  int           // additional attempts after the first (default 2; negative = none)
 	BackoffBase time.Duration // first retry delay (default 50ms)
 	BackoffMax  time.Duration // retry delay ceiling (default 500ms)
@@ -472,7 +468,7 @@ type Client struct {
 	opts ClientOptions
 
 	mu         sync.Mutex
-	rpc        *rpc.Client
+	wire       *wireConn // nil between a dropped connection and the next redial
 	meta       core.ModelMeta
 	state      int // breaker
 	fails      int // consecutive failures
@@ -556,7 +552,7 @@ func DialWith(addr string, opts ClientOptions) (*Client, error) {
 		return nil, err
 	}
 	var mr MetaReply
-	if err := c.callOnce("Sinan.Meta", &struct{}{}, &mr, c.opts.DialTimeout); err != nil {
+	if err := c.callOnce(methodMeta, &struct{}{}, &mr, c.opts.DialTimeout); err != nil {
 		c.dropConn()
 		return nil, fmt.Errorf("predsvc: initial metadata fetch: %w", err)
 	}
@@ -568,11 +564,11 @@ func DialWith(addr string, opts ClientOptions) (*Client, error) {
 func (c *Client) Close() error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if c.rpc == nil {
+	if c.wire == nil {
 		return nil
 	}
-	err := c.rpc.Close()
-	c.rpc = nil
+	err := c.wire.conn.Close()
+	c.wire = nil
 	return err
 }
 
@@ -612,12 +608,12 @@ func (c *Client) LastPredictMS() float64 {
 }
 
 // ServerStats fetches the service's admission-control counters over the
-// wire (the Sinan.Stats RPC).
+// wire.
 func (c *Client) ServerStats() (ServerStats, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	var reply StatsReply
-	if err := c.callOnce("Sinan.Stats", &struct{}{}, &reply, c.opts.CallTimeout); err != nil {
+	if err := c.callOnce(methodStats, &struct{}{}, &reply, c.opts.CallTimeout); err != nil {
 		c.dropConn()
 		return ServerStats{}, err
 	}
@@ -628,13 +624,13 @@ func (c *Client) ServerStats() (ServerStats, error) {
 // prediction context is unused (per-call state lives on the server, which
 // keeps its own pool).
 func (c *Client) PredictBatch(_ *core.PredictContext, in nn.Inputs) (*tensor.Dense, []float64, error) {
-	return c.predict("Sinan.Predict", in)
+	return c.predict(methodPredict, in)
 }
 
 // PredictShared implements core.SharedPredictor over the wire: one history
 // window plus per-candidate allocation rows per query.
 func (c *Client) PredictShared(_ *core.PredictContext, in nn.SharedInputs) (*tensor.Dense, []float64, error) {
-	return c.predict("Sinan.PredictShared", nn.Inputs(in))
+	return c.predict(methodPredictShared, nn.Inputs(in))
 }
 
 // predict is the one breaker-checked call behind both query forms: bounded
@@ -644,7 +640,7 @@ func (c *Client) PredictShared(_ *core.PredictContext, in nn.SharedInputs) (*ten
 // to the scheduler, which runs its degraded fallback policy, and repeated
 // failures trip the circuit breaker so subsequent calls fail fast until a
 // cooldown probe succeeds.
-func (c *Client) predict(method string, in nn.Inputs) (*tensor.Dense, []float64, error) {
+func (c *Client) predict(method byte, in nn.Inputs) (*tensor.Dense, []float64, error) {
 	args := &PredictArgs{
 		RH:    in.RH.Data,
 		LH:    in.LH.Data,
@@ -667,6 +663,10 @@ func (c *Client) predict(method string, in nn.Inputs) (*tensor.Dense, []float64,
 	var err error
 	for attempt := 0; ; attempt++ {
 		err = c.callOnce(method, args, &reply, c.opts.CallTimeout)
+		if m := c.meta.D.M; err == nil && (reply.M != m || len(reply.Lat) != args.Batch*m || len(reply.PViol) != args.Batch) {
+			// It would panic FromSlice below or the scheduler's indexing.
+			err = fmt.Errorf("predsvc: reply of %d latencies (M = %d), %d violation probabilities does not answer %d candidates × %d percentiles", len(reply.Lat), reply.M, len(reply.PViol), args.Batch, m)
+		}
 		if err == nil {
 			c.breakerSuccess()
 			c.lastCostMS = float64(c.now().Sub(start)) / float64(time.Millisecond)
@@ -703,27 +703,26 @@ func (c *Client) predict(method string, in nn.Inputs) (*tensor.Dense, []float64,
 	return nil, nil, fmt.Errorf("predsvc: predict RPC failed after %d attempts: %w", c.opts.MaxRetries+1, err)
 }
 
-// callOnce performs one RPC attempt on the current connection (dialing a
-// fresh one if needed) with a hard deadline. On timeout the connection is
-// closed so the stale in-flight reply can never be mistaken for a fresh
-// one. Caller holds c.mu.
-func (c *Client) callOnce(method string, args, reply interface{}, timeout time.Duration) error {
-	if c.rpc == nil {
+// callOnce performs one attempt on the current connection (dialing a fresh
+// one if needed) with a hard deadline. A handler's error leaves the connection
+// up; any other — transport, deadline, malformed reply — closes it, so that a
+// late reply can never be read as the next call's. Caller holds c.mu.
+func (c *Client) callOnce(method byte, args, reply any, timeout time.Duration) error {
+	if c.wire == nil {
 		if err := c.redial(); err != nil {
 			return err
 		}
 	}
-	call := c.rpc.Go(method, args, reply, make(chan *rpc.Call, 1))
-	t := time.NewTimer(timeout)
-	defer t.Stop()
-	select {
-	case <-call.Done:
-		return call.Error
-	case <-t.C:
-		c.dropConn()
-		c.deadlineExceeded.Inc()
-		return fmt.Errorf("predsvc: %s deadline (%v) exceeded", method, timeout)
+	err := c.wire.roundTrip(method, args, reply, timeout)
+	if _, remote := err.(remoteError); err == nil || remote {
+		return err
 	}
+	c.dropConn()
+	if errors.Is(err, os.ErrDeadlineExceeded) {
+		c.deadlineExceeded.Inc()
+		return fmt.Errorf("predsvc: call deadline (%v) exceeded", timeout)
+	}
+	return err
 }
 
 // redial establishes a fresh connection. Caller holds c.mu.
@@ -732,7 +731,7 @@ func (c *Client) redial() error {
 	if err != nil {
 		return err
 	}
-	c.rpc = rpc.NewClient(conn)
+	c.wire = &wireConn{conn: conn}
 	c.redials.Inc()
 	return nil
 }
@@ -740,10 +739,10 @@ func (c *Client) redial() error {
 // dropConn discards the current connection so the next attempt redials.
 // Caller holds c.mu.
 func (c *Client) dropConn() {
-	if c.rpc != nil {
-		c.rpc.Close()
+	if c.wire != nil {
+		c.wire.conn.Close()
 	}
-	c.rpc = nil
+	c.wire = nil
 }
 
 // backoff returns the jittered exponential delay before retry attempt+1.

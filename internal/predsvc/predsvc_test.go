@@ -4,6 +4,7 @@ import (
 	"math"
 	"math/rand"
 	"net"
+	"slices"
 	"sync"
 	"testing"
 
@@ -14,9 +15,14 @@ import (
 )
 
 // tinyHybrid builds a small but real hybrid model for serving tests.
-func tinyHybrid(t *testing.T) *core.HybridModel {
+func tinyHybrid(t testing.TB) *core.HybridModel {
 	t.Helper()
-	d := nn.Dims{N: 4, T: 3, F: 6, M: 5}
+	return hybridOf(t, nn.Dims{N: 4, T: 3, F: 6, M: 5})
+}
+
+// hybridOf is tinyHybrid at any dims.
+func hybridOf(t testing.TB, d nn.Dims) *core.HybridModel {
+	t.Helper()
 	rng := rand.New(rand.NewSource(1))
 	cnn := nn.NewLatencyCNN(rng, d, 8)
 	n := 64
@@ -40,7 +46,7 @@ func tinyHybrid(t *testing.T) *core.HybridModel {
 	X := [][]float64{{0.1}, {0.9}, {0.2}, {0.8}}
 	// Widen to latent+2N features to match btRow width (8 + 2*4 = 16).
 	for i := range X {
-		row := make([]float64, 16)
+		row := make([]float64, 8+2*d.N)
 		row[0] = X[i][0]
 		X[i] = row
 	}
@@ -93,16 +99,98 @@ func TestRemotePredictionMatchesLocal(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i := range wantLat.Data {
-		if math.Abs(wantLat.Data[i]-gotLat.Data[i]) > 1e-9 {
-			t.Fatalf("latency mismatch at %d: %v vs %v", i, gotLat.Data[i], wantLat.Data[i])
+	requireSameBits(t, "lat", gotLat.Data, wantLat.Data)
+	requireSameBits(t, "pviol", gotPV, wantPV)
+	requireRawBitsOnTheWire(t, false)
+}
+
+func requireSameBits(t *testing.T, what string, got, want []float64) {
+	t.Helper()
+	if len(got) != len(want) {
+		t.Fatalf("%s: %d floats, want %d", what, len(got), len(want))
+	}
+	for i := range want {
+		if g, w := math.Float64bits(got[i]), math.Float64bits(want[i]); g != w {
+			t.Fatalf("%s[%d] = %#016x (%v), want %#016x (%v)", what, i, g, got[i], w, want[i])
 		}
 	}
-	for i := range wantPV {
-		if math.Abs(wantPV[i]-gotPV[i]) > 1e-9 {
-			t.Fatalf("pviol mismatch at %d", i)
+}
+
+// bitsSinan records the floats of the last predict as the handler saw them
+// and answers with floats of the test's choosing.
+type bitsSinan struct {
+	unknownSinan
+	meta  core.ModelMeta
+	got   PredictArgs
+	reply PredictReply
+}
+
+func (s *bitsSinan) Meta(_ *struct{}, r *MetaReply) error { r.Meta = s.meta; return nil }
+func (s *bitsSinan) Predict(a *PredictArgs, r *PredictReply) error {
+	s.got = PredictArgs{RH: slices.Clone(a.RH), LH: slices.Clone(a.LH), RC: slices.Clone(a.RC), Batch: a.Batch, DeadlineMS: a.DeadlineMS}
+	*r = s.reply
+	return nil
+}
+func (s *bitsSinan) PredictShared(a *PredictArgs, r *PredictReply) error { return s.Predict(a, r) }
+
+// requireRawBitsOnTheWire pins that floats cross the wire as their bits, in
+// both directions: the values an arithmetic or textual encoding would
+// disturb — −0, a subnormal, ±Inf, a NaN carrying a payload, a signalling
+// NaN — arrive at the server's handler and back at the client's caller with
+// every bit in place.
+func requireRawBitsOnTheWire(t *testing.T, shared bool) {
+	t.Helper()
+	special := []float64{
+		math.Copysign(0, -1), math.SmallestNonzeroFloat64, -math.SmallestNonzeroFloat64,
+		math.Inf(1), math.Inf(-1), math.MaxFloat64,
+		math.Float64frombits(0x7ff8_0000_dead_beef), // quiet NaN with a payload
+		math.Float64frombits(0xfff0_0000_0000_0001), // negative signalling NaN
+	}
+	fill := func(dst []float64, shift int) {
+		for i := range dst {
+			dst[i] = special[(i+shift)%len(special)]
 		}
 	}
+	d := nn.Dims{N: 4, T: 3, F: 6, M: 5}
+	const batch = 3
+	fake := &bitsSinan{meta: core.ModelMeta{D: d, QoSMS: 200}}
+	fake.reply = PredictReply{Lat: make([]float64, batch*d.M), M: d.M, PViol: make([]float64, batch)}
+	fill(fake.reply.Lat, 1)
+	fill(fake.reply.PViol, 2)
+	addr, stop := serveRaw(t, fake)
+	defer stop()
+	c, err := DialWith(addr, quickOpts())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+
+	in := mkBatch(d, batch)
+	if shared {
+		in = nn.Inputs(mkShared(d, batch))
+	}
+	fill(in.RH.Data, 3)
+	fill(in.LH.Data, 4)
+	fill(in.RC.Data, 5)
+	var lat *tensor.Dense
+	var pv []float64
+	if shared {
+		lat, pv, err = c.PredictShared(nil, nn.SharedInputs(in))
+	} else {
+		lat, pv, err = c.PredictBatch(nil, in)
+	}
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The round trip is over, so the handler's writes happened before this.
+	requireSameBits(t, "server's RH", fake.got.RH, in.RH.Data)
+	requireSameBits(t, "server's LH", fake.got.LH, in.LH.Data)
+	requireSameBits(t, "server's RC", fake.got.RC, in.RC.Data)
+	if fake.got.Batch != batch || fake.got.DeadlineMS != 2000 {
+		t.Fatalf("server saw batch %d, deadline %v ms; want %d, 2000", fake.got.Batch, fake.got.DeadlineMS, batch)
+	}
+	requireSameBits(t, "client's Lat", lat.Data, fake.reply.Lat)
+	requireSameBits(t, "client's PViol", pv, fake.reply.PViol)
 }
 
 func TestServiceRejectsMalformedBatch(t *testing.T) {

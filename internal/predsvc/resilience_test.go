@@ -3,9 +3,9 @@ package predsvc
 import (
 	"errors"
 	"net"
-	"net/rpc"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -107,6 +107,7 @@ func TestBreakerOpenHalfOpenClosed(t *testing.T) {
 		BreakerThreshold: 3,
 		BreakerCooldown:  30 * time.Second,
 	})
+	c.meta = m.Meta() // never dialed: what DialWith would have fetched
 	clock := time.Unix(1000, 0)
 	c.now = func() time.Time { return clock }
 	c.sleep = func(time.Duration) {}
@@ -158,7 +159,7 @@ func TestBreakerOpenHalfOpenClosed(t *testing.T) {
 	}
 }
 
-// Dial must not hang on a listener that accepts but never speaks RPC: the
+// Dial must not hang on a listener that accepts but never answers: the
 // initial metadata fetch carries a deadline.
 func TestDialDeadlineOnSilentServer(t *testing.T) {
 	l, err := net.Listen("tcp", "127.0.0.1:0")
@@ -253,37 +254,50 @@ func TestSwapRacesInflightPredicts(t *testing.T) {
 // Graceful shutdown drains in-flight RPCs: a slow call issued before Close
 // completes successfully, and Close returns only after it has.
 func TestServerCloseDrainsInflight(t *testing.T) {
-	m := tinyHybrid(t)
-	srv, _, err := ListenAndServe("127.0.0.1:0", m)
+	l, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Register a deliberately slow method on the same connection plumbing.
-	if err := srv.rpc.RegisterName("Slow", &slowSvc{d: 300 * time.Millisecond}); err != nil {
-		t.Fatal(err)
-	}
+	slow := &slowSvc{entered: make(chan struct{}), release: make(chan struct{})}
+	srv := serve(l, slow, nil)
 
 	conn, err := net.DialTimeout("tcp", srv.Addr().String(), 2*time.Second)
 	if err != nil {
 		t.Fatal(err)
 	}
-	rc := rpc.NewClient(conn)
-	defer rc.Close()
+	defer conn.Close()
+	callDone := make(chan error, 1)
+	go func() {
+		w := &wireConn{conn: conn}
+		callDone <- w.roundTrip(methodPredict, &PredictArgs{Batch: 1}, &PredictReply{}, 5*time.Second)
+	}()
+	<-slow.entered // the request has reached the handler
 
-	started := time.Now()
-	call := rc.Go("Slow.Wait", &struct{}{}, &struct{}{}, make(chan *rpc.Call, 1))
-	time.Sleep(50 * time.Millisecond) // let the request reach the server
-	if err := srv.Close(); err != nil {
-		t.Fatal(err)
+	closeDone := make(chan error, 1)
+	go func() { closeDone <- srv.Close() }()
+	waitUntil(t, "Close to stop the listener and the read sides", func() bool {
+		srv.mu.Lock()
+		defer srv.mu.Unlock()
+		return srv.closed
+	})
+	select {
+	case <-closeDone:
+		t.Fatal("Close returned before the in-flight RPC drained")
+	case <-time.After(50 * time.Millisecond):
 	}
-	elapsed := time.Since(started)
-	if elapsed < 250*time.Millisecond {
-		t.Fatalf("Close returned after %v, before the in-flight RPC drained", elapsed)
+	close(slow.release)
+	select {
+	case err := <-closeDone:
+		if err != nil {
+			t.Fatal(err)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("Close never returned after the in-flight RPC drained")
 	}
 	select {
-	case <-call.Done:
-		if call.Error != nil {
-			t.Fatalf("in-flight RPC should complete across graceful shutdown: %v", call.Error)
+	case err := <-callDone:
+		if err != nil {
+			t.Fatalf("in-flight RPC should complete across graceful shutdown: %v", err)
 		}
 	case <-time.After(5 * time.Second):
 		t.Fatal("in-flight RPC never completed")
@@ -295,10 +309,16 @@ func TestServerCloseDrainsInflight(t *testing.T) {
 	}
 }
 
-type slowSvc struct{ d time.Duration }
+// slowSvc holds a Predict from the moment it signals entered until release
+// is closed.
+type slowSvc struct {
+	unknownSinan
+	entered, release chan struct{}
+}
 
-func (s *slowSvc) Wait(_ *struct{}, _ *struct{}) error {
-	time.Sleep(s.d)
+func (s *slowSvc) Predict(*PredictArgs, *PredictReply) error {
+	s.entered <- struct{}{}
+	<-s.release
 	return nil
 }
 
@@ -404,7 +424,10 @@ func TestRollbackWhileBreakerHalfOpen(t *testing.T) {
 
 // metaOnlySinan answers Meta and nothing else: a peer that does not know
 // the predict methods.
-type metaOnlySinan struct{ meta core.ModelMeta }
+type metaOnlySinan struct {
+	unknownSinan
+	meta core.ModelMeta
+}
 
 func (s metaOnlySinan) Meta(_ *struct{}, r *MetaReply) error { r.Meta = s.meta; return nil }
 
@@ -415,7 +438,7 @@ func (s metaOnlySinan) Meta(_ *struct{}, r *MetaReply) error { r.Meta = s.meta; 
 func TestUnknownMethodIsPlainErrorAndSchedulerDegrades(t *testing.T) {
 	app := apps.NewHotelReservation()
 	d := nn.Dims{N: len(app.Tiers), T: 3, F: 6, M: 5}
-	addr, stop := serveRaw(t, metaOnlySinan{core.ModelMeta{D: d, QoSMS: app.QoSMS, RMSEValid: 10, Pd: 0.25, Pu: 0.5}})
+	addr, stop := serveRaw(t, metaOnlySinan{meta: core.ModelMeta{D: d, QoSMS: app.QoSMS, RMSEValid: 10, Pd: 0.25, Pu: 0.5}})
 	defer stop()
 	opts := quickOpts()
 	opts.MaxRetries = 2
@@ -434,7 +457,29 @@ func TestUnknownMethodIsPlainErrorAndSchedulerDegrades(t *testing.T) {
 	if _, err := c.ServerStats(); err == nil {
 		t.Fatal("ServerStats against a server without the method succeeded")
 	}
+	// A method byte outside the protocol is answered the same way: an error
+	// frame over a connection that stays in sync, not a hang-up.
+	c.mu.Lock()
+	err = c.callOnce(0x7f, &struct{}{}, &struct{}{}, time.Second)
+	var remote remoteError
+	if !errors.As(err, &remote) || !strings.Contains(err.Error(), "unknown method 127") || c.wire == nil {
+		t.Errorf("unknown method byte: %v (connection kept: %v), want an error frame and the connection kept", err, c.wire != nil)
+	}
+	redials := c.redials.Value()
+	if err := c.callOnce(methodMeta, &struct{}{}, &MetaReply{}, time.Second); err != nil || c.redials.Value() != redials {
+		t.Errorf("Meta after the unknown method byte: %v, redials %d → %d", err, redials, c.redials.Value())
+	}
+	c.mu.Unlock()
 
+	requireSchedulerDegrades(t, app, c)
+}
+
+// requireSchedulerDegrades drives a scheduler on a client whose every model
+// query fails, over a calm over-provisioned state a healthy model would
+// reclaim from: it must degrade and never reclaim.
+func requireSchedulerDegrades(t *testing.T, app *apps.App, c *Client) {
+	t.Helper()
+	d := c.Meta().D
 	s := core.NewScheduler(app, c, core.SchedulerOptions{})
 	alloc := make([]float64, d.N)
 	stats := make([]cluster.Stats, d.N)
@@ -459,4 +504,84 @@ func TestUnknownMethodIsPlainErrorAndSchedulerDegrades(t *testing.T) {
 			t.Fatalf("degraded fallback reclaimed tier %d: %v → %v", i, alloc[i], v)
 		}
 	}
+}
+
+// replySinan answers Meta honestly and every predict with whatever reply the
+// test has stored, whatever was asked.
+type replySinan struct {
+	unknownSinan
+	meta  core.ModelMeta
+	reply atomic.Pointer[PredictReply]
+}
+
+func (s *replySinan) Meta(_ *struct{}, r *MetaReply) error { r.Meta = s.meta; return nil }
+func (s *replySinan) Predict(_ *PredictArgs, r *PredictReply) error {
+	*r = *s.reply.Load()
+	return nil
+}
+func (s *replySinan) PredictShared(a *PredictArgs, r *PredictReply) error { return s.Predict(a, r) }
+
+// A reply whose shape does not answer the query is a predictor failure, not
+// a panic in tensor.FromSlice or an index out of range in the scheduler: the
+// call errors, counts, feeds the breaker and costs the peer the connection.
+func TestClientRejectsMisshapenReply(t *testing.T) {
+	app := apps.NewHotelReservation()
+	d := nn.Dims{N: len(app.Tiers), T: 3, F: 6, M: 5}
+	fake := &replySinan{meta: core.ModelMeta{D: d, QoSMS: app.QoSMS, RMSEValid: 10, Pd: 0.25, Pu: 0.5}}
+	fake.reply.Store(&PredictReply{})
+	addr, stop := serveRaw(t, fake)
+	defer stop()
+	opts := quickOpts()
+	opts.BreakerThreshold = 4
+	c, err := DialWith(addr, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+
+	const batch = 6
+	cases := []struct {
+		name  string
+		reply PredictReply
+	}{
+		{"short Lat", PredictReply{Lat: make([]float64, 3), M: d.M, PViol: make([]float64, batch)}},
+		{"long PViol", PredictReply{Lat: make([]float64, batch*d.M), M: d.M, PViol: make([]float64, batch+1)}},
+		{"M = 1", PredictReply{Lat: make([]float64, batch), M: 1, PViol: make([]float64, batch)}},
+		{"empty", PredictReply{}},
+	}
+	for i, tc := range cases {
+		fake.reply.Store(&tc.reply)
+		var err error
+		if i%2 == 0 {
+			_, _, err = c.PredictShared(nil, mkShared(d, batch))
+		} else {
+			_, _, err = c.PredictBatch(nil, mkBatch(d, batch))
+		}
+		if err == nil || !strings.Contains(err.Error(), "does not answer") {
+			t.Fatalf("%s: err = %v, want a shape error", tc.name, err)
+		}
+		// Errors count, and every call had to dial afresh: the connection
+		// that carried a misshapen reply was dropped.
+		if st := c.Stats(); st.Errors != i+1 || st.Redials != i+1 {
+			t.Fatalf("%s: stats = %+v, want %d errors over %d connections", tc.name, st, i+1, i+1)
+		}
+	}
+	if st := c.Stats(); st.BreakerOpens != 1 {
+		t.Fatalf("stats = %+v: four misshapen replies must open a breaker of threshold 4", st)
+	}
+
+	// A reply of the right shape passes on the same server.
+	c2, err := DialWith(addr, quickOpts())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c2.Close()
+	fake.reply.Store(&PredictReply{Lat: make([]float64, batch*d.M), M: d.M, PViol: make([]float64, batch)})
+	lat, pv, err := c2.PredictShared(nil, mkShared(d, batch))
+	if err != nil || lat.Shape[0] != batch || lat.Shape[1] != d.M || len(pv) != batch {
+		t.Fatalf("well-shaped reply: %v", err)
+	}
+
+	// The scheduler's batch is not 6, so that same reply is misshapen to it.
+	requireSchedulerDegrades(t, app, c2)
 }

@@ -31,7 +31,7 @@ func mkShared(d nn.Dims, b int) nn.SharedInputs {
 
 // TestRemotePredictSharedMatchesLocal pins the shared wire path end to end:
 // the deduplicated query must answer exactly like the local model's shared
-// path (gob round-trips float64 exactly, so equality is bitwise).
+// path (floats cross the wire as their bits, so equality is bitwise).
 func TestRemotePredictSharedMatchesLocal(t *testing.T) {
 	m := tinyHybrid(t)
 	l, _, err := ListenAndServe("127.0.0.1:0", m)
@@ -56,16 +56,9 @@ func TestRemotePredictSharedMatchesLocal(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i := range wantLat.Data {
-		if gotLat.Data[i] != wantLat.Data[i] {
-			t.Fatalf("lat[%d] = %v, want %v", i, gotLat.Data[i], wantLat.Data[i])
-		}
-	}
-	for i := range wantPV {
-		if gotPV[i] != wantPV[i] {
-			t.Fatalf("pviol[%d] = %v, want %v", i, gotPV[i], wantPV[i])
-		}
-	}
+	requireSameBits(t, "lat", gotLat.Data, wantLat.Data)
+	requireSameBits(t, "pviol", gotPV, wantPV)
+	requireRawBitsOnTheWire(t, true)
 }
 
 // TestPredictSharedValidatesLengths: PredictShared refuses payloads whose

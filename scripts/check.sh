@@ -34,6 +34,21 @@ echo "== go test =="
 # accidental inter-test state dependence; failures print the seed to replay.
 go test -shuffle=on ./... "$@"
 
+echo "== fuzz smoke =="
+# Every fuzz target of the repository, found by its declaration so that a new
+# one cannot be left out, fuzzed for 5 s: tier-1 only replays the seed
+# corpora. The minimiser is capped because it stalls on inputs whose coverage
+# depends on timing (PR 16). Skipped under -short.
+case " $* " in
+*" -short "*) echo "skipped (-short)" ;;
+*)
+    grep -rn --include='*_test.go' -E '^func Fuzz[A-Za-z0-9_]*\(' . | while IFS=: read -r file _ decl; do
+        name=${decl#func }
+        go test -run '^$' -fuzz "^${name%%(*}\$" -fuzztime 5s -fuzzminimizetime 1s "$(dirname "$file")"
+    done
+    ;;
+esac
+
 echo "== go test -cpu 1,4 (kernels, sharding, scheduler pins) =="
 # The GEMM kernels and the sharded training loop split their work by
 # GOMAXPROCS; their bit-identity tests must hold at one worker (serial

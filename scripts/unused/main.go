@@ -8,9 +8,9 @@
 // package of the module (bench/, examples/ and the root façade included).
 // Exemptions are structural, never a list of names: a method named like a
 // method of an interface declared in the module or of error / fmt.Stringer
-// / sort.Interface (it is called through the interface), a net/rpc-shaped
-// method (called by reflection), and an exported field of a struct that
-// reaches encoding/gob, encoding/json or net/rpc (read by reflection).
+// / sort.Interface (it is called through the interface), and an exported
+// field of a struct that reaches encoding/gob or encoding/json (read by
+// reflection).
 package main
 
 import (
@@ -125,17 +125,6 @@ func (w *wire) reach(t types.Type) {
 	}
 }
 
-// rpcShaped reports whether net/rpc would serve f: exported, two
-// parameters, the second a pointer, one result of type error.
-func rpcShaped(f *types.Func) bool {
-	sig := f.Type().(*types.Signature)
-	if !f.Exported() || sig.Params().Len() != 2 || sig.Results().Len() != 1 {
-		return false
-	}
-	_, ptr := sig.Params().At(1).Type().(*types.Pointer)
-	return ptr && sig.Results().At(0).Type().String() == "error"
-}
-
 func noPkg(*types.Package) string { return "" }
 
 func main() {
@@ -184,13 +173,6 @@ func main() {
 				used[obj.Pos()] |= byCode
 			}
 		}
-		for _, obj := range info.Defs {
-			if f, ok := obj.(*types.Func); ok && rpcShaped(f) {
-				params := f.Type().(*types.Signature).Params()
-				w.reach(params.At(0).Type())
-				w.reach(params.At(1).Type())
-			}
-		}
 		for e, tv := range info.Types {
 			switch e := e.(type) {
 			case *ast.InterfaceType:
@@ -214,7 +196,7 @@ func main() {
 				}
 				if f, ok := info.Uses[id].(*types.Func); ok && f.Pkg() != nil {
 					switch f.Pkg().Path() {
-					case "encoding/gob", "encoding/json", "net/rpc":
+					case "encoding/gob", "encoding/json":
 						for _, a := range e.Args {
 							w.reach(info.Types[a].Type)
 						}
@@ -242,7 +224,7 @@ func main() {
 			switch o := obj.(type) {
 			case *types.Func:
 				if recv := o.Type().(*types.Signature).Recv(); recv != nil {
-					if ifaceMethod[name] || rpcShaped(o) {
+					if ifaceMethod[name] {
 						continue
 					}
 					name = strings.TrimPrefix(types.TypeString(recv.Type(), noPkg), "*") + "." + name
