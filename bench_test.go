@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"sinan/internal/apps"
+	"sinan/internal/boost"
 	"sinan/internal/cluster"
 	"sinan/internal/core"
 	"sinan/internal/experiments"
@@ -264,6 +265,39 @@ func BenchmarkCNNTrainStep(b *testing.B) {
 		model.Backward(ctx, grad)
 		ctx.FlushGrads(model.Params())
 		opt.Step(model.Params())
+	}
+}
+
+// BenchmarkBoostTrain measures boosted-tree training at the shape and
+// config core.TrainHybrid hands it on the benchmark's set-up dataset: 1071
+// rows × 88 features (a third of them on a 0.1 grid, as allocations are),
+// 200 trees of depth 5, early stopping after 25 rounds on a 119-row
+// validation split.
+func BenchmarkBoostTrain(b *testing.B) {
+	rng := rand.New(rand.NewSource(1))
+	gen := func(n int) ([][]float64, []bool) {
+		X, y := make([][]float64, n), make([]bool, n)
+		for i := range X {
+			x := make([]float64, 88)
+			for f := range x {
+				x[f] = rng.NormFloat64()
+				if f%3 == 1 {
+					x[f] = float64(rng.Intn(40)) / 10
+				}
+			}
+			X[i], y[i] = x, x[0]+0.5*x[1]+rng.NormFloat64() > 1.5
+		}
+		return X, y
+	}
+	X, y := gen(1071)
+	vX, vy := gen(119)
+	cfg := boost.Config{NumTrees: 200, MaxDepth: 5, EarlyStopping: 25, PosWeight: 3}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if m := boost.Train(X, y, cfg, vX, vy); m.NumTrees() == 0 {
+			b.Fatal("no trees kept")
+		}
 	}
 }
 

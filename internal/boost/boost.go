@@ -24,7 +24,7 @@ type Config struct {
 	Lambda         float64 // L2 regularisation on leaf weights (default 1)
 	Gamma          float64 // minimum split gain (default 0)
 	MinChildWeight float64 // minimum hessian sum per child (default 1)
-	Bins           int     // histogram bins per feature (default 64)
+	Bins           int     // histogram bins per feature (default 64; capped at 256, bin indices are stored in a byte)
 	EarlyStopping  int     // stop after this many rounds without val improvement (0 = off)
 	PosWeight      float64 // weight multiplier for positive examples (default 1; use neg/pos for balance)
 }
@@ -47,6 +47,9 @@ func (c Config) withDefaults() Config {
 	}
 	if c.Bins <= 1 {
 		c.Bins = 64
+	}
+	if c.Bins > 256 {
+		c.Bins = 256
 	}
 	if c.PosWeight <= 0 {
 		c.PosWeight = 1
@@ -141,16 +144,22 @@ func (m *Model) WeightedLogLoss(X [][]float64, y []bool, posW float64) float64 {
 	}
 	s, wsum := 0.0, 0.0
 	for i, x := range X {
-		z := m.Score(x)
-		t, w := 0.0, 1.0
-		if y[i] {
-			t = 1
-			w = posW
-		}
-		s += w * (math.Max(z, 0) - z*t + math.Log1p(math.Exp(-math.Abs(z))))
+		l, w := logLoss(m.Score(x), y[i], posW)
+		s += l
 		wsum += w
 	}
 	return s / wsum
+}
+
+// logLoss returns one example's weighted binary cross-entropy at raw score
+// z, and its weight.
+func logLoss(z float64, y bool, posW float64) (loss, w float64) {
+	t, w := 0.0, 1.0
+	if y {
+		t = 1
+		w = posW
+	}
+	return w * (math.Max(z, 0) - z*t + math.Log1p(math.Exp(-math.Abs(z)))), w
 }
 
 // Confusion returns false-positive and false-negative rates at threshold 0.5.
@@ -221,8 +230,13 @@ func (b *binner) bin(f int, v float64) int {
 }
 
 // Train fits a boosted-trees classifier. If valX is non-empty and
-// cfg.EarlyStopping > 0, training stops once validation error has not
-// improved for that many rounds, and the best-so-far ensemble is kept.
+// cfg.EarlyStopping > 0, training stops once the validation weighted
+// log-loss (WeightedLogLoss at cfg.PosWeight) has not improved for that
+// many rounds, and the best-so-far ensemble is kept.
+//
+// The layout and the summation orders that keep the trees bit-identical to
+// the reference trainer in boost_test.go are described in DESIGN.md §7
+// "Trees".
 func Train(X [][]float64, y []bool, cfg Config, valX [][]float64, valY []bool) *Model {
 	cfg = cfg.withDefaults()
 	n := len(X)
@@ -240,105 +254,174 @@ func Train(X [][]float64, y []bool, cfg Config, valX [][]float64, valY []bool) *
 	prior := (float64(pos) + 1) / (float64(n) + 2)
 	m := &Model{Base: math.Log(prior / (1 - prior)), Dim: d}
 
-	bn := fitBinner(X, cfg.Bins)
-	// Pre-binned design matrix.
-	binned := make([][]uint8, n)
-	for i := range X {
-		row := make([]uint8, d)
-		for f := 0; f < d; f++ {
-			row[f] = uint8(bn.bin(f, X[i][f]))
-		}
-		binned[i] = row
+	g := newGrower(X, y, cfg, m.Base)
+	earlyStop := cfg.EarlyStopping > 0 && len(valX) > 0
+	var valScore []float64 // running Score of every validation row
+	if earlyStop {
+		valScore = filled(len(valX), m.Base)
 	}
-
-	scores := make([]float64, n)
-	for i := range scores {
-		scores[i] = m.Base
-	}
-	grad := make([]float64, n)
-	hess := make([]float64, n)
 
 	bestErr := math.Inf(1)
 	bestLen := 0
 	sinceBest := 0
 
 	for round := 0; round < cfg.NumTrees; round++ {
-		for i := 0; i < n; i++ {
-			p := 1 / (1 + math.Exp(-scores[i]))
-			t, w := 0.0, 1.0
-			if y[i] {
-				t = 1
-				w = cfg.PosWeight
-			}
-			grad[i] = w * (p - t)
-			hess[i] = math.Max(w*p*(1-p), 1e-12)
-		}
-		idx := make([]int, n)
-		for i := range idx {
-			idx[i] = i
-		}
-		tree := &Tree{}
-		growNode(tree, X, binned, bn, grad, hess, idx, 0, cfg)
+		tree := g.next()
 		m.Trees = append(m.Trees, tree)
-		for i := 0; i < n; i++ {
-			scores[i] += tree.predict(X[i])
+		if !earlyStop {
+			continue
 		}
 
-		if cfg.EarlyStopping > 0 && len(valX) > 0 {
-			e := m.WeightedLogLoss(valX, valY, cfg.PosWeight)
-			if e < bestErr-1e-9 {
-				bestErr = e
-				bestLen = len(m.Trees)
-				sinceBest = 0
-			} else {
-				sinceBest++
-				if sinceBest >= cfg.EarlyStopping {
-					m.Trees = m.Trees[:bestLen]
-					break
-				}
-			}
+		s, wsum := 0.0, 0.0
+		for i, x := range valX {
+			valScore[i] += tree.predict(x)
+			l, w := logLoss(valScore[i], valY[i], cfg.PosWeight)
+			s += l
+			wsum += w
+		}
+		if e := s / wsum; e < bestErr-1e-9 {
+			bestErr = e
+			bestLen = len(m.Trees)
+			sinceBest = 0
+		} else if sinceBest++; sinceBest >= cfg.EarlyStopping {
+			m.Trees = m.Trees[:bestLen]
+			break
 		}
 	}
 	return m
 }
 
-// growNode recursively builds the tree over the given sample indices and
-// returns the node index.
-func growNode(t *Tree, X [][]float64, binned [][]uint8, bn *binner, grad, hess []float64, idx []int, depth int, cfg Config) int32 {
+func filled(n int, v float64) []float64 {
+	s := make([]float64, n)
+	for i := range s {
+		s[i] = v
+	}
+	return s
+}
+
+// cell is one histogram bin: the gradient and hessian sums of the node's
+// rows whose feature value falls in it.
+type cell struct{ g, h float64 }
+
+// grower holds what growing a tree reads and the scratch every node of
+// every tree reuses; nothing is allocated per node.
+type grower struct {
+	cfg    Config
+	d      int
+	y      []bool
+	bn     *binner
+	binned []uint8 // pre-binned design matrix [n, d], row-major
+	off    []int   // feature f owns hist[off[f]:off[f+1]]
+	hist   []cell  // one node's histograms, all features end to end
+	rows   []int   // row indices, partitioned in place as the tree grows
+	right  []int   // partition scratch
+
+	grad, hess []float64
+	scores     []float64 // training rows' running score: base + every tree grown so far
+}
+
+func newGrower(X [][]float64, y []bool, cfg Config, base float64) *grower {
+	n, d := len(X), len(X[0])
+	g := &grower{
+		cfg: cfg, d: d, y: y,
+		bn:     fitBinner(X, cfg.Bins),
+		binned: make([]uint8, n*d),
+		off:    make([]int, d+1),
+		rows:   make([]int, n),
+		right:  make([]int, n),
+		grad:   make([]float64, n),
+		hess:   make([]float64, n),
+		scores: filled(n, base),
+	}
+	for i, x := range X {
+		for f := 0; f < d; f++ {
+			g.binned[i*d+f] = uint8(g.bn.bin(f, x[f]))
+		}
+	}
+	for f, c := range g.bn.cuts {
+		g.off[f+1] = g.off[f] + len(c) + 1
+	}
+	g.hist = make([]cell, g.off[d])
+	return g
+}
+
+// next runs one boosting round: it takes the loss's gradient and hessian at
+// the current scores, grows a tree on them and adds it to the scores.
+func (g *grower) next() *Tree {
+	for i, s := range g.scores {
+		p := 1 / (1 + math.Exp(-s))
+		t, w := 0.0, 1.0
+		if g.y[i] {
+			t = 1
+			w = g.cfg.PosWeight
+		}
+		g.grad[i] = w * (p - t)
+		g.hess[i] = math.Max(w*p*(1-p), 1e-12)
+	}
+	for i := range g.rows {
+		g.rows[i] = i
+	}
+	tree := &Tree{}
+	g.grow(tree, g.rows, 0)
+	return tree
+}
+
+// grow builds the subtree over rows (ascending row indices) in preorder and
+// returns its root's index. A node that stays a leaf adds its weight to its
+// rows' scores, which is what t.predict would return for them: a row's bin
+// is ≤ b exactly when its value is ≤ cuts[b].
+func (g *grower) grow(t *Tree, rows []int, depth int) int32 {
 	var G, H float64
-	for _, i := range idx {
-		G += grad[i]
-		H += hess[i]
+	for _, i := range rows {
+		G += g.grad[i]
+		H += g.hess[i]
 	}
 	self := int32(len(t.Nodes))
-	leafW := -G / (H + cfg.Lambda) * cfg.LearningRate
+	leafW := -G / (H + g.cfg.Lambda) * g.cfg.LearningRate
 	t.Nodes = append(t.Nodes, node{Feature: -1, Weight: leafW})
-	if depth >= cfg.MaxDepth || len(idx) < 2 {
-		return self
+	if depth < g.cfg.MaxDepth && len(rows) >= 2 {
+		if f, b := g.bestSplit(rows, G, H); f >= 0 {
+			if nl := g.partition(rows, f, b); nl > 0 && nl < len(rows) {
+				l := g.grow(t, rows[:nl], depth+1)
+				r := g.grow(t, rows[nl:], depth+1)
+				t.Nodes[self] = node{Feature: f, Threshold: g.bn.cuts[f][b], Left: l, Right: r}
+				return self
+			}
+		}
+	}
+	for _, i := range rows {
+		g.scores[i] += leafW
+	}
+	return self
+}
+
+// bestSplit fills the histogram buffer from rows — row-wise, so each cell
+// still receives its rows' gradients in ascending row order — and scans it
+// for the (feature, bin) of largest gain above Gamma; f is -1 when no split
+// qualifies. The buffer is free again on return: a node has chosen its
+// split before it recurses.
+func (g *grower) bestSplit(rows []int, G, H float64) (bestF, bestBin int) {
+	d, off, hist := g.d, g.off[:g.d], g.hist
+	clear(hist)
+	for _, i := range rows {
+		gi, hi := g.grad[i], g.hess[i]
+		for f, b := range g.binned[i*d : (i+1)*d] {
+			c := &hist[off[f]+int(b)]
+			c.g += gi
+			c.h += hi
+		}
 	}
 
-	d := len(X[0])
+	cfg := g.cfg
 	bestGain := cfg.Gamma
-	bestF, bestBin := -1, -1
+	bestF, bestBin = -1, -1
 	parentScore := G * G / (H + cfg.Lambda)
-	var histG, histH [256]float64
 	for f := 0; f < d; f++ {
-		nb := len(bn.cuts[f]) + 1
-		if nb < 2 {
-			continue
-		}
-		for b := 0; b < nb; b++ {
-			histG[b], histH[b] = 0, 0
-		}
-		for _, i := range idx {
-			b := binned[i][f]
-			histG[b] += grad[i]
-			histH[b] += hess[i]
-		}
+		cells := hist[g.off[f]:g.off[f+1]]
 		gl, hl := 0.0, 0.0
-		for b := 0; b < nb-1; b++ {
-			gl += histG[b]
-			hl += histH[b]
+		for b, c := range cells[:len(cells)-1] {
+			gl += c.g
+			hl += c.h
 			gr, hr := G-gl, H-hl
 			if hl < cfg.MinChildWeight || hr < cfg.MinChildWeight {
 				continue
@@ -350,26 +433,23 @@ func growNode(t *Tree, X [][]float64, binned [][]uint8, bn *binner, grad, hess [
 			}
 		}
 	}
-	if bestF < 0 {
-		return self
-	}
+	return bestF, bestBin
+}
 
-	thr := bn.cuts[bestF][bestBin]
-	var left, right []int
-	for _, i := range idx {
-		if int(binned[i][bestF]) <= bestBin {
-			left = append(left, i)
+// partition stably moves the rows whose feature f falls in a bin ≤ b to the
+// front of rows, the others behind them, and returns how many went left.
+func (g *grower) partition(rows []int, f, b int) int {
+	nl, right := 0, g.right[:0]
+	for _, i := range rows {
+		if int(g.binned[i*g.d+f]) <= b {
+			rows[nl] = i
+			nl++
 		} else {
 			right = append(right, i)
 		}
 	}
-	if len(left) == 0 || len(right) == 0 {
-		return self
-	}
-	l := growNode(t, X, binned, bn, grad, hess, left, depth+1, cfg)
-	r := growNode(t, X, binned, bn, grad, hess, right, depth+1, cfg)
-	t.Nodes[self] = node{Feature: bestF, Threshold: thr, Left: l, Right: r}
-	return self
+	copy(rows[nl:], right)
+	return nl
 }
 
 // Save writes the model as gob.

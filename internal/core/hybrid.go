@@ -188,20 +188,15 @@ func btFeatures(ctx *nn.Context, tm *nn.TrainedModel, ds *dataset.Dataset) ([][]
 	if latent == nil {
 		panic("core: latency model does not expose a latent vector")
 	}
-	n := ds.Len()
+	n, d := ds.Len(), ds.D
+	width, rhRow := latent.Shape[1]+2*d.N, d.F*d.N*d.T
 	X := make([][]float64, n)
-	for i := 0; i < n; i++ {
-		X[i] = btRow(latent, in, ds.D, i)
+	rows := make([]float64, n*width) // one backing array for all n rows
+	for i := range X {
+		X[i] = rows[i*width : (i+1)*width : (i+1)*width]
+		btRowInto(X[i], latent, i, in.RH.Data[i*rhRow:(i+1)*rhRow], in.RC.Data[i*d.N:(i+1)*d.N], d)
 	}
 	return X, pred
-}
-
-// btRow assembles one BT feature row for sample i of a batch.
-func btRow(latent *tensor.Dense, in nn.Inputs, d nn.Dims, i int) []float64 {
-	row := make([]float64, latent.Shape[1]+2*d.N)
-	rhRow := d.F * d.N * d.T
-	btRowInto(row, latent, i, in.RH.Data[i*rhRow:(i+1)*rhRow], in.RC.Data[i*d.N:(i+1)*d.N], d)
-	return row
 }
 
 // btRowInto fills a caller-owned BT feature row for candidate i: the CNN

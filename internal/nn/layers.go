@@ -44,7 +44,7 @@ func (d *Dense) Forward(ctx *Context, x *tensor.Dense) *tensor.Dense {
 }
 
 // Backward implements Layer.
-func (d *Dense) Backward(ctx *Context, dout *tensor.Dense) *tensor.Dense {
+func (d *Dense) Backward(ctx *Context, dout *tensor.Dense, wantDX bool) *tensor.Dense {
 	f := ctx.pop()
 	dW := f.buf(1, d.In, d.Out)
 	tensor.MatMulTransAInto(dW, f.x, dout)
@@ -56,6 +56,9 @@ func (d *Dense) Backward(ctx *Context, dout *tensor.Dense) *tensor.Dense {
 		for j := 0; j < d.Out; j++ {
 			gb.Data[j] += row[j]
 		}
+	}
+	if !wantDX {
+		return nil
 	}
 	dx := f.buf(2, b, d.In)
 	tensor.MatMulTransBInto(dx, dout, d.W.W)
@@ -89,8 +92,11 @@ func (r *ReLU) Forward(ctx *Context, x *tensor.Dense) *tensor.Dense {
 }
 
 // Backward implements Layer.
-func (r *ReLU) Backward(ctx *Context, dout *tensor.Dense) *tensor.Dense {
+func (r *ReLU) Backward(ctx *Context, dout *tensor.Dense, wantDX bool) *tensor.Dense {
 	f := ctx.pop()
+	if !wantDX {
+		return nil
+	}
 	dx := f.buf(1, dout.Shape...)
 	for i, v := range dout.Data {
 		if f.mask[i] {
@@ -116,8 +122,11 @@ func (fl *Flatten) Forward(ctx *Context, x *tensor.Dense) *tensor.Dense {
 }
 
 // Backward implements Layer.
-func (fl *Flatten) Backward(ctx *Context, dout *tensor.Dense) *tensor.Dense {
+func (fl *Flatten) Backward(ctx *Context, dout *tensor.Dense, wantDX bool) *tensor.Dense {
 	f := ctx.pop()
+	if !wantDX {
+		return nil
+	}
 	return f.view(1, dout.Data, f.shape...)
 }
 
@@ -188,7 +197,7 @@ func (c *Conv2D) Forward(ctx *Context, x *tensor.Dense) *tensor.Dense {
 }
 
 // Backward implements Layer.
-func (c *Conv2D) Backward(ctx *Context, dout *tensor.Dense) *tensor.Dense {
+func (c *Conv2D) Backward(ctx *Context, dout *tensor.Dense, wantDX bool) *tensor.Dense {
 	f := ctx.pop()
 	x := f.x
 	b, h, w := x.Shape[0], x.Shape[2], x.Shape[3]
@@ -213,6 +222,9 @@ func (c *Conv2D) Backward(ctx *Context, dout *tensor.Dense) *tensor.Dense {
 	dW := f.buf(3, c.Cout, ckk)
 	tensor.MatMulTransBInto(dW, dymat, cols)
 	tensor.AddInPlace(ctx.Grad(c.W), dW)
+	if !wantDX {
+		return nil // dcols and dx, the frame's two largest buffers, are never sized
+	}
 	dcols := f.buf(4, ckk, b*ohow)
 	tensor.MatMulTransAInto(dcols, c.wmat, dymat)
 	dx := f.buf(5, b, c.Cin, h, w)

@@ -105,20 +105,29 @@ func (l *LSTM) Forward(ctx *Context, x *tensor.Dense) *tensor.Dense {
 }
 
 // Backward implements Layer; dout is the gradient at the final hidden state.
-func (l *LSTM) Backward(ctx *Context, dout *tensor.Dense) *tensor.Dense {
+// The recurrent gradient dh and the input gradient dx come from separate
+// GEMMs against W's last H and first D rows — the dot products one GEMM
+// against all of W would form — so a caller that wants no dx pays only for
+// dh.
+func (l *LSTM) Backward(ctx *Context, dout *tensor.Dense, wantDX bool) *tensor.Dense {
 	f := ctx.pop()
 	b, T := f.shape[0], f.shape[1]
-	dx := f.buf(1, b, T, l.D)
-	dh := f.floats(2, b*l.H)
-	copy(dh, dout.Data)
-	dc := f.floats(3, b*l.H)
+	wx := f.view(0, l.W.W.Data[:l.D*4*l.H], l.D, 4*l.H)
+	wh := f.view(1, l.W.W.Data[l.D*4*l.H:], l.H, 4*l.H)
+	var dx, dxt *tensor.Dense
+	if wantDX {
+		dx = f.buf(1, b, T, l.D)
+		dxt = f.buf(4, b, l.D)
+	}
+	dh := f.buf(3, b, l.H)
+	copy(dh.Data, dout.Data)
+	dc := f.floats(2, b*l.H)
 	for i := range dc {
 		dc[i] = 0
 	}
 	gW := ctx.Grad(l.W)
 	gB := ctx.Grad(l.B)
 	dW := f.buf(2, l.D+l.H, 4*l.H)
-	dcat := f.buf(3, b, l.D+l.H)
 	for t := T - 1; t >= 0; t-- {
 		st := &f.steps[t]
 		// st.z's pre-activations are no longer needed; reuse it as dz.
@@ -127,8 +136,8 @@ func (l *LSTM) Backward(ctx *Context, dout *tensor.Dense) *tensor.Dense {
 			zr := dz.Data[n*4*l.H : (n+1)*4*l.H]
 			for j := 0; j < l.H; j++ {
 				idx := n*l.H + j
-				do := dh[idx] * st.tanhC[idx]
-				dcT := dc[idx] + dh[idx]*st.o[idx]*(1-st.tanhC[idx]*st.tanhC[idx])
+				do := dh.Data[idx] * st.tanhC[idx]
+				dcT := dc[idx] + dh.Data[idx]*st.o[idx]*(1-st.tanhC[idx]*st.tanhC[idx])
 				di := dcT * st.g[idx]
 				df := dcT * st.cPrev[idx]
 				dg := dcT * st.i[idx]
@@ -147,11 +156,11 @@ func (l *LSTM) Backward(ctx *Context, dout *tensor.Dense) *tensor.Dense {
 				gB.Data[j] += zr[j]
 			}
 		}
-		tensor.MatMulTransBInto(dcat, dz, l.W.W)
-		for n := 0; n < b; n++ {
-			copy(dx.Data[(n*T+t)*l.D:(n*T+t+1)*l.D], dcat.Data[n*(l.D+l.H):n*(l.D+l.H)+l.D])
-			for j := 0; j < l.H; j++ {
-				dh[n*l.H+j] = dcat.Data[n*(l.D+l.H)+l.D+j]
+		tensor.MatMulTransBInto(dh, dz, wh)
+		if wantDX {
+			tensor.MatMulTransBInto(dxt, dz, wx)
+			for n := 0; n < b; n++ {
+				copy(dx.Data[(n*T+t)*l.D:(n*T+t+1)*l.D], dxt.Data[n*l.D:(n+1)*l.D])
 			}
 		}
 	}

@@ -136,20 +136,21 @@ func (m *LatencyCNN) Backward(ctx *Context, dpred *tensor.Dense) {
 // optional extra gradient flowing directly into the latent Lf. The branch
 // order is the exact reverse of Forward's, as the tape requires.
 func (m *LatencyCNN) BackwardWithLatentGrad(ctx *Context, dpred, dlatent *tensor.Dense) {
-	dl := m.head.Backward(ctx, dpred)
+	dl := m.head.Backward(ctx, dpred, true)
 	if dlatent != nil {
 		tensor.AddInPlace(dl, dlatent)
 	}
-	dcat := m.trunk.Backward(ctx, dl)
+	dcat := m.trunk.Backward(ctx, dl, true)
 	f := ctx.pop()
 	b := dcat.Shape[0]
 	p0 := f.buf(1, b, m.dimsCache[0])
 	p1 := f.buf(2, b, m.dimsCache[1])
 	p2 := f.buf(3, b, m.dimsCache[2])
 	tensor.SplitInto(dcat, p0, p1, p2)
-	m.rcEnc.Backward(ctx, p2)
-	m.lhEnc.Backward(ctx, p1)
-	m.rhConv.Backward(ctx, p0)
+	// The three branches start at data: nobody consumes their input gradient.
+	m.rcEnc.Backward(ctx, p2, false)
+	m.lhEnc.Backward(ctx, p1, false)
+	m.rhConv.Backward(ctx, p0, false)
 }
 
 // Params implements Regressor.
@@ -208,8 +209,8 @@ func (m *MLP) Forward(ctx *Context, in Inputs) *tensor.Dense {
 
 // Backward implements Regressor.
 func (m *MLP) Backward(ctx *Context, dpred *tensor.Dense) {
-	m.net.Backward(ctx, dpred)
-	ctx.pop() // the flatten frame pushed by Forward
+	m.net.Backward(ctx, dpred, false) // fc1 reads the flattened data
+	ctx.pop()                         // the flatten frame pushed by Forward
 }
 
 // Params implements Regressor.
@@ -279,16 +280,16 @@ func (m *LSTMModel) Forward(ctx *Context, in Inputs) *tensor.Dense {
 }
 
 // Backward implements Regressor. Gradients into the raw sequence inputs are
-// discarded (inputs are data, not parameters).
+// not computed (inputs are data, not parameters).
 func (m *LSTMModel) Backward(ctx *Context, dpred *tensor.Dense) {
-	dcat := m.head.Backward(ctx, dpred)
+	dcat := m.head.Backward(ctx, dpred, true)
 	fc := ctx.pop() // fusion frame
 	b := dcat.Shape[0]
 	dh := fc.buf(1, b, m.hidden)
 	drc := fc.buf(2, b, lstmRCOut)
 	tensor.SplitInto(dcat, dh, drc)
-	m.rcEnc.Backward(ctx, drc)
-	m.lstm.Backward(ctx, dh)
+	m.rcEnc.Backward(ctx, drc, false)
+	m.lstm.Backward(ctx, dh, false)
 	ctx.pop() // sequence frame
 }
 
@@ -332,7 +333,7 @@ func (m *MultiTaskNN) Forward(ctx *Context, in Inputs) (*tensor.Dense, *tensor.D
 
 // Backward propagates both heads' gradients through the shared trunk.
 func (m *MultiTaskNN) Backward(ctx *Context, dlat, dlogits *tensor.Dense) {
-	dlatent := m.vHead.Backward(ctx, dlogits)
+	dlatent := m.vHead.Backward(ctx, dlogits, true)
 	m.CNN.BackwardWithLatentGrad(ctx, dlat, dlatent)
 }
 

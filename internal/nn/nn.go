@@ -45,9 +45,16 @@ func (p *Param) initUniform(rng *rand.Rand, fanIn, fanOut int) {
 // into the context (ctx.Grad), not into Param.Grad — see
 // Context.FlushGrads. One layer instance is safe for any number of
 // concurrent callers as long as each uses its own Context.
+//
+// Backward's wantDX says whether the caller consumes the gradient with
+// respect to the layer's input. It is a property of where the layer sits —
+// a layer fed raw data has nobody to hand dx to — so the model passes it,
+// the layer does not store it. With wantDX false a layer still pops its
+// frame and accumulates its parameter gradients exactly as with true, but
+// computes no dx (and sizes no buffer for it) and returns nil.
 type Layer interface {
 	Forward(ctx *Context, x *tensor.Dense) *tensor.Dense
-	Backward(ctx *Context, dout *tensor.Dense) *tensor.Dense
+	Backward(ctx *Context, dout *tensor.Dense, wantDX bool) *tensor.Dense
 	Params() []*Param
 }
 
@@ -64,10 +71,11 @@ func (s *Sequential) Forward(ctx *Context, x *tensor.Dense) *tensor.Dense {
 	return x
 }
 
-// Backward runs all layers in reverse.
-func (s *Sequential) Backward(ctx *Context, dout *tensor.Dense) *tensor.Dense {
+// Backward runs all layers in reverse. Every layer but the first feeds the
+// one before it, so only Layers[0] can go without its input gradient.
+func (s *Sequential) Backward(ctx *Context, dout *tensor.Dense, wantDX bool) *tensor.Dense {
 	for i := len(s.Layers) - 1; i >= 0; i-- {
-		dout = s.Layers[i].Backward(ctx, dout)
+		dout = s.Layers[i].Backward(ctx, dout, wantDX || i > 0)
 	}
 	return dout
 }

@@ -25,7 +25,7 @@ func numGradCheck(t *testing.T, layer Layer, x *tensor.Dense, tol float64) {
 	// Analytic gradients, flushed from the context into Param.Grad.
 	ctx.Reset()
 	out := layer.Forward(ctx, x.Clone())
-	dx := layer.Backward(ctx, out.Clone())
+	dx := layer.Backward(ctx, out.Clone(), true)
 	ctx.FlushGrads(layer.Params())
 
 	const eps = 1e-5
@@ -89,7 +89,7 @@ func TestReLU(t *testing.T) {
 			t.Fatalf("relu = %v", y.Data)
 		}
 	}
-	dx := r.Backward(ctx, tensor.FromSlice([]float64{5, 5, 5, 5}, 1, 4))
+	dx := r.Backward(ctx, tensor.FromSlice([]float64{5, 5, 5, 5}, 1, 4), true)
 	wantdx := []float64{0, 5, 5, 0} // zero passes gradient (x >= 0 convention)
 	for i, v := range wantdx {
 		if dx.Data[i] != v {
@@ -106,7 +106,7 @@ func TestFlattenRoundTrip(t *testing.T) {
 	if y.Shape[0] != 2 || y.Shape[1] != 12 {
 		t.Fatalf("flatten shape %v", y.Shape)
 	}
-	dx := f.Backward(ctx, tensor.New(2, 12))
+	dx := f.Backward(ctx, tensor.New(2, 12), true)
 	if len(dx.Shape) != 3 || dx.Shape[2] != 4 {
 		t.Fatalf("unflatten shape %v", dx.Shape)
 	}
@@ -360,7 +360,7 @@ func TestMLPLearnsLinearFunction(t *testing.T) {
 		ctx.Reset()
 		pred := net.Forward(ctx, x)
 		_, grad := MSE{}.Compute(pred, y)
-		net.Backward(ctx, grad)
+		net.Backward(ctx, grad, false)
 		ctx.FlushGrads(net.Params())
 		opt.Step(net.Params())
 	}
@@ -368,5 +368,69 @@ func TestMLPLearnsLinearFunction(t *testing.T) {
 	pred := net.Forward(ctx, tensor.FromSlice([]float64{0.3, 0.4}, 1, 2))
 	if math.Abs(pred.Data[0]-1.1) > 0.05 {
 		t.Fatalf("MLP failed to fit linear target: got %v, want 1.1", pred.Data[0])
+	}
+}
+
+// TestBackwardWithoutInputGradMatches: the "input gradient wanted" bit is
+// invisible in the parameter gradients. Every data-fed part of the three
+// models, and a bare conv stack, is run forward and backward once with its
+// first layer's dx wanted and once without: the not-wanted call returns nil
+// and leaves the same bits in every ctx.Grad(p).
+func TestBackwardWithoutInputGradMatches(t *testing.T) {
+	rng := rand.New(rand.NewSource(81))
+	d := testDims
+	const b = 9
+	in, _ := synthInputs(rng, b, d)
+	random := func(shape ...int) *tensor.Dense {
+		x := tensor.New(shape...)
+		for i := range x.Data {
+			x.Data[i] = rng.NormFloat64()
+		}
+		return x
+	}
+	cnn := NewLatencyCNN(rng, d, 16)
+	mlp := NewMLP(rng, d)
+	lstm := NewLSTMModel(rng, d)
+	parts := []struct {
+		name  string
+		layer Layer
+		x     *tensor.Dense
+	}{
+		{"LatencyCNN.rhConv", cnn.rhConv, in.RH},
+		{"LatencyCNN.lhEnc", cnn.lhEnc, in.LH},
+		{"LatencyCNN.rcEnc", cnn.rcEnc, in.RC},
+		{"MLP.net", mlp.net, random(b, mlp.in)},
+		{"LSTMModel.lstm", lstm.lstm, random(b, d.T, d.F*d.N+d.M)},
+		{"LSTMModel.rcEnc", lstm.rcEnc, in.RC},
+		{"Sequential{Conv2D,ReLU,Flatten,Dense}", &Sequential{Layers: []Layer{
+			NewConv2D(rng, "c", d.F, 3, 3, 1), &ReLU{}, &Flatten{}, NewDense(rng, "fc", 3*d.N*d.T, 4),
+		}}, in.RH},
+	}
+	for _, p := range parts {
+		with, without := NewContext(), NewContext()
+		dout := random(p.layer.Forward(with, p.x).Shape...)
+		p.layer.Forward(without, p.x)
+		if dx := p.layer.Backward(with, dout, true); dx == nil || dx.Size() != p.x.Size() {
+			t.Fatalf("%s: wanted input gradient is %v", p.name, dx)
+		}
+		if dx := p.layer.Backward(without, dout, false); dx != nil {
+			t.Fatalf("%s: unwanted input gradient returned", p.name)
+		}
+		if with.pos != 0 || without.pos != 0 {
+			t.Fatalf("%s: tape not unwound: %d / %d frames left", p.name, with.pos, without.pos)
+		}
+		for _, prm := range p.layer.Params() {
+			a, c := with.Grad(prm).Data, without.Grad(prm).Data
+			nonzero := false
+			for i := range a {
+				if a[i] != c[i] {
+					t.Fatalf("%s: %s gradient differs at %d: %v with dx, %v without", p.name, prm.Name, i, a[i], c[i])
+				}
+				nonzero = nonzero || a[i] != 0
+			}
+			if !nonzero {
+				t.Fatalf("%s: %s gradient is all zero; the comparison says nothing", p.name, prm.Name)
+			}
+		}
 	}
 }

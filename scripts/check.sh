@@ -76,7 +76,7 @@ echo "== go test -race (full, by package) =="
 go test -race -timeout 30m ./internal/experiments ./internal/workload ./internal/statplane
 
 echo "== bench smoke =="
-go test -run='^$' -bench='ConvForward|PredictBatch$|PredictShared|SimulatorThroughput|TrainEpoch' -benchtime=1x
+go test -run='^$' -bench='ConvForward|PredictBatch$|PredictShared|SimulatorThroughput|TrainEpoch|CNNTrainStep|BoostTrain' -benchtime=1x
 
 echo "== size =="
 # The number every simplicity PR quotes: non-test Go outside bench/.
