@@ -162,16 +162,18 @@ func BenchmarkPredictBatch(b *testing.B) {
 }
 
 // BenchmarkPredictShared compares shared-history candidate evaluation
-// against the naive per-candidate form at scheduler-relevant batch sizes:
-// the naive path recomputes the conv trunk B times on B bit-identical
-// history windows (and would ship B copies over the wire), the shared path
-// runs it once and broadcasts. Reports, per batch size, the naive time, the
-// speedup and both wire payload sizes (floats per query) as extra metrics.
+// against the naive per-candidate form at scheduler-relevant batch sizes
+// (172 is what the scheduler sends on SocialNetwork, the benchmark's
+// core.candidates_per_query): the naive path recomputes the conv trunk B
+// times on B bit-identical history windows (and would ship B copies over the
+// wire), the shared path runs it once and broadcasts. Reports, per batch
+// size, the naive time, the speedup and both wire payload sizes (floats per
+// query) as extra metrics.
 func BenchmarkPredictShared(b *testing.B) {
 	l := sharedLab()
 	m, _ := l.SocialModel()
 	d := m.D
-	for _, cands := range []int{8, 64} {
+	for _, cands := range []int{8, 64, 172} {
 		b.Run(fmt.Sprintf("B%d", cands), func(b *testing.B) {
 			in := nn.SharedInputs{
 				RH: tensor.New(1, d.F, d.N, d.T),

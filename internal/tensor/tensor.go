@@ -134,6 +134,15 @@ func MatMulInto(dst, a, b *Dense) {
 	mulRows(dst.Data, a.Data, b.Data, k, 1, k, n, 0, m)
 }
 
+// colBlock is the width of the column blocks mulRows walks a long row in.
+// Unblocked, a k × 8960 conv product streams all of B through L1 once per row
+// of A and the vector leaves wait on L2; blocked, the C tile (2 KB) stays in
+// L1 and the k × 256 panel of B (147 KB at k = 72) in L2 while the m rows
+// re-read it. Widths 256 to 1024 measure alike (DESIGN.md §7 has the sweep);
+// 256 is the one whose panel also fits a 256 KB L2. The Go leaves run at the
+// same speed either way, so every platform shares the one loop.
+const colBlock = 256
+
 // mulRows computes rows [start, end) of C[m,n] = A·B, reading A's element
 // (i, p) at a[i*si+p*sp]: strides (k, 1) are a row-major A, strides (1, m)
 // are Aᵀ given as the row-major [k,m], so MatMulInto and MatMulTransAInto
@@ -142,57 +151,36 @@ func MatMulInto(dst, a, b *Dense) {
 // Every output element is the sum, started from +0 and taken in ascending p,
 // of the products a[i,p]·b[p,j] whose a[i,p] is not zero (±0); a product
 // whose a is zero is not formed at all, so a zero activation times an Inf or
-// NaN weight contributes nothing. The kernel walks a row of A once, gathers
-// the non-zero entries four at a time, and folds each group into the output
-// row in one pass (axpy4) — one load and one store of C per four
-// multiply-adds instead of per one. The adds inside a group are separate
-// statements in p order, so each element sees exactly the operation sequence
-// of the plain p-then-j loop (kept as the reference in tensor_test.go) and
-// the result is bit-identical to it.
+// NaN weight contributes nothing. Per block of colBlock columns and row of A,
+// the kernel gathers the row's non-zero entries four at a time and folds each
+// group into the output block in one pass (axpy4) — one load and one store of
+// C per four multiply-adds. A group's adds are taken in p order and a block
+// still runs p ascending, so each element sees exactly the operation sequence
+// of the plain p-then-j loop (the reference in tensor_test.go): same bits.
 func mulRows(dst, a, b []float64, si, sp, k, n, start, end int) {
-	for i := start; i < end; i++ {
-		crow := dst[i*n : (i+1)*n]
-		clear(crow)
-		var av [4]float64
-		var bo [4]int
-		cnt := 0
-		for p, ai := 0, i*si; p < k; p, ai = p+1, ai+sp {
-			v := a[ai]
-			if v == 0 {
-				continue
+	for j0 := 0; j0 < n; j0 += colBlock {
+		w := min(colBlock, n-j0)
+		for i := start; i < end; i++ {
+			crow := dst[i*n+j0 : i*n+j0+w]
+			clear(crow)
+			var av [4]float64
+			var bo [4]int
+			cnt := 0
+			for p, ai := 0, i*si; p < k; p, ai = p+1, ai+sp {
+				v := a[ai]
+				if v == 0 {
+					continue
+				}
+				av[cnt], bo[cnt] = v, p*n+j0
+				if cnt++; cnt == 4 {
+					axpy4(crow, &av, b[bo[0]:bo[0]+w], b[bo[1]:bo[1]+w], b[bo[2]:bo[2]+w], b[bo[3]:bo[3]+w])
+					cnt = 0
+				}
 			}
-			av[cnt], bo[cnt] = v, p*n
-			if cnt++; cnt == 4 {
-				axpy4(crow, av, b[bo[0]:bo[0]+n], b[bo[1]:bo[1]+n], b[bo[2]:bo[2]+n], b[bo[3]:bo[3]+n])
-				cnt = 0
+			for q := 0; q < cnt; q++ {
+				axpy(crow, av[q], b[bo[q]:bo[q]+w])
 			}
 		}
-		for q := 0; q < cnt; q++ {
-			axpy(crow, av[q], b[bo[q]:bo[q]+n])
-		}
-	}
-}
-
-// axpy4 adds a[0]·b0 + a[1]·b1 + a[2]·b2 + a[3]·b3 into c, one product at a
-// time in that order. The slices must have c's length.
-func axpy4(c []float64, a [4]float64, b0, b1, b2, b3 []float64) {
-	b0, b1, b2, b3 = b0[:len(c)], b1[:len(c)], b2[:len(c)], b3[:len(c)]
-	a0, a1, a2, a3 := a[0], a[1], a[2], a[3]
-	for j := range c {
-		s := c[j]
-		s += a0 * b0[j]
-		s += a1 * b1[j]
-		s += a2 * b2[j]
-		s += a3 * b3[j]
-		c[j] = s
-	}
-}
-
-// axpy adds a·b into c.
-func axpy(c []float64, a float64, b []float64) {
-	b = b[:len(c)]
-	for j := range c {
-		c[j] += a * b[j]
 	}
 }
 
@@ -234,15 +222,29 @@ func MatMulTransBInto(dst, a, b *Dense) {
 // mulTransBRows computes rows [start, end) of C[m,n] = A·Bᵀ: every output
 // element is the dot product of a row of A and a row of B, summed from +0 in
 // ascending p with no zero skip. One dot product is a single serial add
-// chain, bound by the add latency, so the kernel runs four of them — four
-// adjacent output columns, sharing each load of the A row — side by side
-// (dot4). Each chain is still its own p-ordered sum: bit-identical to the
-// one-at-a-time loop kept as the reference in tensor_test.go.
+// chain, bound by the add latency, so the kernel runs sixteen side by side —
+// four rows of A against four rows of B (dotTile) — and four (dot4) or one
+// (dot) on the rows and columns past the last full tile. Each chain is still
+// its own p-ordered sum: the same bits as the reference loop in tensor_test.go.
 func mulTransBRows(dst, a, b []float64, k, n, start, end int) {
-	for i := start; i < end; i++ {
-		arow := a[i*k : (i+1)*k]
-		crow := dst[i*n : (i+1)*n]
-		j := 0
+	i := start
+	for ; i+4 <= end; i += 4 {
+		for j := 0; j+4 <= n; j += 4 {
+			var t [16]float64
+			dotTile(&t, a[i*k:(i+4)*k], b[j*k:(j+4)*k], k)
+			for r := 0; r < 4; r++ {
+				copy(dst[(i+r)*n+j:(i+r)*n+j+4], t[4*r:])
+			}
+		}
+	}
+	// Edges: rows below i are done up to column n − n mod 4, the rest not at all.
+	for r := start; r < end; r++ {
+		j := n &^ 3
+		if r >= i {
+			j = 0
+		}
+		arow := a[r*k : (r+1)*k]
+		crow := dst[r*n : (r+1)*n]
 		for ; j+4 <= n; j += 4 {
 			crow[j], crow[j+1], crow[j+2], crow[j+3] = dot4(arow,
 				b[j*k:(j+1)*k], b[(j+1)*k:(j+2)*k], b[(j+2)*k:(j+3)*k], b[(j+3)*k:(j+4)*k])

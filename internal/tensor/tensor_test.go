@@ -433,8 +433,15 @@ func withProcs(fn func(procs int)) {
 // gemmShapes is every (m, k, n) over sizes that are below, at and one past a
 // multiple of the blocking factor 4 — so each blocked dimension meets all of
 // its tails, and 64·64·64 lands exactly on parallelThreshold — plus the
-// training shapes of the LatencyCNN on SocialNetwork and two cubes whose
-// parallel row chunks are uneven.
+// training shapes of the LatencyCNN on SocialNetwork, two cubes whose
+// parallel row chunks are uneven, and rows one short of, at, one past and
+// past two of mulRows' column blocks.
+//
+// A·Bᵀ reaches its 4 × 4 tiles from every m, n ≥ 4 here on the serial path;
+// on the parallel one the row split decides which rows share a tile:
+// 64·64·64 gives four chunks of whole tiles, 67·70·69 chunks of 17, 17, 17
+// and 16 rows (tiles, an edge row, an edge column, k mod 4 = 2), 5·1121·63
+// chunks too short for any tile.
 func gemmShapes() [][3]int {
 	dims := []int{1, 3, 4, 5, 7, 8, 9, 64}
 	var shapes [][3]int
@@ -448,7 +455,9 @@ func gemmShapes() [][3]int {
 	return append(shapes,
 		[3]int{8, 54, 8960}, [3]int{8, 8960, 54}, [3]int{54, 8, 8960}, // conv: forward, dW, dcols
 		[3]int{64, 1120, 24}, [3]int{1120, 64, 24}, [3]int{64, 24, 1120}, // rh.fc: forward, dW, dx
-		[3]int{67, 70, 69}, [3]int{5, 1121, 63})
+		[3]int{67, 70, 69}, [3]int{5, 1121, 63},
+		[3]int{5, 9, colBlock - 1}, [3]int{4, 7, colBlock}, [3]int{3, 5, colBlock + 1}, [3]int{7, 6, 2*colBlock + 3},
+		[3]int{9, 64, 2*colBlock + 3}) // column blocks on the parallel path
 }
 
 // The three GEMM kernels agree with the loops they replaced in every bit of
@@ -521,6 +530,20 @@ func TestMatMulZeroSkipSemantics(t *testing.T) {
 	if MatMulTransBInto(c, a, FromSlice(b.Data, 1, 3)); !math.IsNaN(c.Data[0]) {
 		t.Fatalf("A·Bᵀ with zeros over Inf/NaN = %v, want NaN", c.Data[0])
 	}
+	// Nor does the skip depend on which column block an element is in: a row
+	// longer than two blocks, its zeros over an all-Inf and an all-NaN row of B.
+	n := 2*colBlock + 3
+	wide := New(3, n)
+	for j := 0; j < n; j++ {
+		wide.Data[j], wide.Data[n+j], wide.Data[2*n+j] = math.Inf(1), float64(j), math.NaN()
+	}
+	row := New(1, n)
+	MatMulInto(row, a, wide)
+	for j, v := range row.Data {
+		if v != 2*float64(j) {
+			t.Fatalf("A·B column %d of %d with zeros over Inf/NaN = %v, want %v", j, n, v, 2*float64(j))
+		}
+	}
 	// An all-zero row sums nothing and stays +0.
 	MatMulInto(c, FromSlice([]float64{0, 0}, 1, 2), FromSlice([]float64{-1, -1}, 2, 1))
 	if got := c.Data[0]; math.Float64bits(got) != 0 {
@@ -588,11 +611,17 @@ func TestIntoKernelsDoNotAllocate(t *testing.T) {
 	}
 }
 
+// setPortable, on a platform whose leaf routines have an assembly body
+// (kernels_amd64_test.go), moves the kernels onto the Go leaves and back.
+var setPortable func(on bool)
+
 // BenchmarkGEMM times the three kernels, and the reference loops they
 // replaced, at the GEMM shapes of one 64-sample training shard of the
-// LatencyCNN on SocialNetwork (28 tiers × 5 timesteps, 8960 patch columns):
-// the ≈ 6 gflop/s of DESIGN.md §7 "Kernels" is this benchmark's output at
-// -cpu 1 (CHANGES.md, PR 15, has the per-shape history).
+// LatencyCNN on SocialNetwork (28 tiers × 5 timesteps, 8960 patch columns)
+// and of one decision (172 candidates on a batch-1 trunk). Where the leaves
+// are assembly a third side, portable, is the kernel on its Go leaves, so one
+// run at -cpu 1 prints the whole table of DESIGN.md §7 "Kernels" (CHANGES.md,
+// PRs 15 and 20, has the per-shape history).
 func BenchmarkGEMM(b *testing.B) {
 	rng := rand.New(rand.NewSource(1))
 	type kernel struct {
@@ -611,6 +640,9 @@ func BenchmarkGEMM(b *testing.B) {
 		{tb, refMatMulTransB, false, true, 0, 64, 24, 1120, "ABt/rhfc-dx"},
 		{ta, refMatMulTransA, true, false, 0, 72, 8, 8960, "AtB/conv2-dcols"},
 		{ta, refMatMulTransA, true, false, 0.5, 1120, 64, 24, "AtB/rhfc-dW"},
+		{ab, refMatMul, false, false, 0, 172, 56, 32, "AB/decide-trunkfc"},
+		{ab, refMatMul, false, false, 0.5, 172, 28, 16, "AB/decide-rcfc"},
+		{ab, refMatMul, false, false, 0, 8, 72, 140, "AB/decide-conv2"},
 	} {
 		a, bb := randDense(rng, kn.zeros, kn.m, kn.k), randDense(rng, 0, kn.k, kn.n)
 		if kn.aT {
@@ -620,11 +652,21 @@ func BenchmarkGEMM(b *testing.B) {
 			bb.Shape[0], bb.Shape[1] = kn.n, kn.k
 		}
 		dst := New(kn.m, kn.n)
-		for _, side := range []struct {
-			name string
-			fn   func(dst, a, b *Dense)
-		}{{"ref", kn.ref}, {"kernel", kn.fn}} {
+		type side struct {
+			name     string
+			fn       func(dst, a, b *Dense)
+			portable bool
+		}
+		sides := []side{{"ref", kn.ref, false}, {"kernel", kn.fn, false}}
+		if setPortable != nil {
+			sides = append(sides, side{"portable", kn.fn, true})
+		}
+		for _, side := range sides {
 			b.Run(fmt.Sprintf("%s-%dx%dx%d/%s", kn.name, kn.m, kn.k, kn.n, side.name), func(b *testing.B) {
+				if side.portable {
+					setPortable(true)
+					defer setPortable(false)
+				}
 				for i := 0; i < b.N; i++ {
 					side.fn(dst, a, bb)
 				}

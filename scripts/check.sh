@@ -59,6 +59,18 @@ go test -cpu 1,4 ./internal/tensor ./internal/nn "$@"
 # proc, and more procs than the runner has.
 go test -cpu 1,4 -run 'Pinned|Property|BitIdentical' ./internal/core "$@"
 
+echo "== portable leaves (-tags purego) and other architectures =="
+# The GEMM kernels' three leaf routines have an AVX body on amd64
+# (internal/tensor/kernels_amd64.s). The purego tag — read here and nowhere
+# else — builds the Go leaves instead, so the same bit-for-bit tests and the
+# same weight, tree and decision pins run through the path every other
+# architecture takes; the arm64 build catches a name only the amd64 files
+# declare.
+go test -tags purego -cpu 1,4 ./internal/tensor ./internal/nn "$@"
+go test -tags purego -run 'Pinned|BitIdentical' ./internal/core "$@"
+GOARCH=arm64 go build ./...
+GOARCH=arm64 go vet ./internal/tensor
+
 echo "== go test -race (short) =="
 go test -race -short -timeout 30m ./... "$@"
 
@@ -77,6 +89,7 @@ go test -race -timeout 30m ./internal/experiments ./internal/workload ./internal
 
 echo "== bench smoke =="
 go test -run='^$' -bench='ConvForward|PredictBatch$|PredictShared|SimulatorThroughput|TrainEpoch|CNNTrainStep|BoostTrain' -benchtime=1x
+go test -run='^$' -bench=GEMM -benchtime=1x ./internal/tensor
 
 echo "== size =="
 # The number every simplicity PR quotes: non-test Go outside bench/.
