@@ -15,11 +15,11 @@ func TestReplicaCrashReducesCapacityAndRecovers(t *testing.T) {
 	})
 	tier := c.Tier("svc")
 
-	if got := tier.effSlots(); got != 4 {
+	if got := tier.liveSlots; got != 4 {
 		t.Fatalf("healthy slots = %d, want 4", got)
 	}
 	tier.SetAliveFraction(0.5)
-	if got := tier.effSlots(); got != 2 {
+	if got := tier.liveSlots; got != 2 {
 		t.Fatalf("half-crashed slots = %d, want 2", got)
 	}
 	if got := tier.effCPU(); got != 2 {

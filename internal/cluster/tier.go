@@ -198,14 +198,18 @@ type Tier struct {
 	jobSeq     int64   // admission order, the tie-break among equal vFinish
 	vwork      float64 // virtual work: ∫ per-job rate dt
 	lastUpdate float64
-	completion sim.Handle
-	completeFn func()  // t.complete, bound once
-	finished   []*call // complete's scratch: the calls retired by one event
+	completion sim.Timer // fires t.complete
+	finished   []*call   // complete's scratch: the calls retired by one event
 
-	slots   int
-	inUse   int
-	waitq   callRing
-	dropped int64
+	// What reschedule last computed, for advance to multiply by: the
+	// per-job rate min(1, effCPU/n) and the busy cores min(effCPU, n).
+	jobRate, busyCores float64
+
+	slots     int
+	liveSlots int // slots surviving replica crashes: int(slots * alive)
+	inUse     int
+	waitq     callRing
+	dropped   int64
 
 	stalled    bool
 	stallTotal float64 // stalled seconds in current interval
@@ -232,7 +236,8 @@ func newTier(eng *sim.Engine, rng *sim.RNG, cfg TierConfig, index int) *Tier {
 		alive:    1,
 		slots:    cfg.ConnsPerReplica * cfg.Replicas,
 	}
-	t.completeFn = t.complete
+	t.liveSlots = t.slots
+	t.completion = eng.NewTimer(t.complete)
 	if cfg.StallInterval > 0 {
 		eng.After(cfg.StallInterval, t.stall)
 	}
@@ -275,9 +280,6 @@ func (t *Tier) SetCPULimit(cores float64) {
 // configuration, only the capacity behind it.
 func (t *Tier) effCPU() float64 { return t.cpuLimit * t.alive }
 
-// effSlots returns the connection-slot pool surviving replica crashes.
-func (t *Tier) effSlots() int { return int(float64(t.slots) * t.alive) }
-
 // AliveFraction returns the fraction of replica capacity currently alive.
 func (t *Tier) AliveFraction() float64 { return t.alive }
 
@@ -300,17 +302,9 @@ func (t *Tier) SetAliveFraction(f float64) {
 	}
 	t.advance()
 	t.alive = f
+	t.liveSlots = int(float64(t.slots) * f)
 	t.reschedule()
 	t.pumpWaiters()
-}
-
-// rate returns the per-job service rate in core-seconds per second.
-func (t *Tier) rate() float64 {
-	n := len(t.active)
-	if n == 0 || t.stalled {
-		return 0
-	}
-	return min(1, t.effCPU()/float64(n))
 }
 
 // advance applies elapsed processor-sharing progress up to the current time.
@@ -325,32 +319,37 @@ func (t *Tier) advance() {
 		t.stallTotal += dt
 		return
 	}
-	n := len(t.active)
-	if n == 0 {
+	if len(t.active) == 0 {
 		return
 	}
-	t.vwork += t.rate() * dt
-	t.busyCPU += min(t.effCPU(), float64(n)) * dt
+	t.vwork += t.jobRate * dt
+	t.busyCPU += t.busyCores * dt
 }
 
-// reschedule recomputes the next completion event after any change to the
-// active set, the CPU limit, or the stall state. A pending completion event
-// is moved in place, which orders it exactly as cancelling it and
-// scheduling a new one would.
+// reschedule recomputes the per-job rate and the next completion after any
+// change to the active set, the CPU limit, the alive fraction or the stall
+// state; every such change calls it before the next advance, which relies on
+// the rate cached here. While the jobs fit the capacity (n <= effCPU, the
+// common case) the rate min(1, effCPU/n) is exactly 1 and x/1 == x, so neither
+// division is evaluated.
 func (t *Tier) reschedule() {
-	r := t.rate()
-	if r == 0 || len(t.active) == 0 {
-		t.eng.Cancel(t.completion)
+	n := float64(len(t.active))
+	if n == 0 || t.stalled {
+		t.completion.Stop()
 		return
 	}
-	d := (t.active[0].vFinish - t.vwork) / r
-	if d < 0 {
-		d = 0
+	d := t.active[0].vFinish - t.vwork
+	if eff := t.effCPU(); n <= eff {
+		t.jobRate, t.busyCores = 1, n
+	} else {
+		t.jobRate, t.busyCores = eff/n, eff
+		if t.jobRate == 0 { // every replica is down
+			t.completion.Stop()
+			return
+		}
+		d /= t.jobRate
 	}
-	at := t.eng.Now() + d
-	if !t.eng.Reschedule(t.completion, at) {
-		t.completion = t.eng.At(at, t.completeFn)
-	}
+	t.completion.Set(t.eng.Now() + max(d, 0))
 }
 
 // complete retires all jobs whose work has finished. It only ever runs as
@@ -388,7 +387,7 @@ func (t *Tier) execWork(cpuSeconds float64, k *call) {
 // saturated; k.granted runs once it holds the slot. It reports false if the
 // admission queue is full and the request is dropped.
 func (t *Tier) acquireSlot(k *call) bool {
-	if t.inUse < t.effSlots() {
+	if t.inUse < t.liveSlots {
 		t.inUse++
 		k.granted()
 		return true
@@ -412,7 +411,7 @@ func (t *Tier) releaseSlot() {
 // drains naturally (releases outnumber admissions until inUse fits again)
 // and a restored pool re-admits the queue.
 func (t *Tier) pumpWaiters() {
-	for t.waitq.n > 0 && t.inUse < t.effSlots() {
+	for t.waitq.n > 0 && t.inUse < t.liveSlots {
 		t.inUse++
 		t.waitq.pop().granted()
 	}

@@ -56,18 +56,53 @@ func (w *LatencyWindow) Flush() Percentiles {
 		w.drops = 0
 		return p
 	}
-	sort.Float64s(w.lats)
 	sum := 0.0
 	for _, v := range w.lats {
 		sum += v
 	}
 	p.Mean = sum / float64(p.Count)
+	// Only ranks from p95's up are read, so only that tail is sorted: the
+	// values there are the ones a full sort would put there.
+	k := telemetry.ExactRank(p.Count, 0.95)
+	selectRank(w.lats, k)
+	sort.Float64s(w.lats[k:])
 	for i := 0; i < NumPercentiles; i++ {
 		p.Values[i] = percentileSorted(w.lats, float64(95+i))
 	}
 	w.lats = w.lats[:0]
 	w.drops = 0
 	return p
+}
+
+// selectRank permutes a so that a[k] is the value a full sort would put
+// there, nothing before it is larger and nothing after it is smaller
+// (Hoare's FIND, pivoting on the middle element).
+func selectRank(a []float64, k int) {
+	for lo, hi := 0, len(a)-1; lo < hi; {
+		pivot := a[lo+(hi-lo)/2]
+		i, j := lo, hi
+		for i <= j {
+			for a[i] < pivot {
+				i++
+			}
+			for a[j] > pivot {
+				j--
+			}
+			if i <= j {
+				a[i], a[j] = a[j], a[i]
+				i++
+				j--
+			}
+		}
+		switch {
+		case k <= j:
+			hi = j
+		case k >= i:
+			lo = i
+		default:
+			return
+		}
+	}
 }
 
 // percentileSorted returns the q-th percentile (q in [0,100]) of sorted

@@ -2,6 +2,7 @@ package metrics
 
 import (
 	"math"
+	"math/rand"
 	"testing"
 	"testing/quick"
 )
@@ -52,6 +53,37 @@ func TestLatencyWindowFlush(t *testing.T) {
 	p2 := w.Flush()
 	if p2.Count != 0 || p2.P99() != 0 {
 		t.Fatalf("window not reset: %+v", p2)
+	}
+}
+
+// Flush sorts only the tail it reads; its five values must be the floats a
+// full sort yields, at every window size around the rank boundaries and with
+// the ties an interval of drops and repeated latencies has.
+func TestLatencyWindowFlushMatchesFullSort(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	for n := 1; n <= 700; n++ {
+		var w LatencyWindow
+		data := make([]float64, n)
+		for i := range data {
+			switch rng.Intn(4) {
+			case 0:
+				data[i] = float64(rng.Intn(5)) // heavy ties
+			case 1:
+				data[i] = DropLatencyMS
+			default:
+				data[i] = rng.ExpFloat64() * 20
+			}
+			w.Record(data[i])
+		}
+		got := w.Flush()
+		for i := 0; i < NumPercentiles; i++ {
+			if want := Percentile(data, float64(95+i)); got.Values[i] != want {
+				t.Fatalf("n=%d: p%d = %v, full sort says %v", n, 95+i, got.Values[i], want)
+			}
+		}
+		if want := Mean(data); math.Abs(got.Mean-want) > 1e-9*want {
+			t.Fatalf("n=%d: mean %v, want %v", n, got.Mean, want)
+		}
 	}
 }
 

@@ -51,6 +51,22 @@ var goldenDigests = map[string]uint64{
 	"social/traced/spans":        0xb9c037891db9b618,
 }
 
+// goldenEvents pins run.sim.events — the events the engine executed — for
+// the same runs. The counts were recorded when the counter was added (PR 21,
+// on the engine of one-shots and timers; the handle engine before it executed
+// the same events, since every Reschedule or At became one Set). They are a
+// function of the trajectory alone: a simulator change that keeps the digests
+// keeps these, and events per simulated second is then a fact, not a
+// measurement.
+var goldenEvents = map[string]int64{
+	"social/autoscale/1": 73525,
+	"social/autoscale/2": 72151,
+	"social/autoscale/3": 71852,
+	"hotel/autoscale/1":  539917,
+	"hotel/autoscale/2":  541223,
+	"hotel/autoscale/3":  540887,
+}
+
 func hashFloats(h hash.Hash64, vs ...float64) {
 	var buf [8]byte
 	for _, v := range vs {
@@ -137,6 +153,10 @@ func TestGoldenTrajectories(t *testing.T) {
 						t.Fatal("no request completed")
 					}
 					checkGolden(t, name, runDigest(res))
+					events := res.Metrics.Snapshot().Counters["run.sim.events"]
+					if want, ok := goldenEvents[name]; ok && events != want {
+						t.Errorf("%s: %d events executed, golden %d", name, events, want)
+					}
 				})
 			}
 		}

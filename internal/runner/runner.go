@@ -257,6 +257,7 @@ func Run(cfg Config) *Result {
 	res.Dropped = cl.DroppedRequests()
 	reg.Counter("run.requests.completed").Add(res.Completed)
 	reg.Counter("run.requests.dropped").Add(res.Dropped)
+	reg.Counter("run.sim.events").Add(eng.Fired())
 	return res
 }
 

@@ -6,6 +6,7 @@ import (
 	"math/rand"
 	"slices"
 	"sort"
+	"strings"
 	"testing"
 )
 
@@ -56,14 +57,15 @@ func TestEngineAfterAndNesting(t *testing.T) {
 	}
 }
 
-func TestEngineCancel(t *testing.T) {
+func TestTimerStop(t *testing.T) {
 	var e Engine
 	fired := false
-	ev := e.At(1, func() { fired = true })
-	e.Cancel(ev)
+	tm := e.NewTimer(func() { fired = true })
+	tm.Set(1)
+	tm.Stop()
 	e.Run(2)
 	if fired {
-		t.Fatal("cancelled event fired")
+		t.Fatal("stopped timer fired")
 	}
 }
 
@@ -94,6 +96,29 @@ func TestEnginePastSchedulingPanics(t *testing.T) {
 		}
 	}()
 	e.At(1, func() {})
+}
+
+// A NaN time compares false both ways, so it would sit anywhere in the heap
+// and could become the clock: At and Timer.Set refuse it, naming the value.
+func TestEngineNaNTimePanics(t *testing.T) {
+	var e Engine
+	tm := e.NewTimer(func() {})
+	for name, schedule := range map[string]func(){
+		"At":        func() { e.At(math.NaN(), func() {}) },
+		"Timer.Set": func() { tm.Set(math.NaN()) },
+	} {
+		func() {
+			defer func() {
+				if msg, _ := recover().(string); !strings.Contains(msg, "NaN") {
+					t.Errorf("%s(NaN): recovered %q, want a panic naming NaN", name, msg)
+				}
+			}()
+			schedule()
+		}()
+	}
+	if e.Pending() != 0 {
+		t.Fatalf("%d events queued by refused calls", e.Pending())
+	}
 }
 
 // A halted Run leaves the clock at the last executed event: jumping it to
@@ -127,61 +152,65 @@ func TestEngineHalt(t *testing.T) {
 func TestEngineStep(t *testing.T) {
 	var e Engine
 	n := 0
-	e.At(1, func() { n++ })
-	e.Cancel(e.At(2, func() { n++ }))
-	e.At(3, func() { n++ })
-	e.Cancel(e.At(7, func() { n++ }))
-	if e.Pending() != 2 {
-		t.Fatalf("pending = %d, want the 2 live events", e.Pending())
+	count := func() { n++ }
+	e.At(1, count)
+	stopped := e.NewTimer(count)
+	stopped.Set(2)
+	e.At(3, count)
+	moved := e.NewTimer(count)
+	moved.Set(7)
+	stopped.Stop()
+	moved.Set(2.5)
+	if e.Pending() != 3 {
+		t.Fatalf("pending = %d, want the 3 live events", e.Pending())
 	}
 	steps := 0
 	for e.Step() {
 		steps++
 	}
-	if steps != 2 || n != 2 {
-		t.Fatalf("steps=%d n=%d, want 2 and 2", steps, n)
+	if steps != 3 || n != 3 || e.Fired() != 3 {
+		t.Fatalf("steps=%d n=%d fired=%d, want 3 each", steps, n, e.Fired())
 	}
-	// A cancelled event is gone from the queue, so nothing drags the clock
-	// to its timestamp.
+	// A stopped or moved timer is gone from where it was, so nothing drags
+	// the clock to its old timestamp.
 	if e.Now() != 3 {
 		t.Fatalf("now = %v after the last live event at 3", e.Now())
 	}
 }
 
-// A handle goes stale when its event fires or is cancelled, and stays stale
-// when the slot is given to another event.
-func TestEngineStaleHandle(t *testing.T) {
+// A timer is idle once it has fired or been stopped: Stop is then a no-op
+// that reaches no other event, however the heap has been refilled since, and
+// Set arms it again. While its callback runs it still counts as pending.
+func TestTimerIdleAndReuse(t *testing.T) {
 	var e Engine
 	var got []string
 	log := func(s string) func() { return func() { got = append(got, s) } }
 
-	firedH := e.At(1, log("a"))
+	var a Timer
+	a = e.NewTimer(func() {
+		if got = append(got, "a"); len(got) == 1 && e.Pending() != 1 {
+			t.Errorf("pending = %d inside the only event's callback, want 1", e.Pending())
+		}
+	})
+	a.Set(1)
 	e.Run(1)
-	reused := e.At(2, log("b"))
-	if reused.slot != firedH.slot {
-		t.Fatalf("slot %d not reused (got %d): the test no longer covers reuse", firedH.slot, reused.slot)
+	if e.Pending() != 0 {
+		t.Fatalf("pending = %d after the timer fired, want 0", e.Pending())
 	}
-	e.Cancel(firedH)
-	if e.Reschedule(firedH, 9) {
-		t.Fatal("rescheduled through the handle of a fired event")
+	e.At(2, log("b")) // takes the heap position the timer had
+	a.Stop()
+	c := e.NewTimer(log("c"))
+	c.Set(3)
+	c.Stop()
+	e.At(4, log("d"))
+	c.Stop()
+	if e.Pending() != 2 {
+		t.Fatalf("pending = %d, want b and d: Stop on an idle timer removed an event", e.Pending())
 	}
-
-	cancelled := e.At(3, log("c"))
-	e.Cancel(cancelled)
-	again := e.At(4, log("d"))
-	if again.slot != cancelled.slot {
-		t.Fatalf("slot %d not reused (got %d)", cancelled.slot, again.slot)
-	}
-	e.Cancel(cancelled)
-	if e.Reschedule(cancelled, 9) || e.Reschedule(Handle{}, 9) {
-		t.Fatal("rescheduled through a cancelled or zero handle")
-	}
-
-	if !e.Reschedule(again, 1.5) {
-		t.Fatal("live handle not rescheduled")
-	}
+	a.Set(1.5)
+	c.Set(2) // after b: same time, scheduled later
 	e.Run(10)
-	if want := []string{"a", "d", "b"}; !slices.Equal(got, want) {
+	if want := []string{"a", "a", "b", "c", "d"}; !slices.Equal(got, want) {
 		t.Fatalf("fired %v, want %v", got, want)
 	}
 }
@@ -244,83 +273,172 @@ func (e *refEngine) run(until float64) {
 	}
 }
 
-// scheduler is what the random program needs of an engine. Events are named
-// by the program's own ids — the i-th call of at makes event i — so that
-// both engines see the same operations.
+// scheduler is what the random program needs of an engine. Timers are named
+// by the program's own ids — the i-th call of newTimer makes timer i — so
+// that both engines see the same operations.
 type scheduler interface {
 	at(t float64, fn func())
-	cancel(id int)
-	reschedule(id int, t float64)
+	newTimer(fn func())
+	set(id int, t float64)
+	stop(id int)
 	run(until float64)
 	now() float64
 }
 
 type newSched struct {
-	e  Engine
-	hs []Handle
+	e   Engine
+	tms []Timer
 }
 
-func (s *newSched) at(t float64, fn func())      { s.hs = append(s.hs, s.e.At(t, fn)) }
-func (s *newSched) cancel(id int)                { s.e.Cancel(s.hs[id]) }
-func (s *newSched) reschedule(id int, t float64) { s.e.Reschedule(s.hs[id], t) }
-func (s *newSched) run(until float64)            { s.e.Run(until) }
-func (s *newSched) now() float64                 { return s.e.Now() }
+func (s *newSched) at(t float64, fn func()) { s.e.At(t, fn) }
+func (s *newSched) newTimer(fn func())      { s.tms = append(s.tms, s.e.NewTimer(fn)) }
+func (s *newSched) set(id int, t float64)   { s.tms[id].Set(t) }
+func (s *newSched) stop(id int)             { s.tms[id].Stop() }
+func (s *newSched) run(until float64)       { s.e.Run(until) }
+func (s *newSched) now() float64            { return s.e.Now() }
 
+// refSched spells a timer the way Tier.reschedule used to drive its
+// completion event: Set is cancel, then schedule afresh; Stop is cancel. It
+// also tallies which of the situations the Engine treats specially the
+// program reached, so that the test can insist on all of them.
 type refSched struct {
-	e   refEngine
-	evs []*refEvent
+	e      refEngine
+	tms    []*refTimer
+	firing *refTimer // the timer whose callback is running
+	cover  *coverage
 }
 
-func (s *refSched) at(t float64, fn func()) { s.evs = append(s.evs, s.e.at(t, fn)) }
-func (s *refSched) cancel(id int)           { s.evs[id].fn = nil }
-func (s *refSched) reschedule(id int, t float64) {
-	// What Tier.reschedule used to do: cancel, then schedule afresh.
-	if fn := s.evs[id].fn; fn != nil {
-		s.evs[id].fn = nil
-		s.evs[id] = s.e.at(t, fn)
+type refTimer struct {
+	fn      func()
+	ev      *refEvent // the pending event, if ev.fn != nil
+	touched bool      // set or stopped since its callback began
+}
+
+// coverage counts what a firing timer's callback did to its own timer —
+// re-armed it before, level with or after the earliest other pending event,
+// stopped it, left it alone — and how often an armed timer was moved.
+type coverage struct {
+	rearmEarlier, rearmEqual, rearmLater, selfStop, leftIdle, movedArmed int
+}
+
+func (s *refSched) at(t float64, fn func()) { s.e.at(t, fn) }
+
+func (s *refSched) newTimer(fn func()) {
+	tm := &refTimer{}
+	tm.fn = func() {
+		s.firing, tm.touched = tm, false
+		fn()
+		if !tm.touched {
+			s.cover.leftIdle++
+		}
+		s.firing = nil
+	}
+	s.tms = append(s.tms, tm)
+}
+
+func (s *refSched) set(id int, t float64) {
+	tm := s.tms[id]
+	if tm != s.firing {
+		if tm.ev != nil && tm.ev.fn != nil {
+			s.cover.movedArmed++
+		}
+	} else if next, ok := s.nextLive(); !ok || t < next {
+		s.cover.rearmEarlier++
+	} else if t == next {
+		s.cover.rearmEqual++
+	} else {
+		s.cover.rearmLater++
+	}
+	s.stop(id)
+	tm.ev = s.e.at(t, tm.fn)
+}
+
+func (s *refSched) stop(id int) {
+	tm := s.tms[id]
+	if tm.touched = true; tm.ev != nil {
+		if tm == s.firing && tm.ev.fn == nil {
+			s.cover.selfStop++
+		}
+		tm.ev.fn = nil
 	}
 }
+
+// nextLive returns the time of the earliest event still to fire.
+func (s *refSched) nextLive() (t float64, ok bool) {
+	for _, ev := range s.e.pq {
+		if ev.fn != nil && (!ok || ev.time < t) {
+			t, ok = ev.time, true
+		}
+	}
+	return t, ok
+}
+
 func (s *refSched) run(until float64) { s.e.run(until) }
 func (s *refSched) now() float64      { return s.e.now }
 
+// firing is one executed event: one-shots count up from 0 in the order the
+// program scheduled them, timer i is -1-i.
 type firing struct {
 	id int
 	at float64
 }
 
-// randomProgram runs a seeded program of at / after(0) / cancel / reschedule
-// against s and returns every firing and the clock after every run. Delays
-// come from a handful of values, so most timestamps collide and order rests
-// on seq; cancel and reschedule pick any id ever issued, stale ones
-// included.
+// randomProgram runs a seeded program of At / After(0) / Timer.Set /
+// Timer.Stop against s and returns every firing and the clock after every
+// run. Delays come from a handful of values, so most timestamps collide and
+// order rests on seq. Every callback sets and stops any of the timers, armed
+// or idle; a timer's callback aims half of that at its own timer. Now and
+// then a callback schedules a burst of one-shots, which outgrows the slot
+// slab underneath the firing event.
 func randomProgram(s scheduler, seed int64) (fired []firing, clocks []float64) {
-	const maxEvents = 4000
+	const maxOneShots, maxFirings, timers, burst = 6000, 12000, 6, 48
 	rng := rand.New(rand.NewSource(seed))
 	delays := []float64{0, 0, 0, 0.25, 0.5, 0.5, 1, 1, 2, 3.75}
 	issued := 0
-	var schedule func(t float64)
-	schedule = func(t float64) {
-		if issued == maxEvents {
+	var act func(self int)
+	oneShot := func() {
+		if issued == maxOneShots {
 			return
 		}
 		id := issued
 		issued++
-		s.at(t, func() {
+		s.at(s.now()+delays[rng.Intn(len(delays))], func() {
 			fired = append(fired, firing{id, s.now()})
-			for n := 1 + rng.Intn(3); n > 0; n-- {
-				switch d := delays[rng.Intn(len(delays))]; rng.Intn(8) {
-				case 0:
-					s.cancel(rng.Intn(issued))
-				case 1, 2:
-					s.reschedule(rng.Intn(issued), s.now()+d)
-				default:
-					schedule(s.now() + d)
-				}
+			act(-1)
+		})
+	}
+	act = func(self int) {
+		if len(fired) >= maxFirings {
+			return
+		}
+		for n := 1 + rng.Intn(3); n > 0; n-- {
+			tm := rng.Intn(timers)
+			if self >= 0 && rng.Intn(2) == 0 {
+				tm = self
 			}
+			switch op := rng.Intn(40); {
+			case op == 0:
+				for i := 0; i < burst; i++ {
+					oneShot()
+				}
+			case op < 5:
+				s.stop(tm)
+			case op < 18:
+				s.set(tm, s.now()+delays[rng.Intn(len(delays))])
+			default:
+				oneShot()
+			}
+		}
+	}
+	for i := 0; i < timers; i++ {
+		i := i
+		s.newTimer(func() {
+			fired = append(fired, firing{-1 - i, s.now()})
+			act(i)
 		})
 	}
 	for i := 0; i < 50; i++ {
-		schedule(delays[rng.Intn(len(delays))])
+		oneShot()
 	}
 	for until := 0.0; until < 400; until += 0.5 + 3*rng.Float64() {
 		s.run(until)
@@ -330,9 +448,12 @@ func randomProgram(s scheduler, seed int64) (fired []firing, clocks []float64) {
 }
 
 func TestEngineMatchesReference(t *testing.T) {
+	var cover coverage
+	grew := 0
 	for seed := int64(1); seed <= 20; seed++ {
-		got, gotClocks := randomProgram(&newSched{}, seed)
-		want, wantClocks := randomProgram(&refSched{}, seed)
+		eng, ref := &newSched{}, &refSched{cover: &cover}
+		got, gotClocks := randomProgram(eng, seed)
+		want, wantClocks := randomProgram(ref, seed)
 		if len(want) < 500 {
 			t.Fatalf("seed %d: the program fired only %d events", seed, len(want))
 		}
@@ -349,35 +470,53 @@ func TestEngineMatchesReference(t *testing.T) {
 				t.Fatalf("seed %d: clock after run %d is %v, reference %v", seed, i, gotClocks[i], wantClocks[i])
 			}
 		}
+		if eng.e.Fired() != int64(len(want)) {
+			t.Fatalf("seed %d: Fired() = %d after %d firings", seed, eng.e.Fired(), len(want))
+		}
+		if len(eng.e.slots) > 64 {
+			grew++ // some callback's burst reallocated the slab it was fired from
+		}
+	}
+	if min(cover.rearmEarlier, cover.rearmEqual, cover.rearmLater, cover.selfStop, cover.leftIdle, cover.movedArmed, grew) == 0 {
+		t.Fatalf("the programs never reached some case: %+v, slab grown in %d programs", cover, grew)
 	}
 }
 
-// steadyEngine returns an engine holding a thousand self-renewing timers
-// plus one event that every firing moves, and a function that runs it for a
-// further stretch of simulated time.
-func steadyEngine() (advance func(d float64)) {
+// steadyEngine returns an engine holding a thousand self-renewing one-shots,
+// a hundred timers that re-arm themselves from their own callbacks and one
+// timer that every one-shot moves, and a function that runs it for a further
+// stretch of simulated time and reports the events fired.
+func steadyEngine() (advance func(d float64) int64) {
 	e := &Engine{}
 	rng := rand.New(rand.NewSource(1))
-	noop := func() {}
-	var moving Handle
+	moving := e.NewTimer(func() {})
 	var tick func()
 	tick = func() {
 		e.After(rng.Float64(), tick)
-		if !e.Reschedule(moving, e.Now()+1) {
-			moving = e.At(e.Now()+1, noop)
-		}
+		moving.Set(e.Now() + 1)
 	}
 	for i := 0; i < 1000; i++ {
 		e.At(rng.Float64(), tick)
 	}
+	for i := 0; i < 100; i++ {
+		var tm Timer
+		tm = e.NewTimer(func() { tm.Set(e.Now() + 0.1*rng.Float64()) })
+		tm.Set(rng.Float64())
+	}
 	e.Run(2) // every slot and slice reaches its steady size
-	return func(d float64) { e.Run(e.Now() + d) }
+	return func(d float64) int64 {
+		before := e.Fired()
+		e.Run(e.Now() + d)
+		return e.Fired() - before
+	}
 }
 
 func TestEngineSteadyStateAllocatesNothing(t *testing.T) {
 	advance := steadyEngine()
-	if allocs := testing.AllocsPerRun(50, func() { advance(0.1) }); allocs != 0 {
-		t.Fatalf("%v allocations per 0.1 s of At/After/Reschedule/Run, want 0", allocs)
+	events := int64(0)
+	allocs := testing.AllocsPerRun(50, func() { events += advance(0.1) })
+	if allocs != 0 || events < 10000 {
+		t.Fatalf("%v allocations per 0.1 s of At/After/Set/Run over %d events, want 0 over at least 10000", allocs, events)
 	}
 }
 
@@ -386,7 +525,7 @@ func BenchmarkEngine(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		advance(1) // about 2000 events
+		advance(1) // about 4000 events
 	}
 }
 
@@ -466,12 +605,13 @@ func TestRNGForkIndependence(t *testing.T) {
 	}
 }
 
-func TestEngineCancelZeroHandle(t *testing.T) {
+func TestTimerStopIdle(t *testing.T) {
 	var e Engine
-	e.Cancel(Handle{}) // nothing scheduled yet: must not panic
+	tm := e.NewTimer(func() {})
+	tm.Stop() // nothing scheduled yet: must not panic
 	e.At(1, func() {})
-	e.Cancel(Handle{})
+	tm.Stop()
 	if e.Pending() != 1 {
-		t.Fatal("the zero handle cancelled a live event")
+		t.Fatal("stopping an idle timer removed a live event")
 	}
 }

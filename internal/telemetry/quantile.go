@@ -24,12 +24,13 @@ func ExactQuantile(sorted []float64, q float64) float64 {
 	if len(sorted) == 0 {
 		return 0
 	}
-	idx := int(math.Ceil(q*float64(len(sorted)))) - 1
-	if idx < 0 {
-		idx = 0
-	}
-	if idx >= len(sorted) {
-		idx = len(sorted) - 1
-	}
-	return sorted[idx]
+	return sorted[ExactRank(len(sorted), q)]
+}
+
+// ExactRank returns the index ExactQuantile reads for the q-quantile of n > 0
+// sorted values: ceil(q·n) − 1, clamped to the slice. It is non-decreasing in
+// q, so a caller that needs only quantiles from q up may sort only from this
+// index on.
+func ExactRank(n int, q float64) int {
+	return min(max(int(math.Ceil(q*float64(n)))-1, 0), n-1)
 }

@@ -79,10 +79,12 @@ type Generator struct {
 	trees      []*cluster.Stage
 	submitted  int64
 
-	// Engine and cluster callbacks, bound once so that a request costs no
-	// closure.
-	arriveFn, pollFn func()
-	recordFn         func(latSec float64, dropped bool)
+	// tick fires at the next arrival or, while the pattern yields no load
+	// (idle), at the next poll of it. It and recordFn are bound once, so a
+	// request costs no closure.
+	tick     sim.Timer
+	idle     bool
+	recordFn func(latSec float64, dropped bool)
 }
 
 // NewGenerator creates a generator; call Start to begin injecting load.
@@ -98,7 +100,7 @@ func NewGenerator(cl *cluster.Cluster, app *apps.App, rng *sim.RNG, p Pattern) *
 		g.cumWeights = append(g.cumWeights, cum)
 		g.trees = append(g.trees, r.Tree)
 	}
-	g.arriveFn, g.pollFn, g.recordFn = g.arrive, g.scheduleNext, g.record
+	g.tick, g.recordFn = g.eng.NewTimer(g.onTick), g.record
 	return g
 }
 
@@ -115,17 +117,20 @@ func (g *Generator) Submitted() int64 { return g.submitted }
 func (g *Generator) FlushWindow() metrics.Percentiles { return g.Window.Flush() }
 
 func (g *Generator) scheduleNext() {
-	rate := g.pattern.RPS(g.eng.Now())
-	if rate <= 0 {
-		// Idle: poll again shortly for the pattern to come back.
-		g.eng.After(0.1, g.pollFn)
+	now := g.eng.Now()
+	rate := g.pattern.RPS(now)
+	if g.idle = rate <= 0; g.idle {
+		// Poll again shortly for the pattern to come back.
+		g.tick.Set(now + 0.1)
 		return
 	}
-	g.eng.After(g.rng.Exp(1/rate), g.arriveFn)
+	g.tick.Set(now + g.rng.Exp(1/rate))
 }
 
-func (g *Generator) arrive() {
-	g.cl.Submit(g.pick(), g.recordFn)
+func (g *Generator) onTick() {
+	if !g.idle {
+		g.cl.Submit(g.pick(), g.recordFn)
+	}
 	g.scheduleNext()
 }
 

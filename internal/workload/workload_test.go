@@ -2,6 +2,7 @@ package workload
 
 import (
 	"math"
+	"strings"
 	"testing"
 
 	"sinan/internal/apps"
@@ -160,6 +161,20 @@ func TestReplayPattern(t *testing.T) {
 // engine slots and callbacks are all recycled. What remains is slice growth
 // when a burst runs past every earlier peak, far below one per request; a
 // closure or a record per stage would show as eight or more.
+// A pattern that yields NaN must stop the run where it happens: rate <= 0 is
+// false for NaN, so the generator would otherwise arm its timer at a NaN time.
+func TestNaNRatePanics(t *testing.T) {
+	app := apps.NewHotelReservation()
+	cl := cluster.New(&sim.Engine{}, sim.NewRNG(1), app.Tiers)
+	g := NewGenerator(cl, app, sim.NewRNG(2), Replay{RPSSeries: []float64{math.NaN()}})
+	defer func() {
+		if msg, _ := recover().(string); !strings.Contains(msg, "NaN") {
+			t.Fatalf("recovered %q, want the engine's panic naming NaN", msg)
+		}
+	}()
+	g.Start()
+}
+
 func TestRequestAllocations(t *testing.T) {
 	for _, c := range []struct {
 		name string

@@ -8,10 +8,26 @@
 # reasonable timeout. A second race stage then runs in full the few packages
 # whose concurrent tests skip in short mode, so the race detector sees all
 # of the machinery that actually runs concurrently.
+#
+# The gate is a workload too: it ends with the wall seconds every stage took
+# and their total, so a change to it (or to what it runs) shows its price.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
-echo "== gofmt =="
+# stage <title>: close the running stage's clock and open the next one's.
+stage_title=""
+stage_start=0
+timings=""
+stage() {
+    if [ -n "$stage_title" ]; then
+        timings+=$(printf '%5d s  %s' $((SECONDS - stage_start)) "$stage_title")$'\n'
+    fi
+    stage_title=$1
+    stage_start=$SECONDS
+    echo "== $1 =="
+}
+
+stage "gofmt"
 unformatted=$(gofmt -l .)
 if [ -n "$unformatted" ]; then
     echo "gofmt needed on:" >&2
@@ -19,22 +35,22 @@ if [ -n "$unformatted" ]; then
     exit 1
 fi
 
-echo "== go vet =="
+stage "go vet"
 go vet ./...
 
-echo "== go build =="
+stage "go build"
 go build ./...
 
-echo "== unused identifiers =="
+stage "unused identifiers"
 # Fails on a name no file references; names only tests reference are listed.
 ./scripts/unused.sh
 
-echo "== go test =="
+stage "go test"
 # -shuffle=on randomises test order within each package, flushing out
 # accidental inter-test state dependence; failures print the seed to replay.
 go test -shuffle=on ./... "$@"
 
-echo "== fuzz smoke =="
+stage "fuzz smoke"
 # Every fuzz target of the repository, found by its declaration so that a new
 # one cannot be left out, fuzzed for 5 s: tier-1 only replays the seed
 # corpora. The minimiser is capped because it stalls on inputs whose coverage
@@ -49,7 +65,7 @@ case " $* " in
     ;;
 esac
 
-echo "== go test -cpu 1,4 (kernels, sharding, scheduler pins) =="
+stage "go test -cpu 1,4 (kernels, sharding, scheduler pins)"
 # The GEMM kernels and the sharded training loop split their work by
 # GOMAXPROCS; their bit-identity tests must hold at one worker (serial
 # paths) and at more workers than a 2-core runner has, so a result that
@@ -59,7 +75,7 @@ go test -cpu 1,4 ./internal/tensor ./internal/nn "$@"
 # proc, and more procs than the runner has.
 go test -cpu 1,4 -run 'Pinned|Property|BitIdentical' ./internal/core "$@"
 
-echo "== portable leaves (-tags purego) and other architectures =="
+stage "portable leaves (-tags purego) and other architectures"
 # The GEMM kernels' three leaf routines have an AVX body on amd64
 # (internal/tensor/kernels_amd64.s). The purego tag — read here and nowhere
 # else — builds the Go leaves instead, so the same bit-for-bit tests and the
@@ -71,10 +87,10 @@ go test -tags purego -run 'Pinned|BitIdentical' ./internal/core "$@"
 GOARCH=arm64 go build ./...
 GOARCH=arm64 go vet ./internal/tensor
 
-echo "== go test -race (short) =="
+stage "go test -race (short)"
 go test -race -short -timeout 30m ./... "$@"
 
-echo "== go test -race (full, by package) =="
+stage "go test -race (full, by package)"
 # The concurrency-heavy tests that skip under -short — the chaos, overload
 # and drift experiment arms on the parallel harness, the starved-cluster
 # overload runs, the stats plane's managed run on a Hub over TCP loopback
@@ -87,12 +103,15 @@ echo "== go test -race (full, by package) =="
 # plain stage covers.
 go test -race -timeout 30m ./internal/experiments ./internal/workload ./internal/statplane
 
-echo "== bench smoke =="
+stage "bench smoke"
 go test -run='^$' -bench='ConvForward|PredictBatch$|PredictShared|SimulatorThroughput|TrainEpoch|CNNTrainStep|BoostTrain' -benchtime=1x
 go test -run='^$' -bench=GEMM -benchtime=1x ./internal/tensor
 
-echo "== size =="
+stage "size"
 # The number every simplicity PR quotes: non-test Go outside bench/.
 echo "non-test Go lines outside bench/: $(find . -name '*.go' ! -name '*_test.go' ! -path './bench/*' | xargs cat | wc -l)"
+
+stage "wall seconds per stage"
+printf '%s%5d s  total\n' "$timings" "$SECONDS"
 
 echo "OK"
