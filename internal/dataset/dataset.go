@@ -113,6 +113,11 @@ func (ds *Dataset) ViolationRate() float64 {
 func (ds *Dataset) Select(idx []int) *Dataset {
 	out := New(ds.D, ds.K)
 	rhN, lhN, rcN := ds.rowSizes()
+	out.RH = make([]float64, 0, len(idx)*rhN)
+	out.LH = make([]float64, 0, len(idx)*lhN)
+	out.RC = make([]float64, 0, len(idx)*rcN)
+	out.YLat = make([]float64, 0, len(idx)*ds.D.M)
+	out.YViol = make([]bool, 0, len(idx))
 	for _, i := range idx {
 		out.Append(
 			ds.RH[i*rhN:(i+1)*rhN],

@@ -7,9 +7,9 @@ import (
 )
 
 // Context owns every piece of per-call state a model evaluation needs:
-// the activation tape Backward consumes, per-call gradient accumulators,
-// and reusable inference scratch. Layers themselves are immutable after
-// construction, so one model instance can be shared by any number of
+// the activation tape Backward consumes, the gradient accumulators Backward
+// adds into, and reusable inference scratch. Layers themselves are immutable
+// after construction, so one model instance can be shared by any number of
 // goroutines as long as each holds its own Context. Contexts keep their
 // buffers across calls — after the first evaluation of a given batch
 // shape, the steady state is allocation-free.
@@ -29,11 +29,12 @@ type Context struct {
 	// valid until the next Forward.
 	Latent *tensor.Dense
 
-	// grads maps parameters to context-local gradient accumulators.
-	// Backward adds into these instead of the shared Param.Grad, so
-	// concurrent backward passes over one model never race; FlushGrads
-	// moves them into Param.Grad deterministically.
-	grads map[*Param]*tensor.Dense
+	// grads is the accumulator set Backward adds into instead of the shared
+	// Param.Grad, so concurrent backward passes over one model never race;
+	// FlushGrads moves it into Param.Grad deterministically. It is a set of
+	// the context's own, made on first use, unless accumulateInto bound
+	// another.
+	grads *gradSet
 
 	// TrainedModel inference scratch: normalised inputs, gathered outputs,
 	// and reusable chunk-view headers.
@@ -75,30 +76,61 @@ func (c *Context) pop() *frame {
 	return c.frames[c.pos]
 }
 
-// Grad returns the context-local gradient accumulator for p, zero-valued
-// on first use.
-func (c *Context) Grad(p *Param) *tensor.Dense {
-	g, ok := c.grads[p]
+// gradSet is one set of gradient accumulators, a tensor per parameter. It is
+// separate from the tape so that one tape can serve several sets in turn: a
+// training worker walks its gradient shards on a single Context and binds
+// each shard's set before the shard's Backward (see TrainedModel.batchGrad). The
+// zero value is an empty set.
+type gradSet struct {
+	acc map[*Param]*tensor.Dense
+}
+
+// of returns the set's accumulator for p, zero-valued on first use.
+func (gs *gradSet) of(p *Param) *tensor.Dense {
+	g, ok := gs.acc[p]
 	if !ok {
-		if c.grads == nil {
-			c.grads = make(map[*Param]*tensor.Dense)
+		if gs.acc == nil {
+			gs.acc = make(map[*Param]*tensor.Dense)
 		}
 		g = tensor.New(p.W.Shape...)
-		c.grads[p] = g
+		gs.acc[p] = g
 	}
 	return g
 }
 
-// FlushGrads adds this context's accumulated gradients into the shared
-// Param.Grad buffers and zeroes the local accumulators. Iteration follows
-// the order of ps, so reducing several contexts in a fixed context order
-// is deterministic regardless of how their backward passes were scheduled.
-func (c *Context) FlushGrads(ps []*Param) {
+// flush adds the set's accumulated gradients into the shared Param.Grad
+// buffers and zeroes the accumulators. Iteration follows the order of ps, so
+// reducing several sets in a fixed order is deterministic regardless of how
+// their backward passes were scheduled.
+func (gs *gradSet) flush(ps []*Param) {
 	for _, p := range ps {
-		if g, ok := c.grads[p]; ok {
+		if g, ok := gs.acc[p]; ok {
 			tensor.AddInPlace(p.Grad, g)
 			g.Zero()
 		}
+	}
+}
+
+// accumulateInto makes gs the set this context's Backward passes add into,
+// and FlushGrads flushes, until the next call. A context is never without a
+// set: before any call it is the context's own, and Grad and FlushGrads read
+// the one field, so a gradient cannot land where nothing flushes it from.
+func (c *Context) accumulateInto(gs *gradSet) { c.grads = gs }
+
+// Grad returns the bound set's gradient accumulator for p, zero-valued on
+// first use.
+func (c *Context) Grad(p *Param) *tensor.Dense {
+	if c.grads == nil {
+		c.grads = &gradSet{}
+	}
+	return c.grads.of(p)
+}
+
+// FlushGrads adds the gradients accumulated through this context into the
+// shared Param.Grad buffers, in the order of ps, and zeroes the accumulators.
+func (c *Context) FlushGrads(ps []*Param) {
+	if c.grads != nil {
+		c.grads.flush(ps)
 	}
 }
 
@@ -108,7 +140,7 @@ func (c *Context) FlushGrads(ps []*Param) {
 type frame struct {
 	x     *tensor.Dense // layer input (owned by the caller or a lower frame)
 	shape []int         // small int scratch (saved shapes, batch dims)
-	mask  []bool        // ReLU sign mask
+	mask  []bool        // ReLU: true where the input was < 0
 	bufs  []*tensor.Dense
 	views []*tensor.Dense
 	f64   [][]float64

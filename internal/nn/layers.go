@@ -2,6 +2,7 @@ package nn
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 
 	"sinan/internal/tensor"
@@ -31,16 +32,20 @@ func (d *Dense) Forward(ctx *Context, x *tensor.Dense) *tensor.Dense {
 	}
 	f := ctx.push()
 	f.x = x
-	b := x.Shape[0]
-	y := f.buf(0, b, d.Out)
+	y := f.buf(0, x.Shape[0], d.Out)
 	tensor.MatMulInto(y, x, d.W.W)
-	for i := 0; i < b; i++ {
+	d.addBias(y)
+	return y
+}
+
+// addBias adds the layer's bias to every row of y [B, Out].
+func (d *Dense) addBias(y *tensor.Dense) {
+	for i := 0; i < y.Shape[0]; i++ {
 		row := y.Data[i*d.Out : (i+1)*d.Out]
 		for j := 0; j < d.Out; j++ {
 			row[j] += d.B.W.Data[j]
 		}
 	}
-	return y
 }
 
 // Backward implements Layer.
@@ -71,39 +76,47 @@ func (d *Dense) Params() []*Param { return []*Param{d.W, d.B} }
 // ReLU is the rectified linear activation.
 type ReLU struct{}
 
-// Forward implements Layer.
+// Forward implements Layer: y = 0 where x < 0, else x (so −0 and NaN pass
+// through), with the comparison's outcome kept as the mask. Half of a
+// network's activations are negative in no learnable pattern, so the loop
+// selects on the value's bits (a conditional move) where a branch would
+// mispredict.
 func (r *ReLU) Forward(ctx *Context, x *tensor.Dense) *tensor.Dense {
 	f := ctx.push()
 	y := f.buf(0, x.Shape...)
-	if cap(f.mask) < len(x.Data) {
-		f.mask = make([]bool, len(x.Data))
+	xd := x.Data
+	if cap(f.mask) < len(xd) {
+		f.mask = make([]bool, len(xd))
 	}
-	f.mask = f.mask[:len(x.Data)]
-	for i, v := range x.Data {
-		if v < 0 {
-			y.Data[i] = 0
-			f.mask[i] = false
-		} else {
-			y.Data[i] = v
-			f.mask[i] = true
+	f.mask = f.mask[:len(xd)]
+	yd, mask := y.Data[:len(xd)], f.mask[:len(xd)] // lengths the loop's bounds checks can see
+	for i, v := range xd {
+		neg := v < 0
+		bits := math.Float64bits(v)
+		if neg {
+			bits = 0
 		}
+		yd[i] = math.Float64frombits(bits)
+		mask[i] = neg
 	}
 	return y
 }
 
-// Backward implements Layer.
+// Backward implements Layer: dx = +0 where x was < 0, else dout, selected the
+// same way.
 func (r *ReLU) Backward(ctx *Context, dout *tensor.Dense, wantDX bool) *tensor.Dense {
 	f := ctx.pop()
 	if !wantDX {
 		return nil
 	}
 	dx := f.buf(1, dout.Shape...)
+	dd, mask := dx.Data[:len(dout.Data)], f.mask[:len(dout.Data)]
 	for i, v := range dout.Data {
-		if f.mask[i] {
-			dx.Data[i] = v
-		} else {
-			dx.Data[i] = 0
+		bits := math.Float64bits(v)
+		if mask[i] {
+			bits = 0
 		}
+		dd[i] = math.Float64frombits(bits)
 	}
 	return dx
 }

@@ -98,6 +98,56 @@ func TestReLU(t *testing.T) {
 	}
 }
 
+// refReLU is the definition ReLU's select loops replaced, branches and all:
+// y = 0 and no gradient where x < 0, y = x and the gradient passed otherwise.
+func refReLU(x, dout []float64) (y, dx []float64) {
+	y, dx = make([]float64, len(x)), make([]float64, len(x))
+	for i, v := range x {
+		if v < 0 {
+			y[i], dx[i] = 0, 0
+		} else {
+			y[i], dx[i] = v, dout[i]
+		}
+	}
+	return y, dx
+}
+
+// ReLU's Forward and Backward return the reference's bits for every kind of
+// float64 in either operand: zeros of both signs (−0 is not < 0, so it
+// passes through and passes the gradient), infinities, NaNs of both signs
+// (not < 0 either), subnormals, and random values.
+func TestReLUMatchesBranchyReferenceBitForBit(t *testing.T) {
+	negNaN := math.Float64frombits(math.Float64bits(math.NaN()) | 1<<63)
+	special := []float64{
+		0, math.Copysign(0, -1), math.Inf(1), math.Inf(-1), math.NaN(), negNaN,
+		math.SmallestNonzeroFloat64, -math.SmallestNonzeroFloat64, 0x1p-1030, -0x1p-1030,
+		math.MaxFloat64, -math.MaxFloat64, 1, -1,
+	}
+	rng := rand.New(rand.NewSource(3))
+	var xs, douts []float64
+	for _, x := range special { // every special input under every special gradient
+		for _, d := range special {
+			xs, douts = append(xs, x), append(douts, d)
+		}
+	}
+	for i := 0; i < 1000; i++ {
+		xs, douts = append(xs, rng.NormFloat64()), append(douts, rng.NormFloat64())
+	}
+	wantY, wantDX := refReLU(xs, douts)
+	r := &ReLU{}
+	ctx := NewContext()
+	y := r.Forward(ctx, tensor.FromSlice(xs, 1, len(xs)))
+	dx := r.Backward(ctx, tensor.FromSlice(douts, 1, len(xs)), true)
+	for i := range xs {
+		if got, want := math.Float64bits(y.Data[i]), math.Float64bits(wantY[i]); got != want {
+			t.Errorf("Forward(%v) = %v (%#x), reference %v (%#x)", xs[i], y.Data[i], got, wantY[i], want)
+		}
+		if got, want := math.Float64bits(dx.Data[i]), math.Float64bits(wantDX[i]); got != want {
+			t.Errorf("Backward(%v) at x = %v is %v (%#x), reference %v (%#x)", douts[i], xs[i], dx.Data[i], got, wantDX[i], want)
+		}
+	}
+}
+
 func TestFlattenRoundTrip(t *testing.T) {
 	f := &Flatten{}
 	ctx := NewContext()

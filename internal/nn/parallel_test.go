@@ -50,27 +50,110 @@ func TestSharedModelConcurrentPredictBitIdentical(t *testing.T) {
 
 // Sharded minibatch gradients must not depend on the machine: shard count
 // and boundaries are a function of the batch size only, and shard results
-// are reduced in shard order, so training on one core and on all cores
-// yields bit-identical weights.
+// are reduced in shard order, so training on one core and on any number of
+// cores yields bit-identical weights. At 4 shards, 4 and 8 workers give every
+// shard its own tape, 2 and 3 make one tape serve two consecutive shards, and
+// 1 makes it serve all four; the last minibatch (8 of 200 samples) has a
+// single shard.
 func TestTrainShardingMachineIndependent(t *testing.T) {
 	rng := rand.New(rand.NewSource(41))
 	in, y := synthInputs(rng, 200, testDims)
 	cfg := TrainConfig{Epochs: 2, Batch: 64, QoSMS: 500, Seed: 6, Shards: 4}
-
-	tmPar := Train(NewLatencyCNN(rand.New(rand.NewSource(42)), testDims, 16), in, y, cfg)
-
-	prev := runtime.GOMAXPROCS(1)
-	tmSer := Train(NewLatencyCNN(rand.New(rand.NewSource(42)), testDims, 16), in, y, cfg)
-	runtime.GOMAXPROCS(prev)
-
-	pp, sp := tmPar.Model.Params(), tmSer.Model.Params()
-	for i := range pp {
-		for j := range pp[i].W.Data {
-			if pp[i].W.Data[j] != sp[i].W.Data[j] {
-				t.Fatalf("param %s diverges at %d: %v vs %v",
-					pp[i].Name, j, pp[i].W.Data[j], sp[i].W.Data[j])
+	train := func(procs int) []*Param {
+		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
+		return Train(NewLatencyCNN(rand.New(rand.NewSource(42)), testDims, 16), in, y, cfg).Model.Params()
+	}
+	want := train(1)
+	for _, procs := range []int{2, 3, 4, 8} {
+		got := train(procs)
+		for i := range want {
+			for j := range want[i].W.Data {
+				if got[i].W.Data[j] != want[i].W.Data[j] {
+					t.Fatalf("GOMAXPROCS %d: param %s diverges at %d: %v vs %v",
+						procs, want[i].Name, j, got[i].W.Data[j], want[i].W.Data[j])
+				}
 			}
 		}
+	}
+}
+
+// A tape belongs to a worker, not to a shard: after an epoch of 4-shard
+// minibatches only the first shard of each ParallelFor range has pushed a
+// frame or gathered a row, so 1, 2 and 4 workers grow exactly 1, 2 and 4
+// tapes — and every shard, tape or not, has accumulated gradients.
+func TestTrainTapesPerWorker(t *testing.T) {
+	rng := rand.New(rand.NewSource(43))
+	in, y := synthInputs(rng, 128, testDims)
+	for _, procs := range []int{1, 2, 4} {
+		prev := runtime.GOMAXPROCS(procs)
+		tm := &TrainedModel{Model: NewLatencyCNN(rand.New(rand.NewSource(44)), testDims, 16)}
+		params := tm.Model.Params()
+		shards := newTrainShards(4)
+		idx := rng.Perm(128)
+		for s := 0; s < len(idx); s += 64 {
+			tm.batchGrad(shards, in, y, idx[s:s+64], MSE{}, params)
+		}
+		runtime.GOMAXPROCS(prev)
+		tapes := 0
+		for si := range shards {
+			sh := &shards[si]
+			if len(sh.grads.acc) != len(params) {
+				t.Errorf("GOMAXPROCS %d: shard %d holds %d accumulators, want %d", procs, si, len(sh.grads.acc), len(params))
+			}
+			if (len(sh.ctx.frames) > 0) != (sh.in.RH != nil) {
+				t.Errorf("GOMAXPROCS %d: shard %d has a tape without gather buffers or the reverse", procs, si)
+			}
+			if len(sh.ctx.frames) > 0 {
+				tapes++
+			}
+		}
+		if tapes != procs {
+			t.Errorf("GOMAXPROCS %d: %d of 4 shard contexts hold frames, want %d", procs, tapes, procs)
+		}
+	}
+}
+
+// Backward adds into whichever accumulator set the context is bound to and
+// FlushGrads reduces that same set: binding a set moves where the gradients
+// are kept, never whether they arrive.
+func TestBoundGradSetReceivesAndFlushes(t *testing.T) {
+	rng := rand.New(rand.NewSource(45))
+	in, _ := synthInputs(rng, 8, testDims)
+	model := NewLatencyCNN(rng, testDims, 16)
+	grad := tensor.New(8, testDims.M)
+	grad.Fill(0.01)
+	run := func(bind *gradSet) []*tensor.Dense {
+		ctx := NewContext()
+		if bind != nil {
+			ctx.accumulateInto(bind)
+		}
+		model.Forward(ctx, in)
+		model.Backward(ctx, grad)
+		ctx.FlushGrads(model.Params())
+		var out []*tensor.Dense
+		for _, p := range model.Params() {
+			out = append(out, p.Grad.Clone())
+			p.Grad.Zero()
+		}
+		return out
+	}
+	want := run(nil)
+	var gs gradSet
+	got := run(&gs)
+	if len(gs.acc) != len(model.Params()) {
+		t.Fatalf("bound set holds %d accumulators, want %d", len(gs.acc), len(model.Params()))
+	}
+	nonzero := false
+	for i := range want {
+		for j, v := range want[i].Data {
+			nonzero = nonzero || v != 0
+			if got[i].Data[j] != v {
+				t.Fatalf("param %d element %d: %v through a bound set, %v through the context's own", i, j, got[i].Data[j], v)
+			}
+		}
+	}
+	if !nonzero {
+		t.Fatal("every gradient is zero: the test checks nothing")
 	}
 }
 

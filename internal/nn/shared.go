@@ -48,27 +48,33 @@ type SharedRegressor interface {
 }
 
 // ForwardShared implements SharedRegressor: the conv stack and latency-
-// history encoder see the single window row, their activations are
-// broadcast across the candidate batch, and only the allocation encoder,
-// trunk fusion, and head run at width B. Per-sample kernels (Dense rows,
-// im2col columns, ReLU) are row-independent with a fixed accumulation
-// order, so broadcasting the batch-1 activation is bit-identical to
-// re-encoding B identical rows. Stores the latent Lf in ctx.Latent, like
-// Forward.
+// history encoder see the single window row, and only the allocation encoder
+// and head run at width B. Per-sample kernels (Dense rows, im2col columns,
+// ReLU) are row-independent with a fixed accumulation order, so a batch-1
+// activation stands for B identical rows bit for bit. The trunk's fusion
+// layer never sees the concatenated [B, rh|lh|rc] batch either: a row of
+// x·W is a sum in ascending column of x, so its first rh+lh terms — the same
+// for every candidate — are summed once, copied into each row, and the
+// per-candidate rc columns continue the sum from there. Stores the latent Lf
+// in ctx.Latent, like Forward.
 func (m *LatencyCNN) ForwardShared(ctx *Context, in SharedInputs) *tensor.Dense {
 	ctx.Reset()
 	rh := m.rhConv.Forward(ctx, in.RH) // [1, rhOut] — trunk, once
 	lh := m.lhEnc.Forward(ctx, in.LH)  // [1, lhOut] — trunk, once
 	rc := m.rcEnc.Forward(ctx, in.RC)  // [B, rcOut] — per candidate
-	b := in.Batch()
+	fc := m.trunk.Layers[0].(*Dense)
+	w := fc.W.W.Data // [rhOut+lhOut+rcOut, Out]: three row blocks
+	n0 := m.dimsCache[0] * fc.Out
+	n1 := n0 + m.dimsCache[1]*fc.Out
 	f := ctx.push()
-	rhB := f.buf(0, b, m.dimsCache[0])
-	tensor.RepeatRowsInto(rhB, rh)
-	lhB := f.buf(1, b, m.dimsCache[1])
-	tensor.RepeatRowsInto(lhB, lh)
-	cat := f.buf(2, b, m.dimsCache[0]+m.dimsCache[1]+m.dimsCache[2])
-	tensor.ConcatInto(cat, rhB, lhB, rc)
-	ctx.Latent = m.trunk.Forward(ctx, cat)
+	hist := f.buf(0, 1, fc.Out)
+	tensor.MatMulInto(hist, rh, f.view(0, w[:n0], m.dimsCache[0], fc.Out))
+	tensor.MatMulAddInto(hist, lh, f.view(1, w[n0:n1], m.dimsCache[1], fc.Out))
+	z := f.buf(1, in.Batch(), fc.Out)
+	tensor.RepeatRowsInto(z, hist)
+	tensor.MatMulAddInto(z, rc, f.view(2, w[n1:], m.dimsCache[2], fc.Out))
+	fc.addBias(z)
+	ctx.Latent = m.trunk.Layers[1].Forward(ctx, z)
 	return m.head.Forward(ctx, ctx.Latent)
 }
 

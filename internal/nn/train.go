@@ -109,9 +109,10 @@ type TrainConfig struct {
 	Seed        int64
 	Log         io.Writer // optional epoch-loss log
 	// Shards is the number of gradient shards each minibatch is split
-	// into. Shards are evaluated concurrently, each on its own Context,
-	// and reduced in shard order, so the resulting gradients — and the
-	// trained weights — are bit-identical for any GOMAXPROCS. 0 means 4.
+	// into. Shards are evaluated concurrently, each into its own gradient
+	// accumulators, and reduced in shard order, so the resulting gradients
+	// — and the trained weights — are bit-identical for any GOMAXPROCS.
+	// 0 means 4.
 	Shards int
 }
 
@@ -183,7 +184,7 @@ func (tm *TrainedModel) Clone() *TrainedModel {
 // milliseconds [B, M], returning the wrapped model. Training is plain SGD
 // with momentum, gradient clipping, and the φ-scaled squared loss; each
 // minibatch's gradient is computed data-parallel across cfg.Shards
-// contexts and reduced deterministically.
+// shards and reduced deterministically.
 func Train(model Regressor, in Inputs, yMS *tensor.Dense, cfg TrainConfig) *TrainedModel {
 	cfg = cfg.withDefaults()
 	d := model.Dims()
@@ -222,11 +223,7 @@ func (tm *TrainedModel) fit(in Inputs, yMS *tensor.Dense, cfg TrainConfig) {
 		idx[i] = i
 	}
 	params := tm.Model.Params()
-	shards := make([]trainShard, cfg.Shards)
-	for i := range shards {
-		shards[i].ctx = NewContext()
-	}
-	losses := make([]float64, cfg.Shards)
+	shards := newTrainShards(cfg.Shards)
 	for epoch := 0; epoch < cfg.Epochs; epoch++ {
 		rng.Shuffle(n, func(i, j int) { idx[i], idx[j] = idx[j], idx[i] })
 		total := 0.0
@@ -236,34 +233,8 @@ func (tm *TrainedModel) fit(in Inputs, yMS *tensor.Dense, cfg TrainConfig) {
 			if e > n {
 				e = n
 			}
-			bidx := idx[s:e]
-			bn := len(bidx)
-			// Shard count depends only on the batch size, never on the
-			// machine, so shard boundaries (and FP summation order) are
-			// reproducible everywhere.
-			ns := cfg.Shards
-			if maxS := (bn + minShard - 1) / minShard; ns > maxS {
-				ns = maxS
-			}
-			// Each shard computes loss and gradients on its own context;
-			// per-shard results are scaled by the shard's sample fraction
-			// so their ordered sum equals the full-batch mean gradient.
-			tensor.ParallelFor(ns, func(a, b int) {
-				for si := a; si < b; si++ {
-					sh := &shards[si]
-					sidx := bidx[si*bn/ns : (si+1)*bn/ns]
-					sh.gather(norm, y, sidx)
-					pred := tm.Model.Forward(sh.ctx, sh.in)
-					l, grad := loss.Compute(pred, sh.y)
-					w := float64(len(sidx)) / float64(bn)
-					tensor.ScaleInPlace(grad, w)
-					tm.Model.Backward(sh.ctx, grad)
-					losses[si] = l * w
-				}
-			})
-			for si := 0; si < ns; si++ {
-				shards[si].ctx.FlushGrads(params)
-				total += losses[si]
+			for _, sh := range tm.batchGrad(shards, norm, y, idx[s:e], loss, params) {
+				total += sh.loss
 			}
 			ClipGrads(params, cfg.ClipNorm)
 			opt.Step(params)
@@ -275,14 +246,67 @@ func (tm *TrainedModel) fit(in Inputs, yMS *tensor.Dense, cfg TrainConfig) {
 	}
 }
 
-// trainShard is one gradient shard's private state, kept from step to step:
-// the tape and gradient accumulators, and the buffers its slice of each
-// minibatch is gathered into. Once every shard has seen its largest slice, a
-// training step's gather, forward and backward allocate nothing.
+// batchGrad adds the mean gradient of minibatch bidx into params' Grad,
+// computed data-parallel over shards, and returns the shards the minibatch
+// was cut into, each holding its share of the minibatch's loss.
+func (tm *TrainedModel) batchGrad(shards []trainShard, in Inputs, y *tensor.Dense, bidx []int, loss Loss, params []*Param) []trainShard {
+	bn := len(bidx)
+	// Shard count depends only on the batch size, never on the machine, so
+	// shard boundaries (and FP summation order) are reproducible everywhere.
+	ns := len(shards)
+	if maxS := (bn + minShard - 1) / minShard; ns > maxS {
+		ns = maxS
+	}
+	tensor.ParallelFor(ns, func(a, b int) {
+		// A worker walks shards [a, b) one after another, so one tape and
+		// one gathered batch serve them all: those of the range's first
+		// shard. What each shard keeps to itself is its gradient set.
+		w := &shards[a]
+		for si := a; si < b; si++ {
+			sh := &shards[si]
+			sidx := bidx[si*bn/ns : (si+1)*bn/ns]
+			w.gather(in, y, sidx)
+			pred := tm.Model.Forward(w.ctx, w.in)
+			l, grad := loss.Compute(pred, w.y)
+			// Scaled by the shard's sample fraction, so the ordered sum of
+			// the shards' results equals the full-batch mean.
+			frac := float64(len(sidx)) / float64(bn)
+			tensor.ScaleInPlace(grad, frac)
+			w.ctx.accumulateInto(&sh.grads)
+			tm.Model.Backward(w.ctx, grad)
+			sh.loss = l * frac
+		}
+	})
+	for si := 0; si < ns; si++ {
+		shards[si].grads.flush(params)
+	}
+	return shards[:ns]
+}
+
+// trainShard is one gradient shard's state, kept from step to step. A shard
+// owns its gradient accumulators and nothing else: they are reduced in shard
+// order whichever worker filled them, which is what makes the trained weights
+// independent of GOMAXPROCS. The tape and the buffers a slice of the
+// minibatch is gathered into are working memory of whoever evaluates the
+// shard — the first shard of each ParallelFor range lends its own to the
+// whole range — so only as many of them ever grow as there are workers. Once
+// a worker has seen its largest slice, a training step's gather, forward and
+// backward allocate nothing.
 type trainShard struct {
+	grads gradSet
+	loss  float64
+
 	ctx *Context
 	in  Inputs
 	y   *tensor.Dense
+}
+
+func newTrainShards(n int) []trainShard {
+	shards := make([]trainShard, n)
+	for i := range shards {
+		shards[i].ctx = NewContext()
+	}
+	return shards
 }
 
 // gather copies samples idx of the (normalised) inputs and (scaled) targets

@@ -117,7 +117,16 @@ func panicNonPositiveDim(s int) {
 
 // MatMulInto computes C = A·B into dst, which must be [m,n]. dst is
 // overwritten; it must not alias a or b.
-func MatMulInto(dst, a, b *Dense) {
+func MatMulInto(dst, a, b *Dense) { matMul(dst, a, b, false) }
+
+// MatMulAddInto computes C += A·B in place on dst [m,n], which must not alias
+// a or b. Each element continues its sum where dst left it, by mulRows' rule:
+// with A = [A₁ A₂] and B = [B₁; B₂] split at any p, MatMulInto(dst, A₁, B₁)
+// followed by MatMulAddInto(dst, A₂, B₂) leaves the bits of
+// MatMulInto(dst, A, B).
+func MatMulAddInto(dst, a, b *Dense) { matMul(dst, a, b, true) }
+
+func matMul(dst, a, b *Dense, acc bool) {
 	if len(a.Shape) != 2 || len(b.Shape) != 2 || a.Shape[1] != b.Shape[0] {
 		panic(fmt.Sprintf("tensor: matmul shapes %v × %v", a.Shape, b.Shape))
 	}
@@ -128,10 +137,10 @@ func MatMulInto(dst, a, b *Dense) {
 	// The closure is built only on the parallel path, so small (serial)
 	// products stay allocation-free.
 	if parallelizable(m * k * n) {
-		ParallelFor(m, func(start, end int) { mulRows(dst.Data, a.Data, b.Data, k, 1, k, n, start, end) })
+		ParallelFor(m, func(start, end int) { mulRows(dst.Data, a.Data, b.Data, k, 1, k, n, start, end, acc) })
 		return
 	}
-	mulRows(dst.Data, a.Data, b.Data, k, 1, k, n, 0, m)
+	mulRows(dst.Data, a.Data, b.Data, k, 1, k, n, 0, m, acc)
 }
 
 // colBlock is the width of the column blocks mulRows walks a long row in.
@@ -148,21 +157,24 @@ const colBlock = 256
 // are Aᵀ given as the row-major [k,m], so MatMulInto and MatMulTransAInto
 // are one kernel and neither ever materialises a transpose.
 //
-// Every output element is the sum, started from +0 and taken in ascending p,
-// of the products a[i,p]·b[p,j] whose a[i,p] is not zero (±0); a product
-// whose a is zero is not formed at all, so a zero activation times an Inf or
-// NaN weight contributes nothing. Per block of colBlock columns and row of A,
+// Every output element is the sum, started from +0 — or, with acc set, from
+// the value dst holds — and taken in ascending p, of the products
+// a[i,p]·b[p,j] whose a[i,p] is not zero (±0); a product whose a is zero is
+// not formed at all, so a zero activation times an Inf or NaN weight
+// contributes nothing. Per block of colBlock columns and row of A,
 // the kernel gathers the row's non-zero entries four at a time and folds each
 // group into the output block in one pass (axpy4) — one load and one store of
 // C per four multiply-adds. A group's adds are taken in p order and a block
 // still runs p ascending, so each element sees exactly the operation sequence
 // of the plain p-then-j loop (the reference in tensor_test.go): same bits.
-func mulRows(dst, a, b []float64, si, sp, k, n, start, end int) {
+func mulRows(dst, a, b []float64, si, sp, k, n, start, end int, acc bool) {
 	for j0 := 0; j0 < n; j0 += colBlock {
 		w := min(colBlock, n-j0)
 		for i := start; i < end; i++ {
 			crow := dst[i*n+j0 : i*n+j0+w]
-			clear(crow)
+			if !acc {
+				clear(crow)
+			}
 			var av [4]float64
 			var bo [4]int
 			cnt := 0
@@ -196,10 +208,10 @@ func MatMulTransAInto(dst, a, b *Dense) {
 		panic(fmt.Sprintf("tensor: matmulᵀa dst %v for %v × %v", dst.Shape, a.Shape, b.Shape))
 	}
 	if parallelizable(k * m * n) {
-		ParallelFor(m, func(start, end int) { mulRows(dst.Data, a.Data, b.Data, 1, m, k, n, start, end) })
+		ParallelFor(m, func(start, end int) { mulRows(dst.Data, a.Data, b.Data, 1, m, k, n, start, end, false) })
 		return
 	}
-	mulRows(dst.Data, a.Data, b.Data, 1, m, k, n, 0, m)
+	mulRows(dst.Data, a.Data, b.Data, 1, m, k, n, 0, m, false)
 }
 
 // MatMulTransBInto computes C = A·Bᵀ into dst, which must be [m,n]. dst is

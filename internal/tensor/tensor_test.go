@@ -514,6 +514,63 @@ func TestGEMMKernelsMatchReferenceBitForBit(t *testing.T) {
 	}
 }
 
+// refMatMulAdd is the plain p-then-j loop continuing from what dst holds.
+func refMatMulAdd(dst, a, b *Dense) {
+	m, k, n := a.Shape[0], a.Shape[1], b.Shape[1]
+	for i := 0; i < m; i++ {
+		for p := 0; p < k; p++ {
+			av := a.Data[i*k+p]
+			if av == 0 {
+				continue
+			}
+			for j := 0; j < n; j++ {
+				dst.Data[i*n+j] += av * b.Data[p*n+j]
+			}
+		}
+	}
+}
+
+// MatMulAddInto continues every element's sum from the value dst holds, in
+// the reference loop's order — started here from a dst of random values,
+// zeros of both signs, an Inf and a NaN — and a product split at any row of B
+// into MatMulInto followed by MatMulAddInto leaves the bits of the unsplit
+// MatMulInto, which is what lets a shared prefix of A's columns be summed
+// once (nn.LatencyCNN.ForwardShared).
+func TestMatMulAddIntoContinuesTheSum(t *testing.T) {
+	rng := rand.New(rand.NewSource(11))
+	for _, s := range gemmShapes() {
+		m, k, n := s[0], s[1], s[2]
+		a := randDense(rng, 0.4, m, k)
+		b := randDense(rng, 0, k, n)
+		start := randDense(rng, 0.3, m, n)
+		start.Data[rng.Intn(len(start.Data))] = math.Inf(-1)
+		start.Data[rng.Intn(len(start.Data))] = math.NaN()
+		want := start.Clone()
+		refMatMulAdd(want, a, b)
+		whole := New(m, n)
+		refMatMul(whole, a, b)
+		cut := rng.Intn(k + 1) // 0 and k leave one side empty: skipped below
+		withProcs(func(procs int) {
+			what := fmt.Sprintf("%v procs=%d", s, procs)
+			got := start.Clone()
+			MatMulAddInto(got, a, b)
+			sameBits(t, "MatMulAddInto "+what, got, want)
+			if cut == 0 || cut == k {
+				return
+			}
+			a1, a2 := New(m, cut), New(m, k-cut)
+			for i := 0; i < m; i++ {
+				copy(a1.Data[i*cut:(i+1)*cut], a.Data[i*k:i*k+cut])
+				copy(a2.Data[i*(k-cut):(i+1)*(k-cut)], a.Data[i*k+cut:(i+1)*k])
+			}
+			got.Fill(math.NaN())
+			MatMulInto(got, a1, FromSlice(b.Data[:cut*n], cut, n))
+			MatMulAddInto(got, a2, FromSlice(b.Data[cut*n:], k-cut, n))
+			sameBits(t, fmt.Sprintf("split at %d %s", cut, what), got, whole)
+		})
+	}
+}
+
 // A zero in A removes its product from the sum altogether: 0·Inf and 0·NaN
 // are not formed, so one non-finite weight under a dead activation does not
 // poison the row. A·Bᵀ has no skip and does propagate.
@@ -601,6 +658,7 @@ func TestIntoKernelsDoNotAllocate(t *testing.T) {
 		dst := New(m, n)
 		for name, fn := range map[string]func(){
 			"MatMulInto":       func() { MatMulInto(dst, a, b) },
+			"MatMulAddInto":    func() { MatMulAddInto(dst, a, b) },
 			"MatMulTransAInto": func() { MatMulTransAInto(dst, at, b) },
 			"MatMulTransBInto": func() { MatMulTransBInto(dst, a, bt) },
 		} {

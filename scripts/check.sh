@@ -65,15 +65,18 @@ case " $* " in
     ;;
 esac
 
-stage "go test -cpu 1,4 (kernels, sharding, scheduler pins)"
+stage "go test -cpu 1,2,4 (kernels, sharding, scheduler pins)"
 # The GEMM kernels and the sharded training loop split their work by
 # GOMAXPROCS; their bit-identity tests must hold at one worker (serial
-# paths) and at more workers than a 2-core runner has, so a result that
-# depends on where a chunk boundary falls cannot pass by luck of the host.
-go test -cpu 1,4 ./internal/tensor ./internal/nn "$@"
-# The scheduler's decision digest and the shared-path parity likewise: one
-# proc, and more procs than the runner has.
-go test -cpu 1,4 -run 'Pinned|Property|BitIdentical' ./internal/core "$@"
+# paths, one tape serving all four gradient shards), at two (one tape
+# serving two consecutive shards — what a 2-core runner executes) and at
+# four (a tape per shard, more workers than that runner has), so a result
+# that depends on where a chunk boundary falls cannot pass by luck of the
+# host.
+go test -cpu 1,2,4 ./internal/tensor ./internal/nn "$@"
+# The scheduler's decision digest, the shared-path parity and the pinned
+# TrainHybrid (the same sharded loop) likewise.
+go test -cpu 1,2,4 -run 'Pinned|Property|BitIdentical' ./internal/core "$@"
 
 stage "portable leaves (-tags purego) and other architectures"
 # The GEMM kernels' three leaf routines have an AVX body on amd64
@@ -82,7 +85,7 @@ stage "portable leaves (-tags purego) and other architectures"
 # same weight, tree and decision pins run through the path every other
 # architecture takes; the arm64 build catches a name only the amd64 files
 # declare.
-go test -tags purego -cpu 1,4 ./internal/tensor ./internal/nn "$@"
+go test -tags purego -cpu 1,2,4 ./internal/tensor ./internal/nn "$@"
 go test -tags purego -run 'Pinned|BitIdentical' ./internal/core "$@"
 GOARCH=arm64 go build ./...
 GOARCH=arm64 go vet ./internal/tensor
