@@ -7,6 +7,7 @@
 package collect
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 
@@ -42,12 +43,20 @@ var bandOps = []op{
 
 // armKey identifies one Bernoulli arm: a tier at an approximate running
 // state (rps, lat, latdiff buckets — Sec. 4.2) with a candidate allocation.
-type armKey struct {
-	tier   int
-	rpsB   int
-	latB   int
-	diffB  int
-	allocB int
+// The five small integers are packed into one word — 12 bits of tier, 24 of
+// rpsB, 8 of latB, 2 of diffB+1 and 16 of allocB, low to high in that order
+// of fields — because Decide looks arms up some 200 times per interval and a
+// one-word key hashes without a call.
+type armKey uint64
+
+func newArmKey(tier, rpsB, latB, diffB, allocB int) armKey {
+	// A negative int converts to a word with its high bits set, so one test
+	// covers both ends of every field.
+	if uint64(tier)>>12|uint64(rpsB)>>24|uint64(latB)>>8|uint64(diffB+1)>>2|uint64(allocB)>>16 != 0 {
+		panic(fmt.Sprintf("collect: arm (tier %d, rps %d, lat %d, diff %d, alloc %d) does not fit its key",
+			tier, rpsB, latB, diffB, allocB))
+	}
+	return armKey(allocB)<<46 | armKey(diffB+1)<<44 | armKey(latB)<<36 | armKey(rpsB)<<12 | armKey(tier)
 }
 
 // armStat tracks the Bernoulli QoS-meeting estimate for an arm.
@@ -191,9 +200,7 @@ func (b *Bandit) Decide(s runner.State) runner.Decision {
 			if s.Stats[i].CPUUsage/alloc[i] > 0.5 {
 				alloc[i] = clamp(quant(alloc[i]*1.2+0.2), b.MinCPU[i], b.MaxCPU[i])
 			}
-			b.lastKeys = append(b.lastKeys, armKey{
-				tier: i, rpsB: rpsB, latB: latB, diffB: diffB, allocB: int(alloc[i]*5 + 0.5),
-			})
+			b.lastKeys = append(b.lastKeys, newArmKey(i, rpsB, latB, diffB, int(alloc[i]*5+0.5)))
 			continue
 		}
 		bestScore := math.Inf(-1)
@@ -208,8 +215,7 @@ func (b *Bandit) Decide(s runner.State) runner.Decision {
 					continue // would over-saturate the tier
 				}
 			}
-			key := armKey{tier: i, rpsB: rpsB, latB: latB, diffB: diffB, allocB: int(next*5 + 0.5)}
-			st := b.arms[key]
+			st := b.arms[newArmKey(i, rpsB, latB, diffB, int(next*5+0.5))]
 			if st == nil {
 				st = &armStat{}
 			}
@@ -229,9 +235,7 @@ func (b *Bandit) Decide(s runner.State) runner.Decision {
 		}
 		next := clamp(quant(bestOp.apply(alloc[i])), b.MinCPU[i], b.MaxCPU[i])
 		alloc[i] = next
-		b.lastKeys = append(b.lastKeys, armKey{
-			tier: i, rpsB: rpsB, latB: latB, diffB: diffB, allocB: int(next*5 + 0.5),
-		})
+		b.lastKeys = append(b.lastKeys, newArmKey(i, rpsB, latB, diffB, int(next*5+0.5)))
 	}
 	b.lastLat = s.Perc.P99()
 	return runner.Decision{Alloc: alloc}

@@ -236,3 +236,40 @@ func sum(xs []float64) float64 {
 	}
 	return s
 }
+
+// An arm's key is its five fields packed into one word: keys differ whenever
+// a field differs, at both ends of every field's range, and a value that
+// does not fit its field — negative or too large — panics instead of aliasing
+// another arm.
+func TestArmKeyPacksEveryFieldAndRejectsOverflow(t *testing.T) {
+	lo := [5]int{0, 0, 0, -1, 0}
+	hi := [5]int{1<<12 - 1, 1<<24 - 1, 1<<8 - 1, 2, 1<<16 - 1} // diffB is stored as diffB+1 in two bits
+	key := func(f [5]int) armKey { return newArmKey(f[0], f[1], f[2], f[3], f[4]) }
+	seen := map[armKey][5]int{}
+	for mask := 0; mask < 1<<5; mask++ {
+		f := lo
+		for i := range f {
+			if mask&(1<<i) != 0 {
+				f[i] = hi[i]
+			}
+		}
+		if prev, dup := seen[key(f)]; dup {
+			t.Fatalf("arms %v and %v share key %#x", prev, f, key(f))
+		}
+		seen[key(f)] = f
+	}
+	for i := range lo {
+		for _, v := range []int{lo[i] - 1, hi[i] + 1} {
+			f := lo
+			f[i] = v
+			func() {
+				defer func() {
+					if recover() == nil {
+						t.Errorf("field %d = %d was packed, want a panic", i, v)
+					}
+				}()
+				key(f)
+			}()
+		}
+	}
+}

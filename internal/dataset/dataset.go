@@ -72,18 +72,22 @@ func (ds *Dataset) AppendFrom(other *Dataset) {
 	ds.Count += other.Count
 }
 
-// Inputs converts the dataset to model input tensors.
+// Inputs returns the dataset as model input tensors. They are views over the
+// dataset's own storage, not copies: read-only to the caller (training and
+// prediction normalise into buffers of their own), and covering the samples
+// present at the time of the call.
 func (ds *Dataset) Inputs() nn.Inputs {
 	return nn.Inputs{
-		RH: tensor.FromSlice(append([]float64(nil), ds.RH...), ds.Count, ds.D.F, ds.D.N, ds.D.T),
-		LH: tensor.FromSlice(append([]float64(nil), ds.LH...), ds.Count, ds.D.T, ds.D.M),
-		RC: tensor.FromSlice(append([]float64(nil), ds.RC...), ds.Count, ds.D.N),
+		RH: tensor.FromSlice(ds.RH, ds.Count, ds.D.F, ds.D.N, ds.D.T),
+		LH: tensor.FromSlice(ds.LH, ds.Count, ds.D.T, ds.D.M),
+		RC: tensor.FromSlice(ds.RC, ds.Count, ds.D.N),
 	}
 }
 
-// Targets returns the latency targets as a [n, M] tensor (ms).
+// Targets returns the latency targets as a [n, M] tensor (ms): a read-only
+// view, like Inputs.
 func (ds *Dataset) Targets() *tensor.Dense {
-	return tensor.FromSlice(append([]float64(nil), ds.YLat...), ds.Count, ds.D.M)
+	return tensor.FromSlice(ds.YLat, ds.Count, ds.D.M)
 }
 
 // P99s returns the per-sample next-interval p99 (the last percentile column).
@@ -214,6 +218,7 @@ type Recorder struct {
 	statHist *metrics.History[[]float64] // flattened per-interval [F·N] features
 	latHist  *metrics.History[[]float64] // per-interval [M] percentiles
 	pending  []*pendingSample
+	free     []*pendingSample // resolved samples, their buffers reused by the next ones
 }
 
 type pendingSample struct {
@@ -268,7 +273,8 @@ func (r *Recorder) Observe(stats []cluster.Stats, perc metrics.Percentiles, next
 		}
 		p.remaining--
 		if p.remaining <= 0 {
-			r.Out.Append(p.rh, p.lh, p.rc, p.ylat, p.viol)
+			r.Out.Append(p.rh, p.lh, p.rc, p.ylat, p.viol) // copies the slices
+			r.free = append(r.free, p)
 		} else {
 			kept = append(kept, p)
 		}
@@ -283,14 +289,17 @@ func (r *Recorder) Observe(stats []cluster.Stats, perc metrics.Percentiles, next
 	}
 
 	// Create a new pending sample keyed on the next interval's allocation.
-	rh, lh := WindowInputs(d, r.statHist, r.latHist)
-	rc := append([]float64(nil), nextAlloc...)
-	r.pending = append(r.pending, &pendingSample{
-		rh: rh, lh: lh, rc: rc,
-		ylat:      make([]float64, d.M),
-		remaining: r.Out.K,
-		needLat:   true,
-	})
+	var p *pendingSample
+	if n := len(r.free); n > 0 {
+		p, r.free = r.free[n-1], r.free[:n-1]
+		clear(p.ylat)
+	} else {
+		p = &pendingSample{ylat: make([]float64, d.M)}
+	}
+	p.rh, p.lh = WindowInputsInto(p.rh, p.lh, d, r.statHist, r.latHist)
+	p.rc = append(p.rc[:0], nextAlloc...)
+	p.viol, p.remaining, p.needLat = false, r.Out.K, true
+	r.pending = append(r.pending, p)
 }
 
 // PushWindow records one decision interval into a pair of history rings:
@@ -343,16 +352,11 @@ func FlattenStats(stats []cluster.Stats, d nn.Dims) []float64 {
 	return feat
 }
 
-// WindowInputs assembles the model input rows (X_RH flattened as [F,N,T]
+// WindowInputsInto assembles the model input rows (X_RH flattened as [F,N,T]
 // and X_LH as [T,M]) from full history rings of flattened interval features
-// and latency percentiles.
-func WindowInputs(d nn.Dims, statHist, latHist *metrics.History[[]float64]) (rh, lh []float64) {
-	return WindowInputsInto(nil, nil, d, statHist, latHist)
-}
-
-// WindowInputsInto is WindowInputs writing into caller-owned buffers, grown
-// when their capacity is insufficient — the allocation-free variant for
-// callers assembling inputs every decision interval.
+// and latency percentiles, writing into caller-owned buffers that are grown
+// when their capacity is insufficient: callers assembling inputs every
+// decision interval allocate nothing.
 func WindowInputsInto(rh, lh []float64, d nn.Dims, statHist, latHist *metrics.History[[]float64]) ([]float64, []float64) {
 	if n := d.F * d.N * d.T; cap(rh) < n {
 		rh = make([]float64, n)

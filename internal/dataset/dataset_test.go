@@ -241,3 +241,56 @@ func TestRecorderDropCountsAsViolation(t *testing.T) {
 		t.Fatal("drop should label the sample as a violation")
 	}
 }
+
+// Pending samples are recycled once resolved, so a sample must carry nothing
+// over from the one whose buffers it took: every field of every sample is
+// what a fresh allocation per interval recorded — the allocation and window
+// of its own interval, the next interval's clipped latency, a violation label
+// from its own K intervals only — and no more sample records exist than are
+// ever pending at once.
+func TestRecorderRecyclesPendingSamples(t *testing.T) {
+	d := nn.Dims{N: 2, T: 2, F: 6, M: 5}
+	const k, steps, qos = 3, 20, 100.0
+	ds := New(d, k)
+	r := NewRecorder(ds, qos)
+	p99 := func(t int) float64 {
+		if t == 5 || t == 12 {
+			return 500 // a violation, clipped to 2.5×QoS when recorded
+		}
+		return 50 + float64(t)
+	}
+	for i := 0; i < steps; i++ {
+		r.Observe(mkStats(d.N, float64(i)), mkPerc(p99(i)), []float64{float64(i), float64(2 * i)})
+		if n := len(r.pending) + len(r.free); n > k+1 {
+			t.Fatalf("interval %d: %d sample records alive, want at most %d", i, n, k+1)
+		}
+	}
+	if want := steps - (d.T - 1) - k; ds.Len() != want {
+		t.Fatalf("samples = %d, want %d", ds.Len(), want)
+	}
+	rhN := d.F * d.N * d.T
+	for s := 0; s < ds.Len(); s++ {
+		at := s + d.T - 1 // the interval the sample was created in
+		if rc := ds.RC[s*d.N : (s+1)*d.N]; rc[0] != float64(at) || rc[1] != float64(2*at) {
+			t.Fatalf("sample %d: rc = %v, want the allocation of interval %d", s, rc, at)
+		}
+		for n := 0; n < d.N; n++ {
+			for tt := 0; tt < d.T; tt++ {
+				got := ds.RH[s*rhN+(ChanCPUUsage*d.N+n)*d.T+tt]
+				if want := float64(at-d.T+1+tt) + float64(n); got != want {
+					t.Fatalf("sample %d: cpu usage of tier %d at window step %d = %v, want %v", s, n, tt, got, want)
+				}
+			}
+		}
+		if got, want := ds.YLat[s*d.M+d.M-1], math.Min(p99(at+1), 2.5*qos); got != want {
+			t.Fatalf("sample %d: target p99 = %v, want %v", s, got, want)
+		}
+		viol := false
+		for f := at + 1; f <= at+k; f++ {
+			viol = viol || p99(f) > qos
+		}
+		if ds.YViol[s] != viol {
+			t.Fatalf("sample %d: violation label %v, want %v", s, ds.YViol[s], viol)
+		}
+	}
+}

@@ -152,10 +152,12 @@ func (fl *Flatten) Params() []*Param { return nil }
 // timesteps, letting early layers learn local inter-tier dependencies and
 // deeper layers the whole graph (Sec. 3.1).
 //
-// Forward/Backward run via im2col: the input is unfolded into a
-// [Cin·K·K, B·OH·OW] patch matrix so the convolution is a single matmul
-// against the kernel viewed as [Cout, Cin·K·K], riding the optimised
-// (and batch-parallel) tensor kernels instead of six nested scalar loops.
+// Forward/Backward run via im2col, one sample at a time: the sample is
+// unfolded into a [Cin·K·K, OH·OW] patch matrix (tens of KB, reused across
+// the batch) so its convolution is a matmul against the kernel viewed as
+// [Cout, Cin·K·K], written straight into the sample's [Cout, OH·OW] block of
+// the output. Backward unfolds the sample again instead of keeping a batch of
+// patches on the tape.
 type Conv2D struct {
 	Cin, Cout, K, Pad int
 	W, B              *Param
@@ -189,59 +191,61 @@ func (c *Conv2D) Forward(ctx *Context, x *tensor.Dense) *tensor.Dense {
 	f.x = x
 	b, h, w := x.Shape[0], x.Shape[2], x.Shape[3]
 	oh, ow := c.outDims(h, w)
-	ckk, ohow := c.Cin*c.K*c.K, oh*ow
-	cols := f.buf(0, ckk, b*ohow)
-	tensor.Im2Col(cols, x, c.K, c.Pad)
-	ymat := f.buf(1, c.Cout, b*ohow)
-	tensor.MatMulInto(ymat, c.wmat, cols)
-	// Scatter [Cout, B·OH·OW] → [B, Cout, OH, OW], adding the bias.
-	y := f.buf(2, b, c.Cout, oh, ow)
+	ohow, xrow := oh*ow, c.Cin*h*w
+	cols := f.buf(0, c.Cin*c.K*c.K, ohow)
+	y := f.buf(1, b, c.Cout, oh, ow)
 	for n := 0; n < b; n++ {
-		for co := 0; co < c.Cout; co++ {
-			src := ymat.Data[(co*b+n)*ohow : (co*b+n+1)*ohow]
-			dst := y.Data[(n*c.Cout+co)*ohow : (n*c.Cout+co+1)*ohow]
-			bias := c.B.W.Data[co]
-			for j, v := range src {
-				dst[j] = v + bias
+		tensor.Im2Col(cols, f.view(0, x.Data[n*xrow:(n+1)*xrow], 1, c.Cin, h, w), c.K, c.Pad)
+		yn := f.view(1, y.Data[n*c.Cout*ohow:(n+1)*c.Cout*ohow], c.Cout, ohow)
+		tensor.MatMulInto(yn, c.wmat, cols)
+		for co, bias := range c.B.W.Data {
+			row := yn.Data[co*ohow : (co+1)*ohow]
+			for j, v := range row {
+				row[j] = v + bias
 			}
 		}
 	}
 	return y
 }
 
-// Backward implements Layer.
+// Backward implements Layer. Every sum runs in the order of the batch-wide
+// products this loop replaced (refConv in nn_test.go), whose columns were
+// sample-major: the bias gradient over (n, j), dW's dot products handed on
+// from sample to sample in ascending n, dx a sample at a time.
 func (c *Conv2D) Backward(ctx *Context, dout *tensor.Dense, wantDX bool) *tensor.Dense {
 	f := ctx.pop()
 	x := f.x
 	b, h, w := x.Shape[0], x.Shape[2], x.Shape[3]
 	oh, ow := c.outDims(h, w)
-	ckk, ohow := c.Cin*c.K*c.K, oh*ow
-	cols := f.bufs[0] // patch matrix from Forward, still valid
-	// Gather dout [B, Cout, OH, OW] → dymat [Cout, B·OH·OW] (ymat's layout).
-	dymat := f.buf(1, c.Cout, b*ohow)
+	ckk, ohow, xrow := c.Cin*c.K*c.K, oh*ow, c.Cin*h*w
 	gb := ctx.Grad(c.B)
 	for co := 0; co < c.Cout; co++ {
 		s := 0.0
 		for n := 0; n < b; n++ {
-			src := dout.Data[(n*c.Cout+co)*ohow : (n*c.Cout+co+1)*ohow]
-			copy(dymat.Data[(co*b+n)*ohow:(co*b+n+1)*ohow], src)
-			for _, v := range src {
+			for _, v := range dout.Data[(n*c.Cout+co)*ohow : (n*c.Cout+co+1)*ohow] {
 				s += v
 			}
 		}
 		gb.Data[co] += s
 	}
-	// dW = dY·colsᵀ, dcols = Wᵀ·dY, dx = col2im(dcols).
-	dW := f.buf(3, c.Cout, ckk)
-	tensor.MatMulTransBInto(dW, dymat, cols)
-	tensor.AddInPlace(ctx.Grad(c.W), dW)
-	if !wantDX {
-		return nil // dcols and dx, the frame's two largest buffers, are never sized
+	// Per sample: dW += dY·colsᵀ, dcols = Wᵀ·dY, dx = col2im(dcols).
+	cols := f.buf(0, ckk, ohow)
+	dW := f.buf(2, c.Cout, ckk)
+	dW.Zero()
+	var dx, dcols *tensor.Dense
+	if wantDX { // otherwise neither is ever sized
+		dx, dcols = f.buf(3, b, c.Cin, h, w), f.buf(4, ckk, ohow)
 	}
-	dcols := f.buf(4, ckk, b*ohow)
-	tensor.MatMulTransAInto(dcols, c.wmat, dymat)
-	dx := f.buf(5, b, c.Cin, h, w)
-	tensor.Col2Im(dx, dcols, c.K, c.Pad)
+	for n := 0; n < b; n++ {
+		tensor.Im2Col(cols, f.view(0, x.Data[n*xrow:(n+1)*xrow], 1, c.Cin, h, w), c.K, c.Pad)
+		dyn := f.view(1, dout.Data[n*c.Cout*ohow:(n+1)*c.Cout*ohow], c.Cout, ohow)
+		tensor.MatMulTransBAddInto(dW, dyn, cols)
+		if wantDX {
+			tensor.MatMulTransAInto(dcols, c.wmat, dyn)
+			tensor.Col2Im(f.view(2, dx.Data[n*xrow:(n+1)*xrow], 1, c.Cin, h, w), dcols, c.K, c.Pad)
+		}
+	}
+	tensor.AddInPlace(ctx.Grad(c.W), dW)
 	return dx
 }
 

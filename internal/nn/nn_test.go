@@ -1,6 +1,7 @@
 package nn
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -207,6 +208,121 @@ func TestConv2DGradients(t *testing.T) {
 		x.Data[i] = rng.NormFloat64()
 	}
 	numGradCheck(t, c, x, 1e-4)
+}
+
+// refConv is Conv2D's Forward and Backward as they were while the layer
+// unfolded the whole batch at once — one [Cin·K·K, B·OH·OW] patch matrix, one
+// product per pass, a scatter into y and a gather out of dout — kept as the
+// definition the sample-at-a-time layer must reproduce bit for bit. The
+// gradients are added into zeroed accumulators, as a fresh context's are.
+func refConv(c *Conv2D, x, dout *tensor.Dense, wantDX bool) (y, gW, gb, dx *tensor.Dense) {
+	b, h, w := x.Shape[0], x.Shape[2], x.Shape[3]
+	oh, ow := c.outDims(h, w)
+	ckk, ohow := c.Cin*c.K*c.K, oh*ow
+	cols := tensor.New(ckk, b*ohow)
+	tensor.Im2Col(cols, x, c.K, c.Pad)
+	ymat := tensor.New(c.Cout, b*ohow)
+	tensor.MatMulInto(ymat, c.wmat, cols)
+	y = tensor.New(b, c.Cout, oh, ow)
+	for n := 0; n < b; n++ {
+		for co := 0; co < c.Cout; co++ {
+			src := ymat.Data[(co*b+n)*ohow : (co*b+n+1)*ohow]
+			dst := y.Data[(n*c.Cout+co)*ohow : (n*c.Cout+co+1)*ohow]
+			bias := c.B.W.Data[co]
+			for j, v := range src {
+				dst[j] = v + bias
+			}
+		}
+	}
+
+	dymat := tensor.New(c.Cout, b*ohow)
+	gb = tensor.New(c.Cout)
+	for co := 0; co < c.Cout; co++ {
+		s := 0.0
+		for n := 0; n < b; n++ {
+			src := dout.Data[(n*c.Cout+co)*ohow : (n*c.Cout+co+1)*ohow]
+			copy(dymat.Data[(co*b+n)*ohow:(co*b+n+1)*ohow], src)
+			for _, v := range src {
+				s += v
+			}
+		}
+		gb.Data[co] += s
+	}
+	dW := tensor.New(c.Cout, ckk)
+	tensor.MatMulTransBInto(dW, dymat, cols)
+	gW = tensor.New(c.W.W.Shape...)
+	tensor.AddInPlace(gW, dW)
+	if !wantDX {
+		return y, gW, gb, nil
+	}
+	dcols := tensor.New(ckk, b*ohow)
+	tensor.MatMulTransAInto(dcols, c.wmat, dymat)
+	dx = tensor.New(b, c.Cin, h, w)
+	tensor.Col2Im(dx, dcols, c.K, c.Pad)
+	return y, gW, gb, dx
+}
+
+// Conv2D taken one sample at a time returns the bits of the batch-wide
+// products it replaced, in y, dW, db and dx: at SocialNetwork's image (28 × 5,
+// OH·OW = 140) and HotelReservation's (17 × 5, OH·OW = 85 — not a multiple of
+// four, so every sample hands dW's chains from the vector leaf to its scalar
+// tail and back), for both layers' channel counts, for one sample, a few and
+// a training shard, with zeros of both signs among inputs, weights and
+// gradients, with and without the input gradient, on a context reused from
+// the largest batch down.
+func TestConv2DMatchesBatchWideReferenceBitForBit(t *testing.T) {
+	rng := rand.New(rand.NewSource(23))
+	random := func(shape ...int) *tensor.Dense {
+		x := tensor.New(shape...)
+		for i := range x.Data {
+			switch r := rng.Float64(); {
+			case r < 0.1:
+				x.Data[i] = 0
+			case r < 0.2:
+				x.Data[i] = math.Copysign(0, -1)
+			default:
+				x.Data[i] = rng.NormFloat64()
+			}
+		}
+		return x
+	}
+	same := func(what string, got, want *tensor.Dense) {
+		t.Helper()
+		if len(got.Data) != len(want.Data) {
+			t.Fatalf("%s: %d elements, reference %d", what, len(got.Data), len(want.Data))
+		}
+		for i := range want.Data {
+			if g, w := math.Float64bits(got.Data[i]), math.Float64bits(want.Data[i]); g != w {
+				t.Fatalf("%s: element %d is %v (%#x), reference %v (%#x)", what, i, got.Data[i], g, want.Data[i], w)
+			}
+		}
+	}
+	for _, h := range []int{28, 17} {
+		for _, cin := range []int{6, 8} {
+			c := NewConv2D(rng, "conv", cin, 8, 3, 1)
+			copy(c.W.W.Data, random(c.W.W.Shape...).Data)
+			copy(c.B.W.Data, random(c.B.W.Shape...).Data)
+			ctx := NewContext()
+			for _, b := range []int{64, 3, 1} {
+				for _, wantDX := range []bool{true, false} {
+					what := fmt.Sprintf("%dx5 cin=%d B=%d wantDX=%v", h, cin, b, wantDX)
+					x, dout := random(b, cin, h, 5), random(b, 8, h, 5)
+					wantY, wantW, wantB, wantDx := refConv(c, x, dout, wantDX)
+					ctx.Reset()
+					same(what+": y", c.Forward(ctx, x), wantY)
+					dx := c.Backward(ctx, dout, wantDX)
+					same(what+": dW", ctx.Grad(c.W), wantW)
+					same(what+": db", ctx.Grad(c.B), wantB)
+					if wantDX {
+						same(what+": dx", dx, wantDx)
+					} else if dx != nil {
+						t.Fatalf("%s: unwanted input gradient returned", what)
+					}
+					ctx.FlushGrads(c.Params()) // zeroes the accumulators for the next case
+				}
+			}
+		}
+	}
 }
 
 func TestLSTMGradients(t *testing.T) {

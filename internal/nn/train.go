@@ -320,8 +320,9 @@ func (sh *trainShard) gather(in Inputs, y *tensor.Dense, idx []int) {
 
 // predictChunk bounds per-evaluation working-set size on the predict path:
 // the size of a training shard (Batch 256 over 4 shards), so a context's
-// workspace is ~12 MB for a SocialNetwork-sized model whatever the dataset.
-// Rows are evaluated independently, so chunking never shows in the output.
+// workspace — the chunk's normalised inputs and its forward activations — is
+// ~3 MB for a SocialNetwork-sized model whatever the dataset. Rows are
+// evaluated independently, so chunking never shows in the output.
 const predictChunk = 64
 
 // Predict returns latency predictions in milliseconds for raw-space inputs.
@@ -354,7 +355,6 @@ func (tm *TrainedModel) PredictWithLatentCtx(ctx *Context, in Inputs) (*tensor.D
 
 func (tm *TrainedModel) predict(ctx *Context, in Inputs, wantLatent bool) (*tensor.Dense, *tensor.Dense) {
 	d := tm.Model.Dims()
-	tm.Norm.ApplyInto(&ctx.norm, in, d)
 	n := in.Batch()
 	ctx.out = tensor.Ensure(ctx.out, n, d.M)
 	cnn, isCNN := tm.Model.(*LatencyCNN)
@@ -369,7 +369,8 @@ func (tm *TrainedModel) predict(ctx *Context, in Inputs, wantLatent bool) (*tens
 		if e > n {
 			e = n
 		}
-		pred := tm.Model.Forward(ctx, ctx.chunk(s, e))
+		tm.Norm.ApplyInto(&ctx.norm, ctx.chunk(in, s, e), d)
+		pred := tm.Model.Forward(ctx, ctx.norm)
 		copy(ctx.out.Data[s*d.M:e*d.M], pred.Data)
 		if wantLatent {
 			copy(latent.Data[s*cnn.Latent:e*cnn.Latent], ctx.Latent.Data)
@@ -379,9 +380,9 @@ func (tm *TrainedModel) predict(ctx *Context, in Inputs, wantLatent bool) (*tens
 	return ctx.out, latent
 }
 
-// chunk returns row-range views [s, e) of the context's normalised inputs,
-// reusing the context's view headers.
-func (c *Context) chunk(s, e int) Inputs {
+// chunk returns row-range views [s, e) of in, reusing the context's view
+// headers.
+func (c *Context) chunk(in Inputs, s, e int) Inputs {
 	slice := func(i int, src *tensor.Dense) *tensor.Dense {
 		if c.views[i] == nil {
 			c.views[i] = &tensor.Dense{}
@@ -397,7 +398,7 @@ func (c *Context) chunk(s, e int) Inputs {
 		v.Shape[0] = e - s
 		return v
 	}
-	return Inputs{RH: slice(0, c.norm.RH), LH: slice(1, c.norm.LH), RC: slice(2, c.norm.RC)}
+	return Inputs{RH: slice(0, in.RH), LH: slice(1, in.LH), RC: slice(2, in.RC)}
 }
 
 // RMSE evaluates root-mean-squared error (ms) of the model on a dataset.

@@ -9,7 +9,18 @@ import "fmt"
 // x[n, c, i+ki-pad, j+kj-pad] (zero outside the image). With this layout a
 // convolution with weights reshaped to [Cout, C*K*K] is a single matmul.
 // Every entry of dst is written, including the padding zeros, so dst can be
-// a reused workspace buffer.
+// a reused workspace buffer. nn.Conv2D unfolds one sample at a time (B = 1),
+// which is far too little work to share out, so the loop is serial.
+//
+// Row r = (c, ki, kj) is the image shifted by (ki-pad, kj-pad): output rows
+// [ilo, ihi) and columns [jlo, jhi) read inside the image, the rest is
+// padding. When the output is as wide as the image (same padding) the shifted
+// rows are contiguous in both, so a whole image plane is one copy; otherwise
+// each output row's interior is one copy. The padding columns — which the
+// plane copy ran through — are then zeroed a column at a time down the rows:
+// the images here are tall and narrow (tiers × timesteps), so that is one or
+// two strided passes where a pass per output row was twenty-eight short ones.
+// The per-element loop this replaced is the reference in tensor_test.go.
 func Im2Col(dst, x *Dense, k, pad int) {
 	if len(x.Shape) != 4 {
 		panic(fmt.Sprintf("tensor: im2col input shape %v", x.Shape))
@@ -20,26 +31,7 @@ func Im2Col(dst, x *Dense, k, pad int) {
 	if len(dst.Shape) != 2 || dst.Shape[0] != ckk || dst.Shape[1] != cols {
 		panic(fmt.Sprintf("tensor: im2col dst %v, want [%d %d]", dst.Shape, ckk, cols))
 	}
-	if parallelizable(ckk * cols) {
-		ParallelFor(ckk, func(start, end int) { im2colRows(dst, x, k, pad, start, end) })
-		return
-	}
-	im2colRows(dst, x, k, pad, 0, ckk)
-}
-
-// im2colRows fills rows [start, end) of the patch matrix. Row r = (c, ki, kj)
-// is the image shifted by (ki-pad, kj-pad): output rows [ilo, ihi) and
-// columns [jlo, jhi) read inside the image, the rest is padding. When the
-// output is as wide as the image (same padding) the shifted rows are
-// contiguous in both, so a whole image plane is one copy, after which the
-// padding columns it ran through are zeroed again; otherwise each output
-// row's interior is one copy. The per-element loop this replaced is the
-// reference in tensor_test.go.
-func im2colRows(dst, x *Dense, k, pad, start, end int) {
-	b, c, h, w := x.Shape[0], x.Shape[1], x.Shape[2], x.Shape[3]
-	oh, ow := h+2*pad-k+1, w+2*pad-k+1
-	cols := b * oh * ow
-	for r := start; r < end; r++ {
+	for r := 0; r < ckk; r++ {
 		ci, ki, kj := r/(k*k), (r/k)%k, r%k
 		row := dst.Data[r*cols : (r+1)*cols]
 		ilo, ihi := max(0, pad-ki), min(oh, h+pad-ki)
@@ -57,20 +49,18 @@ func im2colRows(dst, x *Dense, k, pad, start, end int) {
 			if ow == w {
 				q0, q1 := ilo*ow+jlo, (ihi-1)*ow+jhi
 				copy(out[q0:q1], plane[q0+off:q1+off])
-				if jlo == 0 && jhi == ow {
-					continue
+			} else {
+				for i := ilo; i < ihi; i++ {
+					copy(out[i*ow+jlo:i*ow+jhi], plane[i*w+jlo+off:i*w+jhi+off])
 				}
 			}
-			for i := ilo; i < ihi; i++ {
-				o := out[i*ow : (i+1)*ow]
-				if ow != w {
-					copy(o[jlo:jhi], plane[i*w+jlo+off:i*w+jhi+off])
+			body := out[ilo*ow : ihi*ow]
+			for j := 0; j < ow; j++ {
+				if j >= jlo && j < jhi {
+					continue
 				}
-				for j := 0; j < jlo; j++ {
-					o[j] = 0
-				}
-				for j := jhi; j < ow; j++ {
-					o[j] = 0
+				for q := j; q < len(body); q += ow {
+					body[q] = 0
 				}
 			}
 		}
@@ -79,9 +69,17 @@ func im2colRows(dst, x *Dense, k, pad, start, end int) {
 
 // Col2Im folds cols [C*K*K, B*OH*OW] back into dx [B, C, H, W], summing the
 // contributions of overlapping patches — the exact adjoint of Im2Col, used
-// for the convolution input gradient. dx is zeroed first. Parallelism is
-// per input channel: rows of cols with the same c write disjoint channels
-// of dx, so the scatter-add stays race-free and deterministic.
+// for the convolution input gradient. dx is zeroed first.
+//
+// Kernel offsets are visited in (ki, kj) order, as in the per-element loop
+// this replaced (the reference in tensor_test.go), and nothing else orders a
+// dx element's contributions — so folding a batch sample by sample leaves the
+// bits of folding it whole. Within one offset, when the output is as wide as
+// the image, the whole plane is one slice add if no column is padding and
+// otherwise each interior column is one strided add down the rows (a dx
+// element receives one contribution per offset, so the order inside an offset
+// is free); when it is not, the interior [jlo, jhi) of each output row is one
+// slice add.
 func Col2Im(dx, cols *Dense, k, pad int) {
 	if len(dx.Shape) != 4 {
 		panic(fmt.Sprintf("tensor: col2im output shape %v", dx.Shape))
@@ -92,24 +90,7 @@ func Col2Im(dx, cols *Dense, k, pad int) {
 	if len(cols.Shape) != 2 || cols.Shape[0] != ckk || cols.Shape[1] != ncols {
 		panic(fmt.Sprintf("tensor: col2im cols %v, want [%d %d]", cols.Shape, ckk, ncols))
 	}
-	if parallelizable(ckk * ncols) {
-		ParallelFor(c, func(cs, ce int) { col2imChannels(dx, cols, k, pad, cs, ce) })
-		return
-	}
-	col2imChannels(dx, cols, k, pad, 0, c)
-}
-
-// col2imChannels scatter-adds the patch rows of channels [cs, ce) back into
-// dx. Kernel offsets are visited in (ki, kj) order, as in the per-element
-// loop this replaced (the reference in tensor_test.go), so every dx element
-// receives its contributions in the same order; within one offset the
-// interior [jlo, jhi) of each output row — the whole plane when no column is
-// padding and the output is as wide as the image — is one slice add.
-func col2imChannels(dx, cols *Dense, k, pad, cs, ce int) {
-	b, c, h, w := dx.Shape[0], dx.Shape[1], dx.Shape[2], dx.Shape[3]
-	oh, ow := h+2*pad-k+1, w+2*pad-k+1
-	ncols := b * oh * ow
-	for ci := cs; ci < ce; ci++ {
+	for ci := 0; ci < c; ci++ {
 		for n := 0; n < b; n++ {
 			clear(dx.Data[(n*c+ci)*h*w : (n*c+ci+1)*h*w])
 		}
@@ -126,12 +107,21 @@ func col2imChannels(dx, cols *Dense, k, pad, cs, ce int) {
 				for n := 0; n < b; n++ {
 					src := row[n*oh*ow : (n+1)*oh*ow]
 					plane := dx.Data[(n*c+ci)*h*w : (n*c+ci+1)*h*w]
-					if ow == w && jlo == 0 && jhi == ow {
+					switch {
+					case ow != w:
+						for i := ilo; i < ihi; i++ {
+							addInto(plane[i*w+jlo+off:], src[i*ow+jlo:i*ow+jhi])
+						}
+					case jlo == 0 && jhi == ow:
 						addInto(plane[ilo*w+off:], src[ilo*ow:ihi*ow])
-						continue
-					}
-					for i := ilo; i < ihi; i++ {
-						addInto(plane[i*w+jlo+off:], src[i*ow+jlo:i*ow+jhi])
+					default: // the same index q runs down a column of both
+						for j := jlo; j < jhi; j++ {
+							s := src[ilo*ow+j : (ihi-1)*ow+j+1]
+							d := plane[ilo*ow+j+off:][:len(s)]
+							for q := 0; q < len(s); q += ow {
+								d[q] += s[q]
+							}
+						}
 					}
 				}
 			}

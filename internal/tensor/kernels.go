@@ -27,10 +27,12 @@ func axpyGo(c []float64, a float64, b []float64) {
 	}
 }
 
-// dotTileGo sets t[4i+j] to the dot product of row i of a and row j of b, both
-// four rows of length k: sixteen chains, each from +0 in ascending p.
+// dotTileGo adds to t[4i+j] the dot product of row i of a and row j of b, both
+// four rows of length k: sixteen chains, each continued from the value t
+// holds in ascending p.
 func dotTileGo(t *[16]float64, a, b []float64, k int) {
 	for i := 0; i < 4; i++ {
-		t[4*i], t[4*i+1], t[4*i+2], t[4*i+3] = dot4(a[i*k:(i+1)*k], b[:k], b[k:2*k], b[2*k:3*k], b[3*k:4*k])
+		c := t[4*i : 4*i+4]
+		c[0], c[1], c[2], c[3] = dot4(a[i*k:(i+1)*k], b[:k], b[k:2*k], b[2*k:3*k], b[3*k:4*k], c[0], c[1], c[2], c[3])
 	}
 }

@@ -153,7 +153,7 @@ a1done:
 
 // func dotTileAVX(t *[16]float64, a, b *float64, n, ld int)
 //
-// Sets t[4i+j] to the sum, from +0 over p in [0, n) ascending, of
+// Continues t[4i+j], over p in [0, n) ascending, with the products
 // a[i*ld+p]·b[j*ld+p], for i, j in 0..3; n is a multiple of 4 (0 allowed).
 // A dot chain is sequential, so the lanes are sixteen different chains: one
 // accumulator per row of A, its lanes the four rows of B. Each pass loads
@@ -172,10 +172,10 @@ TEXT ·dotTileAVX(SB), NOSPLIT, $0-40
 	LEAQ (R8)(DX*1), R9
 	LEAQ (R9)(DX*1), R10
 	LEAQ (R10)(DX*1), R11
-	VXORPD Y0, Y0, Y0
-	VXORPD Y1, Y1, Y1
-	VXORPD Y2, Y2, Y2
-	VXORPD Y3, Y3, Y3
+	VMOVUPD (DI), Y0
+	VMOVUPD 32(DI), Y1
+	VMOVUPD 64(DI), Y2
+	VMOVUPD 96(DI), Y3
 	XORQ  DX, DX
 	TESTQ CX, CX
 	JZ    dtdone

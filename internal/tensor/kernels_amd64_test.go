@@ -74,7 +74,7 @@ func TestLeafKernelsMatchPortable(t *testing.T) {
 			for off := 0; off < 4; off++ {
 				what := fmt.Sprintf("k=%d off=%d special=%v", k, off, special)
 				a, b := leafOperand(rng, off, 4*k, special), leafOperand(rng, (off+1)%4, 4*k, special)
-				checkLeaf(t, "dotTile "+what, off, make([]float64, 16),
+				checkLeaf(t, "dotTile "+what, off, leafOperand(rng, 0, 16, special),
 					func(c []float64) { dotTile((*[16]float64)(c), a, b, k) },
 					func(c []float64) { dotTileGo((*[16]float64)(c), a, b, k) })
 				if k == 0 || k%4 != 0 {
@@ -86,7 +86,7 @@ func TestLeafKernelsMatchPortable(t *testing.T) {
 					for r := 0; r < 4; r++ {
 						ac, bc = append(ac, a[r*ld:r*ld+k]...), append(bc, b[r*ld:r*ld+k]...)
 					}
-					checkLeaf(t, fmt.Sprintf("dotTileAVX %s ld=%d", what, ld), off, make([]float64, 16),
+					checkLeaf(t, fmt.Sprintf("dotTileAVX %s ld=%d", what, ld), off, leafOperand(rng, 0, 16, special),
 						func(c []float64) { dotTileAVX((*[16]float64)(c), &a[0], &b[0], k, ld) },
 						func(c []float64) { dotTileGo((*[16]float64)(c), ac, bc, k) })
 				}

@@ -216,7 +216,16 @@ func MatMulTransAInto(dst, a, b *Dense) {
 
 // MatMulTransBInto computes C = A·Bᵀ into dst, which must be [m,n]. dst is
 // overwritten; it must not alias a or b.
-func MatMulTransBInto(dst, a, b *Dense) {
+func MatMulTransBInto(dst, a, b *Dense) { matMulTransB(dst, a, b, false) }
+
+// MatMulTransBAddInto computes C += A·Bᵀ in place on dst [m,n], which must not
+// alias a or b. Each element continues its dot product where dst left it, by
+// mulTransBRows' rule: with A = [A₁ A₂] and B = [B₁ B₂] split at any column p,
+// MatMulTransBInto(dst, A₁, B₁) followed by MatMulTransBAddInto(dst, A₂, B₂)
+// leaves the bits of MatMulTransBInto(dst, A, B).
+func MatMulTransBAddInto(dst, a, b *Dense) { matMulTransB(dst, a, b, true) }
+
+func matMulTransB(dst, a, b *Dense, acc bool) {
 	if len(a.Shape) != 2 || len(b.Shape) != 2 || a.Shape[1] != b.Shape[1] {
 		panic(fmt.Sprintf("tensor: matmulᵀb shapes %v × %v", a.Shape, b.Shape))
 	}
@@ -225,24 +234,31 @@ func MatMulTransBInto(dst, a, b *Dense) {
 		panic(fmt.Sprintf("tensor: matmulᵀb dst %v for %v × %v", dst.Shape, a.Shape, b.Shape))
 	}
 	if parallelizable(m * k * n) {
-		ParallelFor(m, func(start, end int) { mulTransBRows(dst.Data, a.Data, b.Data, k, n, start, end) })
+		ParallelFor(m, func(start, end int) { mulTransBRows(dst.Data, a.Data, b.Data, k, n, start, end, acc) })
 		return
 	}
-	mulTransBRows(dst.Data, a.Data, b.Data, k, n, 0, m)
+	mulTransBRows(dst.Data, a.Data, b.Data, k, n, 0, m, acc)
 }
 
 // mulTransBRows computes rows [start, end) of C[m,n] = A·Bᵀ: every output
-// element is the dot product of a row of A and a row of B, summed from +0 in
-// ascending p with no zero skip. One dot product is a single serial add
-// chain, bound by the add latency, so the kernel runs sixteen side by side —
-// four rows of A against four rows of B (dotTile) — and four (dot4) or one
-// (dot) on the rows and columns past the last full tile. Each chain is still
-// its own p-ordered sum: the same bits as the reference loop in tensor_test.go.
-func mulTransBRows(dst, a, b []float64, k, n, start, end int) {
+// element is the dot product of a row of A and a row of B, summed in
+// ascending p with no zero skip from the value dst holds — which is +0 unless
+// acc is set. One dot product is a single serial add chain, bound by the add
+// latency, so the kernel runs sixteen side by side — four rows of A against
+// four rows of B (dotTile) — and four (dot4) or one (dot) on the rows and
+// columns past the last full tile. Each chain is still its own p-ordered sum:
+// the same bits as the reference loop in tensor_test.go.
+func mulTransBRows(dst, a, b []float64, k, n, start, end int, acc bool) {
+	if !acc {
+		clear(dst[start*n : end*n])
+	}
 	i := start
 	for ; i+4 <= end; i += 4 {
 		for j := 0; j+4 <= n; j += 4 {
 			var t [16]float64
+			for r := 0; r < 4; r++ {
+				copy(t[4*r:4*r+4], dst[(i+r)*n+j:])
+			}
 			dotTile(&t, a[i*k:(i+4)*k], b[j*k:(j+4)*k], k)
 			for r := 0; r < 4; r++ {
 				copy(dst[(i+r)*n+j:(i+r)*n+j+4], t[4*r:])
@@ -258,17 +274,19 @@ func mulTransBRows(dst, a, b []float64, k, n, start, end int) {
 		arow := a[r*k : (r+1)*k]
 		crow := dst[r*n : (r+1)*n]
 		for ; j+4 <= n; j += 4 {
-			crow[j], crow[j+1], crow[j+2], crow[j+3] = dot4(arow,
-				b[j*k:(j+1)*k], b[(j+1)*k:(j+2)*k], b[(j+2)*k:(j+3)*k], b[(j+3)*k:(j+4)*k])
+			c := crow[j : j+4]
+			c[0], c[1], c[2], c[3] = dot4(arow,
+				b[j*k:(j+1)*k], b[(j+1)*k:(j+2)*k], b[(j+2)*k:(j+3)*k], b[(j+3)*k:(j+4)*k], c[0], c[1], c[2], c[3])
 		}
 		for ; j < n; j++ {
-			crow[j] = dot(arow, b[j*k:(j+1)*k])
+			crow[j] = dot(arow, b[j*k:(j+1)*k], crow[j])
 		}
 	}
 }
 
-// dot4 returns a·b0, a·b1, a·b2 and a·b3. The slices must have a's length.
-func dot4(a, b0, b1, b2, b3 []float64) (s0, s1, s2, s3 float64) {
+// dot4 continues the sums s0..s3 with a·b0, a·b1, a·b2 and a·b3. The slices
+// must have a's length.
+func dot4(a, b0, b1, b2, b3 []float64, s0, s1, s2, s3 float64) (float64, float64, float64, float64) {
 	b0, b1, b2, b3 = b0[:len(a)], b1[:len(a)], b2[:len(a)], b3[:len(a)]
 	for p, v := range a {
 		s0 += v * b0[p]
@@ -276,16 +294,16 @@ func dot4(a, b0, b1, b2, b3 []float64) (s0, s1, s2, s3 float64) {
 		s2 += v * b2[p]
 		s3 += v * b3[p]
 	}
-	return
+	return s0, s1, s2, s3
 }
 
-// dot returns a·b.
-func dot(a, b []float64) (s float64) {
+// dot continues the sum s with a·b.
+func dot(a, b []float64, s float64) float64 {
 	b = b[:len(a)]
 	for p, v := range a {
 		s += v * b[p]
 	}
-	return
+	return s
 }
 
 // RepeatRowsInto tiles src's rows cyclically into dst along axis 0. Both

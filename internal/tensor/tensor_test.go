@@ -571,6 +571,66 @@ func TestMatMulAddIntoContinuesTheSum(t *testing.T) {
 	}
 }
 
+// refMatMulTransBAdd is the plain dot-product loop continuing from what dst
+// holds.
+func refMatMulTransBAdd(dst, a, b *Dense) {
+	m, k, n := a.Shape[0], a.Shape[1], b.Shape[0]
+	for i := 0; i < m; i++ {
+		for j := 0; j < n; j++ {
+			s := dst.Data[i*n+j]
+			for p := 0; p < k; p++ {
+				s += a.Data[i*k+p] * b.Data[j*k+p]
+			}
+			dst.Data[i*n+j] = s
+		}
+	}
+}
+
+// MatMulTransBAddInto continues every element's dot product from the value
+// dst holds, in the reference loop's order — started here from a dst of random
+// values, zeros of both signs, an Inf and a NaN — and a product split at any
+// column of A and B into MatMulTransBInto followed by MatMulTransBAddInto
+// leaves the bits of the unsplit MatMulTransBInto, which is what lets a
+// convolution's weight gradient be summed one sample's patches at a time
+// (nn.Conv2D.Backward).
+func TestMatMulTransBAddIntoContinuesTheSum(t *testing.T) {
+	rng := rand.New(rand.NewSource(13))
+	for _, s := range gemmShapes() {
+		m, k, n := s[0], s[1], s[2]
+		a := randDense(rng, 0.4, m, k)
+		b := randDense(rng, 0, n, k)
+		start := randDense(rng, 0.3, m, n)
+		start.Data[rng.Intn(len(start.Data))] = math.Inf(-1)
+		start.Data[rng.Intn(len(start.Data))] = math.NaN()
+		want := start.Clone()
+		refMatMulTransBAdd(want, a, b)
+		whole := New(m, n)
+		refMatMulTransB(whole, a, b)
+		cut := rng.Intn(k + 1) // 0 and k leave one side empty: skipped below
+		// cols returns columns [lo, hi) of x as a matrix of its own.
+		cols := func(x *Dense, lo, hi int) *Dense {
+			out := New(x.Shape[0], hi-lo)
+			for i := 0; i < x.Shape[0]; i++ {
+				copy(out.Data[i*(hi-lo):(i+1)*(hi-lo)], x.Data[i*k+lo:i*k+hi])
+			}
+			return out
+		}
+		withProcs(func(procs int) {
+			what := fmt.Sprintf("%v procs=%d", s, procs)
+			got := start.Clone()
+			MatMulTransBAddInto(got, a, b)
+			sameBits(t, "MatMulTransBAddInto "+what, got, want)
+			if cut == 0 || cut == k {
+				return
+			}
+			got.Fill(math.NaN())
+			MatMulTransBInto(got, cols(a, 0, cut), cols(b, 0, cut))
+			MatMulTransBAddInto(got, cols(a, cut, k), cols(b, cut, k))
+			sameBits(t, fmt.Sprintf("split at %d %s", cut, what), got, whole)
+		})
+	}
+}
+
 // A zero in A removes its product from the sum altogether: 0·Inf and 0·NaN
 // are not formed, so one non-finite weight under a dead activation does not
 // poison the row. A·Bᵀ has no skip and does propagate.
@@ -610,7 +670,8 @@ func TestMatMulZeroSkipSemantics(t *testing.T) {
 
 // Im2Col and Col2Im agree bit for bit with the per-element loops they
 // replaced: same padding (whole-plane copies) and not, kernels reaching
-// wholly into the padding, both sides of parallelThreshold.
+// wholly into the padding, one sample (what nn.Conv2D passes) and whole
+// batches.
 func TestIm2ColCol2ImMatchReferenceBitForBit(t *testing.T) {
 	rng := rand.New(rand.NewSource(9))
 	type dims struct{ b, c, h, w int }
@@ -657,10 +718,11 @@ func TestIntoKernelsDoNotAllocate(t *testing.T) {
 		b, bt := randDense(rng, 0, k, n), randDense(rng, 0, n, k)
 		dst := New(m, n)
 		for name, fn := range map[string]func(){
-			"MatMulInto":       func() { MatMulInto(dst, a, b) },
-			"MatMulAddInto":    func() { MatMulAddInto(dst, a, b) },
-			"MatMulTransAInto": func() { MatMulTransAInto(dst, at, b) },
-			"MatMulTransBInto": func() { MatMulTransBInto(dst, a, bt) },
+			"MatMulInto":          func() { MatMulInto(dst, a, b) },
+			"MatMulAddInto":       func() { MatMulAddInto(dst, a, b) },
+			"MatMulTransAInto":    func() { MatMulTransAInto(dst, at, b) },
+			"MatMulTransBInto":    func() { MatMulTransBInto(dst, a, bt) },
+			"MatMulTransBAddInto": func() { MatMulTransBAddInto(dst, a, bt) },
 		} {
 			if allocs := testing.AllocsPerRun(10, fn); allocs != 0 {
 				t.Errorf("%s %v allocates %.0f objects per call, want 0", name, s, allocs)
@@ -675,7 +737,10 @@ var setPortable func(on bool)
 
 // BenchmarkGEMM times the three kernels, and the reference loops they
 // replaced, at the GEMM shapes of one 64-sample training shard of the
-// LatencyCNN on SocialNetwork (28 tiers × 5 timesteps, 8960 patch columns)
+// LatencyCNN on SocialNetwork (28 tiers × 5 timesteps, 8960 patch columns —
+// what Conv2D multiplied while it unfolded a shard at once, kept for the
+// history of the table), of one sample of that shard (140 patch columns: what
+// it multiplies now, 64 times over; conv2's forward product is decide-conv2)
 // and of one decision (172 candidates on a batch-1 trunk). Where the leaves
 // are assembly a third side, portable, is the kernel on its Go leaves, so one
 // run at -cpu 1 prints the whole table of DESIGN.md §7 "Kernels" (CHANGES.md,
@@ -689,7 +754,7 @@ func BenchmarkGEMM(b *testing.B) {
 		m, k, n int
 		name    string
 	}
-	ab, ta, tb := MatMulInto, MatMulTransAInto, MatMulTransBInto
+	ab, ta, tb, tbAdd := MatMulInto, MatMulTransAInto, MatMulTransBInto, MatMulTransBAddInto
 	for _, kn := range []kernel{
 		{ab, refMatMul, false, false, 0, 8, 54, 8960, "AB/conv1-forward"},
 		{ab, refMatMul, false, false, 0, 8, 72, 8960, "AB/conv2-forward"},
@@ -701,6 +766,9 @@ func BenchmarkGEMM(b *testing.B) {
 		{ab, refMatMul, false, false, 0, 172, 56, 32, "AB/decide-trunkfc"},
 		{ab, refMatMul, false, false, 0.5, 172, 28, 16, "AB/decide-rcfc"},
 		{ab, refMatMul, false, false, 0, 8, 72, 140, "AB/decide-conv2"},
+		{ab, refMatMul, false, false, 0, 8, 54, 140, "AB/sample-conv1-forward"},
+		{tbAdd, refMatMulTransBAdd, false, true, 0, 8, 140, 72, "ABt+/sample-conv2-dW"},
+		{ta, refMatMulTransA, true, false, 0, 72, 8, 140, "AtB/sample-conv2-dcols"},
 	} {
 		a, bb := randDense(rng, kn.zeros, kn.m, kn.k), randDense(rng, 0, kn.k, kn.n)
 		if kn.aT {
