@@ -91,43 +91,54 @@ func (o TrainOptions) withDefaults() TrainOptions {
 // p_d are calibrated on the validation split so false negatives stay ≤ 1%.
 func TrainHybrid(ds *dataset.Dataset, qosMS float64, opts TrainOptions) (*HybridModel, TrainReport) {
 	opts = opts.withDefaults()
-	train, val := ds.Split(opts.TrainFrac, opts.Seed)
+	train, val := splitRows(ds, opts.TrainFrac, opts.Seed)
 
 	cnn := nn.NewLatencyCNN(rand.New(rand.NewSource(opts.Seed)), ds.D, opts.Latent)
-	tm := nn.Train(cnn, train.Inputs(), train.Targets(), nn.TrainConfig{
+	tm := nn.TrainRows(cnn, ds.Inputs(), ds.Targets(), train, nn.TrainConfig{
 		Epochs: opts.Epochs, Batch: opts.Batch, LR: opts.LR,
 		QoSMS: qosMS, Seed: opts.Seed, Log: opts.Log,
 	})
-	return fitTrees(tm, train, val, qosMS, opts.Trees)
+	return fitTrees(tm, ds, train, val, qosMS, opts.Trees)
+}
+
+// splitRows is ds.SplitRows refusing an empty side: nothing to train on, or
+// a NaN RMSEValid that would switch the scheduler's latency filters off.
+func splitRows(ds *dataset.Dataset, trainFrac float64, seed int64) (train, val []int) {
+	if trainFrac > 0 && trainFrac < 1 {
+		train, val = ds.SplitRows(trainFrac, seed)
+	}
+	if len(train) == 0 || len(val) == 0 {
+		panic(fmt.Sprintf("core: train fraction %v of %d samples leaves %d train and %d validation samples", trainFrac, ds.Len(), len(train), len(val)))
+	}
+	return train, val
 }
 
 // fitTrees is the second stage shared by TrainHybrid and RebuildHybrid: it
-// evaluates the trained CNN on both splits, fits the Boosted Trees on Lf ⊕
-// allocation — with positive-class weighting, unless the config sets one, so
-// the rare violation samples are not drowned out — and calibrates the
-// scheduler thresholds on the validation split.
+// evaluates the trained CNN on samples train and val of ds, fits the Boosted
+// Trees on Lf ⊕ allocation — with positive-class weighting, unless the
+// config sets one, so the rare violation samples are not drowned out — and
+// calibrates the scheduler thresholds on the validation rows.
 //
-// Each split is forwarded exactly once, on one reused context: the pass that
+// Each side is forwarded exactly once, on one reused context: the pass that
 // yields the latents for the trees also yields the predictions the RMSEs
 // are reductions of, and the sub-QoS RMSE is the same reduction over the
 // rows that qualify (a row's prediction does not depend on its batch).
-func fitTrees(tm *nn.TrainedModel, train, val *dataset.Dataset, qosMS float64, treeCfg boost.Config) (*HybridModel, TrainReport) {
-	ctx := nn.NewContext()
-	trX, pred := btFeatures(ctx, tm, train)
+func fitTrees(tm *nn.TrainedModel, ds *dataset.Dataset, train, val []int, qosMS float64, treeCfg boost.Config) (*HybridModel, TrainReport) {
+	ctx, buf := nn.NewContext(), &nn.Inputs{}
+	trX, trY, pred := btFeatures(ctx, buf, tm, ds, train)
 	rep := TrainReport{
-		TrainSamples: train.Len(),
-		ValSamps:     val.Len(),
+		TrainSamples: len(train),
+		ValSamps:     len(val),
 		CNNSizeKB:    nn.ModelSizeKB(tm.Model.Params()),
 	}
-	rep.TrainRMSE, _ = rmse(pred, train, math.Inf(1))
-	vaX, pred := btFeatures(ctx, tm, val)
-	rep.ValRMSE, _ = rmse(pred, val, math.Inf(1))
+	rep.TrainRMSE, _ = rmse(pred, ds, train, math.Inf(1))
+	vaX, vaY, pred := btFeatures(ctx, buf, tm, ds, val)
+	rep.ValRMSE, _ = rmse(pred, ds, val, math.Inf(1))
 	rep.ValRMSESubQoS = rep.ValRMSE
-	if sub, n := rmse(pred, val, qosMS); n > 0 {
+	if sub, n := rmse(pred, ds, val, qosMS); n > 0 {
 		rep.ValRMSESubQoS = sub
 	}
 
-	trY, vaY := train.YViol, val.YViol
 	if treeCfg.PosWeight == 0 {
 		pos := 0
 		for _, v := range trY {
@@ -146,26 +157,26 @@ func fitTrees(tm *nn.TrainedModel, train, val *dataset.Dataset, qosMS float64, t
 	rep.NumTrees = bt.NumTrees()
 
 	m := &HybridModel{
-		Lat: tm, Viol: bt, D: train.D, K: train.K, QoSMS: qosMS,
+		Lat: tm, Viol: bt, D: ds.D, K: ds.K, QoSMS: qosMS,
 		RMSEValid: rep.ValRMSESubQoS,
 	}
 	m.Pd, m.Pu = calibrateThresholds(bt, vaX, vaY)
 	return m, rep
 }
 
-// rmse reduces one forward pass (pred, in ms, for every sample of ds) to
+// rmse reduces one forward pass (pred, in ms, for samples rows of ds) to
 // the root-mean-squared error over the samples whose true next-interval p99
-// is at most maxP99, and reports how many qualified. It sums in sample
-// order, as nn.TrainedModel.RMSE does over the same subset.
-func rmse(pred *tensor.Dense, ds *dataset.Dataset, maxP99 float64) (float64, int) {
+// is at most maxP99, and reports how many qualified. It sums in the order of
+// rows, as nn.TrainedModel.RMSE does over the same subset.
+func rmse(pred []float64, ds *dataset.Dataset, rows []int, maxP99 float64) (float64, int) {
 	m := ds.D.M
 	s, n := 0.0, 0
-	for i := 0; i < ds.Len(); i++ {
+	for k, i := range rows {
 		y := ds.YLat[i*m : (i+1)*m]
 		if y[m-1] > maxP99 {
 			continue
 		}
-		for j, p := range pred.Data[i*m : (i+1)*m] {
+		for j, p := range pred[k*m : (k+1)*m] {
 			d := p - y[j]
 			s += d * d
 		}
@@ -174,29 +185,36 @@ func rmse(pred *tensor.Dense, ds *dataset.Dataset, maxP99 float64) (float64, int
 	return math.Sqrt(s / float64(n*m)), n
 }
 
-// btFeatures forwards ds through the CNN on ctx and builds the Boosted
-// Trees design matrix: the CNN latent Lf, the candidate allocation vector,
-// and the per-tier prospective utilization (latest CPU usage divided by the
-// candidate allocation). The utilization features make the classifier
-// directly sensitive to the examined allocation, so scale-up candidates
-// genuinely lower the predicted violation probability. The pass's latency
-// predictions are returned too; they are owned by ctx and valid until its
-// next use.
-func btFeatures(ctx *nn.Context, tm *nn.TrainedModel, ds *dataset.Dataset) ([][]float64, *tensor.Dense) {
-	in := ds.Inputs()
-	pred, latent := tm.PredictWithLatentCtx(ctx, in)
-	if latent == nil {
+// btFeatures forwards samples rows of ds through the CNN on ctx and builds
+// the Boosted Trees design matrix: the CNN latent Lf, the candidate
+// allocation vector, and the per-tier prospective utilization (latest CPU
+// usage divided by the candidate allocation). The utilization features make
+// the classifier directly sensitive to the examined allocation, so scale-up
+// candidates genuinely lower the predicted violation probability. The rows,
+// gathered into buf one predict chunk at a time, also yield their violation
+// labels and predicted latencies, in the order of the list.
+func btFeatures(ctx *nn.Context, buf *nn.Inputs, tm *nn.TrainedModel, ds *dataset.Dataset, rows []int) ([][]float64, []bool, []float64) {
+	cnn, ok := tm.Model.(*nn.LatencyCNN)
+	if !ok {
 		panic("core: latency model does not expose a latent vector")
 	}
-	n, d := ds.Len(), ds.D
-	width, rhRow := latent.Shape[1]+2*d.N, d.F*d.N*d.T
-	X := make([][]float64, n)
-	rows := make([]float64, n*width) // one backing array for all n rows
-	for i := range X {
-		X[i] = rows[i*width : (i+1)*width : (i+1)*width]
-		btRowInto(X[i], latent, i, in.RH.Data[i*rhRow:(i+1)*rhRow], in.RC.Data[i*d.N:(i+1)*d.N], d)
+	all, n, d := ds.Inputs(), len(rows), ds.D
+	width, rhRow := cnn.Latent+2*d.N, d.F*d.N*d.T
+	X, y := make([][]float64, n), make([]bool, n)
+	flat := make([]float64, n*width) // one backing array for all n rows
+	pred := make([]float64, n*d.M)
+	for s := 0; s < n; s += nn.PredictChunk {
+		e := min(s+nn.PredictChunk, n)
+		all.GatherInto(buf, rows[s:e])
+		p, latent := tm.PredictWithLatentCtx(ctx, *buf)
+		copy(pred[s*d.M:], p.Data)
+		for i := s; i < e; i++ {
+			X[i], y[i] = flat[i*width:(i+1)*width:(i+1)*width], ds.YViol[rows[i]]
+			k := i - s
+			btRowInto(X[i], latent, k, buf.RH.Data[k*rhRow:(k+1)*rhRow], buf.RC.Data[k*d.N:(k+1)*d.N], d)
+		}
 	}
-	return X, pred
+	return X, y, pred
 }
 
 // btRowInto fills a caller-owned BT feature row for candidate i: the CNN
@@ -351,16 +369,16 @@ func (m *HybridModel) PredictShared(ctx *PredictContext, in nn.SharedInputs) (*t
 // recalibrated. This is the transfer-learning path of Sec. 5.4/5.5 — the
 // CNN adapts with a small learning rate, the cheap BT is refit outright.
 func RebuildHybrid(tm *nn.TrainedModel, ds *dataset.Dataset, qosMS float64) *HybridModel {
-	train, val := ds.Split(0.9, 17)
-	m, _ := fitTrees(tm, train, val, qosMS, boost.Config{NumTrees: 200, MaxDepth: 5, EarlyStopping: 25})
+	train, val := splitRows(ds, 0.9, 17)
+	m, _ := fitTrees(tm, ds, train, val, qosMS, boost.Config{NumTrees: 200, MaxDepth: 5, EarlyStopping: 25})
 	return m
 }
 
 // ViolationError returns the BT misclassification rate (threshold 0.5) on
 // a dataset, using the hybrid's own latent features.
 func (m *HybridModel) ViolationError(ds *dataset.Dataset) float64 {
-	X, _ := btFeatures(nn.NewContext(), m.Lat, ds)
-	return m.Viol.ErrorRate(X, ds.YViol)
+	X, y, _ := btFeatures(nn.NewContext(), &nn.Inputs{}, m.Lat, ds, nn.AllRows(ds.Len()))
+	return m.Viol.ErrorRate(X, y)
 }
 
 // RetrainOptions controls incremental retraining.

@@ -134,12 +134,19 @@ func (ds *Dataset) Select(idx []int) *Dataset {
 	return out
 }
 
-// Split shuffles with the given seed and splits into train/validation with
-// the given train fraction (the paper uses 9:1).
-func (ds *Dataset) Split(trainFrac float64, seed int64) (train, val *Dataset) {
+// SplitRows shuffles the sample indices with the given seed and cuts them
+// into train/validation rows at the given train fraction (the paper uses
+// 9:1): the one definition of the split, which training reads in place.
+func (ds *Dataset) SplitRows(trainFrac float64, seed int64) (train, val []int) {
 	idx := rand.New(rand.NewSource(seed)).Perm(ds.Count)
 	cut := int(float64(ds.Count) * trainFrac)
-	return ds.Select(idx[:cut]), ds.Select(idx[cut:])
+	return idx[:cut:cut], idx[cut:]
+}
+
+// Split is SplitRows with each side copied into a dataset of its own.
+func (ds *Dataset) Split(trainFrac float64, seed int64) (train, val *Dataset) {
+	tr, va := ds.SplitRows(trainFrac, seed)
+	return ds.Select(tr), ds.Select(va)
 }
 
 // FilterByP99 returns the subset of samples whose next-interval p99 is at
@@ -170,13 +177,31 @@ func (ds *Dataset) LatencyCDF() ([]float64, []float64) {
 // Save writes the dataset as gob.
 func (ds *Dataset) Save(w io.Writer) error { return gob.NewEncoder(w).Encode(ds) }
 
-// Load reads a dataset saved with Save.
+// Load reads a dataset saved with Save. Input whose slices do not hold
+// exactly Count samples of its dimensions is an error, never a later panic.
 func Load(r io.Reader) (*Dataset, error) {
 	var ds Dataset
 	if err := gob.NewDecoder(r).Decode(&ds); err != nil {
 		return nil, err
 	}
+	d := ds.D
+	if d.N <= 0 || d.T <= 0 || d.F <= 0 || d.M <= 0 || ds.K < 0 ||
+		!holds(len(ds.RH), ds.Count, d.F, d.N, d.T) || !holds(len(ds.LH), ds.Count, d.T, d.M) ||
+		!holds(len(ds.RC), ds.Count, d.N) || !holds(len(ds.YLat), ds.Count, d.M) || len(ds.YViol) != ds.Count {
+		return nil, fmt.Errorf("dataset: %d samples of dims %+v (K %d) do not match slice lengths %d/%d/%d/%d/%d",
+			ds.Count, d, ds.K, len(ds.RH), len(ds.LH), len(ds.RC), len(ds.YLat), len(ds.YViol))
+	}
 	return &ds, nil
+}
+
+// holds reports whether n elements are exactly count rows of the given
+// positive shape, dividing so that no product can overflow.
+func holds(n, count int, shape ...int) bool {
+	ok := true
+	for _, s := range shape {
+		ok, n = ok && n%s == 0, n/s
+	}
+	return ok && n == count
 }
 
 // SaveFile / LoadFile are file-path conveniences for the CLI tools.

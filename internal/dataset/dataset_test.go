@@ -3,6 +3,7 @@ package dataset
 import (
 	"bytes"
 	"math"
+	"reflect"
 	"testing"
 
 	"sinan/internal/cluster"
@@ -84,6 +85,88 @@ func TestSelectAndSplit(t *testing.T) {
 	if train.YLat[0] != train2.YLat[0] {
 		t.Fatal("split not deterministic")
 	}
+}
+
+// Split is the row split copied out: training reads the rows of SplitRows in
+// place, so the two must name the same samples in the same order.
+func TestSplitIsSelectOfSplitRows(t *testing.T) {
+	ds := New(testDims, 5)
+	for i := 0; i < 57; i++ {
+		rh, lh, rc, ylat := mkSample(i)
+		ds.Append(rh, lh, rc, ylat, i%3 == 0)
+	}
+	train, val := ds.Split(0.8, 7)
+	tr, va := ds.SplitRows(0.8, 7)
+	if !reflect.DeepEqual(train, ds.Select(tr)) || !reflect.DeepEqual(val, ds.Select(va)) {
+		t.Fatal("Split differs from Select of SplitRows")
+	}
+	if len(tr) != 45 || len(va) != 12 {
+		t.Fatalf("SplitRows sizes %d/%d, want 45/12", len(tr), len(va))
+	}
+}
+
+// Load rejects a dataset whose slices do not hold Count samples of its dims.
+func TestLoadRejectsInconsistentDataset(t *testing.T) {
+	for name, mutate := range map[string]func(*Dataset){
+		"count above rows": func(ds *Dataset) { ds.Count++ },
+		"count below rows": func(ds *Dataset) { ds.Count-- },
+		"short RC":         func(ds *Dataset) { ds.RC = ds.RC[:len(ds.RC)-1] },
+		"labels short":     func(ds *Dataset) { ds.YViol = ds.YViol[:1] },
+		"zero tiers":       func(ds *Dataset) { ds.D.N = 0 },
+		"negative K":       func(ds *Dataset) { ds.K = -1 },
+		// F·N·T wraps to 0 in int arithmetic, which an empty RH would match.
+		"overflowing dims": func(ds *Dataset) {
+			*ds = Dataset{D: nn.Dims{N: 1, T: 4, F: 1 << 62, M: 1}, K: 5, Count: 1,
+				LH: make([]float64, 4), RC: make([]float64, 1), YLat: make([]float64, 1), YViol: make([]bool, 1)}
+		},
+	} {
+		ds := New(testDims, 5)
+		for i := 0; i < 3; i++ {
+			rh, lh, rc, ylat := mkSample(i)
+			ds.Append(rh, lh, rc, ylat, false)
+		}
+		mutate(ds)
+		var buf bytes.Buffer
+		if err := ds.Save(&buf); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := Load(&buf); err == nil {
+			t.Errorf("%s: Load accepted it", name)
+		}
+	}
+}
+
+// FuzzLoad drives arbitrary bytes through Load: it must return an error or
+// a dataset whose Inputs and SplitRows hold, never panic.
+func FuzzLoad(f *testing.F) {
+	ds := New(testDims, 5)
+	for i := 0; i < 4; i++ {
+		rh, lh, rc, ylat := mkSample(i)
+		ds.Append(rh, lh, rc, ylat, i == 1)
+	}
+	var buf bytes.Buffer
+	if err := ds.Save(&buf); err != nil {
+		f.Fatal(err)
+	}
+	f.Add(buf.Bytes())
+	f.Add(buf.Bytes()[:buf.Len()/2])
+	ds.Count = 7
+	buf.Reset()
+	if err := ds.Save(&buf); err != nil {
+		f.Fatal(err)
+	}
+	f.Add(buf.Bytes())
+	f.Fuzz(func(t *testing.T, data []byte) {
+		got, err := Load(bytes.NewReader(data))
+		if err != nil {
+			return
+		}
+		got.Inputs()
+		got.Targets()
+		tr, va := got.SplitRows(0.9, 1)
+		got.Select(tr)
+		got.Select(va)
+	})
 }
 
 func TestFilterByP99AndCDF(t *testing.T) {

@@ -24,7 +24,8 @@ func Fig4(l *Lab) []*Table {
 	trIn := train.Inputs()
 	trY := train.Targets()
 	norm := nn.FitNormalizer(trIn, d)
-	trNorm := norm.Apply(trIn, d)
+	var trNorm, vNorm, bin nn.Inputs
+	norm.ApplyInto(&trNorm, trIn, d)
 	const yScale = 0.01
 	yv := trY.Clone()
 	tensor.ScaleInPlace(yv, yScale)
@@ -54,7 +55,7 @@ func Fig4(l *Lab) []*Table {
 				end = len(idx)
 			}
 			bidx := idx[s:end]
-			bin := trNorm.Slice(bidx)
+			trNorm.GatherInto(&bin, bidx)
 			by := tensor.New(len(bidx), d.M)
 			bv := tensor.New(len(bidx), ds.K)
 			for k, i := range bidx {
@@ -80,7 +81,7 @@ func Fig4(l *Lab) []*Table {
 	_, rep := l.SocialModel()
 	sm, _ := l.SocialModel()
 	vIn := val.Inputs()
-	vNorm := norm.Apply(vIn, d)
+	norm.ApplyInto(&vNorm, vIn, d)
 	mtPred, _ := mt.Forward(ctx, vNorm)
 	cnnPred := sm.Lat.Predict(vIn)
 

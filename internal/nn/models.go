@@ -22,9 +22,12 @@ type Inputs struct {
 // Batch returns the batch size.
 func (in Inputs) Batch() int { return in.RH.Shape[0] }
 
-// Slice gathers the given sample indices into a new batch.
-func (in Inputs) Slice(idx []int) Inputs {
-	return Inputs{RH: gatherRows(nil, in.RH, idx), LH: gatherRows(nil, in.LH, idx), RC: gatherRows(nil, in.RC, idx)}
+// GatherInto copies samples idx of in into dst, reusing dst's buffers when
+// their capacity allows.
+func (in Inputs) GatherInto(dst *Inputs, idx []int) {
+	dst.RH = gatherRows(dst.RH, in.RH, idx)
+	dst.LH = gatherRows(dst.LH, in.LH, idx)
+	dst.RC = gatherRows(dst.RC, in.RC, idx)
 }
 
 // gatherRows copies rows idx of src (along axis 0) into dst, resized to

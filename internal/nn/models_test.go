@@ -134,7 +134,8 @@ func TestNormalizerRoundTrip(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	in, _ := synthInputs(rng, 100, testDims)
 	norm := FitNormalizer(in, testDims)
-	out := norm.Apply(in, testDims)
+	var out Inputs
+	norm.ApplyInto(&out, in, testDims)
 	// Channel 0 of RH should be ~zero-mean, unit variance.
 	per := testDims.N * testDims.T
 	sum, sumsq, cnt := 0.0, 0.0, 0
@@ -154,7 +155,7 @@ func TestNormalizerRoundTrip(t *testing.T) {
 	}
 	// Original inputs untouched.
 	if in.RH.Data[0] == out.RH.Data[0] && in.RH.Data[1] == out.RH.Data[1] {
-		t.Fatal("Apply should not normalise in place")
+		t.Fatal("ApplyInto a fresh dst should not normalise in place")
 	}
 }
 
@@ -241,7 +242,8 @@ func TestPredictWithLatentMatchesPredict(t *testing.T) {
 func TestInputsSlice(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	in, _ := synthInputs(rng, 10, testDims)
-	sub := in.Slice([]int{3, 7})
+	var sub Inputs
+	in.GatherInto(&sub, []int{3, 7})
 	if sub.Batch() != 2 {
 		t.Fatalf("slice batch %d", sub.Batch())
 	}

@@ -1,7 +1,9 @@
 package nn
 
 import (
+	"fmt"
 	"math/rand"
+	"reflect"
 	"runtime"
 	"sync"
 	"testing"
@@ -65,15 +67,67 @@ func TestTrainShardingMachineIndependent(t *testing.T) {
 	}
 	want := train(1)
 	for _, procs := range []int{2, 3, 4, 8} {
-		got := train(procs)
-		for i := range want {
-			for j := range want[i].W.Data {
-				if got[i].W.Data[j] != want[i].W.Data[j] {
-					t.Fatalf("GOMAXPROCS %d: param %s diverges at %d: %v vs %v",
-						procs, want[i].Name, j, got[i].W.Data[j], want[i].W.Data[j])
-				}
+		sameWeights(t, fmt.Sprintf("GOMAXPROCS %d", procs), train(procs), want)
+	}
+}
+
+// sameWeights fails t unless got and want hold the same bits in every weight.
+func sameWeights(t *testing.T, what string, got, want []*Param) {
+	t.Helper()
+	for i := range want {
+		for j := range want[i].W.Data {
+			if got[i].W.Data[j] != want[i].W.Data[j] {
+				t.Fatalf("%s: param %s diverges at %d: %v vs %v",
+					what, want[i].Name, j, got[i].W.Data[j], want[i].W.Data[j])
 			}
 		}
+	}
+}
+
+// Training over a row list reads the caller's tensors in place and
+// normalises each gathered minibatch slice; it must give the weights that
+// training on a copy of those rows gives, bit for bit. 630 rows at batch 256
+// end every epoch on a partial minibatch, cut into 4 shards. FineTune, the
+// all-rows case, must likewise match normalising the whole set up front and
+// training on it through an identity normaliser — the order of work this
+// path replaced.
+func TestTrainRowsMatchesCopiedRows(t *testing.T) {
+	rng := rand.New(rand.NewSource(46))
+	in, y := synthInputs(rng, 700, testDims)
+	rows := rng.Perm(700)[:630]
+	cfg := TrainConfig{Epochs: 2, Batch: 256, QoSMS: 500, Seed: 8, Shards: 4}
+	model := func() Regressor { return NewLatencyCNN(rand.New(rand.NewSource(47)), testDims, 16) }
+	var copied Inputs
+	in.GatherInto(&copied, rows)
+	got := TrainRows(model(), in, y, rows, cfg)
+	want := Train(model(), copied, gatherRows(nil, y, rows), cfg)
+	sameWeights(t, "TrainRows", got.Model.Params(), want.Model.Params())
+
+	// Clones on both sides: the momentum left on got's parameters is not
+	// part of a clone.
+	tuned, ref := got.Clone(), got.Clone()
+	ref.Norm = &Normalizer{RHMean: make([]float64, testDims.F), RHStd: make([]float64, testDims.F), LHStd: 1, RCStd: 1}
+	for f := range ref.Norm.RHStd {
+		ref.Norm.RHStd[f] = 1
+	}
+	var normed Inputs
+	got.Norm.ApplyInto(&normed, in, testDims)
+	cfg.LR = 0.002
+	ref.FineTune(normed, y, cfg)
+	tuned.FineTune(in, y, cfg)
+	sameWeights(t, "FineTune", tuned.Model.Params(), ref.Model.Params())
+}
+
+// The normaliser fitted over a row list sums those rows in list order, as
+// fitting it on their copy does.
+func TestFitNormalizerRowsMatchesCopy(t *testing.T) {
+	rng := rand.New(rand.NewSource(48))
+	in, _ := synthInputs(rng, 300, testDims)
+	rows := rng.Perm(300)[:270]
+	var copied Inputs
+	in.GatherInto(&copied, rows)
+	if got, want := fitNormalizerRows(in, rows, testDims), FitNormalizer(copied, testDims); !reflect.DeepEqual(got, want) {
+		t.Fatalf("normaliser over rows %+v, over their copy %+v", got, want)
 	}
 }
 
@@ -86,7 +140,7 @@ func TestTrainTapesPerWorker(t *testing.T) {
 	in, y := synthInputs(rng, 128, testDims)
 	for _, procs := range []int{1, 2, 4} {
 		prev := runtime.GOMAXPROCS(procs)
-		tm := &TrainedModel{Model: NewLatencyCNN(rand.New(rand.NewSource(44)), testDims, 16)}
+		tm := &TrainedModel{Model: NewLatencyCNN(rand.New(rand.NewSource(44)), testDims, 16), Norm: FitNormalizer(in, testDims)}
 		params := tm.Model.Params()
 		shards := newTrainShards(4)
 		idx := rng.Perm(128)
@@ -173,8 +227,9 @@ func TestPredictCtxSteadyStateAllocs(t *testing.T) {
 	}
 }
 
-// One steady-state training step on a warmed shard — gather the minibatch
-// slice into the shard's buffers, forward, backward — must not allocate:
+// One steady-state training step on a warmed shard — gather and normalise
+// the minibatch slice in the shard's buffers, forward, backward — must not
+// allocate:
 // the tape, the gradient accumulators and the gathered batch all live on
 // the shard and are reused. GOMAXPROCS(1) keeps the kernels on their serial
 // path; the fan-out's goroutines are not what this guards.
@@ -184,12 +239,13 @@ func TestTrainStepSteadyStateAllocs(t *testing.T) {
 	rng := rand.New(rand.NewSource(52))
 	in, y := synthInputs(rng, 96, testDims)
 	model := NewLatencyCNN(rng, testDims, 16)
+	tm := &TrainedModel{Model: model, Norm: FitNormalizer(in, testDims)}
 	sh := trainShard{ctx: NewContext()}
 	grad := tensor.New(32, testDims.M)
 	grad.Fill(0.01)
 	idx := rng.Perm(96)
 	step := func(sidx []int) {
-		sh.gather(in, y, sidx)
+		sh.gather(tm, in, y, sidx)
 		model.Forward(sh.ctx, sh.in)
 		model.Backward(sh.ctx, grad)
 	}

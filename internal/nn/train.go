@@ -22,38 +22,46 @@ type Normalizer struct {
 
 // FitNormalizer computes normalisation statistics from a training set.
 func FitNormalizer(in Inputs, d Dims) *Normalizer {
+	return fitNormalizerRows(in, AllRows(in.Batch()), d)
+}
+
+// fitNormalizerRows computes normalisation statistics from samples rows of
+// in, summing in the order of the list.
+func fitNormalizerRows(in Inputs, rows []int, d Dims) *Normalizer {
 	n := &Normalizer{RHMean: make([]float64, d.F), RHStd: make([]float64, d.F)}
-	b := in.Batch()
 	per := d.N * d.T
 	for f := 0; f < d.F; f++ {
-		sum, sumsq, cnt := 0.0, 0.0, 0
-		for i := 0; i < b; i++ {
-			base := (i*d.F + f) * per
-			for j := 0; j < per; j++ {
-				v := in.RH.Data[base+j]
-				sum += v
-				sumsq += v * v
-				cnt++
-			}
-		}
-		mean := sum / float64(cnt)
-		std := math.Sqrt(math.Max(sumsq/float64(cnt)-mean*mean, 0))
-		n.RHMean[f], n.RHStd[f] = mean, floorStd(std)
+		n.RHMean[f], n.RHStd[f] = meanStd(in.RH, rows, f*per, per)
 	}
-	n.LHMean, n.LHStd = meanStd(in.LH.Data)
-	n.RCMean, n.RCStd = meanStd(in.RC.Data)
+	n.LHMean, n.LHStd = meanStd(in.LH, rows, 0, d.T*d.M)
+	n.RCMean, n.RCStd = meanStd(in.RC, rows, 0, d.N)
 	return n
 }
 
-func meanStd(xs []float64) (float64, float64) {
+// meanStd is the mean and floored standard deviation of elements
+// [off, off+w) of samples rows of t, summed in the order of the list.
+func meanStd(t *tensor.Dense, rows []int, off, w int) (float64, float64) {
+	row := t.Size() / t.Shape[0]
 	sum, sumsq := 0.0, 0.0
-	for _, v := range xs {
-		sum += v
-		sumsq += v * v
+	for _, i := range rows {
+		for _, v := range t.Data[i*row+off : i*row+off+w] {
+			sum += v
+			sumsq += v * v
+		}
 	}
-	mean := sum / float64(len(xs))
-	std := math.Sqrt(math.Max(sumsq/float64(len(xs))-mean*mean, 0))
+	cnt := float64(len(rows) * w)
+	mean := sum / cnt
+	std := math.Sqrt(math.Max(sumsq/cnt-mean*mean, 0))
 	return mean, floorStd(std)
+}
+
+// AllRows is the row list of every sample of an n-sample batch, in order.
+func AllRows(n int) []int {
+	rows := make([]int, n)
+	for i := range rows {
+		rows[i] = i
+	}
+	return rows
 }
 
 func floorStd(s float64) float64 {
@@ -63,16 +71,9 @@ func floorStd(s float64) float64 {
 	return s
 }
 
-// Apply returns normalised copies of the inputs.
-func (n *Normalizer) Apply(in Inputs, d Dims) Inputs {
-	var out Inputs
-	n.ApplyInto(&out, in, d)
-	return out
-}
-
 // ApplyInto normalises in into dst, reusing dst's buffers when their
-// capacity allows — the allocation-free variant of Apply for reusable
-// inference contexts.
+// capacity allows, so reusable contexts allocate nothing. dst may be in
+// itself, normalising in place.
 func (n *Normalizer) ApplyInto(dst *Inputs, in Inputs, d Dims) {
 	dst.RH = tensor.Ensure(dst.RH, in.RH.Shape...)
 	dst.LH = tensor.Ensure(dst.LH, in.LH.Shape...)
@@ -186,13 +187,19 @@ func (tm *TrainedModel) Clone() *TrainedModel {
 // minibatch's gradient is computed data-parallel across cfg.Shards
 // shards and reduced deterministically.
 func Train(model Regressor, in Inputs, yMS *tensor.Dense, cfg TrainConfig) *TrainedModel {
+	return TrainRows(model, in, yMS, AllRows(in.Batch()), cfg)
+}
+
+// TrainRows is Train on samples rows of in and yMS, in the order of the list,
+// read in place: each minibatch slice is normalised in a worker's buffers.
+func TrainRows(model Regressor, in Inputs, yMS *tensor.Dense, rows []int, cfg TrainConfig) *TrainedModel {
 	cfg = cfg.withDefaults()
 	d := model.Dims()
 	if err := checkInputs(in, d); err != nil {
 		panic(err)
 	}
-	tm := &TrainedModel{Model: model, Norm: FitNormalizer(in, d)}
-	tm.fit(in, yMS, cfg)
+	tm := &TrainedModel{Model: model, Norm: fitNormalizerRows(in, rows, d)}
+	tm.fit(in, yMS, rows, cfg)
 	return tm
 }
 
@@ -202,26 +209,19 @@ func Train(model Regressor, in Inputs, yMS *tensor.Dense, cfg TrainConfig) *Trai
 // retained so features stay on the original scale.
 func (tm *TrainedModel) FineTune(in Inputs, yMS *tensor.Dense, cfg TrainConfig) {
 	cfg = cfg.withDefaults()
-	tm.fit(in, yMS, cfg)
+	tm.fit(in, yMS, AllRows(in.Batch()), cfg)
 }
 
-func (tm *TrainedModel) fit(in Inputs, yMS *tensor.Dense, cfg TrainConfig) {
-	d := tm.Model.Dims()
-	norm := tm.Norm.Apply(in, d)
-	y := yMS.Clone()
-	tensor.ScaleInPlace(y, yScale)
-
+func (tm *TrainedModel) fit(in Inputs, yMS *tensor.Dense, rows []int, cfg TrainConfig) {
 	var loss Loss = MSE{}
 	if cfg.QoSMS > 0 {
 		loss = ScaledMSE{Knee: cfg.QoSMS * yScale, Alpha: cfg.Alpha / yScale}
 	}
 	opt := &SGD{LR: cfg.LR, Momentum: cfg.Momentum, WeightDecay: cfg.WeightDecay}
 	rng := rand.New(rand.NewSource(cfg.Seed + 1))
-	n := in.Batch()
-	idx := make([]int, n)
-	for i := range idx {
-		idx[i] = i
-	}
+	// Shuffled by position, as a copied batch of the rows would be.
+	idx := append([]int(nil), rows...)
+	n := len(idx)
 	params := tm.Model.Params()
 	shards := newTrainShards(cfg.Shards)
 	for epoch := 0; epoch < cfg.Epochs; epoch++ {
@@ -233,7 +233,7 @@ func (tm *TrainedModel) fit(in Inputs, yMS *tensor.Dense, cfg TrainConfig) {
 			if e > n {
 				e = n
 			}
-			for _, sh := range tm.batchGrad(shards, norm, y, idx[s:e], loss, params) {
+			for _, sh := range tm.batchGrad(shards, in, yMS, idx[s:e], loss, params) {
 				total += sh.loss
 			}
 			ClipGrads(params, cfg.ClipNorm)
@@ -246,9 +246,9 @@ func (tm *TrainedModel) fit(in Inputs, yMS *tensor.Dense, cfg TrainConfig) {
 	}
 }
 
-// batchGrad adds the mean gradient of minibatch bidx into params' Grad,
-// computed data-parallel over shards, and returns the shards the minibatch
-// was cut into, each holding its share of the minibatch's loss.
+// batchGrad adds the mean gradient of minibatch bidx (rows of the raw in and
+// y) into params' Grad, computed data-parallel over shards, and returns the
+// shards the minibatch was cut into, each holding its share of the loss.
 func (tm *TrainedModel) batchGrad(shards []trainShard, in Inputs, y *tensor.Dense, bidx []int, loss Loss, params []*Param) []trainShard {
 	bn := len(bidx)
 	// Shard count depends only on the batch size, never on the machine, so
@@ -265,7 +265,7 @@ func (tm *TrainedModel) batchGrad(shards []trainShard, in Inputs, y *tensor.Dens
 		for si := a; si < b; si++ {
 			sh := &shards[si]
 			sidx := bidx[si*bn/ns : (si+1)*bn/ns]
-			w.gather(in, y, sidx)
+			w.gather(tm, in, y, sidx)
 			pred := tm.Model.Forward(w.ctx, w.in)
 			l, grad := loss.Compute(pred, w.y)
 			// Scaled by the shard's sample fraction, so the ordered sum of
@@ -309,21 +309,22 @@ func newTrainShards(n int) []trainShard {
 	return shards
 }
 
-// gather copies samples idx of the (normalised) inputs and (scaled) targets
-// into the shard's buffers.
-func (sh *trainShard) gather(in Inputs, y *tensor.Dense, idx []int) {
-	sh.in.RH = gatherRows(sh.in.RH, in.RH, idx)
-	sh.in.LH = gatherRows(sh.in.LH, in.LH, idx)
-	sh.in.RC = gatherRows(sh.in.RC, in.RC, idx)
+// gather copies samples idx of the raw inputs and millisecond targets into
+// the shard's buffers and brings the copy to tm's scale: each element gets
+// the operation normalising the whole dataset up front would have given it.
+func (sh *trainShard) gather(tm *TrainedModel, in Inputs, y *tensor.Dense, idx []int) {
+	in.GatherInto(&sh.in, idx)
+	tm.Norm.ApplyInto(&sh.in, sh.in, tm.Model.Dims())
 	sh.y = gatherRows(sh.y, y, idx)
+	tensor.ScaleInPlace(sh.y, yScale)
 }
 
-// predictChunk bounds per-evaluation working-set size on the predict path:
+// PredictChunk bounds per-evaluation working-set size on the predict path:
 // the size of a training shard (Batch 256 over 4 shards), so a context's
 // workspace — the chunk's normalised inputs and its forward activations — is
 // ~3 MB for a SocialNetwork-sized model whatever the dataset. Rows are
 // evaluated independently, so chunking never shows in the output.
-const predictChunk = 64
+const PredictChunk = 64
 
 // Predict returns latency predictions in milliseconds for raw-space inputs.
 // It allocates a fresh Context per call and is therefore trivially safe
@@ -364,8 +365,8 @@ func (tm *TrainedModel) predict(ctx *Context, in Inputs, wantLatent bool) (*tens
 		ctx.latOut = tensor.Ensure(ctx.latOut, n, cnn.Latent)
 		latent = ctx.latOut
 	}
-	for s := 0; s < n; s += predictChunk {
-		e := s + predictChunk
+	for s := 0; s < n; s += PredictChunk {
+		e := s + PredictChunk
 		if e > n {
 			e = n
 		}

@@ -741,7 +741,9 @@ var setPortable func(on bool)
 // what Conv2D multiplied while it unfolded a shard at once, kept for the
 // history of the table), of one sample of that shard (140 patch columns: what
 // it multiplies now, 64 times over; conv2's forward product is decide-conv2)
-// and of one decision (172 candidates on a batch-1 trunk). Where the leaves
+// and of one decision: 172 candidates on a batch-1 trunk, whose per-candidate
+// products are rc.fc on the normalised allocations, trunk.fc's rc columns
+// continuing the history prefix's sums, and the head. Where the leaves
 // are assembly a third side, portable, is the kernel on its Go leaves, so one
 // run at -cpu 1 prints the whole table of DESIGN.md §7 "Kernels" (CHANGES.md,
 // PRs 15 and 20, has the per-shape history).
@@ -754,7 +756,7 @@ func BenchmarkGEMM(b *testing.B) {
 		m, k, n int
 		name    string
 	}
-	ab, ta, tb, tbAdd := MatMulInto, MatMulTransAInto, MatMulTransBInto, MatMulTransBAddInto
+	ab, abAdd, ta, tb, tbAdd := MatMulInto, MatMulAddInto, MatMulTransAInto, MatMulTransBInto, MatMulTransBAddInto
 	for _, kn := range []kernel{
 		{ab, refMatMul, false, false, 0, 8, 54, 8960, "AB/conv1-forward"},
 		{ab, refMatMul, false, false, 0, 8, 72, 8960, "AB/conv2-forward"},
@@ -763,8 +765,9 @@ func BenchmarkGEMM(b *testing.B) {
 		{tb, refMatMulTransB, false, true, 0, 64, 24, 1120, "ABt/rhfc-dx"},
 		{ta, refMatMulTransA, true, false, 0, 72, 8, 8960, "AtB/conv2-dcols"},
 		{ta, refMatMulTransA, true, false, 0.5, 1120, 64, 24, "AtB/rhfc-dW"},
-		{ab, refMatMul, false, false, 0, 172, 56, 32, "AB/decide-trunkfc"},
-		{ab, refMatMul, false, false, 0.5, 172, 28, 16, "AB/decide-rcfc"},
+		{ab, refMatMul, false, false, 0, 172, 28, 16, "AB/decide-rcfc"},
+		{abAdd, refMatMulAdd, false, false, 0.5, 172, 16, 32, "AB+/decide-trunkfc"},
+		{ab, refMatMul, false, false, 0.5, 172, 32, 5, "AB/decide-head"},
 		{ab, refMatMul, false, false, 0, 8, 72, 140, "AB/decide-conv2"},
 		{ab, refMatMul, false, false, 0, 8, 54, 140, "AB/sample-conv1-forward"},
 		{tbAdd, refMatMulTransBAdd, false, true, 0, 8, 140, 72, "ABt+/sample-conv2-dW"},

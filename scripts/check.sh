@@ -76,8 +76,12 @@ stage "go test -cpu 1,2,4 (kernels, sharding, scheduler pins)"
 go test -cpu 1,2,4 ./internal/tensor ./internal/nn "$@"
 # The scheduler's decision digest, the shared-path parity and the pinned
 # TrainHybrid (the same sharded loop) likewise; TrainHybrid's allocation
-# volume grows by a tape per worker, so its guard must hold at four.
-go test -cpu 1,2,4 -run 'Pinned|Property|BitIdentical|AllocVolume' ./internal/core "$@"
+# volume grows by a tape per worker, so its guard must hold at four. Workers
+# normalise the rows they gather in place, which is where a worker-count-
+# dependent double normalisation would hide: the row-parity, dataset-
+# untouched and empty-split tests run at every count too.
+core_tests='Pinned|Property|BitIdentical|AllocVolume|RowsMatch|LeavesDatasetUntouched|RefusesEmptySplit'
+go test -cpu 1,2,4 -run "$core_tests" ./internal/core "$@"
 
 stage "portable leaves (-tags purego) and other architectures"
 # The GEMM kernels' three leaf routines have an AVX body on amd64
@@ -87,7 +91,7 @@ stage "portable leaves (-tags purego) and other architectures"
 # architecture takes; the arm64 build catches a name only the amd64 files
 # declare.
 go test -tags purego -cpu 1,2,4 ./internal/tensor ./internal/nn "$@"
-go test -tags purego -run 'Pinned|BitIdentical|AllocVolume' ./internal/core "$@"
+go test -tags purego -run "$core_tests" ./internal/core "$@"
 GOARCH=arm64 go build ./...
 GOARCH=arm64 go vet ./internal/tensor
 
