@@ -328,13 +328,8 @@ type Config struct {
 func Run(cfg Config) *dataset.Dataset {
 	ds := dataset.New(cfg.Dims, cfg.K)
 	// The recorder completes at most one sample per decision interval:
-	// reserve them all, so appending never regrows the flat slices.
-	n, d := max(int(cfg.Duration/runner.Interval), 0), cfg.Dims
-	ds.RH = make([]float64, 0, n*d.F*d.N*d.T)
-	ds.LH = make([]float64, 0, n*d.T*d.M)
-	ds.RC = make([]float64, 0, n*d.N)
-	ds.YLat = make([]float64, 0, n*d.M)
-	ds.YViol = make([]bool, 0, n)
+	// reserve them all, so appending never regrows the dataset's slices.
+	ds.Reserve(max(int(cfg.Duration/runner.Interval), 0))
 	rec := dataset.NewRecorder(ds, cfg.App.QoSMS)
 	runner.Run(runner.Config{
 		App:      cfg.App,

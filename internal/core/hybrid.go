@@ -94,7 +94,7 @@ func TrainHybrid(ds *dataset.Dataset, qosMS float64, opts TrainOptions) (*Hybrid
 	train, val := splitRows(ds, opts.TrainFrac, opts.Seed)
 
 	cnn := nn.NewLatencyCNN(rand.New(rand.NewSource(opts.Seed)), ds.D, opts.Latent)
-	tm := nn.TrainRows(cnn, ds.Inputs(), ds.Targets(), train, nn.TrainConfig{
+	tm := nn.TrainRows(cnn, ds, ds.Targets(), train, nn.TrainConfig{
 		Epochs: opts.Epochs, Batch: opts.Batch, LR: opts.LR,
 		QoSMS: qosMS, Seed: opts.Seed, Log: opts.Log,
 	})
@@ -198,14 +198,14 @@ func btFeatures(ctx *nn.Context, buf *nn.Inputs, tm *nn.TrainedModel, ds *datase
 	if !ok {
 		panic("core: latency model does not expose a latent vector")
 	}
-	all, n, d := ds.Inputs(), len(rows), ds.D
+	n, d := len(rows), ds.D
 	width, rhRow := cnn.Latent+2*d.N, d.F*d.N*d.T
 	X, y := make([][]float64, n), make([]bool, n)
 	flat := make([]float64, n*width) // one backing array for all n rows
 	pred := make([]float64, n*d.M)
 	for s := 0; s < n; s += nn.PredictChunk {
 		e := min(s+nn.PredictChunk, n)
-		all.GatherInto(buf, rows[s:e])
+		ds.GatherInto(buf, rows[s:e])
 		p, latent := tm.PredictWithLatentCtx(ctx, *buf)
 		copy(pred[s*d.M:], p.Data)
 		for i := s; i < e; i++ {

@@ -13,22 +13,23 @@ import (
 	"sinan/internal/nn"
 )
 
-// datasetDigest hashes every input and latency target of ds.
+// datasetDigest hashes every input window and latency target of ds.
 func datasetDigest(ds *dataset.Dataset) uint64 {
 	h := fnv.New64a()
-	pinFloats(h, ds.RH...)
-	pinFloats(h, ds.LH...)
-	pinFloats(h, ds.RC...)
+	in := ds.Inputs()
+	pinFloats(h, in.RH.Data...)
+	pinFloats(h, in.LH.Data...)
+	pinFloats(h, in.RC.Data...)
 	pinFloats(h, ds.YLat...)
 	return h.Sum64()
 }
 
-// Dataset.Inputs and Targets hand training views of the dataset's own
-// storage, and training reads its rows in place, normalising only the copies
-// each worker gathers. So TrainHybrid and RebuildHybrid (which train and
-// forward through the split's row lists) and Retrain (which fine-tunes on
-// every row of the dataset it is given) leave every float of their dataset
-// as it was.
+// Training gathers the dataset's rows through GatherInto and reads the
+// targets through Targets' view of the dataset's storage, normalising only
+// the copies each worker gathers. So TrainHybrid and RebuildHybrid (which
+// train and forward through the split's row lists) and Retrain (which
+// fine-tunes on every row of the dataset it is given) leave every float of
+// their dataset as it was.
 func TestTrainHybridLeavesDatasetUntouched(t *testing.T) {
 	ds := synthDataset(5, 300, 1.0)
 	before := datasetDigest(ds)
@@ -100,21 +101,11 @@ func TestTrainHybridRefusesEmptySplit(t *testing.T) {
 	}
 }
 
-// The end-to-end twin of nn.TestTrainStepSteadyStateAllocs: one TrainHybrid
-// on the benchmark's set-up dataset (1200 s of bandit collection on
-// SocialNetwork, bench/setup.go) allocates 12.4, 18.2 and 29.5 MB at 1, 2 and
-// 4 workers — a 5.6 MB tape per worker, the trees' design matrices, one
-// 64-row gather buffer — where it allocated 27.8, 33.5 and 44.9 MB while the
-// split was copied out and then normalised whole, and 74, 94 and 135 MB
-// before that, while Conv2D unfolded whole shards and Inputs, Targets and
-// predict copied the dataset. The guard, 12 MB plus 6 MB per worker, sits
-// between the last two at every worker count.
-func TestTrainHybridAllocVolume(t *testing.T) {
-	if testing.Short() {
-		t.Skip("collects 1200 s of SocialNetwork")
-	}
+// setupDataset collects the benchmark's set-up dataset: 1200 s of bandit
+// collection on SocialNetwork (bench/setup.go), 1191 samples.
+func setupDataset() *dataset.Dataset {
 	app := apps.NewSocialNetwork()
-	ds := collect.Run(collect.Config{
+	return collect.Run(collect.Config{
 		App:      app,
 		Policy:   collect.NewBandit(app, 43),
 		Pattern:  collect.SweepPattern{MinRPS: 50, MaxRPS: 450, SegmentLen: 30, Seed: 43},
@@ -123,6 +114,51 @@ func TestTrainHybridAllocVolume(t *testing.T) {
 		Dims:     collect.DefaultDims(app),
 		K:        5,
 	})
+}
+
+// The set-up dataset stores each decision interval once: 1195 steps of 173
+// floats for 1191 samples. Held, it retains 1.9 MB of heap, where whole
+// windows retained 8.2 MB; collecting it allocates 7.9 MB, where it
+// allocated 14.3 MB. The guards, 3 and 10 MB, sit between.
+func TestSetupDatasetFootprint(t *testing.T) {
+	if testing.Short() {
+		t.Skip("collects 1200 s of SocialNetwork")
+	}
+	var before, collected, held runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	ds := setupDataset()
+	runtime.ReadMemStats(&collected)
+	runtime.GC()
+	runtime.ReadMemStats(&held)
+	const mb = 1 << 20
+	alloc := float64(collected.TotalAlloc-before.TotalAlloc) / mb
+	retained := float64(int64(held.HeapAlloc)-int64(before.HeapAlloc)) / mb
+	t.Logf("%d samples: collecting allocated %.1f MB, the dataset retains %.1f MB", ds.Len(), alloc, retained)
+	if alloc > 10 {
+		t.Errorf("collect.Run allocated %.1f MB, want at most 10", alloc)
+	}
+	if retained > 3 {
+		t.Errorf("the set-up dataset retains %.1f MB of heap, want at most 3", retained)
+	}
+	runtime.KeepAlive(ds)
+}
+
+// The end-to-end twin of nn.TestTrainStepSteadyStateAllocs: one TrainHybrid
+// on the benchmark's set-up dataset allocates 12.4, 18.1 and 29.5 MB at 1, 2
+// and 4 workers — a 5.6 MB tape per worker, the trees' design matrices, one
+// 64-row gather buffer; the normaliser gathers its chunks into the first
+// shard's buffers, so assembling windows from the dataset's steps costs no
+// buffer of its own (a buffer of its own was another 0.4 MB) — where it allocated 27.8, 33.5 and 44.9 MB while the
+// split was copied out and then normalised whole, and 74, 94 and 135 MB
+// before that, while Conv2D unfolded whole shards and Inputs, Targets and
+// predict copied the dataset. The guard, 12 MB plus 6 MB per worker, sits
+// between the last two at every worker count.
+func TestTrainHybridAllocVolume(t *testing.T) {
+	if testing.Short() {
+		t.Skip("collects 1200 s of SocialNetwork")
+	}
+	ds := setupDataset()
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
 	TrainHybrid(ds, 500, TrainOptions{Seed: 2, Epochs: 3})

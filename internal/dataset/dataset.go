@@ -5,14 +5,25 @@
 // with two targets: the next interval's tail-latency percentiles (CNN
 // target) and whether a QoS violation occurs within the next K intervals
 // (Boosted Trees target).
+//
+// A sample's history is a window of T decision intervals, and a run records
+// a sample every interval, so consecutive samples share T−1 of their steps.
+// A Dataset therefore stores each interval once — a step: the interval's F·N
+// stats features, then its M clipped latency percentiles — and each sample
+// the index of its window's first step. Windows are assembled on read
+// (GatherInto, Inputs) into the [F,N,T] and [T,M] layouts the models take.
+// A step is shared only when the windows agree on it bit for bit, so every
+// window reads back exactly as it was appended.
 package dataset
 
 import (
 	"encoding/gob"
 	"fmt"
 	"io"
+	"math"
 	"math/rand"
 	"os"
+	"slices"
 	"sort"
 
 	"sinan/internal/cluster"
@@ -21,17 +32,22 @@ import (
 	"sinan/internal/tensor"
 )
 
-// Dataset is a flat-packed collection of samples.
+// Dataset is a collection of samples: per-sample allocations and targets,
+// flat-packed, and the history windows as steps shared between samples.
 type Dataset struct {
 	D nn.Dims
 	K int // violation lookahead in decision intervals
 
-	RH    []float64 // n × F·N·T
-	LH    []float64 // n × T·M
 	RC    []float64 // n × N
 	YLat  []float64 // n × M, next-interval percentiles (ms)
 	YViol []bool    // n, violation within next K intervals
 	Count int
+
+	// steps holds one step of F·N + M floats per stored interval. Steps are
+	// append-only and never written once stored, which is what lets Select
+	// share them with its parent.
+	steps []float64
+	start []int // n, index of the sample's first step
 }
 
 // New creates an empty dataset for the given dimensions and lookahead.
@@ -44,19 +60,111 @@ func (ds *Dataset) rowSizes() (rh, lh, rc int) {
 	return ds.D.F * ds.D.N * ds.D.T, ds.D.T * ds.D.M, ds.D.N
 }
 
-// Append adds one sample; slices are copied.
+// stepSize is the floats one step holds: F·N stats features, then M
+// latency percentiles.
+func (ds *Dataset) stepSize() int { return ds.D.F*ds.D.N + ds.D.M }
+
+// Reserve makes room for n more samples recorded one decision interval
+// apart — n + T − 1 steps — so a collection of known length appends without
+// regrowing.
+func (ds *Dataset) Reserve(n int) {
+	d := ds.D
+	ds.steps = slices.Grow(ds.steps, (n+d.T-1)*ds.stepSize())
+	ds.start = slices.Grow(ds.start, n)
+	ds.RC = slices.Grow(ds.RC, n*d.N)
+	ds.YLat = slices.Grow(ds.YLat, n*d.M)
+	ds.YViol = slices.Grow(ds.YViol, n)
+}
+
+// Append adds one sample; slices are copied. rh is the window's [F,N,T]
+// history image and lh its [T,M] latency history, flattened. When the
+// previous sample's window ends at the last stored step and this window's
+// first T−1 steps equal the last T−1 stored, bit for bit, only its last
+// step is stored; otherwise all T are.
 func (ds *Dataset) Append(rh, lh, rc, ylat []float64, yviol bool) {
+	d := ds.D
 	rhN, lhN, rcN := ds.rowSizes()
-	if len(rh) != rhN || len(lh) != lhN || len(rc) != rcN || len(ylat) != ds.D.M {
+	if len(rh) != rhN || len(lh) != lhN || len(rc) != rcN || len(ylat) != d.M {
 		panic(fmt.Sprintf("dataset: sample sizes %d/%d/%d/%d, want %d/%d/%d/%d",
-			len(rh), len(lh), len(rc), len(ylat), rhN, lhN, rcN, ds.D.M))
+			len(rh), len(lh), len(rc), len(ylat), rhN, lhN, rcN, d.M))
 	}
-	ds.RH = append(ds.RH, rh...)
-	ds.LH = append(ds.LH, lh...)
+	w := ds.stepSize()
+	n := len(ds.steps) / w
+	first := 0 // the window's first step not already stored
+	if ds.Count > 0 && ds.start[ds.Count-1]+d.T == n && ds.continues(rh, lh) {
+		first = d.T - 1
+	}
+	ds.start = append(ds.start, n-first)
+	old := len(ds.steps)
+	ds.steps = slices.Grow(ds.steps, (d.T-first)*w)[:old+(d.T-first)*w]
+	for t := first; t < d.T; t++ {
+		step := ds.steps[old+(t-first)*w : old+(t-first+1)*w]
+		for j := range step[:d.F*d.N] {
+			step[j] = rh[j*d.T+t]
+		}
+		copy(step[d.F*d.N:], lh[t*d.M:(t+1)*d.M])
+	}
 	ds.RC = append(ds.RC, rc...)
 	ds.YLat = append(ds.YLat, ylat...)
 	ds.YViol = append(ds.YViol, yviol)
 	ds.Count++
+}
+
+// continues reports whether the window's first T−1 steps are the last T−1
+// stored steps, compared as bits: −0 never stands in for +0, nor one NaN
+// payload for another.
+func (ds *Dataset) continues(rh, lh []float64) bool {
+	d, w := ds.D, ds.stepSize()
+	last := len(ds.steps)/w - (d.T - 1) // stored step holding window step 0
+	same := func(a, b float64) bool { return math.Float64bits(a) == math.Float64bits(b) }
+	for t := 0; t < d.T-1; t++ {
+		step := ds.steps[(last+t)*w : (last+t+1)*w]
+		for j, v := range step[:d.F*d.N] {
+			if !same(v, rh[j*d.T+t]) {
+				return false
+			}
+		}
+		for m, v := range step[d.F*d.N:] {
+			if !same(v, lh[t*d.M+m]) {
+				return false
+			}
+		}
+	}
+	return true
+}
+
+// window writes sample i's history into rh ([F,N,T] flattened) and lh
+// ([T,M] flattened).
+func (ds *Dataset) window(i int, rh, lh []float64) {
+	d, w := ds.D, ds.stepSize()
+	for t := 0; t < d.T; t++ {
+		step := ds.steps[(ds.start[i]+t)*w : (ds.start[i]+t+1)*w]
+		for j, v := range step[:d.F*d.N] {
+			rh[j*d.T+t] = v
+		}
+		copy(lh[t*d.M:(t+1)*d.M], step[d.F*d.N:])
+	}
+}
+
+// gather writes samples idx's windows and allocations, in list order, into
+// flat rh, lh and rc.
+func (ds *Dataset) gather(rh, lh, rc []float64, idx []int) {
+	rhN, lhN, rcN := ds.rowSizes()
+	for k, i := range idx {
+		ds.window(i, rh[k*rhN:(k+1)*rhN], lh[k*lhN:(k+1)*lhN])
+		copy(rc[k*rcN:(k+1)*rcN], ds.RC[i*rcN:(i+1)*rcN])
+	}
+}
+
+// GatherInto assembles samples idx, in list order, as model inputs in dst,
+// reusing dst's buffers when their capacity allows. It implements nn.Rows,
+// so training reads the dataset in place.
+func (ds *Dataset) GatherInto(dst *nn.Inputs, idx []int) {
+	d := ds.D
+	dst.RH = tensor.Ensure(dst.RH, len(idx), d.F, d.N, d.T)
+	dst.LH = tensor.Ensure(dst.LH, len(idx), d.T, d.M)
+	dst.RC = tensor.Ensure(dst.RC, len(idx), d.N)
+	ds.gather(dst.RH.Data, dst.LH.Data, dst.RC.Data, idx)
 }
 
 // AppendFrom copies all samples of other (same dims) into ds.
@@ -64,28 +172,32 @@ func (ds *Dataset) AppendFrom(other *Dataset) {
 	if other.D != ds.D {
 		panic("dataset: dims mismatch in AppendFrom")
 	}
-	ds.RH = append(ds.RH, other.RH...)
-	ds.LH = append(ds.LH, other.LH...)
-	ds.RC = append(ds.RC, other.RC...)
-	ds.YLat = append(ds.YLat, other.YLat...)
-	ds.YViol = append(ds.YViol, other.YViol...)
-	ds.Count += other.Count
-}
-
-// Inputs returns the dataset as model input tensors. They are views over the
-// dataset's own storage, not copies: read-only to the caller (training and
-// prediction normalise into buffers of their own), and covering the samples
-// present at the time of the call.
-func (ds *Dataset) Inputs() nn.Inputs {
-	return nn.Inputs{
-		RH: tensor.FromSlice(ds.RH, ds.Count, ds.D.F, ds.D.N, ds.D.T),
-		LH: tensor.FromSlice(ds.LH, ds.Count, ds.D.T, ds.D.M),
-		RC: tensor.FromSlice(ds.RC, ds.Count, ds.D.N),
+	rhN, lhN, rcN := ds.rowSizes()
+	m := ds.D.M
+	rh, lh := make([]float64, rhN), make([]float64, lhN)
+	for i, n := 0, other.Count; i < n; i++ {
+		other.window(i, rh, lh)
+		ds.Append(rh, lh, other.RC[i*rcN:(i+1)*rcN], other.YLat[i*m:(i+1)*m], other.YViol[i])
 	}
 }
 
-// Targets returns the latency targets as a [n, M] tensor (ms): a read-only
-// view, like Inputs.
+// Inputs returns every sample as model input tensors: a fresh copy, the
+// caller's to keep or modify. Training reads the dataset in place through
+// GatherInto instead.
+func (ds *Dataset) Inputs() nn.Inputs {
+	d, n := ds.D, ds.Count
+	rhN, lhN, rcN := ds.rowSizes()
+	in := nn.Inputs{
+		RH: tensor.FromSlice(make([]float64, n*rhN), n, d.F, d.N, d.T),
+		LH: tensor.FromSlice(make([]float64, n*lhN), n, d.T, d.M),
+		RC: tensor.FromSlice(make([]float64, n*rcN), n, d.N),
+	}
+	ds.gather(in.RH.Data, in.LH.Data, in.RC.Data, nn.AllRows(n))
+	return in
+}
+
+// Targets returns the latency targets as a [n, M] tensor (ms): a view of the
+// dataset's own storage, read-only to the caller.
 func (ds *Dataset) Targets() *tensor.Dense {
 	return tensor.FromSlice(ds.YLat, ds.Count, ds.D.M)
 }
@@ -113,23 +225,24 @@ func (ds *Dataset) ViolationRate() float64 {
 	return float64(v) / float64(ds.Count)
 }
 
-// Select returns a new dataset containing the given sample indices.
+// Select returns a new dataset containing the given sample indices. It
+// shares ds's stored steps — capped, so appending to either side never
+// writes where the other reads — and copies the per-sample fields.
 func (ds *Dataset) Select(idx []int) *Dataset {
-	out := New(ds.D, ds.K)
-	rhN, lhN, rcN := ds.rowSizes()
-	out.RH = make([]float64, 0, len(idx)*rhN)
-	out.LH = make([]float64, 0, len(idx)*lhN)
-	out.RC = make([]float64, 0, len(idx)*rcN)
-	out.YLat = make([]float64, 0, len(idx)*ds.D.M)
-	out.YViol = make([]bool, 0, len(idx))
-	for _, i := range idx {
-		out.Append(
-			ds.RH[i*rhN:(i+1)*rhN],
-			ds.LH[i*lhN:(i+1)*lhN],
-			ds.RC[i*rcN:(i+1)*rcN],
-			ds.YLat[i*ds.D.M:(i+1)*ds.D.M],
-			ds.YViol[i],
-		)
+	rcN, m, n := ds.D.N, ds.D.M, len(idx)
+	out := &Dataset{
+		D: ds.D, K: ds.K, Count: n,
+		RC:    make([]float64, n*rcN),
+		YLat:  make([]float64, n*m),
+		YViol: make([]bool, n),
+		steps: ds.steps[:len(ds.steps):len(ds.steps)],
+		start: make([]int, n),
+	}
+	for k, i := range idx {
+		copy(out.RC[k*rcN:(k+1)*rcN], ds.RC[i*rcN:(i+1)*rcN])
+		copy(out.YLat[k*m:(k+1)*m], ds.YLat[i*m:(i+1)*m])
+		out.YViol[k] = ds.YViol[i]
+		out.start[k] = ds.start[i]
 	}
 	return out
 }
@@ -143,7 +256,7 @@ func (ds *Dataset) SplitRows(trainFrac float64, seed int64) (train, val []int) {
 	return idx[:cut:cut], idx[cut:]
 }
 
-// Split is SplitRows with each side copied into a dataset of its own.
+// Split is SplitRows with each side selected into a dataset of its own.
 func (ds *Dataset) Split(trainFrac float64, seed int64) (train, val *Dataset) {
 	tr, va := ds.SplitRows(trainFrac, seed)
 	return ds.Select(tr), ds.Select(va)
@@ -174,24 +287,60 @@ func (ds *Dataset) LatencyCDF() ([]float64, []float64) {
 	return vals, fracs
 }
 
-// Save writes the dataset as gob.
-func (ds *Dataset) Save(w io.Writer) error { return gob.NewEncoder(w).Encode(ds) }
+// file is a dataset on disk: gob of every sample's whole window, which is
+// the format whatever the in-memory storage.
+type file struct {
+	D nn.Dims
+	K int
+
+	RH    []float64 // n × F·N·T
+	LH    []float64 // n × T·M
+	RC    []float64 // n × N
+	YLat  []float64 // n × M
+	YViol []bool    // n
+	Count int
+}
+
+func (f *file) encode(w io.Writer) error {
+	// A gob stream names its struct type: this is the name the format was
+	// first written under, so Save writes the bytes it always has.
+	type Dataset file
+	return gob.NewEncoder(w).Encode((*Dataset)(f))
+}
+
+// toFile lays the dataset out as on disk, each sample's window whole.
+func (ds *Dataset) toFile() *file {
+	in := ds.Inputs()
+	return &file{D: ds.D, K: ds.K, RH: in.RH.Data, LH: in.LH.Data, RC: ds.RC,
+		YLat: ds.YLat, YViol: ds.YViol, Count: ds.Count}
+}
+
+// Save writes the dataset as gob, each sample's window whole.
+func (ds *Dataset) Save(w io.Writer) error { return ds.toFile().encode(w) }
 
 // Load reads a dataset saved with Save. Input whose slices do not hold
 // exactly Count samples of its dimensions is an error, never a later panic.
+// The samples are appended in order, so the windows of a recorded run share
+// their steps again.
 func Load(r io.Reader) (*Dataset, error) {
-	var ds Dataset
-	if err := gob.NewDecoder(r).Decode(&ds); err != nil {
+	var f file
+	if err := gob.NewDecoder(r).Decode(&f); err != nil {
 		return nil, err
 	}
-	d := ds.D
-	if d.N <= 0 || d.T <= 0 || d.F <= 0 || d.M <= 0 || ds.K < 0 ||
-		!holds(len(ds.RH), ds.Count, d.F, d.N, d.T) || !holds(len(ds.LH), ds.Count, d.T, d.M) ||
-		!holds(len(ds.RC), ds.Count, d.N) || !holds(len(ds.YLat), ds.Count, d.M) || len(ds.YViol) != ds.Count {
+	d := f.D
+	if d.N <= 0 || d.T <= 0 || d.F <= 0 || d.M <= 0 || f.K < 0 ||
+		!holds(len(f.RH), f.Count, d.F, d.N, d.T) || !holds(len(f.LH), f.Count, d.T, d.M) ||
+		!holds(len(f.RC), f.Count, d.N) || !holds(len(f.YLat), f.Count, d.M) || len(f.YViol) != f.Count {
 		return nil, fmt.Errorf("dataset: %d samples of dims %+v (K %d) do not match slice lengths %d/%d/%d/%d/%d",
-			ds.Count, d, ds.K, len(ds.RH), len(ds.LH), len(ds.RC), len(ds.YLat), len(ds.YViol))
+			f.Count, d, f.K, len(f.RH), len(f.LH), len(f.RC), len(f.YLat), len(f.YViol))
 	}
-	return &ds, nil
+	ds := New(d, f.K)
+	rhN, lhN, rcN := ds.rowSizes()
+	for i := 0; i < f.Count; i++ {
+		ds.Append(f.RH[i*rhN:(i+1)*rhN], f.LH[i*lhN:(i+1)*lhN], f.RC[i*rcN:(i+1)*rcN],
+			f.YLat[i*d.M:(i+1)*d.M], f.YViol[i])
+	}
+	return ds, nil
 }
 
 // holds reports whether n elements are exactly count rows of the given

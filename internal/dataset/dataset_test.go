@@ -2,6 +2,7 @@ package dataset
 
 import (
 	"bytes"
+	"encoding/gob"
 	"math"
 	"reflect"
 	"testing"
@@ -105,18 +106,19 @@ func TestSplitIsSelectOfSplitRows(t *testing.T) {
 	}
 }
 
-// Load rejects a dataset whose slices do not hold Count samples of its dims.
+// Load rejects a file whose slices do not hold Count samples of its dims.
+// The Dataset API cannot build such a value, so the cases are files.
 func TestLoadRejectsInconsistentDataset(t *testing.T) {
-	for name, mutate := range map[string]func(*Dataset){
-		"count above rows": func(ds *Dataset) { ds.Count++ },
-		"count below rows": func(ds *Dataset) { ds.Count-- },
-		"short RC":         func(ds *Dataset) { ds.RC = ds.RC[:len(ds.RC)-1] },
-		"labels short":     func(ds *Dataset) { ds.YViol = ds.YViol[:1] },
-		"zero tiers":       func(ds *Dataset) { ds.D.N = 0 },
-		"negative K":       func(ds *Dataset) { ds.K = -1 },
+	for name, mutate := range map[string]func(*file){
+		"count above rows": func(f *file) { f.Count++ },
+		"count below rows": func(f *file) { f.Count-- },
+		"short RC":         func(f *file) { f.RC = f.RC[:len(f.RC)-1] },
+		"labels short":     func(f *file) { f.YViol = f.YViol[:1] },
+		"zero tiers":       func(f *file) { f.D.N = 0 },
+		"negative K":       func(f *file) { f.K = -1 },
 		// F·N·T wraps to 0 in int arithmetic, which an empty RH would match.
-		"overflowing dims": func(ds *Dataset) {
-			*ds = Dataset{D: nn.Dims{N: 1, T: 4, F: 1 << 62, M: 1}, K: 5, Count: 1,
+		"overflowing dims": func(f *file) {
+			*f = file{D: nn.Dims{N: 1, T: 4, F: 1 << 62, M: 1}, K: 5, Count: 1,
 				LH: make([]float64, 4), RC: make([]float64, 1), YLat: make([]float64, 1), YViol: make([]bool, 1)}
 		},
 	} {
@@ -125,9 +127,10 @@ func TestLoadRejectsInconsistentDataset(t *testing.T) {
 			rh, lh, rc, ylat := mkSample(i)
 			ds.Append(rh, lh, rc, ylat, false)
 		}
-		mutate(ds)
+		f := ds.toFile()
+		mutate(f)
 		var buf bytes.Buffer
-		if err := ds.Save(&buf); err != nil {
+		if err := f.encode(&buf); err != nil {
 			t.Fatal(err)
 		}
 		if _, err := Load(&buf); err == nil {
@@ -137,31 +140,62 @@ func TestLoadRejectsInconsistentDataset(t *testing.T) {
 }
 
 // FuzzLoad drives arbitrary bytes through Load: it must return an error or
-// a dataset whose Inputs and SplitRows hold, never panic.
+// a dataset whose windows are the file's, through Inputs and GatherInto,
+// that Save and Load carry over unchanged, and on which Targets, SplitRows
+// and Select hold — never panic.
 func FuzzLoad(f *testing.F) {
-	ds := New(testDims, 5)
-	for i := 0; i < 4; i++ {
-		rh, lh, rc, ylat := mkSample(i)
-		ds.Append(rh, lh, rc, ylat, i == 1)
+	enc := func(fl *file) []byte {
+		var buf bytes.Buffer
+		if err := fl.encode(&buf); err != nil {
+			f.Fatal(err)
+		}
+		return buf.Bytes()
 	}
-	var buf bytes.Buffer
-	if err := ds.Save(&buf); err != nil {
-		f.Fatal(err)
-	}
-	f.Add(buf.Bytes())
-	f.Add(buf.Bytes()[:buf.Len()/2])
-	ds.Count = 7
-	buf.Reset()
-	if err := ds.Save(&buf); err != nil {
-		f.Fatal(err)
-	}
-	f.Add(buf.Bytes())
+	fl := fixture().toFile()
+	valid := enc(fl)
+	f.Add(valid)
+	f.Add(valid[:len(valid)/2])
+	fl.Count = 9
+	f.Add(enc(fl))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		got, err := Load(bytes.NewReader(data))
 		if err != nil {
 			return
 		}
-		got.Inputs()
+		var want file
+		if err := gob.NewDecoder(bytes.NewReader(data)).Decode(&want); err != nil {
+			t.Fatalf("Load accepted what gob cannot decode: %v", err)
+		}
+		in := got.Inputs()
+		if !sameBits(in.RH.Data, want.RH) || !sameBits(in.LH.Data, want.LH) || !sameBits(in.RC.Data, want.RC) {
+			t.Fatal("Inputs differ from the file's windows")
+		}
+		if n := got.Len(); n > 0 {
+			rows := make([]int, n)
+			for k := range rows {
+				rows[k] = n - 1 - k
+			}
+			var g nn.Inputs
+			got.GatherInto(&g, rows)
+			rhN, lhN, _ := got.rowSizes()
+			for k, i := range rows {
+				if !sameBits(g.RH.Data[k*rhN:(k+1)*rhN], want.RH[i*rhN:(i+1)*rhN]) ||
+					!sameBits(g.LH.Data[k*lhN:(k+1)*lhN], want.LH[i*lhN:(i+1)*lhN]) {
+					t.Fatalf("GatherInto row %d differs from the file's window %d", k, i)
+				}
+			}
+		}
+		var buf bytes.Buffer
+		if err := got.Save(&buf); err != nil {
+			t.Fatal(err)
+		}
+		again, err := Load(&buf)
+		if err != nil {
+			t.Fatalf("Load refuses what Save wrote: %v", err)
+		}
+		if !sameWindows(allWindows(again), allWindows(got)) || storedSteps(again) != storedSteps(got) {
+			t.Fatal("Save → Load changed the windows or the steps stored")
+		}
 		got.Targets()
 		tr, va := got.SplitRows(0.9, 1)
 		got.Select(tr)
@@ -191,10 +225,10 @@ func TestFilterByP99AndCDF(t *testing.T) {
 	}
 }
 
+// Save → Load restores every window bit for bit, the per-sample fields, and
+// the sharing: as many steps as the saved dataset stored.
 func TestSaveLoadRoundTrip(t *testing.T) {
-	ds := New(testDims, 5)
-	rh, lh, rc, ylat := mkSample(3)
-	ds.Append(rh, lh, rc, ylat, true)
+	ds := fixture()
 	var buf bytes.Buffer
 	if err := ds.Save(&buf); err != nil {
 		t.Fatal(err)
@@ -203,11 +237,15 @@ func TestSaveLoadRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got.Len() != 1 || got.D != testDims || !got.YViol[0] {
-		t.Fatal("round trip mismatch")
+	if got.Len() != ds.Len() || got.D != ds.D || got.K != ds.K ||
+		!reflect.DeepEqual(got.RC, ds.RC) || !reflect.DeepEqual(got.YLat, ds.YLat) || !reflect.DeepEqual(got.YViol, ds.YViol) {
+		t.Fatal("round trip changed a per-sample field")
 	}
-	if got.RH[5] != ds.RH[5] {
-		t.Fatal("data mismatch")
+	if !sameWindows(allWindows(got), allWindows(ds)) {
+		t.Fatal("round trip changed a window")
+	}
+	if got, want := storedSteps(got), storedSteps(ds); got != want {
+		t.Fatalf("loaded dataset stores %d steps, the saved one %d", got, want)
 	}
 }
 
@@ -330,7 +368,8 @@ func TestRecorderDropCountsAsViolation(t *testing.T) {
 // what a fresh allocation per interval recorded — the allocation and window
 // of its own interval, the next interval's clipped latency, a violation label
 // from its own K intervals only — and no more sample records exist than are
-// ever pending at once.
+// ever pending at once. The dataset stores the run's intervals once each:
+// samples + T − 1 steps.
 func TestRecorderRecyclesPendingSamples(t *testing.T) {
 	d := nn.Dims{N: 2, T: 2, F: 6, M: 5}
 	const k, steps, qos = 3, 20, 100.0
@@ -351,7 +390,10 @@ func TestRecorderRecyclesPendingSamples(t *testing.T) {
 	if want := steps - (d.T - 1) - k; ds.Len() != want {
 		t.Fatalf("samples = %d, want %d", ds.Len(), want)
 	}
-	rhN := d.F * d.N * d.T
+	if got, want := storedSteps(ds), ds.Len()+d.T-1; got != want {
+		t.Fatalf("%d samples stored as %d steps, want %d: one per interval", ds.Len(), got, want)
+	}
+	rhN, in := d.F*d.N*d.T, ds.Inputs()
 	for s := 0; s < ds.Len(); s++ {
 		at := s + d.T - 1 // the interval the sample was created in
 		if rc := ds.RC[s*d.N : (s+1)*d.N]; rc[0] != float64(at) || rc[1] != float64(2*at) {
@@ -359,7 +401,7 @@ func TestRecorderRecyclesPendingSamples(t *testing.T) {
 		}
 		for n := 0; n < d.N; n++ {
 			for tt := 0; tt < d.T; tt++ {
-				got := ds.RH[s*rhN+(ChanCPUUsage*d.N+n)*d.T+tt]
+				got := in.RH.Data[s*rhN+(ChanCPUUsage*d.N+n)*d.T+tt]
 				if want := float64(at-d.T+1+tt) + float64(n); got != want {
 					t.Fatalf("sample %d: cpu usage of tier %d at window step %d = %v, want %v", s, n, tt, got, want)
 				}

@@ -26,6 +26,7 @@ func Ablation(l *Lab) []*Table {
 	ds := l.SocialDataset()
 	const qos = 500.0
 	train, val := ds.Split(0.9, 77)
+	trIn, vaIn := train.Inputs(), val.Inputs()
 	epochs := l.scaleInt(8, 12)
 
 	// --- A1: loss function ---
@@ -50,21 +51,21 @@ func Ablation(l *Lab) []*Table {
 	lossTab.Rows = pmap(l, len(lossCfgs), func(i int) []string {
 		cfg := lossCfgs[i]
 		model := nn.NewLatencyCNN(rand.New(rand.NewSource(77)), ds.D, 32)
-		tm := nn.Train(model, train.Inputs(), train.Targets(), nn.TrainConfig{
+		tm := nn.Train(model, trIn, train.Targets(), nn.TrainConfig{
 			Epochs: epochs, Batch: 256, LR: 0.01, QoSMS: cfg.qosMS, Seed: 77,
 		})
 		l.logf("ablation A1: %s done", cfg.name)
 		return []string{
 			cfg.name,
 			f1(tm.RMSE(subVal.Inputs(), subVal.Targets())),
-			f1(tm.RMSE(val.Inputs(), val.Targets())),
+			f1(tm.RMSE(vaIn, val.Targets())),
 		}
 	})
 
 	// --- A2/A3: violation-predictor feature sets ---
 	m, _ := l.SocialModel()
-	_, trainLatent := m.Lat.PredictWithLatent(train.Inputs())
-	_, valLatent := m.Lat.PredictWithLatent(val.Inputs())
+	_, trainLatent := m.Lat.PredictWithLatent(trIn)
+	_, valLatent := m.Lat.PredictWithLatent(vaIn)
 
 	d := ds.D
 	rhRow := d.F * d.N * d.T
@@ -107,8 +108,8 @@ func Ablation(l *Lab) []*Table {
 		}
 		return X, sub.viol
 	}
-	trSplit := &trainSplit{n: train.Len(), rh: train.RH, rc: train.RC, viol: train.YViol}
-	vaSplit := &trainSplit{n: val.Len(), rh: val.RH, rc: val.RC, viol: val.YViol}
+	trSplit := &trainSplit{n: train.Len(), rh: trIn.RH.Data, rc: train.RC, viol: train.YViol}
+	vaSplit := &trainSplit{n: val.Len(), rh: vaIn.RH.Data, rc: val.RC, viol: val.YViol}
 	width := trainLatent.Shape[1]
 
 	btTab := &Table{

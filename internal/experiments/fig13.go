@@ -55,26 +55,25 @@ func Fig13(l *Lab) []*Table {
 				"fine-tuning uses lr = base lr / 100 (Sec. 5.4), preserving learnt weights",
 			},
 		}
+		valIn, valY := newVal.Inputs(), newVal.Targets()
 		for _, n := range sampleCounts {
 			// Fresh copy of the base model for each budget, so every sweep
 			// point starts from identical base weights.
 			tm := baseModel.Lat.Clone()
+			trainRMSE := 0.0
 			if n > 0 {
 				if n > newTrain.Len() {
 					n = newTrain.Len()
 				}
 				sub := newTrain.Select(firstN(n))
-				tm.FineTune(sub.Inputs(), sub.Targets(), nn.TrainConfig{
+				subIn := sub.Inputs()
+				tm.FineTune(subIn, sub.Targets(), nn.TrainConfig{
 					Epochs: l.scaleInt(8, 15), Batch: 128, LR: 0.0001,
 					QoSMS: 500, Seed: sc.seed,
 				})
+				trainRMSE = tm.RMSE(subIn, sub.Targets())
 			}
-			trainRMSE := 0.0
-			if n > 0 {
-				sub := newTrain.Select(firstN(n))
-				trainRMSE = tm.RMSE(sub.Inputs(), sub.Targets())
-			}
-			valRMSE := tm.RMSE(newVal.Inputs(), newVal.Targets())
+			valRMSE := tm.RMSE(valIn, valY)
 			t.Rows = append(t.Rows, []string{
 				fmt.Sprintf("%d", n), f1(trainRMSE), f1(valRMSE),
 			})

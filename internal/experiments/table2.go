@@ -65,6 +65,7 @@ func Table2(l *Lab) []*Table {
 		bestVal := 0.0
 		var trainDur time.Duration
 		trIn, trY := env.train.Inputs(), env.train.Targets()
+		vaIn, vaY := env.val.Inputs(), env.val.Targets()
 		for _, seed := range []int64{31, 32} {
 			cand := arch.build(env.dims, seed)
 			start := time.Now()
@@ -72,7 +73,7 @@ func Table2(l *Lab) []*Table {
 				Epochs: l.epochs(), Batch: 256, LR: 0.01, QoSMS: env.qos, Seed: 77 + seed,
 			})
 			dur := time.Since(start)
-			v := ctm.RMSE(env.val.Inputs(), env.val.Targets())
+			v := ctm.RMSE(vaIn, vaY)
 			if model == nil || v < bestVal {
 				model, tm, bestVal, trainDur = cand, ctm, v, dur
 			}
@@ -95,7 +96,7 @@ func Table2(l *Lab) []*Table {
 		return []string{
 			env.name, arch.name,
 			f1(tm.RMSE(trIn, trY)),
-			f1(tm.RMSE(env.val.Inputs(), env.val.Targets())),
+			f1(tm.RMSE(vaIn, vaY)),
 			f0(nn.ModelSizeKB(model.Params())),
 			f1(trainMSPerBatch),
 			f1(inferMS),

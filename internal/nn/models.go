@@ -22,6 +22,13 @@ type Inputs struct {
 // Batch returns the batch size.
 func (in Inputs) Batch() int { return in.RH.Shape[0] }
 
+// Rows is a source of model input rows that training reads in place:
+// GatherInto assembles samples idx, in list order, in dst's buffers.
+// Inputs is one; a dataset that stores its samples otherwise is another.
+type Rows interface {
+	GatherInto(dst *Inputs, idx []int)
+}
+
 // GatherInto copies samples idx of in into dst, reusing dst's buffers when
 // their capacity allows.
 func (in Inputs) GatherInto(dst *Inputs, idx []int) {

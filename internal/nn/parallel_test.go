@@ -2,6 +2,7 @@ package nn
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"reflect"
 	"runtime"
@@ -118,17 +119,48 @@ func TestTrainRowsMatchesCopiedRows(t *testing.T) {
 	sameWeights(t, "FineTune", tuned.Model.Params(), ref.Model.Params())
 }
 
-// The normaliser fitted over a row list sums those rows in list order, as
-// fitting it on their copy does.
+// The normaliser fitted over a row list gathers it PredictChunk rows at a
+// time and continues each channel's sums from chunk to chunk: it must equal
+// the one-pass sums over the rows' copy in list order, bit for bit, for a
+// list of one row, exactly one chunk, a chunk and a row, and chunks ending on
+// a partial one.
 func TestFitNormalizerRowsMatchesCopy(t *testing.T) {
 	rng := rand.New(rand.NewSource(48))
 	in, _ := synthInputs(rng, 300, testDims)
-	rows := rng.Perm(300)[:270]
-	var copied Inputs
-	in.GatherInto(&copied, rows)
-	if got, want := fitNormalizerRows(in, rows, testDims), FitNormalizer(copied, testDims); !reflect.DeepEqual(got, want) {
-		t.Fatalf("normaliser over rows %+v, over their copy %+v", got, want)
+	for _, n := range []int{1, PredictChunk, PredictChunk + 1, 270} {
+		rows := rng.Perm(300)[:n]
+		var copied Inputs
+		in.GatherInto(&copied, rows)
+		if got, want := fitNormalizerRows(&Inputs{}, in, rows, testDims), onePassNormalizer(copied, testDims); !reflect.DeepEqual(got, want) {
+			t.Fatalf("%d rows: normaliser over rows %+v, over their copy in one pass %+v", n, got, want)
+		}
 	}
+}
+
+// onePassNormalizer is the normaliser as fitted before it was chunked: per
+// channel, one pass over every sample of in.
+func onePassNormalizer(in Inputs, d Dims) *Normalizer {
+	meanStd := func(t *tensor.Dense, off, w int) (float64, float64) {
+		row := t.Size() / t.Shape[0]
+		sum, sumsq := 0.0, 0.0
+		for i := 0; i < t.Shape[0]; i++ {
+			for _, v := range t.Data[i*row+off : i*row+off+w] {
+				sum += v
+				sumsq += v * v
+			}
+		}
+		cnt := float64(t.Shape[0] * w)
+		mean := sum / cnt
+		return mean, floorStd(math.Sqrt(math.Max(sumsq/cnt-mean*mean, 0)))
+	}
+	n := &Normalizer{RHMean: make([]float64, d.F), RHStd: make([]float64, d.F)}
+	per := d.N * d.T
+	for f := 0; f < d.F; f++ {
+		n.RHMean[f], n.RHStd[f] = meanStd(in.RH, f*per, per)
+	}
+	n.LHMean, n.LHStd = meanStd(in.LH, 0, d.T*d.M)
+	n.RCMean, n.RCStd = meanStd(in.RC, 0, d.N)
+	return n
 }
 
 // A tape belongs to a worker, not to a shard: after an epoch of 4-shard
@@ -244,8 +276,10 @@ func TestTrainStepSteadyStateAllocs(t *testing.T) {
 	grad := tensor.New(32, testDims.M)
 	grad.Fill(0.01)
 	idx := rng.Perm(96)
+	// As TrainRows does once per call: passing in as Rows boxes it.
+	var src Rows = in
 	step := func(sidx []int) {
-		sh.gather(tm, in, y, sidx)
+		sh.gather(tm, src, y, sidx)
 		model.Forward(sh.ctx, sh.in)
 		model.Backward(sh.ctx, grad)
 	}

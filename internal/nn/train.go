@@ -22,36 +22,58 @@ type Normalizer struct {
 
 // FitNormalizer computes normalisation statistics from a training set.
 func FitNormalizer(in Inputs, d Dims) *Normalizer {
-	return fitNormalizerRows(in, AllRows(in.Batch()), d)
+	return fitNormalizerRows(&Inputs{}, in, AllRows(in.Batch()), d)
 }
 
 // fitNormalizerRows computes normalisation statistics from samples rows of
-// in, summing in the order of the list.
-func fitNormalizerRows(in Inputs, rows []int, d Dims) *Normalizer {
-	n := &Normalizer{RHMean: make([]float64, d.F), RHStd: make([]float64, d.F)}
-	per := d.N * d.T
-	for f := 0; f < d.F; f++ {
-		n.RHMean[f], n.RHStd[f] = meanStd(in.RH, rows, f*per, per)
+// src, gathering PredictChunk of them at a time into buf and continuing each
+// channel's sums from chunk to chunk in the order of the list — the adds
+// summing the rows' copy in one pass performs. The first chunk's shapes are
+// checked against d.
+func fitNormalizerRows(buf *Inputs, src Rows, rows []int, d Dims) *Normalizer {
+	per, lhW := d.N*d.T, d.T*d.M
+	rh, lh, rc := make([]moments, d.F), moments{}, moments{}
+	for s := 0; s < len(rows); s += PredictChunk {
+		e := min(s+PredictChunk, len(rows))
+		src.GatherInto(buf, rows[s:e])
+		if s == 0 {
+			if err := checkInputs(*buf, d); err != nil {
+				panic(err)
+			}
+		}
+		for k := 0; k < e-s; k++ {
+			for f := range rh {
+				rh[f].add(buf.RH.Data[(k*d.F+f)*per : (k*d.F+f+1)*per])
+			}
+			lh.add(buf.LH.Data[k*lhW : (k+1)*lhW])
+			rc.add(buf.RC.Data[k*d.N : (k+1)*d.N])
+		}
 	}
-	n.LHMean, n.LHStd = meanStd(in.LH, rows, 0, d.T*d.M)
-	n.RCMean, n.RCStd = meanStd(in.RC, rows, 0, d.N)
+	n := &Normalizer{RHMean: make([]float64, d.F), RHStd: make([]float64, d.F)}
+	for f := range rh {
+		n.RHMean[f], n.RHStd[f] = rh[f].meanStd(len(rows) * per)
+	}
+	n.LHMean, n.LHStd = lh.meanStd(len(rows) * lhW)
+	n.RCMean, n.RCStd = rc.meanStd(len(rows) * d.N)
 	return n
 }
 
-// meanStd is the mean and floored standard deviation of elements
-// [off, off+w) of samples rows of t, summed in the order of the list.
-func meanStd(t *tensor.Dense, rows []int, off, w int) (float64, float64) {
-	row := t.Size() / t.Shape[0]
-	sum, sumsq := 0.0, 0.0
-	for _, i := range rows {
-		for _, v := range t.Data[i*row+off : i*row+off+w] {
-			sum += v
-			sumsq += v * v
-		}
+// moments is a running sum and sum of squares.
+type moments struct{ sum, sumsq float64 }
+
+func (m *moments) add(vs []float64) {
+	for _, v := range vs {
+		m.sum += v
+		m.sumsq += v * v
 	}
-	cnt := float64(len(rows) * w)
-	mean := sum / cnt
-	std := math.Sqrt(math.Max(sumsq/cnt-mean*mean, 0))
+}
+
+// meanStd is the mean and floored standard deviation of the cnt values
+// summed.
+func (m moments) meanStd(cnt int) (float64, float64) {
+	c := float64(cnt)
+	mean := m.sum / c
+	std := math.Sqrt(math.Max(m.sumsq/c-mean*mean, 0))
 	return mean, floorStd(std)
 }
 
@@ -190,16 +212,16 @@ func Train(model Regressor, in Inputs, yMS *tensor.Dense, cfg TrainConfig) *Trai
 	return TrainRows(model, in, yMS, AllRows(in.Batch()), cfg)
 }
 
-// TrainRows is Train on samples rows of in and yMS, in the order of the list,
-// read in place: each minibatch slice is normalised in a worker's buffers.
-func TrainRows(model Regressor, in Inputs, yMS *tensor.Dense, rows []int, cfg TrainConfig) *TrainedModel {
+// TrainRows is Train on samples rows of src and yMS, in the order of the
+// list, read in place: each minibatch slice is gathered and normalised in a
+// worker's buffers.
+func TrainRows(model Regressor, src Rows, yMS *tensor.Dense, rows []int, cfg TrainConfig) *TrainedModel {
 	cfg = cfg.withDefaults()
-	d := model.Dims()
-	if err := checkInputs(in, d); err != nil {
-		panic(err)
-	}
-	tm := &TrainedModel{Model: model, Norm: fitNormalizerRows(in, rows, d)}
-	tm.fit(in, yMS, rows, cfg)
+	shards := newTrainShards(cfg.Shards)
+	// The normaliser's chunks are gathered into the buffers the first
+	// shard's rows are later gathered into: one buffer serves both.
+	tm := &TrainedModel{Model: model, Norm: fitNormalizerRows(&shards[0].in, src, rows, model.Dims())}
+	tm.fit(shards, src, yMS, rows, cfg)
 	return tm
 }
 
@@ -209,10 +231,10 @@ func TrainRows(model Regressor, in Inputs, yMS *tensor.Dense, rows []int, cfg Tr
 // retained so features stay on the original scale.
 func (tm *TrainedModel) FineTune(in Inputs, yMS *tensor.Dense, cfg TrainConfig) {
 	cfg = cfg.withDefaults()
-	tm.fit(in, yMS, AllRows(in.Batch()), cfg)
+	tm.fit(newTrainShards(cfg.Shards), in, yMS, AllRows(in.Batch()), cfg)
 }
 
-func (tm *TrainedModel) fit(in Inputs, yMS *tensor.Dense, rows []int, cfg TrainConfig) {
+func (tm *TrainedModel) fit(shards []trainShard, src Rows, yMS *tensor.Dense, rows []int, cfg TrainConfig) {
 	var loss Loss = MSE{}
 	if cfg.QoSMS > 0 {
 		loss = ScaledMSE{Knee: cfg.QoSMS * yScale, Alpha: cfg.Alpha / yScale}
@@ -223,7 +245,6 @@ func (tm *TrainedModel) fit(in Inputs, yMS *tensor.Dense, rows []int, cfg TrainC
 	idx := append([]int(nil), rows...)
 	n := len(idx)
 	params := tm.Model.Params()
-	shards := newTrainShards(cfg.Shards)
 	for epoch := 0; epoch < cfg.Epochs; epoch++ {
 		rng.Shuffle(n, func(i, j int) { idx[i], idx[j] = idx[j], idx[i] })
 		total := 0.0
@@ -233,7 +254,7 @@ func (tm *TrainedModel) fit(in Inputs, yMS *tensor.Dense, rows []int, cfg TrainC
 			if e > n {
 				e = n
 			}
-			for _, sh := range tm.batchGrad(shards, in, yMS, idx[s:e], loss, params) {
+			for _, sh := range tm.batchGrad(shards, src, yMS, idx[s:e], loss, params) {
 				total += sh.loss
 			}
 			ClipGrads(params, cfg.ClipNorm)
@@ -246,10 +267,10 @@ func (tm *TrainedModel) fit(in Inputs, yMS *tensor.Dense, rows []int, cfg TrainC
 	}
 }
 
-// batchGrad adds the mean gradient of minibatch bidx (rows of the raw in and
-// y) into params' Grad, computed data-parallel over shards, and returns the
+// batchGrad adds the mean gradient of minibatch bidx (rows of the raw src
+// and y) into params' Grad, computed data-parallel over shards, and returns the
 // shards the minibatch was cut into, each holding its share of the loss.
-func (tm *TrainedModel) batchGrad(shards []trainShard, in Inputs, y *tensor.Dense, bidx []int, loss Loss, params []*Param) []trainShard {
+func (tm *TrainedModel) batchGrad(shards []trainShard, src Rows, y *tensor.Dense, bidx []int, loss Loss, params []*Param) []trainShard {
 	bn := len(bidx)
 	// Shard count depends only on the batch size, never on the machine, so
 	// shard boundaries (and FP summation order) are reproducible everywhere.
@@ -265,7 +286,7 @@ func (tm *TrainedModel) batchGrad(shards []trainShard, in Inputs, y *tensor.Dens
 		for si := a; si < b; si++ {
 			sh := &shards[si]
 			sidx := bidx[si*bn/ns : (si+1)*bn/ns]
-			w.gather(tm, in, y, sidx)
+			w.gather(tm, src, y, sidx)
 			pred := tm.Model.Forward(w.ctx, w.in)
 			l, grad := loss.Compute(pred, w.y)
 			// Scaled by the shard's sample fraction, so the ordered sum of
@@ -312,8 +333,8 @@ func newTrainShards(n int) []trainShard {
 // gather copies samples idx of the raw inputs and millisecond targets into
 // the shard's buffers and brings the copy to tm's scale: each element gets
 // the operation normalising the whole dataset up front would have given it.
-func (sh *trainShard) gather(tm *TrainedModel, in Inputs, y *tensor.Dense, idx []int) {
-	in.GatherInto(&sh.in, idx)
+func (sh *trainShard) gather(tm *TrainedModel, src Rows, y *tensor.Dense, idx []int) {
+	src.GatherInto(&sh.in, idx)
 	tm.Norm.ApplyInto(&sh.in, sh.in, tm.Model.Dims())
 	sh.y = gatherRows(sh.y, y, idx)
 	tensor.ScaleInPlace(sh.y, yScale)

@@ -79,8 +79,9 @@ go test -cpu 1,2,4 ./internal/tensor ./internal/nn "$@"
 # volume grows by a tape per worker, so its guard must hold at four. Workers
 # normalise the rows they gather in place, which is where a worker-count-
 # dependent double normalisation would hide: the row-parity, dataset-
-# untouched and empty-split tests run at every count too.
-core_tests='Pinned|Property|BitIdentical|AllocVolume|RowsMatch|LeavesDatasetUntouched|RefusesEmptySplit'
+# untouched and empty-split tests run at every count too, and so does the
+# set-up dataset's footprint, collected beside them.
+core_tests='Pinned|Property|BitIdentical|AllocVolume|Footprint|RowsMatch|LeavesDatasetUntouched|RefusesEmptySplit'
 go test -cpu 1,2,4 -run "$core_tests" ./internal/core "$@"
 
 stage "portable leaves (-tags purego) and other architectures"
