@@ -25,8 +25,9 @@ type Context struct {
 
 	// Latent is the latent vector Lf [B, Latent] produced by the most
 	// recent LatencyCNN.Forward on this context (the feature vector the
-	// Boosted Trees violation predictor consumes). Owned by the tape;
-	// valid until the next Forward.
+	// Boosted Trees violation predictor consumes). Owned by the tape — it is
+	// trunk.fc's output, rectified in place by the trunk's ReLU, and no
+	// Backward writes it; valid until the next Forward.
 	Latent *tensor.Dense
 
 	// grads is the accumulator set Backward adds into instead of the shared
@@ -140,7 +141,7 @@ func (c *Context) FlushGrads(ps []*Param) {
 type frame struct {
 	x     *tensor.Dense // layer input (owned by the caller or a lower frame)
 	shape []int         // small int scratch (saved shapes, batch dims)
-	mask  []bool        // ReLU: true where the input was < 0
+	mask  []bool        // ReLU: true where the input was < 0 (its only storage)
 	bufs  []*tensor.Dense
 	views []*tensor.Dense
 	f64   [][]float64

@@ -77,48 +77,46 @@ func (d *Dense) Params() []*Param { return []*Param{d.W, d.B} }
 type ReLU struct{}
 
 // Forward implements Layer: y = 0 where x < 0, else x (so −0 and NaN pass
-// through), with the comparison's outcome kept as the mask. Half of a
-// network's activations are negative in no learnable pattern, so the loop
-// selects on the value's bits (a conditional move) where a branch would
-// mispredict.
+// through), written over x, which it returns; the comparison's outcome is
+// kept as the mask, the frame's only storage. Half of a network's
+// activations are negative in no learnable pattern, so the loop selects on
+// the value's bits (a conditional move) where a branch would mispredict.
 func (r *ReLU) Forward(ctx *Context, x *tensor.Dense) *tensor.Dense {
 	f := ctx.push()
-	y := f.buf(0, x.Shape...)
 	xd := x.Data
 	if cap(f.mask) < len(xd) {
 		f.mask = make([]bool, len(xd))
 	}
 	f.mask = f.mask[:len(xd)]
-	yd, mask := y.Data[:len(xd)], f.mask[:len(xd)] // lengths the loop's bounds checks can see
+	mask := f.mask[:len(xd)] // a length the loop's bounds checks can see
 	for i, v := range xd {
 		neg := v < 0
 		bits := math.Float64bits(v)
 		if neg {
 			bits = 0
 		}
-		yd[i] = math.Float64frombits(bits)
+		xd[i] = math.Float64frombits(bits)
 		mask[i] = neg
 	}
-	return y
+	return x
 }
 
 // Backward implements Layer: dx = +0 where x was < 0, else dout, selected the
-// same way.
+// same way and written over dout, which it returns.
 func (r *ReLU) Backward(ctx *Context, dout *tensor.Dense, wantDX bool) *tensor.Dense {
 	f := ctx.pop()
 	if !wantDX {
 		return nil
 	}
-	dx := f.buf(1, dout.Shape...)
-	dd, mask := dx.Data[:len(dout.Data)], f.mask[:len(dout.Data)]
-	for i, v := range dout.Data {
+	dd, mask := dout.Data, f.mask[:len(dout.Data)]
+	for i, v := range dd {
 		bits := math.Float64bits(v)
 		if mask[i] {
 			bits = 0
 		}
 		dd[i] = math.Float64frombits(bits)
 	}
-	return dx
+	return dout
 }
 
 // Params implements Layer.
@@ -212,6 +210,12 @@ func (c *Conv2D) Forward(ctx *Context, x *tensor.Dense) *tensor.Dense {
 // products this loop replaced (refConv in nn_test.go), whose columns were
 // sample-major: the bias gradient over (n, j), dW's dot products handed on
 // from sample to sample in ascending n, dx a sample at a time.
+//
+// When dout has dx's size (Cout·OH·OW = Cin·H·W, as under same padding with
+// Cin = Cout), dx is written over dout: the bias loop has read all of dout
+// before the sample loop starts, sample n's two products have read its
+// block before Col2Im clears and fills it, and no two samples' blocks
+// overlap.
 func (c *Conv2D) Backward(ctx *Context, dout *tensor.Dense, wantDX bool) *tensor.Dense {
 	f := ctx.pop()
 	x := f.x
@@ -234,7 +238,12 @@ func (c *Conv2D) Backward(ctx *Context, dout *tensor.Dense, wantDX bool) *tensor
 	dW.Zero()
 	var dx, dcols *tensor.Dense
 	if wantDX { // otherwise neither is ever sized
-		dx, dcols = f.buf(3, b, c.Cin, h, w), f.buf(4, ckk, ohow)
+		if len(dout.Data) == b*xrow {
+			dx = f.view(3, dout.Data, b, c.Cin, h, w)
+		} else {
+			dx = f.buf(3, b, c.Cin, h, w)
+		}
+		dcols = f.buf(4, ckk, ohow)
 	}
 	for n := 0; n < b; n++ {
 		tensor.Im2Col(cols, f.view(0, x.Data[n*xrow:(n+1)*xrow], 1, c.Cin, h, w), c.K, c.Pad)

@@ -146,6 +146,8 @@ func (m *LatencyCNN) Backward(ctx *Context, dpred *tensor.Dense) {
 // optional extra gradient flowing directly into the latent Lf. The branch
 // order is the exact reverse of Forward's, as the tape requires.
 func (m *LatencyCNN) BackwardWithLatentGrad(ctx *Context, dpred, dlatent *tensor.Dense) {
+	// dl is head's own dx buffer: dlatent is added before the trunk's ReLU
+	// rectifies it in place, and dpred is never written.
 	dl := m.head.Backward(ctx, dpred, true)
 	if dlatent != nil {
 		tensor.AddInPlace(dl, dlatent)
@@ -341,7 +343,8 @@ func (m *MultiTaskNN) Forward(ctx *Context, in Inputs) (*tensor.Dense, *tensor.D
 	return lat, logits
 }
 
-// Backward propagates both heads' gradients through the shared trunk.
+// Backward propagates both heads' gradients through the shared trunk. vHead
+// reads ctx.Latent, which no Backward writes.
 func (m *MultiTaskNN) Backward(ctx *Context, dlat, dlogits *tensor.Dense) {
 	dlatent := m.vHead.Backward(ctx, dlogits, true)
 	m.CNN.BackwardWithLatentGrad(ctx, dlat, dlatent)

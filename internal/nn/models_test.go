@@ -188,6 +188,125 @@ func TestMultiTaskNN(t *testing.T) {
 	}
 }
 
+// Layers overwrite their input in Forward and their gradient in Backward,
+// but only tape storage: Forward + Backward of every model leaves the
+// caller's Inputs and the output gradients it handed in as they were, and
+// the latent Lf Forward left in ctx.Latent is still there after Backward.
+func TestModelsLeaveCallerTensorsUntouched(t *testing.T) {
+	rng := rand.New(rand.NewSource(82))
+	const b, k = 7, 3
+	in, _ := synthInputs(rng, b, testDims)
+	random := func(shape ...int) *tensor.Dense {
+		x := tensor.New(shape...)
+		for i := range x.Data {
+			x.Data[i] = rng.NormFloat64()
+		}
+		return x
+	}
+	dpred, dlogits := random(b, testDims.M), random(b, k)
+	type model struct {
+		name     string
+		latent   bool // Forward stores Lf in ctx.Latent
+		forward  func(*Context)
+		backward func(*Context)
+		grads    []*tensor.Dense
+	}
+	regressor := func(name string, m Regressor) model {
+		_, latent := m.(*LatencyCNN)
+		return model{name, latent,
+			func(ctx *Context) { m.Forward(ctx, in) },
+			func(ctx *Context) { m.Backward(ctx, dpred) },
+			[]*tensor.Dense{dpred}}
+	}
+	mt := NewMultiTaskNN(rng, testDims, 16, k)
+	for _, m := range []model{
+		regressor("LatencyCNN", NewLatencyCNN(rng, testDims, 16)),
+		regressor("MLP", NewMLP(rng, testDims)),
+		regressor("LSTMModel", NewLSTMModel(rng, testDims)),
+		{"MultiTaskNN", true,
+			func(ctx *Context) { mt.Forward(ctx, in) },
+			func(ctx *Context) { mt.Backward(ctx, dpred, dlogits) },
+			[]*tensor.Dense{dpred, dlogits}},
+	} {
+		caller := append([]*tensor.Dense{in.RH, in.LH, in.RC}, m.grads...)
+		var want []*tensor.Dense
+		for _, x := range caller {
+			want = append(want, x.Clone())
+		}
+		ctx := NewContext()
+		m.forward(ctx)
+		if m.latent {
+			want, caller = append(want, ctx.Latent.Clone()), append(caller, ctx.Latent)
+		}
+		m.backward(ctx)
+		for i, x := range caller {
+			for j, v := range want[i].Data {
+				if math.Float64bits(x.Data[j]) != math.Float64bits(v) {
+					t.Fatalf("%s: tensor %d of RH, LH, RC, the gradients and Lf changed at %d: %v, was %v", m.name, i, j, x.Data[j], v)
+				}
+			}
+		}
+	}
+}
+
+// tapeBytes is the storage a context's frames own: workspaces, ReLU masks,
+// float scratch and LSTM step caches. A view owns nothing.
+func tapeBytes(ctx *Context) int {
+	n := 0
+	dense := func(d *tensor.Dense) {
+		if d != nil {
+			n += 8 * cap(d.Data)
+		}
+	}
+	for _, f := range ctx.frames {
+		for _, b := range f.bufs {
+			dense(b)
+		}
+		n += cap(f.mask)
+		for _, s := range f.f64 {
+			n += 8 * cap(s)
+		}
+		for _, st := range f.steps {
+			dense(st.concat)
+			dense(st.z)
+			for _, s := range [][]float64{st.i, st.f, st.g, st.o, st.c, st.tanhC, st.cPrev} {
+				n += 8 * cap(s)
+			}
+		}
+	}
+	return n
+}
+
+// One 64-row training step of the SocialNetwork-sized CNN (28 tiers, 5
+// steps, 6 channels, 5 percentiles, latent 32) leaves a 2.4 MB tape: the
+// outputs of conv1 and conv2 (rectified in place, each read by the next
+// layer's Backward), rh.fc's dx (over which the ReLU behind it and conv2
+// write their gradients), two patch scratches and dcols, and the masks. A
+// forward-only context holds 1.4 MB. While ReLU copied its input and its
+// gradient and conv2 had a dx of its own they were 5.2 and 2.6 MB; the
+// guards, 2.6 and 1.6 MB, sit between.
+func TestTapeFootprint(t *testing.T) {
+	d := Dims{N: 28, T: 5, F: 6, M: 5}
+	const b, mb = 64, 1 << 20
+	rng := rand.New(rand.NewSource(83))
+	in, _ := synthInputs(rng, b, d)
+	m := NewLatencyCNN(rng, d, 32)
+	grad := tensor.New(b, d.M)
+	grad.Fill(0.01)
+	step, fwd := NewContext(), NewContext()
+	m.Forward(step, in)
+	m.Backward(step, grad)
+	m.Forward(fwd, in)
+	stepMB, fwdMB := float64(tapeBytes(step))/mb, float64(tapeBytes(fwd))/mb
+	t.Logf("64-row tape: %.2f MB after a training step, %.2f MB forward only", stepMB, fwdMB)
+	if stepMB > 2.6 {
+		t.Errorf("a training step's tape is %.2f MB, want at most 2.6", stepMB)
+	}
+	if fwdMB > 1.6 {
+		t.Errorf("a forward-only tape is %.2f MB, want at most 1.6", fwdMB)
+	}
+}
+
 func TestSaveLoadRoundTrip(t *testing.T) {
 	rng := rand.New(rand.NewSource(9))
 	in, y := synthInputs(rng, 200, testDims)

@@ -52,6 +52,13 @@ func (p *Param) initUniform(rng *rand.Rand, fanIn, fanOut int) {
 // the layer does not store it. With wantDX false a layer still pops its
 // frame and accumulates its parameter gradients exactly as with true, but
 // computes no dx (and sizes no buffer for it) and returns nil.
+//
+// Forward may overwrite x and Backward may overwrite dout (ReLU writes both
+// in place, Conv2D writes dx over dout when the two are the same size). Both
+// are tape storage: another frame's output, or a context's gathered and
+// normalised copy, dead once read. A caller that keeps either passes a copy.
+// No layer writes what its own Backward reads: Dense and Conv2D read their
+// input there, never their output.
 type Layer interface {
 	Forward(ctx *Context, x *tensor.Dense) *tensor.Dense
 	Backward(ctx *Context, dout *tensor.Dense, wantDX bool) *tensor.Dense
@@ -71,13 +78,31 @@ func (s *Sequential) Forward(ctx *Context, x *tensor.Dense) *tensor.Dense {
 	return x
 }
 
-// Backward runs all layers in reverse. Every layer but the first feeds the
-// one before it, so only Layers[0] can go without its input gradient.
+// Backward runs all layers in reverse. A layer's input gradient is wanted
+// when the caller wants the chain's or a layer before it has parameters, so
+// without wantDX the first layer with parameters and the parameter-free
+// layers ahead of it (lhEnc's Flatten) compute none.
 func (s *Sequential) Backward(ctx *Context, dout *tensor.Dense, wantDX bool) *tensor.Dense {
+	first := 0
+	for first < len(s.Layers)-1 && paramFree(s.Layers[first]) {
+		first++
+	}
 	for i := len(s.Layers) - 1; i >= 0; i-- {
-		dout = s.Layers[i].Backward(ctx, dout, wantDX || i > 0)
+		dout = s.Layers[i].Backward(ctx, dout, wantDX || i > first)
 	}
 	return dout
+}
+
+// paramFree reports whether l is one of the package's layers without
+// parameters. It asks the type, not Params, which allocates; a layer it does
+// not know counts as having parameters, which costs an unread input gradient,
+// never a missing one.
+func paramFree(l Layer) bool {
+	switch l.(type) {
+	case *ReLU, *Flatten:
+		return true
+	}
+	return false
 }
 
 // Params collects all learnable parameters.

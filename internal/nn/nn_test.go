@@ -113,10 +113,17 @@ func refReLU(x, dout []float64) (y, dx []float64) {
 	return y, dx
 }
 
+// sameStorage reports whether a and b start at the same element of one
+// backing array.
+func sameStorage(a, b *tensor.Dense) bool {
+	return len(a.Data) > 0 && len(b.Data) > 0 && &a.Data[0] == &b.Data[0]
+}
+
 // ReLU's Forward and Backward return the reference's bits for every kind of
 // float64 in either operand: zeros of both signs (−0 is not < 0, so it
 // passes through and passes the gradient), infinities, NaNs of both signs
-// (not < 0 either), subnormals, and random values.
+// (not < 0 either), subnormals, and random values. Both work in place:
+// Forward returns x's storage and Backward dout's.
 func TestReLUMatchesBranchyReferenceBitForBit(t *testing.T) {
 	negNaN := math.Float64frombits(math.Float64bits(math.NaN()) | 1<<63)
 	special := []float64{
@@ -137,8 +144,13 @@ func TestReLUMatchesBranchyReferenceBitForBit(t *testing.T) {
 	wantY, wantDX := refReLU(xs, douts)
 	r := &ReLU{}
 	ctx := NewContext()
-	y := r.Forward(ctx, tensor.FromSlice(xs, 1, len(xs)))
-	dx := r.Backward(ctx, tensor.FromSlice(douts, 1, len(xs)), true)
+	x := tensor.FromSlice(append([]float64(nil), xs...), 1, len(xs))
+	dout := tensor.FromSlice(append([]float64(nil), douts...), 1, len(xs))
+	y := r.Forward(ctx, x)
+	dx := r.Backward(ctx, dout, true)
+	if !sameStorage(y, x) || !sameStorage(dx, dout) {
+		t.Fatalf("ReLU not in place: y over x %v, dx over dout %v", sameStorage(y, x), sameStorage(dx, dout))
+	}
 	for i := range xs {
 		if got, want := math.Float64bits(y.Data[i]), math.Float64bits(wantY[i]); got != want {
 			t.Errorf("Forward(%v) = %v (%#x), reference %v (%#x)", xs[i], y.Data[i], got, wantY[i], want)
@@ -269,7 +281,8 @@ func refConv(c *Conv2D, x, dout *tensor.Dense, wantDX bool) (y, gW, gb, dx *tens
 // tail and back), for both layers' channel counts, for one sample, a few and
 // a training shard, with zeros of both signs among inputs, weights and
 // gradients, with and without the input gradient, on a context reused from
-// the largest batch down.
+// the largest batch down. With cin = 8 = cout, dx has dout's size and is
+// written over it; with cin = 6 it has its own buffer.
 func TestConv2DMatchesBatchWideReferenceBitForBit(t *testing.T) {
 	rng := rand.New(rand.NewSource(23))
 	random := func(shape ...int) *tensor.Dense {
@@ -315,6 +328,9 @@ func TestConv2DMatchesBatchWideReferenceBitForBit(t *testing.T) {
 					same(what+": db", ctx.Grad(c.B), wantB)
 					if wantDX {
 						same(what+": dx", dx, wantDx)
+						if over := sameStorage(dx, dout); over != (cin == 8) {
+							t.Fatalf("%s: dx written over dout is %v, want %v", what, over, cin == 8)
+						}
 					} else if dx != nil {
 						t.Fatalf("%s: unwanted input gradient returned", what)
 					}
@@ -541,7 +557,9 @@ func TestMLPLearnsLinearFunction(t *testing.T) {
 // invisible in the parameter gradients. Every data-fed part of the three
 // models, and a bare conv stack, is run forward and backward once with its
 // first layer's dx wanted and once without: the not-wanted call returns nil
-// and leaves the same bits in every ctx.Grad(p).
+// and leaves the same bits in every ctx.Grad(p). Backward may write over its
+// dout, so each call gets a copy. In lhEnc = {Flatten, Dense, ReLU} nothing
+// reads lh.fc's dx when the chain's is not wanted, so its frame sizes none.
 func TestBackwardWithoutInputGradMatches(t *testing.T) {
 	rng := rand.New(rand.NewSource(81))
 	d := testDims
@@ -576,14 +594,22 @@ func TestBackwardWithoutInputGradMatches(t *testing.T) {
 		with, without := NewContext(), NewContext()
 		dout := random(p.layer.Forward(with, p.x).Shape...)
 		p.layer.Forward(without, p.x)
-		if dx := p.layer.Backward(with, dout, true); dx == nil || dx.Size() != p.x.Size() {
+		if dx := p.layer.Backward(with, dout.Clone(), true); dx == nil || dx.Size() != p.x.Size() {
 			t.Fatalf("%s: wanted input gradient is %v", p.name, dx)
 		}
-		if dx := p.layer.Backward(without, dout, false); dx != nil {
+		if dx := p.layer.Backward(without, dout.Clone(), false); dx != nil {
 			t.Fatalf("%s: unwanted input gradient returned", p.name)
 		}
 		if with.pos != 0 || without.pos != 0 {
 			t.Fatalf("%s: tape not unwound: %d / %d frames left", p.name, with.pos, without.pos)
+		}
+		if p.layer == cnn.lhEnc { // frame 1 is lh.fc's; a Dense sizes dx as buf 2
+			if n := len(with.frames[1].bufs); n != 3 {
+				t.Fatalf("%s: lh.fc's frame holds %d buffers with dx wanted, want 3", p.name, n)
+			}
+			if n := len(without.frames[1].bufs); n != 2 {
+				t.Fatalf("%s: lh.fc's frame holds %d buffers without dx, want 2 (y and dW)", p.name, n)
+			}
 		}
 		for _, prm := range p.layer.Params() {
 			a, c := with.Grad(prm).Data, without.Grad(prm).Data

@@ -74,7 +74,7 @@ func (m *LatencyCNN) ForwardShared(ctx *Context, in SharedInputs) *tensor.Dense 
 	tensor.RepeatRowsInto(z, hist)
 	tensor.MatMulAddInto(z, rc, f.view(2, w[n1:], m.dimsCache[2], fc.Out))
 	fc.addBias(z)
-	ctx.Latent = m.trunk.Layers[1].Forward(ctx, z)
+	ctx.Latent = m.trunk.Layers[1].Forward(ctx, z) // the trunk's ReLU, in place over z
 	return m.head.Forward(ctx, ctx.Latent)
 }
 

@@ -342,9 +342,10 @@ func (sh *trainShard) gather(tm *TrainedModel, src Rows, y *tensor.Dense, idx []
 
 // PredictChunk bounds per-evaluation working-set size on the predict path:
 // the size of a training shard (Batch 256 over 4 shards), so a context's
-// workspace — the chunk's normalised inputs and its forward activations — is
-// ~3 MB for a SocialNetwork-sized model whatever the dataset. Rows are
-// evaluated independently, so chunking never shows in the output.
+// workspace — the chunk's normalised inputs (0.44 MB) and its forward tape
+// (1.44 MB, TestTapeFootprint) — is 1.9 MB for a SocialNetwork-sized model
+// whatever the dataset. Rows are evaluated independently, so chunking never
+// shows in the output.
 const PredictChunk = 64
 
 // Predict returns latency predictions in milliseconds for raw-space inputs.

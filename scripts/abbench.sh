@@ -16,7 +16,11 @@
 # for a claim holds (the change wins at least nine tenths of the pairs and
 # the medians differ by more than the parent's interquartile range),
 # "REGRESSED" when the change's median is worse than the parent's by more
-# than the metric's bound in BENCHMARK.json, "within bound" otherwise.
+# than the metric's bound in BENCHMARK.json, "unresolved" when it is not
+# but either side's interquartile range is wider than the bound times the
+# parent's median (the runs spread too widely to tell whether the change is
+# inside the bound) and some change run is no better than some parent run,
+# "within bound" otherwise.
 set -euo pipefail
 
 if [ $# -lt 2 ] || [ $# -gt 3 ]; then
@@ -91,10 +95,12 @@ for m in $metrics; do
             sorted(p, ps, n); sorted(c, cs, n)
             pm = quart(ps, n, 2); cm = quart(cs, n, 2)
             iqr = quart(ps, n, 3) - quart(ps, n, 1)
+            ciqr = quart(cs, n, 3) - quart(cs, n, 1)
             verdict = "within bound"
             if (wins >= 0.9 * n && pm - cm > iqr) verdict = "gain"
             else if (cm - pm > bound * pm) verdict = "REGRESSED"
             else if (ties == n) verdict = "identical"
+            else if ((iqr > bound * pm || ciqr > bound * pm) && cs[n] >= ps[1]) verdict = "unresolved"
             printf "%-20s %12.6g [%9.6g, %9.6g]   %12.6g [%9.6g, %9.6g]   %+6.1f%%  %d/%d (ties %d)  %s\n",
                 metric, pm, quart(ps, n, 1), quart(ps, n, 3), cm, quart(cs, n, 1), quart(cs, n, 3),
                 pm == 0 ? 0 : 100 * (cm - pm) / pm, wins, n, ties, verdict
