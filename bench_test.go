@@ -238,11 +238,10 @@ func BenchmarkTrainEpoch(b *testing.B) {
 	for i := range y.Data {
 		y.Data[i] = 50 + 10*rng.Float64()
 	}
-	const shards = 4
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		model := nn.NewLatencyCNN(rand.New(rand.NewSource(1)), d, 32)
-		nn.Train(model, in, y, nn.TrainConfig{Epochs: 1, Batch: 64, QoSMS: 500, Seed: 1, Shards: shards})
+		nn.Train(model, in, y, nn.TrainConfig{Epochs: 1, Batch: 64, QoSMS: 500, Seed: 1})
 	}
 }
 

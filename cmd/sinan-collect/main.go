@@ -15,6 +15,7 @@ import (
 	"sinan/internal/apps"
 	"sinan/internal/baselines"
 	"sinan/internal/collect"
+	"sinan/internal/lifecycle"
 	"sinan/internal/runner"
 )
 
@@ -67,7 +68,7 @@ func main() {
 		Dims:     collect.DefaultDims(app),
 		K:        *k,
 	})
-	if err := ds.SaveFile(*out); err != nil {
+	if err := lifecycle.WriteAtomic(*out, ds.Save); err != nil {
 		log.Fatal(err)
 	}
 	fmt.Printf("wrote %d samples (violation rate %.1f%%) to %s\n",

@@ -37,11 +37,7 @@ func main() {
 	)
 	flag.Parse()
 
-	m, _, err := lifecycle.ReadFile(*modelPath)
-	if err != nil {
-		log.Fatal(err)
-	}
-	ds, err := dataset.LoadFile(*dataPath)
+	m, ds, err := load(*modelPath, *dataPath)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -96,4 +92,21 @@ func main() {
 			fmt.Printf("  %2d. %-12s %.1f\n", i+1, r.Name, r.Weight)
 		}
 	}
+}
+
+// load reads the model and the dataset it is explained on. A pair whose dims
+// differ is refused here, naming both, instead of failing inside the CNN.
+func load(modelPath, dataPath string) (*core.HybridModel, *dataset.Dataset, error) {
+	m, _, err := lifecycle.ReadFile(modelPath)
+	if err != nil {
+		return nil, nil, err
+	}
+	ds, err := dataset.LoadFile(dataPath)
+	if err != nil {
+		return nil, nil, err
+	}
+	if ds.D != m.D {
+		return nil, nil, fmt.Errorf("model %s has dims %+v but dataset %s has %+v", modelPath, m.D, dataPath, ds.D)
+	}
+	return m, ds, nil
 }

@@ -81,7 +81,8 @@ func main() {
 	}
 
 	// Policies carry per-run state, so runs are built from a factory: every
-	// seed gets a fresh policy instance (and, for sinan, its own model clone).
+	// seed gets a fresh policy instance. The sinan schedulers share the one
+	// immutable model, each evaluating it on a prediction context of its own.
 	var mkPolicy runner.PolicyFactory
 	switch *policy {
 	case "sinan":

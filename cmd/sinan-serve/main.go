@@ -47,6 +47,7 @@ import (
 	"sinan/internal/core"
 	"sinan/internal/dataset"
 	"sinan/internal/lifecycle"
+	"sinan/internal/nn"
 	"sinan/internal/predsvc"
 	"sinan/internal/telemetry"
 )
@@ -90,13 +91,9 @@ func main() {
 		ShadowCalls:   *shadowIvals,
 	}
 	if *holdout != "" {
-		ds, derr := dataset.LoadFile(*holdout)
-		if derr != nil {
-			log.Fatalf("loading holdout: %v", derr)
-		}
-		gate, gerr := lifecycle.NewGate(lifecycle.GateConfig{Holdout: ds})
+		gate, gerr := holdoutGate(*holdout, m.D)
 		if gerr != nil {
-			log.Fatalf("building validation gate: %v", gerr)
+			log.Fatal(gerr)
 		}
 		opts.Guard = gate
 	}
@@ -129,4 +126,22 @@ func main() {
 	st := svc.StatsSnapshot()
 	fmt.Fprintf(os.Stderr, "admission: accepted=%d shed=%d expired=%d peak-queue=%d\n",
 		st.Accepted, st.Shed, st.Expired, st.PeakQueue)
+}
+
+// holdoutGate arms the validation gate on the dataset at path. A holdout
+// whose dims differ from the served model's d would make the gate refuse
+// every candidate, so it is refused at start-up, naming both.
+func holdoutGate(path string, d nn.Dims) (*lifecycle.Gate, error) {
+	ds, err := dataset.LoadFile(path)
+	if err != nil {
+		return nil, fmt.Errorf("loading holdout: %w", err)
+	}
+	if ds.D != d {
+		return nil, fmt.Errorf("holdout %s has dims %+v but the served model has %+v", path, ds.D, d)
+	}
+	gate, err := lifecycle.NewGate(lifecycle.GateConfig{Holdout: ds})
+	if err != nil {
+		return nil, fmt.Errorf("building validation gate: %w", err)
+	}
+	return gate, nil
 }

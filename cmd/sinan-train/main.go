@@ -9,10 +9,10 @@
 // The output is a checksummed artifact envelope (magic, manifest with dims
 // fingerprint and SHA-256 digest, payload) written atomically — a crashed
 // or interrupted run leaves the previous file intact, never a torn one.
-// sinan-serve and sinan-run load both this format and pre-envelope raw
-// models. With -registry the model is additionally published as the next
-// version of an on-disk registry (and marked CURRENT), where sinan-serve's
-// -model-dir picks it up:
+// It is the only model file format: sinan-serve, sinan-run and sinan-explain
+// read it and refuse anything else. With -registry the model is additionally
+// published as the next version of an on-disk registry (and marked CURRENT),
+// where sinan-serve's -model-dir picks it up:
 //
 //	sinan-train -data hotel.ds -qos 200 -registry /var/sinan/models
 package main

@@ -18,16 +18,20 @@ import (
 
 // Config controls training.
 type Config struct {
-	NumTrees       int     // maximum boosting rounds (default 150)
-	MaxDepth       int     // maximum tree depth (default 5)
-	LearningRate   float64 // shrinkage η (default 0.1)
-	Lambda         float64 // L2 regularisation on leaf weights (default 1)
-	Gamma          float64 // minimum split gain (default 0)
-	MinChildWeight float64 // minimum hessian sum per child (default 1)
-	Bins           int     // histogram bins per feature (default 64; capped at 256, bin indices are stored in a byte)
-	EarlyStopping  int     // stop after this many rounds without val improvement (0 = off)
-	PosWeight      float64 // weight multiplier for positive examples (default 1; use neg/pos for balance)
+	NumTrees      int     // maximum boosting rounds (default 150)
+	MaxDepth      int     // maximum tree depth (default 5)
+	EarlyStopping int     // stop after this many rounds without val improvement (0 = off)
+	PosWeight     float64 // weight multiplier for positive examples (default 1; use neg/pos for balance)
 }
+
+// The trainer's fixed settings.
+const (
+	learningRate   = 0.1 // shrinkage η
+	lambda         = 1   // L2 regularisation on leaf weights
+	minSplitGain   = 0   // γ: a split must gain more than this
+	minChildWeight = 1   // minimum hessian sum per child
+	numBins        = 64  // histogram bins per feature (bin indices are stored in a byte)
+)
 
 func (c Config) withDefaults() Config {
 	if c.NumTrees <= 0 {
@@ -35,21 +39,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.MaxDepth <= 0 {
 		c.MaxDepth = 5
-	}
-	if c.LearningRate <= 0 {
-		c.LearningRate = 0.1
-	}
-	if c.Lambda <= 0 {
-		c.Lambda = 1
-	}
-	if c.MinChildWeight <= 0 {
-		c.MinChildWeight = 1
-	}
-	if c.Bins <= 1 {
-		c.Bins = 64
-	}
-	if c.Bins > 256 {
-		c.Bins = 256
 	}
 	if c.PosWeight <= 0 {
 		c.PosWeight = 1
@@ -191,10 +180,10 @@ func (m *Model) Confusion(X [][]float64, y []bool) (fpr, fnr float64) {
 // binner quantises each feature into quantile bins; splits are proposed at
 // bin boundaries (approximate split finding).
 type binner struct {
-	cuts [][]float64 // per feature: ascending upper boundaries (len ≤ bins-1)
+	cuts [][]float64 // per feature: ascending upper boundaries (len ≤ numBins-1)
 }
 
-func fitBinner(X [][]float64, bins int) *binner {
+func fitBinner(X [][]float64) *binner {
 	d := len(X[0])
 	b := &binner{cuts: make([][]float64, d)}
 	vals := make([]float64, len(X))
@@ -204,8 +193,8 @@ func fitBinner(X [][]float64, bins int) *binner {
 		}
 		sort.Float64s(vals)
 		var cuts []float64
-		for q := 1; q < bins; q++ {
-			v := vals[q*len(vals)/bins]
+		for q := 1; q < numBins; q++ {
+			v := vals[q*len(vals)/numBins]
 			if len(cuts) == 0 || v > cuts[len(cuts)-1] {
 				cuts = append(cuts, v)
 			}
@@ -324,7 +313,7 @@ func newGrower(X [][]float64, y []bool, cfg Config, base float64) *grower {
 	n, d := len(X), len(X[0])
 	g := &grower{
 		cfg: cfg, d: d, y: y,
-		bn:     fitBinner(X, cfg.Bins),
+		bn:     fitBinner(X),
 		binned: make([]uint8, n*d),
 		off:    make([]int, d+1),
 		rows:   make([]int, n),
@@ -377,7 +366,7 @@ func (g *grower) grow(t *Tree, rows []int, depth int) int32 {
 		H += g.hess[i]
 	}
 	self := int32(len(t.Nodes))
-	leafW := -G / (H + g.cfg.Lambda) * g.cfg.LearningRate
+	leafW := -G / (H + lambda) * learningRate
 	t.Nodes = append(t.Nodes, node{Feature: -1, Weight: leafW})
 	if depth < g.cfg.MaxDepth && len(rows) >= 2 {
 		if f, b := g.bestSplit(rows, G, H); f >= 0 {
@@ -397,8 +386,8 @@ func (g *grower) grow(t *Tree, rows []int, depth int) int32 {
 
 // bestSplit fills the histogram buffer from rows — row-wise, so each cell
 // still receives its rows' gradients in ascending row order — and scans it
-// for the (feature, bin) of largest gain above Gamma; f is -1 when no split
-// qualifies. The buffer is free again on return: a node has chosen its
+// for the (feature, bin) of largest gain above minSplitGain; f is -1 when no
+// split qualifies. The buffer is free again on return: a node has chosen its
 // split before it recurses.
 func (g *grower) bestSplit(rows []int, G, H float64) (bestF, bestBin int) {
 	d, off, hist := g.d, g.off[:g.d], g.hist
@@ -412,10 +401,9 @@ func (g *grower) bestSplit(rows []int, G, H float64) (bestF, bestBin int) {
 		}
 	}
 
-	cfg := g.cfg
-	bestGain := cfg.Gamma
+	bestGain := float64(minSplitGain)
 	bestF, bestBin = -1, -1
-	parentScore := G * G / (H + cfg.Lambda)
+	parentScore := G * G / (H + lambda)
 	for f := 0; f < d; f++ {
 		cells := hist[g.off[f]:g.off[f+1]]
 		gl, hl := 0.0, 0.0
@@ -423,10 +411,10 @@ func (g *grower) bestSplit(rows []int, G, H float64) (bestF, bestBin int) {
 			gl += c.g
 			hl += c.h
 			gr, hr := G-gl, H-hl
-			if hl < cfg.MinChildWeight || hr < cfg.MinChildWeight {
+			if hl < minChildWeight || hr < minChildWeight {
 				continue
 			}
-			gain := 0.5 * (gl*gl/(hl+cfg.Lambda) + gr*gr/(hr+cfg.Lambda) - parentScore)
+			gain := 0.5 * (gl*gl/(hl+lambda) + gr*gr/(hr+lambda) - parentScore)
 			if gain > bestGain {
 				bestGain = gain
 				bestF, bestBin = f, b

@@ -156,7 +156,7 @@ func TestBinnerMonotone(t *testing.T) {
 	for i := 0; i < 100; i++ {
 		X = append(X, []float64{float64(i)})
 	}
-	b := fitBinner(X, 8)
+	b := fitBinner(X)
 	prev := -1
 	for v := 0.0; v < 100; v += 0.5 {
 		bin := b.bin(0, v)
@@ -170,14 +170,28 @@ func TestBinnerMonotone(t *testing.T) {
 	}
 }
 
+// TestMinChildWeightLimitsSplits: a row's hessian is at most 1/4, so no
+// split of 7 rows leaves both children the minimum hessian sum of 1 and the
+// trees stay single leaves, although one threshold separates the labels;
+// 40 rows of the same task split.
 func TestMinChildWeightLimitsSplits(t *testing.T) {
-	rng := rand.New(rand.NewSource(8))
-	X, y := synthData(rng, 200, 0)
-	strict := Train(X, y, Config{NumTrees: 5, MaxDepth: 6, MinChildWeight: 1e9}, nil, nil)
-	for _, tree := range strict.Trees {
-		if len(tree.Nodes) != 1 {
-			t.Fatal("huge min-child-weight should force pure leaves")
+	X, y := make([][]float64, 40), make([]bool, 40)
+	for i := range X {
+		X[i], y[i] = []float64{float64(i % 7)}, i%7 >= 3
+	}
+	nodes := func(m *Model) int {
+		n := 0
+		for _, tree := range m.Trees {
+			n += len(tree.Nodes)
 		}
+		return n
+	}
+	cfg := Config{NumTrees: 5, MaxDepth: 6}
+	if got := nodes(Train(X[:7], y[:7], cfg, nil, nil)); got != cfg.NumTrees {
+		t.Fatalf("7 rows grew %d nodes in %d trees, want single leaves", got, cfg.NumTrees)
+	}
+	if got := nodes(Train(X, y, cfg, nil, nil)); got == cfg.NumTrees {
+		t.Fatal("40 rows grew no split")
 	}
 }
 
@@ -218,7 +232,8 @@ func TestPosWeightImprovesRecall(t *testing.T) {
 // refTrain and refGrowNode are the trainer as it stood before the flat
 // binned matrix (feature-wise histograms over [][]uint8, appended left/right
 // index slices, the early-stopping loss re-scored through every tree every
-// round), kept verbatim as the reference Train must match bit for bit.
+// round), kept as the reference Train must match bit for bit. They read the
+// trainer's constants.
 func refTrain(X [][]float64, y []bool, cfg Config, valX [][]float64, valY []bool) *Model {
 	cfg = cfg.withDefaults()
 	n := len(X)
@@ -236,7 +251,7 @@ func refTrain(X [][]float64, y []bool, cfg Config, valX [][]float64, valY []bool
 	prior := (float64(pos) + 1) / (float64(n) + 2)
 	m := &Model{Base: math.Log(prior / (1 - prior)), Dim: d}
 
-	bn := fitBinner(X, cfg.Bins)
+	bn := fitBinner(X)
 	// Pre-binned design matrix.
 	binned := make([][]uint8, n)
 	for i := range X {
@@ -305,16 +320,16 @@ func refGrowNode(t *Tree, X [][]float64, binned [][]uint8, bn *binner, grad, hes
 		H += hess[i]
 	}
 	self := int32(len(t.Nodes))
-	leafW := -G / (H + cfg.Lambda) * cfg.LearningRate
+	leafW := -G / (H + lambda) * learningRate
 	t.Nodes = append(t.Nodes, node{Feature: -1, Weight: leafW})
 	if depth >= cfg.MaxDepth || len(idx) < 2 {
 		return self
 	}
 
 	d := len(X[0])
-	bestGain := cfg.Gamma
+	bestGain := float64(minSplitGain)
 	bestF, bestBin := -1, -1
-	parentScore := G * G / (H + cfg.Lambda)
+	parentScore := G * G / (H + lambda)
 	var histG, histH [256]float64
 	for f := 0; f < d; f++ {
 		nb := len(bn.cuts[f]) + 1
@@ -334,10 +349,10 @@ func refGrowNode(t *Tree, X [][]float64, binned [][]uint8, bn *binner, grad, hes
 			gl += histG[b]
 			hl += histH[b]
 			gr, hr := G-gl, H-hl
-			if hl < cfg.MinChildWeight || hr < cfg.MinChildWeight {
+			if hl < minChildWeight || hr < minChildWeight {
 				continue
 			}
-			gain := 0.5 * (gl*gl/(hl+cfg.Lambda) + gr*gr/(hr+cfg.Lambda) - parentScore)
+			gain := 0.5 * (gl*gl/(hl+lambda) + gr*gr/(hr+lambda) - parentScore)
 			if gain > bestGain {
 				bestGain = gain
 				bestF, bestBin = f, b
@@ -444,10 +459,8 @@ func TestTrainMatchesReferenceBitForBit(t *testing.T) {
 	variants := []variant{
 		{name: "defaults", cfg: Config{}},
 		{name: "posweight", cfg: Config{PosWeight: 7.5}},
-		{name: "minchild", cfg: Config{MinChildWeight: 40}},
-		{name: "gamma", cfg: Config{Gamma: 0.5, Lambda: 3, LearningRate: 0.3}},
 		{name: "one-class", cfg: Config{}, allOne: true},
-		{name: "stop-fires", cfg: Config{EarlyStopping: 2, LearningRate: 0.8, PosWeight: 3}, val: "held-out"},
+		{name: "stop-fires", cfg: Config{EarlyStopping: 2, PosWeight: 3}, val: "held-out"},
 		{name: "stop-never", cfg: Config{EarlyStopping: 1000}, val: "held-out"},
 		{name: "stop-on-train", cfg: Config{EarlyStopping: 3, PosWeight: 2}, val: "train"},
 	}
@@ -478,12 +491,10 @@ func TestTrainMatchesReferenceBitForBit(t *testing.T) {
 	seed := int64(100)
 	for _, n := range []int{1, 2, 4, 257, 1071} {
 		for _, d := range []int{1, 4, 88} {
-			for _, bins := range []int{2, 64, 256} {
-				for _, v := range variants {
-					v.cfg.NumTrees, v.cfg.MaxDepth, v.cfg.Bins = 12, 4, bins
-					seed++
-					check(fmt.Sprintf("n=%d d=%d bins=%d %s", n, d, bins, v.name), seed, n, d, v)
-				}
+			for _, v := range variants {
+				v.cfg.NumTrees, v.cfg.MaxDepth = 12, 4
+				seed++
+				check(fmt.Sprintf("n=%d d=%d %s", n, d, v.name), seed, n, d, v)
 			}
 		}
 	}
@@ -501,7 +512,7 @@ func TestTrainMatchesReferenceBitForBit(t *testing.T) {
 func TestGrowerScoresMatchModelScore(t *testing.T) {
 	X, y := diffData(rand.New(rand.NewSource(11)), 400, 7, false)
 	m := &Model{Base: -0.7, Dim: 7}
-	g := newGrower(X, y, Config{MaxDepth: 4, Bins: 16, PosWeight: 2}.withDefaults(), m.Base)
+	g := newGrower(X, y, Config{MaxDepth: 4, PosWeight: 2}.withDefaults(), m.Base)
 	for round := 0; round < 8; round++ {
 		m.Trees = append(m.Trees, g.next())
 		for i, x := range X {
@@ -509,24 +520,6 @@ func TestGrowerScoresMatchModelScore(t *testing.T) {
 				t.Fatalf("round %d row %d: running score %v, Model.Score %v", round, i, got, want)
 			}
 		}
-	}
-}
-
-// TestBinsAbove256AreCapped: bin indices live in a byte, so a request for
-// more than 256 bins trains as 256 instead of indexing past the histogram
-// (or wrapping the index).
-func TestBinsAbove256AreCapped(t *testing.T) {
-	rng := rand.New(rand.NewSource(12))
-	X := make([][]float64, 2000)
-	y := make([]bool, len(X))
-	for i := range X {
-		X[i] = []float64{rng.Float64()}
-		y[i] = X[i][0] > 0.6
-	}
-	got := Train(X, y, Config{NumTrees: 2, Bins: 300}, nil, nil)
-	want := Train(X, y, Config{NumTrees: 2, Bins: 256}, nil, nil)
-	if diff := sameModel(got, want); diff != "" {
-		t.Fatalf("Bins 300 differs from Bins 256: %s", diff)
 	}
 }
 

@@ -52,15 +52,20 @@ type TrainReport struct {
 
 // TrainOptions controls hybrid training.
 type TrainOptions struct {
-	Seed      int64
-	Epochs    int
-	Batch     int
-	LR        float64
-	Latent    int
-	Trees     boost.Config
-	TrainFrac float64
-	Log       io.Writer
+	Seed   int64
+	Epochs int
+	Batch  int
+	LR     float64
+	Latent int
+	Log    io.Writer
 }
+
+// trainFrac is the share of a dataset the hybrid trains on; the rest
+// validates (the 9:1 split of Sec. 5.1).
+const trainFrac = 0.9
+
+// treeConfig is the Boosted Trees stage's training config.
+var treeConfig = boost.Config{NumTrees: 200, MaxDepth: 5, EarlyStopping: 25}
 
 func (o TrainOptions) withDefaults() TrainOptions {
 	if o.Epochs <= 0 {
@@ -75,12 +80,6 @@ func (o TrainOptions) withDefaults() TrainOptions {
 	if o.Latent <= 0 {
 		o.Latent = 32
 	}
-	if o.TrainFrac == 0 {
-		o.TrainFrac = 0.9
-	}
-	if o.Trees.NumTrees == 0 {
-		o.Trees = boost.Config{NumTrees: 200, MaxDepth: 5, EarlyStopping: 25}
-	}
 	return o
 }
 
@@ -91,22 +90,21 @@ func (o TrainOptions) withDefaults() TrainOptions {
 // p_d are calibrated on the validation split so false negatives stay ≤ 1%.
 func TrainHybrid(ds *dataset.Dataset, qosMS float64, opts TrainOptions) (*HybridModel, TrainReport) {
 	opts = opts.withDefaults()
-	train, val := splitRows(ds, opts.TrainFrac, opts.Seed)
+	train, val := splitRows(ds, opts.Seed)
 
 	cnn := nn.NewLatencyCNN(rand.New(rand.NewSource(opts.Seed)), ds.D, opts.Latent)
 	tm := nn.TrainRows(cnn, ds, ds.Targets(), train, nn.TrainConfig{
 		Epochs: opts.Epochs, Batch: opts.Batch, LR: opts.LR,
 		QoSMS: qosMS, Seed: opts.Seed, Log: opts.Log,
 	})
-	return fitTrees(tm, ds, train, val, qosMS, opts.Trees)
+	return fitTrees(tm, ds, train, val, qosMS)
 }
 
-// splitRows is ds.SplitRows refusing an empty side: nothing to train on, or
-// a NaN RMSEValid that would switch the scheduler's latency filters off.
-func splitRows(ds *dataset.Dataset, trainFrac float64, seed int64) (train, val []int) {
-	if trainFrac > 0 && trainFrac < 1 {
-		train, val = ds.SplitRows(trainFrac, seed)
-	}
+// splitRows is ds.SplitRows at trainFrac refusing an empty side: nothing to
+// train on, or a NaN RMSEValid that would switch the scheduler's latency
+// filters off.
+func splitRows(ds *dataset.Dataset, seed int64) (train, val []int) {
+	train, val = ds.SplitRows(trainFrac, seed)
 	if len(train) == 0 || len(val) == 0 {
 		panic(fmt.Sprintf("core: train fraction %v of %d samples leaves %d train and %d validation samples", trainFrac, ds.Len(), len(train), len(val)))
 	}
@@ -115,15 +113,15 @@ func splitRows(ds *dataset.Dataset, trainFrac float64, seed int64) (train, val [
 
 // fitTrees is the second stage shared by TrainHybrid and RebuildHybrid: it
 // evaluates the trained CNN on samples train and val of ds, fits the Boosted
-// Trees on Lf ⊕ allocation — with positive-class weighting, unless the
-// config sets one, so the rare violation samples are not drowned out — and
-// calibrates the scheduler thresholds on the validation rows.
+// Trees on Lf ⊕ allocation — with positive-class weighting, so the rare
+// violation samples are not drowned out — and calibrates the scheduler
+// thresholds on the validation rows.
 //
 // Each side is forwarded exactly once, on one reused context: the pass that
 // yields the latents for the trees also yields the predictions the RMSEs
 // are reductions of, and the sub-QoS RMSE is the same reduction over the
 // rows that qualify (a row's prediction does not depend on its batch).
-func fitTrees(tm *nn.TrainedModel, ds *dataset.Dataset, train, val []int, qosMS float64, treeCfg boost.Config) (*HybridModel, TrainReport) {
+func fitTrees(tm *nn.TrainedModel, ds *dataset.Dataset, train, val []int, qosMS float64) (*HybridModel, TrainReport) {
 	ctx, buf := nn.NewContext(), &nn.Inputs{}
 	trX, trY, pred := btFeatures(ctx, buf, tm, ds, train)
 	rep := TrainReport{
@@ -139,16 +137,15 @@ func fitTrees(tm *nn.TrainedModel, ds *dataset.Dataset, train, val []int, qosMS 
 		rep.ValRMSESubQoS = sub
 	}
 
-	if treeCfg.PosWeight == 0 {
-		pos := 0
-		for _, v := range trY {
-			if v {
-				pos++
-			}
+	treeCfg := treeConfig
+	pos := 0
+	for _, v := range trY {
+		if v {
+			pos++
 		}
-		if pos > 0 && pos < len(trY) {
-			treeCfg.PosWeight = float64(len(trY)-pos) / float64(pos)
-		}
+	}
+	if pos > 0 && pos < len(trY) {
+		treeCfg.PosWeight = float64(len(trY)-pos) / float64(pos)
 	}
 	bt := boost.Train(trX, trY, treeCfg, vaX, vaY)
 	rep.TrainAcc = 1 - bt.ErrorRate(trX, trY)
@@ -369,8 +366,8 @@ func (m *HybridModel) PredictShared(ctx *PredictContext, in nn.SharedInputs) (*t
 // recalibrated. This is the transfer-learning path of Sec. 5.4/5.5 — the
 // CNN adapts with a small learning rate, the cheap BT is refit outright.
 func RebuildHybrid(tm *nn.TrainedModel, ds *dataset.Dataset, qosMS float64) *HybridModel {
-	train, val := splitRows(ds, 0.9, 17)
-	m, _ := fitTrees(tm, ds, train, val, qosMS, boost.Config{NumTrees: 200, MaxDepth: 5, EarlyStopping: 25})
+	train, val := splitRows(ds, 17)
+	m, _ := fitTrees(tm, ds, train, val, qosMS)
 	return m
 }
 
@@ -388,6 +385,16 @@ type RetrainOptions struct {
 	Seed   int64
 }
 
+func (o RetrainOptions) withDefaults() RetrainOptions {
+	if o.Epochs <= 0 {
+		o.Epochs = 12
+	}
+	if o.LR == 0 {
+		o.LR = 0.01 / 100
+	}
+	return o
+}
+
 // Retrain incrementally adapts the hybrid to newly-collected data from a
 // changed deployment (new platform, replica count, or application version —
 // Sec. 5.4): the CNN is fine-tuned with a 100×-smaller learning rate so the
@@ -395,12 +402,7 @@ type RetrainOptions struct {
 // refit on the adapted latents. The receiver is not modified; a new model
 // is returned so the caller (or a prediction service) can swap atomically.
 func (m *HybridModel) Retrain(newData *dataset.Dataset, opts RetrainOptions) *HybridModel {
-	if opts.Epochs <= 0 {
-		opts.Epochs = 12
-	}
-	if opts.LR == 0 {
-		opts.LR = 0.01 / 100
-	}
+	opts = opts.withDefaults()
 	var buf bytes.Buffer
 	if err := nn.Save(&buf, m.Lat); err != nil {
 		panic(err)

@@ -58,7 +58,7 @@ func TestTrainHybridRowsMatchSplitCopy(t *testing.T) {
 	opts := TrainOptions{Seed: 3, Epochs: 2, Batch: 64, Latent: 8}
 	m, rep := TrainHybrid(ds, 200, opts)
 	o := opts.withDefaults()
-	train, val := ds.Split(o.TrainFrac, o.Seed)
+	train, val := ds.Split(trainFrac, o.Seed)
 	want := nn.Train(nn.NewLatencyCNN(rand.New(rand.NewSource(o.Seed)), ds.D, o.Latent), train.Inputs(), train.Targets(),
 		nn.TrainConfig{Epochs: o.Epochs, Batch: o.Batch, LR: o.LR, QoSMS: 200, Seed: o.Seed})
 	for i, p := range want.Model.Params() {
@@ -82,10 +82,8 @@ func TestTrainHybridRowsMatchSplitCopy(t *testing.T) {
 func TestTrainHybridRefusesEmptySplit(t *testing.T) {
 	ds := synthDataset(7, 40, 1.0)
 	for name, train := range map[string]func(){
-		"TrainFrac 1":           func() { TrainHybrid(ds, 200, TrainOptions{TrainFrac: 1, Epochs: 1}) },
-		"TrainFrac 1.5":         func() { TrainHybrid(ds, 200, TrainOptions{TrainFrac: 1.5, Epochs: 1}) },
-		"TrainFrac -0.5":        func() { TrainHybrid(ds, 200, TrainOptions{TrainFrac: -0.5, Epochs: 1}) },
-		"TrainFrac 0.01":        func() { TrainHybrid(ds, 200, TrainOptions{TrainFrac: 0.01, Epochs: 1}) },
+		"TrainHybrid, 1 row":    func() { TrainHybrid(ds.Select([]int{0}), 200, TrainOptions{Epochs: 1}) },
+		"TrainHybrid, 0 rows":   func() { TrainHybrid(ds.Select(nil), 200, TrainOptions{Epochs: 1}) },
 		"RebuildHybrid, 1 row":  func() { RebuildHybrid(nil, ds.Select([]int{0}), 200) },
 		"RebuildHybrid, 0 rows": func() { RebuildHybrid(nil, ds.Select(nil), 200) },
 	} {

@@ -353,17 +353,8 @@ func holds(n, count int, shape ...int) bool {
 	return ok && n == count
 }
 
-// SaveFile / LoadFile are file-path conveniences for the CLI tools.
-func (ds *Dataset) SaveFile(path string) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	defer f.Close()
-	return ds.Save(f)
-}
-
-// LoadFile reads a dataset from a file.
+// LoadFile reads a dataset from a file. Datasets are written with
+// lifecycle.WriteAtomic(path, ds.Save).
 func LoadFile(path string) (*Dataset, error) {
 	f, err := os.Open(path)
 	if err != nil {

@@ -48,13 +48,9 @@ func Drift(l *Lab) []*Table {
 
 	genuine := lifecycle.DefaultRetrain(core.RetrainOptions{Epochs: l.scaleInt(4, 8), Seed: 11})
 	cfg := lifecycle.Config{
-		Gate:            lifecycle.GateConfig{Holdout: hold, MaxRows: 256, RMSEMargin: 0.5, AbsSlackMS: 10},
-		Retrain:         poisonedThenGenuine(shifted.QoSMS, genuine),
-		DriftThreshold:  0.15,
-		EWMAAlpha:       0.25,
-		MinSamples:      60,
-		Cooldown:        10,
-		ShadowIntervals: 8, ProbationIntervals: 30, ProbationGrace: 4, BreachTolerance: 2,
+		Gate:       lifecycle.GateConfig{Holdout: hold, MaxRows: 256, RMSEMargin: 0.5, AbsSlackMS: 10},
+		Retrain:    poisonedThenGenuine(shifted.QoSMS, genuine),
+		MinSamples: 60,
 	}
 
 	load := 2200.0

@@ -132,11 +132,7 @@ func driftTestOutcomes(t *testing.T, workers int) []harness.Outcome {
 			}
 			return genuine, nil
 		},
-		DriftThreshold:  0.15,
-		EWMAAlpha:       0.25,
-		MinSamples:      15,
-		Cooldown:        10,
-		ShadowIntervals: 8, ProbationIntervals: 30, ProbationGrace: 4, BreachTolerance: 2,
+		MinSamples: 15,
 	}
 	specs := driftSpecs(app, func() core.Predictor {
 		return &cheapPredictor{d: d, qos: qos, needCores: 4}

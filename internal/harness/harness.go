@@ -14,8 +14,8 @@
 //  2. Policies are constructed per run via runner.PolicyFactory, never
 //     shared: autoscale cooldowns, PowerChief queue estimates, and the
 //     Sinan scheduler's trust counters are all per-run state.
-//  3. Aggregation is positional. Outcomes are returned (and streamed via
-//     Options.OnResult) in spec order, not completion order.
+//  3. Aggregation is positional. Outcomes are returned in spec order, not
+//     completion order.
 package harness
 
 import (
@@ -78,10 +78,6 @@ type Outcome struct {
 type Options struct {
 	// Workers is the pool size; <= 0 means GOMAXPROCS.
 	Workers int
-	// OnResult, when set, receives each outcome in spec order as soon as
-	// it and all its predecessors are complete — streaming aggregation
-	// with a deterministic observation order.
-	OnResult func(Outcome)
 	// Progress, when set, receives one "k/n name" line per completed run
 	// (in completion order; purely informational).
 	Progress io.Writer
@@ -153,23 +149,11 @@ func Run(suite Suite, opt Options) []Outcome {
 		close(completed)
 	}()
 
-	// Stream results in spec order: buffer out-of-order completions and
-	// release the contiguous prefix as it fills in.
-	next := 0
-	ready := make(map[int]bool, n)
 	doneCount := 0
 	for i := range completed {
 		doneCount++
 		if opt.Progress != nil {
 			fmt.Fprintf(opt.Progress, "harness: %d/%d %s\n", doneCount, n, suite.Specs[i].Name)
-		}
-		ready[i] = true
-		for ready[next] {
-			if opt.OnResult != nil {
-				opt.OnResult(outcomes[next])
-			}
-			delete(ready, next)
-			next++
 		}
 	}
 	return outcomes

@@ -97,24 +97,6 @@ func TestSerialParallelIdentical(t *testing.T) {
 	}
 }
 
-// TestOnResultStreamsInSpecOrder verifies streaming aggregation observes
-// outcomes in spec order even when completions arrive out of order.
-func TestOnResultStreamsInSpecOrder(t *testing.T) {
-	s := testSuite(false)
-	var order []int
-	Run(s, Options{Workers: 4, OnResult: func(o Outcome) {
-		order = append(order, o.Index)
-	}})
-	if len(order) != len(s.Specs) {
-		t.Fatalf("streamed %d of %d outcomes", len(order), len(s.Specs))
-	}
-	for i, idx := range order {
-		if idx != i {
-			t.Fatalf("stream order %v not spec order", order)
-		}
-	}
-}
-
 func TestDeriveSeed(t *testing.T) {
 	a := DeriveSeed(7, "suite", "spec", 0)
 	if a != DeriveSeed(7, "suite", "spec", 0) {

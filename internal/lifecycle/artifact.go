@@ -190,9 +190,9 @@ func Encode(m *core.HybridModel, man Manifest) ([]byte, Manifest, error) {
 	return buf.Bytes(), man, nil
 }
 
-// WriteFile writes an artifact atomically (see writeAtomic).
+// WriteFile writes an artifact atomically (see WriteAtomic).
 func WriteFile(path string, m *core.HybridModel, man Manifest) (Manifest, error) {
-	err := writeAtomic(path, func(w io.Writer) (err error) {
+	err := WriteAtomic(path, func(w io.Writer) (err error) {
 		man, err = Write(w, m, man)
 		return err
 	})
@@ -202,12 +202,12 @@ func WriteFile(path string, m *core.HybridModel, man Manifest) (Manifest, error)
 	return man, nil
 }
 
-// writeAtomic is the one durable-write routine: the bytes land in a temp
-// file in the destination directory, are synced, and the temp file is
-// renamed over path — a crashed writer leaves either the old file or none,
-// never a torn one. Close is checked because a full disk often surfaces
-// only there.
-func writeAtomic(path string, write func(io.Writer) error) error {
+// WriteAtomic is the one durable-write routine, for artifacts and datasets
+// alike: the bytes write puts out land in a temp file in the destination
+// directory, are synced, and the temp file is renamed over path — a crashed
+// or failing writer leaves either the old file or none, never a torn one.
+// Close is checked because a full disk often surfaces only there.
+func WriteAtomic(path string, write func(io.Writer) error) error {
 	f, err := os.CreateTemp(filepath.Dir(path), ".tmp-*")
 	if err != nil {
 		return err

@@ -4,10 +4,14 @@ import (
 	"bytes"
 	"encoding/binary"
 	"encoding/gob"
+	"errors"
+	"io"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"sinan/internal/dataset"
 )
 
 // The headline serialization guarantee: a round-tripped hybrid produces
@@ -81,6 +85,40 @@ func TestArtifactWriteFileAtomicAndClean(t *testing.T) {
 	}
 	if len(entries) != 2 {
 		t.Fatalf("expected exactly the artifact and sub/ in %s, found %d entries", dir, len(entries))
+	}
+}
+
+// Datasets go to disk through WriteAtomic too (sinan-collect): a write that
+// fails halfway over an existing dataset reports its error and leaves the
+// old file whole and loadable, with no temp file beside it.
+func TestWriteAtomicKeepsDatasetOnFailedWrite(t *testing.T) {
+	dir := t.TempDir()
+	path := filepath.Join(dir, "hotel.ds")
+	old := lcSynthDataset(3, 20)
+	if err := WriteAtomic(path, old.Save); err != nil {
+		t.Fatalf("WriteAtomic: %v", err)
+	}
+	want, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	full := errors.New("no space left on device")
+	err = WriteAtomic(path, func(w io.Writer) error {
+		w.Write(want[:len(want)/2])
+		return full
+	})
+	if !errors.Is(err, full) {
+		t.Fatalf("failed write returned %v, want %v", err, full)
+	}
+	ds, err := dataset.LoadFile(path)
+	if err != nil {
+		t.Fatalf("the old dataset no longer loads: %v", err)
+	}
+	if got, _ := os.ReadFile(path); !bytes.Equal(got, want) || ds.Len() != old.Len() {
+		t.Fatalf("the old dataset changed: %d bytes and %d samples, want %d and %d", len(got), ds.Len(), len(want), old.Len())
+	}
+	if entries, _ := os.ReadDir(dir); len(entries) != 1 {
+		t.Fatalf("%d entries in %s after the failed write, want the dataset alone", len(entries), dir)
 	}
 }
 

@@ -56,42 +56,17 @@ func DefaultRetrain(opts core.RetrainOptions) RetrainFunc {
 	}
 }
 
-// Config tunes the lifecycle manager.
+// Config tunes the lifecycle manager. Everything else about the lifecycle
+// is fixed by the constants below.
 type Config struct {
 	// Gate configures the validation gate (its Holdout is required unless
 	// Blind).
 	Gate GateConfig
 	// Retrain produces candidates; required.
 	Retrain RetrainFunc
-	// Registry, when non-nil, mirrors promotions and rollbacks to disk:
-	// promoted hybrids are Put and marked CURRENT, rollbacks move the
-	// marker back. Non-hybrid predictors (test fakes, remote clients) skip
-	// persistence.
-	Registry *Registry
-
-	// Drift detection: an EWMA over per-interval feedback (1 when the
-	// interval violated QoS or the scheduler logged a misprediction, else
-	// 0) crossing DriftThreshold triggers a retrain, once MinSamples fresh
-	// windows have been collected and any cooldown has elapsed.
-	DriftThreshold float64 // default 0.15
-	EWMAAlpha      float64 // default 0.05
-	MinSamples     int     // default 100
-	Cooldown       int     // intervals between retrain attempts (default 45)
-
-	// ShadowIntervals is how long a gated candidate shadow-scores live
-	// traffic before promotion (default 15; negative promotes immediately).
-	ShadowIntervals int
-	// Probation window after a promotion: ProbationIntervals long, with the
-	// first ProbationGrace intervals uncounted (post-swap queue drain), and
-	// BreachTolerance violated intervals triggering automatic rollback.
-	ProbationIntervals int // default 40
-	ProbationGrace     int // default 5
-	BreachTolerance    int // default 8
-
-	// K is the violation lookahead of the fresh-window recorder (default 5).
-	K int
-	// MaxRetrains caps retrain attempts per run (0 = unlimited).
-	MaxRetrains int
+	// MinSamples is how many fresh windows must have been collected before
+	// a drift trigger retrains.
+	MinSamples int
 
 	// Blind disables the gate, shadow scoring, and probation: every retrain
 	// is installed unconditionally. This is the unguarded-swap baseline the
@@ -99,36 +74,24 @@ type Config struct {
 	Blind bool
 }
 
-func (c Config) withDefaults() Config {
-	if c.DriftThreshold == 0 {
-		c.DriftThreshold = 0.15
-	}
-	if c.EWMAAlpha == 0 {
-		c.EWMAAlpha = 0.05
-	}
-	if c.MinSamples == 0 {
-		c.MinSamples = 100
-	}
-	if c.Cooldown == 0 {
-		c.Cooldown = 45
-	}
-	if c.ShadowIntervals == 0 {
-		c.ShadowIntervals = 15
-	}
-	if c.ProbationIntervals == 0 {
-		c.ProbationIntervals = 40
-	}
-	if c.ProbationGrace == 0 {
-		c.ProbationGrace = 5
-	}
-	if c.BreachTolerance == 0 {
-		c.BreachTolerance = 8
-	}
-	if c.K == 0 {
-		c.K = 5
-	}
-	return c
-}
+// The lifecycle's fixed tuning (DESIGN.md §12). Drift detection is an EWMA
+// over per-interval feedback (1 when the interval violated QoS or the
+// scheduler logged a misprediction, else 0); crossing driftThreshold
+// triggers a retrain once MinSamples fresh windows have been collected and
+// the cooldown has elapsed. A gated candidate shadow-scores live traffic for
+// shadowIntervals before promotion, then serves a probation of
+// probationIntervals whose first probationGrace intervals are uncounted
+// (post-swap queue drain); breachTolerance violated intervals roll it back.
+const (
+	driftThreshold     = 0.15
+	ewmaAlpha          = 0.25
+	retrainCooldown    = 10 // intervals between retrain attempts
+	shadowIntervals    = 8
+	probationIntervals = 30
+	probationGrace     = 4
+	breachTolerance    = 2
+	freshLookahead     = 5 // violation lookahead K of the fresh-window recorder
+)
 
 // Manager is the drift-driven model lifecycle controller, packaged as a
 // runner.Policy wrapping the Sinan scheduler. Each interval it forwards the
@@ -153,12 +116,10 @@ type Manager struct {
 	cooldown    int
 	attempts    int
 	shadowLeft  int
-	candSamples int
 	probLeft    int
 	probAge     int
 	breaches    int
 	lastMispred int64
-	regVersions map[int]int // live version → registry version
 
 	// Telemetry ("lifecycle.*"); deterministic — everything advances on the
 	// run's simulated intervals.
@@ -178,19 +139,16 @@ type Manager struct {
 
 // NewManager builds the lifecycle-managed Sinan policy: model becomes
 // version 1 of a hot-swappable Live predictor, a fresh scheduler is built
-// around it, and the manager runs the update loop. With cfg.Registry set
-// and a hybrid model, version 1 is persisted and marked CURRENT.
+// around it, and the manager runs the update loop.
 func NewManager(app *apps.App, model core.Predictor, sopts core.SchedulerOptions, cfg Config) (*Manager, error) {
-	cfg = cfg.withDefaults()
 	if cfg.Retrain == nil {
 		return nil, fmt.Errorf("lifecycle: Config.Retrain is required")
 	}
 	meta := model.Meta()
 	m := &Manager{
-		cfg:         cfg,
-		live:        NewLive(model, 1),
-		qos:         meta.QoSMS,
-		regVersions: map[int]int{},
+		cfg:  cfg,
+		live: NewLive(model, 1),
+		qos:  meta.QoSMS,
 	}
 	if !cfg.Blind {
 		g, err := NewGate(cfg.Gate)
@@ -202,23 +160,11 @@ func NewManager(app *apps.App, model core.Predictor, sopts core.SchedulerOptions
 	m.sched = core.NewScheduler(app, m.live, sopts)
 	m.resetFresh(meta)
 	m.AttachMetrics(telemetry.NewRegistry())
-	if cfg.Registry != nil {
-		if hm, ok := model.(*core.HybridModel); ok {
-			man, err := cfg.Registry.Put(hm, Manifest{Note: "initial"})
-			if err != nil {
-				return nil, err
-			}
-			if err := cfg.Registry.SetCurrent(man.Version); err != nil {
-				return nil, err
-			}
-			m.regVersions[1] = man.Version
-		}
-	}
 	return m, nil
 }
 
 func (m *Manager) resetFresh(meta core.ModelMeta) {
-	m.fresh = dataset.New(meta.D, m.cfg.K)
+	m.fresh = dataset.New(meta.D, freshLookahead)
 	m.rec = dataset.NewRecorder(m.fresh, m.qos)
 }
 
@@ -262,7 +208,7 @@ func (m *Manager) Decide(st runner.State) runner.Decision {
 		sig = 1
 	}
 	m.lastMispred = int64(mis)
-	m.ewma = m.cfg.EWMAAlpha*sig + (1-m.cfg.EWMAAlpha)*m.ewma
+	m.ewma = ewmaAlpha*sig + (1-ewmaAlpha)*m.ewma
 
 	m.rec.Observe(st.Stats, st.Perc, dec.Alloc)
 	m.step(violated)
@@ -281,10 +227,7 @@ func (m *Manager) step(violated bool) {
 			m.cooldown--
 			return
 		}
-		if m.cfg.MaxRetrains > 0 && m.attempts >= m.cfg.MaxRetrains {
-			return
-		}
-		if m.ewma < m.cfg.DriftThreshold || m.fresh.Len() < m.cfg.MinSamples {
+		if m.ewma < driftThreshold || m.fresh.Len() < m.cfg.MinSamples {
 			return
 		}
 		m.attempts++
@@ -294,29 +237,23 @@ func (m *Manager) step(violated bool) {
 		cand, err := m.cfg.Retrain(m.live.Current(), fresh, m.attempts)
 		if err != nil || cand == nil {
 			m.retrainErrors.Inc()
-			m.cooldown = m.cfg.Cooldown
+			m.cooldown = retrainCooldown
 			return
 		}
 		if m.cfg.Blind {
-			m.promote(cand, fresh.Len())
-			m.cooldown = m.cfg.Cooldown
+			m.promote(cand)
+			m.cooldown = retrainCooldown
 			return
 		}
 		if _, err := m.gate.Validate(m.live.Current(), cand); err != nil {
 			m.gateRejected.Inc()
-			m.cooldown = m.cfg.Cooldown
+			m.cooldown = retrainCooldown
 			return
 		}
 		m.gateAccepted.Inc()
-		if m.cfg.ShadowIntervals < 0 {
-			m.promote(cand, fresh.Len())
-			m.beginProbation()
-			return
-		}
-		m.candSamples = fresh.Len()
 		m.live.Shadow(cand, m.shadowHist)
 		m.state = StateShadow
-		m.shadowLeft = m.cfg.ShadowIntervals
+		m.shadowLeft = shadowIntervals
 
 	case StateShadow:
 		m.shadowLeft--
@@ -327,75 +264,56 @@ func (m *Manager) step(violated bool) {
 		if disqualified != nil {
 			m.shadowRejected.Inc()
 			m.state = StateLive
-			m.cooldown = m.cfg.Cooldown
+			m.cooldown = retrainCooldown
 			return
 		}
-		m.promote(cand, m.candSamples)
+		m.promote(cand)
 		m.beginProbation()
 
 	case StateProbation:
 		m.probAge++
-		if m.probAge > m.cfg.ProbationGrace && violated {
+		if m.probAge > probationGrace && violated {
 			m.breaches++
 		}
-		if m.breaches >= m.cfg.BreachTolerance {
+		if m.breaches >= breachTolerance {
 			m.rollback()
 			return
 		}
 		m.probLeft--
 		if m.probLeft <= 0 {
 			m.state = StateLive
-			m.cooldown = m.cfg.Cooldown
+			m.cooldown = retrainCooldown
 		}
 	}
 }
 
 func (m *Manager) beginProbation() {
 	m.state = StateProbation
-	m.probLeft = m.cfg.ProbationIntervals
+	m.probLeft = probationIntervals
 	m.probAge = 0
 	m.breaches = 0
 }
 
 // promote installs cand as the live model: one atomic swap (in-flight
 // predictions finish on the old model, which Live keeps as the rollback
-// target), scheduler thresholds refreshed, and — for hybrid models with a
-// registry — the new version persisted and marked CURRENT.
-func (m *Manager) promote(cand core.Predictor, samples int) {
-	v := m.live.Install(cand)
+// target) and the scheduler's thresholds refreshed.
+func (m *Manager) promote(cand core.Predictor) {
+	m.live.Install(cand)
 	m.promotions.Inc()
 	m.sched.RefreshMeta()
 	m.ewma = 0
-	if m.cfg.Registry != nil {
-		if hm, ok := cand.(*core.HybridModel); ok {
-			man, err := m.cfg.Registry.Put(hm, Manifest{
-				Note:    fmt.Sprintf("drift-retrain #%d", m.attempts),
-				Samples: samples,
-			})
-			if err == nil {
-				m.regVersions[v] = man.Version
-				m.cfg.Registry.SetCurrent(man.Version)
-			}
-		}
-	}
 }
 
 // rollback restores the previous version after a probation breach.
 func (m *Manager) rollback() {
 	m.state = StateLive
-	m.cooldown = 2 * m.cfg.Cooldown
-	v, ok := m.live.Rollback()
-	if !ok {
+	m.cooldown = 2 * retrainCooldown
+	if _, ok := m.live.Rollback(); !ok {
 		return
 	}
 	m.rollbacks.Inc()
 	m.sched.RefreshMeta()
 	m.ewma = 0
-	if m.cfg.Registry != nil {
-		if rv, ok := m.regVersions[v]; ok {
-			m.cfg.Registry.SetCurrent(rv)
-		}
-	}
 }
 
 // Scheduler exposes the wrapped Sinan scheduler (trust counters, degraded

@@ -25,16 +25,9 @@ func managerScenario(t *testing.T, retrain RetrainFunc, mut func(*Config)) (*Man
 	qos := app.QoSMS
 	stale := &fakeModel{d: d, qos: qos, eval: truthEval(qos, 4)}
 	cfg := Config{
-		Gate:               GateConfig{Holdout: buildHoldout(d, qos, 12)},
-		Retrain:            retrain,
-		DriftThreshold:     0.15,
-		EWMAAlpha:          0.25,
-		MinSamples:         15,
-		Cooldown:           10,
-		ShadowIntervals:    8,
-		ProbationIntervals: 30,
-		ProbationGrace:     4,
-		BreachTolerance:    2,
+		Gate:       GateConfig{Holdout: buildHoldout(d, qos, 12)},
+		Retrain:    retrain,
+		MinSamples: 15,
 	}
 	if mut != nil {
 		mut(&cfg)
@@ -48,6 +41,17 @@ func managerScenario(t *testing.T, retrain RetrainFunc, mut func(*Config)) (*Man
 		Duration: 300, Seed: 31, Warmup: 20, KeepTrace: true,
 	})
 	return m, res
+}
+
+// upTo bounds a scenario's retrain attempts: attempts after the n-th fail,
+// which the manager counts as a failed retrain and backs off from.
+func upTo(n int, retrain RetrainFunc) RetrainFunc {
+	return func(live core.Predictor, fresh *dataset.Dataset, attempt int) (core.Predictor, error) {
+		if attempt > n {
+			return nil, fmt.Errorf("attempt %d: scenario allows %d", attempt, n)
+		}
+		return retrain(live, fresh, attempt)
+	}
 }
 
 // assertAlwaysServed is the zero-unavailability check every scenario must
@@ -72,12 +76,12 @@ func TestManagerGateRejectsPoisonedThenPromotesGenuine(t *testing.T) {
 	poisoned := &fakeModel{d: d, qos: qos, eval: func(float64, bool) (float64, float64) { return 1e5, 0.5 }}
 	good := &fakeModel{d: d, qos: qos, eval: truthEval(qos, 16)}
 
-	m, res := managerScenario(t, func(live core.Predictor, fresh *dataset.Dataset, attempt int) (core.Predictor, error) {
+	m, res := managerScenario(t, upTo(2, func(live core.Predictor, fresh *dataset.Dataset, attempt int) (core.Predictor, error) {
 		if attempt == 1 {
 			return poisoned, nil
 		}
 		return good, nil
-	}, func(c *Config) { c.MaxRetrains = 2 })
+	}), nil)
 
 	if m.Retrains() < 2 {
 		t.Fatalf("drift detector triggered %d retrains, want >= 2", m.Retrains())
@@ -117,9 +121,9 @@ func TestManagerRollsBackSneakyCandidate(t *testing.T) {
 		return truthEval(qos, 2)(total, marked)
 	}}
 
-	m, res := managerScenario(t, func(live core.Predictor, fresh *dataset.Dataset, attempt int) (core.Predictor, error) {
+	m, res := managerScenario(t, upTo(1, func(live core.Predictor, fresh *dataset.Dataset, attempt int) (core.Predictor, error) {
 		return sneaky, nil
-	}, func(c *Config) { c.MaxRetrains = 1 })
+	}), nil)
 
 	if m.GateAccepted() != 1 || m.Promotions() != 1 {
 		t.Fatalf("sneaky candidate should pass gate+shadow once (accepted=%d promotions=%d)",
@@ -148,9 +152,9 @@ func TestManagerShadowDisqualifiesNaNCandidate(t *testing.T) {
 		return math.NaN(), 0.5
 	}}
 
-	m, res := managerScenario(t, func(live core.Predictor, fresh *dataset.Dataset, attempt int) (core.Predictor, error) {
+	m, res := managerScenario(t, upTo(1, func(live core.Predictor, fresh *dataset.Dataset, attempt int) (core.Predictor, error) {
 		return flaky, nil
-	}, func(c *Config) { c.MaxRetrains = 1 })
+	}), nil)
 
 	if m.GateAccepted() != 1 {
 		t.Fatalf("flaky candidate should pass the holdout gate (accepted=%d rejected=%d)",
@@ -172,9 +176,9 @@ func TestManagerBlindModeSwapsUnconditionally(t *testing.T) {
 	qos := app.QoSMS
 	poisoned := &fakeModel{d: d, qos: qos, eval: func(float64, bool) (float64, float64) { return 1e5, 0.5 }}
 
-	m, res := managerScenario(t, func(live core.Predictor, fresh *dataset.Dataset, attempt int) (core.Predictor, error) {
+	m, res := managerScenario(t, upTo(1, func(live core.Predictor, fresh *dataset.Dataset, attempt int) (core.Predictor, error) {
 		return poisoned, nil
-	}, func(c *Config) { c.Blind = true; c.MaxRetrains = 1 })
+	}), func(c *Config) { c.Blind = true })
 
 	if m.Promotions() != 1 || m.GateAccepted() != 0 || m.GateRejected() != 0 {
 		t.Fatalf("blind mode should install without gating (promotions=%d gate=%d/%d)",
@@ -202,32 +206,5 @@ func TestManagerDeterministic(t *testing.T) {
 	a, b := run(), run()
 	if a != b {
 		t.Fatalf("lifecycle run not deterministic:\n  %s\n  %s", a, b)
-	}
-}
-
-func TestManagerPersistsVersionsToRegistry(t *testing.T) {
-	m := trainedHybrid(t)
-	reg, err := OpenRegistry(t.TempDir(), 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	hold := lcSynthDataset(9, 60)
-	mgr, err := NewManager(apps.NewHotelReservation(), m, core.SchedulerOptions{}, Config{
-		Gate:     GateConfig{Holdout: hold},
-		Retrain:  DefaultRetrain(core.RetrainOptions{Epochs: 1, Seed: 5}),
-		Registry: reg,
-	})
-	// The hotel app's tier count does not match the trained model's dims,
-	// so NewScheduler would misbehave on a real run — but registry wiring
-	// is exercised at construction, which is what this test pins.
-	if err != nil {
-		t.Fatal(err)
-	}
-	cur, err := reg.currentLocked()
-	if err != nil || cur != 1 {
-		t.Fatalf("initial model not registered as CURRENT: v%d, %v", cur, err)
-	}
-	if mgr.Version() != 1 {
-		t.Fatalf("manager version %d, want 1", mgr.Version())
 	}
 }

@@ -121,7 +121,7 @@ func (r *Registry) SetCurrent(v int) error {
 	if _, err := os.Stat(r.Path(v)); err != nil {
 		return fmt.Errorf("lifecycle: version %d not in registry: %w", v, err)
 	}
-	return writeAtomic(r.currentPath(), func(w io.Writer) error {
+	return WriteAtomic(r.currentPath(), func(w io.Writer) error {
 		_, err := fmt.Fprintf(w, "%d\n", v)
 		return err
 	})

@@ -129,18 +129,16 @@ func ModelSizeKB(ps []*Param) float64 {
 	return float64(NumParams(ps)) * 4 / 1024
 }
 
-// SGD is stochastic gradient descent with momentum and L2 weight decay.
+// SGD is stochastic gradient descent with momentum.
 type SGD struct {
-	LR          float64
-	Momentum    float64
-	WeightDecay float64
+	LR       float64
+	Momentum float64
 }
 
 // Step applies one update and zeroes gradients.
 func (o *SGD) Step(ps []*Param) {
 	for _, p := range ps {
 		for i, g := range p.Grad.Data {
-			g += o.WeightDecay * p.W.Data[i]
 			v := o.Momentum*p.Vel.Data[i] - o.LR*g
 			p.Vel.Data[i] = v
 			p.W.Data[i] += v

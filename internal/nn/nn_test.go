@@ -489,16 +489,6 @@ func TestSGDMomentumAccumulates(t *testing.T) {
 	}
 }
 
-func TestSGDWeightDecayShrinks(t *testing.T) {
-	p := newParam("w", 1)
-	p.W.Data[0] = 10
-	opt := &SGD{LR: 0.1, WeightDecay: 0.1}
-	opt.Step([]*Param{p})
-	if p.W.Data[0] >= 10 {
-		t.Fatal("weight decay should shrink weights with zero data gradient")
-	}
-}
-
 func TestClipGrads(t *testing.T) {
 	p := newParam("w", 2)
 	p.Grad.Data[0], p.Grad.Data[1] = 3, 4 // norm 5

@@ -61,7 +61,7 @@ func TestSharedModelConcurrentPredictBitIdentical(t *testing.T) {
 func TestTrainShardingMachineIndependent(t *testing.T) {
 	rng := rand.New(rand.NewSource(41))
 	in, y := synthInputs(rng, 200, testDims)
-	cfg := TrainConfig{Epochs: 2, Batch: 64, QoSMS: 500, Seed: 6, Shards: 4}
+	cfg := TrainConfig{Epochs: 2, Batch: 64, QoSMS: 500, Seed: 6}
 	train := func(procs int) []*Param {
 		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
 		return Train(NewLatencyCNN(rand.New(rand.NewSource(42)), testDims, 16), in, y, cfg).Model.Params()
@@ -96,7 +96,7 @@ func TestTrainRowsMatchesCopiedRows(t *testing.T) {
 	rng := rand.New(rand.NewSource(46))
 	in, y := synthInputs(rng, 700, testDims)
 	rows := rng.Perm(700)[:630]
-	cfg := TrainConfig{Epochs: 2, Batch: 256, QoSMS: 500, Seed: 8, Shards: 4}
+	cfg := TrainConfig{Epochs: 2, Batch: 256, QoSMS: 500, Seed: 8}
 	model := func() Regressor { return NewLatencyCNN(rand.New(rand.NewSource(47)), testDims, 16) }
 	var copied Inputs
 	in.GatherInto(&copied, rows)
@@ -174,7 +174,7 @@ func TestTrainTapesPerWorker(t *testing.T) {
 		prev := runtime.GOMAXPROCS(procs)
 		tm := &TrainedModel{Model: NewLatencyCNN(rand.New(rand.NewSource(44)), testDims, 16), Norm: FitNormalizer(in, testDims)}
 		params := tm.Model.Params()
-		shards := newTrainShards(4)
+		shards := newTrainShards()
 		idx := rng.Perm(128)
 		for s := 0; s < len(idx); s += 64 {
 			tm.batchGrad(shards, in, y, idx[s:s+64], MSE{}, params)

@@ -121,22 +121,12 @@ func (n *Normalizer) ApplyInto(dst *Inputs, in Inputs, d Dims) {
 
 // TrainConfig controls Train and FineTune.
 type TrainConfig struct {
-	Epochs      int
-	Batch       int
-	LR          float64
-	Momentum    float64
-	WeightDecay float64
-	ClipNorm    float64
-	QoSMS       float64 // φ knee (Eq. 2) in milliseconds; 0 disables scaling
-	Alpha       float64 // φ decay, e.g. 0.01
-	Seed        int64
-	Log         io.Writer // optional epoch-loss log
-	// Shards is the number of gradient shards each minibatch is split
-	// into. Shards are evaluated concurrently, each into its own gradient
-	// accumulators, and reduced in shard order, so the resulting gradients
-	// — and the trained weights — are bit-identical for any GOMAXPROCS.
-	// 0 means 4.
-	Shards int
+	Epochs int
+	Batch  int
+	LR     float64
+	QoSMS  float64 // φ knee (Eq. 2) in milliseconds; 0 disables scaling
+	Seed   int64
+	Log    io.Writer // optional epoch-loss log
 }
 
 func (c TrainConfig) withDefaults() TrainConfig {
@@ -149,20 +139,22 @@ func (c TrainConfig) withDefaults() TrainConfig {
 	if c.LR == 0 {
 		c.LR = 0.01
 	}
-	if c.Momentum == 0 {
-		c.Momentum = 0.9
-	}
-	if c.ClipNorm == 0 {
-		c.ClipNorm = 5
-	}
-	if c.Alpha == 0 {
-		c.Alpha = 0.01
-	}
-	if c.Shards <= 0 {
-		c.Shards = 4
-	}
 	return c
 }
+
+// The optimiser's fixed settings: SGD momentum, the global gradient-norm
+// clip, and the φ decay of the scaled loss (Eq. 2).
+const (
+	momentum = 0.9
+	clipNorm = 5
+	phiAlpha = 0.01
+)
+
+// trainShards is the number of gradient shards each minibatch is split
+// into. Shards are evaluated concurrently, each into its own gradient
+// accumulators, and reduced in shard order, so the resulting gradients — and
+// the trained weights — are bit-identical for any GOMAXPROCS.
+const trainShards = 4
 
 // yScale converts milliseconds to model output units; predicting latencies
 // in ~unit scale keeps gradients well-conditioned with Xavier init.
@@ -206,7 +198,7 @@ func (tm *TrainedModel) Clone() *TrainedModel {
 // Train fits a regressor on inputs (raw feature space) and targets in
 // milliseconds [B, M], returning the wrapped model. Training is plain SGD
 // with momentum, gradient clipping, and the φ-scaled squared loss; each
-// minibatch's gradient is computed data-parallel across cfg.Shards
+// minibatch's gradient is computed data-parallel across trainShards
 // shards and reduced deterministically.
 func Train(model Regressor, in Inputs, yMS *tensor.Dense, cfg TrainConfig) *TrainedModel {
 	return TrainRows(model, in, yMS, AllRows(in.Batch()), cfg)
@@ -217,7 +209,7 @@ func Train(model Regressor, in Inputs, yMS *tensor.Dense, cfg TrainConfig) *Trai
 // worker's buffers.
 func TrainRows(model Regressor, src Rows, yMS *tensor.Dense, rows []int, cfg TrainConfig) *TrainedModel {
 	cfg = cfg.withDefaults()
-	shards := newTrainShards(cfg.Shards)
+	shards := newTrainShards()
 	// The normaliser's chunks are gathered into the buffers the first
 	// shard's rows are later gathered into: one buffer serves both.
 	tm := &TrainedModel{Model: model, Norm: fitNormalizerRows(&shards[0].in, src, rows, model.Dims())}
@@ -231,15 +223,15 @@ func TrainRows(model Regressor, src Rows, yMS *tensor.Dense, rows []int, cfg Tra
 // retained so features stay on the original scale.
 func (tm *TrainedModel) FineTune(in Inputs, yMS *tensor.Dense, cfg TrainConfig) {
 	cfg = cfg.withDefaults()
-	tm.fit(newTrainShards(cfg.Shards), in, yMS, AllRows(in.Batch()), cfg)
+	tm.fit(newTrainShards(), in, yMS, AllRows(in.Batch()), cfg)
 }
 
 func (tm *TrainedModel) fit(shards []trainShard, src Rows, yMS *tensor.Dense, rows []int, cfg TrainConfig) {
 	var loss Loss = MSE{}
 	if cfg.QoSMS > 0 {
-		loss = ScaledMSE{Knee: cfg.QoSMS * yScale, Alpha: cfg.Alpha / yScale}
+		loss = ScaledMSE{Knee: cfg.QoSMS * yScale, Alpha: phiAlpha / yScale}
 	}
-	opt := &SGD{LR: cfg.LR, Momentum: cfg.Momentum, WeightDecay: cfg.WeightDecay}
+	opt := &SGD{LR: cfg.LR, Momentum: momentum}
 	rng := rand.New(rand.NewSource(cfg.Seed + 1))
 	// Shuffled by position, as a copied batch of the rows would be.
 	idx := append([]int(nil), rows...)
@@ -257,7 +249,7 @@ func (tm *TrainedModel) fit(shards []trainShard, src Rows, yMS *tensor.Dense, ro
 			for _, sh := range tm.batchGrad(shards, src, yMS, idx[s:e], loss, params) {
 				total += sh.loss
 			}
-			ClipGrads(params, cfg.ClipNorm)
+			ClipGrads(params, clipNorm)
 			opt.Step(params)
 			batches++
 		}
@@ -322,8 +314,8 @@ type trainShard struct {
 	y   *tensor.Dense
 }
 
-func newTrainShards(n int) []trainShard {
-	shards := make([]trainShard, n)
+func newTrainShards() []trainShard {
+	shards := make([]trainShard, trainShards)
 	for i := range shards {
 		shards[i].ctx = NewContext()
 	}

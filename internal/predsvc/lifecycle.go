@@ -191,13 +191,13 @@ func (c *Client) Rollback() (RollbackReply, error) {
 	return reply, c.admin(methodRollback, &RollbackArgs{}, &reply)
 }
 
-// admin performs one lifecycle RPC: a single attempt under AdminTimeout,
+// admin performs one lifecycle RPC: a single attempt under adminTimeout,
 // bypassing the circuit breaker. A refusal keeps the connection; any other
 // failure drops it so the next call redials.
 func (c *Client) admin(method byte, args, reply any) error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if err := c.callOnce(method, args, reply, c.opts.AdminTimeout); err != nil {
+	if err := c.callOnce(method, args, reply, adminTimeout); err != nil {
 		if !IsUpdateRejected(err) {
 			c.dropConn()
 		}

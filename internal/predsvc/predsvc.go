@@ -387,16 +387,16 @@ type ClientOptions struct {
 	// probe. A probe success closes it, a failure re-opens it.
 	BreakerThreshold int
 	BreakerCooldown  time.Duration
-
-	// JitterSeed seeds the backoff jitter stream (default 1): keep it fixed
-	// for reproducible tests, vary it across replicas to avoid retry herds.
-	JitterSeed int64
-
-	// AdminTimeout bounds lifecycle RPCs (UpdateModel, Rollback): artifact
-	// uploads carry whole models plus a server-side gate replay, so they
-	// get a longer leash than Predict calls (default 10s).
-	AdminTimeout time.Duration
 }
+
+// jitterSeed seeds the client's backoff jitter stream, so retry pacing is
+// reproducible.
+const jitterSeed = 1
+
+// adminTimeout bounds lifecycle RPCs (UpdateModel, Rollback): artifact
+// uploads carry whole models plus a server-side gate replay, so they get a
+// longer leash than Predict calls.
+const adminTimeout = 10 * time.Second
 
 func (o ClientOptions) withDefaults() ClientOptions {
 	if o.DialTimeout <= 0 {
@@ -422,12 +422,6 @@ func (o ClientOptions) withDefaults() ClientOptions {
 	}
 	if o.BreakerCooldown <= 0 {
 		o.BreakerCooldown = 5 * time.Second
-	}
-	if o.JitterSeed == 0 {
-		o.JitterSeed = 1
-	}
-	if o.AdminTimeout <= 0 {
-		o.AdminTimeout = 10 * time.Second
 	}
 	return o
 }
@@ -502,7 +496,7 @@ func newClient(addr string, opts ClientOptions) *Client {
 	c := &Client{
 		addr:   addr,
 		opts:   o,
-		jitter: rand.New(rand.NewSource(o.JitterSeed)),
+		jitter: rand.New(rand.NewSource(jitterSeed)),
 		now:    time.Now,
 		sleep:  time.Sleep,
 	}

@@ -30,21 +30,18 @@ type Config struct {
 	NumTiers    int
 	Gateway     GatewaySource // nil: no gateway reporter (RPS/Perc stay zero)
 	IntervalSec float64
-	// TiersPerAgent sets the tier-to-node placement (default 1 — each
-	// dropout then silences exactly one tier's stats).
-	TiersPerAgent int
 	// Gate optionally intercepts report delivery (fault injection).
 	Gate ReportGate
 }
 
-// NewInProcess builds the deterministic in-process plane: agents named
-// node-0..node-k over a partition of the tiers, delivering synchronously
-// through an InProcess transport.
+// NewInProcess builds the deterministic in-process plane: one agent per
+// tier, named node-0..node-k (so each dropout silences exactly one tier's
+// stats), delivering synchronously through an InProcess transport.
 func NewInProcess(cfg Config) *Pipeline {
 	agg := NewAggregator(AggregatorOptions{NumTiers: cfg.NumTiers})
 	tr := &InProcess{Sink: agg, Gate: cfg.Gate}
 	p := &Pipeline{agg: agg}
-	for i, tiers := range PartitionTiers(cfg.NumTiers, cfg.TiersPerAgent) {
+	for i, tiers := range PartitionTiers(cfg.NumTiers, 1) {
 		name := AgentName(i)
 		agg.RegisterAgent(name)
 		p.agents = append(p.agents, NewNodeAgent(name, tiers, cfg.Sampler, tr))

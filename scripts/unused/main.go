@@ -1,7 +1,11 @@
 // Command unused lists the identifiers declared in non-test files under
 // internal/ and cmd/ that no file of the module references (section 1) or
 // that only _test.go files reference (section 2), and exits 1 when section
-// 1 is not empty. Run it through scripts/unused.sh.
+// 1 is not empty. Section 3, printed but never failing, lists the exported
+// fields of exported *Options and *Config structs under internal/ that no
+// program writes: no non-test file outside examples/ names them as a
+// composite-literal key or assigns them outside the type's own methods (so
+// a withDefaults does not count). Run it through scripts/unused.sh.
 //
 // Declarations are package-level names, methods and struct fields; a
 // reference is any use that go/types resolves to the declaration, from any
@@ -48,6 +52,7 @@ type scan struct {
 	listed map[string]*listed
 	std    types.ImporterFrom
 	infos  []*types.Info
+	files  [][]*ast.File // the syntax infos[i] was checked from
 }
 
 func (s *scan) Import(path string) (*types.Package, error) { return s.ImportFrom(path, "", 0) }
@@ -87,6 +92,7 @@ func (s *scan) check(path string, files []*ast.File) *types.Package {
 		fatal(err)
 	}
 	s.infos = append(s.infos, info)
+	s.files = append(s.files, files)
 	return pkg
 }
 
@@ -209,7 +215,7 @@ func main() {
 	// Pass 2: every declaration without a non-test reference, minus the
 	// exemptions.
 	root, _ := os.Getwd()
-	var sections [2][]string
+	var sections [3][]string
 	for _, info := range s.infos {
 		for id, obj := range info.Defs {
 			if obj == nil || used[obj.Pos()]&byCode != 0 || isTest(id.Pos()) ||
@@ -251,11 +257,104 @@ func main() {
 				fmt.Sprintf("%s:%d\t%s\n", rel, s.fset.Position(id.Pos()).Line, name))
 		}
 	}
-	for i, title := range []string{"1: referenced by no file", "2: referenced only by _test.go files"} {
+	sections[2] = s.unwrittenOptions(root)
+	for i, title := range []string{"1: referenced by no file", "2: referenced only by _test.go files",
+		"3: option fields no program writes"} {
 		sort.Strings(sections[i])
 		fmt.Printf("== %s (%d) ==\n%s", title, len(sections[i]), strings.Join(sections[i], ""))
 	}
 	if len(sections[0]) > 0 {
 		os.Exit(1)
 	}
+}
+
+// unwrittenOptions is section 3: the exported fields of exported structs
+// named *Options or *Config under internal/ that no program file writes.
+func (s *scan) unwrittenOptions(root string) []string {
+	rel := func(p token.Pos) string {
+		r, _ := filepath.Rel(root, s.fset.File(p).Name())
+		return r
+	}
+	type field struct {
+		owner token.Pos // the struct's type name
+		label string
+	}
+	fields := map[token.Pos]field{}
+	for _, l := range s.listed {
+		if !strings.HasPrefix(rel(l.files[0].Pos()), "internal/") {
+			continue
+		}
+		for _, name := range l.pkg.Scope().Names() {
+			tn, ok := l.pkg.Scope().Lookup(name).(*types.TypeName)
+			if !ok || !tn.Exported() || !strings.HasSuffix(name, "Options") && !strings.HasSuffix(name, "Config") {
+				continue
+			}
+			if st, ok := tn.Type().Underlying().(*types.Struct); ok {
+				for i := 0; i < st.NumFields(); i++ {
+					if f := st.Field(i); f.Exported() && !f.Embedded() {
+						fields[f.Pos()] = field{tn.Pos(), name + "." + f.Name()}
+					}
+				}
+			}
+		}
+	}
+
+	written := map[token.Pos]bool{}
+	for k, c := range s.infos {
+		for _, file := range s.files[k] {
+			if p := rel(file.Pos()); strings.HasSuffix(p, "_test.go") || strings.HasPrefix(p, "examples/") {
+				continue
+			}
+			// The enclosing method's receiver type, by position: a package
+			// with in-package tests is checked twice, with objects of its own
+			// each time.
+			var recv token.Pos
+			ast.Inspect(file, func(n ast.Node) bool {
+				var lhs []ast.Expr
+				switch n := n.(type) {
+				case *ast.FuncDecl:
+					recv = token.NoPos
+					if n.Recv != nil {
+						t := c.Types[n.Recv.List[0].Type].Type
+						if p, ok := t.(*types.Pointer); ok {
+							t = p.Elem()
+						}
+						if named, ok := t.(*types.Named); ok {
+							recv = named.Obj().Pos()
+						}
+					}
+				case *ast.AssignStmt:
+					lhs = n.Lhs
+				case *ast.IncDecStmt:
+					lhs = []ast.Expr{n.X}
+				case *ast.CompositeLit:
+					for i, e := range n.Elts {
+						if kv, ok := e.(*ast.KeyValueExpr); ok {
+							if id, ok := kv.Key.(*ast.Ident); ok && c.Uses[id] != nil {
+								written[c.Uses[id].Pos()] = true
+							}
+						} else if st, ok := c.Types[n].Type.Underlying().(*types.Struct); ok {
+							written[st.Field(i).Pos()] = true
+						}
+					}
+				}
+				for _, e := range lhs {
+					if sel, ok := e.(*ast.SelectorExpr); ok && c.Uses[sel.Sel] != nil {
+						if f := c.Uses[sel.Sel].Pos(); fields[f].owner != recv {
+							written[f] = true
+						}
+					}
+				}
+				return true
+			})
+		}
+	}
+
+	var out []string
+	for pos, f := range fields {
+		if !written[pos] {
+			out = append(out, fmt.Sprintf("%s:%d\t%s\n", rel(pos), s.fset.Position(pos).Line, f.label))
+		}
+	}
+	return out
 }
