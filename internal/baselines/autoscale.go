@@ -27,6 +27,7 @@ type AutoScale struct {
 	Cooldown float64
 
 	lastAction []float64
+	alloc      []float64 // Decision.Alloc, reused: valid until the next Decide
 }
 
 // NewAutoScaleOpt returns the paper's AutoScaleOpt configuration: scale up
@@ -73,7 +74,11 @@ func (a *AutoScale) Decide(s runner.State) runner.Decision {
 			a.lastAction[i] = -1e18
 		}
 	}
-	alloc := append([]float64(nil), s.Alloc...)
+	// Each tier's step reads only its own entry, so the copy may be taken
+	// onto the previous decision's buffer even when it is passed back as
+	// s.Alloc.
+	alloc := append(a.alloc[:0], s.Alloc...)
+	a.alloc = alloc
 	for i, st := range s.Stats {
 		if s.StatsOK != nil && i < len(s.StatsOK) && !s.StatsOK[i] {
 			// Node agent silent this interval: a zeroed stats row reads as 0%

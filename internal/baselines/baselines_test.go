@@ -140,22 +140,22 @@ func TestAutoScaleCooldown(t *testing.T) {
 	a := NewAutoScaleOpt()
 	st := stateWith([]cluster.Stats{{CPUUsage: 1.6, CPULimit: 2}}, []float64{2}) // 80% util
 	st.Time = 20
-	dec := a.Decide(st)
-	if dec.Alloc[0] <= 2 {
+	// Decision.Alloc is the policy's buffer, valid until the next Decide:
+	// what is compared across decisions is copied.
+	first := append([]float64(nil), a.Decide(st).Alloc...)
+	if first[0] <= 2 {
 		t.Fatal("first action should fire")
 	}
 	// Immediately after, the tier is cooling down: no further action.
-	st2 := stateWith([]cluster.Stats{{CPUUsage: 2.0, CPULimit: 2.6}}, dec.Alloc)
+	st2 := stateWith([]cluster.Stats{{CPUUsage: 2.0, CPULimit: 2.6}}, append([]float64(nil), first...))
 	st2.Time = 21
-	dec2 := a.Decide(st2)
-	if dec2.Alloc[0] != dec.Alloc[0] {
-		t.Fatalf("action during cooldown: %v → %v", dec.Alloc[0], dec2.Alloc[0])
+	if got := a.Decide(st2).Alloc[0]; got != first[0] {
+		t.Fatalf("action during cooldown: %v → %v", first[0], got)
 	}
 	// After the cooldown expires, scaling resumes.
-	st3 := stateWith([]cluster.Stats{{CPUUsage: 2.0, CPULimit: 2.6}}, dec.Alloc)
+	st3 := stateWith([]cluster.Stats{{CPUUsage: 2.0, CPULimit: 2.6}}, append([]float64(nil), first...))
 	st3.Time = 21 + a.Cooldown
-	dec3 := a.Decide(st3)
-	if dec3.Alloc[0] <= dec.Alloc[0] {
+	if got := a.Decide(st3).Alloc[0]; got <= first[0] {
 		t.Fatal("no action after cooldown expiry")
 	}
 }

@@ -78,13 +78,18 @@ func (c *Cluster) NumTiers() int { return len(c.tiers) }
 // Tier returns the named tier, or nil.
 func (c *Cluster) Tier(name string) *Tier { return c.byName[name] }
 
-// Alloc returns the current per-tier CPU allocation vector.
-func (c *Cluster) Alloc() []float64 {
-	out := make([]float64, len(c.tiers))
-	for i, t := range c.tiers {
-		out[i] = t.cpuLimit
+// AllocInto writes the current per-tier CPU allocation vector into dst,
+// grown when its capacity is short, and returns it: a caller reading the
+// allocation every interval keeps one buffer and allocates nothing.
+func (c *Cluster) AllocInto(dst []float64) []float64 {
+	if cap(dst) < len(c.tiers) {
+		dst = make([]float64, len(c.tiers))
 	}
-	return out
+	dst = dst[:len(c.tiers)]
+	for i, t := range c.tiers {
+		dst[i] = t.cpuLimit
+	}
+	return dst
 }
 
 // SetAlloc applies a per-tier CPU allocation vector.

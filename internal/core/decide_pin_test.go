@@ -277,8 +277,8 @@ func runPinScript(app *apps.App, opts SchedulerOptions, shared bool) pinOutcome 
 			} else if dec.PViol == 1 && dec.PredP99MS == 0 && after > before {
 				out.ramps++
 			}
-			// Not copied: the scheduler must hand back a slice it will not
-			// write again, because callers keep it as the next state.
+			// Not copied: callers keep a decision's Alloc as the next state,
+			// so the scheduler must not write it during the next Decide.
 			alloc = dec.Alloc
 			out.intervals++
 		}

@@ -280,10 +280,17 @@ func calibrateThresholds(bt *boost.Model, X [][]float64, y []bool) (pd, pu float
 // buffers. A trained HybridModel is immutable, so one instance is shared
 // by any number of goroutines, each holding its own PredictContext. A
 // PredictContext is not safe for concurrent use.
+//
+// A predictor's answer lives in the context it was given and stays valid
+// until the context's next use. PViol holds the violation probabilities
+// of every predictor; Lat is the latency tensor of one whose answer is
+// computed elsewhere — predsvc.Client decodes its reply into both — while
+// HybridModel's lives in NN.
 type PredictContext struct {
-	NN  *nn.Context
-	pv  []float64
-	row []float64
+	NN    *nn.Context
+	Lat   *tensor.Dense
+	PViol []float64
+	row   []float64
 
 	// expand holds the materialised full-batch form of shared-history
 	// inputs for predictors without a PredictShared fast path (see
@@ -314,10 +321,10 @@ func (m *HybridModel) PredictBatch(ctx *PredictContext, in nn.Inputs) (*tensor.D
 	}
 	pred, latent := m.Lat.PredictWithLatentCtx(ctx.NN, in)
 	b := in.Batch()
-	if cap(ctx.pv) < b {
-		ctx.pv = make([]float64, b)
+	if cap(ctx.PViol) < b {
+		ctx.PViol = make([]float64, b)
 	}
-	pv := ctx.pv[:b]
+	pv := ctx.PViol[:b]
 	need := latent.Shape[1] + 2*m.D.N
 	if cap(ctx.row) < need {
 		ctx.row = make([]float64, need)
@@ -344,10 +351,10 @@ func (m *HybridModel) PredictShared(ctx *PredictContext, in nn.SharedInputs) (*t
 	}
 	pred, latent := m.Lat.PredictSharedCtx(ctx.NN, in)
 	b := in.Batch()
-	if cap(ctx.pv) < b {
-		ctx.pv = make([]float64, b)
+	if cap(ctx.PViol) < b {
+		ctx.PViol = make([]float64, b)
 	}
-	pv := ctx.pv[:b]
+	pv := ctx.PViol[:b]
 	need := latent.Shape[1] + 2*m.D.N
 	if cap(ctx.row) < need {
 		ctx.row = make([]float64, need)

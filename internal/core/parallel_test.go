@@ -8,6 +8,7 @@ import (
 
 	"sinan/internal/boost"
 	"sinan/internal/nn"
+	"sinan/internal/runner"
 	"sinan/internal/tensor"
 )
 
@@ -105,9 +106,11 @@ func TestSharedHybridConcurrentPredictBitIdentical(t *testing.T) {
 // The scheduler's per-interval work — Table 1 enumeration, window assembly,
 // candidate views, CNN forward, BT scoring — runs on buffers owned by the
 // scheduler and its PredictContext, so the model query allocates nothing in
-// steady state. A whole Decide adds only what must outlive the interval: the
-// returned Alloc and the two history rows PushWindow stores (3 objects per
-// decision measured; ~180 when every candidate row was its own slice).
+// steady state. Nor does a whole Decide, model-driven or on the emergency
+// ramp: the history rows are written over the rows they evict and
+// Decision.Alloc alternates between two scheduler buffers (3 objects per
+// decision while those were fresh; ~180 when every candidate row was its
+// own slice).
 func TestSchedulerPredictSteadyStateAllocs(t *testing.T) {
 	app := testApp()
 	m := tinyHotelHybrid(t)
@@ -131,9 +134,28 @@ func TestSchedulerPredictSteadyStateAllocs(t *testing.T) {
 	if allocs := testing.AllocsPerRun(10, query); allocs > 2 {
 		t.Fatalf("steady-state enumerate+score allocates %.0f objects per query, want ~0", allocs)
 	}
-	if allocs := testing.AllocsPerRun(10, func() { s.Decide(st) }); allocs > 8 {
-		t.Fatalf("steady-state Decide allocates %.0f objects per decision, want ≤ 8", allocs)
+	scored := s.CandidatesScored()
+	if allocs := testing.AllocsPerRun(10, func() { s.Decide(st) }); allocs > 0 {
+		t.Fatalf("steady-state Decide allocates %.0f objects per decision, want 0", allocs)
 	} else {
 		t.Logf("Decide: %.0f objects per decision", allocs)
+	}
+	if s.CandidatesScored() == scored {
+		t.Fatal("the measured decisions never queried the model")
+	}
+
+	// A violation inside the post-emergency cool-down takes the ramp
+	// (boosted), which writes its allocation like a commit does.
+	hot := stateFor(app, 10*m.QoSMS, alloc, 0.3)
+	var dec runner.Decision
+	ramp := func() {
+		s.cooldown = 1
+		dec = s.Decide(hot)
+	}
+	if allocs := testing.AllocsPerRun(10, ramp); allocs > 0 {
+		t.Fatalf("an emergency Decide allocates %.0f objects, want 0", allocs)
+	}
+	if dec.PViol != 1 || total(dec.Alloc) <= total(alloc) {
+		t.Fatalf("the measured decisions did not ramp: %+v", dec)
 	}
 }

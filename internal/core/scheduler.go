@@ -60,9 +60,12 @@ const (
 // Predictor is the model interface the scheduler consults: batched
 // candidate evaluation plus the metadata its filters need. The context
 // carries all per-caller evaluation state (implementations must accept
-// nil and allocate a throwaway). *HybridModel is the production
-// implementation; predsvc.Client is the remote one; tests substitute
-// fakes. A non-nil error means the model path is unavailable (RPC
+// nil and allocate a throwaway), the answer included: the returned tensor
+// and probabilities are owned by ctx and valid until its next use, for a
+// remote predictor as for a local one, so a caller that keeps them copies
+// and a warmed context makes a query allocate nothing. *HybridModel is the
+// production implementation; predsvc.Client is the remote one; tests
+// substitute fakes. A non-nil error means the model path is unavailable (RPC
 // failure, open circuit breaker, injected outage) — the scheduler then
 // falls back to its built-in conservative policy rather than crashing.
 type Predictor interface {
@@ -161,6 +164,13 @@ type Scheduler struct {
 	predCtx      *PredictContext
 	in           nn.SharedInputs
 	rhRow, lhRow []float64
+
+	// allocs are the two buffers a written Decision.Alloc lives in, taken in
+	// turn (nextAlloc). A caller may pass a decision's Alloc back as the next
+	// State.Alloc — the decision is then read while the next is written — so
+	// one buffer would not do.
+	allocs    [2][]float64
+	allocTurn int
 }
 
 // NewScheduler builds the scheduler for an application.
@@ -368,7 +378,7 @@ func (s *Scheduler) Decide(st runner.State) runner.Decision {
 		}
 		// Commit. The chosen row is a view into a buffer the next interval
 		// overwrites, so it is copied out once.
-		alloc = append([]float64(nil), c.row(best)...)
+		alloc = s.nextAlloc(c.row(best))
 		for i, v := range alloc {
 			if v < st.Alloc[i] {
 				s.downAge[i] = 0
@@ -420,7 +430,7 @@ func (s *Scheduler) fallback(st runner.State, violated bool) (alloc []float64, p
 	if violated {
 		return s.biasStale(s.boosted(st.Alloc)), 1
 	}
-	alloc = append([]float64(nil), st.Alloc...)
+	alloc = s.nextAlloc(st.Alloc)
 	for i := range alloc {
 		util := st.Stats[i].CPUUsage / math.Max(alloc[i], 1e-9)
 		switch {
@@ -452,11 +462,22 @@ func (s *Scheduler) biasStale(alloc []float64) []float64 {
 // maximum: it gets there within a few intervals of a real overload without
 // paying the worst-case allocation for one noisy interval.
 func (s *Scheduler) boosted(cur []float64) []float64 {
-	out := make([]float64, len(cur))
+	out := s.nextAlloc(cur)
 	for i := range out {
-		out[i] = s.tiers[i].ClampCPU(cur[i]*2 + 0.5)
+		out[i] = s.tiers[i].ClampCPU(out[i]*2 + 0.5)
 	}
 	return out
+}
+
+// nextAlloc copies cur into the Decision.Alloc buffer whose turn it is and
+// returns it. The buffers alternate, so the one returned is never the
+// previous decision's: Decision.Alloc stays valid through the next Decide,
+// and the Decide after that may overwrite it.
+func (s *Scheduler) nextAlloc(cur []float64) []float64 {
+	buf := append(s.allocs[s.allocTurn][:0], cur...)
+	s.allocs[s.allocTurn] = buf
+	s.allocTurn ^= 1
+	return buf
 }
 
 // limits derives this interval's acceptance bounds from the scheduler's

@@ -468,22 +468,46 @@ func (r *Recorder) Observe(stats []cluster.Stats, perc metrics.Percentiles, next
 }
 
 // PushWindow records one decision interval into a pair of history rings:
-// the flattened [F·N] stats features and the [M] latency percentiles,
-// clipped at clipMS (0 disables clipping). This is the single definition
-// of the model's input windowing, shared by the training-data Recorder
-// and the online scheduler — the two must clip and pack identically or
-// deployment inputs drift off the training distribution.
+// the [F·N] stats features, channel-major (feature f of tier n at f·N+n),
+// and the [M] latency percentiles, clipped at clipMS (0 disables
+// clipping). This is the single definition of the model's input windowing,
+// shared by the training-data Recorder and the online scheduler — the two
+// must clip and pack identically or deployment inputs drift off the
+// training distribution.
+//
+// Both rows are written over the rows the push evicts (History.PushSlot),
+// so rings that have wrapped allocate nothing. An evicted row has already
+// left the window: WindowInputsInto reads what fresh rows would give.
 func PushWindow(statHist, latHist *metrics.History[[]float64], d nn.Dims,
 	stats []cluster.Stats, perc metrics.Percentiles, clipMS float64) {
-	statHist.Push(FlattenStats(stats, d))
-	lat := make([]float64, d.M)
+	if d.F > cluster.NumStatFeatures {
+		panic("dataset: dims.F exceeds available stat features")
+	}
+	feat := reuseRow(statHist.PushSlot(), d.F*d.N)
+	for n, s := range stats {
+		fs := s.Features()
+		for f := 0; f < d.F; f++ {
+			feat[f*d.N+n] = fs[f]
+		}
+	}
+	lat := reuseRow(latHist.PushSlot(), d.M)
 	for i, v := range perc.Values {
 		if clipMS > 0 && v > clipMS {
 			v = clipMS
 		}
 		lat[i] = v
 	}
-	latHist.Push(lat)
+}
+
+// reuseRow sets *slot to a zeroed row of n floats, on its old storage when
+// that is large enough, and returns it.
+func reuseRow(slot *[]float64, n int) []float64 {
+	if cap(*slot) < n {
+		*slot = make([]float64, n)
+	}
+	*slot = (*slot)[:n]
+	clear(*slot)
+	return *slot
 }
 
 // Resource-channel indices of the RH feature layout: channel f of the
@@ -500,22 +524,6 @@ const (
 	ChanNetRx
 	ChanNetTx
 )
-
-// FlattenStats packs one interval's per-tier stats into the [F·N] feature
-// layout shared by the recorder and the online scheduler.
-func FlattenStats(stats []cluster.Stats, d nn.Dims) []float64 {
-	if d.F > cluster.NumStatFeatures {
-		panic("dataset: dims.F exceeds available stat features")
-	}
-	feat := make([]float64, d.F*d.N)
-	for n, s := range stats {
-		fs := s.Features()
-		for f := 0; f < d.F; f++ {
-			feat[f*d.N+n] = fs[f]
-		}
-	}
-	return feat
-}
 
 // WindowInputsInto assembles the model input rows (X_RH flattened as [F,N,T]
 // and X_LH as [T,M]) from full history rings of flattened interval features

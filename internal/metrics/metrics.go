@@ -189,15 +189,19 @@ func NewHistory[T any](capacity int) *History[T] {
 	return &History[T]{buf: make([]T, capacity)}
 }
 
-// Push appends an item, evicting the oldest once full.
-func (h *History[T]) Push(v T) {
+// PushSlot appends a slot, evicting the oldest item once full, and returns
+// it for the caller to fill. The slot holds the item it evicted — already
+// out of the window, so the caller may reuse its storage — or, until the
+// ring is full, the zero value. A ring of reused rows allocates nothing
+// once it has wrapped.
+func (h *History[T]) PushSlot() *T {
 	if h.n < len(h.buf) {
-		h.buf[(h.start+h.n)%len(h.buf)] = v
 		h.n++
-		return
+		return &h.buf[(h.start+h.n-1)%len(h.buf)]
 	}
-	h.buf[h.start] = v
+	slot := &h.buf[h.start]
 	h.start = (h.start + 1) % len(h.buf)
+	return slot
 }
 
 // Len returns the number of stored items.

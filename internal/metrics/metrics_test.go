@@ -135,13 +135,13 @@ func TestHistoryRing(t *testing.T) {
 	if h.Full() {
 		t.Fatal("new ring should not be full")
 	}
-	h.Push(1)
-	h.Push(2)
-	h.Push(3)
+	*h.PushSlot() = 1
+	*h.PushSlot() = 2
+	*h.PushSlot() = 3
 	if !h.Full() || h.Len() != 3 {
 		t.Fatal("ring should be full after 3 pushes")
 	}
-	h.Push(4) // evicts 1
+	*h.PushSlot() = 4 // evicts 1
 	for i, want := range []int{2, 3, 4} {
 		if h.At(i) != want {
 			t.Fatalf("At(%d) = %v, want %v", i, h.At(i), want)
@@ -151,7 +151,7 @@ func TestHistoryRing(t *testing.T) {
 
 func TestHistoryIndexPanics(t *testing.T) {
 	h := NewHistory[int](2)
-	h.Push(1)
+	*h.PushSlot() = 1
 	defer func() {
 		if recover() == nil {
 			t.Fatal("out-of-range At should panic")
@@ -165,7 +165,7 @@ func TestHistoryOrderProperty(t *testing.T) {
 		capacity := int(capRaw%10) + 1
 		h := NewHistory[int](capacity)
 		for i := 0; i < int(n); i++ {
-			h.Push(i)
+			*h.PushSlot() = i
 		}
 		// The items are strictly increasing and end at the last pushed value.
 		for i := 1; i < h.Len(); i++ {
@@ -190,7 +190,7 @@ func TestHistoryMultipleWraparounds(t *testing.T) {
 	const capacity = 4
 	h := NewHistory[int](capacity)
 	for i := 0; i < 3*capacity+2; i++ { // 3½ trips around the ring
-		h.Push(i)
+		*h.PushSlot() = i
 		oldest := 0
 		if i >= capacity {
 			oldest = i - capacity + 1
@@ -205,6 +205,47 @@ func TestHistoryMultipleWraparounds(t *testing.T) {
 			if h.At(j) != oldest+j {
 				t.Fatalf("after push %d: At(%d) = %d, want %d", i, j, h.At(j), oldest+j)
 			}
+		}
+	}
+}
+
+// PushSlot hands back the row it evicts, so a ring of reused rows keeps
+// exactly capacity backing arrays once it has wrapped, while Len, Full and
+// At read as if every push had stored a fresh row. Capacity 1 is the edge
+// where the evicted row is also the only one the window held.
+func TestHistoryPushSlotRecyclesEvictedRow(t *testing.T) {
+	for _, capacity := range []int{1, 5} {
+		h := NewHistory[[]int](capacity)
+		var pushed [][]int // what a ring of fresh rows would hold, oldest first
+		made := 0
+		for i := 0; i < 4*capacity+1; i++ {
+			slot := h.PushSlot()
+			switch {
+			case i < capacity && *slot != nil:
+				t.Fatalf("cap %d push %d: slot of a ring still filling holds %v, want nil", capacity, i, *slot)
+			case i >= capacity && (len(*slot) != 1 || (*slot)[0] != i-capacity):
+				t.Fatalf("cap %d push %d: slot holds %v, want the evicted row [%d]", capacity, i, *slot, i-capacity)
+			}
+			if *slot == nil {
+				*slot = make([]int, 1)
+				made++
+			}
+			(*slot)[0] = i
+			pushed = append(pushed, []int{i})
+			if len(pushed) > capacity {
+				pushed = pushed[1:]
+			}
+			if h.Len() != len(pushed) || h.Full() != (len(pushed) == capacity) {
+				t.Fatalf("cap %d push %d: Len %d Full %v, want %d %v", capacity, i, h.Len(), h.Full(), len(pushed), len(pushed) == capacity)
+			}
+			for j, want := range pushed {
+				if got := h.At(j); got[0] != want[0] {
+					t.Fatalf("cap %d push %d: At(%d) = %v, want %v", capacity, i, j, got, want)
+				}
+			}
+		}
+		if made != capacity {
+			t.Fatalf("cap %d: %d rows made over %d pushes, want %d", capacity, made, 4*capacity+1, capacity)
 		}
 	}
 }

@@ -168,11 +168,15 @@ type gate struct {
 	activeG   *telemetry.Gauge // executing right now
 	queuedG   *telemetry.Gauge // waiting for a slot right now
 	peakQueue *telemetry.Gauge // queue depth high-water mark
+
+	// The release funcs acquire hands out, bound once by newGate: a method
+	// value made per request would cost an allocation per request.
+	releaseFn, releaseUnlimitedFn func()
 }
 
 func newGate(o ServiceOptions, reg *telemetry.Registry) *gate {
 	o = o.withDefaults()
-	return &gate{
+	g := &gate{
 		limit:     o.MaxConcurrent,
 		maxQ:      o.MaxQueue,
 		now:       time.Now,
@@ -183,6 +187,8 @@ func newGate(o ServiceOptions, reg *telemetry.Registry) *gate {
 		queuedG:   reg.Gauge("server.admission.queued"),
 		peakQueue: reg.Gauge("server.admission.queue_peak"),
 	}
+	g.releaseFn, g.releaseUnlimitedFn = g.release, g.releaseUnlimited
+	return g
 }
 
 // setActiveLocked adjusts the active count and mirrors it into the gauge.
@@ -209,7 +215,7 @@ func (g *gate) acquire(deadline time.Time) (release func(), err error) {
 		g.setActiveLocked(1)
 		g.accepted.Inc()
 		g.mu.Unlock()
-		return g.releaseUnlimited, nil
+		return g.releaseUnlimitedFn, nil
 	}
 	g.mu.Lock()
 	if g.closed {
@@ -226,7 +232,7 @@ func (g *gate) acquire(deadline time.Time) (release func(), err error) {
 		g.setActiveLocked(1)
 		g.accepted.Inc()
 		g.mu.Unlock()
-		return g.release, nil
+		return g.releaseFn, nil
 	}
 	if g.maxQ == 0 {
 		g.shed.Inc()
@@ -243,7 +249,7 @@ func (g *gate) acquire(deadline time.Time) (release func(), err error) {
 	if err := <-w.ready; err != nil {
 		return nil, err
 	}
-	return g.release, nil
+	return g.releaseFn, nil
 }
 
 // evictLocked drops one queued entry to make room: preferably the oldest

@@ -63,16 +63,16 @@ type MetaReply struct {
 
 // Service is the model host behind the wire. Concurrent Predict calls run in
 // parallel up to the admission gate's concurrency limit: a trained model is
-// immutable, so the only shared mutable state is a pool of prediction
-// contexts (one checked out per in-flight request), the lifecycle.Live
-// holding the served model, and the gate itself.
+// immutable, so the only shared mutable state is a pool of serving scratch
+// (one checked out per in-flight request), the lifecycle.Live holding the
+// served model, and the gate itself.
 type Service struct {
 	// live owns the served model, the rollback history behind it, the
 	// version numbers and the shadow candidate (see lifecycle.go); the
 	// Predict fast path reads it without locks.
-	live *lifecycle.Live
-	ctxs sync.Pool
-	gate *gate
+	live    *lifecycle.Live
+	scratch sync.Pool // *serveScratch
+	gate    *gate
 
 	// swapMu serializes the rare-path mutations — Swap, UpdateModel,
 	// Rollback, shadow promotion — so each validates and installs against
@@ -93,6 +93,14 @@ type Service struct {
 	shadowPromoted *telemetry.Counter // candidates promoted after shadow scoring
 	shadowRejected *telemetry.Counter // candidates disqualified in shadow (or displaced by rollback)
 	versionG       *telemetry.Gauge   // current model generation
+}
+
+// serveScratch is what one in-flight request borrows from the pool: a
+// prediction context and the tensor headers that view the request's
+// arguments in place.
+type serveScratch struct {
+	ctx *core.PredictContext
+	in  nn.Inputs
 }
 
 // NewServiceWith wraps a hybrid model for serving. The zero options give
@@ -193,27 +201,26 @@ func (s *Service) serve(args *PredictArgs, reply *PredictReply, shared bool) err
 		return err
 	}
 	defer release()
-	in := nn.Inputs{
-		RH: tensor.FromSlice(args.RH, windows, d.F, d.N, d.T),
-		LH: tensor.FromSlice(args.LH, windows, d.T, d.M),
-		RC: tensor.FromSlice(args.RC, args.Batch, d.N),
+	sc, _ := s.scratch.Get().(*serveScratch)
+	if sc == nil {
+		sc = &serveScratch{ctx: core.NewPredictContext()}
 	}
-	ctx, _ := s.ctxs.Get().(*core.PredictContext)
-	if ctx == nil {
-		ctx = core.NewPredictContext()
-	}
-	// Return the context via defer so the error path recycles it too — an
+	// Return the scratch via defer so the error path recycles it too — an
 	// error storm must not churn a fresh context per failed request.
-	defer s.ctxs.Put(ctx)
+	defer s.scratch.Put(sc)
+	in := &sc.in
+	in.RH = tensor.View(in.RH, args.RH, windows, d.F, d.N, d.T)
+	in.LH = tensor.View(in.LH, args.LH, windows, d.T, d.M)
+	in.RC = tensor.View(in.RC, args.RC, args.Batch, d.N)
 	// The live model answers; a candidate parked in shadow scores the same
 	// inputs on the side, where a failure disqualifies the candidate and
 	// never this request.
 	var pred *tensor.Dense
 	var pviol []float64
 	if shared {
-		pred, pviol, err = s.live.PredictShared(ctx, nn.SharedInputs(in))
+		pred, pviol, err = s.live.PredictShared(sc.ctx, nn.SharedInputs(*in))
 	} else {
-		pred, pviol, err = s.live.PredictBatch(ctx, in)
+		pred, pviol, err = s.live.PredictBatch(sc.ctx, *in)
 	}
 	if err != nil {
 		return err
@@ -470,6 +477,11 @@ type Client struct {
 	jitter     *rand.Rand
 	lastCostMS float64 // wall cost of the last successful predict call
 
+	// One predict call's request and reply, reused under mu. The reply's
+	// slices are pointed at the caller's PredictContext for each call.
+	args  PredictArgs
+	reply PredictReply
+
 	// Telemetry instruments ("client.*"). Handles are rebindable via
 	// AttachMetrics so a run harness can gather the client's counters in a
 	// per-run registry.
@@ -614,17 +626,19 @@ func (c *Client) ServerStats() (ServerStats, error) {
 	return reply.Stats, nil
 }
 
-// PredictBatch implements core.Predictor by delegating to the service; the
-// prediction context is unused (per-call state lives on the server, which
-// keeps its own pool).
-func (c *Client) PredictBatch(_ *core.PredictContext, in nn.Inputs) (*tensor.Dense, []float64, error) {
-	return c.predict(methodPredict, in)
+// PredictBatch implements core.Predictor by delegating to the service. The
+// reply is decoded into ctx (its Lat and PViol), which owns the answer until
+// its next use, as with a local model; the shared Client keeps nothing of
+// it. A nil ctx gets fresh buffers.
+func (c *Client) PredictBatch(ctx *core.PredictContext, in nn.Inputs) (*tensor.Dense, []float64, error) {
+	return c.predict(methodPredict, ctx, in)
 }
 
 // PredictShared implements core.SharedPredictor over the wire: one history
-// window plus per-candidate allocation rows per query.
-func (c *Client) PredictShared(_ *core.PredictContext, in nn.SharedInputs) (*tensor.Dense, []float64, error) {
-	return c.predict(methodPredictShared, nn.Inputs(in))
+// window plus per-candidate allocation rows per query, answered into ctx
+// like PredictBatch.
+func (c *Client) PredictShared(ctx *core.PredictContext, in nn.SharedInputs) (*tensor.Dense, []float64, error) {
+	return c.predict(methodPredictShared, ctx, nn.Inputs(in))
 }
 
 // predict is the one breaker-checked call behind both query forms: bounded
@@ -634,8 +648,14 @@ func (c *Client) PredictShared(_ *core.PredictContext, in nn.SharedInputs) (*ten
 // to the scheduler, which runs its degraded fallback policy, and repeated
 // failures trip the circuit breaker so subsequent calls fail fast until a
 // cooldown probe succeeds.
-func (c *Client) predict(method byte, in nn.Inputs) (*tensor.Dense, []float64, error) {
-	args := &PredictArgs{
+func (c *Client) predict(method byte, ctx *core.PredictContext, in nn.Inputs) (*tensor.Dense, []float64, error) {
+	if ctx == nil {
+		ctx = core.NewPredictContext()
+	}
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	args, reply := &c.args, &c.reply
+	*args = PredictArgs{
 		RH:    in.RH.Data,
 		LH:    in.LH.Data,
 		RC:    in.RC.Data,
@@ -644,8 +664,11 @@ func (c *Client) predict(method byte, in nn.Inputs) (*tensor.Dense, []float64, e
 		// request once we have given up waiting for it.
 		DeadlineMS: float64(c.opts.CallTimeout) / float64(time.Millisecond),
 	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
+	// The reply decodes into ctx's storage: the answer is the caller's.
+	reply.Lat, reply.PViol = nil, ctx.PViol
+	if ctx.Lat != nil {
+		reply.Lat = ctx.Lat.Data
+	}
 	c.calls.Inc()
 	if !c.breakerAllow() {
 		c.fastFails.Inc()
@@ -653,19 +676,20 @@ func (c *Client) predict(method byte, in nn.Inputs) (*tensor.Dense, []float64, e
 		return nil, nil, ErrUnavailable
 	}
 	start := c.now()
-	var reply PredictReply
 	var err error
 	for attempt := 0; ; attempt++ {
-		err = c.callOnce(method, args, &reply, c.opts.CallTimeout)
+		err = c.callOnce(method, args, reply, c.opts.CallTimeout)
 		if m := c.meta.D.M; err == nil && (reply.M != m || len(reply.Lat) != args.Batch*m || len(reply.PViol) != args.Batch) {
-			// It would panic FromSlice below or the scheduler's indexing.
+			// It would panic the view below or the scheduler's indexing.
 			err = fmt.Errorf("predsvc: reply of %d latencies (M = %d), %d violation probabilities does not answer %d candidates × %d percentiles", len(reply.Lat), reply.M, len(reply.PViol), args.Batch, m)
 		}
 		if err == nil {
 			c.breakerSuccess()
 			c.lastCostMS = float64(c.now().Sub(start)) / float64(time.Millisecond)
 			c.predLatMS.Observe(c.lastCostMS)
-			return tensor.FromSlice(reply.Lat, args.Batch, reply.M), reply.PViol, nil
+			ctx.Lat = tensor.View(ctx.Lat, reply.Lat, args.Batch, reply.M)
+			ctx.PViol = reply.PViol
+			return ctx.Lat, ctx.PViol, nil
 		}
 		if IsOverloaded(err) {
 			// Shed: the service is alive but saturated. Retrying now would

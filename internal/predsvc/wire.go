@@ -187,9 +187,10 @@ func (r *PredictReply) appendTo(b []byte) []byte {
 	return appendFloats(binary.LittleEndian.AppendUint32(b, uint32(r.M)), r.Lat, r.PViol)
 }
 
-// decode makes fresh slices: the client's caller keeps them past the next call.
+// decode reuses r's slices, which the client points at the caller's
+// core.PredictContext: the answer is the caller's, valid until that
+// context's next use, and a warmed context decodes without allocating.
 func (r *PredictReply) decode(b []byte) error {
-	r.Lat, r.PViol = nil, nil
 	if err := readFloats(b, predictReplyHeader, &r.Lat, &r.PViol); err != nil {
 		return err
 	}

@@ -47,6 +47,14 @@ type Decision struct {
 }
 
 // Policy decides per-tier CPU allocations once per decision interval.
+//
+// Nothing on this seam is allocated per interval, so every slice is lent
+// (DESIGN.md §8, "Buffer ownership"). State.Stats and StatsOK are the stats
+// plane's, State.Alloc is the run's; all three are rewritten next interval,
+// and a policy may write Stats in place (the scheduler imputes silent
+// tiers there). Decision.Alloc may be State.Alloc itself or a buffer the
+// policy reuses: the run reads it before calling Decide again. Whoever
+// keeps a slice longer copies it.
 type Policy interface {
 	Name() string
 	Decide(s State) Decision
@@ -69,7 +77,7 @@ type TraceRow struct {
 	PredP99MS float64
 	PViol     float64
 	Total     float64   // aggregate allocated cores
-	Alloc     []float64 // per-tier allocation in force during the interval
+	Alloc     []float64 // per-tier allocation in force during the interval (capped: a cut of one per-run array)
 	Degraded  bool      // the decision came from a fallback path
 	Brownout  int       // brownout ladder level that shaped the decision
 }
@@ -193,7 +201,16 @@ func Run(cfg Config) *Result {
 	meter := metrics.NewQoSMeter(cfg.App.QoSMS)
 	res := &Result{Meter: meter, Metrics: reg}
 
+	// Everything an interval needs is sized here, once: the allocation
+	// buffer State.Alloc lends the policy, and with KeepTrace the trace rows
+	// and one flat array their Alloc slices cut from.
 	intervals := int(cfg.Duration / Interval)
+	alloc := make([]float64, cl.NumTiers())
+	var traceAllocs []float64
+	if cfg.KeepTrace {
+		res.Trace = make([]TraceRow, 0, intervals)
+		traceAllocs = make([]float64, intervals*len(alloc))
+	}
 	for i := 0; i < intervals; i++ {
 		eng.Run(float64(i+1) * Interval)
 
@@ -204,7 +221,7 @@ func Run(cfg Config) *Result {
 			Time:    ist.Time,
 			Stats:   ist.Stats,
 			Perc:    perc,
-			Alloc:   cl.Alloc(),
+			Alloc:   cl.AllocInto(alloc),
 			RPS:     rps,
 			QoSMS:   cfg.App.QoSMS,
 			StatsOK: ist.StatsOK,
@@ -238,6 +255,8 @@ func Run(cfg Config) *Result {
 			meter.Observe(perc, totalOf(state.Alloc))
 		}
 		if cfg.KeepTrace {
+			row := traceAllocs[i*len(alloc) : (i+1)*len(alloc) : (i+1)*len(alloc)]
+			copy(row, state.Alloc)
 			res.Trace = append(res.Trace, TraceRow{
 				Time:      state.Time,
 				RPS:       rps,
@@ -246,7 +265,7 @@ func Run(cfg Config) *Result {
 				PredP99MS: dec.PredP99MS,
 				PViol:     dec.PViol,
 				Total:     totalOf(state.Alloc),
-				Alloc:     append([]float64(nil), state.Alloc...),
+				Alloc:     row,
 				Degraded:  dec.Degraded,
 				Brownout:  dec.Brownout,
 			})

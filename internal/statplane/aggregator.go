@@ -14,7 +14,9 @@ import (
 // transport-agnostic precursor of runner.State. Stats has one row per
 // tier; StatsOK is nil when every tier's report arrived in time, otherwise
 // a per-tier mask whose false entries have zeroed rows the policy must
-// impute. The caller owns Stats and StatsOK after Assemble returns.
+// impute. Stats and StatsOK are the aggregator's own buffers, lent until
+// the next BeginInterval (the next Collect): the caller may write them in
+// place, and copies what it keeps longer.
 type IntervalState struct {
 	Interval  int64
 	Time      float64
@@ -74,7 +76,8 @@ type Aggregator struct {
 	expectGW bool
 	gwSeq    uint64
 
-	// Open-interval assembly state.
+	// Open-interval assembly state. stats and got are reused every interval:
+	// Assemble lends them to the caller until the next BeginInterval.
 	curID       int64
 	curOpen     bool
 	stats       []cluster.Stats
@@ -83,7 +86,12 @@ type Aggregator struct {
 	gwOK        bool
 	rps         float64
 	perc        metrics.Percentiles
-	expired     bool
+
+	// wake is the deadline timer of Assemble's wait, made on the first wait
+	// and Reset for every later one. Its callback only wakes the waiter,
+	// which judges the deadline by its own clock, so a callback firing late
+	// into a later interval's wait cannot expire that interval.
+	wake *time.Timer
 
 	lastRPS float64 // hold-last arrival rate for gateway-less intervals
 
@@ -168,9 +176,12 @@ func (a *Aggregator) BeginInterval(id int64) {
 	defer a.mu.Unlock()
 	a.curID = id
 	a.curOpen = true
-	a.expired = false
-	a.stats = make([]cluster.Stats, a.opts.NumTiers)
-	a.got = make([]bool, a.opts.NumTiers)
+	if a.stats == nil {
+		a.stats = make([]cluster.Stats, a.opts.NumTiers)
+		a.got = make([]bool, a.opts.NumTiers)
+	}
+	clear(a.stats)
+	clear(a.got)
 	a.outstanding = len(a.order)
 	a.gwOK = false
 	a.rps = 0
@@ -259,20 +270,18 @@ func (a *Aggregator) Assemble(id int64, now float64) IntervalState {
 	}
 	if a.opts.Deadline > 0 && !a.completeLocked() {
 		start := time.Now()
-		timer := time.AfterFunc(a.opts.Deadline, func() {
-			a.mu.Lock()
-			// Guard against firing into a later interval: Stop below can
-			// lose the race with an already-scheduled callback.
-			if a.curOpen && a.curID == id {
-				a.expired = true
-				a.cond.Broadcast()
-			}
-			a.mu.Unlock()
-		})
-		for !a.completeLocked() && !a.expired {
+		if a.wake == nil {
+			a.wake = time.AfterFunc(a.opts.Deadline, a.wakeWaiter)
+		} else {
+			a.wake.Reset(a.opts.Deadline)
+		}
+		// Expiry is read off this wait's own clock, never off the callback:
+		// Stop below can lose the race with a callback already scheduled,
+		// which then fires into some later wait and must not end it early.
+		for !a.completeLocked() && time.Since(start) < a.opts.Deadline {
 			a.cond.Wait()
 		}
-		timer.Stop()
+		a.wake.Stop()
 		a.waitMS.Observe(float64(time.Since(start).Microseconds()) / 1000)
 	}
 	a.curOpen = false
@@ -312,7 +321,14 @@ func (a *Aggregator) Assemble(id int64, now float64) IntervalState {
 		e.stale.Set(float64(e.missed))
 	}
 	a.liveG.Set(float64(live))
-
-	a.stats, a.got = nil, nil // ownership passes to the caller
 	return st
+}
+
+// wakeWaiter is the deadline timer's callback: it wakes Assemble's wait,
+// which then checks its deadline. Taking the lock orders the wake-up after
+// the waiter's check, so it is never lost.
+func (a *Aggregator) wakeWaiter() {
+	a.mu.Lock()
+	a.cond.Broadcast()
+	a.mu.Unlock()
 }

@@ -9,6 +9,11 @@ import (
 // returns the interval's snapshot. The in-process Pipeline and the
 // distributed Hub both implement it, so runner.Run builds State the same
 // way whether the agents are function calls or remote processes.
+//
+// The snapshot's Stats and StatsOK are the plane's aggregator's buffers,
+// reused every interval: they stay valid until the next Collect, which is
+// all the control loop needs, and a caller that keeps them longer copies
+// (DESIGN.md §8, "Buffer ownership").
 type Plane interface {
 	Collect(interval int64, now float64) IntervalState
 }

@@ -260,6 +260,70 @@ func TestInProcessPlaneDropGate(t *testing.T) {
 	}
 }
 
+// One warmed Collect of the in-process plane — every agent's report, the
+// gateway's, the assembly — allocates nothing: the aggregator reuses its
+// rows, lent to the caller until the next Collect.
+func TestInProcessCollectAllocatesNothing(t *testing.T) {
+	p := NewInProcess(Config{
+		Sampler: &fixedSampler{}, NumTiers: 28,
+		Gateway: &fixedGateway{p99: 17}, IntervalSec: 1,
+	})
+	interval := int64(0)
+	collect := func() {
+		p.Collect(interval, float64(interval+1))
+		interval++
+	}
+	collect()
+	if got := testing.AllocsPerRun(100, collect); got != 0 {
+		t.Fatalf("a warmed Collect allocates %.2f objects, want 0", got)
+	}
+}
+
+// The deadline timer is made by the first wait and Reset by every later
+// one. Interval 0 waits and expires. During interval 1's wait the timer's
+// callback runs again by hand, as interval 0's would if it lost the race
+// with Stop and fired late: it only wakes the waiter, which keeps waiting
+// for its own deadline, so interval 1 completes on time with every tier.
+func TestAggregatorDeadlineTimerReusedAndLateCallbackHarmless(t *testing.T) {
+	a := NewAggregator(AggregatorOptions{NumTiers: 2, Deadline: 30 * time.Millisecond})
+	a.RegisterAgent("node-0")
+	a.RegisterAgent("node-1")
+	a.BeginInterval(0)
+	a.OfferReport(report("node-0", 1, 0, 0, 5))
+	if st := a.Assemble(0, 1.0); st.StatsOK == nil || st.StatsOK[1] {
+		t.Fatalf("interval 0 should expire with tier 1 missing: StatsOK=%v", st.StatsOK)
+	}
+	timer := a.wake
+	if timer == nil {
+		t.Fatal("a wait armed no timer")
+	}
+
+	// A long deadline, so that only the late callback could end the wait
+	// before the last report does.
+	a.opts.Deadline = time.Minute
+	a.BeginInterval(1)
+	a.OfferReport(report("node-0", 2, 1, 0, 5))
+	done := make(chan IntervalState)
+	go func() { done <- a.Assemble(1, 2.0) }()
+	for i := 0; i < 10; i++ {
+		a.wakeWaiter()
+		time.Sleep(time.Millisecond)
+	}
+	select {
+	case st := <-done:
+		t.Fatalf("a late callback ended interval 1's wait: StatsOK=%v", st.StatsOK)
+	default:
+	}
+	a.OfferReport(report("node-1", 2, 1, 1, 6))
+	st := <-done
+	if st.StatsOK != nil || st.Stats[1].CPUUsage != 6 {
+		t.Fatalf("interval 1 should complete with every tier: StatsOK=%v stats=%+v", st.StatsOK, st.Stats)
+	}
+	if a.wake != timer {
+		t.Fatal("the second wait made a new timer instead of resetting the first")
+	}
+}
+
 // An aggregator with a deadline must give up on a straggler and mark its
 // tiers missing instead of blocking the control loop.
 func TestAggregatorDeadlineExpires(t *testing.T) {

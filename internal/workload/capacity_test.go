@@ -17,7 +17,7 @@ func measureP99(t *testing.T, app *apps.App, rps float64, dur float64, scale flo
 	eng := &sim.Engine{}
 	cl := cluster.New(eng, sim.NewRNG(11), app.Tiers)
 	if scale != 1 {
-		alloc := cl.Alloc()
+		alloc := cl.AllocInto(nil)
 		for i := range alloc {
 			alloc[i] *= scale
 		}
