@@ -27,6 +27,7 @@ import (
 
 	"sinan/internal/experiments"
 	"sinan/internal/harness"
+	"sinan/internal/lifecycle"
 	"sinan/internal/telemetry"
 )
 
@@ -67,14 +68,8 @@ func main() {
 	}
 	if *metricsJSON != "" {
 		defer func() {
-			f, err := os.Create(*metricsJSON)
-			if err != nil {
-				log.Printf("telemetry dump: %v", err)
-				return
-			}
-			defer f.Close()
-			if err := lab.Metrics.Snapshot().WriteJSON(f); err != nil {
-				log.Printf("telemetry dump: %v", err)
+			if err := lifecycle.WriteAtomic(*metricsJSON, lab.Metrics.Snapshot().WriteJSON); err != nil {
+				log.Fatalf("telemetry dump: %v", err)
 			}
 		}()
 	}
@@ -100,12 +95,9 @@ func main() {
 					log.Fatal(err)
 				}
 				path := filepath.Join(*csvDir, fmt.Sprintf("%s_%d.csv", e.ID, i))
-				f, err := os.Create(path)
-				if err != nil {
+				if err := lifecycle.WriteAtomic(path, t.CSV); err != nil {
 					log.Fatal(err)
 				}
-				t.CSV(f)
-				f.Close()
 			}
 		}
 	}

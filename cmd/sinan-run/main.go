@@ -21,6 +21,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"log"
 	"os"
 	"strings"
@@ -168,27 +169,20 @@ func main() {
 	}
 
 	if *csvPath != "" {
-		f, err := os.Create(*csvPath)
+		err := lifecycle.WriteAtomic(*csvPath, func(w io.Writer) error {
+			return runner.WriteTraceCSV(w, res.Trace, app.TierNames())
+		})
 		if err != nil {
 			log.Fatal(err)
 		}
-		if err := runner.WriteTraceCSV(f, res.Trace, app.TierNames()); err != nil {
-			log.Fatal(err)
-		}
-		f.Close()
 		fmt.Fprintf(os.Stderr, "wrote trace CSV to %s\n", *csvPath)
 		// The run's telemetry snapshot rides along next to the trace: same
 		// path with a .metrics.json suffix, holding the run.* instruments
 		// plus whatever the policy registered (sched.* for Sinan).
 		mpath := strings.TrimSuffix(*csvPath, ".csv") + ".metrics.json"
-		mf, err := os.Create(mpath)
-		if err != nil {
+		if err := lifecycle.WriteAtomic(mpath, res.Metrics.Snapshot().WriteJSON); err != nil {
 			log.Fatal(err)
 		}
-		if err := res.Metrics.Snapshot().WriteJSON(mf); err != nil {
-			log.Fatal(err)
-		}
-		mf.Close()
 		fmt.Fprintf(os.Stderr, "wrote run telemetry to %s\n", mpath)
 	}
 	if *trace {

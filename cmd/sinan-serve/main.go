@@ -6,7 +6,7 @@
 //
 //	sinan-serve -model hotel.model -addr :9090
 //
-// The service answers Predict, PredictShared, Meta and Stats in length-prefixed
+// The service answers Predict, PredictShared and Meta in length-prefixed
 // frames over TCP; schedulers connect with predsvc.Dial and use the remote model
 // exactly like a local one. Admission control protects the server under
 // overload: -max-active bounds concurrent predictions (0 = GOMAXPROCS,
@@ -23,18 +23,11 @@
 //	sinan-serve -model hotel.model -addr :9090 -metrics-addr :9091
 //	curl -s localhost:9091/metrics
 //
-// Model lifecycle: the server also answers UpdateModel and Rollback
-// (predsvc.Client has both), so operators can hot-swap models without a restart —
-// every install is versioned and rollback-able. -model-dir serves the
+// -model takes an artifact written by sinan-train; -model-dir serves the
 // CURRENT version of a model registry (written by sinan-train -registry)
-// instead of a single file; -model takes an artifact written by
-// sinan-train. -holdout arms the validation gate: candidates pushed
-// over UpdateModel replay the pinned holdout and are rejected unless their
-// RMSE is within the gate's margin of the live model's. -shadow-intervals
-// makes accepted candidates shadow-score that many live Predict calls
-// (predictions compared but not served) before promotion:
+// instead. A new model is served by restarting on it:
 //
-//	sinan-serve -model-dir /var/sinan/models -holdout hotel.ds -shadow-intervals 32
+//	sinan-serve -model-dir /var/sinan/models
 package main
 
 import (
@@ -45,9 +38,7 @@ import (
 	"os/signal"
 
 	"sinan/internal/core"
-	"sinan/internal/dataset"
 	"sinan/internal/lifecycle"
-	"sinan/internal/nn"
 	"sinan/internal/predsvc"
 	"sinan/internal/telemetry"
 )
@@ -56,8 +47,6 @@ func main() {
 	var (
 		model       = flag.String("model", "sinan.model", "hybrid model path (an artifact written by sinan-train)")
 		modelDir    = flag.String("model-dir", "", "serve the CURRENT version of this model-registry directory instead of -model (empty = disabled)")
-		holdout     = flag.String("holdout", "", "dataset path arming the UpdateModel validation gate (empty = accept any decodable candidate)")
-		shadowIvals = flag.Int("shadow-intervals", 0, "live Predict calls a gated candidate shadow-scores before promotion (0 = promote immediately)")
 		addr        = flag.String("addr", "127.0.0.1:9090", "listen address")
 		maxActive   = flag.Int("max-active", 0, "max concurrent predictions (0 = GOMAXPROCS, <0 = no admission control)")
 		maxQueue    = flag.Int("max-queue", 0, "max queued predictions (0 = 4x max-active, <0 = no queue)")
@@ -85,18 +74,7 @@ func main() {
 		log.Fatalf("loading model: %v", err)
 	}
 
-	opts := predsvc.ServiceOptions{
-		MaxConcurrent: *maxActive,
-		MaxQueue:      *maxQueue,
-		ShadowCalls:   *shadowIvals,
-	}
-	if *holdout != "" {
-		gate, gerr := holdoutGate(*holdout, m.D)
-		if gerr != nil {
-			log.Fatal(gerr)
-		}
-		opts.Guard = gate
-	}
+	opts := predsvc.ServiceOptions{MaxConcurrent: *maxActive, MaxQueue: *maxQueue}
 	srv, svc, err := predsvc.ListenAndServeWith(*addr, m, opts)
 	if err != nil {
 		log.Fatal(err)
@@ -105,9 +83,6 @@ func main() {
 		source, srv.Addr(), m.QoSMS, m.Pd, m.Pu)
 	fmt.Fprintf(os.Stderr, "artifact v%d: sha256 %.12s…, %d samples, note %q\n",
 		man.Version, man.SHA256, man.Samples, man.Note)
-	if opts.Guard != nil {
-		fmt.Fprintf(os.Stderr, "lifecycle gate armed (%s); shadow intervals: %d\n", *holdout, *shadowIvals)
-	}
 	if *metricsAddr != "" {
 		msrv, maddr, err := telemetry.Serve(*metricsAddr, svc.Metrics())
 		if err != nil {
@@ -126,22 +101,4 @@ func main() {
 	st := svc.StatsSnapshot()
 	fmt.Fprintf(os.Stderr, "admission: accepted=%d shed=%d expired=%d peak-queue=%d\n",
 		st.Accepted, st.Shed, st.Expired, st.PeakQueue)
-}
-
-// holdoutGate arms the validation gate on the dataset at path. A holdout
-// whose dims differ from the served model's d would make the gate refuse
-// every candidate, so it is refused at start-up, naming both.
-func holdoutGate(path string, d nn.Dims) (*lifecycle.Gate, error) {
-	ds, err := dataset.LoadFile(path)
-	if err != nil {
-		return nil, fmt.Errorf("loading holdout: %w", err)
-	}
-	if ds.D != d {
-		return nil, fmt.Errorf("holdout %s has dims %+v but the served model has %+v", path, ds.D, d)
-	}
-	gate, err := lifecycle.NewGate(lifecycle.GateConfig{Holdout: ds})
-	if err != nil {
-		return nil, fmt.Errorf("building validation gate: %w", err)
-	}
-	return gate, nil
 }

@@ -73,38 +73,6 @@ func (a *App) WithMix(weights map[string]float64) *App {
 	return &cp
 }
 
-// Validate checks that every call tree only references configured tiers and
-// that weights are sane. It returns an error rather than panicking so tools
-// can report configuration problems cleanly.
-func (a *App) Validate() error {
-	names := map[string]bool{}
-	for _, t := range a.Tiers {
-		if names[t.Name] {
-			return fmt.Errorf("app %s: duplicate tier %q", a.Name, t.Name)
-		}
-		names[t.Name] = true
-	}
-	if len(a.Requests) == 0 {
-		return fmt.Errorf("app %s: no request types", a.Name)
-	}
-	total := 0.0
-	for _, r := range a.Requests {
-		if r.Weight < 0 {
-			return fmt.Errorf("app %s: negative weight for %s", a.Name, r.Name)
-		}
-		total += r.Weight
-		for _, tn := range r.Tree.Tiers() {
-			if !names[tn] {
-				return fmt.Errorf("app %s: request %s references unknown tier %q", a.Name, r.Name, tn)
-			}
-		}
-	}
-	if total <= 0 {
-		return fmt.Errorf("app %s: zero total request weight", a.Name)
-	}
-	return nil
-}
-
 // Platform captures the hardware/deployment profile the application runs on.
 // Work demands are divided by Speed and each RPC stage pays Overhead extra
 // CPU; replica counts are multiplied by ReplicaMult (stateless tiers only,

@@ -1,15 +1,57 @@
 package apps
 
 import (
+	"fmt"
 	"testing"
 
 	"sinan/internal/cluster"
 	"sinan/internal/sim"
 )
 
+// validate checks that every call tree only references configured tiers and
+// that weights are sane.
+func validate(a *App) error {
+	names := map[string]bool{}
+	for _, t := range a.Tiers {
+		if names[t.Name] {
+			return fmt.Errorf("app %s: duplicate tier %q", a.Name, t.Name)
+		}
+		names[t.Name] = true
+	}
+	if len(a.Requests) == 0 {
+		return fmt.Errorf("app %s: no request types", a.Name)
+	}
+	total := 0.0
+	var walk func(r RequestType, s *cluster.Stage) error
+	walk = func(r RequestType, s *cluster.Stage) error {
+		if !names[s.Tier] {
+			return fmt.Errorf("app %s: request %s references unknown tier %q", a.Name, r.Name, s.Tier)
+		}
+		for _, ch := range s.Children {
+			if err := walk(r, ch); err != nil {
+				return err
+			}
+		}
+		return nil
+	}
+	for _, r := range a.Requests {
+		if r.Weight < 0 {
+			return fmt.Errorf("app %s: negative weight for %s", a.Name, r.Name)
+		}
+		total += r.Weight
+		if err := walk(r, r.Tree); err != nil {
+			return err
+		}
+	}
+	if total <= 0 {
+		return fmt.Errorf("app %s: zero total request weight", a.Name)
+	}
+	return nil
+}
+
 func TestHotelReservationValid(t *testing.T) {
 	app := NewHotelReservation()
-	if err := app.Validate(); err != nil {
+	if err := validate(app); err != nil {
 		t.Fatal(err)
 	}
 	if len(app.Tiers) != 17 {
@@ -25,7 +67,7 @@ func TestHotelReservationValid(t *testing.T) {
 
 func TestSocialNetworkValid(t *testing.T) {
 	app := NewSocialNetwork()
-	if err := app.Validate(); err != nil {
+	if err := validate(app); err != nil {
 		t.Fatal(err)
 	}
 	if len(app.Tiers) != 28 {
@@ -200,8 +242,8 @@ func TestWorkScale(t *testing.T) {
 
 func TestValidateCatchesBadTree(t *testing.T) {
 	app := NewHotelReservation()
-	app.Requests[0].Tree = cluster.Seq("ghost", 1)
-	if err := app.Validate(); err == nil {
+	app.Requests[0].Tree = &cluster.Stage{Tier: "ghost", Work: 1}
+	if err := validate(app); err == nil {
 		t.Fatal("validate should reject tree referencing unknown tier")
 	}
 }

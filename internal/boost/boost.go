@@ -121,25 +121,6 @@ func (m *Model) ErrorRate(X [][]float64, y []bool) float64 {
 	return float64(wrong) / float64(len(X))
 }
 
-// WeightedLogLoss returns the mean binary cross-entropy on a dataset with
-// positive examples weighted by posW; it is the early-stopping metric (more
-// sensitive than the error rate on imbalanced violation data). When
-// training uses PosWeight, early stopping must track the same weighted
-// objective — otherwise the unweighted metric looks "best" at the trivial
-// all-negative classifier and stops immediately on imbalanced data.
-func (m *Model) WeightedLogLoss(X [][]float64, y []bool, posW float64) float64 {
-	if len(X) == 0 {
-		return 0
-	}
-	s, wsum := 0.0, 0.0
-	for i, x := range X {
-		l, w := logLoss(m.Score(x), y[i], posW)
-		s += l
-		wsum += w
-	}
-	return s / wsum
-}
-
 // logLoss returns one example's weighted binary cross-entropy at raw score
 // z, and its weight.
 func logLoss(z float64, y bool, posW float64) (loss, w float64) {
@@ -219,9 +200,11 @@ func (b *binner) bin(f int, v float64) int {
 }
 
 // Train fits a boosted-trees classifier. If valX is non-empty and
-// cfg.EarlyStopping > 0, training stops once the validation weighted
-// log-loss (WeightedLogLoss at cfg.PosWeight) has not improved for that
-// many rounds, and the best-so-far ensemble is kept.
+// cfg.EarlyStopping > 0, training stops once the validation log-loss, with
+// positives weighted by cfg.PosWeight, has not improved for that many
+// rounds, and the best-so-far ensemble is kept. The loss is weighted as
+// training is: unweighted, it looks "best" at the trivial all-negative
+// classifier and stops at once on imbalanced violation data.
 //
 // The layout and the summation orders that keep the trees bit-identical to
 // the reference trainer in boost_test.go are described in DESIGN.md §7

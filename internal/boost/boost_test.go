@@ -206,7 +206,7 @@ func TestLogLossDecreasesWithTraining(t *testing.T) {
 	X, y := synthData(rng, 1500, 0.1)
 	small := Train(X, y, Config{NumTrees: 2, MaxDepth: 3}, nil, nil)
 	big := Train(X, y, Config{NumTrees: 60, MaxDepth: 4}, nil, nil)
-	if big.WeightedLogLoss(X, y, 1) >= small.WeightedLogLoss(X, y, 1) {
+	if weightedLogLoss(big, X, y, 1) >= weightedLogLoss(small, X, y, 1) {
 		t.Fatal("more boosting rounds should reduce training log loss")
 	}
 }
@@ -296,7 +296,7 @@ func refTrain(X [][]float64, y []bool, cfg Config, valX [][]float64, valY []bool
 		}
 
 		if cfg.EarlyStopping > 0 && len(valX) > 0 {
-			e := m.WeightedLogLoss(valX, valY, cfg.PosWeight)
+			e := weightedLogLoss(m, valX, valY, cfg.PosWeight)
 			if e < bestErr-1e-9 {
 				bestErr = e
 				bestLen = len(m.Trees)
@@ -537,4 +537,20 @@ func TestTrainAllocsPerRound(t *testing.T) {
 	if perRound := (full - setup) / 60; perRound > 16 || setup > 1000 {
 		t.Fatalf("%.1f allocations per boosting round on a set-up of %v, want ≤ 16 on fewer than one per row", perRound, setup)
 	}
+}
+
+// weightedLogLoss is the mean binary cross-entropy of m on a dataset with
+// positive examples weighted by posW: Train's early-stopping metric,
+// summed one example at a time.
+func weightedLogLoss(m *Model, X [][]float64, y []bool, posW float64) float64 {
+	if len(X) == 0 {
+		return 0
+	}
+	s, wsum := 0.0, 0.0
+	for i, x := range X {
+		l, w := logLoss(m.Score(x), y[i], posW)
+		s += l
+		wsum += w
+	}
+	return s / wsum
 }

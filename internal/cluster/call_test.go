@@ -27,7 +27,7 @@ func leafCluster(t *testing.T) (*sim.Engine, *Cluster) {
 func checkDrained(t *testing.T, c *Cluster) {
 	t.Helper()
 	for _, tier := range c.Tiers() {
-		if tier.Inflight() != 0 || tier.QueueLen() != 0 || tier.Active() != 0 {
+		if tier.inUse != 0 || tier.QueueLen() != 0 || len(tier.active) != 0 {
 			t.Errorf("%v still holds work after the run", tier)
 		}
 	}
@@ -45,9 +45,9 @@ func TestParallelChildrenAllRefused(t *testing.T) {
 	if calls != 1 || !dropped {
 		t.Fatalf("onDone ran %d times, dropped=%v; want once, dropped", calls, dropped)
 	}
-	if c.Completed() != 3 || c.DroppedRequests() != 1 || c.Tier("leaf").Dropped() != 3 {
+	if c.Completed() != 3 || c.DroppedRequests() != 1 || c.byName["leaf"].dropped != 3 {
 		t.Fatalf("completed %d, dropped %d, leaf refusals %d; want 3, 1, 3",
-			c.Completed(), c.DroppedRequests(), c.Tier("leaf").Dropped())
+			c.Completed(), c.DroppedRequests(), c.byName["leaf"].dropped)
 	}
 	checkDrained(t, c)
 }

@@ -75,9 +75,6 @@ func (c *Cluster) Tiers() []*Tier { return c.tiers }
 // NumTiers returns the number of tiers.
 func (c *Cluster) NumTiers() int { return len(c.tiers) }
 
-// Tier returns the named tier, or nil.
-func (c *Cluster) Tier(name string) *Tier { return c.byName[name] }
-
 // AllocInto writes the current per-tier CPU allocation vector into dst,
 // grown when its capacity is short, and returns it: a caller reading the
 // allocation every interval keeps one buffer and allocates nothing.
@@ -133,17 +130,6 @@ func (c *Cluster) SampleTier(i int) Stats {
 	t.servedIntv = 0
 	t.stallTotal = 0
 	return s
-}
-
-// ReadStats samples every tier at once — the single-node shortcut used by
-// tests and capacity probes; managed runs go through the stats plane,
-// which calls SampleTier per agent.
-func (c *Cluster) ReadStats() []Stats {
-	out := make([]Stats, len(c.tiers))
-	for i := range c.tiers {
-		out[i] = c.SampleTier(i)
-	}
-	return out
 }
 
 // Completed returns the cumulative number of completed requests.

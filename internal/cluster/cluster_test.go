@@ -154,7 +154,7 @@ func TestSetCPULimitMidRun(t *testing.T) {
 	eng, c := mkCluster(t, TierConfig{Name: "a", InitCPU: 1, MinCPU: 0.1, WorkCV: detCV})
 	var lat float64
 	c.Submit(Seq("a", 1.0), func(l float64, d bool) { lat = l })
-	eng.At(0.5, func() { c.Tier("a").SetCPULimit(0.5) })
+	eng.At(0.5, func() { c.byName["a"].SetCPULimit(0.5) })
 	eng.Run(10)
 	// 0.5s at rate 1 (0.5 work done) + 0.5 work at rate 0.5 = 1.0s more.
 	if math.Abs(lat-1.5) > 1e-6 {
@@ -164,18 +164,18 @@ func TestSetCPULimitMidRun(t *testing.T) {
 
 func TestSetCPULimitClampAndQuantise(t *testing.T) {
 	_, c := mkCluster(t, TierConfig{Name: "a", MinCPU: 0.2, MaxCPU: 2, InitCPU: 1})
-	tier := c.Tier("a")
+	tier := c.byName["a"]
 	tier.SetCPULimit(5)
-	if tier.CPULimit() != 2 {
-		t.Fatalf("limit = %v, want clamp to 2", tier.CPULimit())
+	if tier.cpuLimit != 2 {
+		t.Fatalf("limit = %v, want clamp to 2", tier.cpuLimit)
 	}
 	tier.SetCPULimit(0.01)
-	if tier.CPULimit() != 0.2 {
-		t.Fatalf("limit = %v, want clamp to 0.2", tier.CPULimit())
+	if tier.cpuLimit != 0.2 {
+		t.Fatalf("limit = %v, want clamp to 0.2", tier.cpuLimit)
 	}
 	tier.SetCPULimit(1.234)
-	if tier.CPULimit() != 1.2 {
-		t.Fatalf("limit = %v, want 1.2 (0.1 quantisation)", tier.CPULimit())
+	if tier.cpuLimit != 1.2 {
+		t.Fatalf("limit = %v, want 1.2 (0.1 quantisation)", tier.cpuLimit)
 	}
 }
 
@@ -202,7 +202,7 @@ func TestStatsAccounting(t *testing.T) {
 		TierConfig{Name: "b", InitCPU: 2, WorkCV: detCV})
 	c.Submit(Seq("a", 0.5, Seq("b", 0.25)), nil)
 	eng.Run(1)
-	stats := c.ReadStats()
+	stats := readStats(c)
 	if math.Abs(stats[0].CPUUsage-0.5) > 1e-6 {
 		t.Fatalf("tier a cpu usage = %v, want 0.5", stats[0].CPUUsage)
 	}
@@ -217,7 +217,7 @@ func TestStatsAccounting(t *testing.T) {
 		t.Fatalf("tier b packets rx=%v tx=%v, want 1/1", stats[1].NetRx, stats[1].NetTx)
 	}
 	// Accumulators reset after read.
-	stats2 := c.ReadStats()
+	stats2 := readStats(c)
 	if stats2[0].CPUUsage != 0 || stats2[0].NetRx != 0 {
 		t.Fatal("interval accumulators not reset")
 	}
@@ -225,7 +225,7 @@ func TestStatsAccounting(t *testing.T) {
 
 func TestStatsCPULimitReported(t *testing.T) {
 	_, c := mkCluster(t, TierConfig{Name: "a", InitCPU: 1.6})
-	s := c.ReadStats()
+	s := readStats(c)
 	if s[0].CPULimit != 1.6 {
 		t.Fatalf("CPULimit = %v, want 1.6", s[0].CPULimit)
 	}
@@ -240,7 +240,7 @@ func TestRSSGrowsWithQueueing(t *testing.T) {
 		c.Submit(Seq("a", 1.0), nil)
 	}
 	eng.Run(0.5)
-	s := c.ReadStats()
+	s := readStats(c)
 	if s[0].RSS <= 100 {
 		t.Fatalf("RSS = %v, should exceed base with queued requests", s[0].RSS)
 	}
@@ -253,12 +253,12 @@ func TestCacheWarming(t *testing.T) {
 	eng, c := mkCluster(t, TierConfig{
 		Name: "db", InitCPU: 4, CacheBase: 10, CacheMax: 100, CacheTau: 10, WorkCV: detCV,
 	})
-	before := c.ReadStats()[0].Cache
+	before := readStats(c)[0].Cache
 	for i := 0; i < 50; i++ {
 		c.Submit(Seq("db", 0.001), nil)
 	}
 	eng.Run(5)
-	after := c.ReadStats()[0].Cache
+	after := readStats(c)[0].Cache
 	if !(before < after && after <= 100) {
 		t.Fatalf("cache should warm toward max: before=%v after=%v", before, after)
 	}
@@ -273,7 +273,7 @@ func TestWriteDrivenRSS(t *testing.T) {
 		c.Submit(&Stage{Tier: "redis", Work: 0.001, WriteBytes: 1000}, nil)
 	}
 	eng.Run(5)
-	s := c.ReadStats()
+	s := readStats(c)
 	if s[0].RSS < 50+99 {
 		t.Fatalf("write-driven RSS = %v, want >= 149", s[0].RSS)
 	}
@@ -299,20 +299,6 @@ func TestDuplicateTierPanics(t *testing.T) {
 	New(eng, sim.NewRNG(1), []TierConfig{{Name: "a"}, {Name: "a"}})
 }
 
-func TestStageTiers(t *testing.T) {
-	tree := Seq("a", 0, Par("b", 0, Seq("c", 0), Seq("a", 0)))
-	got := tree.Tiers()
-	want := []string{"a", "b", "c"}
-	if len(got) != len(want) {
-		t.Fatalf("tiers = %v, want %v", got, want)
-	}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("tiers = %v, want %v", got, want)
-		}
-	}
-}
-
 // Property: CPU consumed in any interval never exceeds limit × duration, and
 // every submitted request eventually completes exactly once.
 func TestCPUConservationProperty(t *testing.T) {
@@ -328,7 +314,7 @@ func TestCPUConservationProperty(t *testing.T) {
 			c.Submit(Seq("a", 0.05), func(l float64, d bool) { completions++ })
 		}
 		eng.Run(1.0)
-		used := c.ReadStats()[0].CPUUsage // cores over 1s
+		used := readStats(c)[0].CPUUsage // cores over 1s
 		if used > limit+1e-9 {
 			return false
 		}

@@ -13,7 +13,7 @@ func TestReplicaCrashReducesCapacityAndRecovers(t *testing.T) {
 	c := New(eng, sim.NewRNG(1), []TierConfig{
 		{Name: "svc", InitCPU: 4, MaxCPU: 8, ConnsPerReplica: 2, Replicas: 2, WorkCV: 0.001},
 	})
-	tier := c.Tier("svc")
+	tier := c.byName["svc"]
 
 	if got := tier.liveSlots; got != 4 {
 		t.Fatalf("healthy slots = %d, want 4", got)
@@ -37,8 +37,8 @@ func TestReplicaCrashReducesCapacityAndRecovers(t *testing.T) {
 			lats = append(lats, l)
 		})
 	}
-	if tier.Inflight() != 2 || tier.QueueLen() != 2 {
-		t.Fatalf("inflight=%d queued=%d, want 2/2", tier.Inflight(), tier.QueueLen())
+	if tier.inUse != 2 || tier.QueueLen() != 2 {
+		t.Fatalf("inflight=%d queued=%d, want 2/2", tier.inUse, tier.QueueLen())
 	}
 
 	// Restore at t=0.5: the two queued requests must be admitted immediately.
@@ -47,8 +47,8 @@ func TestReplicaCrashReducesCapacityAndRecovers(t *testing.T) {
 	if tier.AliveFraction() != 1 {
 		t.Fatal("alive fraction not restored")
 	}
-	if tier.Inflight() != 4 || tier.QueueLen() != 0 {
-		t.Fatalf("post-restore inflight=%d queued=%d, want 4/0", tier.Inflight(), tier.QueueLen())
+	if tier.inUse != 4 || tier.QueueLen() != 0 {
+		t.Fatalf("post-restore inflight=%d queued=%d, want 4/0", tier.inUse, tier.QueueLen())
 	}
 	eng.Run(100)
 	if len(lats) != 4 {
@@ -63,7 +63,7 @@ func TestFullTierCrashFreezesService(t *testing.T) {
 	c := New(eng, sim.NewRNG(2), []TierConfig{
 		{Name: "svc", InitCPU: 2, MaxCPU: 4, ConnsPerReplica: 8, WorkCV: 0.001},
 	})
-	tier := c.Tier("svc")
+	tier := c.byName["svc"]
 	done := 0
 	for i := 0; i < 3; i++ {
 		c.Submit(Seq("svc", 0.1), func(float64, bool) { done++ })
@@ -101,8 +101,8 @@ func TestReplicaCrashDeterministic(t *testing.T) {
 				c.Submit(tree, func(l float64, _ bool) { lats = append(lats, l) })
 			})
 		}
-		eng.At(3, func() { c.Tier("b").SetAliveFraction(0.25) })
-		eng.At(6, func() { c.Tier("b").SetAliveFraction(1) })
+		eng.At(3, func() { c.byName["b"].SetAliveFraction(0.25) })
+		eng.At(6, func() { c.byName["b"].SetAliveFraction(1) })
 		eng.Run(60)
 		return lats
 	}

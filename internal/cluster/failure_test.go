@@ -40,8 +40,8 @@ func TestRequestsSurviveChaosProperty(t *testing.T) {
 			at := rng.Float64() * 6
 			cores := 0.2 + rng.Float64()*4
 			eng.At(at, func() {
-				c.Tier("a").SetCPULimit(cores)
-				c.Tier("b").SetCPULimit(5 - cores)
+				c.byName["a"].SetCPULimit(cores)
+				c.byName["b"].SetCPULimit(5 - cores)
 			})
 		}
 		eng.Run(500)
@@ -63,9 +63,9 @@ func TestUsageBoundedAcrossLimitChanges(t *testing.T) {
 		c.Submit(Seq("a", 0.5), nil)
 	}
 	// Limit drops to 1 core halfway through the interval.
-	eng.At(0.5, func() { c.Tier("a").SetCPULimit(1) })
+	eng.At(0.5, func() { c.byName["a"].SetCPULimit(1) })
 	eng.Run(1)
-	usage := c.ReadStats()[0].CPUUsage
+	usage := readStats(c)[0].CPUUsage
 	// Max possible: 4 cores × 0.5s + 1 core × 0.5s = 2.5 core-seconds.
 	if usage > 2.5+1e-9 {
 		t.Fatalf("usage %v exceeds time-weighted limit 2.5", usage)
@@ -87,7 +87,7 @@ func TestStallAccounting(t *testing.T) {
 		}
 	})
 	eng.Run(2)
-	s := c.ReadStats()[0]
+	s := readStats(c)[0]
 	if s.Stalled < 0.4-1e-9 {
 		t.Fatalf("stall time %v not accounted (want ≥ 0.4)", s.Stalled)
 	}

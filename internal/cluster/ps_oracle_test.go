@@ -23,8 +23,9 @@ import (
 // case, were the seed random; it is fixed, so the outcome is reproducible)
 // and, so that the interval is worth passing, se <= 4 % of theory — a rate
 // wrong by a tenth fails. Little's law is checked on the same run: the time
-// average of Active() equals the completion rate times the mean sojourn to
-// within the few requests still in flight when the run ends.
+// average of the tier's active count equals the completion rate times the
+// mean sojourn to within the few requests still in flight at the n-th
+// completion.
 func TestTierMatchesMG1PS(t *testing.T) {
 	const (
 		meanWork = 0.002 // S, core-seconds
@@ -51,7 +52,7 @@ func TestTierMatchesMG1PS(t *testing.T) {
 				all, _ := batchMeans(run.sojourns, 1)
 				little := float64(len(run.sojourns)) / run.elapsed * all
 				if avg := run.activeArea / run.elapsed; math.Abs(avg-little) > 1e-3*little {
-					t.Errorf("%s: time-averaged Active() %.5f, Little's law says %.5f", name, avg, little)
+					t.Errorf("%s: time-averaged active count %.5f, Little's law says %.5f", name, avg, little)
 				}
 			}
 			// Insensitivity, stated directly: tripling the demand's spread
@@ -65,38 +66,44 @@ func TestTierMatchesMG1PS(t *testing.T) {
 
 type poissonRun struct {
 	sojourns   []float64 // in completion order, seconds
-	activeArea float64   // ∫ Active() dt
+	activeArea float64   // ∫ active dt
 	elapsed    float64
 }
 
 // runPoissonTier drives one tier of the given CPU limit with Poisson arrivals
-// of single-stage requests until n of them have completed.
+// of single-stage requests until n of them have completed. The n-th
+// completion freezes the measurement and stops the arrivals; the run then
+// drains what is still in flight.
 func runPoissonTier(seed int64, limit, cv, meanWork, lambda float64, n int) poissonRun {
 	eng := &sim.Engine{}
 	rng := sim.NewRNG(seed)
 	c := New(eng, rng.Fork(), []TierConfig{{
 		Name: "t", InitCPU: limit, MinCPU: 0.1, WorkCV: cv, ConnsPerReplica: 1 << 20,
 	}})
-	tier, tree := c.Tier("t"), Seq("t", meanWork)
+	tier, tree := c.byName["t"], Seq("t", meanWork)
 	arrivals := rng.Fork()
 
 	run := poissonRun{sojourns: make([]float64, 0, n)}
 	lastChange, active := 0.0, 0
-	account := func() { // Active() held its last value since the last change
+	account := func() { // active held its last value since the last change
 		run.activeArea += float64(active) * (eng.Now() - lastChange)
-		lastChange, active = eng.Now(), tier.Active()
+		lastChange, active = eng.Now(), len(tier.active)
 	}
+	var next sim.Timer
 	done := func(latency float64, dropped bool) {
 		if dropped {
 			panic("ps oracle: request dropped")
 		}
+		if len(run.sojourns) == n {
+			return
+		}
 		run.sojourns = append(run.sojourns, latency)
 		account()
 		if len(run.sojourns) == n {
-			eng.Halt()
+			run.elapsed = eng.Now()
+			next.Stop()
 		}
 	}
-	var next sim.Timer
 	next = eng.NewTimer(func() {
 		c.Submit(tree, done)
 		account()
@@ -104,7 +111,6 @@ func runPoissonTier(seed int64, limit, cv, meanWork, lambda float64, n int) pois
 	})
 	next.Set(0)
 	eng.Run(math.Inf(1))
-	run.elapsed = eng.Now()
 	return run
 }
 

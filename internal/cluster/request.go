@@ -20,34 +20,6 @@ type Stage struct {
 	Children   []*Stage // downstream calls made after this stage's CPU work
 }
 
-// Seq is a convenience constructor for a stage with sequential children.
-func Seq(tier string, work float64, children ...*Stage) *Stage {
-	return &Stage{Tier: tier, Work: work, Children: children}
-}
-
-// Par is a convenience constructor for a stage with parallel children.
-func Par(tier string, work float64, children ...*Stage) *Stage {
-	return &Stage{Tier: tier, Work: work, Parallel: true, Children: children}
-}
-
-// Tiers lists the distinct tier names reachable from the stage.
-func (s *Stage) Tiers() []string {
-	seen := map[string]bool{}
-	var out []string
-	var walk func(*Stage)
-	walk = func(st *Stage) {
-		if !seen[st.Tier] {
-			seen[st.Tier] = true
-			out = append(out, st.Tier)
-		}
-		for _, ch := range st.Children {
-			walk(ch)
-		}
-	}
-	walk(s)
-	return out
-}
-
 // node is a Stage compiled against one cluster: the tier resolved, the
 // packet count and the log-normal parameters of the CPU demand computed
 // once. Nodes belong to the Cluster, never to the Stage, because parallel

@@ -244,23 +244,8 @@ func newTier(eng *sim.Engine, rng *sim.RNG, cfg TierConfig, index int) *Tier {
 	return t
 }
 
-// Name returns the tier name.
-func (t *Tier) Name() string { return t.cfg.Name }
-
-// CPULimit returns the current CPU allocation in cores.
-func (t *Tier) CPULimit() float64 { return t.cpuLimit }
-
 // QueueLen returns the number of requests waiting for a connection slot.
 func (t *Tier) QueueLen() int { return t.waitq.n }
-
-// Inflight returns the number of requests holding a connection slot.
-func (t *Tier) Inflight() int { return t.inUse }
-
-// Active returns the number of jobs currently consuming CPU.
-func (t *Tier) Active() int { return len(t.active) }
-
-// Dropped returns the cumulative number of requests dropped at admission.
-func (t *Tier) Dropped() int64 { return t.dropped }
 
 // SetCPULimit changes the tier's CPU allocation, quantised and clamped by
 // TierConfig.ClampCPU.

@@ -4,7 +4,8 @@ package cluster
 // Jaeger span (Fig. 8 of the paper collects metrics through Docker and
 // Jaeger). Enqueue is when the request asked the tier for a connection
 // slot, Start when CPU service began, End when the stage's subtree
-// finished. Queue wait is Start − Enqueue.
+// finished: the connection-slot wait is Start − Enqueue, the stage's whole
+// duration (service and downstream) End − Enqueue.
 type Span struct {
 	Req     int64
 	Tier    string
@@ -13,12 +14,6 @@ type Span struct {
 	End     float64
 	Dropped bool
 }
-
-// QueueWait returns the connection-slot wait in seconds.
-func (s Span) QueueWait() float64 { return s.Start - s.Enqueue }
-
-// Duration returns the stage's total duration (service + downstream).
-func (s Span) Duration() float64 { return s.End - s.Enqueue }
 
 // Tracer receives sampled spans. Implementations must not retain the Span
 // beyond the call unless they copy it (it is passed by value, so the

@@ -33,11 +33,11 @@ func TestTracingRecordsSpans(t *testing.T) {
 		t.Fatal("spans should share the request id")
 	}
 	// front duration covers back's subtree.
-	if front.Duration() < back.Duration() {
-		t.Fatalf("front %.3f should contain back %.3f", front.Duration(), back.Duration())
+	if duration(front) < duration(back) {
+		t.Fatalf("front %.3f should contain back %.3f", duration(front), duration(back))
 	}
-	if math.Abs(back.Duration()-0.02) > 1e-6 {
-		t.Fatalf("back duration = %v, want 0.02", back.Duration())
+	if math.Abs(duration(back)-0.02) > 1e-6 {
+		t.Fatalf("back duration = %v, want 0.02", duration(back))
 	}
 	if front.Dropped || back.Dropped {
 		t.Fatal("nothing should be dropped")
@@ -57,7 +57,7 @@ func TestTracingQueueWait(t *testing.T) {
 	if len(sc.Spans) != 2 {
 		t.Fatalf("spans = %d", len(sc.Spans))
 	}
-	waits := []float64{sc.Spans[0].QueueWait(), sc.Spans[1].QueueWait()}
+	waits := []float64{queueWait(sc.Spans[0]), queueWait(sc.Spans[1])}
 	if math.Abs(waits[0]) > 1e-9 {
 		t.Fatalf("first request should not wait: %v", waits[0])
 	}
@@ -100,7 +100,7 @@ func TestTracingIdentifiesQueueingTier(t *testing.T) {
 	eng.Run(100)
 	wait, n := map[string]float64{}, map[string]int{}
 	for _, s := range sc.Spans {
-		wait[s.Tier] += s.QueueWait()
+		wait[s.Tier] += queueWait(s)
 		n[s.Tier]++
 	}
 	if n["fast"] != 40 || n["slow"] != 40 {
@@ -147,3 +147,9 @@ func TestTracingDisabledByDefault(t *testing.T) {
 		t.Fatal("rate 0 should record nothing")
 	}
 }
+
+// queueWait is a span's connection-slot wait in seconds.
+func queueWait(s Span) float64 { return s.Start - s.Enqueue }
+
+// duration is a span's whole duration: service and downstream.
+func duration(s Span) float64 { return s.End - s.Enqueue }

@@ -46,7 +46,7 @@ func brownoutTestScheduler(t *testing.T, opts SchedulerOptions) (*shedModel, *Sc
 		dec := s.Decide(stateFor(app, 20, alloc, 0.3))
 		alloc = dec.Alloc
 	}
-	if s.BrownoutLevel() != BrownoutNone {
+	if s.brownLevel != BrownoutNone {
 		t.Fatal("healthy warmup must not brown out")
 	}
 	return m, s, alloc
@@ -74,8 +74,8 @@ func TestBrownoutEscalatesOnShedsAndRecoversHysteretically(t *testing.T) {
 	if s.PredictSheds() != len(wantLevels) {
 		t.Fatalf("PredictSheds = %d, want %d", s.PredictSheds(), len(wantLevels))
 	}
-	if s.BrownoutLevel() != BrownoutHold {
-		t.Fatalf("level = %d after sustained shedding, want hold", s.BrownoutLevel())
+	if s.brownLevel != BrownoutHold {
+		t.Fatalf("level = %d after sustained shedding, want hold", s.brownLevel)
 	}
 
 	// Recovery: each successful query is a batch-of-one probe at hold level;
@@ -91,14 +91,14 @@ func TestBrownoutEscalatesOnShedsAndRecoversHysteretically(t *testing.T) {
 		}
 		alloc = dec.Alloc
 	}
-	if s.BrownoutLevel() != BrownoutTopK {
-		t.Fatalf("level = %d after %d healthy probes, want top-k", s.BrownoutLevel(), brownoutRecover)
+	if s.brownLevel != BrownoutTopK {
+		t.Fatalf("level = %d after %d healthy probes, want top-k", s.brownLevel, brownoutRecover)
 	}
 	// A single shed resets the healthy streak and re-escalates immediately.
 	m.shed = true
 	s.Decide(stateFor(app, 20, alloc, 0.3))
-	if s.BrownoutLevel() != BrownoutHold {
-		t.Fatalf("shed at top-k should re-escalate to hold, got %d", s.BrownoutLevel())
+	if s.brownLevel != BrownoutHold {
+		t.Fatalf("shed at top-k should re-escalate to hold, got %d", s.brownLevel)
 	}
 }
 
@@ -115,8 +115,8 @@ func TestBrownoutSlowQueriesEscalate(t *testing.T) {
 	if dec.Degraded {
 		t.Fatal("a slow success is not a degraded interval")
 	}
-	if s.BrownoutLevel() != BrownoutTopK {
-		t.Fatalf("level = %d after a slow query, want top-k", s.BrownoutLevel())
+	if s.brownLevel != BrownoutTopK {
+		t.Fatalf("level = %d after a slow query, want top-k", s.brownLevel)
 	}
 	if s.PredictErrors() != 0 || s.PredictSheds() != 0 {
 		t.Fatalf("slow successes must not count as errors: errors=%d sheds=%d",
@@ -128,8 +128,8 @@ func TestBrownoutSlowQueriesEscalate(t *testing.T) {
 	for i := 0; i < brownoutRecover; i++ {
 		alloc = s.Decide(stateFor(app, 20, alloc, 0.3)).Alloc
 	}
-	if s.BrownoutLevel() != BrownoutNone {
-		t.Fatalf("level = %d after recovery, want none", s.BrownoutLevel())
+	if s.brownLevel != BrownoutNone {
+		t.Fatalf("level = %d after recovery, want none", s.brownLevel)
 	}
 }
 
@@ -176,9 +176,9 @@ func TestNoBrownoutStaysRigid(t *testing.T) {
 		}
 		alloc = dec.Alloc
 	}
-	if s.BrownoutLevel() != BrownoutNone || s.BrownoutIntervals() != 0 {
+	if s.brownLevel != BrownoutNone || s.BrownoutIntervals() != 0 {
 		t.Fatalf("rigid scheduler browned out: level=%d intervals=%d",
-			s.BrownoutLevel(), s.BrownoutIntervals())
+			s.brownLevel, s.BrownoutIntervals())
 	}
 	// Sheds are still classified and counted even with the ladder disabled.
 	if s.PredictSheds() != 4 {

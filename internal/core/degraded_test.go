@@ -43,7 +43,7 @@ func degradedTestScheduler(t *testing.T) (*flakyModel, *Scheduler, []float64) {
 		dec := s.Decide(stateFor(app, 20, alloc, 0.3))
 		alloc = dec.Alloc
 	}
-	if s.Degraded() {
+	if s.degraded {
 		t.Fatal("healthy warmup must not degrade")
 	}
 	return m, s, alloc
@@ -60,7 +60,7 @@ func TestSchedulerDegradesOnPredictorErrorAndRecovers(t *testing.T) {
 	for i := 0; i < 5; i++ {
 		prev := append([]float64(nil), alloc...)
 		dec := s.Decide(stateFor(app, 20, alloc, 0.2))
-		if !dec.Degraded || !s.Degraded() {
+		if !dec.Degraded || !s.degraded {
 			t.Fatalf("interval %d: scheduler should be degraded", i)
 		}
 		for j := range dec.Alloc {
@@ -84,7 +84,7 @@ func TestSchedulerDegradesOnPredictorErrorAndRecovers(t *testing.T) {
 
 	m.fail = false
 	dec = s.Decide(stateFor(app, 20, alloc, 0.3))
-	if dec.Degraded || s.Degraded() {
+	if dec.Degraded || s.degraded {
 		t.Fatal("successful model query should end degraded mode")
 	}
 	if s.Recoveries() != 1 {

@@ -58,10 +58,6 @@ const (
 	brownoutRecover = 3
 )
 
-// BrownoutLevel reports the scheduler's current brownout ladder level
-// (BrownoutNone, BrownoutTopK, or BrownoutHold).
-func (s *Scheduler) BrownoutLevel() int { return s.brownLevel }
-
 // brownoutPressure escalates the ladder one level in response to a shed,
 // slow, or failed model query. This is the only place the level rises, so a
 // NoBrownout scheduler stays at BrownoutNone by never climbing.

@@ -219,9 +219,6 @@ func (s *Scheduler) AttachMetrics(reg *telemetry.Registry) {
 	s.payloadFloats = reg.Gauge("sched.predict.payload_floats")
 }
 
-// Metrics returns the registry the scheduler's instruments currently live on.
-func (s *Scheduler) Metrics() *telemetry.Registry { return s.reg }
-
 // RefreshMeta re-reads the predictor's metadata. A lifecycle manager calls
 // it after hot-swapping the served model so the scheduler's filters pick up
 // the new calibration (explicit SchedulerOptions.Pd/Pu overrides stay
@@ -400,9 +397,6 @@ func (s *Scheduler) Decide(st runner.State) runner.Decision {
 	s.decideLatMS.Observe(float64(time.Since(start)) / float64(time.Millisecond))
 	return runner.Decision{Alloc: alloc, PredP99MS: predP99, PViol: pviol, Degraded: s.degraded, Brownout: level}
 }
-
-// Degraded reports whether the fallback policy is deciding for want of a model.
-func (s *Scheduler) Degraded() bool { return s.degraded }
 
 // imputeStats fills in, in place, the stats of tiers whose agents dropped out
 // (st.StatsOK false; nil means all reported) with the last good reading, and

@@ -161,16 +161,14 @@ func TestCalibrateThresholdsFewViolations(t *testing.T) {
 }
 
 // TestBTRowChannelLayout asserts the channel contract end to end: the
-// dataset constants index cluster.Stats.Features(), and btRowInto's
+// dataset's CPU-usage channel indexes cluster.Stats.Features(), and btRowInto's
 // prospective-utilization term reads CPU usage — not whichever feature
 // happens to sit at row zero — at the window's newest timestep.
 func TestBTRowChannelLayout(t *testing.T) {
 	s := cluster.Stats{CPUUsage: 1, CPULimit: 2, RSS: 3, Cache: 4, NetRx: 5, NetTx: 6}
 	fs := s.Features()
-	if fs[dataset.ChanCPUUsage] != s.CPUUsage || fs[dataset.ChanCPULimit] != s.CPULimit ||
-		fs[dataset.ChanRSS] != s.RSS || fs[dataset.ChanCache] != s.Cache ||
-		fs[dataset.ChanNetRx] != s.NetRx || fs[dataset.ChanNetTx] != s.NetTx {
-		t.Fatalf("dataset channel constants disagree with cluster.Stats.Features() order: %v", fs)
+	if fs[dataset.ChanCPUUsage] != s.CPUUsage {
+		t.Fatalf("dataset.ChanCPUUsage = %d does not index CPU usage in cluster.Stats.Features(): %v", dataset.ChanCPUUsage, fs)
 	}
 
 	d := nn.Dims{N: 3, T: 4, F: cluster.NumStatFeatures, M: 2}
@@ -229,7 +227,7 @@ func TestSchedulerPayloadGauge(t *testing.T) {
 			s.Decide(stateFor(app, 20, alloc, 0.3))
 		}
 		s.Decide(stateFor(app, 20, alloc, 0.3))
-		return s.Metrics().Gauge("sched.predict.payload_floats").Value()
+		return s.reg.Gauge("sched.predict.payload_floats").Value()
 	}
 
 	plain := decideOnce(&fakeModel{})

@@ -510,20 +510,12 @@ func reuseRow(slot *[]float64, n int) []float64 {
 	return *slot
 }
 
-// Resource-channel indices of the RH feature layout: channel f of the
-// [F,N,T] history image holds cluster.Stats.Features()[f]. These are the
-// single authority for "which channel is which" — consumers that need a
-// specific channel (core.btRowInto reads the CPU-usage plane) must index
-// through them so the model-input assembly here and the feature extraction
-// there cannot drift apart.
-const (
-	ChanCPUUsage = iota
-	ChanCPULimit
-	ChanRSS
-	ChanCache
-	ChanNetRx
-	ChanNetTx
-)
+// ChanCPUUsage is the CPU-usage channel of the RH feature layout: channel f
+// of the [F,N,T] history image holds cluster.Stats.Features()[f]. Consumers
+// that read CPU usage from a history window (core.btRowInto, the bench's
+// probes) index through it, so the model-input assembly here and the
+// feature extraction there cannot drift apart.
+const ChanCPUUsage = 0
 
 // WindowInputsInto assembles the model input rows (X_RH flattened as [F,N,T]
 // and X_LH as [T,M]) from full history rings of flattened interval features

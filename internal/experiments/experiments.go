@@ -76,12 +76,18 @@ func pad(s string, w int) string {
 	return s + strings.Repeat(" ", w-len(s))
 }
 
-// CSV writes the table as comma-separated values.
-func (t *Table) CSV(w io.Writer) {
-	fmt.Fprintln(w, strings.Join(t.Header, ","))
-	for _, row := range t.Rows {
-		fmt.Fprintln(w, strings.Join(row, ","))
+// CSV writes the table as comma-separated values and returns the first
+// write error, so a caller cannot mistake a short file for a whole one.
+func (t *Table) CSV(w io.Writer) error {
+	if _, err := fmt.Fprintln(w, strings.Join(t.Header, ",")); err != nil {
+		return err
 	}
+	for _, row := range t.Rows {
+		if _, err := fmt.Fprintln(w, strings.Join(row, ",")); err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
 func f1(v float64) string  { return fmt.Sprintf("%.1f", v) }

@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
 	"hash/fnv"
 	"strings"
@@ -142,5 +143,35 @@ func TestFig16Shape(t *testing.T) {
 	}
 	if withSync <= withoutSync {
 		t.Fatalf("log sync should cause violations: with=%d without=%d", withSync, withoutSync)
+	}
+}
+
+// failingWriter accepts n bytes, then fails every write.
+type failingWriter struct{ n int }
+
+var errDiskFull = errors.New("disk full")
+
+func (w *failingWriter) Write(p []byte) (int, error) {
+	if len(p) > w.n {
+		k := w.n
+		w.n = 0
+		return k, errDiskFull
+	}
+	w.n -= len(p)
+	return len(p), nil
+}
+
+// A write that fails anywhere in the table — header or a row — is returned,
+// not dropped: the CLIs exit non-zero instead of leaving a short file.
+func TestTableCSVReturnsWriteError(t *testing.T) {
+	tab := &Table{Header: []string{"a", "b"}, Rows: [][]string{{"1", "2"}, {"3", "4"}}}
+	var whole bytes.Buffer
+	if err := tab.CSV(&whole); err != nil || whole.String() != "a,b\n1,2\n3,4\n" {
+		t.Fatalf("CSV = %q, %v", whole.String(), err)
+	}
+	for n := 0; n < whole.Len(); n++ {
+		if err := tab.CSV(&failingWriter{n: n}); !errors.Is(err, errDiskFull) {
+			t.Errorf("writer failing after %d bytes: CSV returned %v, want the write error", n, err)
+		}
 	}
 }

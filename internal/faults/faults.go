@@ -213,19 +213,6 @@ func (shedErr) Overloaded() bool { return true }
 // always shed while a brownout-shrunk batch usually survives.
 const ShedRefBatch = 64.0
 
-// Counters tallies what an injector actually did, for experiment tables
-// and assertions. It is a thin view assembled from the injector's telemetry
-// registry (the counters under "faults.*"); the struct form is kept so
-// existing experiment code and tests read the same names as before.
-type Counters struct {
-	PredictorErrors int // model calls failed (outage + timeout + blips + sheds)
-	SlowCalls       int // calls delayed but under the deadline
-	ShedCalls       int // calls shed by an overload window
-	DroppedReports  int // node-agent reports lost in flight
-	DupedReports    int // node-agent reports delivered twice
-	CrashWindows    int // replica-crash windows applied
-}
-
 // Injector executes one Plan against one managed run. It implements
 // runner.FaultInjector and additionally wraps a core.Predictor. An
 // injector is single-run state, exactly like a dataset.Recorder: bind it
@@ -257,16 +244,17 @@ type Injector struct {
 	// dependence.
 	lastCostMS float64
 
-	// Telemetry instruments ("faults.*"). The runner rebinds them onto the
-	// per-run registry via AttachMetrics; all counts are driven by the sim
-	// clock and the plan's seeded RNG, so they are fully deterministic.
+	// Telemetry instruments ("faults.*"): what the injector actually did.
+	// The runner rebinds them onto the per-run registry via AttachMetrics;
+	// all counts are driven by the sim clock and the plan's seeded RNG, so
+	// they are fully deterministic.
 	reg             *telemetry.Registry
-	predictorErrors *telemetry.Counter
-	slowCalls       *telemetry.Counter
-	shedCalls       *telemetry.Counter
-	droppedReports  *telemetry.Counter
-	dupedReports    *telemetry.Counter
-	crashWindows    *telemetry.Counter
+	predictorErrors *telemetry.Counter // model calls failed (outage + timeout + blips + sheds)
+	slowCalls       *telemetry.Counter // calls delayed but under the deadline
+	shedCalls       *telemetry.Counter // calls shed by an overload window
+	droppedReports  *telemetry.Counter // node-agent reports lost in flight
+	dupedReports    *telemetry.Counter // node-agent reports delivered twice
+	crashWindows    *telemetry.Counter // replica-crash windows applied
 }
 
 // New returns an injector for the plan. Window sanity (ordering, bounds)
@@ -302,18 +290,6 @@ func (in *Injector) AttachMetrics(reg *telemetry.Registry) {
 // a handful per run — and the handle must follow AttachMetrics rebinds.
 func (in *Injector) markInjected(k Kind) {
 	in.reg.Counter("faults.injected", "kind", k.String()).Inc()
-}
-
-// Counters assembles the tallies view from the injector's instruments.
-func (in *Injector) Counters() Counters {
-	return Counters{
-		PredictorErrors: int(in.predictorErrors.Value()),
-		SlowCalls:       int(in.slowCalls.Value()),
-		ShedCalls:       int(in.shedCalls.Value()),
-		DroppedReports:  int(in.droppedReports.Value()),
-		DupedReports:    int(in.dupedReports.Value()),
-		CrashWindows:    int(in.crashWindows.Value()),
-	}
 }
 
 // Bind schedules the plan's windows on the run's engine. Implements

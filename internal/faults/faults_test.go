@@ -84,8 +84,8 @@ func TestPredictorOutageWindow(t *testing.T) {
 	if base.calls != 2 {
 		t.Fatalf("base reached %d times, want 2 (outage short-circuits)", base.calls)
 	}
-	if inj.Counters().PredictorErrors != 1 {
-		t.Fatalf("counters: %+v", inj.Counters())
+	if n := inj.reg.Snapshot().Counters; n["faults.predictor.errors"] != 1 {
+		t.Fatalf("counters: %v", n)
 	}
 }
 
@@ -106,9 +106,9 @@ func TestPredictorSlowdownVsDeadline(t *testing.T) {
 	if _, _, err := p.PredictBatch(nil, nn.Inputs{}); err != nil {
 		t.Fatalf("sub-deadline slowdown should still answer: %v", err)
 	}
-	n := inj.Counters()
-	if n.PredictorErrors != 1 || n.SlowCalls != 1 {
-		t.Fatalf("counters: %+v", n)
+	n := inj.reg.Snapshot().Counters
+	if n["faults.predictor.errors"] != 1 || n["faults.predictor.slow_calls"] != 1 {
+		t.Fatalf("counters: %v", n)
 	}
 }
 
@@ -142,8 +142,8 @@ func TestMetricDropoutDropsReports(t *testing.T) {
 	if v := inj.DeliverReport(report("node-2", 3, 2)); v != statplane.Deliver {
 		t.Fatalf("dropout over, verdict = %v, want Deliver", v)
 	}
-	if inj.Counters().DroppedReports != 1 {
-		t.Fatalf("counters: %+v", inj.Counters())
+	if n := inj.reg.Snapshot().Counters; n["faults.reports.dropped"] != 1 {
+		t.Fatalf("counters: %v", n)
 	}
 }
 
@@ -207,8 +207,8 @@ func TestReplicaCrashWindowDrivesAliveFraction(t *testing.T) {
 	if tier.AliveFraction() != 1 {
 		t.Fatalf("alive = %v after restart, want 1", tier.AliveFraction())
 	}
-	if inj.Counters().CrashWindows != 1 {
-		t.Fatalf("counters: %+v", inj.Counters())
+	if n := inj.reg.Snapshot().Counters; n["faults.crash.windows"] != 1 {
+		t.Fatalf("counters: %v", n)
 	}
 }
 

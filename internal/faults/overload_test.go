@@ -102,9 +102,9 @@ func TestPredictorOverloadShedsByBatchSize(t *testing.T) {
 		t.Fatalf("post-window cost = %v, want 0", cr.LastPredictMS())
 	}
 
-	n := inj.Counters()
-	if n.ShedCalls < 1 || n.PredictorErrors != n.ShedCalls {
-		t.Fatalf("counters: %+v", n)
+	n := inj.reg.Snapshot().Counters
+	if n["faults.predictor.sheds"] < 1 || n["faults.predictor.errors"] != n["faults.predictor.sheds"] {
+		t.Fatalf("counters: %v", n)
 	}
 }
 

@@ -31,7 +31,7 @@ const historyDepth = 4
 // model itself: Install assigns the next unused one and Rollback restores
 // the displaced model's. The generation counts served-model changes: 1 at
 // birth, +1 per Install or Rollback, never going back — it is what the
-// prediction service reports as Version on the wire.
+// prediction service exports as its "server.lifecycle.version" gauge.
 type Live struct {
 	cur    atomic.Pointer[liveSlot]
 	shadow atomic.Pointer[shadowTap]
@@ -64,13 +64,6 @@ func (l *Live) Version() int { return l.cur.Load().version }
 // Generation returns how many models have been served so far, counting the
 // first and every Install and Rollback since.
 func (l *Live) Generation() int { return int(l.generation.Load()) }
-
-// Depth returns how many rollbacks the history currently allows.
-func (l *Live) Depth() int {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return len(l.history)
-}
 
 // Install atomically makes p the live model under a fresh identity version,
 // which it returns. The displaced model is retained as the next rollback
@@ -170,18 +163,12 @@ func (l *Live) Shadow(cand core.Predictor, hist *telemetry.Histogram) {
 	l.shadow.Store(&shadowTap{cand: cand, ctx: core.NewPredictContext(), hist: hist})
 }
 
-// ShadowPending reports whether a candidate is currently auditioning.
-func (l *Live) ShadowPending() bool { return l.shadow.Load() != nil }
-
-// SettleShadow ends the audition once the candidate has been disqualified
-// or has scored at least minCalls live calls: the tap is removed and the
-// candidate returned, with the reason when it was disqualified (nil means
-// clean), for the caller to Install or drop. Otherwise — or with nobody
-// auditioning — ok is false and nothing changes. When to settle is the
-// caller's policy (the Manager counts decision intervals and settles with
-// minCalls 0; the prediction service counts calls); how a candidate is
-// scored is not.
-func (l *Live) SettleShadow(minCalls int) (cand core.Predictor, disqualified error, ok bool) {
+// SettleShadow ends the audition: the tap is removed and the candidate
+// returned, with the reason when it was disqualified (nil means clean), for
+// the caller to Install or drop. With nobody auditioning ok is false. When
+// to settle is the caller's policy (the Manager counts decision
+// intervals); how a candidate is scored is not.
+func (l *Live) SettleShadow() (cand core.Predictor, disqualified error, ok bool) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	tap := l.shadow.Load()
@@ -190,9 +177,6 @@ func (l *Live) SettleShadow(minCalls int) (cand core.Predictor, disqualified err
 	}
 	tap.mu.Lock()
 	defer tap.mu.Unlock()
-	if tap.bad == nil && tap.calls < minCalls {
-		return nil, nil, false
-	}
 	l.shadow.Store(nil)
 	return tap.cand, tap.bad, true
 }
@@ -205,11 +189,10 @@ func (l *Live) SettleShadow(minCalls int) (cand core.Predictor, disqualified err
 type shadowTap struct {
 	cand core.Predictor
 
-	mu    sync.Mutex
-	ctx   *core.PredictContext
-	hist  *telemetry.Histogram
-	calls int   // clean calls scored
-	bad   error // why the candidate was disqualified; nil while clean
+	mu   sync.Mutex
+	ctx  *core.PredictContext
+	hist *telemetry.Histogram
+	bad  error // why the candidate was disqualified; nil while clean
 }
 
 // observe runs one candidate evaluation — eval must answer the inputs the
@@ -234,7 +217,6 @@ func (t *shadowTap) observe(livePred *tensor.Dense, eval func(core.Predictor, *c
 		t.bad = errors.New("non-finite prediction")
 		return
 	}
-	t.calls++
 	if t.hist == nil {
 		return
 	}

@@ -23,8 +23,8 @@ func TestLiveHistoryDepthDropsOldest(t *testing.T) {
 			t.Fatalf("install %d got identity version %d, want %d", i, v, i+1)
 		}
 	}
-	if l.Depth() != historyDepth {
-		t.Fatalf("depth %d after %d installs, want %d", l.Depth(), historyDepth+2, historyDepth)
+	if len(l.history) != historyDepth {
+		t.Fatalf("depth %d after %d installs, want %d", len(l.history), historyDepth+2, historyDepth)
 	}
 	// Live is v(depth+3); the stack holds the historyDepth versions below it.
 	for want := historyDepth + 2; want > 2; want-- {
@@ -45,8 +45,8 @@ func TestLiveRollbackOnEmptyChangesNothing(t *testing.T) {
 	if v, ok := l.Rollback(); ok || v != 0 {
 		t.Fatalf("rollback on empty history = v%d, %v", v, ok)
 	}
-	if l.Current() != core.Predictor(m) || l.Version() != 7 || l.Generation() != 1 || l.Depth() != 0 {
-		t.Fatalf("empty rollback changed state: v%d generation %d depth %d", l.Version(), l.Generation(), l.Depth())
+	if l.Current() != core.Predictor(m) || l.Version() != 7 || l.Generation() != 1 || len(l.history) != 0 {
+		t.Fatalf("empty rollback changed state: v%d generation %d depth %d", l.Version(), l.Generation(), len(l.history))
 	}
 }
 
@@ -76,16 +76,16 @@ func TestLiveRollbackRestoresVersionGenerationAdvances(t *testing.T) {
 func TestLiveRollbackDropsPendingShadow(t *testing.T) {
 	l := NewLive(liveFake(0), 1)
 	l.Shadow(liveFake(1), nil)
-	if !l.ShadowPending() {
+	if l.shadow.Load() == nil {
 		t.Fatal("no candidate in shadow")
 	}
 	if _, ok := l.Rollback(); ok {
 		t.Fatal("rollback on empty history reported success")
 	}
-	if l.ShadowPending() {
+	if l.shadow.Load() != nil {
 		t.Fatal("rollback left the candidate in shadow")
 	}
-	if _, _, ok := l.SettleShadow(0); ok {
+	if _, _, ok := l.SettleShadow(); ok {
 		t.Fatal("a dropped candidate settled")
 	}
 }
@@ -105,7 +105,7 @@ func (s spoiled) PredictBatch(ctx *core.PredictContext, in nn.Inputs) (*tensor.D
 // The tap disqualifies on any non-finite output, not only a non-finite p99:
 // a NaN violation probability or a NaN in a lower percentile column would
 // poison the scheduler's filters just the same. A clean candidate settles
-// only once it has scored the calls asked of it.
+// clean, and the live model answers throughout.
 func TestShadowTapDisqualifiesAnyNonFinite(t *testing.T) {
 	hold := buildHoldout(nn.Dims{N: 4, T: 5, F: 6, M: 5}, 200, 8)
 	in := hold.Inputs()
@@ -120,7 +120,7 @@ func TestShadowTapDisqualifiesAnyNonFinite(t *testing.T) {
 		if _, _, err := l.PredictBatch(ctx, in); err != nil {
 			t.Fatalf("%s: live predict failed because of the candidate: %v", name, err)
 		}
-		if _, bad, ok := l.SettleShadow(1000); !ok || bad == nil {
+		if _, bad, ok := l.SettleShadow(); !ok || bad == nil {
 			t.Fatalf("%s: settle = %v, %v; want an immediate disqualification", name, bad, ok)
 		}
 	}
@@ -128,13 +128,13 @@ func TestShadowTapDisqualifiesAnyNonFinite(t *testing.T) {
 	l := NewLive(liveFake(8), 1)
 	cand := liveFake(8)
 	l.Shadow(cand, nil)
-	l.PredictBatch(ctx, in)
-	if _, _, ok := l.SettleShadow(2); ok {
-		t.Fatal("settled after 1 of 2 calls")
+	for i := 0; i < 2; i++ {
+		if _, _, err := l.PredictBatch(ctx, in); err != nil {
+			t.Fatalf("live predict %d with a clean candidate in shadow: %v", i, err)
+		}
 	}
-	l.PredictBatch(ctx, in)
-	got, bad, ok := l.SettleShadow(2)
-	if !ok || bad != nil || got != core.Predictor(cand) || l.ShadowPending() {
-		t.Fatalf("clean candidate after 2 of 2 calls: settle = %v, %v", bad, ok)
+	got, bad, ok := l.SettleShadow()
+	if !ok || bad != nil || got != core.Predictor(cand) || l.shadow.Load() != nil {
+		t.Fatalf("clean candidate after 2 calls: settle = %v, %v", bad, ok)
 	}
 }

@@ -260,7 +260,7 @@ func (m *Manager) step(violated bool) {
 		if m.shadowLeft > 0 {
 			return
 		}
-		cand, disqualified, _ := m.live.SettleShadow(0)
+		cand, disqualified, _ := m.live.SettleShadow()
 		if disqualified != nil {
 			m.shadowRejected.Inc()
 			m.state = StateLive
@@ -322,9 +322,6 @@ func (m *Manager) Scheduler() *core.Scheduler { return m.sched }
 
 // Live exposes the hot-swappable predictor.
 func (m *Manager) Live() *Live { return m.live }
-
-// State returns the lifecycle state machine's position.
-func (m *Manager) State() State { return m.state }
 
 // Version returns the live model version.
 func (m *Manager) Version() int { return m.live.Version() }

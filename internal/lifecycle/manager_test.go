@@ -131,7 +131,7 @@ func TestManagerRollsBackSneakyCandidate(t *testing.T) {
 	}
 	if m.Rollbacks() != 1 {
 		t.Fatalf("probation breach did not roll back (rollbacks=%d, state=%s)",
-			m.Rollbacks(), m.State())
+			m.Rollbacks(), m.state)
 	}
 	if m.Version() != 1 {
 		t.Fatalf("rollback should restore version 1, live is v%d", m.Version())

@@ -151,9 +151,6 @@ func (m *QoSMeter) Observe(p Percentiles, totalAllocCores float64) {
 	}
 }
 
-// Intervals returns the number of observed intervals.
-func (m *QoSMeter) Intervals() int { return m.intervals }
-
 // MeetProb returns the fraction of intervals meeting QoS.
 func (m *QoSMeter) MeetProb() float64 {
 	if m.intervals == 0 {

@@ -118,8 +118,8 @@ func TestQoSMeter(t *testing.T) {
 	if m.MeanAlloc() != 25 || m.MaxAlloc() != 40 {
 		t.Fatalf("alloc stats: mean=%v max=%v", m.MeanAlloc(), m.MaxAlloc())
 	}
-	if m.Intervals() != 4 {
-		t.Fatalf("intervals = %d", m.Intervals())
+	if m.intervals != 4 {
+		t.Fatalf("intervals = %d", m.intervals)
 	}
 }
 

@@ -170,9 +170,9 @@ func TestMultiTaskNN(t *testing.T) {
 	}
 	// Backward runs without shape errors and fills gradients.
 	dlat := tensor.New(lat.Shape...)
-	dlat.Fill(1)
+	fill(dlat, 1)
 	dlog := tensor.New(logits.Shape...)
-	dlog.Fill(1)
+	fill(dlog, 1)
 	m.Backward(ctx, dlat, dlog)
 	ctx.FlushGrads(m.Params())
 	nonzero := false
@@ -292,7 +292,7 @@ func TestTapeFootprint(t *testing.T) {
 	in, _ := synthInputs(rng, b, d)
 	m := NewLatencyCNN(rng, d, 32)
 	grad := tensor.New(b, d.M)
-	grad.Fill(0.01)
+	fill(grad, 0.01)
 	step, fwd := NewContext(), NewContext()
 	m.Forward(step, in)
 	m.Backward(step, grad)
@@ -421,4 +421,11 @@ func TestModelParamCountsOrdering(t *testing.T) {
 		t.Fatalf("param ordering cnn=%d lstm=%d mlp=%d, want cnn < lstm < mlp", cnn, lstm, mlp)
 	}
 	_ = rng
+}
+
+// fill sets every element of t to v.
+func fill(t *tensor.Dense, v float64) {
+	for i := range t.Data {
+		t.Data[i] = v
+	}
 }

@@ -207,7 +207,7 @@ func TestBoundGradSetReceivesAndFlushes(t *testing.T) {
 	in, _ := synthInputs(rng, 8, testDims)
 	model := NewLatencyCNN(rng, testDims, 16)
 	grad := tensor.New(8, testDims.M)
-	grad.Fill(0.01)
+	fill(grad, 0.01)
 	run := func(bind *gradSet) []*tensor.Dense {
 		ctx := NewContext()
 		if bind != nil {
@@ -274,7 +274,7 @@ func TestTrainStepSteadyStateAllocs(t *testing.T) {
 	tm := &TrainedModel{Model: model, Norm: FitNormalizer(in, testDims)}
 	sh := trainShard{ctx: NewContext()}
 	grad := tensor.New(32, testDims.M)
-	grad.Fill(0.01)
+	fill(grad, 0.01)
 	idx := rng.Perm(96)
 	// As TrainRows does once per call: passing in as Rows boxes it.
 	var src Rows = in

@@ -78,13 +78,6 @@ func (m *LatencyCNN) ForwardShared(ctx *Context, in SharedInputs) *tensor.Dense 
 	return m.head.Forward(ctx, ctx.Latent)
 }
 
-// PredictShared returns millisecond predictions plus the latent Lf for one
-// shared-history candidate batch, allocating a fresh context. Hot paths
-// should hold a Context and call PredictSharedCtx.
-func (tm *TrainedModel) PredictShared(in SharedInputs) (*tensor.Dense, *tensor.Dense) {
-	return tm.PredictSharedCtx(NewContext(), in)
-}
-
 // PredictSharedCtx evaluates a shared-history candidate batch on a
 // caller-owned context: normalisation and the history trunk run once, the
 // per-candidate head runs at width B. For regressors without a trunk/head

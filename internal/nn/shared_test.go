@@ -45,7 +45,7 @@ func TestPredictSharedBitIdentical(t *testing.T) {
 		in.Expand(&full)
 		wantPred, wantLat := tm.PredictWithLatent(full)
 
-		gotPred, gotLat := tm.PredictShared(in)
+		gotPred, gotLat := tm.PredictSharedCtx(NewContext(), in)
 		if gotPred.Shape[0] != b || gotPred.Shape[1] != testDims.M {
 			t.Fatalf("b=%d: shared pred shape %v", b, gotPred.Shape)
 		}
@@ -105,7 +105,7 @@ func TestPredictSharedFallbackExpands(t *testing.T) {
 	var full Inputs
 	in.Expand(&full)
 	want := tm.Predict(full)
-	got, _ := tm.PredictShared(in)
+	got, _ := tm.PredictSharedCtx(NewContext(), in)
 	for i := range want.Data {
 		if got.Data[i] != want.Data[i] {
 			t.Fatalf("fallback pred[%d] = %v, want %v", i, got.Data[i], want.Data[i])
@@ -129,5 +129,5 @@ func TestPredictSharedRejectsShapes(t *testing.T) {
 			t.Fatal("PredictShared accepted a multi-row history window")
 		}
 	}()
-	tm.PredictShared(bad)
+	tm.PredictSharedCtx(NewContext(), bad)
 }

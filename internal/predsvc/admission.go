@@ -31,7 +31,6 @@ import (
 	"sync"
 	"time"
 
-	"sinan/internal/lifecycle"
 	"sinan/internal/telemetry"
 )
 
@@ -96,17 +95,6 @@ type ServiceOptions struct {
 	// holds. 0 means 4×MaxConcurrent; negative means no queue (anything
 	// beyond the concurrency limit is shed on arrival).
 	MaxQueue int
-
-	// Guard, when non-nil, is the validation gate every UpdateModel RPC
-	// must pass: the candidate replays the gate's pinned holdout and is
-	// refused unless its error stays within margin of the live model's. Nil
-	// accepts any well-formed, dims-compatible artifact.
-	Guard *lifecycle.Gate
-	// ShadowCalls, when positive, parks a gate-accepted update in shadow:
-	// the candidate scores that many live Predict batches (observed, never
-	// served) and promotes only if every observation stays finite. 0
-	// installs accepted updates immediately.
-	ShadowCalls int
 }
 
 func (o ServiceOptions) withDefaults() ServiceOptions {
@@ -122,11 +110,10 @@ func (o ServiceOptions) withDefaults() ServiceOptions {
 	return o
 }
 
-// ServerStats is a snapshot of what the admission gate has done, exposed
-// in-process via Service.StatsSnapshot and over the wire via
-// Client.ServerStats. It is a thin view assembled from the service's telemetry
-// registry (the instruments under "server.admission.*"), kept as a struct so
-// the wire format and experiment tables are stable.
+// ServerStats is a snapshot of what the admission gate has done, returned by
+// Service.StatsSnapshot. It is a thin view assembled from the service's
+// telemetry registry (the instruments under "server.admission.*"), kept as a
+// struct so experiment tables are stable.
 type ServerStats struct {
 	Accepted  int64 // requests granted an execution slot
 	Active    int   // executing right now
@@ -134,11 +121,6 @@ type ServerStats struct {
 	Shed      int64 // dropped: queue overflow, no-queue saturation, or drain
 	Expired   int64 // dropped: the client's deadline passed while waiting
 	PeakQueue int   // queue high-water mark
-}
-
-// StatsReply carries the ServerStats snapshot over the wire.
-type StatsReply struct {
-	Stats ServerStats
 }
 
 // waiter is one queued admission request.

@@ -2,14 +2,17 @@ package predsvc
 
 import (
 	"errors"
+	"fmt"
 	"net"
 	"runtime"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
 
 	"sinan/internal/core"
+	"sinan/internal/lifecycle"
 	"sinan/internal/nn"
 	"sinan/internal/telemetry"
 )
@@ -195,7 +198,7 @@ func TestClientCountsShedsWithoutRetrying(t *testing.T) {
 
 	opts := quickOpts()
 	opts.MaxRetries = 2 // prove sheds short-circuit the retry loop
-	c, err := DialWith(srv.Addr().String(), opts)
+	c, err := dialWith(srv.Addr().String(), opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -227,12 +230,9 @@ type unknownSinan struct{}
 
 var errUnknownMethod = errors.New("predsvc: unknown method")
 
-func (unknownSinan) Predict(*PredictArgs, *PredictReply) error             { return errUnknownMethod }
-func (unknownSinan) PredictShared(*PredictArgs, *PredictReply) error       { return errUnknownMethod }
-func (unknownSinan) Meta(*struct{}, *MetaReply) error                      { return errUnknownMethod }
-func (unknownSinan) Stats(*struct{}, *StatsReply) error                    { return errUnknownMethod }
-func (unknownSinan) UpdateModel(*UpdateModelArgs, *UpdateModelReply) error { return errUnknownMethod }
-func (unknownSinan) Rollback(*RollbackArgs, *RollbackReply) error          { return errUnknownMethod }
+func (unknownSinan) Predict(*PredictArgs, *PredictReply) error       { return errUnknownMethod }
+func (unknownSinan) PredictShared(*PredictArgs, *PredictReply) error { return errUnknownMethod }
+func (unknownSinan) Meta(*struct{}, *MetaReply) error                { return errUnknownMethod }
 
 // serveRaw serves an arbitrary handler on a loopback listener, for wire-form
 // error tests. stop is Server.Close: it waits for the handler to return.
@@ -274,7 +274,7 @@ func TestClientCountsDeadlineExceeded(t *testing.T) {
 	// Wire form: the server answers "expired" over a healthy connection.
 	addr, stop := serveRaw(t, expiringSinan{})
 	defer stop()
-	c, err := DialWith(addr, quickOpts())
+	c, err := dialWith(addr, quickOpts())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -298,7 +298,7 @@ func TestClientCountsDeadlineExceeded(t *testing.T) {
 	defer close(stall.release) // runs first, so stop2 has nothing left to wait for
 	opts := quickOpts()
 	opts.CallTimeout = 50 * time.Millisecond
-	c2, err := DialWith(addr2, opts)
+	c2, err := dialWith(addr2, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -311,28 +311,48 @@ func TestClientCountsDeadlineExceeded(t *testing.T) {
 	}
 }
 
-// The admission counters round-trip over the wire via the Stats RPC.
-func TestServerStatsRPC(t *testing.T) {
+// Kinds 4–6 once carried UpdateModel, Stats and Rollback. A Service now
+// answers each with an unknown-method error frame — even a well-formed
+// model artifact installs nothing — and the same connection then serves a
+// Predict without a redial.
+func TestRetiredMethodsAreUnknownAndKeepConnection(t *testing.T) {
 	m := tinyHybrid(t)
-	srv, _, err := ListenAndServe("127.0.0.1:0", m)
+	srv, svc, err := ListenAndServe("127.0.0.1:0", m)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer srv.Close()
-	c, err := DialWith(srv.Addr().String(), quickOpts())
+	c, err := dialWith(srv.Addr().String(), quickOpts())
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer c.Close()
-	if _, _, err := c.PredictBatch(nil, mkBatch(m.D, 2)); err != nil {
-		t.Fatal(err)
-	}
-	st, err := c.ServerStats()
+	artifact, _, err := lifecycle.Encode(m, lifecycle.Manifest{Note: "retired"})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if st.Accepted < 1 {
-		t.Fatalf("server stats = %+v, want at least one accepted request", st)
+	for kind, args := range map[byte]any{
+		retiredUpdateModel: &struct{ Artifact []byte }{artifact},
+		retiredStats:       &struct{}{},
+		retiredRollback:    &struct{}{},
+	} {
+		c.mu.Lock()
+		err := c.callOnce(kind, args, &struct{}{}, time.Second)
+		kept := c.wire != nil
+		c.mu.Unlock()
+		var remote remoteError
+		if !errors.As(err, &remote) || !strings.Contains(err.Error(), fmt.Sprintf("unknown method %d", kind)) || !kept {
+			t.Errorf("kind %d: %v (connection kept: %v), want an unknown-method error frame and the connection kept", kind, err, kept)
+		}
+	}
+	if _, _, err := c.PredictBatch(nil, mkBatch(m.D, 2)); err != nil {
+		t.Fatalf("predict after the retired kinds: %v", err)
+	}
+	if st := c.Stats(); st.Redials != 1 {
+		t.Errorf("redials = %d, want 1: an unknown method keeps the connection", st.Redials)
+	}
+	if g := svc.live.Generation(); g != 1 {
+		t.Errorf("model generation %d after the retired kinds, want 1", g)
 	}
 }
 
@@ -398,7 +418,7 @@ func TestServerCloseRacesOverloadedQueue(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			c, err := DialWith(srv.Addr().String(), quickOpts())
+			c, err := dialWith(srv.Addr().String(), quickOpts())
 			if err != nil {
 				return // lost the race with Close before dialing; fine
 			}

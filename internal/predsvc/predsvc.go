@@ -67,32 +67,21 @@ type MetaReply struct {
 // (one checked out per in-flight request), the lifecycle.Live holding the
 // served model, and the gate itself.
 type Service struct {
-	// live owns the served model, the rollback history behind it, the
-	// version numbers and the shadow candidate (see lifecycle.go); the
-	// Predict fast path reads it without locks.
+	// live owns the served model and the version numbers; the Predict fast
+	// path reads it without locks.
 	live    *lifecycle.Live
 	scratch sync.Pool // *serveScratch
 	gate    *gate
 
-	// swapMu serializes the rare-path mutations — Swap, UpdateModel,
-	// Rollback, shadow promotion — so each validates and installs against
-	// one served model and the version gauge moves in order.
-	swapMu  sync.Mutex
-	guard   *lifecycle.Gate // nil = updates are not holdout-validated
-	shadowN int             // live calls a candidate scores before promoting; 0 = install immediately
+	// swapMu serializes Swaps, so the version gauge moves in order.
+	swapMu sync.Mutex
 
 	reg       *telemetry.Registry
 	rpcLatMS  *telemetry.Histogram // wall time of each Predict RPC, ms
 	inflight  *telemetry.Gauge     // Predict RPCs between entry and reply
 	rejected  *telemetry.Counter   // malformed requests refused pre-admission
 	predicted *telemetry.Counter   // candidate rows served (batch sizes summed)
-
-	updates        *telemetry.Counter // models installed via UpdateModel (incl. shadow promotions)
-	updRejected    *telemetry.Counter // updates refused: corrupt, dims, or gate
-	rollbacks      *telemetry.Counter // Rollback RPCs that took effect
-	shadowPromoted *telemetry.Counter // candidates promoted after shadow scoring
-	shadowRejected *telemetry.Counter // candidates disqualified in shadow (or displaced by rollback)
-	versionG       *telemetry.Gauge   // current model generation
+	versionG  *telemetry.Gauge     // current model generation
 }
 
 // serveScratch is what one in-flight request borrows from the pool: a
@@ -112,20 +101,12 @@ func NewServiceWith(m *core.HybridModel, opts ServiceOptions) *Service {
 	s := &Service{
 		live:      lifecycle.NewLive(m, 1),
 		gate:      newGate(opts, reg),
-		guard:     opts.Guard,
-		shadowN:   opts.ShadowCalls,
 		reg:       reg,
 		rpcLatMS:  reg.Histogram("server.rpc.predict.latency_ms"),
 		inflight:  reg.Gauge("server.rpc.predict.inflight"),
 		rejected:  reg.Counter("server.rpc.predict.rejected"),
 		predicted: reg.Counter("server.rpc.predict.rows"),
-
-		updates:        reg.Counter("server.lifecycle.updates"),
-		updRejected:    reg.Counter("server.lifecycle.rejected"),
-		rollbacks:      reg.Counter("server.lifecycle.rollbacks"),
-		shadowPromoted: reg.Counter("server.lifecycle.shadow_promoted"),
-		shadowRejected: reg.Counter("server.lifecycle.shadow_rejected"),
-		versionG:       reg.Gauge("server.lifecycle.version"),
+		versionG:  reg.Gauge("server.lifecycle.version"),
 	}
 	s.versionG.Set(1)
 	return s
@@ -140,13 +121,13 @@ func (s *Service) Metrics() *telemetry.Registry { return s.reg }
 // Swap replaces the served model unconditionally (the in-process trusted
 // path: the caller has already decided, and m must keep the served dims).
 // In-flight requests finish on the model they loaded; new requests see the
-// new one. The displaced model is retained for Rollback and the generation
-// counter advances, so blind swaps and gated updates share one history.
-// Over the wire, use UpdateModel, which validates first.
+// new one. The generation counter, exported as the
+// "server.lifecycle.version" gauge, advances.
 func (s *Service) Swap(m *core.HybridModel) {
 	s.swapMu.Lock()
 	defer s.swapMu.Unlock()
-	s.install(m)
+	s.live.Install(m)
+	s.versionG.Set(float64(s.live.Generation()))
 }
 
 // Predict implements the RPC method for a full batch. Requests pass the
@@ -161,9 +142,8 @@ func (s *Service) Predict(args *PredictArgs, reply *PredictReply) error {
 
 // PredictShared implements the RPC method for the deduplicated form: the
 // history window arrives once and only the per-candidate allocation rows
-// scale with the batch. Admission, validation and shadow discipline are
-// Predict's; only the expected history length and the model entry point
-// differ.
+// scale with the batch. Admission and validation are Predict's; only the
+// expected history length and the model entry point differ.
 func (s *Service) PredictShared(args *PredictArgs, reply *PredictReply) error {
 	return s.serve(args, reply, true)
 }
@@ -212,9 +192,6 @@ func (s *Service) serve(args *PredictArgs, reply *PredictReply, shared bool) err
 	in.RH = tensor.View(in.RH, args.RH, windows, d.F, d.N, d.T)
 	in.LH = tensor.View(in.LH, args.LH, windows, d.T, d.M)
 	in.RC = tensor.View(in.RC, args.RC, args.Batch, d.N)
-	// The live model answers; a candidate parked in shadow scores the same
-	// inputs on the side, where a failure disqualifies the candidate and
-	// never this request.
 	var pred *tensor.Dense
 	var pviol []float64
 	if shared {
@@ -233,9 +210,6 @@ func (s *Service) serve(args *PredictArgs, reply *PredictReply, shared bool) err
 	reply.M = d.M
 	reply.PViol = append(reply.PViol[:0], pviol...)
 	s.predicted.Add(int64(args.Batch))
-	if s.shadowN > 0 {
-		s.settleShadow()
-	}
 	return nil
 }
 
@@ -247,16 +221,8 @@ func (s *Service) Meta(_ *struct{}, reply *MetaReply) error {
 	return nil
 }
 
-// Stats implements the RPC method: a snapshot of the admission gate's
-// counters, for operational visibility and the overload experiment. Like
-// Meta it bypasses the gate.
-func (s *Service) Stats(_ *struct{}, reply *StatsReply) error {
-	reply.Stats = s.gate.stats()
-	return nil
-}
-
-// StatsSnapshot returns the admission-control counters for in-process
-// callers.
+// StatsSnapshot returns the admission-control counters. Out of process they
+// are read from the service's registry (Metrics, sinan-serve -metrics-addr).
 func (s *Service) StatsSnapshot() ServerStats { return s.gate.stats() }
 
 // Server owns a serving listener and tracks every connection it has
@@ -380,58 +346,35 @@ func ListenAndServeWith(addr string, m *core.HybridModel, opts ServiceOptions) (
 // breaker lets a probe through once the cooldown elapses.
 var ErrUnavailable = errors.New("predsvc: prediction service unavailable (circuit open)")
 
-// ClientOptions tunes the resilient client. The zero value means "use
-// defaults" for every field.
-type ClientOptions struct {
-	DialTimeout time.Duration // TCP connect + initial Meta deadline (default 2s)
-	CallTimeout time.Duration // per-call deadline (default 1s)
-	MaxRetries  int           // additional attempts after the first (default 2; negative = none)
-	BackoffBase time.Duration // first retry delay (default 50ms)
-	BackoffMax  time.Duration // retry delay ceiling (default 500ms)
+// clientOptions tunes the resilient client. Programs dial with
+// defaultClientOptions; tests copy it and shorten what they exercise.
+type clientOptions struct {
+	DialTimeout time.Duration // TCP connect + initial Meta deadline
+	CallTimeout time.Duration // per-call deadline
+	MaxRetries  int           // additional attempts after the first
+	BackoffBase time.Duration // first retry delay
+	BackoffMax  time.Duration // retry delay ceiling
 
-	// BreakerThreshold consecutive failed calls open the breaker (default
-	// 5); after BreakerCooldown (default 5s) it goes half-open and admits a
-	// probe. A probe success closes it, a failure re-opens it.
+	// BreakerThreshold consecutive failed calls open the breaker; after
+	// BreakerCooldown it goes half-open and admits a probe. A probe success
+	// closes it, a failure re-opens it.
 	BreakerThreshold int
 	BreakerCooldown  time.Duration
+}
+
+var defaultClientOptions = clientOptions{
+	DialTimeout:      2 * time.Second,
+	CallTimeout:      time.Second,
+	MaxRetries:       2,
+	BackoffBase:      50 * time.Millisecond,
+	BackoffMax:       500 * time.Millisecond,
+	BreakerThreshold: 5,
+	BreakerCooldown:  5 * time.Second,
 }
 
 // jitterSeed seeds the client's backoff jitter stream, so retry pacing is
 // reproducible.
 const jitterSeed = 1
-
-// adminTimeout bounds lifecycle RPCs (UpdateModel, Rollback): artifact
-// uploads carry whole models plus a server-side gate replay, so they get a
-// longer leash than Predict calls.
-const adminTimeout = 10 * time.Second
-
-func (o ClientOptions) withDefaults() ClientOptions {
-	if o.DialTimeout <= 0 {
-		o.DialTimeout = 2 * time.Second
-	}
-	if o.CallTimeout <= 0 {
-		o.CallTimeout = time.Second
-	}
-	if o.MaxRetries == 0 {
-		o.MaxRetries = 2
-	}
-	if o.MaxRetries < 0 {
-		o.MaxRetries = 0
-	}
-	if o.BackoffBase <= 0 {
-		o.BackoffBase = 50 * time.Millisecond
-	}
-	if o.BackoffMax <= 0 {
-		o.BackoffMax = 500 * time.Millisecond
-	}
-	if o.BreakerThreshold <= 0 {
-		o.BreakerThreshold = 5
-	}
-	if o.BreakerCooldown <= 0 {
-		o.BreakerCooldown = 5 * time.Second
-	}
-	return o
-}
 
 // ClientStats counts what the resilient client has done, for experiment
 // tables and operational visibility. Sheds and DeadlineExceeded are kept
@@ -466,7 +409,7 @@ const (
 // the client.
 type Client struct {
 	addr string
-	opts ClientOptions
+	opts clientOptions
 
 	mu         sync.Mutex
 	wire       *wireConn // nil between a dropped connection and the next redial
@@ -503,11 +446,10 @@ type Client struct {
 	sleep func(time.Duration)
 }
 
-func newClient(addr string, opts ClientOptions) *Client {
-	o := opts.withDefaults()
+func newClient(addr string, opts clientOptions) *Client {
 	c := &Client{
 		addr:   addr,
-		opts:   o,
+		opts:   opts,
 		jitter: rand.New(rand.NewSource(jitterSeed)),
 		now:    time.Now,
 		sleep:  time.Sleep,
@@ -541,16 +483,15 @@ func (c *Client) AttachMetrics(reg *telemetry.Registry) {
 	c.bindLocked(reg)
 }
 
-// Dial connects to a prediction service with default options.
+// Dial connects to a prediction service and fetches the model metadata.
+// Both the TCP connect and the initial Meta call are bounded by the dial
+// timeout, so a black-holed address fails fast instead of hanging the
+// scheduler at startup.
 func Dial(addr string) (*Client, error) {
-	return DialWith(addr, ClientOptions{})
+	return dialWith(addr, defaultClientOptions)
 }
 
-// DialWith connects to a prediction service and fetches the model
-// metadata. Both the TCP connect and the initial Meta call are bounded by
-// DialTimeout, so a black-holed address fails fast instead of hanging the
-// scheduler at startup.
-func DialWith(addr string, opts ClientOptions) (*Client, error) {
+func dialWith(addr string, opts clientOptions) (*Client, error) {
 	c := newClient(addr, opts)
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -611,19 +552,6 @@ func (c *Client) LastPredictMS() float64 {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	return c.lastCostMS
-}
-
-// ServerStats fetches the service's admission-control counters over the
-// wire.
-func (c *Client) ServerStats() (ServerStats, error) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	var reply StatsReply
-	if err := c.callOnce(methodStats, &struct{}{}, &reply, c.opts.CallTimeout); err != nil {
-		c.dropConn()
-		return ServerStats{}, err
-	}
-	return reply.Stats, nil
 }
 
 // PredictBatch implements core.Predictor by delegating to the service. The

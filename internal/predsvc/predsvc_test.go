@@ -159,7 +159,7 @@ func requireRawBitsOnTheWire(t *testing.T, shared bool) {
 	fill(fake.reply.PViol, 2)
 	addr, stop := serveRaw(t, fake)
 	defer stop()
-	c, err := DialWith(addr, quickOpts())
+	c, err := dialWith(addr, quickOpts())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -224,6 +224,57 @@ func TestSwapReplacesModel(t *testing.T) {
 	}
 	if meta.Meta.Pu != 0.77 {
 		t.Fatal("swap did not take effect")
+	}
+}
+
+// Swaps racing a storm of in-process Predicts and PredictShareds: no
+// prediction may fail and the generation counts every swap. Run under -race
+// this is the service's half of the "zero predictor unavailability"
+// guarantee.
+func TestLifecycleMutationsRacePredict(t *testing.T) {
+	live, other := tinyHybrid(t), tinyHybrid(t)
+	svc := NewServiceWith(live, ServiceOptions{MaxConcurrent: -1})
+	in, sh := mkBatch(live.D, 2), mkShared(live.D, 2)
+	full := &PredictArgs{RH: in.RH.Data, LH: in.LH.Data, RC: in.RC.Data, Batch: 2}
+	shared := &PredictArgs{RH: sh.RH.Data, LH: sh.LH.Data, RC: sh.RC.Data, Batch: 2}
+
+	const predictors, swaps = 4, 40
+	var wg sync.WaitGroup
+	errs := make(chan error, predictors)
+	for p := 0; p < predictors; p++ {
+		call, args := svc.Predict, full
+		if p%2 == 1 {
+			call, args = svc.PredictShared, shared
+		}
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < 200; i++ {
+				var reply PredictReply
+				if err := call(args, &reply); err != nil {
+					errs <- err
+					return
+				}
+			}
+		}()
+	}
+	for i := 0; i < swaps; i++ {
+		if i%2 == 0 {
+			svc.Swap(other)
+		} else {
+			svc.Swap(live)
+		}
+	}
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		t.Fatalf("predict racing swaps: %v", err)
+	}
+	if g := svc.live.Generation(); g != 1+swaps {
+		t.Fatalf("generation %d after %d swaps, want %d", g, swaps, 1+swaps)
+	}
+	if v := svc.Metrics().Gauge("server.lifecycle.version").Value(); v != 1+swaps {
+		t.Fatalf("server.lifecycle.version = %v, want %d", v, 1+swaps)
 	}
 }
 

@@ -19,11 +19,11 @@ import (
 
 // quickOpts keeps retry/backoff machinery out of the way for tests that
 // exercise something else.
-func quickOpts() ClientOptions {
-	return ClientOptions{
+func quickOpts() clientOptions {
+	return clientOptions{
 		DialTimeout:      2 * time.Second,
 		CallTimeout:      2 * time.Second,
-		MaxRetries:       -1, // none
+		MaxRetries:       0, // no retries
 		BackoffBase:      time.Millisecond,
 		BackoffMax:       2 * time.Millisecond,
 		BreakerThreshold: 1000,
@@ -42,7 +42,7 @@ func TestClientRecoversAcrossServerRestart(t *testing.T) {
 	}
 	addr := srv.Addr().String()
 
-	c, err := DialWith(addr, quickOpts())
+	c, err := dialWith(addr, quickOpts())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -100,14 +100,14 @@ func TestBreakerOpenHalfOpenClosed(t *testing.T) {
 	addr := srv.Addr().String()
 	srv.Close() // down for the first act
 
-	c := newClient(addr, ClientOptions{
-		DialTimeout:      500 * time.Millisecond,
-		CallTimeout:      500 * time.Millisecond,
-		MaxRetries:       -1,
-		BreakerThreshold: 3,
-		BreakerCooldown:  30 * time.Second,
-	})
-	c.meta = m.Meta() // never dialed: what DialWith would have fetched
+	opts := defaultClientOptions
+	opts.DialTimeout = 500 * time.Millisecond
+	opts.CallTimeout = 500 * time.Millisecond
+	opts.MaxRetries = 0
+	opts.BreakerThreshold = 3
+	opts.BreakerCooldown = 30 * time.Second
+	c := newClient(addr, opts)
+	c.meta = m.Meta() // never dialed: what Dial would have fetched
 	clock := time.Unix(1000, 0)
 	c.now = func() time.Time { return clock }
 	c.sleep = func(time.Duration) {}
@@ -181,7 +181,7 @@ func TestDialDeadlineOnSilentServer(t *testing.T) {
 	opts.DialTimeout = 200 * time.Millisecond
 	done := make(chan error, 1)
 	go func() {
-		_, err := DialWith(l.Addr().String(), opts)
+		_, err := dialWith(l.Addr().String(), opts)
 		done <- err
 	}()
 	select {
@@ -231,7 +231,7 @@ func TestSwapRacesInflightPredicts(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			c, err := DialWith(srv.Addr().String(), quickOpts())
+			c, err := dialWith(srv.Addr().String(), quickOpts())
 			if err != nil {
 				t.Error(err)
 				return
@@ -304,7 +304,7 @@ func TestServerCloseDrainsInflight(t *testing.T) {
 	}
 
 	// And the listener really is closed.
-	if _, err := DialWith(srv.Addr().String(), quickOpts()); err == nil {
+	if _, err := dialWith(srv.Addr().String(), quickOpts()); err == nil {
 		t.Fatal("dial after Close should fail")
 	}
 }
@@ -326,102 +326,6 @@ func (s *slowSvc) Predict(*PredictArgs, *PredictReply) error {
 // remote client — compile-time wiring check for the fallback path.
 var _ core.Predictor = (*Client)(nil)
 
-// Rollback while the breaker is half-open: a model goes live, the service
-// dies long enough to open the client's breaker, and when it comes back
-// the operator rolls the model back before any probe has closed the
-// breaker. The lifecycle RPCs are operator actions — they bypass the
-// breaker, land over a fresh connection, and re-arm the client with the
-// restored model's metadata; the next half-open Predict probe then closes
-// the breaker against the rolled-back model.
-func TestRollbackWhileBreakerHalfOpen(t *testing.T) {
-	m1 := tinyHybrid(t)
-	m2 := *m1
-	m2.RMSEValid = 99 // distinguishable metadata for the swapped-in model
-	lis, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	addr := lis.Addr().String()
-	svc := NewServiceWith(m1, ServiceOptions{})
-	srv, err := Serve(lis, svc)
-	if err != nil {
-		t.Fatal(err)
-	}
-	svc.Swap(&m2) // serving m2; m1 retained as the rollback target
-
-	c, err := DialWith(addr, ClientOptions{
-		DialTimeout:      500 * time.Millisecond,
-		CallTimeout:      500 * time.Millisecond,
-		MaxRetries:       -1,
-		BreakerThreshold: 3,
-		BreakerCooldown:  30 * time.Second,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	clock := time.Unix(2000, 0)
-	c.now = func() time.Time { return clock }
-	c.sleep = func(time.Duration) {}
-	defer c.Close()
-
-	in := mkBatch(m1.D, 2)
-	if _, _, err := c.PredictBatch(nil, in); err != nil {
-		t.Fatalf("healthy predict: %v", err)
-	}
-	if got := c.Meta().RMSEValid; got != 99 {
-		t.Fatalf("client metadata RMSEValid = %v, want the swapped model's 99", got)
-	}
-
-	// Outage: three failures open the breaker.
-	if err := srv.Close(); err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 3; i++ {
-		if _, _, err := c.PredictBatch(nil, in); err == nil {
-			t.Fatalf("call %d against dead server should fail", i)
-		}
-	}
-	if st := c.Stats(); st.BreakerOpens != 1 {
-		t.Fatalf("breaker should be open: %+v", st)
-	}
-
-	// The host restarts with its model state rebuilt (a fresh Service, as
-	// a registry-backed host would reload it: m2 live, m1 retained) and
-	// the cooldown elapses — the breaker is poised half-open but no probe
-	// has run yet.
-	svc2 := NewServiceWith(m1, ServiceOptions{})
-	svc2.Swap(&m2)
-	lis2, err := net.Listen("tcp", addr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	srv2, err := Serve(lis2, svc2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer srv2.Close()
-	clock = clock.Add(31 * time.Second)
-
-	rb, err := c.Rollback()
-	if err != nil {
-		t.Fatalf("rollback during half-open window: %v", err)
-	}
-	if rb.Version != 3 {
-		t.Fatalf("rollback generation %d, want 3 (birth, swap, rollback)", rb.Version)
-	}
-	if got := c.Meta().RMSEValid; got != m1.RMSEValid {
-		t.Fatalf("client metadata RMSEValid = %v after rollback, want %v", got, m1.RMSEValid)
-	}
-
-	// The probe lands on the restored model and closes the breaker.
-	if _, _, err := c.PredictBatch(nil, in); err != nil {
-		t.Fatalf("half-open probe after rollback: %v", err)
-	}
-	if c.state != breakerClosed {
-		t.Fatalf("probe success should close the breaker, state=%d", c.state)
-	}
-}
-
 // metaOnlySinan answers Meta and nothing else: a peer that does not know
 // the predict methods.
 type metaOnlySinan struct {
@@ -442,7 +346,7 @@ func TestUnknownMethodIsPlainErrorAndSchedulerDegrades(t *testing.T) {
 	defer stop()
 	opts := quickOpts()
 	opts.MaxRetries = 2
-	c, err := DialWith(addr, opts)
+	c, err := dialWith(addr, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -453,9 +357,6 @@ func TestUnknownMethodIsPlainErrorAndSchedulerDegrades(t *testing.T) {
 	}
 	if st := c.Stats(); st.Errors != 1 || st.Retries != 2 {
 		t.Fatalf("stats = %+v, want 1 error after 2 retries", st)
-	}
-	if _, err := c.ServerStats(); err == nil {
-		t.Fatal("ServerStats against a server without the method succeeded")
 	}
 	// A method byte outside the protocol is answered the same way: an error
 	// frame over a connection that stays in sync, not a hang-up.
@@ -496,7 +397,7 @@ func requireSchedulerDegrades(t *testing.T, app *apps.App, c *Client) {
 	for i := 0; i < d.T+2; i++ {
 		dec = s.Decide(runner.State{Stats: stats, Perc: perc, Alloc: alloc, RPS: 100, QoSMS: app.QoSMS})
 	}
-	if !dec.Degraded || !s.Degraded() || s.PredictErrors() == 0 {
+	if !dec.Degraded || s.PredictErrors() == 0 {
 		t.Fatalf("scheduler did not degrade: %+v (predict errors %d)", dec, s.PredictErrors())
 	}
 	for i, v := range dec.Alloc {
@@ -533,7 +434,7 @@ func TestClientRejectsMisshapenReply(t *testing.T) {
 	defer stop()
 	opts := quickOpts()
 	opts.BreakerThreshold = 4
-	c, err := DialWith(addr, opts)
+	c, err := dialWith(addr, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -571,7 +472,7 @@ func TestClientRejectsMisshapenReply(t *testing.T) {
 	}
 
 	// A reply of the right shape passes on the same server.
-	c2, err := DialWith(addr, quickOpts())
+	c2, err := dialWith(addr, quickOpts())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -27,20 +27,17 @@ const (
 	predictReplyHeader = 4  // u32 M, then the counts and floats of Lat, PViol
 
 	// maxFrame caps the body length a peer may announce, checked before any
-	// buffer grows. The largest legitimate frames are a full-batch Predict
-	// of a 256-row gate batch at Social Network size (256 × 893 floats ≈
-	// 1.8 MB) and a model artifact (≈ 0.3 MB).
+	// buffer grows. The largest legitimate frame is a full-batch Predict of
+	// 256 candidates at Social Network size (256 × 893 floats ≈ 1.8 MB).
 	maxFrame = 8 << 20
 )
 
-// The kind byte: of a request frame, then of a reply frame.
+// The kind byte: of a request frame, then of a reply frame. A request of any
+// other kind is answered as an unknown method.
 const (
 	methodPredict byte = 1 + iota
 	methodPredictShared
 	methodMeta
-	methodStats
-	methodUpdateModel
-	methodRollback
 	statusOK  byte = 0
 	statusErr byte = 1 // the body is the handler error's message
 )
@@ -59,9 +56,6 @@ type handler interface {
 	Predict(*PredictArgs, *PredictReply) error
 	PredictShared(*PredictArgs, *PredictReply) error
 	Meta(*struct{}, *MetaReply) error
-	Stats(*struct{}, *StatsReply) error
-	UpdateModel(*UpdateModelArgs, *UpdateModelReply) error
-	Rollback(*RollbackArgs, *RollbackReply) error
 }
 
 // wireConn is one end of a connection and the byte buffer it owns: frames
@@ -81,7 +75,7 @@ type rawBody interface {
 
 // send writes one frame, in one Write. The body is v's own encoding if it is
 // a rawBody, the message if it is a remoteError, and otherwise gob, a fresh
-// encoder per message: the rare-path structs are where reflection pays.
+// encoder per message: Meta's rare-path struct is where reflection pays.
 func (w *wireConn) send(kind byte, v any) error {
 	w.buf = append(w.buf[:0], 0, 0, 0, 0, kind)
 	switch v := v.(type) {
@@ -250,12 +244,6 @@ func serveConn(conn net.Conn, h handler) {
 			err = answer(w, body, &args, &reply, h.PredictShared)
 		case methodMeta:
 			err = answer(w, body, new(struct{}), new(MetaReply), h.Meta)
-		case methodStats:
-			err = answer(w, body, new(struct{}), new(StatsReply), h.Stats)
-		case methodUpdateModel:
-			err = answer(w, body, new(UpdateModelArgs), new(UpdateModelReply), h.UpdateModel)
-		case methodRollback:
-			err = answer(w, body, new(RollbackArgs), new(RollbackReply), h.Rollback)
 		default:
 			err = fmt.Errorf("predsvc: unknown method %d", method)
 		}

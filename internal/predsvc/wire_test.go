@@ -36,7 +36,7 @@ func TestRoundTripAllocs(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer srv.Close()
-	c, err := DialWith(srv.Addr().String(), quickOpts())
+	c, err := dialWith(srv.Addr().String(), quickOpts())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -55,6 +55,14 @@ func TestRoundTripAllocs(t *testing.T) {
 		t.Logf("%.2f allocations per round trip", got)
 	}
 }
+
+// The request kinds Stats, UpdateModel and Rollback used before they were
+// retired; a server answers them as unknown methods.
+const (
+	retiredStats byte = 4 + iota
+	retiredUpdateModel
+	retiredRollback
+)
 
 // frame builds one frame by hand.
 func frame(kind byte, body []byte) []byte {
@@ -137,8 +145,8 @@ func gobBody(t testing.TB, v any) []byte {
 }
 
 // FuzzServeConn throws arbitrary bytes at the server's connection loop — the
-// frame reader, the raw Predict decoder and the gob bodies of the rare path
-// — in front of a real Service. The loop must hang up or keep answering
+// frame reader, the raw Predict decoder, Meta's gob body and the retired
+// kinds' — in front of a real Service. The loop must hang up or keep answering
 // without panicking and return once the peer is gone; afterwards the
 // service still answers a valid query and nothing is left in flight.
 func FuzzServeConn(f *testing.F) {
@@ -152,7 +160,7 @@ func FuzzServeConn(f *testing.F) {
 		f.Fatal(err)
 	}
 	predictShared := frame(methodPredictShared, sharedArgs.appendTo(nil))
-	update := frame(methodUpdateModel, gobBody(f, &UpdateModelArgs{Artifact: artifact}))
+	update := frame(retiredUpdateModel, gobBody(f, &struct{ Artifact []byte }{artifact}))
 	for _, seed := range wireSeeds(predictShared, predictArgsHeader+12, predictArgsHeader) {
 		f.Add(seed)
 	}
@@ -166,10 +174,10 @@ func FuzzServeConn(f *testing.F) {
 	for i := frameHeader; i < len(corrupt); i += 7 {
 		corrupt[i] ^= 0x55
 	}
-	f.Add(corrupt) // a gob admin frame with a corrupt body
+	f.Add(corrupt) // a gob frame with a corrupt body
 	f.Add(frame(methodMeta, gobBody(f, &struct{}{})))
-	f.Add(frame(methodStats, gobBody(f, &struct{}{})))
-	f.Add(frame(methodRollback, gobBody(f, &RollbackArgs{})))
+	f.Add(frame(retiredStats, gobBody(f, &struct{}{})))
+	f.Add(frame(retiredRollback, gobBody(f, &struct{}{})))
 	f.Add(frame(0x7f, []byte("no such method")))
 	f.Add(frame(methodMeta, nil))
 	f.Add(append(bytes.Clone(predictShared), update...)) // two requests back to back

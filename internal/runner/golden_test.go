@@ -178,8 +178,8 @@ func TestGoldenFaultsAndStarvation(t *testing.T) {
 			App: hotel, Policy: baselines.NewAutoScaleCons(), Pattern: load,
 			Duration: dur, Seed: 11, KeepTrace: true, Faults: in,
 		})
-		if in.Counters().CrashWindows != 1 {
-			t.Fatalf("crash windows = %d, want 1", in.Counters().CrashWindows)
+		if n := res.Metrics.Snapshot().Counters["faults.crash.windows"]; n != 1 {
+			t.Fatalf("crash windows = %d, want 1", n)
 		}
 		checkGolden(t, "hotel/faults-standard", runDigest(res))
 	})

@@ -12,6 +12,20 @@ import (
 	"sinan/internal/workload"
 )
 
+// meanTotalAfter returns how many trace rows lie past the warm-up and the
+// mean of their aggregate allocations, summed in order as the QoS meter
+// sums them.
+func meanTotalAfter(trace []TraceRow, warmup float64) (int, float64) {
+	n, sum := 0, 0.0
+	for _, row := range trace {
+		if row.Time > warmup {
+			n++
+			sum += row.Total
+		}
+	}
+	return n, sum / float64(n)
+}
+
 func TestRunStaticMax(t *testing.T) {
 	app := apps.NewHotelReservation()
 	res := Run(Config{
@@ -23,8 +37,8 @@ func TestRunStaticMax(t *testing.T) {
 		Warmup:    5,
 		KeepTrace: true,
 	})
-	if res.Meter.Intervals() != 15 {
-		t.Fatalf("meter intervals = %d, want 15 (20s − 5s warmup)", res.Meter.Intervals())
+	if n, mean := meanTotalAfter(res.Trace, 5); n != 15 || res.Meter.MeanAlloc() != mean {
+		t.Fatalf("meter mean allocation %v, want %v over the %d intervals after warm-up (15: 20s − 5s)", res.Meter.MeanAlloc(), mean, n)
 	}
 	if res.Meter.MeetProb() < 0.99 {
 		t.Fatalf("static max should meet QoS at moderate load: %v", res.Meter.MeetProb())

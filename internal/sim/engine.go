@@ -50,7 +50,6 @@ type Engine struct {
 	now   float64
 	seq   int64
 	fired int64
-	halt  bool
 }
 
 // Now returns the current simulated time in seconds.
@@ -106,35 +105,16 @@ func (tm Timer) Stop() {
 	}
 }
 
-// Run executes events in timestamp order until the queue empties, the next
-// event lies past the until horizon, or Halt is called. It leaves the clock at
-// until — or, when halted, at the last executed event, so that the events
-// still pending stay in the future.
+// Run executes events in timestamp order until the queue empties or the
+// next event lies past the until horizon, and leaves the clock at until.
 func (e *Engine) Run(until float64) {
-	e.halt = false
-	for len(e.heap) > 0 && !e.halt && e.heap[0].t <= until {
+	for len(e.heap) > 0 && e.heap[0].t <= until {
 		e.fire()
 	}
-	if !e.halt && e.now < until {
+	if e.now < until {
 		e.now = until
 	}
 }
-
-// Step executes one pending event, if any, and reports whether it did.
-func (e *Engine) Step() bool {
-	if len(e.heap) == 0 {
-		return false
-	}
-	e.fire()
-	return true
-}
-
-// Halt stops the current Run after the in-flight event returns.
-func (e *Engine) Halt() { e.halt = true }
-
-// Pending returns the number of events queued: one-shots and armed timers,
-// the firing event included until its callback returns.
-func (e *Engine) Pending() int { return len(e.heap) }
 
 // Fired returns the number of events executed so far.
 func (e *Engine) Fired() int64 { return e.fired }

@@ -116,43 +116,18 @@ func TestEngineNaNTimePanics(t *testing.T) {
 			schedule()
 		}()
 	}
-	if e.Pending() != 0 {
-		t.Fatalf("%d events queued by refused calls", e.Pending())
+	if len(e.heap) != 0 {
+		t.Fatalf("%d events queued by refused calls", len(e.heap))
 	}
 }
 
-// A halted Run leaves the clock at the last executed event: jumping it to
-// the horizon would put the still-pending events in the past, and the next
-// Run would move time backwards.
-func TestEngineHalt(t *testing.T) {
-	var e Engine
-	var fired []float64
-	for i := 1; i <= 10; i++ {
-		e.At(float64(i), func() {
-			if len(fired) > 0 && e.Now() < fired[len(fired)-1] {
-				t.Errorf("clock moved backwards: %v after %v", e.Now(), fired[len(fired)-1])
-			}
-			fired = append(fired, e.Now())
-			if len(fired) == 3 {
-				e.Halt()
-			}
-		})
-	}
-	e.Run(100)
-	if len(fired) != 3 || e.Now() != 3 || e.Pending() != 7 {
-		t.Fatalf("after halt: %d events fired, now %v, %d pending; want 3, 3 and 7", len(fired), e.Now(), e.Pending())
-	}
-	e.At(3.5, func() {}) // would panic against a clock that had jumped to 100
-	e.Run(100)
-	if len(fired) != 10 || !sort.Float64sAreSorted(fired) || e.Now() != 100 {
-		t.Fatalf("second run: fired %v, now %v", fired, e.Now())
-	}
-}
-
+// The engine steps through exactly the live events: a stopped timer's entry
+// is gone and a moved timer fires at its new time only, so Run fires three
+// events and nothing drags the clock back to a stale timestamp.
 func TestEngineStep(t *testing.T) {
 	var e Engine
-	n := 0
-	count := func() { n++ }
+	var at []float64
+	count := func() { at = append(at, e.Now()) }
 	e.At(1, count)
 	stopped := e.NewTimer(count)
 	stopped.Set(2)
@@ -161,20 +136,12 @@ func TestEngineStep(t *testing.T) {
 	moved.Set(7)
 	stopped.Stop()
 	moved.Set(2.5)
-	if e.Pending() != 3 {
-		t.Fatalf("pending = %d, want the 3 live events", e.Pending())
+	if len(e.heap) != 3 {
+		t.Fatalf("%d events queued, want the 3 live events", len(e.heap))
 	}
-	steps := 0
-	for e.Step() {
-		steps++
-	}
-	if steps != 3 || n != 3 || e.Fired() != 3 {
-		t.Fatalf("steps=%d n=%d fired=%d, want 3 each", steps, n, e.Fired())
-	}
-	// A stopped or moved timer is gone from where it was, so nothing drags
-	// the clock to its old timestamp.
-	if e.Now() != 3 {
-		t.Fatalf("now = %v after the last live event at 3", e.Now())
+	e.Run(10)
+	if !slices.Equal(at, []float64{1, 2.5, 3}) || e.Fired() != 3 || len(e.heap) != 0 {
+		t.Fatalf("fired at %v (%d events, %d left), want at 1, 2.5 and 3 only", at, e.Fired(), len(e.heap))
 	}
 }
 
@@ -188,14 +155,14 @@ func TestTimerIdleAndReuse(t *testing.T) {
 
 	var a Timer
 	a = e.NewTimer(func() {
-		if got = append(got, "a"); len(got) == 1 && e.Pending() != 1 {
-			t.Errorf("pending = %d inside the only event's callback, want 1", e.Pending())
+		if got = append(got, "a"); len(got) == 1 && len(e.heap) != 1 {
+			t.Errorf("pending = %d inside the only event's callback, want 1", len(e.heap))
 		}
 	})
 	a.Set(1)
 	e.Run(1)
-	if e.Pending() != 0 {
-		t.Fatalf("pending = %d after the timer fired, want 0", e.Pending())
+	if len(e.heap) != 0 {
+		t.Fatalf("pending = %d after the timer fired, want 0", len(e.heap))
 	}
 	e.At(2, log("b")) // takes the heap position the timer had
 	a.Stop()
@@ -204,8 +171,8 @@ func TestTimerIdleAndReuse(t *testing.T) {
 	c.Stop()
 	e.At(4, log("d"))
 	c.Stop()
-	if e.Pending() != 2 {
-		t.Fatalf("pending = %d, want b and d: Stop on an idle timer removed an event", e.Pending())
+	if len(e.heap) != 2 {
+		t.Fatalf("pending = %d, want b and d: Stop on an idle timer removed an event", len(e.heap))
 	}
 	a.Set(1.5)
 	c.Set(2) // after b: same time, scheduled later
@@ -611,7 +578,7 @@ func TestTimerStopIdle(t *testing.T) {
 	tm.Stop() // nothing scheduled yet: must not panic
 	e.At(1, func() {})
 	tm.Stop()
-	if e.Pending() != 1 {
+	if len(e.heap) != 1 {
 		t.Fatal("stopping an idle timer removed a live event")
 	}
 }

@@ -48,7 +48,7 @@ func TestQuantileAgreement(t *testing.T) {
 		sort.Float64s(samples)
 		for _, q := range quantiles {
 			exact := ExactQuantile(samples, q)
-			approx := h.Quantile(q)
+			approx := quantile(&h, q)
 			// The bucketed value represents the whole bucket holding the exact
 			// quantile: allow one full bucket ratio (midpoint bound is half a
 			// bucket, doubled here because nearest-rank can land on either edge

@@ -183,34 +183,11 @@ func (h *Histogram) Observe(v float64) {
 	}
 }
 
-// Count returns the number of observations.
-func (h *Histogram) Count() uint64 {
-	var n uint64
-	for i := range h.counts {
-		n += h.counts[i].Load()
-	}
-	return n
-}
-
 // Sum returns the running sum of observations.
 func (h *Histogram) Sum() float64 { return math.Float64frombits(h.sumB.Load()) }
 
 // Max returns the largest observation (0 if none).
 func (h *Histogram) Max() float64 { return math.Float64frombits(h.maxB.Load()) }
-
-// Quantile returns the q-quantile (q in [0,1]) estimated from the buckets:
-// the geometric midpoint of the bucket containing the q-th observation,
-// within a relative error of 2^(1/16) ≈ ±4.4% for interior values. Returns
-// 0 for an empty histogram.
-func (h *Histogram) Quantile(q float64) float64 {
-	var counts [histBuckets + 2]uint64
-	var total uint64
-	for i := range h.counts {
-		counts[i] = h.counts[i].Load()
-		total += counts[i]
-	}
-	return bucketQuantile(counts[:], total, q)
-}
 
 // bucketQuantile is the shared bucketed-quantile kernel (nearest-rank over
 // cumulative bucket counts). metrics.LatencyWindow uses ExactQuantile on its

@@ -75,8 +75,8 @@ func TestHistogramObserveAndQuantiles(t *testing.T) {
 	for i := 1; i <= 1000; i++ {
 		h.Observe(float64(i)) // 1..1000 ms
 	}
-	if h.Count() != 1000 {
-		t.Fatalf("count = %d", h.Count())
+	if count(&h) != 1000 {
+		t.Fatalf("count = %d", count(&h))
 	}
 	if math.Abs(h.Sum()-500500) > 1e-6 {
 		t.Fatalf("sum = %g", h.Sum())
@@ -88,7 +88,7 @@ func TestHistogramObserveAndQuantiles(t *testing.T) {
 	for _, tc := range []struct{ q, exact float64 }{
 		{0.50, 500}, {0.95, 950}, {0.99, 990}, {0.999, 999},
 	} {
-		got := h.Quantile(tc.q)
+		got := quantile(&h, tc.q)
 		if got < tc.exact/bound || got > tc.exact*bound {
 			t.Errorf("q%.3f = %g, want within [%g, %g]", tc.q, got, tc.exact/bound, tc.exact*bound)
 		}
@@ -101,18 +101,18 @@ func TestHistogramEdgeValues(t *testing.T) {
 	h.Observe(-3)
 	h.Observe(math.NaN())
 	h.Observe(1e12) // overflow bucket
-	if h.Count() != 4 {
-		t.Fatalf("count = %d, want 4", h.Count())
+	if count(&h) != 4 {
+		t.Fatalf("count = %d, want 4", count(&h))
 	}
 	s := snapshotHist(&h)
 	if s.Count != 4 {
 		t.Fatalf("snapshot count = %d", s.Count)
 	}
 	// Underflow quantiles report 0, overflow reports the histogram ceiling.
-	if q := h.Quantile(0.25); q != 0 {
+	if q := quantile(&h, 0.25); q != 0 {
 		t.Fatalf("underflow quantile = %g, want 0", q)
 	}
-	if q := h.Quantile(1.0); q != histMax {
+	if q := quantile(&h, 1.0); q != histMax {
 		t.Fatalf("overflow quantile = %g, want %g", q, histMax)
 	}
 	var b bytes.Buffer
@@ -242,8 +242,8 @@ func TestConcurrentInstruments(t *testing.T) {
 	if gm.Value() != float64(want-1) {
 		t.Fatalf("max gauge = %g, want %d", gm.Value(), want-1)
 	}
-	if h.Count() != uint64(want) {
-		t.Fatalf("histogram count = %d, want %d", h.Count(), want)
+	if count(h) != uint64(want) {
+		t.Fatalf("histogram count = %d, want %d", count(h), want)
 	}
 	if math.Abs(h.Sum()-float64(want)*(499.5+0.5)) > 1e-3 {
 		t.Fatalf("histogram sum = %g", h.Sum())
@@ -384,4 +384,25 @@ func TestHTTPExport(t *testing.T) {
 		t.Fatalf("pprof index: %v (status %v)", err, resp)
 	}
 	resp.Body.Close()
+}
+
+// count is the number of observations h holds.
+func count(h *Histogram) uint64 {
+	var n uint64
+	for i := range h.counts {
+		n += h.counts[i].Load()
+	}
+	return n
+}
+
+// quantile is the q-quantile estimated from h's buckets, as a snapshot
+// computes its percentiles.
+func quantile(h *Histogram, q float64) float64 {
+	var counts [histBuckets + 2]uint64
+	var total uint64
+	for i := range h.counts {
+		counts[i] = h.counts[i].Load()
+		total += counts[i]
+	}
+	return bucketQuantile(counts[:], total, q)
 }

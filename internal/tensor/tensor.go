@@ -54,13 +54,6 @@ func (t *Dense) Zero() {
 	}
 }
 
-// Fill sets all elements to v.
-func (t *Dense) Fill(v float64) {
-	for i := range t.Data {
-		t.Data[i] = v
-	}
-}
-
 // At returns the element at the given indices.
 func (t *Dense) At(idx ...int) float64 { return t.Data[t.offset(idx)] }
 

@@ -163,10 +163,6 @@ func TestElementwiseHelpers(t *testing.T) {
 	if a.Data[0] != 2 || a.Data[1] != 3 {
 		t.Fatal("scale broken")
 	}
-	a.Fill(9)
-	if a.Data[0] != 9 || a.Data[1] != 9 {
-		t.Fatal("fill broken")
-	}
 	a.Zero()
 	if a.Data[0] != 0 {
 		t.Fatal("zero broken")
@@ -500,13 +496,13 @@ func TestGEMMKernelsMatchReferenceBitForBit(t *testing.T) {
 			withProcs(func(procs int) {
 				what := fmt.Sprintf("%v zeros=%v procs=%d", s, zeros, procs)
 				got := New(m, n)
-				got.Fill(math.NaN()) // dst must be overwritten, not accumulated into
+				fill(got, math.NaN()) // dst must be overwritten, not accumulated into
 				MatMulInto(got, a, b)
 				sameBits(t, "MatMulInto "+what, got, want)
-				got.Fill(math.NaN())
+				fill(got, math.NaN())
 				MatMulTransAInto(got, at, b)
 				sameBits(t, "MatMulTransAInto "+what, got, wantTA)
-				got.Fill(math.NaN())
+				fill(got, math.NaN())
 				MatMulTransBInto(got, a, bt)
 				sameBits(t, "MatMulTransBInto "+what, got, wantTB)
 			})
@@ -563,7 +559,7 @@ func TestMatMulAddIntoContinuesTheSum(t *testing.T) {
 				copy(a1.Data[i*cut:(i+1)*cut], a.Data[i*k:i*k+cut])
 				copy(a2.Data[i*(k-cut):(i+1)*(k-cut)], a.Data[i*k+cut:(i+1)*k])
 			}
-			got.Fill(math.NaN())
+			fill(got, math.NaN())
 			MatMulInto(got, a1, FromSlice(b.Data[:cut*n], cut, n))
 			MatMulAddInto(got, a2, FromSlice(b.Data[cut*n:], k-cut, n))
 			sameBits(t, fmt.Sprintf("split at %d %s", cut, what), got, whole)
@@ -623,7 +619,7 @@ func TestMatMulTransBAddIntoContinuesTheSum(t *testing.T) {
 			if cut == 0 || cut == k {
 				return
 			}
-			got.Fill(math.NaN())
+			fill(got, math.NaN())
 			MatMulTransBInto(got, cols(a, 0, cut), cols(b, 0, cut))
 			MatMulTransBAddInto(got, cols(a, cut, k), cols(b, cut, k))
 			sameBits(t, fmt.Sprintf("split at %d %s", cut, what), got, whole)
@@ -692,11 +688,11 @@ func TestIm2ColCol2ImMatchReferenceBitForBit(t *testing.T) {
 				withProcs(func(procs int) {
 					what := fmt.Sprintf("%+v k=%d pad=%d procs=%d", im, k, pad, procs)
 					gotCols := New(im.c*k*k, im.b*oh*ow)
-					gotCols.Fill(math.NaN()) // every entry must be written
+					fill(gotCols, math.NaN()) // every entry must be written
 					Im2Col(gotCols, x, k, pad)
 					sameBits(t, "Im2Col "+what, gotCols, wantCols)
 					gotDx := New(im.b, im.c, im.h, im.w)
-					gotDx.Fill(math.NaN())
+					fill(gotDx, math.NaN())
 					Col2Im(gotDx, cols, k, pad)
 					sameBits(t, "Col2Im "+what, gotDx, wantDx)
 				})
@@ -802,5 +798,12 @@ func BenchmarkGEMM(b *testing.B) {
 				b.ReportMetric(2*float64(kn.m*kn.k*kn.n)*float64(b.N)/b.Elapsed().Seconds()/1e9, "gflop/s")
 			})
 		}
+	}
+}
+
+// fill sets every element of t to v.
+func fill(t *Dense, v float64) {
+	for i := range t.Data {
+		t.Data[i] = v
 	}
 }

@@ -158,55 +158,6 @@ func (g *Generator) record(latSec float64, dropped bool) {
 	g.Window.Record(latSec * 1000)
 }
 
-// ClosedLoop emulates a fixed population of users that each issue a request,
-// wait for the response, think for an exponential time, and repeat. Useful
-// for tests and for bounding outstanding work.
-type ClosedLoop struct {
-	Users     int
-	ThinkMean float64
-
-	gen *Generator
-
-	loopFn func()
-	doneFn func(latSec float64, dropped bool)
-}
-
-// NewClosedLoop wraps a generator's request mix with closed-loop users.
-func NewClosedLoop(cl *cluster.Cluster, app *apps.App, rng *sim.RNG, users int, thinkMean float64) *ClosedLoop {
-	c := &ClosedLoop{
-		Users:     users,
-		ThinkMean: thinkMean,
-		gen:       NewGenerator(cl, app, rng, Constant(0)),
-	}
-	c.loopFn, c.doneFn = c.loop, c.done
-	return c
-}
-
-// Window exposes the latency sink shared by all users.
-func (c *ClosedLoop) Window() *metrics.LatencyWindow { return c.gen.Window }
-
-// Submitted returns the total number of requests issued.
-func (c *ClosedLoop) Submitted() int64 { return c.gen.submitted }
-
-// Start launches all users.
-func (c *ClosedLoop) Start() {
-	for i := 0; i < c.Users; i++ {
-		c.loop()
-	}
-}
-
-// loop issues one user's next request; done sends the user back here after
-// its think time.
-func (c *ClosedLoop) loop() {
-	c.gen.cl.Submit(c.gen.pick(), c.doneFn)
-}
-
-func (c *ClosedLoop) done(latSec float64, dropped bool) {
-	g := c.gen
-	g.record(latSec, dropped)
-	g.eng.After(g.rng.Exp(c.ThinkMean), c.loopFn)
-}
-
 // Replay is a pattern that replays a recorded per-second RPS series (e.g.
 // from a production trace or a previous run's CSV); past the end of the
 // series the last value holds. An empty series yields zero load.

@@ -122,23 +122,6 @@ func TestGeneratorZeroRateRecovers(t *testing.T) {
 	}
 }
 
-func TestClosedLoop(t *testing.T) {
-	eng := &sim.Engine{}
-	app := apps.NewHotelReservation()
-	cl := cluster.New(eng, sim.NewRNG(1), app.Tiers)
-	c := NewClosedLoop(cl, app, sim.NewRNG(7), 50, 1.0)
-	c.Start()
-	eng.Run(20)
-	// 50 users with ~1s think time and fast service ≈ 50 RPS.
-	rate := float64(c.Submitted()) / 20
-	if rate < 30 || rate > 70 {
-		t.Fatalf("closed-loop rate = %v, want ~50", rate)
-	}
-	if c.Window().Flush().Count == 0 {
-		t.Fatal("closed loop recorded no latencies")
-	}
-}
-
 func TestReplayPattern(t *testing.T) {
 	r := Replay{RPSSeries: []float64{10, 20, 30}}
 	for _, tc := range []struct{ at, want float64 }{

@@ -1,9 +1,11 @@
 #!/usr/bin/env bash
-# Lists identifiers declared in non-test files under internal/ and cmd/ that
-# nothing references (section 1) or that only _test.go files reference
-# (section 2). Exit status 1 when section 1 is not empty; section 2 is
-# printed with its count so a reviewer sees it grow. The scan and its
-# structural exemptions are documented in scripts/unused/main.go.
+# Lists the declarations under internal/ and cmd/ that no program reaches:
+# names nothing references (section 1), names only _test.go files reference
+# (section 2), and option fields only tests set (section 3). Exit status 1
+# when any section lists a name the allow-list does not, or an allow-list
+# entry matches nothing. The scan, its structural exemptions and the
+# allow-list with its reasons are in scripts/unused/main.go; its fixture test
+# is `go test ./scripts/unused`.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 exec go run ./scripts/unused

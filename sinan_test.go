@@ -55,8 +55,16 @@ func TestFacadePipelineSmall(t *testing.T) {
 	res := Manage(app, Scheduler(app, loaded), RunOptions{
 		Load: Constant(800), Duration: 40, Seed: 9, Warmup: 10, KeepTrace: true,
 	})
-	if res.Meter.Intervals() != 30 {
-		t.Fatalf("intervals = %d", res.Meter.Intervals())
+	// The meter averages exactly the 30 intervals after the warm-up.
+	n, sum := 0, 0.0
+	for _, row := range res.Trace {
+		if row.Time > 10 {
+			n++
+			sum += row.Total
+		}
+	}
+	if n != 30 || res.Meter.MeanAlloc() != sum/float64(n) {
+		t.Fatalf("meter mean allocation %v, want %v over the %d intervals after warm-up", res.Meter.MeanAlloc(), sum/float64(n), n)
 	}
 	if len(res.Trace) != 40 {
 		t.Fatalf("trace length = %d", len(res.Trace))
