@@ -42,12 +42,6 @@ type Cluster struct {
 
 	completed   int64
 	droppedReqs int64
-
-	// tracing (Jaeger substitute); see trace.go
-	tracer    Tracer
-	traceRate float64
-	traceRNG  *sim.RNG
-	reqSeq    int64
 }
 
 // New creates a cluster with the given tier configurations. Tier order is

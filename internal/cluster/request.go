@@ -80,10 +80,6 @@ type call struct {
 	c      *Cluster
 	node   *node
 	parent *call // the calling stage; nil at the root
-	req    int64
-	traced bool
-
-	enqueue, start float64 // span timestamps
 
 	next      int  // sequential children: the next one to issue
 	remaining int  // parallel children: still running
@@ -98,7 +94,7 @@ type call struct {
 	workDoneFn func()
 }
 
-func (c *Cluster) newCall(n *node, parent *call, req int64, traced bool) *call {
+func (c *Cluster) newCall(n *node, parent *call) *call {
 	var k *call
 	if last := len(c.freeCalls) - 1; last >= 0 {
 		k = c.freeCalls[last]
@@ -107,7 +103,7 @@ func (c *Cluster) newCall(n *node, parent *call, req int64, traced bool) *call {
 		k = &call{c: c}
 		k.workDoneFn = k.workDone
 	}
-	k.node, k.parent, k.req, k.traced = n, parent, req, traced
+	k.node, k.parent = n, parent
 	return k
 }
 
@@ -116,10 +112,7 @@ func (c *Cluster) newCall(n *node, parent *call, req int64, traced bool) *call {
 // request was dropped at some saturated admission queue.
 func (c *Cluster) Submit(root *Stage, onDone func(latency float64, dropped bool)) {
 	n := c.compiled(root)
-	c.reqSeq++
-	traced := c.tracer != nil && c.traceRate > 0 &&
-		(c.traceRate >= 1 || c.traceRNG.Float64() < c.traceRate)
-	k := c.newCall(n, nil, c.reqSeq, traced)
+	k := c.newCall(n, nil)
 	k.submitted, k.onDone = c.Eng.Now(), onDone
 	k.exec()
 }
@@ -133,12 +126,7 @@ func (k *call) exec() {
 	if k.parent != nil {
 		k.parent.node.tier.netTx += pkts
 	}
-	k.enqueue = k.c.Eng.Now()
 	if !t.acquireSlot(k) {
-		if k.traced {
-			k.c.tracer.Record(Span{Req: k.req, Tier: t.cfg.Name,
-				Enqueue: k.enqueue, Start: k.enqueue, End: k.enqueue, Dropped: true})
-		}
 		k.resolve(false)
 	}
 }
@@ -147,7 +135,6 @@ func (k *call) exec() {
 // on the tier's processor-sharing queue.
 func (k *call) granted() {
 	n, t := k.node, k.node.tier
-	k.start = k.c.Eng.Now()
 	if n.writeBytes > 0 {
 		t.recordWrite(n.writeBytes)
 	}
@@ -177,7 +164,7 @@ func (k *call) workDone() {
 	// may finish and recycle k inside the loop.
 	k.remaining = len(children)
 	for _, ch := range children {
-		k.c.newCall(ch, k, k.req, k.traced).exec()
+		k.c.newCall(ch, k).exec()
 	}
 }
 
@@ -189,7 +176,7 @@ func (k *call) issueNext() {
 	}
 	ch := children[k.next]
 	k.next++
-	k.c.newCall(ch, k, k.req, k.traced).exec()
+	k.c.newCall(ch, k).exec()
 }
 
 // childDone joins one finished child. A failed child fails the stage but
@@ -208,8 +195,8 @@ func (k *call) childDone(ok bool) {
 }
 
 // finish ends a stage whose subtree has run: count the response packets,
-// release the slot (which may grant it to a waiting call at once), record
-// the span, and resolve.
+// release the slot (which may grant it to a waiting call at once), and
+// resolve.
 func (k *call) finish() {
 	t, pkts := k.node.tier, k.node.pkts
 	// RPC response packets: callee replies, caller receives.
@@ -218,10 +205,6 @@ func (k *call) finish() {
 		k.parent.node.tier.netRx += pkts
 	}
 	t.releaseSlot()
-	if k.traced {
-		k.c.tracer.Record(Span{Req: k.req, Tier: t.cfg.Name,
-			Enqueue: k.enqueue, Start: k.start, End: k.c.Eng.Now(), Dropped: !k.ok})
-	}
 	k.resolve(k.ok)
 }
 

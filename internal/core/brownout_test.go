@@ -15,7 +15,7 @@ type shedModel struct {
 	inner   *fakeModel
 	shed    bool
 	costMS  float64 // reported via CostReporter on successful calls
-	batches []int   // batch size of each successful query
+	batches []int   // batch size of each query, shed or answered
 }
 
 type testShedErr struct{}
@@ -28,12 +28,17 @@ func (m *shedModel) Meta() ModelMeta { return m.inner.Meta() }
 func (m *shedModel) LastPredictMS() float64 { return m.costMS }
 
 func (m *shedModel) PredictBatch(ctx *PredictContext, in nn.Inputs) (*tensor.Dense, []float64, error) {
+	m.batches = append(m.batches, in.Batch())
 	if m.shed {
 		return nil, nil, testShedErr{}
 	}
-	m.batches = append(m.batches, in.Batch())
 	return m.inner.PredictBatch(ctx, in)
 }
+
+// topKBatch bounds a query at BrownoutTopK: the hold row, every single-tier
+// op on the top-k tiers of each direction, one batch row, up-all and victim.
+// Hotel's full set is several times larger.
+const topKBatch = 1 + (len(downOps)+len(upOps))*brownoutTopK + 3
 
 func brownoutTestScheduler(t *testing.T, opts SchedulerOptions) (*shedModel, *Scheduler, []float64) {
 	t.Helper()
@@ -63,6 +68,10 @@ func TestBrownoutEscalatesOnShedsAndRecoversHysteretically(t *testing.T) {
 	wantLevels := []int{BrownoutNone, BrownoutTopK, BrownoutHold, BrownoutHold}
 	for i, want := range wantLevels {
 		dec := s.Decide(stateFor(app, 20, alloc, 0.3))
+		// What the ladder saves: each shed shrinks the next question.
+		if asked := m.batches[len(m.batches)-1]; want == BrownoutTopK && asked > topKBatch || want == BrownoutHold && asked != 1 {
+			t.Fatalf("shed %d: asked an overloaded model %d candidates at level %d", i, asked, want)
+		}
 		if dec.Brownout != want {
 			t.Fatalf("shed %d: decision level %d, want %d", i, dec.Brownout, want)
 		}
@@ -88,6 +97,9 @@ func TestBrownoutEscalatesOnShedsAndRecoversHysteretically(t *testing.T) {
 		}
 		if got := m.batches[len(m.batches)-1]; got != 1 {
 			t.Fatalf("hold-level query batch = %d, want 1", got)
+		}
+		if i == 0 && s.brownLevel != BrownoutHold {
+			t.Fatalf("one healthy probe stepped the ladder down to %d: one lucky query must not flap it", s.brownLevel)
 		}
 		alloc = dec.Alloc
 	}
@@ -115,6 +127,12 @@ func TestBrownoutSlowQueriesEscalate(t *testing.T) {
 	if dec.Degraded {
 		t.Fatal("a slow success is not a degraded interval")
 	}
+	m.costMS = 0
+	dec = s.Decide(stateFor(app, 20, alloc, 0.3))
+	alloc = dec.Alloc
+	if asked := m.batches[len(m.batches)-1]; asked > topKBatch {
+		t.Fatalf("the query after a slow one asked %d candidates, want at most the top-k %d", asked, topKBatch)
+	}
 	if s.brownLevel != BrownoutTopK {
 		t.Fatalf("level = %d after a slow query, want top-k", s.brownLevel)
 	}
@@ -124,8 +142,7 @@ func TestBrownoutSlowQueriesEscalate(t *testing.T) {
 	}
 
 	// Healthy-again queries recover with the same hysteresis.
-	m.costMS = 0
-	for i := 0; i < brownoutRecover; i++ {
+	for i := 1; i < brownoutRecover; i++ {
 		alloc = s.Decide(stateFor(app, 20, alloc, 0.3)).Alloc
 	}
 	if s.brownLevel != BrownoutNone {

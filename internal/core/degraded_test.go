@@ -164,6 +164,31 @@ func TestImputeStatsHoldsLastValue(t *testing.T) {
 	}
 }
 
+// Hold-last-value is what the fallback acts on: a hot tier whose agent has
+// gone silent is still scaled up from its last reading, not held as if the
+// zeroed report meant it were idle.
+func TestFallbackScalesSilentHotTierOnLastReading(t *testing.T) {
+	app := testApp()
+	m, s, alloc := degradedTestScheduler(t)
+	alloc = append([]float64(nil), alloc...) // the scheduler reuses its decision buffers
+	m.fail = true
+	s.Decide(stateFor(app, 20, alloc, 0.7)) // the last good reading: 70 % busy
+
+	st := stateFor(app, 20, alloc, 0.7)
+	st.StatsOK = make([]bool, len(st.Stats))
+	for i := range st.StatsOK {
+		st.StatsOK[i] = i != 0
+	}
+	st.Stats[0].CPUUsage, st.Stats[0].RSS = 0, 0 // zeroed the way the injector does
+	dec := s.Decide(st)
+	if !dec.Degraded {
+		t.Fatal("the fallback should decide while the model is down")
+	}
+	if dec.Alloc[0] <= alloc[0] {
+		t.Fatalf("silent hot tier 0 held at %v: the fallback read its zeroed report", dec.Alloc[0])
+	}
+}
+
 // Past the staleness cap, hold-last-value stops being trustworthy and the
 // bias pushes the silent tier up instead.
 func TestStaleBiasUpscalesSilentTier(t *testing.T) {

@@ -128,19 +128,47 @@ func TestSchedulerConvergesAboveNeed(t *testing.T) {
 	}
 }
 
+// rampedScheduler is a warm scheduler that has just taken the emergency
+// ramp on a violation its model did not predict, so the cool-down is armed.
+// It returns the ramped allocation.
+func rampedScheduler(t *testing.T, app *apps.App, f *fakeModel, alloc []float64) (*Scheduler, []float64) {
+	t.Helper()
+	s := warmScheduler(app, f, alloc)
+	// A model-driven decision first, so its prediction (~20 ms) is held
+	// against the next interval's outcome.
+	dec := s.Decide(stateFor(app, 20, alloc, 0.3))
+	prev := dec.Alloc
+	dec = s.Decide(stateFor(app, 500, prev, 0.9))
+	if s.Mispredictions() != 1 {
+		t.Fatalf("misprediction counter = %d, want the ramp taken", s.Mispredictions())
+	}
+	return s, append([]float64(nil), dec.Alloc...)
+}
+
+// The tail past QoS forbids reclaiming even where the surprise path cannot
+// fire: in the first interval after a cool-down no prediction is held
+// against the outcome, so a violation there reaches choose, and the model
+// still calls every reclaim safe.
 func TestSchedulerNoReclaimWhenHot(t *testing.T) {
 	app := testApp()
 	f := &fakeModel{d: nn.Dims{N: len(app.Tiers), T: 5, F: 6, M: 5}, qos: 200, rmse: 10, needCores: 10}
-	alloc := mkAlloc(app, 4)
-	s := warmScheduler(app, f, alloc)
-	// p99 above QoS: downscales must be excluded even though the model says
-	// everything is fine.
+	s, alloc := rampedScheduler(t, app, f, mkAlloc(app, 4))
+	for i := 0; i < victimWindow; i++ {
+		alloc = s.Decide(stateFor(app, 20, alloc, 0.3)).Alloc
+	}
 	dec := s.Decide(stateFor(app, 350, alloc, 0.3))
+	if s.Mispredictions() != 1 || dec.PViol != 0.01 {
+		t.Fatalf("the interval should be decided by choose (mispredictions %d, pviol %v)", s.Mispredictions(), dec.PViol)
+	}
 	if total(dec.Alloc) < total(alloc) {
 		t.Fatal("reclaimed resources while tail latency was above QoS")
 	}
 }
 
+// An unpredicted violation doubles every tier (plus half a core, so tiers
+// at the floor move), on the grid and in bounds — a geometric ramp, not a
+// jump to the maximum — and the ramp continues while the violation persists
+// during the cool-down.
 func TestSchedulerSafetyUpscaleOnMispredictedViolation(t *testing.T) {
 	app := testApp()
 	f := &fakeModel{d: nn.Dims{N: len(app.Tiers), T: 5, F: 6, M: 5}, qos: 200, rmse: 10, needCores: 10}
@@ -148,18 +176,11 @@ func TestSchedulerSafetyUpscaleOnMispredictedViolation(t *testing.T) {
 	s := warmScheduler(app, f, alloc)
 	// Normal decision first: model predicts ~20ms.
 	dec := s.Decide(stateFor(app, 20, alloc, 0.3))
-	// Now an unpredicted violation arrives: every tier is boosted ×1.5+0.5
-	// immediately (clamped to max), and the ramp continues while the
-	// violation persists during the cool-down.
-	prev := dec.Alloc
+	prev := append([]float64(nil), dec.Alloc...)
 	dec = s.Decide(stateFor(app, 500, prev, 0.9))
 	for i, a := range dec.Alloc {
-		want := prev[i]*1.5 + 0.5
-		if want > app.Tiers[i].MaxCPU {
-			want = app.Tiers[i].MaxCPU
-		}
-		if a < want-1e-9 {
-			t.Fatalf("safety upscale missing: tier %d at %v, want ≥ %v", i, a, want)
+		if want := app.Tiers[i].ClampCPU(2*prev[i] + 0.5); a != want {
+			t.Fatalf("safety upscale: tier %d at %v, want exactly %v (2 × %v + 0.5 on the grid)", i, a, want, prev[i])
 		}
 	}
 	if s.Mispredictions() != 1 {
@@ -172,6 +193,53 @@ func TestSchedulerSafetyUpscaleOnMispredictedViolation(t *testing.T) {
 		if dec.Alloc[i] < prev[i] {
 			t.Fatalf("cool-down ramp reversed at tier %d", i)
 		}
+	}
+}
+
+// After a ramp the scheduler holds for victimWindow intervals while the
+// queues drain and the history window refills, although the tail is back
+// under QoS and the model calls a reclaim safe; the interval after that is
+// the model's again.
+func TestSchedulerCoolDownHoldsAfterRamp(t *testing.T) {
+	app := testApp()
+	f := &fakeModel{d: nn.Dims{N: len(app.Tiers), T: 5, F: 6, M: 5}, qos: 200, rmse: 10, needCores: 10}
+	s, alloc := rampedScheduler(t, app, f, mkAlloc(app, 4))
+	for i := 0; i < victimWindow; i++ {
+		dec := s.Decide(stateFor(app, 20, alloc, 0.3))
+		for j := range dec.Alloc {
+			if dec.Alloc[j] != alloc[j] {
+				t.Fatalf("cool-down interval %d changed tier %d: %v → %v", i, j, alloc[j], dec.Alloc[j])
+			}
+		}
+	}
+	if dec := s.Decide(stateFor(app, 20, alloc, 0.3)); total(dec.Alloc) >= total(alloc) {
+		t.Fatalf("no reclaim once the cool-down ended: %v → %v", total(alloc), total(dec.Alloc))
+	}
+}
+
+// Past trustThreshold missed violations the scheduler stops reclaiming: a
+// calm interval the model calls safe to shrink in is held instead.
+func TestSchedulerStopsReclaimingPastTrustThreshold(t *testing.T) {
+	app := testApp()
+	f := &fakeModel{d: nn.Dims{N: len(app.Tiers), T: 5, F: 6, M: 5}, qos: 200, rmse: 10, needCores: 10}
+	alloc := mkAlloc(app, 4)
+	s := warmScheduler(app, f, alloc)
+	calm := stateFor(app, 150, alloc, 0.3) // not ultra safe, so p_d is what trust makes it
+	modelDriven := func() runner.Decision {
+		for { // through a cool-down to an interval the model decides
+			if dec := s.Decide(calm); dec.PredP99MS != 0 {
+				return dec
+			}
+		}
+	}
+	for i := 0; i <= trustThreshold; i++ {
+		if dec := modelDriven(); total(dec.Alloc) >= total(alloc) {
+			t.Fatalf("after %d mispredictions the model should still reclaim: %v → %v", s.Mispredictions(), total(alloc), total(dec.Alloc))
+		}
+		s.Decide(stateFor(app, 500, alloc, 0.3)) // the violation its calm prediction missed
+	}
+	if dec := modelDriven(); total(dec.Alloc) < total(alloc) {
+		t.Fatalf("reclaimed after %d mispredictions: %v → %v", s.Mispredictions(), total(alloc), total(dec.Alloc))
 	}
 }
 

@@ -15,8 +15,9 @@
 //     most remaining deadline budget, while the oldest is closest to being
 //     abandoned by its caller — serving newest-first converts a little
 //     unfairness into a lot of goodput;
-//   - when the queue overflows, the oldest entry is shed with a typed
-//     ErrOverloaded (preferring entries whose deadline has already passed);
+//   - when the queue overflows, the oldest entry is dropped: with
+//     ErrExpired if its deadline has passed, else shed with a typed
+//     ErrOverloaded;
 //   - requests carry their remaining deadline budget on the wire
 //     (PredictArgs.DeadlineMS), so the server drops work the client has
 //     already timed out on instead of burning cores computing an answer
@@ -234,23 +235,21 @@ func (g *gate) acquire(deadline time.Time) (release func(), err error) {
 	return g.releaseFn, nil
 }
 
-// evictLocked drops one queued entry to make room: preferably the oldest
-// whose deadline has already passed (it would be dropped at grant time
-// anyway), otherwise the oldest outright — under overload the oldest
-// request is the one its caller is about to abandon.
+// evictLocked drops the oldest queued entry to make room — under overload
+// the oldest request is the one its caller is about to abandon — as expired
+// if its deadline has passed, as shed otherwise. Every caller sends one
+// deadline budget, so queued deadlines follow arrival order and the oldest
+// entry is the first to expire: no other entry can be expired while it is
+// not.
 func (g *gate) evictLocked() {
-	now := g.now()
-	for i, w := range g.queue {
-		if !w.deadline.IsZero() && !now.Before(w.deadline) {
-			g.expired.Inc()
-			w.ready <- ErrExpired
-			g.queue = append(g.queue[:i], g.queue[i+1:]...)
-			g.setQueuedLocked()
-			return
-		}
+	w := g.queue[0]
+	if !w.deadline.IsZero() && !g.now().Before(w.deadline) {
+		g.expired.Inc()
+		w.ready <- ErrExpired
+	} else {
+		g.shed.Inc()
+		w.ready <- ErrOverloaded
 	}
-	g.shed.Inc()
-	g.queue[0].ready <- ErrOverloaded
 	g.queue = g.queue[:copy(g.queue, g.queue[1:])]
 	g.setQueuedLocked()
 }

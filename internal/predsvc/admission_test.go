@@ -155,6 +155,47 @@ func TestGateDeadlineExpiry(t *testing.T) {
 	}
 }
 
+// The caller's deadline crosses the wire, so the server skips the work its
+// caller has given up on: a request still queued when its budget runs out is
+// answered "expired" and never reaches the model.
+func TestServerSkipsWorkItsCallerAbandoned(t *testing.T) {
+	m := tinyHybrid(t)
+	svc := NewServiceWith(m, ServiceOptions{MaxConcurrent: 1, MaxQueue: 4})
+	base := time.Unix(1000, 0)
+	var offset atomic.Int64
+	svc.gate.now = func() time.Time { return base.Add(time.Duration(offset.Load())) }
+	l, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv, _ := Serve(l, svc)
+	defer srv.Close()
+	hold, err := svc.gate.acquire(time.Time{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	c, err := dialWith(l.Addr().String(), quickOpts())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+
+	done := make(chan error, 1)
+	go func() {
+		_, _, err := c.PredictBatch(nil, mkBatch(m.D, 2))
+		done <- err
+	}()
+	waitUntil(t, "request queued", func() bool { return svc.StatsSnapshot().Queued == 1 })
+	offset.Store(int64(time.Hour)) // long past the caller's CallTimeout
+	hold()
+	if err := <-done; !IsExpired(err) {
+		t.Fatalf("abandoned request returned %v, want the server's expiry", err)
+	}
+	if rows := svc.predicted.Value(); rows != 0 {
+		t.Fatalf("the model answered %d rows nobody was waiting for", rows)
+	}
+}
+
 // Service.Predict sheds when the gate is saturated — but malformed requests
 // are refused before admission, so they never count as load shedding.
 func TestServicePredictShedsWhenSaturated(t *testing.T) {
@@ -287,8 +328,12 @@ func TestClientCountsDeadlineExceeded(t *testing.T) {
 	if st.DeadlineExceeded != 1 || st.Sheds != 0 {
 		t.Fatalf("stats = %+v, want 1 deadline loss, 0 sheds", st)
 	}
-	if st.Redials != 1 {
-		t.Fatalf("server-side expiry must not drop the connection: redials = %d", st.Redials)
+	// The next call finds the connection the expiry arrived on.
+	if _, _, err := c.PredictBatch(nil, mkBatch(d, 2)); !IsExpired(err) {
+		t.Fatalf("second expired predict returned %v", err)
+	}
+	if st := c.Stats(); st.Redials != 1 || st.DeadlineExceeded != 2 {
+		t.Fatalf("server-side expiry must not drop the connection: stats = %+v, want 1 redial, 2 deadline losses", st)
 	}
 
 	// Local form: the client's own deadline fires first.

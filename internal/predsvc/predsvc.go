@@ -7,7 +7,7 @@
 // Scheduler works identically against a local model or a remote service.
 //
 // The client side is built to survive the service: per-call deadlines,
-// bounded retries with jittered exponential backoff, automatic redial, and
+// bounded retries with exponential backoff, automatic redial, and
 // a consecutive-failure circuit breaker with half-open probing. A model
 // call that exhausts all of that returns an error — never a panic — which
 // the scheduler answers by switching to its degraded fallback policy.
@@ -16,7 +16,6 @@ package predsvc
 import (
 	"errors"
 	"fmt"
-	"math/rand"
 	"net"
 	"os"
 	"sync"
@@ -372,10 +371,6 @@ var defaultClientOptions = clientOptions{
 	BreakerCooldown:  5 * time.Second,
 }
 
-// jitterSeed seeds the client's backoff jitter stream, so retry pacing is
-// reproducible.
-const jitterSeed = 1
-
 // ClientStats counts what the resilient client has done, for experiment
 // tables and operational visibility. Sheds and DeadlineExceeded are kept
 // apart from generic Errors so chaos experiments can distinguish "server
@@ -417,7 +412,6 @@ type Client struct {
 	state      int // breaker
 	fails      int // consecutive failures
 	openedA    time.Time
-	jitter     *rand.Rand
 	lastCostMS float64 // wall cost of the last successful predict call
 
 	// One predict call's request and reply, reused under mu. The reply's
@@ -448,11 +442,10 @@ type Client struct {
 
 func newClient(addr string, opts clientOptions) *Client {
 	c := &Client{
-		addr:   addr,
-		opts:   opts,
-		jitter: rand.New(rand.NewSource(jitterSeed)),
-		now:    time.Now,
-		sleep:  time.Sleep,
+		addr:  addr,
+		opts:  opts,
+		now:   time.Now,
+		sleep: time.Sleep,
 	}
 	c.bindLocked(telemetry.NewRegistry())
 	return c
@@ -570,7 +563,7 @@ func (c *Client) PredictShared(ctx *core.PredictContext, in nn.SharedInputs) (*t
 }
 
 // predict is the one breaker-checked call behind both query forms: bounded
-// retries with jittered backoff and a fresh connection, typed shed and
+// retries with backoff and a fresh connection, typed shed and
 // expiry handling, breaker and latency accounting on the way out. When the
 // service stays down — or does not know the method — the error is returned
 // to the scheduler, which runs its degraded fallback policy, and repeated
@@ -691,15 +684,15 @@ func (c *Client) dropConn() {
 	c.wire = nil
 }
 
-// backoff returns the jittered exponential delay before retry attempt+1.
+// backoff returns the delay before retry attempt+1: the base doubled per
+// attempt, capped. It is not jittered: every program dials one client per
+// service, so there are no replicas whose retries could synchronise.
 func (c *Client) backoff(attempt int) time.Duration {
 	d := c.opts.BackoffBase << uint(attempt)
 	if d > c.opts.BackoffMax || d <= 0 {
 		d = c.opts.BackoffMax
 	}
-	// Full jitter in [d/2, d): desynchronises replicas retrying the same
-	// dead service without stretching the worst case.
-	return d/2 + time.Duration(c.jitter.Int63n(int64(d/2)+1))
+	return d
 }
 
 func (c *Client) breakerAllow() bool {

@@ -380,10 +380,28 @@ func TestUnknownMethodIsPlainErrorAndSchedulerDegrades(t *testing.T) {
 // reclaim from: it must degrade and never reclaim.
 func requireSchedulerDegrades(t *testing.T, app *apps.App, c *Client) {
 	t.Helper()
-	d := c.Meta().D
 	s := core.NewScheduler(app, c, core.SchedulerOptions{})
-	alloc := make([]float64, d.N)
-	stats := make([]cluster.Stats, d.N)
+	st := calmState(app)
+	var dec runner.Decision
+	for i := 0; i < c.Meta().D.T+2; i++ {
+		dec = s.Decide(st)
+	}
+	if !dec.Degraded || s.PredictErrors() == 0 {
+		t.Fatalf("scheduler did not degrade: %+v (predict errors %d)", dec, s.PredictErrors())
+	}
+	for i, v := range dec.Alloc {
+		if v < st.Alloc[i] {
+			t.Fatalf("degraded fallback reclaimed tier %d: %v → %v", i, st.Alloc[i], v)
+		}
+	}
+}
+
+// calmState is an over-provisioned interval far below QoS: 4 cores a tier,
+// 30 % busy, p99 20 ms.
+func calmState(app *apps.App) runner.State {
+	n := len(app.Tiers)
+	alloc := make([]float64, n)
+	stats := make([]cluster.Stats, n)
 	for i := range alloc {
 		alloc[i] = 4
 		stats[i] = cluster.Stats{CPUUsage: 1.2, CPULimit: 4, RSS: 100, Cache: 50}
@@ -393,18 +411,7 @@ func requireSchedulerDegrades(t *testing.T, app *apps.App, c *Client) {
 		perc.Values[i] = 20
 	}
 	perc.Count = 100
-	var dec runner.Decision
-	for i := 0; i < d.T+2; i++ {
-		dec = s.Decide(runner.State{Stats: stats, Perc: perc, Alloc: alloc, RPS: 100, QoSMS: app.QoSMS})
-	}
-	if !dec.Degraded || s.PredictErrors() == 0 {
-		t.Fatalf("scheduler did not degrade: %+v (predict errors %d)", dec, s.PredictErrors())
-	}
-	for i, v := range dec.Alloc {
-		if v < alloc[i] {
-			t.Fatalf("degraded fallback reclaimed tier %d: %v → %v", i, alloc[i], v)
-		}
-	}
+	return runner.State{Stats: stats, Perc: perc, Alloc: alloc, RPS: 100, QoSMS: app.QoSMS}
 }
 
 // replySinan answers Meta honestly and every predict with whatever reply the
@@ -485,4 +492,77 @@ func TestClientRejectsMisshapenReply(t *testing.T) {
 
 	// The scheduler's batch is not 6, so that same reply is misshapen to it.
 	requireSchedulerDegrades(t, app, c2)
+}
+
+// dropListener hands out connections that, while armed, read one request and
+// hang up instead of answering it: the service's host resets a connection in
+// the middle of a call.
+type dropListener struct {
+	net.Listener
+	armed atomic.Bool
+}
+
+func (l *dropListener) Accept() (net.Conn, error) {
+	conn, err := l.Listener.Accept()
+	if err != nil {
+		return nil, err
+	}
+	return &dropConn{Conn: conn, l: l}, nil
+}
+
+type dropConn struct {
+	net.Conn
+	l *dropListener
+}
+
+func (c *dropConn) Read(p []byte) (int, error) {
+	n, err := c.Conn.Read(p)
+	if n > 0 && c.l.armed.CompareAndSwap(true, false) {
+		c.Conn.Close()
+		return 0, net.ErrClosed
+	}
+	return n, err
+}
+
+// One dropped connection costs a retry and a redial, not the call: the
+// query is answered, and a scheduler over the client decides the interval
+// on the model instead of its degraded fallback.
+func TestClientRetriesDroppedConnection(t *testing.T) {
+	app := apps.NewHotelReservation()
+	d := nn.Dims{N: len(app.Tiers), T: 3, F: 6, M: 5}
+	l, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	dl := &dropListener{Listener: l}
+	srv, _ := Serve(dl, NewServiceWith(hybridOf(t, d), ServiceOptions{}))
+	defer srv.Close()
+	opts := quickOpts()
+	opts.MaxRetries = 2
+	c, err := dialWith(l.Addr().String(), opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+
+	dl.armed.Store(true)
+	if _, _, err := c.PredictShared(nil, mkShared(d, 3)); err != nil {
+		t.Fatalf("predict over a dropped connection: %v, want it answered on the retry", err)
+	}
+	if st := c.Stats(); st.Errors != 0 || st.Retries != 1 || st.Redials != 2 {
+		t.Fatalf("stats = %+v, want no error, 1 retry, 2 redials (dial + recovery)", st)
+	}
+
+	s := core.NewScheduler(app, c, core.SchedulerOptions{})
+	st := calmState(app)
+	for i := 0; i < d.T-1; i++ {
+		s.Decide(st) // bootstrap: the history window fills, no query
+	}
+	dl.armed.Store(true)
+	if dec := s.Decide(st); dec.Degraded || s.PredictErrors() != 0 {
+		t.Fatalf("scheduler degraded on one dropped connection: %+v (predict errors %d)", dec, s.PredictErrors())
+	}
+	if st := c.Stats(); st.Retries != 2 || st.Redials != 3 {
+		t.Fatalf("stats = %+v, want the scheduler's query retried once more", st)
+	}
 }

@@ -13,7 +13,6 @@ import (
 	"sinan/internal/cluster"
 	"sinan/internal/faults"
 	"sinan/internal/runner"
-	"sinan/internal/sim"
 	"sinan/internal/workload"
 )
 
@@ -47,8 +46,6 @@ var goldenDigests = map[string]uint64{
 	"hotel/faults-standard":      0x8f899104dd05460d,
 	"hotel/frontend-crash":       0xc41a89586d98c9cb,
 	"hotel/cpu-starved":          0xf9fdcb2c8e3703d8,
-	"social/traced/rows":         0xace38d3c538e4253,
-	"social/traced/spans":        0xb9c037891db9b618,
 }
 
 // goldenEvents pins run.sim.events — the events the engine executed — for
@@ -88,25 +85,6 @@ func runDigest(res *runner.Result) uint64 {
 	hashFloats(h, float64(res.Completed), float64(res.Dropped))
 	return h.Sum64()
 }
-
-func spanDigest(spans []cluster.Span) uint64 {
-	h := fnv.New64a()
-	for _, s := range spans {
-		drop := 0.0
-		if s.Dropped {
-			drop = 1
-		}
-		h.Write([]byte(s.Tier))
-		hashFloats(h, float64(s.Req), s.Enqueue, s.Start, s.End, drop)
-	}
-	return h.Sum64()
-}
-
-// bindFunc adapts a function to runner.FaultInjector, the one hook through
-// which a test reaches the cluster a managed run builds for itself.
-type bindFunc func(*sim.Engine, *cluster.Cluster)
-
-func (f bindFunc) Bind(eng *sim.Engine, cl *cluster.Cluster) { f(eng, cl) }
 
 func checkGolden(t *testing.T, name string, got uint64) {
 	t.Helper()
@@ -224,22 +202,4 @@ func TestGoldenFaultsAndStarvation(t *testing.T) {
 		}
 		checkGolden(t, "hotel/cpu-starved", runDigest(res))
 	})
-}
-
-// TestGoldenSpans pins the sampled span list: the trace RNG's draws, the
-// order spans are recorded in (children before parents, drops at once) and
-// every timestamp in them.
-func TestGoldenSpans(t *testing.T) {
-	var spans cluster.SpanCollector
-	res := runner.Run(runner.Config{
-		App: apps.NewSocialNetwork(), Policy: baselines.NewAutoScaleCons(),
-		Pattern:  workload.Diurnal{Min: 100, Max: 350, Period: 40},
-		Duration: 30, Seed: 5, KeepTrace: true,
-		Faults: bindFunc(func(_ *sim.Engine, cl *cluster.Cluster) { cl.EnableTracing(&spans, 0.3) }),
-	})
-	if len(spans.Spans) == 0 {
-		t.Fatal("no span recorded")
-	}
-	checkGolden(t, "social/traced/rows", runDigest(res))
-	checkGolden(t, "social/traced/spans", spanDigest(spans.Spans))
 }

@@ -120,8 +120,13 @@ go test -run='^$' -bench='ConvForward|PredictBatch$|PredictShared|SimulatorThrou
 go test -run='^$' -bench=GEMM -benchtime=1x ./internal/tensor
 
 stage "size"
-# The number every simplicity PR quotes: non-test Go outside bench/.
+# The numbers every simplicity PR quotes: Go lines outside bench/, non-test
+# and test, and the length of the three documents a reader starts from.
 echo "non-test Go lines outside bench/: $(find . -name '*.go' ! -name '*_test.go' ! -path './bench/*' | xargs cat | wc -l)"
+echo "test Go lines outside bench/: $(find . -name '*_test.go' ! -path './bench/*' | xargs cat | wc -l)"
+for doc in DESIGN.md README.md ROADMAP.md; do
+    echo "$doc lines: $(wc -l <"$doc")"
+done
 
 stage "wall seconds per stage"
 printf '%s%5d s  total\n' "$timings" "$SECONDS"

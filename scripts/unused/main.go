@@ -43,11 +43,10 @@ import (
 // allowed names what the sections may list, each with the reason it stays.
 // A key is the package name, a dot, and the name as the listing prints it.
 var allowed = map[string]string{
-	"core.RetrainOptions.LR":        "at the production rate λ/100 TestRetrainAdaptsToShiftedEnvironment does not adapt (RMSE 146.0 → 146.1); the test sets its own",
-	"cluster.TierConfig.MaxQueue":   "application data no built-in app sets; the cluster tests set 1–2 to reach the admission-drop path",
-	"cluster.Tier.AliveFraction":    "TestReplicaCrashWindowDrivesAliveFraction (faults) checks a crash window halves the tier and the restart restores it; no stats channel or counter carries the fraction",
-	"lifecycle.Manager.Live":        "TestDriftGateProtectsBlindSwapDoesNot (experiments) checks which model each arm ends on; no program-visible value names the served model",
-	"cluster.Cluster.EnableTracing": "the span tracer: only cluster's TestTracing* and runner's TestGoldenSpans enable it, and it goes with them in a change of its own (ROADMAP.md)",
+	"core.RetrainOptions.LR":      "at the production rate λ/100 TestRetrainAdaptsToShiftedEnvironment does not adapt (RMSE 146.0 → 146.1); the test sets its own",
+	"cluster.TierConfig.MaxQueue": "application data no built-in app sets; the cluster tests set 1–2 to reach the admission-drop path",
+	"cluster.Tier.AliveFraction":  "TestReplicaCrashWindowDrivesAliveFraction (faults) checks a crash window halves the tier and the restart restores it; no stats channel or counter carries the fraction",
+	"lifecycle.Manager.Live":      "TestDriftGateProtectsBlindSwapDoesNot (experiments) checks which model each arm ends on; no program-visible value names the served model",
 }
 
 func main() { os.Exit(run(".", allowed, os.Stdout)) }
