@@ -14,17 +14,12 @@ import (
 	"log"
 
 	"sinan/internal/apps"
+	"sinan/internal/cluster"
 	"sinan/internal/core"
 	"sinan/internal/dataset"
 	"sinan/internal/explain"
 	"sinan/internal/lifecycle"
-	"sinan/internal/nn"
-	"sinan/internal/tensor"
 )
-
-type modelAdapter struct{ m *core.HybridModel }
-
-func (a modelAdapter) Predict(in nn.Inputs) *tensor.Dense { return a.m.Lat.Predict(in) }
 
 func main() {
 	var (
@@ -68,10 +63,9 @@ func main() {
 		log.Fatal("dataset contains no violation samples to explain")
 	}
 	sub := ds.Select(idx).Inputs()
-	model := modelAdapter{m}
 
 	fmt.Printf("top-%d tiers by influence on predicted p99 (%d violation samples):\n", *topN, len(idx))
-	ranking := explain.TierImportance(model, sub, ds.D, app.TierNames())
+	ranking := explain.TierImportance(m.Lat, sub, ds.D, app.TierNames())
 	for i := 0; i < *topN && i < len(ranking); i++ {
 		fmt.Printf("  %2d. %-24s %.1f\n", i+1, ranking[i].Name, ranking[i].Weight)
 	}
@@ -86,9 +80,8 @@ func main() {
 		if tierIdx < 0 {
 			log.Fatalf("unknown tier %q", *tier)
 		}
-		channels := []string{"cpu usage", "cpu limit", "rss", "cache", "net rx", "net tx"}
 		fmt.Printf("\nresource channels of %s:\n", *tier)
-		for i, r := range explain.ResourceImportance(model, sub, ds.D, tierIdx, channels) {
+		for i, r := range explain.ResourceImportance(m.Lat, sub, ds.D, tierIdx, cluster.FeatureNames[:]) {
 			fmt.Printf("  %2d. %-12s %.1f\n", i+1, r.Name, r.Weight)
 		}
 	}

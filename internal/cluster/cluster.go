@@ -24,11 +24,14 @@ type Stats struct {
 // NumStatFeatures is the number of resource channels exported per tier.
 const NumStatFeatures = 6
 
-// Features returns the channels used as ML model input, in a fixed order:
-// cpu usage, cpu limit, rss, cache, net rx, net tx.
+// Features returns the channels used as ML model input, in the fixed order
+// FeatureNames labels.
 func (s Stats) Features() [NumStatFeatures]float64 {
 	return [NumStatFeatures]float64{s.CPUUsage, s.CPULimit, s.RSS, s.Cache, s.NetRx, s.NetTx}
 }
+
+// FeatureNames labels the channels of Features, in its order.
+var FeatureNames = [NumStatFeatures]string{"cpu usage", "cpu limit", "rss", "cache", "net rx", "net tx"}
 
 // Cluster is a set of tiers driven by one simulation engine.
 type Cluster struct {

@@ -4,14 +4,13 @@ import (
 	"fmt"
 
 	"sinan/internal/apps"
+	"sinan/internal/cluster"
 	"sinan/internal/collect"
 	"sinan/internal/core"
 	"sinan/internal/dataset"
 	"sinan/internal/explain"
 	"sinan/internal/harness"
-	"sinan/internal/nn"
 	"sinan/internal/runner"
-	"sinan/internal/tensor"
 	"sinan/internal/workload"
 )
 
@@ -91,8 +90,6 @@ func Fig16(l *Lab) []*Table {
 // channels) dominates the model's attention around violation intervals;
 // with sync disabled its importance collapses.
 func Table4(l *Lab) []*Table {
-	channelNames := []string{"cpu usage", "cpu limit", "rss", "cache", "net rx", "net tx"}
-
 	analyse := func(sync bool, seed int64) ([]explain.Importance, []explain.Importance) {
 		var opts []apps.Option
 		if sync {
@@ -143,8 +140,7 @@ func Table4(l *Lab) []*Table {
 		}
 		samples := combined.Select(idx).Inputs()
 
-		model := explainAdapter{m.Lat}
-		tiers := explain.TierImportance(model, samples, ds.D, app.TierNames())
+		tiers := explain.TierImportance(m.Lat, samples, ds.D, app.TierNames())
 		// Resource importance for the social-graph Redis tier.
 		redisIdx := 0
 		for i, name := range app.TierNames() {
@@ -152,7 +148,7 @@ func Table4(l *Lab) []*Table {
 				redisIdx = i
 			}
 		}
-		res := explain.ResourceImportance(model, samples, ds.D, redisIdx, channelNames)
+		res := explain.ResourceImportance(m.Lat, samples, ds.D, redisIdx, cluster.FeatureNames[:])
 		return tiers, res
 	}
 
@@ -226,10 +222,3 @@ func Table4(l *Lab) []*Table {
 			resOn[0].Name, resOff[0].Name))
 	return []*Table{t1, t2, t3}
 }
-
-// explainAdapter exposes a TrainedModel as an explain.Model.
-type explainAdapter struct {
-	tm *nn.TrainedModel
-}
-
-func (a explainAdapter) Predict(in nn.Inputs) *tensor.Dense { return a.tm.Predict(in) }

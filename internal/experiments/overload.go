@@ -269,7 +269,7 @@ func servingQuantile(sorted []float64, q float64) float64 {
 func measurePredictMS(svc *predsvc.Service, args *predsvc.PredictArgs) float64 {
 	var reply predsvc.PredictReply
 	for i := 0; i < 2; i++ {
-		svc.Predict(args, &reply) // warm the context pool and caches
+		svc.Predict(args, &reply) // warm the caches
 	}
 	const reps = 8
 	start := time.Now()

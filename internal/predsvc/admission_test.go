@@ -271,9 +271,10 @@ type unknownSinan struct{}
 
 var errUnknownMethod = errors.New("predsvc: unknown method")
 
-func (unknownSinan) Predict(*PredictArgs, *PredictReply) error       { return errUnknownMethod }
-func (unknownSinan) PredictShared(*PredictArgs, *PredictReply) error { return errUnknownMethod }
-func (unknownSinan) Meta(*struct{}, *MetaReply) error                { return errUnknownMethod }
+func (unknownSinan) predict(*serveScratch, *PredictArgs, *PredictReply, bool) error {
+	return errUnknownMethod
+}
+func (unknownSinan) Meta(*struct{}, *MetaReply) error { return errUnknownMethod }
 
 // serveRaw serves an arbitrary handler on a loopback listener, for wire-form
 // error tests. stop is Server.Close: it waits for the handler to return.
@@ -290,18 +291,18 @@ func serveRaw(t *testing.T, h handler) (addr string, stop func()) {
 type expiringSinan struct{ unknownSinan }
 
 func (expiringSinan) Meta(*struct{}, *MetaReply) error { return nil }
-func (expiringSinan) Predict(*PredictArgs, *PredictReply) error {
+func (expiringSinan) predict(*serveScratch, *PredictArgs, *PredictReply, bool) error {
 	return ErrExpired
 }
 
-// stallSinan holds every Predict until release is closed.
+// stallSinan holds every predict until release is closed.
 type stallSinan struct {
 	unknownSinan
 	release chan struct{}
 }
 
 func (s stallSinan) Meta(*struct{}, *MetaReply) error { return nil }
-func (s stallSinan) Predict(*PredictArgs, *PredictReply) error {
+func (s stallSinan) predict(*serveScratch, *PredictArgs, *PredictReply, bool) error {
 	<-s.release
 	return nil
 }

@@ -62,15 +62,14 @@ type MetaReply struct {
 
 // Service is the model host behind the wire. Concurrent Predict calls run in
 // parallel up to the admission gate's concurrency limit: a trained model is
-// immutable, so the only shared mutable state is a pool of serving scratch
-// (one checked out per in-flight request), the lifecycle.Live holding the
-// served model, and the gate itself.
+// immutable and each connection owns its serving scratch, so the only shared
+// mutable state is the lifecycle.Live holding the served model and the gate
+// itself.
 type Service struct {
 	// live owns the served model and the version numbers; the Predict fast
 	// path reads it without locks.
-	live    *lifecycle.Live
-	scratch sync.Pool // *serveScratch
-	gate    *gate
+	live *lifecycle.Live
+	gate *gate
 
 	// swapMu serializes Swaps, so the version gauge moves in order.
 	swapMu sync.Mutex
@@ -83,13 +82,16 @@ type Service struct {
 	versionG  *telemetry.Gauge     // current model generation
 }
 
-// serveScratch is what one in-flight request borrows from the pool: a
-// prediction context and the tensor headers that view the request's
-// arguments in place.
+// serveScratch is what a request is served with: a prediction context and
+// the tensor headers that view the request's arguments in place. A
+// connection owns one and carries one request at a time (serveConn); an
+// in-process call gets a fresh one.
 type serveScratch struct {
 	ctx *core.PredictContext
 	in  nn.Inputs
 }
+
+func newServeScratch() *serveScratch { return &serveScratch{ctx: core.NewPredictContext()} }
 
 // NewServiceWith wraps a hybrid model for serving. The zero options give
 // default admission control (concurrency sized to GOMAXPROCS, a small LIFO
@@ -129,26 +131,21 @@ func (s *Service) Swap(m *core.HybridModel) {
 	s.versionG.Set(float64(s.live.Generation()))
 }
 
-// Predict implements the RPC method for a full batch. Requests pass the
-// admission gate before touching the model: saturated, the gate queues
-// briefly and sheds (ErrOverloaded) or expires (ErrExpired) the rest, so
-// admitted requests keep bounded latency no matter the offered load.
-// Validation happens before admission — malformed requests are refused, not
-// shed.
+// Predict serves a full batch in process, with a fresh serving scratch; a
+// connection serves both predict methods through predict with its own.
 func (s *Service) Predict(args *PredictArgs, reply *PredictReply) error {
-	return s.serve(args, reply, false)
+	return s.predict(newServeScratch(), args, reply, false)
 }
 
-// PredictShared implements the RPC method for the deduplicated form: the
-// history window arrives once and only the per-candidate allocation rows
-// scale with the batch. Admission and validation are Predict's; only the
-// expected history length and the model entry point differ.
-func (s *Service) PredictShared(args *PredictArgs, reply *PredictReply) error {
-	return s.serve(args, reply, true)
-}
-
-// serve is the one admitted serving path behind both RPC methods.
-func (s *Service) serve(args *PredictArgs, reply *PredictReply, shared bool) error {
+// predict is the one serving path behind both RPC methods, served with sc's
+// context and views. Requests pass the admission gate before touching the
+// model: saturated, the gate queues briefly and sheds (ErrOverloaded) or
+// expires (ErrExpired) the rest, so admitted requests keep bounded latency
+// no matter the offered load. Validation happens before admission —
+// malformed requests are refused, not shed. A shared request carries one
+// history window for all candidates; only the expected history length and
+// the model entry point differ.
+func (s *Service) predict(sc *serveScratch, args *PredictArgs, reply *PredictReply, shared bool) error {
 	start := s.gate.now()
 	s.inflight.Add(1)
 	defer func() {
@@ -180,13 +177,6 @@ func (s *Service) serve(args *PredictArgs, reply *PredictReply, shared bool) err
 		return err
 	}
 	defer release()
-	sc, _ := s.scratch.Get().(*serveScratch)
-	if sc == nil {
-		sc = &serveScratch{ctx: core.NewPredictContext()}
-	}
-	// Return the scratch via defer so the error path recycles it too — an
-	// error storm must not churn a fresh context per failed request.
-	defer s.scratch.Put(sc)
 	in := &sc.in
 	in.RH = tensor.View(in.RH, args.RH, windows, d.F, d.N, d.T)
 	in.LH = tensor.View(in.LH, args.LH, windows, d.T, d.M)
@@ -201,10 +191,8 @@ func (s *Service) serve(args *PredictArgs, reply *PredictReply, shared bool) err
 	if err != nil {
 		return err
 	}
-	// Copy out of the context before returning: the reply is encoded after
-	// this method returns, when another request may be overwriting the
-	// context's buffers (the deferred Put runs first). The connection loop's
-	// reused reply costs no allocation here; a zero reply gets fresh slices.
+	// The reply owns its slices: the connection loop's reused reply costs no
+	// allocation here; a zero reply gets fresh slices.
 	reply.Lat = append(reply.Lat[:0], pred.Data...)
 	reply.M = d.M
 	reply.PViol = append(reply.PViol[:0], pviol...)

@@ -126,12 +126,11 @@ type bitsSinan struct {
 }
 
 func (s *bitsSinan) Meta(_ *struct{}, r *MetaReply) error { r.Meta = s.meta; return nil }
-func (s *bitsSinan) Predict(a *PredictArgs, r *PredictReply) error {
+func (s *bitsSinan) predict(_ *serveScratch, a *PredictArgs, r *PredictReply, _ bool) error {
 	s.got = PredictArgs{RH: slices.Clone(a.RH), LH: slices.Clone(a.LH), RC: slices.Clone(a.RC), Batch: a.Batch, DeadlineMS: a.DeadlineMS}
 	*r = s.reply
 	return nil
 }
-func (s *bitsSinan) PredictShared(a *PredictArgs, r *PredictReply) error { return s.Predict(a, r) }
 
 // requireRawBitsOnTheWire pins that floats cross the wire as their bits, in
 // both directions: the values an arithmetic or textual encoding would
@@ -244,7 +243,8 @@ func TestLifecycleMutationsRacePredict(t *testing.T) {
 	for p := 0; p < predictors; p++ {
 		call, args := svc.Predict, full
 		if p%2 == 1 {
-			call, args = svc.PredictShared, shared
+			call = func(a *PredictArgs, r *PredictReply) error { return serveShared(svc, a, r) }
+			args = shared
 		}
 		wg.Add(1)
 		go func() {
@@ -300,15 +300,15 @@ func TestClientIsSchedulerPredictor(t *testing.T) {
 	}
 }
 
-// Concurrent Predict calls through the shared service — exercising the
-// context pool and the atomic model pointer — must all produce the serial
-// answer. Under -race this doubles as the service's thread-safety proof.
+// Concurrent Predict calls through the shared service — one immutable model
+// behind the atomic pointer — must all produce the serial answer. Under -race
+// this doubles as the service's thread-safety proof.
 func TestServiceConcurrentPredict(t *testing.T) {
 	const workers = 8
 	m := tinyHybrid(t)
 	// Size the gate to the test's own concurrency: this test proves the
-	// model/context-pool thread safety, not admission control (which would
-	// shed under 8 callers on a small GOMAXPROCS).
+	// model's thread safety, not admission control (which would shed under 8
+	// callers on a small GOMAXPROCS).
 	svc := NewServiceWith(m, ServiceOptions{MaxConcurrent: workers})
 	in := mkBatch(m.D, 7)
 	args := &PredictArgs{RH: in.RH.Data, LH: in.LH.Data, RC: in.RC.Data, Batch: 7}

@@ -196,7 +196,7 @@ func TestDialDeadlineOnSilentServer(t *testing.T) {
 
 // Swap racing in-flight Predicts through real connections: under -race
 // this is the end-to-end thread-safety proof for the model pointer and the
-// context pool.
+// connections' serving scratch.
 func TestSwapRacesInflightPredicts(t *testing.T) {
 	m1 := tinyHybrid(t)
 	srv, svc, err := ListenAndServe("127.0.0.1:0", m1)
@@ -309,14 +309,14 @@ func TestServerCloseDrainsInflight(t *testing.T) {
 	}
 }
 
-// slowSvc holds a Predict from the moment it signals entered until release
+// slowSvc holds a predict from the moment it signals entered until release
 // is closed.
 type slowSvc struct {
 	unknownSinan
 	entered, release chan struct{}
 }
 
-func (s *slowSvc) Predict(*PredictArgs, *PredictReply) error {
+func (s *slowSvc) predict(*serveScratch, *PredictArgs, *PredictReply, bool) error {
 	s.entered <- struct{}{}
 	<-s.release
 	return nil
@@ -423,11 +423,10 @@ type replySinan struct {
 }
 
 func (s *replySinan) Meta(_ *struct{}, r *MetaReply) error { r.Meta = s.meta; return nil }
-func (s *replySinan) Predict(_ *PredictArgs, r *PredictReply) error {
+func (s *replySinan) predict(_ *serveScratch, _ *PredictArgs, r *PredictReply, _ bool) error {
 	*r = *s.reply.Load()
 	return nil
 }
-func (s *replySinan) PredictShared(a *PredictArgs, r *PredictReply) error { return s.Predict(a, r) }
 
 // A reply whose shape does not answer the query is a predictor failure, not
 // a panic in tensor.FromSlice or an index out of range in the scheduler: the

@@ -82,7 +82,7 @@ func TestPredictSharedValidatesLengths(t *testing.T) {
 		{RH: in.RH.Data, LH: in.LH.Data, RC: in.RC.Data, Batch: 0},       // no batch
 	}
 	for i, args := range cases {
-		if err := svc.PredictShared(&args, &reply); err == nil {
+		if err := serveShared(svc, &args, &reply); err == nil {
 			t.Fatalf("case %d: malformed shared args accepted", i)
 		}
 	}
@@ -93,7 +93,7 @@ func TestPredictSharedValidatesLengths(t *testing.T) {
 
 	// Well-formed shared args pass; Predict still wants expanded lengths.
 	good := PredictArgs{RH: in.RH.Data, LH: in.LH.Data, RC: in.RC.Data, Batch: b}
-	if err := svc.PredictShared(&good, &reply); err != nil {
+	if err := serveShared(svc, &good, &reply); err != nil {
 		t.Fatal(err)
 	}
 	v1short := PredictArgs{RH: in.RH.Data, LH: in.LH.Data, RC: in.RC.Data, Batch: b}
@@ -104,6 +104,11 @@ func TestPredictSharedValidatesLengths(t *testing.T) {
 	if err := svc.Predict(&v1, &reply); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// serveShared serves a shared request in process, as a connection would.
+func serveShared(svc *Service, args *PredictArgs, reply *PredictReply) error {
+	return svc.predict(newServeScratch(), args, reply, true)
 }
 
 // TestSwapDuringPredictShared hammers the shared path from several
@@ -141,7 +146,7 @@ func TestSwapDuringPredictShared(t *testing.T) {
 			args := PredictArgs{RH: in.RH.Data, LH: in.LH.Data, RC: in.RC.Data, Batch: in.Batch()}
 			for r := 0; r < rounds; r++ {
 				var reply PredictReply
-				if err := svc.PredictShared(&args, &reply); err != nil {
+				if err := serveShared(svc, &args, &reply); err != nil {
 					errc <- err
 					return
 				}

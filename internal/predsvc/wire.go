@@ -52,9 +52,9 @@ func (e remoteError) Error() string { return string(e) }
 var errMalformed = errors.New("predsvc: malformed frame body")
 
 // handler is what a connection dispatches to: *Service, or a test's fake.
+// predict answers either predict method with the connection's scratch.
 type handler interface {
-	Predict(*PredictArgs, *PredictReply) error
-	PredictShared(*PredictArgs, *PredictReply) error
+	predict(sc *serveScratch, args *PredictArgs, reply *PredictReply, shared bool) error
 	Meta(*struct{}, *MetaReply) error
 }
 
@@ -211,41 +211,40 @@ func (w *wireConn) roundTrip(method byte, args, reply any, timeout time.Duration
 	return decodeBody(body, reply)
 }
 
-// answer serves one request: body into args, the handler, reply sent.
-func answer[A, R any](w *wireConn, body []byte, args *A, reply *R, call func(*A, *R) error) error {
-	err := decodeBody(body, args)
-	if err == nil {
-		err = call(args, reply)
-	}
-	if err == nil {
-		err = w.send(statusOK, reply)
-	}
-	return err
-}
-
 // serveConn answers one connection's requests, one at a time, until the peer
 // hangs up (or Server.Close stops the read side) or a frame cannot be
 // delimited. A whole frame always gets a reply frame: an unknown method or a
-// malformed body is answered like any handler error. args and reply are reused
-// across requests (Service.serve appends into reply.Lat[:0]): no allocation.
+// malformed body is answered like any handler error. args, reply and the
+// serving scratch belong to the connection and are reused across its
+// requests (Service.predict appends into reply.Lat[:0]): no allocation.
 func serveConn(conn net.Conn, h handler) {
 	w := &wireConn{conn: conn}
 	var args PredictArgs
 	var reply PredictReply
+	sc := newServeScratch()
 	for {
 		method, body, err := w.recv()
 		if err != nil {
 			return
 		}
+		var out any
 		switch method {
-		case methodPredict:
-			err = answer(w, body, &args, &reply, h.Predict)
-		case methodPredictShared:
-			err = answer(w, body, &args, &reply, h.PredictShared)
+		case methodPredict, methodPredictShared:
+			if err = decodeBody(body, &args); err == nil {
+				err = h.predict(sc, &args, &reply, method == methodPredictShared)
+			}
+			out = &reply
 		case methodMeta:
-			err = answer(w, body, new(struct{}), new(MetaReply), h.Meta)
+			none, meta := new(struct{}), new(MetaReply)
+			if err = decodeBody(body, none); err == nil {
+				err = h.Meta(none, meta)
+			}
+			out = meta
 		default:
 			err = fmt.Errorf("predsvc: unknown method %d", method)
+		}
+		if err == nil {
+			err = w.send(statusOK, out)
 		}
 		// After a failed Write this second one fails too, and ends the loop.
 		if err != nil && w.send(statusErr, remoteError(err.Error())) != nil {

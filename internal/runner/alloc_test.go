@@ -3,7 +3,6 @@ package runner_test
 import (
 	"math/rand"
 	"runtime"
-	"runtime/debug"
 	"testing"
 
 	"sinan/internal/apps"
@@ -54,9 +53,6 @@ func untrainedHybrid(app *apps.App) *core.HybridModel {
 // objects per interval before, the difference was the whole per-interval
 // cost.
 func TestIntervalAllocatesNothing(t *testing.T) {
-	if raceEnabled {
-		t.Skip("the race detector makes sync.Pool lossy; the count is exact only without it")
-	}
 	if testing.Short() {
 		t.Skip("nine managed runs")
 	}
@@ -78,12 +74,6 @@ func TestIntervalAllocatesNothing(t *testing.T) {
 	sinan := func(p core.Predictor) func() runner.Policy {
 		return func() runner.Policy { return core.NewScheduler(social, p, core.SchedulerOptions{SlowPredictMS: -1}) }
 	}
-	// The server's scratch pool keeps an item per P, and a query whose
-	// goroutine lands on another P than the last one's builds a second
-	// context: one P and no collection during the runs (which would empty
-	// the pool) make every query find the scratch the previous one returned.
-	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
-	defer debug.SetGCPercent(debug.SetGCPercent(-1))
 	const n = 400
 	for _, tc := range []struct {
 		name string
@@ -108,7 +98,7 @@ func TestIntervalAllocatesNothing(t *testing.T) {
 			}
 			return m1.Mallocs - m0.Mallocs
 		}
-		mallocs(n) // warm what outlives a run: the client's connection, the server's pool
+		mallocs(n) // warm what outlives a run: the client's connection and the server's scratch
 		once, twice := mallocs(n), mallocs(2*n)
 		perInterval := (float64(twice) - float64(once)) / n
 		t.Logf("%s: %d objects over %d intervals, %d over %d: %.3f per interval", tc.name, once, n, twice, 2*n, perInterval)

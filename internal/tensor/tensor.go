@@ -140,7 +140,7 @@ func matMul(dst, a, b *Dense, acc bool) {
 // Unblocked, a k × 8960 conv product streams all of B through L1 once per row
 // of A and the vector leaves wait on L2; blocked, the C tile (2 KB) stays in
 // L1 and the k × 256 panel of B (147 KB at k = 72) in L2 while the m rows
-// re-read it. Widths 256 to 1024 measure alike (DESIGN.md §7 has the sweep);
+// re-read it. Widths 256 to 1024 measure alike (CHANGES.md has the sweep);
 // 256 is the one whose panel also fits a 256 KB L2. The Go leaves run at the
 // same speed either way, so every platform shares the one loop.
 const colBlock = 256

@@ -741,8 +741,8 @@ var setPortable func(on bool)
 // products are rc.fc on the normalised allocations, trunk.fc's rc columns
 // continuing the history prefix's sums, and the head. Where the leaves
 // are assembly a third side, portable, is the kernel on its Go leaves, so one
-// run at -cpu 1 prints the whole table of DESIGN.md §7 "Kernels" (CHANGES.md,
-// PRs 15 and 20, has the per-shape history).
+// run at -cpu 1 prints ref, portable and kernel side by side for every shape
+// (CHANGES.md has the per-shape readings).
 func BenchmarkGEMM(b *testing.B) {
 	rng := rand.New(rand.NewSource(1))
 	type kernel struct {

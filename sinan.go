@@ -24,15 +24,14 @@ import (
 
 	"sinan/internal/apps"
 	"sinan/internal/baselines"
+	"sinan/internal/cluster"
 	"sinan/internal/collect"
 	"sinan/internal/core"
 	"sinan/internal/dataset"
 	"sinan/internal/explain"
 	"sinan/internal/harness"
 	"sinan/internal/lifecycle"
-	"sinan/internal/nn"
 	"sinan/internal/runner"
-	"sinan/internal/tensor"
 	"sinan/internal/workload"
 )
 
@@ -189,7 +188,7 @@ func PowerChief() Policy    { return baselines.NewPowerChief() }
 type Importance = explain.Importance
 
 // ResourceChannelNames labels the F resource channels of the model input.
-var ResourceChannelNames = []string{"cpu usage", "cpu limit", "rss", "cache", "net rx", "net tx"}
+var ResourceChannelNames = cluster.FeatureNames[:]
 
 // violationSamples picks up to max samples from violation intervals (LIME
 // is run around misbehaving timesteps, per Sec. 5.6).
@@ -216,18 +215,14 @@ func violationSamples(ds *Dataset, maxN int) *Dataset {
 // perturbation analysis, Sec. 5.6).
 func ExplainTiers(m *Model, ds *Dataset, app *App) []Importance {
 	sub := violationSamples(ds, 32)
-	return explain.TierImportance(latAdapter{m}, sub.Inputs(), ds.D, app.TierNames())
+	return explain.TierImportance(m.Lat, sub.Inputs(), ds.D, app.TierNames())
 }
 
 // ExplainResources ranks the resource channels of one tier by influence.
 func ExplainResources(m *Model, ds *Dataset, tierIndex int) []Importance {
 	sub := violationSamples(ds, 32)
-	return explain.ResourceImportance(latAdapter{m}, sub.Inputs(), ds.D, tierIndex, ResourceChannelNames)
+	return explain.ResourceImportance(m.Lat, sub.Inputs(), ds.D, tierIndex, ResourceChannelNames)
 }
-
-type latAdapter struct{ m *Model }
-
-func (a latAdapter) Predict(in nn.Inputs) *tensor.Dense { return a.m.Lat.Predict(in) }
 
 // RunOptions configures a managed run.
 type RunOptions struct {
