@@ -258,11 +258,12 @@ func BenchmarkCNNTrainStep(b *testing.B) {
 	opt := &nn.SGD{LR: 0.01, Momentum: 0.9}
 	loss := nn.ScaledMSE{Knee: 5, Alpha: 1}
 	ctx := nn.NewContext()
+	var grad *tensor.Dense
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		ctx.Reset()
 		pred := model.Forward(ctx, in)
-		_, grad := loss.Compute(pred, y)
+		_, grad = loss.Compute(grad, pred, y)
 		model.Backward(ctx, grad)
 		ctx.FlushGrads(model.Params())
 		opt.Step(model.Params())

@@ -164,16 +164,19 @@ type binner struct {
 	cuts [][]float64 // per feature: ascending upper boundaries (len ≤ numBins-1)
 }
 
+// fitBinner takes every feature's cuts from one slab of d·(numBins−1)
+// boundaries, each feature's capped at its share.
 func fitBinner(X [][]float64) *binner {
 	d := len(X[0])
 	b := &binner{cuts: make([][]float64, d)}
 	vals := make([]float64, len(X))
+	slab := make([]float64, d*(numBins-1))
 	for f := 0; f < d; f++ {
 		for i := range X {
 			vals[i] = X[i][f]
 		}
 		sort.Float64s(vals)
-		var cuts []float64
+		cuts := slab[f*(numBins-1) : f*(numBins-1) : (f+1)*(numBins-1)]
 		for q := 1; q < numBins; q++ {
 			v := vals[q*len(vals)/numBins]
 			if len(cuts) == 0 || v > cuts[len(cuts)-1] {
@@ -224,7 +227,7 @@ func Train(X [][]float64, y []bool, cfg Config, valX [][]float64, valY []bool) *
 		}
 	}
 	prior := (float64(pos) + 1) / (float64(n) + 2)
-	m := &Model{Base: math.Log(prior / (1 - prior)), Dim: d}
+	m := &Model{Base: math.Log(prior / (1 - prior)), Dim: d, Trees: make([]*Tree, 0, cfg.NumTrees)}
 
 	g := newGrower(X, y, cfg, m.Base)
 	earlyStop := cfg.EarlyStopping > 0 && len(valX) > 0
@@ -276,7 +279,8 @@ func filled(n int, v float64) []float64 {
 type cell struct{ g, h float64 }
 
 // grower holds what growing a tree reads and the scratch every node of
-// every tree reuses; nothing is allocated per node.
+// every tree reuses, and hands out every round's Tree and nodes from two
+// slabs allocated with it: nothing is allocated per round or per node.
 type grower struct {
 	cfg    Config
 	d      int
@@ -290,6 +294,10 @@ type grower struct {
 
 	grad, hess []float64
 	scores     []float64 // training rows' running score: base + every tree grown so far
+
+	trees    []Tree // one per round, handed out in order
+	nodes    []node // every tree's nodes end to end; the next tree starts at len
+	maxNodes int    // the most nodes one tree can have
 }
 
 func newGrower(X [][]float64, y []bool, cfg Config, base float64) *grower {
@@ -304,7 +312,16 @@ func newGrower(X [][]float64, y []bool, cfg Config, base float64) *grower {
 		grad:   make([]float64, n),
 		hess:   make([]float64, n),
 		scores: filled(n, base),
+		trees:  make([]Tree, cfg.NumTrees),
 	}
+	// A tree is binary and every leaf holds a row (2n − 1 nodes), and it is
+	// at most MaxDepth deep (2^(MaxDepth+1) − 1, shifted only where int
+	// cannot overflow).
+	g.maxNodes = 2*n - 1
+	if cfg.MaxDepth < 30 {
+		g.maxNodes = min(g.maxNodes, 1<<(cfg.MaxDepth+1)-1)
+	}
+	g.nodes = make([]node, 0, cfg.NumTrees*g.maxNodes)
 	for i, x := range X {
 		for f := 0; f < d; f++ {
 			g.binned[i*d+f] = uint8(g.bn.bin(f, x[f]))
@@ -333,8 +350,15 @@ func (g *grower) next() *Tree {
 	for i := range g.rows {
 		g.rows[i] = i
 	}
-	tree := &Tree{}
+	tree := &g.trees[0]
+	g.trees = g.trees[1:]
+	// The tree appends inside the slab's capacity; capped at its length, it
+	// cannot reach the next tree's nodes.
+	at := len(g.nodes)
+	tree.Nodes = g.nodes[at : at : at+g.maxNodes]
 	g.grow(tree, g.rows, 0)
+	tree.Nodes = tree.Nodes[:len(tree.Nodes):len(tree.Nodes)]
+	g.nodes = g.nodes[:at+len(tree.Nodes)]
 	return tree
 }
 

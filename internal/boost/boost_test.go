@@ -524,9 +524,11 @@ func TestGrowerScoresMatchModelScore(t *testing.T) {
 }
 
 // TestTrainAllocsPerRound: at the set-up shape a boosting round allocates
-// its Tree and the growth steps of its Nodes slice and nothing per node or
-// per row. Measured: 7.8 per round on top of a set-up of 478 (the binner's
-// per-feature sorts); the reference trainer above makes 283 per round.
+// nothing — its Tree, its nodes and the binner's cuts come from slabs Train
+// allocates once — and the set-up is a fixed count, not one per feature.
+// Measured: 0 per round on a set-up of 17. It was 7.8 per round (the Tree and
+// the growth steps of its Nodes) on a set-up of 478 (the cuts, grown per
+// feature); the reference trainer above makes 283 per round.
 func TestTrainAllocsPerRound(t *testing.T) {
 	X, y := diffData(rand.New(rand.NewSource(13)), 1071, 88, false)
 	allocs := func(rounds int) float64 {
@@ -534,8 +536,8 @@ func TestTrainAllocsPerRound(t *testing.T) {
 		return testing.AllocsPerRun(2, func() { Train(X, y, cfg, nil, nil) })
 	}
 	setup, full := allocs(1), allocs(61)
-	if perRound := (full - setup) / 60; perRound > 16 || setup > 1000 {
-		t.Fatalf("%.1f allocations per boosting round on a set-up of %v, want ≤ 16 on fewer than one per row", perRound, setup)
+	if perRound := (full - setup) / 60; perRound >= 1 || setup > 32 {
+		t.Fatalf("%.2f allocations per boosting round on a set-up of %v, want fewer than one on at most 32", perRound, setup)
 	}
 }
 

@@ -12,6 +12,7 @@ import (
 	"io"
 	"math"
 	"math/rand"
+	"runtime"
 	"sort"
 
 	"sinan/internal/boost"
@@ -117,20 +118,20 @@ func splitRows(ds *dataset.Dataset, seed int64) (train, val []int) {
 // violation samples are not drowned out — and calibrates the scheduler
 // thresholds on the validation rows.
 //
-// Each side is forwarded exactly once, on one reused context: the pass that
+// Each side is forwarded exactly once, on the same workers: the pass that
 // yields the latents for the trees also yields the predictions the RMSEs
 // are reductions of, and the sub-QoS RMSE is the same reduction over the
 // rows that qualify (a row's prediction does not depend on its batch).
 func fitTrees(tm *nn.TrainedModel, ds *dataset.Dataset, train, val []int, qosMS float64) (*HybridModel, TrainReport) {
-	ctx, buf := nn.NewContext(), &nn.Inputs{}
-	trX, trY, pred := btFeatures(ctx, buf, tm, ds, train)
+	ws := newFeatureWorkers()
+	trX, trY, pred := btFeatures(ws, tm, ds, train)
 	rep := TrainReport{
 		TrainSamples: len(train),
 		ValSamps:     len(val),
 		CNNSizeKB:    nn.ModelSizeKB(tm.Model.Params()),
 	}
 	rep.TrainRMSE, _ = rmse(pred, ds, train, math.Inf(1))
-	vaX, vaY, pred := btFeatures(ctx, buf, tm, ds, val)
+	vaX, vaY, pred := btFeatures(ws, tm, ds, val)
 	rep.ValRMSE, _ = rmse(pred, ds, val, math.Inf(1))
 	rep.ValRMSESubQoS = rep.ValRMSE
 	if sub, n := rmse(pred, ds, val, qosMS); n > 0 {
@@ -182,35 +183,62 @@ func rmse(pred []float64, ds *dataset.Dataset, rows []int, maxP99 float64) (floa
 	return math.Sqrt(s / float64(n*m)), n
 }
 
-// btFeatures forwards samples rows of ds through the CNN on ctx and builds
-// the Boosted Trees design matrix: the CNN latent Lf, the candidate
-// allocation vector, and the per-tier prospective utilization (latest CPU
-// usage divided by the candidate allocation). The utilization features make
-// the classifier directly sensitive to the examined allocation, so scale-up
-// candidates genuinely lower the predicted violation probability. The rows,
-// gathered into buf one predict chunk at a time, also yield their violation
-// labels and predicted latencies, in the order of the list.
-func btFeatures(ctx *nn.Context, buf *nn.Inputs, tm *nn.TrainedModel, ds *dataset.Dataset, rows []int) ([][]float64, []bool, []float64) {
+// featureWorker is one btFeatures worker's scratch, kept for both sides of
+// the split: its forward context and the buffer its rows are gathered into.
+type featureWorker struct {
+	ctx *nn.Context
+	buf nn.Inputs
+}
+
+// newFeatureWorkers returns one worker per GOMAXPROCS.
+func newFeatureWorkers() []featureWorker {
+	ws := make([]featureWorker, runtime.GOMAXPROCS(0))
+	for i := range ws {
+		ws[i].ctx = nn.NewContext()
+	}
+	return ws
+}
+
+// btFeatures forwards samples rows of ds through the CNN and builds the
+// Boosted Trees design matrix: the CNN latent Lf, the candidate allocation
+// vector, and the per-tier prospective utilization (latest CPU usage divided
+// by the candidate allocation). The utilization features make the classifier
+// directly sensitive to the examined allocation, so scale-up candidates
+// genuinely lower the predicted violation probability. The rows also yield
+// their violation labels and predicted latencies, in the order of the list.
+//
+// Worker w takes the w-th of len(ws) consecutive ranges of the list and
+// writes only its rows' slots. It forwards PredictChunk/len(ws) rows at a
+// time, so the workers' contexts together hold one predict chunk's working
+// set whatever their number. A row's outputs depend on the row alone, so
+// the bits do not depend on the worker count.
+func btFeatures(ws []featureWorker, tm *nn.TrainedModel, ds *dataset.Dataset, rows []int) ([][]float64, []bool, []float64) {
 	cnn, ok := tm.Model.(*nn.LatencyCNN)
 	if !ok {
 		panic("core: latency model does not expose a latent vector")
 	}
-	n, d := len(rows), ds.D
+	n, d, nw := len(rows), ds.D, len(ws)
 	width, rhRow := cnn.Latent+2*d.N, d.F*d.N*d.T
 	X, y := make([][]float64, n), make([]bool, n)
 	flat := make([]float64, n*width) // one backing array for all n rows
 	pred := make([]float64, n*d.M)
-	for s := 0; s < n; s += nn.PredictChunk {
-		e := min(s+nn.PredictChunk, n)
-		ds.GatherInto(buf, rows[s:e])
-		p, latent := tm.PredictWithLatentCtx(ctx, *buf)
-		copy(pred[s*d.M:], p.Data)
-		for i := s; i < e; i++ {
-			X[i], y[i] = flat[i*width:(i+1)*width:(i+1)*width], ds.YViol[rows[i]]
-			k := i - s
-			btRowInto(X[i], latent, k, buf.RH.Data[k*rhRow:(k+1)*rhRow], buf.RC.Data[k*d.N:(k+1)*d.N], d)
+	chunk := (nn.PredictChunk + nw - 1) / nw
+	tensor.ParallelFor(nw, func(a, b int) {
+		for w := a; w < b; w++ {
+			buf := &ws[w].buf
+			for s, hi := w*n/nw, (w+1)*n/nw; s < hi; s += chunk {
+				e := min(s+chunk, hi)
+				ds.GatherInto(buf, rows[s:e])
+				p, latent := tm.PredictWithLatentCtx(ws[w].ctx, *buf)
+				copy(pred[s*d.M:], p.Data)
+				for i := s; i < e; i++ {
+					X[i], y[i] = flat[i*width:(i+1)*width:(i+1)*width], ds.YViol[rows[i]]
+					k := i - s
+					btRowInto(X[i], latent, k, buf.RH.Data[k*rhRow:(k+1)*rhRow], buf.RC.Data[k*d.N:(k+1)*d.N], d)
+				}
+			}
 		}
-	}
+	})
 	return X, y, pred
 }
 
@@ -381,7 +409,7 @@ func RebuildHybrid(tm *nn.TrainedModel, ds *dataset.Dataset, qosMS float64) *Hyb
 // ViolationError returns the BT misclassification rate (threshold 0.5) on
 // a dataset, using the hybrid's own latent features.
 func (m *HybridModel) ViolationError(ds *dataset.Dataset) float64 {
-	X, y, _ := btFeatures(nn.NewContext(), &nn.Inputs{}, m.Lat, ds, nn.AllRows(ds.Len()))
+	X, y, _ := btFeatures(newFeatureWorkers(), m.Lat, ds, nn.AllRows(ds.Len()))
 	return m.Viol.ErrorRate(X, y)
 }
 

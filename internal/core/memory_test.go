@@ -143,18 +143,20 @@ func TestSetupDatasetFootprint(t *testing.T) {
 }
 
 // The end-to-end twin of nn.TestTrainStepSteadyStateAllocs: one TrainHybrid
-// on the benchmark's set-up dataset allocates 8.5, 11.3 and 17.1 MB at 1, 2
-// and 4 workers — per worker a 2.4 MB tape and a 0.44 MB gather buffer, plus
-// the trees' design matrices; the normaliser gathers its chunks into the
-// first shard's buffers, so assembling windows from the dataset's steps costs
-// no buffer of its own. It allocated 12.4, 18.1 and 29.5 MB while ReLU copied
-// its input and its gradient and conv2 had a dx of its own (a 5.2 MB tape),
-// 27.8, 33.5 and 44.9 MB while the split was copied out and then normalised
-// whole, and 74, 94 and 135 MB before that, while Conv2D unfolded whole
-// shards and Inputs, Targets and predict copied the dataset. The guard,
-// 6.5 MB plus 3.5 MB per worker (10, 13.5 and 20.5 MB), sits between the
-// first two rows at every worker count, and its slope is above the 2.9 MB a
-// worker adds.
+// on the benchmark's set-up dataset allocates 8.5, 11.5 and 17.5 MB at 1, 2
+// and 4 workers — per worker a 2.4 MB tape, a 0.44 MB gather buffer and the
+// trees' forward context's one-sample im2col scratch (0.14 MB; the trees'
+// workers split one 64-row chunk between them), plus the trees' design
+// matrices; the normaliser gathers its chunks into the first shard's
+// buffers, so assembling windows from the dataset's steps costs no buffer of
+// its own. It allocated 8.5, 11.3 and 17.1 MB while the trees' forward ran on
+// one context; 12.4, 18.1 and 29.5 MB while ReLU copied its input and its
+// gradient and conv2 had a dx of its own (a 5.2 MB tape); 27.8, 33.5 and
+// 44.9 MB while the split was copied out and then normalised whole; and 74,
+// 94 and 135 MB before that, while Conv2D unfolded whole shards and Inputs,
+// Targets and predict copied the dataset. The guard, 6.5 MB plus 3.5 MB per
+// worker (10, 13.5 and 20.5 MB), sits between today's row and the 5.2 MB-tape
+// row at every worker count, and its slope is above the 3.0 MB a worker adds.
 func TestTrainHybridAllocVolume(t *testing.T) {
 	if testing.Short() {
 		t.Skip("collects 1200 s of SocialNetwork")
@@ -169,5 +171,48 @@ func TestTrainHybridAllocVolume(t *testing.T) {
 	t.Logf("TrainHybrid on %d samples allocated %.1f MB at GOMAXPROCS %d", ds.Len(), mb, procs)
 	if limit := 6.5 + 3.5*float64(procs); mb > limit {
 		t.Fatalf("TrainHybrid allocated %.1f MB at GOMAXPROCS %d, want at most %.1f", mb, procs, limit)
+	}
+}
+
+// Training allocates per run, not per step: on the benchmark's set-up
+// dataset (1071 train rows, five minibatches an epoch) TrainHybrid at
+// Epochs 3 makes no more allocations per extra step than the fork of the
+// step's gradient shards costs over Epochs 1. tensor.ParallelFor allocates
+// the caller's fn (all it costs at GOMAXPROCS 1, where it runs fn inline),
+// the WaitGroup and a closure per worker (2 + min(GOMAXPROCS, 4)), and the
+// runtime may allocate a goroutine or a waiter the first times a worker runs
+// on another P (20 per extra P). A run's own count also varies by a few
+// objects from run to run at any worker count (750–754 at one, Epochs 1),
+// hence 16 more. Nothing below the fork allocates: the loss gradient lives
+// on the shard, no GEMM forks inside a shard, and the trees' nodes, Trees
+// and cuts come from slabs sized once per run. It reads 0.6–1.4, 3.5–5.1
+// and 5–7.9 per step at 1, 2 and 4 procs; while GEMMs forked inside shards,
+// loss gradients were allocated per shard and tree nodes per growth step,
+// the same difference read −66 (fewer trees at Epochs 3), 6.8 and 56, and a
+// loss gradient allocated per shard alone adds 12 to 18 per step.
+func TestTrainHybridAllocsPerRun(t *testing.T) {
+	if testing.Short() {
+		t.Skip("collects 1200 s of SocialNetwork")
+	}
+	ds := setupDataset()
+	mallocs := func(epochs int) int64 {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		TrainHybrid(ds, 500, TrainOptions{Seed: 2, Epochs: epochs})
+		runtime.ReadMemStats(&after)
+		return int64(after.Mallocs - before.Mallocs)
+	}
+	mallocs(1) // the first run warms the runtime's goroutine and waiter caches
+	one, three := mallocs(1), mallocs(3)
+	procs := runtime.GOMAXPROCS(0)
+	const steps = 2 * 5
+	fork := 1
+	if procs > 1 {
+		fork = 2 + min(procs, 4)
+	}
+	perStep := float64(three-one) / steps
+	t.Logf("GOMAXPROCS %d: %d allocations at 1 epoch, %d at 3: %.1f per step", procs, one, three, perStep)
+	if limit := int64(steps*fork + 16 + 20*(procs-1)); three-one > limit {
+		t.Fatalf("GOMAXPROCS %d: two more epochs allocate %d objects (%.1f per step), want at most %d", procs, three-one, perStep, limit)
 	}
 }

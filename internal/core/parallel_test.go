@@ -2,7 +2,6 @@ package core
 
 import (
 	"math/rand"
-	"runtime"
 	"sync"
 	"testing"
 
@@ -122,10 +121,6 @@ func TestSchedulerPredictSteadyStateAllocs(t *testing.T) {
 	st := stateFor(app, 20, alloc, 0.3)
 	o := obsFor(app, st)
 
-	// Single-threaded so parallel kernels take their inline path; the guard
-	// is about buffer reuse, not goroutine-dispatch overhead.
-	prev := runtime.GOMAXPROCS(1)
-	defer runtime.GOMAXPROCS(prev)
 	query := func() {
 		enumerate(s.cands, o)
 		s.score()

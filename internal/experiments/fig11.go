@@ -68,8 +68,6 @@ func Fig11(l *Lab) []*Table {
 			l.logf("fig11 %s: load=%.0f %s meet=%.3f mean=%.1f",
 				env.name, loads[i], run.Policy.Name(), res.Meter.MeetProb(), res.Meter.MeanAlloc())
 		}
-		// Summary note: average CPU saving of Sinan vs AutoScaleCons over
-		// loads where both meet QoS.
 		tables = append(tables, t)
 	}
 	addSavingsNotes(tables)
@@ -78,7 +76,9 @@ func Fig11(l *Lab) []*Table {
 
 // addSavingsNotes appends the Sinan-vs-AutoScaleCons savings summary the
 // paper reports (25.9% avg / 46.0% max on Hotel; 59.0% avg / 68.1% max on
-// Social Network).
+// Social Network): the mean and the largest of 1 − Sinan/AutoScaleCons over
+// every load of the table, whether or not either policy met QoS there, each
+// policy's mean CPU read back from its formatted cell.
 func addSavingsNotes(tables []*Table) {
 	for _, t := range tables {
 		perLoad := map[string]map[string]float64{}

@@ -47,6 +47,7 @@ func Fig4(l *Lab) []*Table {
 	}
 	const batch = 256
 	ctx := nn.NewContext()
+	var dlat, dlog *tensor.Dense
 	for e := 0; e < epochs; e++ {
 		rng.Shuffle(len(idx), func(i, j int) { idx[i], idx[j] = idx[j], idx[i] })
 		for s := 0; s < len(idx); s += batch {
@@ -63,8 +64,8 @@ func Fig4(l *Lab) []*Table {
 				copy(bv.Data[k*ds.K:(k+1)*ds.K], vlabels.Data[i*ds.K:(i+1)*ds.K])
 			}
 			lat, logits := mt.Forward(ctx, bin)
-			_, dlat := latLoss.Compute(lat, by)
-			_, dlog := nn.BCEWithLogits{}.Compute(logits, bv)
+			_, dlat = latLoss.Compute(dlat, lat, by)
+			_, dlog = nn.BCEWithLogits{}.Compute(dlog, logits, bv)
 			// The joint objective weights both tasks; the classification
 			// head's gradients flow into the shared trunk, which is exactly
 			// the semantic interference the paper attributes the latency

@@ -30,17 +30,20 @@ func ScaleDeriv(x, t, alpha float64) float64 {
 }
 
 // Loss computes a scalar loss and the gradient with respect to predictions.
+// Compute writes the gradient into grad, resized to pred's shape by
+// tensor.Ensure and returned, so a caller that keeps grad from step to step
+// allocates nothing; a nil grad allocates one.
 type Loss interface {
-	Compute(pred, truth *tensor.Dense) (float64, *tensor.Dense)
+	Compute(grad, pred, truth *tensor.Dense) (float64, *tensor.Dense)
 }
 
 // MSE is the mean squared error over all elements.
 type MSE struct{}
 
 // Compute implements Loss.
-func (MSE) Compute(pred, truth *tensor.Dense) (float64, *tensor.Dense) {
+func (MSE) Compute(grad, pred, truth *tensor.Dense) (float64, *tensor.Dense) {
 	n := float64(pred.Size())
-	grad := tensor.New(pred.Shape...)
+	grad = tensor.Ensure(grad, pred.Shape...)
 	loss := 0.0
 	for i, p := range pred.Data {
 		d := p - truth.Data[i]
@@ -59,9 +62,9 @@ type ScaledMSE struct {
 }
 
 // Compute implements Loss.
-func (s ScaledMSE) Compute(pred, truth *tensor.Dense) (float64, *tensor.Dense) {
+func (s ScaledMSE) Compute(grad, pred, truth *tensor.Dense) (float64, *tensor.Dense) {
 	n := float64(pred.Size())
-	grad := tensor.New(pred.Shape...)
+	grad = tensor.Ensure(grad, pred.Shape...)
 	loss := 0.0
 	for i, p := range pred.Data {
 		d := Scale(p, s.Knee, s.Alpha) - Scale(truth.Data[i], s.Knee, s.Alpha)
@@ -76,9 +79,9 @@ func (s ScaledMSE) Compute(pred, truth *tensor.Dense) (float64, *tensor.Dense) {
 type BCEWithLogits struct{}
 
 // Compute implements Loss; truth values must be 0 or 1.
-func (BCEWithLogits) Compute(pred, truth *tensor.Dense) (float64, *tensor.Dense) {
+func (BCEWithLogits) Compute(grad, pred, truth *tensor.Dense) (float64, *tensor.Dense) {
 	n := float64(pred.Size())
-	grad := tensor.New(pred.Shape...)
+	grad = tensor.Ensure(grad, pred.Shape...)
 	loss := 0.0
 	for i, z := range pred.Data {
 		y := truth.Data[i]

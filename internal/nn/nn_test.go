@@ -399,7 +399,7 @@ func TestScaleFunction(t *testing.T) {
 func TestMSELoss(t *testing.T) {
 	pred := tensor.FromSlice([]float64{1, 2}, 1, 2)
 	truth := tensor.FromSlice([]float64{0, 4}, 1, 2)
-	loss, grad := MSE{}.Compute(pred, truth)
+	loss, grad := MSE{}.Compute(nil, pred, truth)
 	if math.Abs(loss-(1+4)/2.0) > 1e-12 {
 		t.Fatalf("mse = %v", loss)
 	}
@@ -412,14 +412,14 @@ func TestScaledMSEGradNumeric(t *testing.T) {
 	l := ScaledMSE{Knee: 100, Alpha: 0.01}
 	truth := tensor.FromSlice([]float64{80, 300}, 1, 2)
 	pred := tensor.FromSlice([]float64{120, 90}, 1, 2)
-	_, grad := l.Compute(pred, truth)
+	_, grad := l.Compute(nil, pred, truth)
 	const eps = 1e-5
 	for i := range pred.Data {
 		orig := pred.Data[i]
 		pred.Data[i] = orig + eps
-		lp, _ := l.Compute(pred, truth)
+		lp, _ := l.Compute(nil, pred, truth)
 		pred.Data[i] = orig - eps
-		lm, _ := l.Compute(pred, truth)
+		lm, _ := l.Compute(nil, pred, truth)
 		pred.Data[i] = orig
 		num := (lp - lm) / (2 * eps)
 		if math.Abs(num-grad.Data[i]) > 1e-6 {
@@ -433,9 +433,9 @@ func TestScaledMSEDampensSpikes(t *testing.T) {
 	pred := tensor.FromSlice([]float64{100}, 1, 1)
 	spiky := tensor.FromSlice([]float64{5000}, 1, 1)
 	mild := tensor.FromSlice([]float64{200}, 1, 1)
-	lossSpiky, _ := l.Compute(pred, spiky)
-	lossMild, _ := l.Compute(pred, mild)
-	plainSpiky, _ := MSE{}.Compute(pred, spiky)
+	lossSpiky, _ := l.Compute(nil, pred, spiky)
+	lossMild, _ := l.Compute(nil, pred, mild)
+	plainSpiky, _ := MSE{}.Compute(nil, pred, spiky)
 	if lossSpiky >= plainSpiky {
 		t.Fatal("φ-scaling should dampen spike loss versus plain MSE")
 	}
@@ -447,7 +447,7 @@ func TestScaledMSEDampensSpikes(t *testing.T) {
 func TestBCEWithLogits(t *testing.T) {
 	pred := tensor.FromSlice([]float64{0}, 1, 1)
 	truth := tensor.FromSlice([]float64{1}, 1, 1)
-	loss, grad := BCEWithLogits{}.Compute(pred, truth)
+	loss, grad := BCEWithLogits{}.Compute(nil, pred, truth)
 	if math.Abs(loss-math.Log(2)) > 1e-9 {
 		t.Fatalf("bce(0,1) = %v, want ln2", loss)
 	}
@@ -456,7 +456,7 @@ func TestBCEWithLogits(t *testing.T) {
 	}
 	// Large positive logit with label 1: near-zero loss.
 	pred.Data[0] = 20
-	loss, _ = BCEWithLogits{}.Compute(pred, truth)
+	loss, _ = BCEWithLogits{}.Compute(nil, pred, truth)
 	if loss > 1e-6 {
 		t.Fatalf("confident correct prediction loss = %v", loss)
 	}
@@ -531,7 +531,7 @@ func TestMLPLearnsLinearFunction(t *testing.T) {
 		}
 		ctx.Reset()
 		pred := net.Forward(ctx, x)
-		_, grad := MSE{}.Compute(pred, y)
+		_, grad := MSE{}.Compute(nil, pred, y)
 		net.Backward(ctx, grad, false)
 		ctx.FlushGrads(net.Params())
 		opt.Step(net.Params())

@@ -243,49 +243,56 @@ func TestBoundGradSetReceivesAndFlushes(t *testing.T) {
 	}
 }
 
+// allocsPerRun is testing.AllocsPerRun at the test's GOMAXPROCS:
+// AllocsPerRun sets GOMAXPROCS to 1 while it counts, where nothing forks.
+func allocsPerRun(runs int, fn func()) float64 {
+	fn()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < runs; i++ {
+		fn()
+	}
+	runtime.ReadMemStats(&after)
+	return float64(after.Mallocs-before.Mallocs) / float64(runs)
+}
+
 // The steady-state predict path on a warmed-up context must not allocate:
 // every buffer the forward pass touches lives on the Context and is reused.
 func TestPredictCtxSteadyStateAllocs(t *testing.T) {
 	tm, qin := trainTiny(51)
-	// Single-threaded so parallel kernels take their inline path; the guard
-	// is about buffer reuse, not goroutine-dispatch overhead.
-	prev := runtime.GOMAXPROCS(1)
-	defer runtime.GOMAXPROCS(prev)
 	ctx := NewContext()
 	tm.PredictCtx(ctx, qin)
-	allocs := testing.AllocsPerRun(20, func() { tm.PredictCtx(ctx, qin) })
-	if allocs > 2 {
-		t.Fatalf("steady-state predict allocates %.0f objects per call, want ~0", allocs)
+	allocs := allocsPerRun(20, func() { tm.PredictCtx(ctx, qin) })
+	if allocs != 0 {
+		t.Fatalf("steady-state predict allocates %.0f objects per call, want 0", allocs)
 	}
 }
 
 // One steady-state training step on a warmed shard — gather and normalise
-// the minibatch slice in the shard's buffers, forward, backward — must not
-// allocate:
-// the tape, the gradient accumulators and the gathered batch all live on
-// the shard and are reused. GOMAXPROCS(1) keeps the kernels on their serial
-// path; the fan-out's goroutines are not what this guards.
+// the minibatch slice in the shard's buffers, forward, the loss gradient,
+// backward — must not allocate at any GOMAXPROCS: the tape, the gradient
+// accumulators, the gathered batch and the loss gradient all live on the
+// shard and are reused, and no kernel under the shard forks.
 func TestTrainStepSteadyStateAllocs(t *testing.T) {
-	prev := runtime.GOMAXPROCS(1)
-	defer runtime.GOMAXPROCS(prev)
 	rng := rand.New(rand.NewSource(52))
 	in, y := synthInputs(rng, 96, testDims)
 	model := NewLatencyCNN(rng, testDims, 16)
 	tm := &TrainedModel{Model: model, Norm: FitNormalizer(in, testDims)}
 	sh := trainShard{ctx: NewContext()}
-	grad := tensor.New(32, testDims.M)
-	fill(grad, 0.01)
 	idx := rng.Perm(96)
-	// As TrainRows does once per call: passing in as Rows boxes it.
+	// As TrainRows and fit do once per call: passing in as Rows and the
+	// loss as Loss boxes them.
 	var src Rows = in
+	var loss Loss = ScaledMSE{Knee: 3, Alpha: 1}
 	step := func(sidx []int) {
 		sh.gather(tm, src, y, sidx)
-		model.Forward(sh.ctx, sh.in)
-		model.Backward(sh.ctx, grad)
+		pred := model.Forward(sh.ctx, sh.in)
+		_, sh.dpred = loss.Compute(sh.dpred, pred, sh.y)
+		model.Backward(sh.ctx, sh.dpred)
 	}
 	step(idx[:32])
 	next := 0
-	allocs := testing.AllocsPerRun(10, func() {
+	allocs := allocsPerRun(10, func() {
 		next = (next + 32) % 96 // a different slice of the data every step
 		step(idx[next : next+32])
 	})

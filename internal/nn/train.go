@@ -280,13 +280,14 @@ func (tm *TrainedModel) batchGrad(shards []trainShard, src Rows, y *tensor.Dense
 			sidx := bidx[si*bn/ns : (si+1)*bn/ns]
 			w.gather(tm, src, y, sidx)
 			pred := tm.Model.Forward(w.ctx, w.in)
-			l, grad := loss.Compute(pred, w.y)
+			var l float64
+			l, w.dpred = loss.Compute(w.dpred, pred, w.y)
 			// Scaled by the shard's sample fraction, so the ordered sum of
 			// the shards' results equals the full-batch mean.
 			frac := float64(len(sidx)) / float64(bn)
-			tensor.ScaleInPlace(grad, frac)
+			tensor.ScaleInPlace(w.dpred, frac)
 			w.ctx.accumulateInto(&sh.grads)
-			tm.Model.Backward(w.ctx, grad)
+			tm.Model.Backward(w.ctx, w.dpred)
 			sh.loss = l * frac
 		}
 	})
@@ -299,19 +300,21 @@ func (tm *TrainedModel) batchGrad(shards []trainShard, src Rows, y *tensor.Dense
 // trainShard is one gradient shard's state, kept from step to step. A shard
 // owns its gradient accumulators and nothing else: they are reduced in shard
 // order whichever worker filled them, which is what makes the trained weights
-// independent of GOMAXPROCS. The tape and the buffers a slice of the
-// minibatch is gathered into are working memory of whoever evaluates the
-// shard — the first shard of each ParallelFor range lends its own to the
-// whole range — so only as many of them ever grow as there are workers. Once
-// a worker has seen its largest slice, a training step's gather, forward and
-// backward allocate nothing.
+// independent of GOMAXPROCS. The tape, the buffers a slice of the minibatch
+// is gathered into and the loss gradient are working memory of whoever
+// evaluates the shard — the first shard of each ParallelFor range lends its
+// own to the whole range — so only as many of them ever grow as there are
+// workers. Once a worker has seen its largest slice, a training step's
+// gather, forward, loss and backward allocate nothing; what a step allocates
+// is the fork itself.
 type trainShard struct {
 	grads gradSet
 	loss  float64
 
-	ctx *Context
-	in  Inputs
-	y   *tensor.Dense
+	ctx   *Context
+	in    Inputs
+	y     *tensor.Dense
+	dpred *tensor.Dense // the loss gradient; Backward may overwrite it
 }
 
 func newTrainShards() []trainShard {

@@ -127,13 +127,7 @@ func matMul(dst, a, b *Dense, acc bool) {
 	if len(dst.Shape) != 2 || dst.Shape[0] != m || dst.Shape[1] != n {
 		panic(fmt.Sprintf("tensor: matmul dst %v for %v × %v", dst.Shape, a.Shape, b.Shape))
 	}
-	// The closure is built only on the parallel path, so small (serial)
-	// products stay allocation-free.
-	if parallelizable(m * k * n) {
-		ParallelFor(m, func(start, end int) { mulRows(dst.Data, a.Data, b.Data, k, 1, k, n, start, end, acc) })
-		return
-	}
-	mulRows(dst.Data, a.Data, b.Data, k, 1, k, n, 0, m, acc)
+	mulRows(dst.Data, a.Data, b.Data, k, 1, m, k, n, acc)
 }
 
 // colBlock is the width of the column blocks mulRows walks a long row in.
@@ -145,10 +139,13 @@ func matMul(dst, a, b *Dense, acc bool) {
 // same speed either way, so every platform shares the one loop.
 const colBlock = 256
 
-// mulRows computes rows [start, end) of C[m,n] = A·B, reading A's element
-// (i, p) at a[i*si+p*sp]: strides (k, 1) are a row-major A, strides (1, m)
-// are Aᵀ given as the row-major [k,m], so MatMulInto and MatMulTransAInto
-// are one kernel and neither ever materialises a transpose.
+// mulRows computes C[m,n] = A·B, reading A's element (i, p) at
+// a[i*si+p*sp]: strides (k, 1) are a row-major A, strides (1, m) are Aᵀ given
+// as the row-major [k,m], so MatMulInto and MatMulTransAInto are one kernel
+// and neither ever materialises a transpose. It runs on the calling goroutine:
+// training forks once, across shards of rows (nn's batchGrad, core's
+// btFeatures), and a kernel inside a shard forking again only adds goroutines
+// and allocations (DESIGN.md §7 "Kernels").
 //
 // Every output element is the sum, started from +0 — or, with acc set, from
 // the value dst holds — and taken in ascending p, of the products
@@ -160,10 +157,10 @@ const colBlock = 256
 // C per four multiply-adds. A group's adds are taken in p order and a block
 // still runs p ascending, so each element sees exactly the operation sequence
 // of the plain p-then-j loop (the reference in tensor_test.go): same bits.
-func mulRows(dst, a, b []float64, si, sp, k, n, start, end int, acc bool) {
+func mulRows(dst, a, b []float64, si, sp, m, k, n int, acc bool) {
 	for j0 := 0; j0 < n; j0 += colBlock {
 		w := min(colBlock, n-j0)
-		for i := start; i < end; i++ {
+		for i := 0; i < m; i++ {
 			crow := dst[i*n+j0 : i*n+j0+w]
 			if !acc {
 				clear(crow)
@@ -191,7 +188,7 @@ func mulRows(dst, a, b []float64, si, sp, k, n, start, end int, acc bool) {
 
 // MatMulTransAInto computes C = Aᵀ·B into dst, which must be [m,n]. dst is
 // overwritten; it must not alias a or b. It is MatMulInto's kernel reading A
-// by columns; nothing is allocated on the serial path.
+// by columns; nothing is allocated.
 func MatMulTransAInto(dst, a, b *Dense) {
 	if len(a.Shape) != 2 || len(b.Shape) != 2 || a.Shape[0] != b.Shape[0] {
 		panic(fmt.Sprintf("tensor: matmulᵀa shapes %v × %v", a.Shape, b.Shape))
@@ -200,11 +197,7 @@ func MatMulTransAInto(dst, a, b *Dense) {
 	if len(dst.Shape) != 2 || dst.Shape[0] != m || dst.Shape[1] != n {
 		panic(fmt.Sprintf("tensor: matmulᵀa dst %v for %v × %v", dst.Shape, a.Shape, b.Shape))
 	}
-	if parallelizable(k * m * n) {
-		ParallelFor(m, func(start, end int) { mulRows(dst.Data, a.Data, b.Data, 1, m, k, n, start, end, false) })
-		return
-	}
-	mulRows(dst.Data, a.Data, b.Data, 1, m, k, n, 0, m, false)
+	mulRows(dst.Data, a.Data, b.Data, 1, m, m, k, n, false)
 }
 
 // MatMulTransBInto computes C = A·Bᵀ into dst, which must be [m,n]. dst is
@@ -226,27 +219,22 @@ func matMulTransB(dst, a, b *Dense, acc bool) {
 	if len(dst.Shape) != 2 || dst.Shape[0] != m || dst.Shape[1] != n {
 		panic(fmt.Sprintf("tensor: matmulᵀb dst %v for %v × %v", dst.Shape, a.Shape, b.Shape))
 	}
-	if parallelizable(m * k * n) {
-		ParallelFor(m, func(start, end int) { mulTransBRows(dst.Data, a.Data, b.Data, k, n, start, end, acc) })
-		return
-	}
-	mulTransBRows(dst.Data, a.Data, b.Data, k, n, 0, m, acc)
+	mulTransBRows(dst.Data, a.Data, b.Data, m, k, n, acc)
 }
 
-// mulTransBRows computes rows [start, end) of C[m,n] = A·Bᵀ: every output
-// element is the dot product of a row of A and a row of B, summed in
-// ascending p with no zero skip from the value dst holds — which is +0 unless
-// acc is set. One dot product is a single serial add chain, bound by the add
+// mulTransBRows computes C[m,n] = A·Bᵀ: every output element is the dot
+// product of a row of A and a row of B, summed in ascending p with no zero
+// skip from the value dst holds — which is +0 unless acc is set. One dot product is a single serial add chain, bound by the add
 // latency, so the kernel runs sixteen side by side — four rows of A against
 // four rows of B (dotTile) — and four (dot4) or one (dot) on the rows and
 // columns past the last full tile. Each chain is still its own p-ordered sum:
 // the same bits as the reference loop in tensor_test.go.
-func mulTransBRows(dst, a, b []float64, k, n, start, end int, acc bool) {
+func mulTransBRows(dst, a, b []float64, m, k, n int, acc bool) {
 	if !acc {
-		clear(dst[start*n : end*n])
+		clear(dst[:m*n])
 	}
-	i := start
-	for ; i+4 <= end; i += 4 {
+	i := 0
+	for ; i+4 <= m; i += 4 {
 		for j := 0; j+4 <= n; j += 4 {
 			var t [16]float64
 			for r := 0; r < 4; r++ {
@@ -259,7 +247,7 @@ func mulTransBRows(dst, a, b []float64, k, n, start, end int, acc bool) {
 		}
 	}
 	// Edges: rows below i are done up to column n − n mod 4, the rest not at all.
-	for r := start; r < end; r++ {
+	for r := 0; r < m; r++ {
 		j := n &^ 3
 		if r >= i {
 			j = 0

@@ -415,29 +415,13 @@ func sameBits(t *testing.T, what string, got, want *Dense) {
 	}
 }
 
-// withProcs runs fn with GOMAXPROCS 1 — every kernel on its serial path —
-// and with GOMAXPROCS 4, where products of parallelThreshold multiplies and
-// more fan out over row chunks (real goroutines even on a one-CPU machine).
-func withProcs(fn func(procs int)) {
-	for _, procs := range []int{1, 4} {
-		prev := runtime.GOMAXPROCS(procs)
-		fn(procs)
-		runtime.GOMAXPROCS(prev)
-	}
-}
-
 // gemmShapes is every (m, k, n) over sizes that are below, at and one past a
 // multiple of the blocking factor 4 — so each blocked dimension meets all of
-// its tails, and 64·64·64 lands exactly on parallelThreshold — plus the
-// training shapes of the LatencyCNN on SocialNetwork, two cubes whose
-// parallel row chunks are uneven, and rows one short of, at, one past and
-// past two of mulRows' column blocks.
-//
-// A·Bᵀ reaches its 4 × 4 tiles from every m, n ≥ 4 here on the serial path;
-// on the parallel one the row split decides which rows share a tile:
-// 64·64·64 gives four chunks of whole tiles, 67·70·69 chunks of 17, 17, 17
-// and 16 rows (tiles, an edge row, an edge column, k mod 4 = 2), 5·1121·63
-// chunks too short for any tile.
+// its tails — plus the training shapes of the LatencyCNN on SocialNetwork,
+// two odd cubes (67·70·69: tiles, an edge row, an edge column, k mod 4 = 2;
+// 5·1121·63: one tile row over a long k), and rows one short of, at, one past
+// and past two of mulRows' column blocks. A·Bᵀ reaches its 4 × 4 tiles from
+// every m, n ≥ 4 here.
 func gemmShapes() [][3]int {
 	dims := []int{1, 3, 4, 5, 7, 8, 9, 64}
 	var shapes [][3]int
@@ -453,14 +437,13 @@ func gemmShapes() [][3]int {
 		[3]int{64, 1120, 24}, [3]int{1120, 64, 24}, [3]int{64, 24, 1120}, // rh.fc: forward, dW, dx
 		[3]int{67, 70, 69}, [3]int{5, 1121, 63},
 		[3]int{5, 9, colBlock - 1}, [3]int{4, 7, colBlock}, [3]int{3, 5, colBlock + 1}, [3]int{7, 6, 2*colBlock + 3},
-		[3]int{9, 64, 2*colBlock + 3}) // column blocks on the parallel path
+		[3]int{9, 64, 2*colBlock + 3})
 }
 
 // The three GEMM kernels agree with the loops they replaced in every bit of
 // every output element: for all tails of every blocked dimension, with zeros
 // and negative zeros in A (the skip), with an Inf and a NaN in B (dropped
-// under a zero of A by the skipping kernels, always propagated by A·Bᵀ), on
-// the serial and the parallel path.
+// under a zero of A by the skipping kernels, always propagated by A·Bᵀ).
 func TestGEMMKernelsMatchReferenceBitForBit(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	for _, s := range gemmShapes() {
@@ -493,19 +476,17 @@ func TestGEMMKernelsMatchReferenceBitForBit(t *testing.T) {
 			// The two skipping references agree with each other, so one
 			// shared kernel can stand in for both.
 			sameBits(t, fmt.Sprintf("reference Aᵀ·B vs A·B %v", s), wantTA, want)
-			withProcs(func(procs int) {
-				what := fmt.Sprintf("%v zeros=%v procs=%d", s, zeros, procs)
-				got := New(m, n)
-				fill(got, math.NaN()) // dst must be overwritten, not accumulated into
-				MatMulInto(got, a, b)
-				sameBits(t, "MatMulInto "+what, got, want)
-				fill(got, math.NaN())
-				MatMulTransAInto(got, at, b)
-				sameBits(t, "MatMulTransAInto "+what, got, wantTA)
-				fill(got, math.NaN())
-				MatMulTransBInto(got, a, bt)
-				sameBits(t, "MatMulTransBInto "+what, got, wantTB)
-			})
+			what := fmt.Sprintf("%v zeros=%v", s, zeros)
+			got := New(m, n)
+			fill(got, math.NaN()) // dst must be overwritten, not accumulated into
+			MatMulInto(got, a, b)
+			sameBits(t, "MatMulInto "+what, got, want)
+			fill(got, math.NaN())
+			MatMulTransAInto(got, at, b)
+			sameBits(t, "MatMulTransAInto "+what, got, wantTA)
+			fill(got, math.NaN())
+			MatMulTransBInto(got, a, bt)
+			sameBits(t, "MatMulTransBInto "+what, got, wantTB)
 		}
 	}
 }
@@ -546,24 +527,21 @@ func TestMatMulAddIntoContinuesTheSum(t *testing.T) {
 		whole := New(m, n)
 		refMatMul(whole, a, b)
 		cut := rng.Intn(k + 1) // 0 and k leave one side empty: skipped below
-		withProcs(func(procs int) {
-			what := fmt.Sprintf("%v procs=%d", s, procs)
-			got := start.Clone()
-			MatMulAddInto(got, a, b)
-			sameBits(t, "MatMulAddInto "+what, got, want)
-			if cut == 0 || cut == k {
-				return
-			}
-			a1, a2 := New(m, cut), New(m, k-cut)
-			for i := 0; i < m; i++ {
-				copy(a1.Data[i*cut:(i+1)*cut], a.Data[i*k:i*k+cut])
-				copy(a2.Data[i*(k-cut):(i+1)*(k-cut)], a.Data[i*k+cut:(i+1)*k])
-			}
-			fill(got, math.NaN())
-			MatMulInto(got, a1, FromSlice(b.Data[:cut*n], cut, n))
-			MatMulAddInto(got, a2, FromSlice(b.Data[cut*n:], k-cut, n))
-			sameBits(t, fmt.Sprintf("split at %d %s", cut, what), got, whole)
-		})
+		got := start.Clone()
+		MatMulAddInto(got, a, b)
+		sameBits(t, fmt.Sprintf("MatMulAddInto %v", s), got, want)
+		if cut == 0 || cut == k {
+			continue
+		}
+		a1, a2 := New(m, cut), New(m, k-cut)
+		for i := 0; i < m; i++ {
+			copy(a1.Data[i*cut:(i+1)*cut], a.Data[i*k:i*k+cut])
+			copy(a2.Data[i*(k-cut):(i+1)*(k-cut)], a.Data[i*k+cut:(i+1)*k])
+		}
+		fill(got, math.NaN())
+		MatMulInto(got, a1, FromSlice(b.Data[:cut*n], cut, n))
+		MatMulAddInto(got, a2, FromSlice(b.Data[cut*n:], k-cut, n))
+		sameBits(t, fmt.Sprintf("split at %d %v", cut, s), got, whole)
 	}
 }
 
@@ -611,19 +589,16 @@ func TestMatMulTransBAddIntoContinuesTheSum(t *testing.T) {
 			}
 			return out
 		}
-		withProcs(func(procs int) {
-			what := fmt.Sprintf("%v procs=%d", s, procs)
-			got := start.Clone()
-			MatMulTransBAddInto(got, a, b)
-			sameBits(t, "MatMulTransBAddInto "+what, got, want)
-			if cut == 0 || cut == k {
-				return
-			}
-			fill(got, math.NaN())
-			MatMulTransBInto(got, cols(a, 0, cut), cols(b, 0, cut))
-			MatMulTransBAddInto(got, cols(a, cut, k), cols(b, cut, k))
-			sameBits(t, fmt.Sprintf("split at %d %s", cut, what), got, whole)
-		})
+		got := start.Clone()
+		MatMulTransBAddInto(got, a, b)
+		sameBits(t, fmt.Sprintf("MatMulTransBAddInto %v", s), got, want)
+		if cut == 0 || cut == k {
+			continue
+		}
+		fill(got, math.NaN())
+		MatMulTransBInto(got, cols(a, 0, cut), cols(b, 0, cut))
+		MatMulTransBAddInto(got, cols(a, cut, k), cols(b, cut, k))
+		sameBits(t, fmt.Sprintf("split at %d %v", cut, s), got, whole)
 	}
 }
 
@@ -685,28 +660,38 @@ func TestIm2ColCol2ImMatchReferenceBitForBit(t *testing.T) {
 				refIm2Col(wantCols, x, k, pad)
 				wantDx := New(im.b, im.c, im.h, im.w)
 				refCol2Im(wantDx, cols, k, pad)
-				withProcs(func(procs int) {
-					what := fmt.Sprintf("%+v k=%d pad=%d procs=%d", im, k, pad, procs)
-					gotCols := New(im.c*k*k, im.b*oh*ow)
-					fill(gotCols, math.NaN()) // every entry must be written
-					Im2Col(gotCols, x, k, pad)
-					sameBits(t, "Im2Col "+what, gotCols, wantCols)
-					gotDx := New(im.b, im.c, im.h, im.w)
-					fill(gotDx, math.NaN())
-					Col2Im(gotDx, cols, k, pad)
-					sameBits(t, "Col2Im "+what, gotDx, wantDx)
-				})
+				what := fmt.Sprintf("%+v k=%d pad=%d", im, k, pad)
+				gotCols := New(im.c*k*k, im.b*oh*ow)
+				fill(gotCols, math.NaN()) // every entry must be written
+				Im2Col(gotCols, x, k, pad)
+				sameBits(t, "Im2Col "+what, gotCols, wantCols)
+				gotDx := New(im.b, im.c, im.h, im.w)
+				fill(gotDx, math.NaN())
+				Col2Im(gotDx, cols, k, pad)
+				sameBits(t, "Col2Im "+what, gotDx, wantDx)
 			}
 		}
 	}
 }
 
-// The *Into kernels allocate nothing on the serial path — in particular
+// allocsPerRun is testing.AllocsPerRun at the test's GOMAXPROCS:
+// AllocsPerRun sets GOMAXPROCS to 1 while it counts, where nothing forks.
+func allocsPerRun(runs int, fn func()) float64 {
+	fn()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < runs; i++ {
+		fn()
+	}
+	runtime.ReadMemStats(&after)
+	return float64(after.Mallocs-before.Mallocs) / float64(runs)
+}
+
+// The *Into kernels allocate nothing at any GOMAXPROCS — in particular
 // MatMulTransAInto, which used to materialise a transpose for training-sized
-// products — at shapes on both sides of parallelThreshold.
+// products — at a small shape and a training shard's largest (64·1120·24,
+// which forked over row chunks while the kernels did).
 func TestIntoKernelsDoNotAllocate(t *testing.T) {
-	prev := runtime.GOMAXPROCS(1)
-	defer runtime.GOMAXPROCS(prev)
 	rng := rand.New(rand.NewSource(3))
 	for _, s := range [][3]int{{5, 7, 9}, {64, 1120, 24}} {
 		m, k, n := s[0], s[1], s[2]
@@ -720,7 +705,7 @@ func TestIntoKernelsDoNotAllocate(t *testing.T) {
 			"MatMulTransBInto":    func() { MatMulTransBInto(dst, a, bt) },
 			"MatMulTransBAddInto": func() { MatMulTransBAddInto(dst, a, bt) },
 		} {
-			if allocs := testing.AllocsPerRun(10, fn); allocs != 0 {
+			if allocs := allocsPerRun(10, fn); allocs != 0 {
 				t.Errorf("%s %v allocates %.0f objects per call, want 0", name, s, allocs)
 			}
 		}

@@ -69,22 +69,25 @@ case " $* " in
 esac
 
 stage "go test -cpu 1,2,4 (kernels, sharding, scheduler pins)"
-# The GEMM kernels and the sharded training loop split their work by
-# GOMAXPROCS; their bit-identity tests must hold at one worker (serial
-# paths, one tape serving all four gradient shards), at two (one tape
-# serving two consecutive shards — what a 2-core runner executes) and at
-# four (a tape per shard, more workers than that runner has), so a result
-# that depends on where a chunk boundary falls cannot pass by luck of the
-# host.
+# Training forks at two sites only, both split by GOMAXPROCS: nn's batchGrad
+# hands runs of consecutive gradient shards to workers, and core's
+# btFeatures hands ranges of rows to workers for the trees' forward pass. No
+# GEMM kernel forks. The bit-identity tests must hold at one worker (one
+# tape serving all four gradient shards), at two (one tape serving two
+# consecutive shards — what a 2-core runner executes) and at four (a tape
+# per shard, more workers than that runner has), so a result that depends
+# on where a chunk boundary falls cannot pass by luck of the host; the
+# allocation guards count at the worker count they run at.
 go test -cpu 1,2,4 ./internal/tensor ./internal/nn "$@"
 # The scheduler's decision digest, the shared-path parity and the pinned
-# TrainHybrid (the same sharded loop) likewise; TrainHybrid's allocation
-# volume grows by a tape per worker, so its guard must hold at four. Workers
-# normalise the rows they gather in place, which is where a worker-count-
-# dependent double normalisation would hide: the row-parity, dataset-
-# untouched and empty-split tests run at every count too, and so does the
-# set-up dataset's footprint, collected beside them.
-core_tests='Pinned|Property|BitIdentical|AllocVolume|Footprint|RowsMatch|LeavesDatasetUntouched|RefusesEmptySplit'
+# TrainHybrid (both fork sites) likewise; TrainHybrid's allocation volume
+# grows by a tape per worker, so its guard must hold at four, and the
+# allocations of an extra training step must stay the shard fork's at
+# every count. Workers normalise the rows they gather in place, which is
+# where a worker-count-dependent double normalisation would hide: the
+# row-parity, dataset-untouched and empty-split tests run at every count
+# too, and so does the set-up dataset's footprint, collected beside them.
+core_tests='Pinned|Property|BitIdentical|AllocVolume|AllocsPerRun|Footprint|RowsMatch|LeavesDatasetUntouched|RefusesEmptySplit'
 go test -cpu 1,2,4 -run "$core_tests" ./internal/core "$@"
 
 stage "portable leaves (-tags purego) and other architectures"
