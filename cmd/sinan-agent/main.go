@@ -1,11 +1,12 @@
 // Command sinan-agent is the per-node stats daemon of a distributed run
 // (Sec. 4.1): it connects to the hub inside a sinan-run -stats-listen
-// process, receives a tier partition, and echoes every per-interval sample
-// back as a versioned, sequence-numbered report. The simulated cluster
-// lives with the scheduler, so the hub pushes each interval's samples to
-// the agent and the agent's only real job is to put them on the wire —
-// which gives the report path (loss, duplication, delay, disconnects) a
-// genuine TCP connection to misbehave on.
+// process, says Hello under its -id, receives a tier partition, and echoes
+// every per-interval sample back as a sequence-numbered report
+// (statplane.WireAgent, DESIGN.md §11). The simulated cluster lives with the
+// scheduler, so the hub samples on the agent's behalf and the agent's only
+// real job is to put the reports on the wire — which gives the report path
+// (loss, duplication, delay, disconnects) a genuine TCP connection to
+// misbehave on.
 //
 // Example (three terminals):
 //
@@ -17,13 +18,13 @@
 // or re-sent with that probability (seeded by -seed, so a faulty agent is
 // reproducible). -delay holds every report back before sending, driving
 // reports past the hub's assembly deadline. On disconnect the agent
-// redials with backoff under the same -id, reclaiming its partition and
-// keeping its sequence numbers — to the hub a redial is a blip, not a new
-// node.
+// redials under the same -id (wire.AgentRedial: 1 s doubling to 16 s),
+// reclaiming its partition and keeping its sequence numbers — to the hub a
+// redial is a blip, not a new node.
 package main
 
 import (
-	"encoding/gob"
+	"errors"
 	"flag"
 	"fmt"
 	"log"
@@ -33,6 +34,7 @@ import (
 	"time"
 
 	"sinan/internal/statplane"
+	"sinan/internal/wire"
 )
 
 func main() {
@@ -52,94 +54,42 @@ func main() {
 		name = fmt.Sprintf("%s-%d", host, os.Getpid())
 	}
 	rng := rand.New(rand.NewSource(*seed))
+	agent := &statplane.WireAgent{Name: name, Gate: func(seq uint64, interval int64) statplane.Verdict {
+		if *drop > 0 && rng.Float64() < *drop {
+			log.Printf("%s: dropping report seq=%d interval=%d", name, seq, interval)
+			return statplane.Drop
+		}
+		time.Sleep(*delay)
+		if *dup > 0 && rng.Float64() < *dup {
+			log.Printf("%s: duplicating report seq=%d interval=%d", name, seq, interval)
+			return statplane.Duplicate
+		}
+		return statplane.Deliver
+	}}
 
-	// seq lives outside the session loop: a reconnecting agent must never
-	// reuse a sequence number, or the hub will discard its reports as
-	// duplicates.
-	var seq uint64
-	fails := 0 // consecutive sessions that never got a valid Assign
-	for {
-		assigned, err := session(*hub, name, *drop, *dup, *delay, rng, &seq)
-		if err == errNoPartition {
+	// A session that held a partition starts the backoff over: every second
+	// spent waiting is an interval of imputed StatsOK=false tiers, so outages
+	// long past must not slow the recovery from this one.
+	for fails := 0; ; fails++ { // fails: consecutive sessions that got no partition
+		tiers, err := session(*hub, agent)
+		if errors.Is(err, statplane.ErrNoPartition) {
 			log.Fatalf("hub %s has no partition left for %s", *hub, name)
 		}
-		if assigned {
+		if tiers != nil {
 			fails = 0
 		}
-		wait := redialDelay(fails)
-		log.Printf("session ended: %v; redialling in %s", err, wait)
+		wait := wire.AgentRedial.Delay(fails)
+		log.Printf("session on tiers %v ended: %v; redialling in %s", tiers, err, wait)
 		time.Sleep(wait)
-		fails++
 	}
 }
 
-// redialDelay backs off 1, 2, 4, 8, then 16 s while the hub stays
-// unreachable. A session that was assigned a partition starts it over:
-// every second spent waiting is an interval of imputed StatsOK=false tiers,
-// so outages long past must not slow the recovery from this one.
-func redialDelay(fails int) time.Duration { return time.Second << min(fails, 4) }
-
-var errNoPartition = fmt.Errorf("no partition assigned")
-
-// session runs one connection's lifetime: Hello, Assign, then the
-// sample→report echo loop. It returns when the connection dies, and
-// whether the hub had assigned it a partition by then.
-func session(addr, name string, drop, dup float64, delay time.Duration,
-	rng *rand.Rand, seq *uint64) (assigned bool, err error) {
+// session dials the hub and runs one agent session on the connection.
+func session(addr string, agent *statplane.WireAgent) (tiers []int, err error) {
 	conn, err := net.DialTimeout("tcp", addr, 5*time.Second)
 	if err != nil {
-		return false, err
+		return nil, err
 	}
 	defer conn.Close()
-	dec := gob.NewDecoder(conn)
-	enc := gob.NewEncoder(conn)
-
-	if err := enc.Encode(&statplane.Envelope{
-		Hello: &statplane.Hello{Version: statplane.WireVersion, Agent: name},
-	}); err != nil {
-		return false, err
-	}
-	var env statplane.Envelope
-	if err := dec.Decode(&env); err != nil {
-		return false, err
-	}
-	if env.Assign == nil || env.Assign.Version != statplane.WireVersion {
-		return false, fmt.Errorf("hub speaks a different protocol version")
-	}
-	if len(env.Assign.Tiers) == 0 {
-		return false, errNoPartition
-	}
-	log.Printf("%s: assigned tiers %v (interval %.0fs)", name, env.Assign.Tiers, env.Assign.IntervalSec)
-
-	for {
-		var env statplane.Envelope
-		if err := dec.Decode(&env); err != nil {
-			return true, err
-		}
-		s := env.Sample
-		if s == nil {
-			continue
-		}
-		*seq++
-		if drop > 0 && rng.Float64() < drop {
-			log.Printf("%s: dropping report seq=%d interval=%d", name, *seq, s.Interval)
-			continue
-		}
-		if delay > 0 {
-			time.Sleep(delay)
-		}
-		rep := &statplane.Envelope{Report: &statplane.Report{
-			Version: statplane.WireVersion, Agent: name, Seq: *seq,
-			Interval: s.Interval, Time: s.Time, Tiers: s.Tiers,
-		}}
-		if err := enc.Encode(rep); err != nil {
-			return true, err
-		}
-		if dup > 0 && rng.Float64() < dup {
-			log.Printf("%s: duplicating report seq=%d interval=%d", name, *seq, s.Interval)
-			if err := enc.Encode(rep); err != nil {
-				return true, err
-			}
-		}
-	}
+	return agent.Session(conn)
 }

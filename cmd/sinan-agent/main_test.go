@@ -1,7 +1,6 @@
 package main
 
 import (
-	"math/rand"
 	"testing"
 	"time"
 
@@ -14,8 +13,9 @@ type oneTier struct{}
 func (oneTier) SampleTier(int) cluster.Stats { return cluster.Stats{CPUUsage: 1} }
 
 // The redial backoff must start over once a session has held a partition:
-// session reports that, and only sessions that never got an Assign count
-// toward the delay.
+// session reports that by returning the partition, and only sessions that
+// never got an Assign count toward the delay (wire.AgentRedial, whose
+// schedule wire's TestBackoffSchedules pins).
 func TestSessionReportsAssignmentForBackoffReset(t *testing.T) {
 	hub, err := statplane.NewHub("127.0.0.1:0", statplane.HubConfig{
 		Sampler: oneTier{}, NumTiers: 1, IntervalSec: 1, Deadline: 2 * time.Second,
@@ -27,14 +27,14 @@ func TestSessionReportsAssignmentForBackoffReset(t *testing.T) {
 	addr := hub.Addr()
 
 	type result struct {
-		assigned bool
-		err      error
+		tiers []int
+		err   error
 	}
 	ended := make(chan result, 1)
-	var seq uint64
+	agent := &statplane.WireAgent{Name: "node-a"}
 	go func() {
-		assigned, err := session(addr, "node-a", 0, 0, 0, rand.New(rand.NewSource(1)), &seq)
-		ended <- result{assigned, err}
+		tiers, err := session(addr, agent)
+		ended <- result{tiers, err}
 	}()
 	if got := hub.AwaitAgents(1, 5*time.Second); got != 1 {
 		t.Fatalf("agents = %d, want 1", got)
@@ -43,18 +43,10 @@ func TestSessionReportsAssignmentForBackoffReset(t *testing.T) {
 		t.Fatalf("the agent did not echo the sample: %+v", st)
 	}
 	hub.Close()
-	if r := <-ended; !r.assigned || r.err == nil {
-		t.Fatalf("session after an Assign and a hub shutdown = (%v, %v), want (true, error)", r.assigned, r.err)
+	if r := <-ended; len(r.tiers) != 1 || r.err == nil {
+		t.Fatalf("session after an Assign and a hub shutdown = (%v, %v), want ([0], error)", r.tiers, r.err)
 	}
-	if assigned, err := session(addr, "node-a", 0, 0, 0, nil, &seq); assigned || err == nil {
-		t.Fatalf("session against a closed hub = (%v, %v), want (false, error)", assigned, err)
-	}
-
-	for fails, want := range map[int]time.Duration{
-		0: time.Second, 1: 2 * time.Second, 3: 8 * time.Second, 4: 16 * time.Second, 40: 16 * time.Second,
-	} {
-		if got := redialDelay(fails); got != want {
-			t.Errorf("redialDelay(%d) = %v, want %v", fails, got, want)
-		}
+	if tiers, err := session(addr, agent); tiers != nil || err == nil {
+		t.Fatalf("session against a closed hub = (%v, %v), want (nil, error)", tiers, err)
 	}
 }

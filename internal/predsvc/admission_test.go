@@ -377,14 +377,14 @@ func TestRetiredMethodsAreUnknownAndKeepConnection(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for kind, args := range map[byte]any{
-		retiredUpdateModel: &struct{ Artifact []byte }{artifact},
-		retiredStats:       &struct{}{},
-		retiredRollback:    &struct{}{},
+	for kind, args := range map[byte]rawBody{
+		retiredUpdateModel: gobBody(t, &struct{ Artifact []byte }{artifact}),
+		retiredStats:       gobBody(t, &struct{}{}),
+		retiredRollback:    gobBody(t, &struct{}{}),
 	} {
 		c.mu.Lock()
-		err := c.callOnce(kind, args, &struct{}{}, time.Second)
-		kept := c.wire != nil
+		err := c.callOnce(kind, args, rawBody(nil), time.Second)
+		kept := c.conn != nil
 		c.mu.Unlock()
 		var remote remoteError
 		if !errors.As(err, &remote) || !strings.Contains(err.Error(), fmt.Sprintf("unknown method %d", kind)) || !kept {

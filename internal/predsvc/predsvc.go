@@ -26,6 +26,7 @@ import (
 	"sinan/internal/nn"
 	"sinan/internal/telemetry"
 	"sinan/internal/tensor"
+	"sinan/internal/wire"
 )
 
 // PredictArgs is one model query, in either of two layouts told apart by
@@ -339,8 +340,7 @@ type clientOptions struct {
 	DialTimeout time.Duration // TCP connect + initial Meta deadline
 	CallTimeout time.Duration // per-call deadline
 	MaxRetries  int           // additional attempts after the first
-	BackoffBase time.Duration // first retry delay
-	BackoffMax  time.Duration // retry delay ceiling
+	Backoff     wire.Backoff  // delay before each retry
 
 	// BreakerThreshold consecutive failed calls open the breaker; after
 	// BreakerCooldown it goes half-open and admits a probe. A probe success
@@ -353,8 +353,7 @@ var defaultClientOptions = clientOptions{
 	DialTimeout:      2 * time.Second,
 	CallTimeout:      time.Second,
 	MaxRetries:       2,
-	BackoffBase:      50 * time.Millisecond,
-	BackoffMax:       500 * time.Millisecond,
+	Backoff:          wire.ClientRetry,
 	BreakerThreshold: 5,
 	BreakerCooldown:  5 * time.Second,
 }
@@ -395,7 +394,7 @@ type Client struct {
 	opts clientOptions
 
 	mu         sync.Mutex
-	wire       *wireConn // nil between a dropped connection and the next redial
+	conn       *wire.Conn // nil between a dropped connection and the next redial
 	meta       core.ModelMeta
 	state      int // breaker
 	fails      int // consecutive failures
@@ -480,7 +479,7 @@ func dialWith(addr string, opts clientOptions) (*Client, error) {
 		return nil, err
 	}
 	var mr MetaReply
-	if err := c.callOnce(methodMeta, &struct{}{}, &mr, c.opts.DialTimeout); err != nil {
+	if err := c.callOnce(methodMeta, noArgs{}, &mr, c.opts.DialTimeout); err != nil {
 		c.dropConn()
 		return nil, fmt.Errorf("predsvc: initial metadata fetch: %w", err)
 	}
@@ -492,11 +491,11 @@ func dialWith(addr string, opts clientOptions) (*Client, error) {
 func (c *Client) Close() error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if c.wire == nil {
+	if c.conn == nil {
 		return nil
 	}
-	err := c.wire.conn.Close()
-	c.wire = nil
+	err := c.conn.Close()
+	c.conn = nil
 	return err
 }
 
@@ -623,7 +622,7 @@ func (c *Client) predict(method byte, ctx *core.PredictContext, in nn.Inputs) (*
 			break
 		}
 		c.retries.Inc()
-		c.sleep(c.backoff(attempt))
+		c.sleep(c.opts.Backoff.Delay(attempt))
 	}
 	c.breakerFailure()
 	c.errs.Inc()
@@ -634,13 +633,13 @@ func (c *Client) predict(method byte, ctx *core.PredictContext, in nn.Inputs) (*
 // one if needed) with a hard deadline. A handler's error leaves the connection
 // up; any other — transport, deadline, malformed reply — closes it, so that a
 // late reply can never be read as the next call's. Caller holds c.mu.
-func (c *Client) callOnce(method byte, args, reply any, timeout time.Duration) error {
-	if c.wire == nil {
+func (c *Client) callOnce(method byte, args, reply body, timeout time.Duration) error {
+	if c.conn == nil {
 		if err := c.redial(); err != nil {
 			return err
 		}
 	}
-	err := c.wire.roundTrip(method, args, reply, timeout)
+	err := roundTrip(c.conn, method, args, reply, timeout)
 	if _, remote := err.(remoteError); err == nil || remote {
 		return err
 	}
@@ -658,7 +657,7 @@ func (c *Client) redial() error {
 	if err != nil {
 		return err
 	}
-	c.wire = &wireConn{conn: conn}
+	c.conn = &wire.Conn{Conn: conn}
 	c.redials.Inc()
 	return nil
 }
@@ -666,21 +665,10 @@ func (c *Client) redial() error {
 // dropConn discards the current connection so the next attempt redials.
 // Caller holds c.mu.
 func (c *Client) dropConn() {
-	if c.wire != nil {
-		c.wire.conn.Close()
+	if c.conn != nil {
+		c.conn.Close()
 	}
-	c.wire = nil
-}
-
-// backoff returns the delay before retry attempt+1: the base doubled per
-// attempt, capped. It is not jittered: every program dials one client per
-// service, so there are no replicas whose retries could synchronise.
-func (c *Client) backoff(attempt int) time.Duration {
-	d := c.opts.BackoffBase << uint(attempt)
-	if d > c.opts.BackoffMax || d <= 0 {
-		d = c.opts.BackoffMax
-	}
-	return d
+	c.conn = nil
 }
 
 func (c *Client) breakerAllow() bool {

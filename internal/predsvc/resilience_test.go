@@ -15,6 +15,7 @@ import (
 	"sinan/internal/metrics"
 	"sinan/internal/nn"
 	"sinan/internal/runner"
+	"sinan/internal/wire"
 )
 
 // quickOpts keeps retry/backoff machinery out of the way for tests that
@@ -24,8 +25,7 @@ func quickOpts() clientOptions {
 		DialTimeout:      2 * time.Second,
 		CallTimeout:      2 * time.Second,
 		MaxRetries:       0, // no retries
-		BackoffBase:      time.Millisecond,
-		BackoffMax:       2 * time.Millisecond,
+		Backoff:          wire.Backoff{Base: time.Millisecond, Max: 2 * time.Millisecond},
 		BreakerThreshold: 1000,
 		BreakerCooldown:  time.Hour,
 	}
@@ -268,8 +268,7 @@ func TestServerCloseDrainsInflight(t *testing.T) {
 	defer conn.Close()
 	callDone := make(chan error, 1)
 	go func() {
-		w := &wireConn{conn: conn}
-		callDone <- w.roundTrip(methodPredict, &PredictArgs{Batch: 1}, &PredictReply{}, 5*time.Second)
+		callDone <- roundTrip(&wire.Conn{Conn: conn}, methodPredict, &PredictArgs{Batch: 1}, &PredictReply{}, 5*time.Second)
 	}()
 	<-slow.entered // the request has reached the handler
 
@@ -361,13 +360,13 @@ func TestUnknownMethodIsPlainErrorAndSchedulerDegrades(t *testing.T) {
 	// A method byte outside the protocol is answered the same way: an error
 	// frame over a connection that stays in sync, not a hang-up.
 	c.mu.Lock()
-	err = c.callOnce(0x7f, &struct{}{}, &struct{}{}, time.Second)
+	err = c.callOnce(0x7f, noArgs{}, noArgs{}, time.Second)
 	var remote remoteError
-	if !errors.As(err, &remote) || !strings.Contains(err.Error(), "unknown method 127") || c.wire == nil {
-		t.Errorf("unknown method byte: %v (connection kept: %v), want an error frame and the connection kept", err, c.wire != nil)
+	if !errors.As(err, &remote) || !strings.Contains(err.Error(), "unknown method 127") || c.conn == nil {
+		t.Errorf("unknown method byte: %v (connection kept: %v), want an error frame and the connection kept", err, c.conn != nil)
 	}
 	redials := c.redials.Value()
-	if err := c.callOnce(methodMeta, &struct{}{}, &MetaReply{}, time.Second); err != nil || c.redials.Value() != redials {
+	if err := c.callOnce(methodMeta, noArgs{}, &MetaReply{}, time.Second); err != nil || c.redials.Value() != redials {
 		t.Errorf("Meta after the unknown method byte: %v, redials %d → %d", err, redials, c.redials.Value())
 	}
 	c.mu.Unlock()

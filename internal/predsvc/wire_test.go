@@ -15,6 +15,7 @@ import (
 	"sinan/internal/core"
 	"sinan/internal/lifecycle"
 	"sinan/internal/nn"
+	"sinan/internal/wire"
 )
 
 // TestRoundTripAllocs guards that a warmed PredictShared at Social Network
@@ -115,7 +116,7 @@ func frame(kind byte, body []byte) []byte {
 // overflows 32 bits.
 func wireSeeds(whole []byte, bodyHeader, countsAt int) [][]byte {
 	seeds := [][]byte{whole}
-	for _, cut := range []int{0, 2, 4, frameHeader, frameHeader + bodyHeader/2, frameHeader + bodyHeader, len(whole) - 3} {
+	for _, cut := range []int{0, 2, 4, wire.Header, wire.Header + bodyHeader/2, wire.Header + bodyHeader, len(whole) - 3} {
 		if cut >= 0 && cut < len(whole) {
 			seeds = append(seeds, whole[:cut])
 		}
@@ -124,7 +125,7 @@ func wireSeeds(whole []byte, bodyHeader, countsAt int) [][]byte {
 	binary.LittleEndian.PutUint32(huge, 0xFFFFFFFF)
 	seeds = append(seeds, huge)
 	if countsAt > 0 {
-		off := frameHeader + countsAt
+		off := wire.Header + countsAt
 		disagree := bytes.Clone(whole)
 		binary.LittleEndian.PutUint32(disagree[off:], binary.LittleEndian.Uint32(disagree[off:])+1)
 		overflow := bytes.Clone(whole)
@@ -150,19 +151,21 @@ func (c readConn) Read(p []byte) (int, error) { return c.r.Read(p) }
 func TestBrokenFramesAreErrors(t *testing.T) {
 	args := &PredictArgs{RH: []float64{1, 2, 3}, LH: []float64{4}, RC: []float64{5, 6}, Batch: 2, DeadlineMS: 7}
 	reply := &PredictReply{Lat: []float64{1, 2, 3, 4}, M: 2, PViol: []float64{5, 6}}
+	meta := &MetaReply{Meta: core.ModelMeta{D: nn.Dims{N: 28, T: 5, F: 6, M: 5}, QoSMS: 500, RMSEValid: 21.5, Pd: 0.25, Pu: math.Inf(1)}}
 	for _, tc := range []struct {
 		seeds [][]byte
-		got   rawBody
+		got   body
 		want  any
 	}{
 		{wireSeeds(frame(methodPredict, args.appendTo(nil)), predictArgsHeader+12, predictArgsHeader), new(PredictArgs), args},
 		{wireSeeds(frame(statusOK, reply.appendTo(nil)), predictReplyHeader+8, predictReplyHeader), new(PredictReply), reply},
+		{wireSeeds(frame(statusOK, meta.appendTo(nil)), metaReplyLen, 0), new(MetaReply), meta},
 	} {
 		for i, seed := range tc.seeds {
-			w := &wireConn{conn: readConn{r: bytes.NewReader(seed)}}
-			_, body, err := w.recv()
+			w := &wire.Conn{Conn: readConn{r: bytes.NewReader(seed)}}
+			_, b, err := w.Recv()
 			if err == nil {
-				err = tc.got.decode(body)
+				err = tc.got.decode(b)
 			}
 			if whole := i == 0; whole != (err == nil) {
 				t.Errorf("%T seed %d (%d bytes): err = %v", tc.want, i, len(seed), err)
@@ -173,7 +176,15 @@ func TestBrokenFramesAreErrors(t *testing.T) {
 	}
 }
 
-func gobBody(t testing.TB, v any) []byte {
+// rawBody is a body of arbitrary bytes, sent as they are; decoding one
+// accepts anything.
+type rawBody []byte
+
+func (r rawBody) appendTo(b []byte) []byte { return append(b, r...) }
+func (rawBody) decode([]byte) error        { return nil }
+
+// gobBody is what a client of the retired gob methods sent.
+func gobBody(t testing.TB, v any) rawBody {
 	var buf bytes.Buffer
 	if err := gob.NewEncoder(&buf).Encode(v); err != nil {
 		t.Fatal(err)
@@ -208,7 +219,7 @@ func FuzzServeConn(f *testing.F) {
 		f.Add(seed)
 	}
 	corrupt := bytes.Clone(update)
-	for i := frameHeader; i < len(corrupt); i += 7 {
+	for i := wire.Header; i < len(corrupt); i += 7 {
 		corrupt[i] ^= 0x55
 	}
 	f.Add(corrupt) // a gob frame with a corrupt body
@@ -283,14 +294,14 @@ func FuzzClientReply(f *testing.F) {
 		c := newClient("", opts)
 		c.meta = core.ModelMeta{D: d}
 		client, server := net.Pipe()
-		c.wire = &wireConn{conn: client}
+		c.conn = &wire.Conn{Conn: client}
 		defer c.Close()
 		done := make(chan struct{})
 		go func() {
 			// Take the request, answer with the fuzz input and say no more:
 			// the connection stays open until the client has returned.
-			w := &wireConn{conn: server}
-			if _, _, err := w.recv(); err == nil {
+			w := &wire.Conn{Conn: server}
+			if _, _, err := w.Recv(); err == nil {
 				server.Write(data)
 			}
 			<-done

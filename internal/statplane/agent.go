@@ -36,14 +36,14 @@ func NewNodeAgent(id string, tiers []int, sampler TierSampler, tr *InProcess) *N
 // Emit samples the agent's tiers and sends one report for the given
 // interval. The report's backing storage is reused across calls — the
 // aggregator copies on receipt.
-func (a *NodeAgent) Emit(interval int64, now float64) {
+func (a *NodeAgent) Emit(interval int64) {
 	a.seq++
 	for i, t := range a.Tiers {
 		a.scratch[i] = TierStats{Tier: t, Stats: a.sampler.SampleTier(t)}
 	}
 	a.tr.SendReport(Report{
 		Version: WireVersion, Agent: a.ID, Seq: a.seq,
-		Interval: interval, Time: now, Tiers: a.scratch,
+		Interval: interval, Tiers: a.scratch,
 	})
 }
 

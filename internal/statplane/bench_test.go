@@ -1,8 +1,7 @@
 package statplane
 
 import (
-	"bytes"
-	"encoding/gob"
+	"encoding/binary"
 	"testing"
 
 	"sinan/internal/cluster"
@@ -20,65 +19,40 @@ func benchReport(tiers int) Report {
 			NetRx: 9000, NetTx: 8000, QueueLen: 4, Stalled: 0.1,
 		}}
 	}
-	return Report{Version: WireVersion, Agent: "node-0", Seq: 1, Interval: 7, Time: 7, Tiers: ts}
+	return Report{Version: WireVersion, Agent: "node-0", Seq: 1, Interval: 7, Tiers: ts}
 }
 
-// BenchmarkReportEncode measures one gob encode on an established stream —
-// what a node agent pays per interval after the type is negotiated.
+// BenchmarkReportEncode measures building one report frame in a reused
+// buffer — what a session's write side pays per interval.
 func BenchmarkReportEncode(b *testing.B) {
 	rep := benchReport(4)
-	var buf bytes.Buffer
-	enc := gob.NewEncoder(&buf)
-	env := &Envelope{Report: &rep}
-	enc.Encode(env) // prime the stream's type dictionary
+	var buf []byte
 	b.ReportAllocs()
-	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		buf.Truncate(buf.Len()) // keep bytes; gob streams are append-only
 		rep.Seq++
-		if err := enc.Encode(env); err != nil {
-			b.Fatal(err)
-		}
-		if buf.Len() > 1<<20 {
-			buf.Reset()
-			enc = gob.NewEncoder(&buf)
-			enc.Encode(env)
+		buf = binary.LittleEndian.AppendUint64(append(buf[:0], 0, 0, 0, 0, kindReport), rep.Seq)
+		buf = binary.LittleEndian.AppendUint64(buf, uint64(rep.Interval))
+		for _, ts := range rep.Tiers {
+			buf = appendTier(buf, ts.Tier, ts.Stats)
 		}
 	}
 }
 
-// BenchmarkReportDecode measures the collector's per-message decode cost on
-// an established stream.
+// BenchmarkReportDecode measures the hub's per-report decode into the
+// Report its read loop reuses.
 func BenchmarkReportDecode(b *testing.B) {
 	rep := benchReport(4)
-	env := &Envelope{Report: &rep}
-	var buf bytes.Buffer
-	enc := gob.NewEncoder(&buf)
-	// A long pre-encoded stream the decoder walks through; rebuilt when
-	// exhausted.
-	build := func() *gob.Decoder {
-		buf.Reset()
-		enc = gob.NewEncoder(&buf)
-		for i := 0; i < 4096; i++ {
-			rep.Seq++
-			enc.Encode(env)
-		}
-		return gob.NewDecoder(bytes.NewReader(buf.Bytes()))
+	body := binary.LittleEndian.AppendUint64(nil, rep.Seq)
+	body = binary.LittleEndian.AppendUint64(body, uint64(rep.Interval))
+	for _, ts := range rep.Tiers {
+		body = appendTier(body, ts.Tier, ts.Stats)
 	}
-	dec := build()
-	n := 0
+	part := []int{0, 1, 2, 3}
+	var out Report
 	b.ReportAllocs()
-	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		var out Envelope
-		if err := dec.Decode(&out); err != nil {
+		if err := decodeReport(&out, body, part); err != nil {
 			b.Fatal(err)
-		}
-		if n++; n == 4096 {
-			b.StopTimer()
-			dec = build()
-			n = 0
-			b.StartTimer()
 		}
 	}
 }

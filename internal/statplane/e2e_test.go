@@ -1,8 +1,6 @@
 package statplane_test
 
 import (
-	"encoding/gob"
-	"fmt"
 	"net"
 	"testing"
 	"time"
@@ -39,21 +37,34 @@ func (p *safePredictor) PredictBatch(_ *core.PredictContext, in nn.Inputs) (*ten
 	return pred, pv, nil
 }
 
-// wireAgent is a minimal sinan-agent with two scripted wire faults: it
-// dials the hub, says Hello, reads its Assign, then echoes every Sample
-// push back as a sequenced Report — except that node-1's report for
+// scriptedGate is the wire-fault script of one agent: node-1's report for
 // interval dropAt is lost, and node-2's report for interval dupAt is
 // transmitted twice (a retransmit racing its original, same sequence
 // number).
-type wireAgent struct {
+type scriptedGate struct {
 	name          string
-	conn          net.Conn
-	dec           *gob.Decoder
-	enc           *gob.Encoder
-	tiers         []int
 	dropAt, dupAt int64
-	drops, dups   int // read after done is closed
-	done          chan struct{}
+	drops, dups   int // read after the agent's session has ended
+}
+
+func (g *scriptedGate) verdict(_ uint64, interval int64) statplane.Verdict {
+	switch {
+	case interval == g.dropAt && g.name == "node-1":
+		g.drops++
+		return statplane.Drop
+	case interval == g.dupAt && g.name == "node-2":
+		g.dups++
+		return statplane.Duplicate
+	}
+	return statplane.Deliver
+}
+
+// wireAgent is one sinan-agent session over loopback TCP.
+type wireAgent struct {
+	gate  *scriptedGate
+	conn  net.Conn
+	tiers []int
+	done  chan struct{}
 }
 
 func dialWireAgent(addr, name string, dropAt, dupAt int64) (*wireAgent, error) {
@@ -61,58 +72,12 @@ func dialWireAgent(addr, name string, dropAt, dupAt int64) (*wireAgent, error) {
 	if err != nil {
 		return nil, err
 	}
-	a := &wireAgent{name: name, conn: conn, dec: gob.NewDecoder(conn), enc: gob.NewEncoder(conn),
-		dropAt: dropAt, dupAt: dupAt, done: make(chan struct{})}
-	err = a.enc.Encode(&statplane.Envelope{
-		Hello: &statplane.Hello{Version: statplane.WireVersion, Agent: name}})
-	var env statplane.Envelope
-	if err == nil {
-		err = a.dec.Decode(&env)
-	}
-	if err == nil && env.Assign == nil {
-		err = fmt.Errorf("agent %s: first message from the hub is not an Assign", name)
-	}
-	if err != nil {
-		conn.Close()
-		return nil, err
-	}
-	a.tiers = env.Assign.Tiers
-	go a.loop()
+	a := &wireAgent{gate: &scriptedGate{name: name, dropAt: dropAt, dupAt: dupAt}, conn: conn, done: make(chan struct{})}
+	go func() {
+		defer close(a.done)
+		a.tiers, _ = (&statplane.WireAgent{Name: name, Gate: a.gate.verdict}).Session(conn)
+	}()
 	return a, nil
-}
-
-func (a *wireAgent) loop() {
-	defer close(a.done)
-	var seq uint64
-	for {
-		var env statplane.Envelope
-		if err := a.dec.Decode(&env); err != nil {
-			return // the hub closed the connection: the run is over
-		}
-		s := env.Sample
-		if s == nil {
-			continue
-		}
-		seq++
-		if s.Interval == a.dropAt && a.name == "node-1" {
-			a.drops++
-			continue
-		}
-		rep := &statplane.Envelope{Report: &statplane.Report{
-			Version: statplane.WireVersion, Agent: a.name, Seq: seq,
-			Interval: s.Interval, Time: s.Time, Tiers: s.Tiers,
-		}}
-		sends := 1
-		if s.Interval == a.dupAt && a.name == "node-2" {
-			a.dups++
-			sends = 2
-		}
-		for ; sends > 0; sends-- {
-			if err := a.enc.Encode(rep); err != nil {
-				return
-			}
-		}
-	}
 }
 
 // spyPolicy records the StatsOK mask of every interval before handing the
@@ -169,19 +134,16 @@ func TestE2ETCPLoopbackRunWithDropAndDuplicate(t *testing.T) {
 		}
 		hub = h
 		// The hub hands out partitions in Hello order, so dialling one agent
-		// at a time (each waits for its Assign) gives node-i tier i.
+		// at a time (each waits for its partition) gives node-i tier i.
 		for i := 0; i < n; i++ {
 			a, err := dialWireAgent(h.Addr(), statplane.AgentName(i), dropInterval, dupInterval)
 			if err != nil {
 				t.Fatalf("agent %d: %v", i, err)
 			}
-			if len(a.tiers) != 1 || a.tiers[0] != i {
-				t.Fatalf("%s assigned tiers %v, want [%d]", a.name, a.tiers, i)
-			}
 			agents = append(agents, a)
-		}
-		if got := h.AwaitAgents(n, 5*time.Second); got != n {
-			t.Fatalf("agents holding a partition = %d, want %d", got, n)
+			if got := h.AwaitAgents(i+1, 5*time.Second); got != i+1 {
+				t.Fatalf("agents holding a partition = %d, want %d", got, i+1)
+			}
 		}
 		return h
 	}
@@ -202,11 +164,14 @@ func TestE2ETCPLoopbackRunWithDropAndDuplicate(t *testing.T) {
 		t.Fatalf("hub close: %v", err)
 	}
 	drops, dups := 0, 0
-	for _, a := range agents {
+	for i, a := range agents {
 		<-a.done
 		a.conn.Close()
-		drops += a.drops
-		dups += a.dups
+		if len(a.tiers) != 1 || a.tiers[0] != i {
+			t.Fatalf("%s assigned tiers %v, want [%d]", a.gate.name, a.tiers, i)
+		}
+		drops += a.gate.drops
+		dups += a.gate.dups
 	}
 
 	// The wire faults fired exactly as scripted.

@@ -1,55 +1,15 @@
 package statplane
 
 import (
-	"encoding/gob"
-	"fmt"
+	"encoding/binary"
 	"net"
+	"slices"
 	"sync"
 	"time"
 
 	"sinan/internal/telemetry"
+	"sinan/internal/wire"
 )
-
-// Envelope is the single gob message type of the stats-plane wire
-// protocol; exactly one field is non-nil per message. Agent→hub traffic
-// carries Report/GatewayReport (and Hello on connect); the hub→agent
-// direction carries Assign and per-interval Sample pushes.
-// One message type keeps the stream self-describing without a length
-// -prefixed framing layer: gob streams are already delimited.
-type Envelope struct {
-	Report  *Report
-	Gateway *GatewayReport
-	Hello   *Hello
-	Assign  *Assign
-	Sample  *Sample
-}
-
-// Hello introduces an agent to the hub. Version gates the session the
-// same way WireVersion gates individual reports.
-type Hello struct {
-	Version int
-	Agent   string
-}
-
-// Assign is the hub's response to Hello: the tier indices the agent now
-// owns and the decision-interval length. An empty Tiers means the hub had
-// no partition left and the agent should back off and retry.
-type Assign struct {
-	Version     int
-	Tiers       []int
-	IntervalSec float64
-}
-
-// Sample is a per-interval stats push from the hub to a remote agent: the
-// simulated cluster lives with the scheduler, so the hub samples on the
-// agent's behalf and the agent turns the sample into its own sequenced
-// Report — giving the report path (loss, duplication, reordering, delay)
-// a real wire to misbehave on.
-type Sample struct {
-	Interval int64
-	Time     float64
-	Tiers    []TierStats
-}
 
 // HubConfig configures a distributed stats hub.
 type HubConfig struct {
@@ -73,9 +33,10 @@ type HubConfig struct {
 // or lossy simply come back StatsOK=false — the control loop never waits
 // on the network beyond the deadline and never fails because of it.
 //
-// Agents are keyed by name: a reconnecting agent (same -id) reclaims its
-// partition and keeps its sequence numbers, so a redial looks like a blip,
-// not a new node.
+// Agents are keyed by the name their Hello gives: a reconnecting agent
+// (same -id) reclaims its partition and keeps its sequence numbers, so a
+// redial looks like a blip, not a new node. A report is filed under its
+// session's name, and only its session's tiers are kept.
 type Hub struct {
 	cfg HubConfig
 	agg *Aggregator
@@ -84,20 +45,19 @@ type Hub struct {
 
 	mu       sync.Mutex
 	parts    [][]int
-	sessions map[string]*hubSession // by agent name
-	assigned int
+	sessions []*hubSession // in Hello order, session i holding parts[i]; only appended to
 	closed   bool
 	wg       sync.WaitGroup
-
-	pushes   *telemetry.Counter
-	pushErrs *telemetry.Counter
 }
 
+// hubSession is one agent's partition and the write side of its current
+// connection; a redial under the same name takes it over, buffer and all.
 type hubSession struct {
-	mu    sync.Mutex
-	conn  net.Conn
-	enc   *gob.Encoder
+	name  string
 	tiers []int
+
+	mu  sync.Mutex
+	out wire.Conn // out.Conn is nil while the agent is away
 }
 
 // NewHub listens on addr and serves the agent feed. Call Collect once per
@@ -111,32 +71,24 @@ func NewHub(addr string, cfg HubConfig) (*Hub, error) {
 		return nil, err
 	}
 	h := &Hub{
-		cfg:      cfg,
-		agg:      NewAggregator(AggregatorOptions{NumTiers: cfg.NumTiers, Deadline: cfg.Deadline}),
-		lis:      lis,
-		parts:    PartitionTiers(cfg.NumTiers, cfg.TiersPerAgent),
-		sessions: make(map[string]*hubSession),
+		cfg:   cfg,
+		agg:   NewAggregator(AggregatorOptions{NumTiers: cfg.NumTiers, Deadline: cfg.Deadline}),
+		lis:   lis,
+		parts: PartitionTiers(cfg.NumTiers, cfg.TiersPerAgent),
 	}
 	if cfg.Gateway != nil {
 		h.agg.ExpectGateway()
 		h.gw = NewGatewayReporter("gateway", cfg.Gateway, cfg.IntervalSec,
 			&InProcess{Sink: h.agg})
 	}
-	h.AttachMetrics(telemetry.NewRegistry())
 	h.wg.Add(1)
 	go h.acceptLoop()
 	return h, nil
 }
 
 // AttachMetrics implements telemetry.Attacher: the aggregator's plane.*
-// instruments plus the hub's push counters land on reg.
-func (h *Hub) AttachMetrics(reg *telemetry.Registry) {
-	h.agg.AttachMetrics(reg)
-	h.mu.Lock()
-	h.pushes = reg.Counter("plane.hub.sample_pushes")
-	h.pushErrs = reg.Counter("plane.hub.push_errors")
-	h.mu.Unlock()
-}
+// instruments land on reg.
+func (h *Hub) AttachMetrics(reg *telemetry.Registry) { h.agg.AttachMetrics(reg) }
 
 // Addr returns the hub's listen address.
 func (h *Hub) Addr() string { return h.lis.Addr().String() }
@@ -145,15 +97,14 @@ func (h *Hub) Addr() string { return h.lis.Addr().String() }
 func (h *Hub) Agents() int {
 	h.mu.Lock()
 	defer h.mu.Unlock()
-	return h.assigned
+	return len(h.sessions)
 }
 
 // Partitions returns how many agent slots the hub offers in total.
 func (h *Hub) Partitions() int { return len(h.parts) }
 
-// AwaitAgents blocks until n agents hold partitions or the timeout lapses;
-// it returns the number connected. Used at startup so a demo run does not
-// burn its first intervals on an empty plane.
+// AwaitAgents blocks until n agents hold partitions or the timeout lapses,
+// and returns how many do: a run need not start on an empty plane.
 func (h *Hub) AwaitAgents(n int, timeout time.Duration) int {
 	deadline := time.Now().Add(timeout)
 	for {
@@ -176,122 +127,105 @@ func (h *Hub) acceptLoop() {
 	}
 }
 
-// handle runs one agent connection: Hello → Assign, then a read loop
-// feeding reports into the aggregator. The connection's write side is
-// driven separately by Collect's sample pushes.
+// handle runs one agent connection: Hello → Assign, then a read loop feeding
+// reports into the aggregator until the connection fails or a frame does not
+// parse. The write side is the session's, driven by Collect's sample pushes.
 func (h *Hub) handle(conn net.Conn) {
 	defer h.wg.Done()
-	dec := gob.NewDecoder(conn)
-	enc := gob.NewEncoder(conn)
-
-	var env Envelope
+	defer conn.Close()
+	in := wire.Conn{Conn: conn}
 	conn.SetReadDeadline(time.Now().Add(5 * time.Second))
-	if err := dec.Decode(&env); err != nil || env.Hello == nil ||
-		env.Hello.Version != WireVersion || env.Hello.Agent == "" {
-		conn.Close()
+	kind, b, err := in.Recv()
+	if err != nil || kind != kindHello || len(b) <= 4 || binary.LittleEndian.Uint32(b) != WireVersion {
 		return
 	}
 	conn.SetReadDeadline(time.Time{})
-	name := env.Hello.Agent
+	sess := h.attach(string(b[4:]), conn)
+	if sess == nil {
+		return
+	}
+	rep := Report{Version: WireVersion, Agent: sess.name}
+	for {
+		kind, b, err := in.Recv()
+		if err != nil || kind != kindReport || decodeReport(&rep, b, sess.tiers) != nil {
+			break
+		}
+		h.agg.OfferReport(rep)
+	}
+	sess.mu.Lock()
+	if sess.out.Conn == conn {
+		sess.out.Conn = nil
+	}
+	sess.mu.Unlock()
+}
 
+// attach hands conn the named agent's session, opening one on the next free
+// partition for a new name, and sends its Assign. It returns nil when the hub
+// is closed, or has no partition left and has said so with an empty Assign.
+func (h *Hub) attach(name string, conn net.Conn) *hubSession {
 	h.mu.Lock()
 	if h.closed {
 		h.mu.Unlock()
-		conn.Close()
-		return
+		return nil
 	}
-	sess := h.sessions[name]
-	if sess == nil {
-		if h.assigned >= len(h.parts) {
+	i := slices.IndexFunc(h.sessions, func(s *hubSession) bool { return s.name == name })
+	if i < 0 {
+		if len(h.sessions) == len(h.parts) {
 			h.mu.Unlock()
-			// No partition left: an empty assignment tells the agent to go
-			// away politely.
-			enc.Encode(&Envelope{Assign: &Assign{Version: WireVersion}})
-			conn.Close()
-			return
+			out := wire.Conn{Conn: conn}
+			out.Send(appendAssign(out.Begin(kindAssign), nil))
+			return nil
 		}
-		sess = &hubSession{tiers: h.parts[h.assigned]}
-		h.sessions[name] = sess
-		h.assigned++
+		i = len(h.sessions)
+		h.sessions = append(h.sessions, &hubSession{name: name, tiers: h.parts[i]})
 		h.agg.RegisterAgent(name)
 	}
+	sess := h.sessions[i]
+	// Locked before the hub is unlocked, so that Collect's next push queues
+	// behind the Assign instead of overtaking it.
 	sess.mu.Lock()
-	if sess.conn != nil {
-		sess.conn.Close() // stale connection from before a redial
-	}
-	sess.conn = conn
-	sess.enc = enc
-	sess.mu.Unlock()
 	h.mu.Unlock()
+	defer sess.mu.Unlock()
+	if sess.out.Conn != nil {
+		sess.out.Close() // stale connection from before a redial
+	}
+	sess.out.Conn = conn
+	sess.send(appendAssign(sess.out.Begin(kindAssign), sess.tiers))
+	return sess
+}
 
-	if err := h.sendTo(sess, &Envelope{Assign: &Assign{
-		Version: WireVersion, Tiers: sess.tiers, IntervalSec: h.cfg.IntervalSec,
-	}}); err != nil {
+// send writes one frame to the session's connection, under s.mu. A failed
+// write closes the connection, which ends its read loop too.
+func (s *hubSession) send(frame []byte) {
+	if s.out.Conn == nil {
 		return
 	}
-
-	for {
-		var env Envelope
-		if err := dec.Decode(&env); err != nil {
-			sess.mu.Lock()
-			if sess.conn == conn {
-				sess.conn = nil
-				sess.enc = nil
-			}
-			sess.mu.Unlock()
-			conn.Close()
-			return
-		}
-		switch {
-		case env.Report != nil:
-			h.agg.OfferReport(*env.Report)
-		case env.Gateway != nil:
-			h.agg.OfferGatewayReport(*env.Gateway)
-		}
+	s.out.SetWriteDeadline(time.Now().Add(time.Second))
+	if s.out.Send(frame) != nil {
+		s.out.Close()
+		s.out.Conn = nil
 	}
 }
 
-func (h *Hub) sendTo(sess *hubSession, env *Envelope) error {
-	sess.mu.Lock()
-	defer sess.mu.Unlock()
-	if sess.conn == nil {
-		return fmt.Errorf("statplane: agent disconnected")
-	}
-	sess.conn.SetWriteDeadline(time.Now().Add(time.Second))
-	if err := sess.enc.Encode(env); err != nil {
-		sess.conn.Close()
-		sess.conn = nil
-		sess.enc = nil
-		return err
-	}
-	return nil
-}
-
-// Collect implements Plane: push each connected agent its partition's
-// samples, emit the (local) gateway report, and assemble under the
-// deadline. Unconnected partitions are simply not sampled this interval —
-// their tiers' accumulators keep integrating until an agent shows up.
+// Collect implements Plane: push each session its partition's samples, emit
+// the (local) gateway report, and assemble under the deadline. A session
+// whose agent is away is sampled all the same; a partition no agent has
+// claimed is not, so its tiers' accumulators keep integrating until one
+// does. Each push is built in its session's buffer: a warmed interval
+// allocates nothing.
 func (h *Hub) Collect(interval int64, now float64) IntervalState {
 	h.agg.BeginInterval(interval)
-
 	h.mu.Lock()
-	sessions := make([]*hubSession, 0, len(h.sessions))
-	for _, s := range h.sessions {
-		sessions = append(sessions, s)
-	}
+	sessions := h.sessions
 	h.mu.Unlock()
-
 	for _, sess := range sessions {
-		sample := &Sample{Interval: interval, Time: now,
-			Tiers: make([]TierStats, len(sess.tiers))}
-		for i, t := range sess.tiers {
-			sample.Tiers[i] = TierStats{Tier: t, Stats: h.cfg.Sampler.SampleTier(t)}
+		sess.mu.Lock()
+		b := binary.LittleEndian.AppendUint64(sess.out.Begin(kindSample), uint64(interval))
+		for _, t := range sess.tiers {
+			b = appendTier(b, t, h.cfg.Sampler.SampleTier(t))
 		}
-		if err := h.sendTo(sess, &Envelope{Sample: sample}); err != nil {
-			h.pushErrs.Inc()
-			continue
-		}
-		h.pushes.Inc()
+		sess.send(b)
+		sess.mu.Unlock()
 	}
 	if h.gw != nil {
 		h.gw.Emit(interval)
@@ -308,16 +242,13 @@ func (h *Hub) Close() error {
 		return nil
 	}
 	h.closed = true
-	sessions := make([]*hubSession, 0, len(h.sessions))
-	for _, s := range h.sessions {
-		sessions = append(sessions, s)
-	}
+	sessions := h.sessions
 	h.mu.Unlock()
 	err := h.lis.Close()
 	for _, sess := range sessions {
 		sess.mu.Lock()
-		if sess.conn != nil {
-			sess.conn.Close()
+		if sess.out.Conn != nil {
+			sess.out.Close()
 		}
 		sess.mu.Unlock()
 	}

@@ -63,7 +63,7 @@ func NewInProcess(cfg Config) *Pipeline {
 func (p *Pipeline) Collect(interval int64, now float64) IntervalState {
 	p.agg.BeginInterval(interval)
 	for _, a := range p.agents {
-		a.Emit(interval, now)
+		a.Emit(interval)
 	}
 	if p.gateway != nil {
 		p.gateway.Emit(interval)

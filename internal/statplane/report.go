@@ -5,7 +5,8 @@
 // The package separates WHAT flows (versioned, sequence-numbered reports)
 // from HOW it flows (the in-process Pipeline of simulated runs, whose one
 // ReportGate seam lets fault injection lose or duplicate reports, or the
-// TCP/gob Hub of distributed ones) from HOW the scheduler's per-interval
+// Hub of distributed ones, whose agents report over TCP in package wire's
+// frames) from HOW the scheduler's per-interval
 // snapshot is assembled (an Aggregator that dedupes by sequence, flags
 // late or missing reports as StatsOK=false for the scheduler's
 // hold-last-value imputation, and tracks per-agent liveness).
@@ -16,9 +17,9 @@ import (
 	"sinan/internal/metrics"
 )
 
-// WireVersion is the report schema version. Receivers reject reports from
-// a different version instead of guessing at field semantics.
-const WireVersion = 1
+// WireVersion is the report schema version: receivers reject reports, and a
+// Hub the Hello, of another version (1 was the gob wire) instead of guessing.
+const WireVersion = 2
 
 // TierStats is one tier's interval statistics inside a report, tagged with
 // the tier's global index so agents may own arbitrary tier subsets.
@@ -38,7 +39,6 @@ type Report struct {
 	Agent    string
 	Seq      uint64
 	Interval int64
-	Time     float64 // simulated seconds at sampling (diagnostic)
 	Tiers    []TierStats
 }
 
