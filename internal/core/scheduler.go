@@ -3,7 +3,6 @@ package core
 import (
 	"errors"
 	"math"
-	"time"
 
 	"sinan/internal/apps"
 	"sinan/internal/cluster"
@@ -138,10 +137,7 @@ type Scheduler struct {
 
 	// Telemetry instruments ("sched.*"). AttachMetrics rebinds the handles
 	// onto a per-run registry, so nothing the scheduler decides from lives
-	// here. The counters are deterministic (driven by simulated time); the
-	// two *_ms histograms record wall-clock cost and are, by the naming
-	// convention, the only nondeterministic instruments.
-	reg               *telemetry.Registry
+	// here. Every one is driven by simulated time, so deterministic.
 	mispredictions    *telemetry.Counter
 	predictErrors     *telemetry.Counter
 	predictSheds      *telemetry.Counter
@@ -149,12 +145,7 @@ type Scheduler struct {
 	recoveries        *telemetry.Counter
 	brownoutIntervals *telemetry.Counter
 	candidatesScored  *telemetry.Counter
-	brownoutGauge     *telemetry.Gauge     // current ladder level
-	degradedGauge     *telemetry.Gauge     // 1 while in fallback mode
-	decideLatMS       *telemetry.Histogram // wall cost of each Decide
-	predictLatMS      *telemetry.Histogram // wall cost of each model query
-	candBatch         *telemetry.Histogram // candidate batch sizes sent to the model
-	payloadFloats     *telemetry.Gauge     // float64s shipped to the model by the last query
+	payloadFloats     *telemetry.Gauge // float64s shipped to the model by the last query
 
 	// Evaluation state, reused every interval: the candidate set, the
 	// prediction context, and the view headers over the candidate rows and
@@ -203,7 +194,6 @@ func NewScheduler(app *apps.App, m Predictor, opts SchedulerOptions) *Scheduler 
 // there. The runner calls it with the per-run registry before the run
 // starts; counts recorded on a previously attached registry stay there.
 func (s *Scheduler) AttachMetrics(reg *telemetry.Registry) {
-	s.reg = reg
 	s.mispredictions = reg.Counter("sched.mispredictions")
 	s.predictErrors = reg.Counter("sched.predict.errors")
 	s.predictSheds = reg.Counter("sched.predict.sheds")
@@ -211,11 +201,6 @@ func (s *Scheduler) AttachMetrics(reg *telemetry.Registry) {
 	s.recoveries = reg.Counter("sched.degraded.recoveries")
 	s.brownoutIntervals = reg.Counter("sched.brownout.intervals")
 	s.candidatesScored = reg.Counter("sched.candidates.scored")
-	s.brownoutGauge = reg.Gauge("sched.brownout.level")
-	s.degradedGauge = reg.Gauge("sched.degraded")
-	s.decideLatMS = reg.Histogram("sched.decide.latency_ms")
-	s.predictLatMS = reg.Histogram("sched.predict.latency_ms")
-	s.candBatch = reg.Histogram("sched.candidates.batch")
 	s.payloadFloats = reg.Gauge("sched.predict.payload_floats")
 }
 
@@ -278,7 +263,6 @@ func (s *Scheduler) Name() string { return "Sinan" }
 // → enumerate → score → choose → commit, and every path leaves through the
 // one return at the bottom, which is where the Decision is built.
 func (s *Scheduler) Decide(st runner.State) runner.Decision {
-	start := time.Now()
 	// The brownout level this interval's candidates are enumerated at.
 	// Pressure or relief below moves the ladder for the next interval only,
 	// so the recorded level matches the batch actually sent to the model.
@@ -338,7 +322,6 @@ func (s *Scheduler) Decide(st runner.State) runner.Decision {
 		})
 		c := s.cands
 		s.candidatesScored.Add(int64(len(c.kind)))
-		s.candBatch.Observe(float64(len(c.kind)))
 
 		p99, pviols, err := s.score()
 		if err != nil {
@@ -388,13 +371,6 @@ func (s *Scheduler) Decide(st runner.State) runner.Decision {
 	// The one exit. A prediction is only held against the next interval's
 	// outcome when the model chose this interval's action.
 	s.lastPredValid, s.lastPredP99 = chosen, predP99
-	s.brownoutGauge.Set(float64(s.brownLevel))
-	if s.degraded {
-		s.degradedGauge.Set(1)
-	} else {
-		s.degradedGauge.Set(0)
-	}
-	s.decideLatMS.Observe(float64(time.Since(start)) / float64(time.Millisecond))
 	return runner.Decision{Alloc: alloc, PredP99MS: predP99, PViol: pviol, Degraded: s.degraded, Brownout: level}
 }
 
@@ -538,9 +514,7 @@ func (s *Scheduler) score() (p99, pviol []float64, err error) {
 	} else {
 		s.payloadFloats.Set(float64(b * (winFloats + d.N)))
 	}
-	start := time.Now()
 	pred, pviol, err := PredictSharedAuto(s.M, s.predCtx, s.in)
-	s.predictLatMS.Observe(float64(time.Since(start)) / float64(time.Millisecond))
 	if err == nil {
 		s.p99, err = predictedP99(s.p99[:0], pred, pviol, d.M)
 	}

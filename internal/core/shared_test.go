@@ -8,6 +8,7 @@ import (
 	"sinan/internal/cluster"
 	"sinan/internal/dataset"
 	"sinan/internal/nn"
+	"sinan/internal/telemetry"
 	"sinan/internal/tensor"
 )
 
@@ -222,12 +223,13 @@ func TestSchedulerPayloadGauge(t *testing.T) {
 		} else {
 			m = f
 		}
-		s := NewScheduler(app, m, SchedulerOptions{})
+		s, reg := NewScheduler(app, m, SchedulerOptions{}), telemetry.NewRegistry()
+		s.AttachMetrics(reg)
 		for i := 0; i < d.T; i++ {
 			s.Decide(stateFor(app, 20, alloc, 0.3))
 		}
 		s.Decide(stateFor(app, 20, alloc, 0.3))
-		return s.reg.Gauge("sched.predict.payload_floats").Value()
+		return reg.Gauge("sched.predict.payload_floats").Value()
 	}
 
 	plain := decideOnce(&fakeModel{})

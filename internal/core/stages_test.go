@@ -297,12 +297,13 @@ func TestAttachMetricsKeepsTrustState(t *testing.T) {
 	if s.Mispredictions() != trustThreshold || s.limits(calm).pd == 0 {
 		t.Fatalf("after %d mispredictions: tally %d, p_d %v", trustThreshold, s.Mispredictions(), s.limits(calm).pd)
 	}
-	s.AttachMetrics(telemetry.NewRegistry())
+	reg := telemetry.NewRegistry()
+	s.AttachMetrics(reg)
 	mispredict()
 	if s.Mispredictions() != trustThreshold+1 || s.limits(calm).pd != 0 {
 		t.Fatalf("re-attaching the registry forgot trust erosion: tally %d, p_d %v", s.Mispredictions(), s.limits(calm).pd)
 	}
-	if got := s.reg.Counter("sched.mispredictions").Value(); got != 1 {
+	if got := reg.Counter("sched.mispredictions").Value(); got != 1 {
 		t.Fatalf("the new registry counted %d mispredictions, want the 1 it saw", got)
 	}
 }

@@ -248,7 +248,6 @@ type Injector struct {
 	// The runner rebinds them onto the per-run registry via AttachMetrics;
 	// all counts are driven by the sim clock and the plan's seeded RNG, so
 	// they are fully deterministic.
-	reg             *telemetry.Registry
 	predictorErrors *telemetry.Counter // model calls failed (outage + timeout + blips + sheds)
 	slowCalls       *telemetry.Counter // calls delayed but under the deadline
 	shedCalls       *telemetry.Counter // calls shed by an overload window
@@ -276,20 +275,12 @@ func New(plan Plan) *Injector {
 // callbacks Bind scheduled read the handles through the injector, so they
 // land on the rebound registry.
 func (in *Injector) AttachMetrics(reg *telemetry.Registry) {
-	in.reg = reg
 	in.predictorErrors = reg.Counter("faults.predictor.errors")
 	in.slowCalls = reg.Counter("faults.predictor.slow_calls")
 	in.shedCalls = reg.Counter("faults.predictor.sheds")
 	in.droppedReports = reg.Counter("faults.reports.dropped")
 	in.dupedReports = reg.Counter("faults.reports.duplicated")
 	in.crashWindows = reg.Counter("faults.crash.windows")
-}
-
-// markInjected counts one fault window going active, labelled by kind. The
-// lookup goes through the registry (cold path) because windows are rare —
-// a handful per run — and the handle must follow AttachMetrics rebinds.
-func (in *Injector) markInjected(k Kind) {
-	in.reg.Counter("faults.injected", "kind", k.String()).Inc()
 }
 
 // Bind schedules the plan's windows on the run's engine. Implements
@@ -307,16 +298,16 @@ func (in *Injector) Bind(eng *sim.Engine, cl *cluster.Cluster) {
 		}
 		switch e.Kind {
 		case PredictorOutage:
-			eng.At(e.Start, func() { in.markInjected(e.Kind); in.outage = true })
+			eng.At(e.Start, func() { in.outage = true })
 			eng.At(e.End, func() { in.outage = false })
 		case PredictorSlow:
-			eng.At(e.Start, func() { in.markInjected(e.Kind); in.slow = e.Value })
+			eng.At(e.Start, func() { in.slow = e.Value })
 			eng.At(e.End, func() { in.slow = 0 })
 		case MetricDropout:
 			if e.Tier < 0 || e.Tier >= cl.NumTiers() {
 				panic(fmt.Sprintf("faults: metric-dropout tier %d out of range", e.Tier))
 			}
-			eng.At(e.Start, func() { in.markInjected(e.Kind); in.dropped[e.Tier] = true })
+			eng.At(e.Start, func() { in.dropped[e.Tier] = true })
 			eng.At(e.End, func() { in.dropped[e.Tier] = false })
 		case ReplicaCrash:
 			if e.Tier < 0 || e.Tier >= cl.NumTiers() {
@@ -324,19 +315,18 @@ func (in *Injector) Bind(eng *sim.Engine, cl *cluster.Cluster) {
 			}
 			t := cl.Tiers()[e.Tier]
 			eng.At(e.Start, func() {
-				in.markInjected(e.Kind)
 				in.crashWindows.Inc()
 				t.SetAliveFraction(e.Value)
 			})
 			eng.At(e.End, func() { t.SetAliveFraction(1) })
 		case RPCBlips:
-			eng.At(e.Start, func() { in.markInjected(e.Kind); in.blipP = e.Value })
+			eng.At(e.Start, func() { in.blipP = e.Value })
 			eng.At(e.End, func() { in.blipP = 0 })
 		case PredictorOverload:
-			eng.At(e.Start, func() { in.markInjected(e.Kind); in.overload = e.Value })
+			eng.At(e.Start, func() { in.overload = e.Value })
 			eng.At(e.End, func() { in.overload = 0 })
 		case LossyReports:
-			eng.At(e.Start, func() { in.markInjected(e.Kind); in.lossy = e.Value })
+			eng.At(e.Start, func() { in.lossy = e.Value })
 			eng.At(e.End, func() { in.lossy = 0 })
 		default:
 			panic(fmt.Sprintf("faults: unknown kind %d", int(e.Kind)))

@@ -11,8 +11,16 @@ import (
 	"sinan/internal/nn"
 	"sinan/internal/sim"
 	"sinan/internal/statplane"
+	"sinan/internal/telemetry"
 	"sinan/internal/tensor"
 )
+
+// attached returns an injector for plan and the registry its counters land on.
+func attached(plan Plan) (*Injector, *telemetry.Registry) {
+	inj, reg := New(plan), telemetry.NewRegistry()
+	inj.AttachMetrics(reg)
+	return inj, reg
+}
 
 // okPredictor is a trivially-healthy base model for wrapper tests.
 type okPredictor struct{ calls int }
@@ -62,7 +70,7 @@ func TestStandardPlanDeterministicAndBounded(t *testing.T) {
 
 func TestPredictorOutageWindow(t *testing.T) {
 	eng, cl := testCluster()
-	inj := New(Plan{Seed: 1, Events: []Event{
+	inj, reg := attached(Plan{Seed: 1, Events: []Event{
 		{Kind: PredictorOutage, Start: 10, End: 20},
 	}})
 	inj.Bind(eng, cl)
@@ -84,14 +92,14 @@ func TestPredictorOutageWindow(t *testing.T) {
 	if base.calls != 2 {
 		t.Fatalf("base reached %d times, want 2 (outage short-circuits)", base.calls)
 	}
-	if n := inj.reg.Snapshot().Counters; n["faults.predictor.errors"] != 1 {
+	if n := reg.Snapshot().Counters; n["faults.predictor.errors"] != 1 {
 		t.Fatalf("counters: %v", n)
 	}
 }
 
 func TestPredictorSlowdownVsDeadline(t *testing.T) {
 	eng, cl := testCluster()
-	inj := New(Plan{Seed: 1, Events: []Event{
+	inj, reg := attached(Plan{Seed: 1, Events: []Event{
 		{Kind: PredictorSlow, Start: 10, End: 20, Value: 2.0},  // past deadline
 		{Kind: PredictorSlow, Start: 30, End: 40, Value: 0.25}, // under it
 	}})
@@ -106,7 +114,7 @@ func TestPredictorSlowdownVsDeadline(t *testing.T) {
 	if _, _, err := p.PredictBatch(nil, nn.Inputs{}); err != nil {
 		t.Fatalf("sub-deadline slowdown should still answer: %v", err)
 	}
-	n := inj.reg.Snapshot().Counters
+	n := reg.Snapshot().Counters
 	if n["faults.predictor.errors"] != 1 || n["faults.predictor.slow_calls"] != 1 {
 		t.Fatalf("counters: %v", n)
 	}
@@ -115,14 +123,14 @@ func TestPredictorSlowdownVsDeadline(t *testing.T) {
 // report builds a single-tier node-agent report for gate tests.
 func report(agent string, seq uint64, tier int) statplane.Report {
 	return statplane.Report{
-		Version: statplane.WireVersion, Agent: agent, Seq: seq,
+		Agent: agent, Seq: seq,
 		Tiers: []statplane.TierStats{{Tier: tier, Stats: cluster.Stats{CPUUsage: 1}}},
 	}
 }
 
 func TestMetricDropoutDropsReports(t *testing.T) {
 	eng, cl := testCluster()
-	inj := New(Plan{Seed: 1, Events: []Event{
+	inj, reg := attached(Plan{Seed: 1, Events: []Event{
 		{Kind: MetricDropout, Start: 10, End: 20, Tier: 2},
 	}})
 	inj.Bind(eng, cl)
@@ -142,7 +150,7 @@ func TestMetricDropoutDropsReports(t *testing.T) {
 	if v := inj.DeliverReport(report("node-2", 3, 2)); v != statplane.Deliver {
 		t.Fatalf("dropout over, verdict = %v, want Deliver", v)
 	}
-	if n := inj.reg.Snapshot().Counters; n["faults.reports.dropped"] != 1 {
+	if n := reg.Snapshot().Counters; n["faults.reports.dropped"] != 1 {
 		t.Fatalf("counters: %v", n)
 	}
 }
@@ -189,7 +197,7 @@ func TestLossyReportsWindowDeterministic(t *testing.T) {
 
 func TestReplicaCrashWindowDrivesAliveFraction(t *testing.T) {
 	eng, cl := testCluster()
-	inj := New(Plan{Seed: 1, Events: []Event{
+	inj, reg := attached(Plan{Seed: 1, Events: []Event{
 		{Kind: ReplicaCrash, Start: 10, End: 20, Tier: 1, Value: 0.5},
 	}})
 	inj.Bind(eng, cl)
@@ -207,7 +215,7 @@ func TestReplicaCrashWindowDrivesAliveFraction(t *testing.T) {
 	if tier.AliveFraction() != 1 {
 		t.Fatalf("alive = %v after restart, want 1", tier.AliveFraction())
 	}
-	if n := inj.reg.Snapshot().Counters; n["faults.crash.windows"] != 1 {
+	if n := reg.Snapshot().Counters; n["faults.crash.windows"] != 1 {
 		t.Fatalf("counters: %v", n)
 	}
 }

@@ -47,7 +47,7 @@ func TestOverloadPlanDeterministicAndBounded(t *testing.T) {
 // via core.CostReporter.
 func TestPredictorOverloadShedsByBatchSize(t *testing.T) {
 	eng, cl := testCluster()
-	inj := New(Plan{Seed: 1, Events: []Event{
+	inj, reg := attached(Plan{Seed: 1, Events: []Event{
 		{Kind: PredictorOverload, Start: 10, End: 20, Value: 2.0},
 	}})
 	inj.Bind(eng, cl)
@@ -102,7 +102,7 @@ func TestPredictorOverloadShedsByBatchSize(t *testing.T) {
 		t.Fatalf("post-window cost = %v, want 0", cr.LastPredictMS())
 	}
 
-	n := inj.reg.Snapshot().Counters
+	n := reg.Snapshot().Counters
 	if n["faults.predictor.sheds"] < 1 || n["faults.predictor.errors"] != n["faults.predictor.sheds"] {
 		t.Fatalf("counters: %v", n)
 	}

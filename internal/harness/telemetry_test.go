@@ -26,9 +26,8 @@ func snapshotJSON(t *testing.T, r *telemetry.Registry) string {
 // run.* instrument observes only simulation-derived values, so the full
 // snapshot — counters, gauges, and histogram buckets — must match exactly.
 //
-// Wall-clock instruments (names ending in "_ms" outside run.*, e.g. the
-// Sinan scheduler's sched.decide.latency_ms) are the one sanctioned source
-// of nondeterminism; the baseline policies used here register none, which
+// Wall-clock instruments (names ending in "_ms") are the one sanctioned
+// source of nondeterminism; none is registered on a run's registry, which
 // is what lets this test demand full-snapshot equality.
 func TestTelemetryDeterministicAcrossWorkers(t *testing.T) {
 	rootSerial := telemetry.NewRegistry()

@@ -9,7 +9,6 @@ import (
 
 	"sinan/internal/core"
 	"sinan/internal/nn"
-	"sinan/internal/telemetry"
 	"sinan/internal/tensor"
 )
 
@@ -116,7 +115,7 @@ func (l *Live) LastPredictMS() float64 {
 
 // PredictBatch implements core.Predictor: the live model answers, and while
 // a candidate is in shadow it scores the same inputs on the side — its
-// disagreement recorded, its answer discarded. A shadow candidate can never
+// answer checked, then discarded. A shadow candidate can never
 // affect the caller's answer or the call's availability: candidate errors
 // are noted in the tap, not returned.
 func (l *Live) PredictBatch(ctx *core.PredictContext, in nn.Inputs) (*tensor.Dense, []float64, error) {
@@ -156,11 +155,11 @@ func (l *Live) PredictShared(ctx *core.PredictContext, in nn.SharedInputs) (*ten
 // Shadow parks cand as the auditioning candidate: from now on every live
 // predict also runs on it, scored by a fresh tap. A candidate already in
 // shadow is replaced — last write wins, and the displaced one simply never
-// promotes. hist, when non-nil, receives the per-row p99 disagreement.
-func (l *Live) Shadow(cand core.Predictor, hist *telemetry.Histogram) {
+// promotes.
+func (l *Live) Shadow(cand core.Predictor) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	l.shadow.Store(&shadowTap{cand: cand, ctx: core.NewPredictContext(), hist: hist})
+	l.shadow.Store(&shadowTap{cand: cand, ctx: core.NewPredictContext()})
 }
 
 // SettleShadow ends the audition: the tap is removed and the candidate
@@ -182,22 +181,20 @@ func (l *Live) SettleShadow() (cand core.Predictor, disqualified error, ok bool)
 }
 
 // shadowTap scores a candidate model against live traffic: every live
-// predict evaluates the candidate on the identical inputs and records the
-// absolute p99 disagreement per candidate row in hist. A candidate that
-// errors, or produces any non-finite latency or violation probability, is
-// disqualified on the spot.
+// predict evaluates the candidate on the identical inputs. A candidate that
+// errors, or produces a prediction of another shape or any non-finite
+// latency or violation probability, is disqualified on the spot.
 type shadowTap struct {
 	cand core.Predictor
 
-	mu   sync.Mutex
-	ctx  *core.PredictContext
-	hist *telemetry.Histogram
-	bad  error // why the candidate was disqualified; nil while clean
+	mu  sync.Mutex
+	ctx *core.PredictContext
+	bad error // why the candidate was disqualified; nil while clean
 }
 
 // observe runs one candidate evaluation — eval must answer the inputs the
 // live model just answered, in livePred's [B, M] shape plus B violation
-// probabilities — and scores it against the live prediction.
+// probabilities — and checks its answer against the live prediction's shape.
 func (t *shadowTap) observe(livePred *tensor.Dense, eval func(core.Predictor, *core.PredictContext) (*tensor.Dense, []float64, error)) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
@@ -215,14 +212,6 @@ func (t *shadowTap) observe(livePred *tensor.Dense, eval func(core.Predictor, *c
 	}
 	if !allFinite(candPred.Data) || !allFinite(candPViol) {
 		t.bad = errors.New("non-finite prediction")
-		return
-	}
-	if t.hist == nil {
-		return
-	}
-	m := livePred.Shape[1]
-	for p99 := m - 1; p99 < len(livePred.Data); p99 += m {
-		t.hist.Observe(math.Abs(candPred.Data[p99] - livePred.Data[p99]))
 	}
 }
 

@@ -75,7 +75,7 @@ func TestLiveRollbackRestoresVersionGenerationAdvances(t *testing.T) {
 // there is nothing to roll back to, and is never promoted afterwards.
 func TestLiveRollbackDropsPendingShadow(t *testing.T) {
 	l := NewLive(liveFake(0), 1)
-	l.Shadow(liveFake(1), nil)
+	l.Shadow(liveFake(1))
 	if l.shadow.Load() == nil {
 		t.Fatal("no candidate in shadow")
 	}
@@ -116,7 +116,7 @@ func TestShadowTapDisqualifiesAnyNonFinite(t *testing.T) {
 		"NaN in a non-p99 column": func(p *tensor.Dense, _ []float64) { p.Set(math.NaN(), 2, 0) },
 	} {
 		l := NewLive(liveFake(8), 1)
-		l.Shadow(spoiled{liveFake(8), spoil}, nil)
+		l.Shadow(spoiled{liveFake(8), spoil})
 		if _, _, err := l.PredictBatch(ctx, in); err != nil {
 			t.Fatalf("%s: live predict failed because of the candidate: %v", name, err)
 		}
@@ -127,7 +127,7 @@ func TestShadowTapDisqualifiesAnyNonFinite(t *testing.T) {
 
 	l := NewLive(liveFake(8), 1)
 	cand := liveFake(8)
-	l.Shadow(cand, nil)
+	l.Shadow(cand)
 	for i := 0; i < 2; i++ {
 		if _, _, err := l.PredictBatch(ctx, in); err != nil {
 			t.Fatalf("live predict %d with a clean candidate in shadow: %v", i, err)

@@ -123,7 +123,6 @@ type Manager struct {
 
 	// Telemetry ("lifecycle.*"); deterministic — everything advances on the
 	// run's simulated intervals.
-	reg            *telemetry.Registry
 	retrains       *telemetry.Counter
 	retrainErrors  *telemetry.Counter
 	gateAccepted   *telemetry.Counter
@@ -131,10 +130,6 @@ type Manager struct {
 	shadowRejected *telemetry.Counter
 	promotions     *telemetry.Counter
 	rollbacks      *telemetry.Counter
-	stateGauge     *telemetry.Gauge
-	versionGauge   *telemetry.Gauge
-	driftGauge     *telemetry.Gauge
-	shadowHist     *telemetry.Histogram
 }
 
 // NewManager builds the lifecycle-managed Sinan policy: model becomes
@@ -171,7 +166,6 @@ func (m *Manager) resetFresh(meta core.ModelMeta) {
 // AttachMetrics implements telemetry.Attacher: the manager's "lifecycle.*"
 // instruments and the wrapped scheduler's "sched.*" land on reg.
 func (m *Manager) AttachMetrics(reg *telemetry.Registry) {
-	m.reg = reg
 	m.retrains = reg.Counter("lifecycle.retrains")
 	m.retrainErrors = reg.Counter("lifecycle.retrain.errors")
 	m.gateAccepted = reg.Counter("lifecycle.gate.accepted")
@@ -179,12 +173,7 @@ func (m *Manager) AttachMetrics(reg *telemetry.Registry) {
 	m.shadowRejected = reg.Counter("lifecycle.shadow.rejected")
 	m.promotions = reg.Counter("lifecycle.promotions")
 	m.rollbacks = reg.Counter("lifecycle.rollbacks")
-	m.stateGauge = reg.Gauge("lifecycle.state")
-	m.versionGauge = reg.Gauge("lifecycle.version")
-	m.driftGauge = reg.Gauge("lifecycle.drift.ewma")
-	m.shadowHist = reg.Histogram("lifecycle.shadow.disagreement")
 	m.sched.AttachMetrics(reg)
-	m.versionGauge.Set(float64(m.live.Version()))
 }
 
 // Name implements runner.Policy.
@@ -212,10 +201,6 @@ func (m *Manager) Decide(st runner.State) runner.Decision {
 
 	m.rec.Observe(st.Stats, st.Perc, dec.Alloc)
 	m.step(violated)
-
-	m.driftGauge.Set(m.ewma)
-	m.stateGauge.Set(float64(m.state))
-	m.versionGauge.Set(float64(m.live.Version()))
 	return dec
 }
 
@@ -251,7 +236,7 @@ func (m *Manager) step(violated bool) {
 			return
 		}
 		m.gateAccepted.Inc()
-		m.live.Shadow(cand, m.shadowHist)
+		m.live.Shadow(cand)
 		m.state = StateShadow
 		m.shadowLeft = shadowIntervals
 

@@ -1,6 +1,7 @@
 package lifecycle
 
 import (
+	"errors"
 	"fmt"
 	"math"
 	"testing"
@@ -168,6 +169,24 @@ func TestManagerShadowDisqualifiesNaNCandidate(t *testing.T) {
 	if m.ShadowRejected() != 1 || m.Promotions() != 0 {
 		t.Fatalf("shadow scoring should disqualify (shadowRejected=%d promotions=%d)",
 			m.ShadowRejected(), m.Promotions())
+	}
+	assertAlwaysServed(t, m, res)
+}
+
+// A retrain that fails is counted on lifecycle.retrain.errors and reaches
+// neither the gate nor the live model.
+func TestManagerCountsFailedRetrains(t *testing.T) {
+	m, res := managerScenario(t, func(core.Predictor, *dataset.Dataset, int) (core.Predictor, error) {
+		return nil, errors.New("trainer unavailable")
+	}, nil)
+
+	errs := res.Metrics.Snapshot().Counters["lifecycle.retrain.errors"]
+	if m.Retrains() < 2 || errs != int64(m.Retrains()) {
+		t.Fatalf("%d retrains, %d counted as errors; want at least 2, each one an error", m.Retrains(), errs)
+	}
+	if m.Live().Generation() != 1 || m.GateAccepted()+m.GateRejected() != 0 {
+		t.Fatalf("a failed retrain reached the gate or the live model (generation %d, gate %d/%d)",
+			m.Live().Generation(), m.GateAccepted(), m.GateRejected())
 	}
 	assertAlwaysServed(t, m, res)
 }

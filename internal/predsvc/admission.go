@@ -131,10 +131,10 @@ type waiter struct {
 }
 
 // gate is the admission controller: a concurrency semaphore with a bounded
-// LIFO wait stack and deadline-aware shedding. Outcome counts and occupancy
-// live on telemetry instruments ("server.admission.*" in the service's
-// registry); the mutex guards only the structural state the admission logic
-// itself needs (the active count and the wait stack).
+// LIFO wait stack and deadline-aware shedding. Outcome counts and the queue's
+// high-water mark live on telemetry instruments ("server.admission.*" in the
+// service's registry); the mutex guards the structural state the admission
+// logic itself needs (the active count and the wait stack).
 type gate struct {
 	limit int // <= 0: unlimited (admission disabled)
 	maxQ  int
@@ -148,8 +148,6 @@ type gate struct {
 	accepted  *telemetry.Counter // admission outcomes, one counter per kind
 	shed      *telemetry.Counter
 	expired   *telemetry.Counter
-	activeG   *telemetry.Gauge // executing right now
-	queuedG   *telemetry.Gauge // waiting for a slot right now
 	peakQueue *telemetry.Gauge // queue depth high-water mark
 
 	// The release funcs acquire hands out, bound once by newGate: a method
@@ -166,25 +164,10 @@ func newGate(o ServiceOptions, reg *telemetry.Registry) *gate {
 		accepted:  reg.Counter("server.admission.outcome", "result", "accepted"),
 		shed:      reg.Counter("server.admission.outcome", "result", "shed"),
 		expired:   reg.Counter("server.admission.outcome", "result", "expired"),
-		activeG:   reg.Gauge("server.admission.active"),
-		queuedG:   reg.Gauge("server.admission.queued"),
 		peakQueue: reg.Gauge("server.admission.queue_peak"),
 	}
 	g.releaseFn, g.releaseUnlimitedFn = g.release, g.releaseUnlimited
 	return g
-}
-
-// setActiveLocked adjusts the active count and mirrors it into the gauge.
-func (g *gate) setActiveLocked(d int) {
-	g.active += d
-	g.activeG.Set(float64(g.active))
-}
-
-// setQueuedLocked mirrors the queue depth into its gauge and high-water mark.
-func (g *gate) setQueuedLocked() {
-	n := float64(len(g.queue))
-	g.queuedG.Set(n)
-	g.peakQueue.SetMax(n)
 }
 
 // acquire blocks until the request is granted an execution slot or dropped.
@@ -195,7 +178,7 @@ func (g *gate) acquire(deadline time.Time) (release func(), err error) {
 		// Admission disabled: execute immediately, tracking active for
 		// observability only.
 		g.mu.Lock()
-		g.setActiveLocked(1)
+		g.active++
 		g.accepted.Inc()
 		g.mu.Unlock()
 		return g.releaseUnlimitedFn, nil
@@ -212,7 +195,7 @@ func (g *gate) acquire(deadline time.Time) (release func(), err error) {
 		return nil, ErrExpired
 	}
 	if g.active < g.limit {
-		g.setActiveLocked(1)
+		g.active++
 		g.accepted.Inc()
 		g.mu.Unlock()
 		return g.releaseFn, nil
@@ -227,7 +210,7 @@ func (g *gate) acquire(deadline time.Time) (release func(), err error) {
 	}
 	w := &waiter{ready: make(chan error, 1), deadline: deadline}
 	g.queue = append(g.queue, w)
-	g.setQueuedLocked()
+	g.peakQueue.SetMax(float64(len(g.queue)))
 	g.mu.Unlock()
 	if err := <-w.ready; err != nil {
 		return nil, err
@@ -251,7 +234,6 @@ func (g *gate) evictLocked() {
 		w.ready <- ErrOverloaded
 	}
 	g.queue = g.queue[:copy(g.queue, g.queue[1:])]
-	g.setQueuedLocked()
 }
 
 // release frees an execution slot and grants it to the newest viable queued
@@ -259,13 +241,13 @@ func (g *gate) evictLocked() {
 func (g *gate) release() {
 	g.mu.Lock()
 	defer g.mu.Unlock()
-	g.setActiveLocked(-1)
+	g.active--
 	g.grantLocked()
 }
 
 func (g *gate) releaseUnlimited() {
 	g.mu.Lock()
-	g.setActiveLocked(-1)
+	g.active--
 	g.mu.Unlock()
 }
 
@@ -278,11 +260,10 @@ func (g *gate) grantLocked() {
 			w.ready <- ErrExpired
 			continue
 		}
-		g.setActiveLocked(1)
+		g.active++
 		g.accepted.Inc()
 		w.ready <- nil
 	}
-	g.setQueuedLocked()
 }
 
 // close rejects every queued waiter and refuses future admissions; active
@@ -299,7 +280,6 @@ func (g *gate) close() {
 		w.ready <- errDraining
 	}
 	g.queue = nil
-	g.setQueuedLocked()
 }
 
 // stats assembles the ServerStats view from the gate's instruments.

@@ -191,7 +191,7 @@ func TestServerSkipsWorkItsCallerAbandoned(t *testing.T) {
 	if err := <-done; !IsExpired(err) {
 		t.Fatalf("abandoned request returned %v, want the server's expiry", err)
 	}
-	if rows := svc.predicted.Value(); rows != 0 {
+	if rows := svc.Metrics().Counter("server.rpc.predict.rows").Value(); rows != 0 {
 		t.Fatalf("the model answered %d rows nobody was waiting for", rows)
 	}
 }

@@ -115,7 +115,7 @@ func NewServiceWith(m *core.HybridModel, opts ServiceOptions) *Service {
 }
 
 // Metrics returns the service's telemetry registry: the admission gate's
-// outcome counters and occupancy gauges ("server.admission.*") plus the
+// outcome counters and queue high-water mark ("server.admission.*") plus the
 // Predict RPC latency histogram and in-flight gauge ("server.rpc.*").
 // Export it with telemetry.Serve (the -metrics-addr flag on sinan-serve).
 func (s *Service) Metrics() *telemetry.Registry { return s.reg }
@@ -409,7 +409,6 @@ type Client struct {
 	// Telemetry instruments ("client.*"). Handles are rebindable via
 	// AttachMetrics so a run harness can gather the client's counters in a
 	// per-run registry.
-	reg              *telemetry.Registry
 	calls            *telemetry.Counter
 	errs             *telemetry.Counter
 	retries          *telemetry.Counter
@@ -418,8 +417,6 @@ type Client struct {
 	fastFails        *telemetry.Counter
 	sheds            *telemetry.Counter
 	deadlineExceeded *telemetry.Counter
-	breakerState     *telemetry.Gauge     // 0 closed, 1 open, 2 half-open
-	predLatMS        *telemetry.Histogram // wall cost of successful PredictBatch calls
 
 	// Test seams; wall-clock time never influences predictions, only retry
 	// pacing and breaker cooldowns.
@@ -441,7 +438,6 @@ func newClient(addr string, opts clientOptions) *Client {
 // bindLocked resolves the client's instrument handles from reg. Caller
 // holds c.mu (or owns the client exclusively, as in newClient).
 func (c *Client) bindLocked(reg *telemetry.Registry) {
-	c.reg = reg
 	c.calls = reg.Counter("client.predict.calls")
 	c.errs = reg.Counter("client.predict.errors")
 	c.retries = reg.Counter("client.predict.retries")
@@ -450,8 +446,6 @@ func (c *Client) bindLocked(reg *telemetry.Registry) {
 	c.fastFails = reg.Counter("client.breaker.fastfails")
 	c.sheds = reg.Counter("client.predict.sheds")
 	c.deadlineExceeded = reg.Counter("client.predict.deadline_exceeded")
-	c.breakerState = reg.Gauge("client.breaker.state")
-	c.predLatMS = reg.Histogram("client.predict.latency_ms")
 }
 
 // AttachMetrics implements telemetry.Attacher: it rebinds the client's
@@ -594,7 +588,6 @@ func (c *Client) predict(method byte, ctx *core.PredictContext, in nn.Inputs) (*
 		if err == nil {
 			c.breakerSuccess()
 			c.lastCostMS = float64(c.now().Sub(start)) / float64(time.Millisecond)
-			c.predLatMS.Observe(c.lastCostMS)
 			ctx.Lat = tensor.View(ctx.Lat, reply.Lat, args.Batch, reply.M)
 			ctx.PViol = reply.PViol
 			return ctx.Lat, ctx.PViol, nil
@@ -677,22 +670,16 @@ func (c *Client) breakerAllow() bool {
 		return true
 	default: // open: admit a probe once the cooldown has elapsed
 		if c.now().Sub(c.openedA) >= c.opts.BreakerCooldown {
-			c.setBreaker(breakerHalfOpen)
+			c.state = breakerHalfOpen
 			return true
 		}
 		return false
 	}
 }
 
-// setBreaker transitions the breaker and mirrors the state into its gauge.
-func (c *Client) setBreaker(state int) {
-	c.state = state
-	c.breakerState.Set(float64(state))
-}
-
 func (c *Client) breakerSuccess() {
 	c.fails = 0
-	c.setBreaker(breakerClosed)
+	c.state = breakerClosed
 }
 
 func (c *Client) breakerFailure() {
@@ -701,7 +688,7 @@ func (c *Client) breakerFailure() {
 		if c.state != breakerOpen {
 			c.breakerOpens.Inc()
 		}
-		c.setBreaker(breakerOpen)
+		c.state = breakerOpen
 		c.openedA = c.now()
 		c.fails = 0
 	}

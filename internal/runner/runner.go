@@ -187,16 +187,7 @@ func Run(cfg Config) *Result {
 	if a, ok := plane.(telemetry.Attacher); ok {
 		a.AttachMetrics(reg)
 	}
-	var (
-		intervalsC = reg.Counter("run.intervals")
-		violations = reg.Counter("run.qos.violations")
-		dropsC     = reg.Counter("run.drops")
-		degradedC  = reg.Counter("run.degraded.intervals")
-		brownoutC  = reg.Counter("run.brownout.intervals")
-		p99H       = reg.Histogram("run.interval.p99")
-		rpsH       = reg.Histogram("run.interval.rps")
-		allocH     = reg.Histogram("run.interval.alloc_total")
-	)
+	intervalsC, p99H := reg.Counter("run.intervals"), reg.Histogram("run.interval.p99")
 
 	meter := metrics.NewQoSMeter(cfg.App.QoSMS)
 	res := &Result{Meter: meter, Metrics: reg}
@@ -235,18 +226,6 @@ func Run(cfg Config) *Result {
 		// snapshots stay deterministic across harness worker counts.
 		intervalsC.Inc()
 		p99H.Observe(perc.P99())
-		rpsH.Observe(rps)
-		allocH.Observe(totalOf(state.Alloc))
-		dropsC.Add(int64(perc.Drops))
-		if perc.P99() > cfg.App.QoSMS || perc.Drops > 0 {
-			violations.Inc()
-		}
-		if dec.Degraded {
-			degradedC.Inc()
-		}
-		if dec.Brownout > 0 {
-			brownoutC.Inc()
-		}
 
 		if cfg.Recorder != nil {
 			cfg.Recorder.Observe(state.Stats, perc, dec.Alloc)
@@ -274,8 +253,6 @@ func Run(cfg Config) *Result {
 	}
 	res.Completed = cl.Completed()
 	res.Dropped = cl.DroppedRequests()
-	reg.Counter("run.requests.completed").Add(res.Completed)
-	reg.Counter("run.requests.dropped").Add(res.Dropped)
 	reg.Counter("run.sim.events").Add(eng.Fired())
 	return res
 }

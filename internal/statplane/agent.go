@@ -15,7 +15,7 @@ type TierSampler interface {
 }
 
 // NodeAgent samples a subset of tiers each decision interval and emits one
-// versioned, sequence-numbered Report over its transport — the per-node
+// sequence-numbered Report over its transport — the per-node
 // daemon of the paper's deployment, reduced to its reporting loop.
 type NodeAgent struct {
 	ID    string
@@ -42,7 +42,7 @@ func (a *NodeAgent) Emit(interval int64) {
 		a.scratch[i] = TierStats{Tier: t, Stats: a.sampler.SampleTier(t)}
 	}
 	a.tr.SendReport(Report{
-		Version: WireVersion, Agent: a.ID, Seq: a.seq,
+		Agent: a.ID, Seq: a.seq,
 		Interval: interval, Tiers: a.scratch,
 	})
 }
@@ -84,7 +84,7 @@ func (g *GatewayReporter) Emit(interval int64) {
 	g.lastSubmitted = submitted
 	g.seq++
 	g.tr.SendGatewayReport(GatewayReport{
-		Version: WireVersion, Gateway: g.ID, Seq: g.seq,
+		Gateway: g.ID, Seq: g.seq,
 		Interval: interval, RPS: rps, Perc: perc,
 	})
 }

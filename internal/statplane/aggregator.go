@@ -102,10 +102,8 @@ type Aggregator struct {
 	rejected   *telemetry.Counter
 	missingT   *telemetry.Counter
 	incomplete *telemetry.Counter
-	gwReceived *telemetry.Counter
 	gwMissing  *telemetry.Counter
 	liveG      *telemetry.Gauge
-	waitMS     *telemetry.Histogram
 }
 
 // NewAggregator creates an aggregator for opts.NumTiers tiers.
@@ -118,12 +116,8 @@ func NewAggregator(opts AggregatorOptions) *Aggregator {
 
 // AttachMetrics implements telemetry.Attacher: rebinds the plane's
 // instruments ("plane.*") onto reg so a run's registry tells the report
-// -delivery story alongside everything else. All counters and gauges are
-// driven by report arrival, which in-process is purely sim-ordered; the
-// assembly-wait histogram is wall clock and carries the _ms suffix that
-// marks it sanctioned-nondeterministic — it is only ever observed on the
-// waiting (Deadline > 0) path, which the deterministic transport never
-// takes.
+// -delivery story alongside everything else. All of them are driven by
+// report arrival, which in-process is purely sim-ordered.
 func (a *Aggregator) AttachMetrics(reg *telemetry.Registry) {
 	a.mu.Lock()
 	defer a.mu.Unlock()
@@ -134,10 +128,8 @@ func (a *Aggregator) AttachMetrics(reg *telemetry.Registry) {
 	a.rejected = reg.Counter("plane.reports.rejected")
 	a.missingT = reg.Counter("plane.tiers.missing")
 	a.incomplete = reg.Counter("plane.intervals.incomplete")
-	a.gwReceived = reg.Counter("plane.gateway.received")
 	a.gwMissing = reg.Counter("plane.gateway.missing")
 	a.liveG = reg.Gauge("plane.agents.live")
-	a.waitMS = reg.Histogram("plane.assemble.wait_ms")
 	for _, e := range a.order {
 		e.stale = reg.Gauge("plane.agent.stale", "agent", e.name)
 	}
@@ -159,6 +151,18 @@ func (a *Aggregator) RegisterAgent(name string) {
 	}
 	a.agents[name] = e
 	a.order = append(a.order, e)
+}
+
+// restartAgent forgets the named agent's last sequence number, so that a
+// new process under that name, counting again from 1, is not taken for a
+// replay of the old one. A redial inside one process keeps its count, which
+// only rises, so the reset costs it nothing.
+func (a *Aggregator) restartAgent(name string) {
+	a.mu.Lock()
+	defer a.mu.Unlock()
+	if e := a.agents[name]; e != nil {
+		e.lastSeq = 0
+	}
 }
 
 // ExpectGateway declares that interval assembly should wait for (and flag
@@ -194,10 +198,6 @@ func (a *Aggregator) BeginInterval(id int64) {
 func (a *Aggregator) OfferReport(r Report) {
 	a.mu.Lock()
 	defer a.mu.Unlock()
-	if r.Version != WireVersion {
-		a.rejected.Inc()
-		return
-	}
 	e := a.agents[r.Agent]
 	if e == nil {
 		a.rejected.Inc()
@@ -232,10 +232,6 @@ func (a *Aggregator) OfferReport(r Report) {
 func (a *Aggregator) OfferGatewayReport(g GatewayReport) {
 	a.mu.Lock()
 	defer a.mu.Unlock()
-	if g.Version != WireVersion {
-		a.rejected.Inc()
-		return
-	}
 	if g.Seq <= a.gwSeq {
 		a.duplicate.Inc()
 		return
@@ -245,7 +241,6 @@ func (a *Aggregator) OfferGatewayReport(g GatewayReport) {
 		a.late.Inc()
 		return
 	}
-	a.gwReceived.Inc()
 	a.gwOK = true
 	a.rps = g.RPS
 	a.perc = g.Perc
@@ -282,7 +277,6 @@ func (a *Aggregator) Assemble(id int64, now float64) IntervalState {
 			a.cond.Wait()
 		}
 		a.wake.Stop()
-		a.waitMS.Observe(float64(time.Since(start).Microseconds()) / 1000)
 	}
 	a.curOpen = false
 

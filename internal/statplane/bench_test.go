@@ -19,7 +19,7 @@ func benchReport(tiers int) Report {
 			NetRx: 9000, NetTx: 8000, QueueLen: 4, Stalled: 0.1,
 		}}
 	}
-	return Report{Version: WireVersion, Agent: "node-0", Seq: 1, Interval: 7, Tiers: ts}
+	return Report{Agent: "node-0", Seq: 1, Interval: 7, Tiers: ts}
 }
 
 // BenchmarkReportEncode measures building one report frame in a reused
@@ -73,7 +73,7 @@ func BenchmarkIntervalAssemble(b *testing.B) {
 		reports[i].Agent = AgentName(i)
 		reports[i].Tiers[0].Tier = i
 	}
-	gw := GatewayReport{Version: WireVersion, Gateway: "gw", RPS: 1000}
+	gw := GatewayReport{Gateway: "gw", RPS: 1000}
 	cycle := func(interval int64) {
 		a.BeginInterval(interval)
 		for i := range reports {

@@ -34,9 +34,11 @@ type HubConfig struct {
 // on the network beyond the deadline and never fails because of it.
 //
 // Agents are keyed by the name their Hello gives: a reconnecting agent
-// (same -id) reclaims its partition and keeps its sequence numbers, so a
-// redial looks like a blip, not a new node. A report is filed under its
-// session's name, and only its session's tiers are kept.
+// (same -id) reclaims its partition, so a redial looks like a blip, not a
+// new node. Each attach resets the name's dedupe window, so a restarted
+// agent process, counting its sequence from 1 again, is heard from its
+// first report. A report is filed under its session's name, and only its
+// session's tiers are kept.
 type Hub struct {
 	cfg HubConfig
 	agg *Aggregator
@@ -144,7 +146,7 @@ func (h *Hub) handle(conn net.Conn) {
 	if sess == nil {
 		return
 	}
-	rep := Report{Version: WireVersion, Agent: sess.name}
+	rep := Report{Agent: sess.name}
 	for {
 		kind, b, err := in.Recv()
 		if err != nil || kind != kindReport || decodeReport(&rep, b, sess.tiers) != nil {
@@ -179,6 +181,8 @@ func (h *Hub) attach(name string, conn net.Conn) *hubSession {
 		i = len(h.sessions)
 		h.sessions = append(h.sessions, &hubSession{name: name, tiers: h.parts[i]})
 		h.agg.RegisterAgent(name)
+	} else {
+		h.agg.restartAgent(name)
 	}
 	sess := h.sessions[i]
 	// Locked before the hub is unlocked, so that Collect's next push queues

@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"sinan/internal/cluster"
+	"sinan/internal/telemetry"
 	"sinan/internal/wire"
 )
 
@@ -138,6 +139,39 @@ func TestHubAssignsSamplesAndAssembles(t *testing.T) {
 	}
 	if tiers1 := a1.end(); len(tiers0)+len(tiers1) != 4 {
 		t.Fatalf("partitions don't cover the cluster: %v + %v", tiers0, tiers1)
+	}
+}
+
+// A restarted agent process under the same name counts its sequence from 1
+// again. After three reports from the old process, the new one's first
+// report must complete its interval, not be dropped as a duplicate.
+func TestHubHearsRestartedAgent(t *testing.T) {
+	reg := telemetry.NewRegistry()
+	h, err := NewHub("127.0.0.1:0", HubConfig{
+		Sampler: &fixedSampler{}, NumTiers: 1,
+		IntervalSec: 1, TiersPerAgent: 1, Deadline: time.Second,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer h.Close()
+	h.AttachMetrics(reg)
+	old := startAgent(t, h.Addr(), &WireAgent{Name: "alpha"})
+	if got := h.AwaitAgents(1, 5*time.Second); got != 1 {
+		t.Fatalf("agents = %d, want 1", got)
+	}
+	for i := range 3 {
+		if st := h.Collect(int64(i), float64(i+1)); st.StatsOK != nil {
+			t.Fatalf("interval %d incomplete: StatsOK=%v", i, st.StatsOK)
+		}
+	}
+	old.end()
+
+	restarted := startAgent(t, h.Addr(), &WireAgent{Name: "alpha"})
+	defer restarted.end()
+	if st := h.Collect(3, 4); st.StatsOK != nil {
+		t.Fatalf("the restarted agent's first report did not count: StatsOK=%v, %d duplicates",
+			st.StatsOK, reg.Counter("plane.reports.duplicate").Value())
 	}
 }
 

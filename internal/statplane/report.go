@@ -2,7 +2,7 @@
 // agents sample their tiers' resource statistics every decision interval
 // and report them to the centralized scheduler, while an API-gateway
 // reporter contributes the arrival rate and end-to-end latency summary.
-// The package separates WHAT flows (versioned, sequence-numbered reports)
+// The package separates WHAT flows (sequence-numbered reports)
 // from HOW it flows (the in-process Pipeline of simulated runs, whose one
 // ReportGate seam lets fault injection lose or duplicate reports, or the
 // Hub of distributed ones, whose agents report over TCP in package wire's
@@ -17,8 +17,8 @@ import (
 	"sinan/internal/metrics"
 )
 
-// WireVersion is the report schema version: receivers reject reports, and a
-// Hub the Hello, of another version (1 was the gob wire) instead of guessing.
+// WireVersion is the wire's schema version: a Hub refuses the Hello of an
+// agent of another version (1 was the gob wire) instead of guessing.
 const WireVersion = 2
 
 // TierStats is one tier's interval statistics inside a report, tagged with
@@ -35,7 +35,6 @@ type TierStats struct {
 // its interval's deadline is recognisably late rather than silently
 // misfiled into the wrong snapshot.
 type Report struct {
-	Version  int
 	Agent    string
 	Seq      uint64
 	Interval int64
@@ -44,9 +43,8 @@ type Report struct {
 
 // GatewayReport is the API gateway's per-interval load summary: the
 // arrival rate over the interval and the end-to-end latency percentiles.
-// Sequenced and versioned exactly like a node-agent report.
+// Sequenced exactly like a node-agent report.
 type GatewayReport struct {
-	Version  int
 	Gateway  string
 	Seq      uint64
 	Interval int64

@@ -39,7 +39,7 @@ func (g *fixedGateway) FlushWindow() metrics.Percentiles {
 
 func report(agent string, seq uint64, interval int64, tier int, cpu float64) Report {
 	return Report{
-		Version: WireVersion, Agent: agent, Seq: seq, Interval: interval,
+		Agent: agent, Seq: seq, Interval: interval,
 		Tiers: []TierStats{{Tier: tier, Stats: cluster.Stats{CPUUsage: cpu}}},
 	}
 }
@@ -63,8 +63,8 @@ func TestPartitionTiers(t *testing.T) {
 }
 
 // The aggregator's central contract: duplicates and stale sequence numbers
-// are dropped, reports for closed intervals are late, unknown agents and
-// foreign versions are rejected — and none of those corrupt the snapshot.
+// are dropped, reports for closed intervals are late, unknown agents are
+// rejected — and none of those corrupt the snapshot.
 func TestAggregatorSequenceDedupeLateAndRejects(t *testing.T) {
 	reg := telemetry.NewRegistry()
 	a := NewAggregator(AggregatorOptions{NumTiers: 2})
@@ -76,9 +76,6 @@ func TestAggregatorSequenceDedupeLateAndRejects(t *testing.T) {
 	a.OfferReport(report("node-0", 1, 0, 0, 10))
 	a.OfferReport(report("node-0", 1, 0, 0, 99)) // duplicate seq: dropped
 	a.OfferReport(report("intruder", 1, 0, 0, 99))
-	bad := report("node-1", 1, 0, 1, 99)
-	bad.Version = WireVersion + 1
-	a.OfferReport(bad) // wrong version: rejected, seq not consumed
 	a.OfferReport(report("node-1", 1, 0, 1, 20))
 	st := a.Assemble(0, 1.0)
 
@@ -91,8 +88,8 @@ func TestAggregatorSequenceDedupeLateAndRejects(t *testing.T) {
 	if v := reg.Counter("plane.reports.duplicate").Value(); v != 1 {
 		t.Fatalf("duplicate counter = %d, want 1", v)
 	}
-	if v := reg.Counter("plane.reports.rejected").Value(); v != 2 {
-		t.Fatalf("rejected counter = %d, want 2 (unknown agent + version)", v)
+	if v := reg.Counter("plane.reports.rejected").Value(); v != 1 {
+		t.Fatalf("rejected counter = %d, want 1 (unknown agent)", v)
 	}
 
 	// A report for interval 0 arriving after interval 1 opened is late.
@@ -131,7 +128,7 @@ func TestAggregatorGatewayMissingHoldsLastRPS(t *testing.T) {
 	var perc metrics.Percentiles
 	perc.Values[metrics.NumPercentiles-1] = 42
 	a.OfferGatewayReport(GatewayReport{
-		Version: WireVersion, Gateway: "gw", Seq: 1, Interval: 0, RPS: 500, Perc: perc,
+		Gateway: "gw", Seq: 1, Interval: 0, RPS: 500, Perc: perc,
 	})
 	st := a.Assemble(0, 1.0)
 	if !st.GatewayOK || st.RPS != 500 || st.Perc.P99() != 42 {

@@ -3,6 +3,7 @@ package telemetry
 import (
 	"encoding/json"
 	"io"
+	"maps"
 	"math"
 )
 
@@ -95,32 +96,18 @@ func (r *Registry) snapshotInto(s *Snapshot, prefix string) {
 	// holding the registry mutex while loading atomics would serialise
 	// snapshots against instrument registration for no consistency gain.
 	r.mu.Lock()
-	counters := make(map[string]*Counter, len(r.counters))
-	for k, v := range r.counters {
-		counters[k] = v
-	}
-	gauges := make(map[string]*Gauge, len(r.gauges))
-	for k, v := range r.gauges {
-		gauges[k] = v
-	}
-	hists := make(map[string]*Histogram, len(r.hists))
-	for k, v := range r.hists {
-		hists[k] = v
-	}
-	children := make(map[string]*Registry, len(r.children))
-	for k, v := range r.children {
-		children[k] = v
-	}
+	insts, children := maps.Clone(r.insts), maps.Clone(r.children)
 	r.mu.Unlock()
 
-	for k, c := range counters {
-		s.Counters[prefix+k] = c.Value()
-	}
-	for k, g := range gauges {
-		s.Gauges[prefix+k] = g.Value()
-	}
-	for k, h := range hists {
-		s.Histograms[prefix+k] = snapshotHist(h)
+	for k, inst := range insts {
+		switch inst := inst.(type) {
+		case *Counter:
+			s.Counters[prefix+k] = inst.Value()
+		case *Gauge:
+			s.Gauges[prefix+k] = inst.Value()
+		case *Histogram:
+			s.Histograms[prefix+k] = snapshotHist(inst)
+		}
 	}
 	for name, child := range children {
 		child.snapshotInto(s, prefix+name+"/")

@@ -23,8 +23,9 @@
 //     only nondeterministic instruments and are named *_ms by convention.
 //
 // Instrument names are dot-separated paths ("sched.predict.errors") with
-// optional label pairs rendered into the name ("faults.injected{kind=...}").
-// Child registries nest under "child/" prefixes in a parent snapshot.
+// optional label pairs rendered into the name
+// ("server.admission.outcome{result=...}"). Child registries nest under
+// "child/" prefixes in a parent snapshot.
 package telemetry
 
 import (
@@ -213,26 +214,6 @@ func bucketQuantile(counts []uint64, total uint64, q float64) float64 {
 	return bucketMid(len(counts) - 1)
 }
 
-// instrument kinds, for collision diagnostics.
-type instKind int
-
-const (
-	kindCounter instKind = iota
-	kindGauge
-	kindHistogram
-)
-
-func (k instKind) String() string {
-	switch k {
-	case kindCounter:
-		return "counter"
-	case kindGauge:
-		return "gauge"
-	default:
-		return "histogram"
-	}
-}
-
 // Registry owns a namespace of instruments. Lookup/creation is the cold
 // path (mutex-guarded); the returned instrument pointers are the hot path.
 // A Registry is safe for concurrent use and may nest child registries,
@@ -240,10 +221,7 @@ func (k instKind) String() string {
 // prefixes.
 type Registry struct {
 	mu       sync.Mutex
-	kinds    map[string]instKind
-	counters map[string]*Counter
-	gauges   map[string]*Gauge
-	hists    map[string]*Histogram
+	insts    map[string]any // *Counter, *Gauge or *Histogram, by rendered name
 	children map[string]*Registry
 	groupSeq map[string]int
 }
@@ -251,10 +229,7 @@ type Registry struct {
 // NewRegistry creates an empty registry.
 func NewRegistry() *Registry {
 	return &Registry{
-		kinds:    make(map[string]instKind),
-		counters: make(map[string]*Counter),
-		gauges:   make(map[string]*Gauge),
-		hists:    make(map[string]*Histogram),
+		insts:    make(map[string]any),
 		children: make(map[string]*Registry),
 		groupSeq: make(map[string]int),
 	}
@@ -278,54 +253,38 @@ func Name(name string, labels ...string) string {
 	return name + "{" + strings.Join(pairs, ",") + "}"
 }
 
-func (r *Registry) checkKind(full string, k instKind) {
-	if have, ok := r.kinds[full]; ok && have != k {
-		panic(fmt.Sprintf("telemetry: %q already registered as a %s, requested as a %s", full, have, k))
+// instrument returns (registering on first use) the instrument of type T
+// under the rendered name. A name registered as another kind panics.
+func instrument[T Counter | Gauge | Histogram](r *Registry, name string, labels []string) *T {
+	full := Name(name, labels...)
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	if have, ok := r.insts[full]; ok {
+		t, ok := have.(*T)
+		if !ok {
+			panic(fmt.Sprintf("telemetry: %q already registered as a %T, requested as a %T", full, have, t))
+		}
+		return t
 	}
-	r.kinds[full] = k
+	t := new(T)
+	r.insts[full] = t
+	return t
 }
 
 // Counter returns (registering on first use) the named counter. Optional
 // labels are key/value pairs rendered into the name.
 func (r *Registry) Counter(name string, labels ...string) *Counter {
-	full := Name(name, labels...)
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	r.checkKind(full, kindCounter)
-	c, ok := r.counters[full]
-	if !ok {
-		c = &Counter{}
-		r.counters[full] = c
-	}
-	return c
+	return instrument[Counter](r, name, labels)
 }
 
 // Gauge returns (registering on first use) the named gauge.
 func (r *Registry) Gauge(name string, labels ...string) *Gauge {
-	full := Name(name, labels...)
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	r.checkKind(full, kindGauge)
-	g, ok := r.gauges[full]
-	if !ok {
-		g = &Gauge{}
-		r.gauges[full] = g
-	}
-	return g
+	return instrument[Gauge](r, name, labels)
 }
 
 // Histogram returns (registering on first use) the named histogram.
 func (r *Registry) Histogram(name string, labels ...string) *Histogram {
-	full := Name(name, labels...)
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	r.checkKind(full, kindHistogram)
-	h, ok := r.hists[full]
-	if !ok {
-		h = &Histogram{}
-		r.hists[full] = h
-	}
-	return h
+	return instrument[Histogram](r, name, labels)
 }
 
 // Child returns (creating on first use) the named sub-registry. Child

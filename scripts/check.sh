@@ -43,9 +43,11 @@ go build ./...
 
 stage "unused identifiers"
 # Fails on a name no program reaches: one no file references, one only tests
-# reference, or an option field only tests set — unless the allow-list in
-# scripts/unused/main.go names it with a reason — and on an allow-list entry
-# that no longer matches anything. Prints the allow-list with its count.
+# reference, or an option field only tests set; and on a registered telemetry
+# instrument without a reader (a test literal, a bench/ mention or a
+# program's Value() read) — unless the allow-list in scripts/unused/main.go
+# names it with a reason — and on an allow-list entry that no longer matches
+# anything. Prints the allow-list with its count.
 ./scripts/unused.sh
 
 stage "go test"

@@ -1,13 +1,20 @@
-// Command unused lists the declarations under internal/ and cmd/ that no
-// program reaches, in three sections, and exits 1 when any of them lists a
-// name the allow-list below does not:
+// Command unused lists what no program or test reaches under internal/ and
+// cmd/, in four sections, and exits 1 when any of them lists a name the
+// allow-list below does not:
 //
 //  1. names no file of the module references;
 //  2. names only _test.go files reference;
 //  3. the exported fields of exported *Options and *Config structs under
 //     internal/ that no program writes: no non-test file outside examples/
 //     names them as a composite-literal key or assigns them outside the
-//     type's own methods (so a withDefaults does not count).
+//     type's own methods (so a withDefaults does not count);
+//  4. the instrument names program files register through a Registry's
+//     Counter, Gauge or Histogram that nothing reads. A reader is a string
+//     literal naming the instrument (bare, name{k=v} or …/name) in a _test.go
+//     file whose package imports the registering one, directly or not, or
+//     in any Go file under bench/; or a program's Value() call on the
+//     variable or field the registration was stored in. Comments and docs
+//     are not readers.
 //
 // Declarations are package-level names, methods and struct fields; a
 // reference is any use that go/types resolves to the declaration, from any
@@ -28,6 +35,7 @@ import (
 	"fmt"
 	"go/ast"
 	"go/build"
+	"go/constant"
 	"go/importer"
 	"go/parser"
 	"go/token"
@@ -37,6 +45,7 @@ import (
 	"os/exec"
 	"path/filepath"
 	"sort"
+	"strconv"
 	"strings"
 )
 
@@ -69,7 +78,8 @@ type scan struct {
 	listed map[string]*listed
 	std    types.ImporterFrom
 	infos  []*types.Info
-	files  [][]*ast.File // the syntax infos[i] was checked from
+	files  [][]*ast.File    // the syntax infos[i] was checked from
+	pkgs   []*types.Package // the package infos[i] describes
 }
 
 func (s *scan) Import(path string) (*types.Package, error) { return s.ImportFrom(path, "", 0) }
@@ -110,6 +120,7 @@ func (s *scan) check(path string, files []*ast.File) (*types.Package, *types.Inf
 	}
 	s.infos = append(s.infos, info)
 	s.files = append(s.files, files)
+	s.pkgs = append(s.pkgs, pkg)
 	return pkg, info
 }
 
@@ -308,7 +319,7 @@ func run(dir string, allow map[string]string, out io.Writer) int {
 
 	// Pass 2: every non-test declaration without a non-test reference,
 	// minus the exemptions.
-	var sections [3][]finding
+	var sections [4][]finding
 	for _, l := range order {
 		for id, obj := range l.info.Defs {
 			if obj == nil || used[obj.Pos()]&byCode != 0 ||
@@ -353,11 +364,12 @@ func run(dir string, allow map[string]string, out io.Writer) int {
 		}
 	}
 	sections[2] = s.unwrittenOptions(order, rel)
+	sections[3] = s.unreadInstruments(order, rel)
 
 	status := 0
 	matched := map[string]bool{}
 	for i, title := range []string{"1: referenced by no file", "2: referenced only by _test.go files",
-		"3: option fields no program writes"} {
+		"3: option fields no program writes", "4: instruments nothing reads"} {
 		var lines []string
 		for _, f := range sections[i] {
 			if key := f.pkg + "." + f.name; allow[key] != "" {
@@ -476,4 +488,122 @@ func (s *scan) unwrittenOptions(order []*listed, rel func(token.Pos) string) []f
 		}
 	}
 	return out
+}
+
+// unreadInstruments is section 4: the names that program files under
+// internal/ or cmd/ register through a Registry's Counter, Gauge or
+// Histogram and nothing reads (see the package comment for what reads).
+func (s *scan) unreadInstruments(order []*listed, rel func(token.Pos) string) []finding {
+	// Value() calls in program files, by the declaration of the handle they
+	// read; and string literals as the name they would read, keyed by each
+	// import path a test's package reaches, or by "" under bench/.
+	valueRead, lit := map[token.Pos]bool{}, map[string]bool{}
+	for k, info := range s.infos {
+		reach := map[string]bool{}
+		s.reach(s.pkgs[k], reach)
+		for _, file := range s.files[k] {
+			r := rel(file.Pos())
+			test, bench := strings.HasSuffix(r, "_test.go"), strings.HasPrefix(r, "bench/")
+			ast.Inspect(file, func(n ast.Node) bool {
+				switch n := n.(type) {
+				case *ast.CallExpr:
+					if sel, ok := n.Fun.(*ast.SelectorExpr); ok && !test && sel.Sel.Name == "Value" && len(n.Args) == 0 {
+						valueRead[object(info, sel.X)] = true
+					}
+				case *ast.BasicLit:
+					if v, err := strconv.Unquote(n.Value); n.Kind == token.STRING && err == nil && (test || bench) {
+						v = v[strings.LastIndex(v, "/")+1:]
+						if i := strings.IndexByte(v, '{'); i >= 0 {
+							v = v[:i]
+						}
+						lit[" "+v] = lit[" "+v] || bench
+						for p := range reach {
+							lit[p+" "+v] = lit[p+" "+v] || test
+						}
+					}
+				}
+				return true
+			})
+		}
+	}
+	delete(valueRead, token.NoPos)
+
+	found, read := map[string]finding{}, map[string]bool{} // by import path and name
+	for _, l := range order {
+		for _, file := range l.files {
+			if r := rel(file.Pos()); !strings.HasPrefix(r, "internal/") && !strings.HasPrefix(r, "cmd/") {
+				continue
+			}
+			handle := map[ast.Expr]token.Pos{} // the variable or field a value is stored in
+			ast.Inspect(file, func(n ast.Node) bool {
+				switch n := n.(type) {
+				case *ast.AssignStmt:
+					for i := 0; i < len(n.Rhs) && len(n.Lhs) == len(n.Rhs); i++ {
+						handle[n.Rhs[i]] = object(l.info, n.Lhs[i])
+					}
+				case *ast.KeyValueExpr:
+					handle[n.Value] = object(l.info, n.Key)
+				case *ast.CallExpr:
+					sel, ok := n.Fun.(*ast.SelectorExpr)
+					if !ok || len(n.Args) == 0 || !registers(l.info.Uses[sel.Sel]) {
+						break
+					}
+					name := "non-constant name " + types.ExprString(n.Args[0])
+					if v := l.info.Types[n.Args[0]].Value; v != nil && v.Kind() == constant.String {
+						name = constant.StringVal(v)
+					}
+					key := l.ImportPath + " " + name
+					if _, ok := found[key]; !ok {
+						found[key] = finding{fmt.Sprintf("%s:%d", rel(n.Pos()), s.fset.Position(n.Pos()).Line), l.pkg.Name(), name}
+					}
+					read[key] = read[key] || lit[" "+name] || lit[key] || valueRead[handle[n]]
+				}
+				return true
+			})
+		}
+	}
+	var out []finding
+	for key, f := range found {
+		if !read[key] {
+			out = append(out, f)
+		}
+	}
+	return out
+}
+
+// reach adds to seen the import path of p and of every module package p
+// imports, directly or not.
+func (s *scan) reach(p *types.Package, seen map[string]bool) {
+	if seen[p.Path()] {
+		return
+	}
+	seen[p.Path()] = true
+	for _, q := range p.Imports() {
+		if s.listed[q.Path()] != nil {
+			s.reach(q, seen)
+		}
+	}
+}
+
+// registers reports whether obj is the Counter, Gauge or Histogram method
+// of a type named Registry.
+func registers(obj types.Object) bool {
+	f, ok := obj.(*types.Func)
+	if !ok || f.Name() != "Counter" && f.Name() != "Gauge" && f.Name() != "Histogram" {
+		return false
+	}
+	recv := f.Type().(*types.Signature).Recv()
+	return recv != nil && strings.TrimPrefix(types.TypeString(recv.Type(), noPkg), "*") == "Registry"
+}
+
+// object is the declaration position of what an identifier or a selector
+// names, or NoPos for any other expression.
+func object(info *types.Info, e ast.Expr) token.Pos {
+	if sel, ok := e.(*ast.SelectorExpr); ok {
+		e = sel.Sel
+	}
+	if id, ok := e.(*ast.Ident); ok && info.ObjectOf(id) != nil {
+		return info.ObjectOf(id).Pos()
+	}
+	return token.NoPos
 }

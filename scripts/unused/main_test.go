@@ -2,13 +2,16 @@ package main
 
 import (
 	"bytes"
+	"strings"
 	"testing"
 )
 
 // The scan over a module with one declaration per rule: what it lists,
 // what it exempts, and that any listed name or stale allow-list entry fails
 // it. The method named like Greeter's without implementing it is listed;
-// a scan that exempted methods by name alone would pass it.
+// a scan that exempted methods by name alone would pass it. Of the five
+// instruments meter.go registers, the ones a test of an importing package
+// names (labelled) or a program reads through its handle are not listed.
 func TestScanRules(t *testing.T) {
 	var out bytes.Buffer
 	status := run("testdata/mod", map[string]string{
@@ -22,6 +25,10 @@ internal/p/p.go:18	Unreferenced
 internal/p/p.go:21	TestOnly
 == 3: option fields no program writes (1) ==
 internal/p/p.go:26	RunOptions.Unset
+== 4: instruments nothing reads (3) ==
+internal/p/meter.go:23	p.unread
+internal/p/meter.go:25	p.foreign
+internal/p/meter.go:26	p.commented
 == allow-listed (1) ==
 p.RunOptions.Allowed	allow-listed field
 == stale allow-list entries (1) ==
@@ -32,6 +39,19 @@ p.Gone
 	}
 	if status != 1 {
 		t.Errorf("exit status %d, want 1", status)
+	}
+}
+
+// An instrument nothing reads fails the scan on its own.
+func TestScanFailsOnUnreadInstrument(t *testing.T) {
+	allow := map[string]string{}
+	for _, key := range []string{"p.NotImpl.Greet", "p.Unreferenced", "p.TestOnly",
+		"p.RunOptions.Unset", "p.RunOptions.Allowed", "p.p.foreign", "p.p.commented"} {
+		allow[key] = "listed by another rule"
+	}
+	var out bytes.Buffer
+	if status := run("testdata/mod", allow, &out); status != 1 || !strings.Contains(out.String(), "== 4: instruments nothing reads (1) ==\ninternal/p/meter.go:23\tp.unread\n") {
+		t.Errorf("exit status %d, want 1 with p.unread listed:\n%s", status, &out)
 	}
 }
 
