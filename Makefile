@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test race vet check overload bench speedup ab
+.PHONY: build test race vet check overload bench ab
 
 build:
 	$(GO) build ./...
@@ -24,8 +24,10 @@ check:
 overload:
 	$(GO) run ./cmd/sinan-bench -exp overload
 
+# The repository's benchmark (bench/README.md): every workload, the traced
+# pass and the layer probes; writes bench/out/result.json.
 bench:
-	$(GO) test -bench=. -benchmem
+	$(GO) run ./bench
 
 # A/B pairs of one BENCHMARK.json workload, parent revision against the
 # working tree: medians, quartiles and win counts per end-to-end metric.
@@ -35,8 +37,3 @@ WORKLOAD ?= hotel_autoscale
 PAIRS ?= 10
 ab:
 	./scripts/abbench.sh $(PARENT) $(WORKLOAD) $(PAIRS)
-
-# Serial-vs-parallel wall-clock comparison of the run harness; emits a
-# machine-readable {"bench":"suite_speedup",...} JSON line.
-speedup:
-	$(GO) test -run='^$$' -bench=BenchmarkSuiteSpeedup -benchtime=1x

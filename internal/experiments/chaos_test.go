@@ -67,6 +67,7 @@ func TestChaosFallbackDegradesAndRecovers(t *testing.T) {
 	if testing.Short() {
 		t.Skip("simulation run")
 	}
+	t.Parallel()
 	outs := chaosTestOutcomes(t, 1)
 	if len(outs) != 5 {
 		t.Fatalf("chaos outcomes = %d, want 5", len(outs))
@@ -152,6 +153,7 @@ func TestChaosDeterministicAcrossWorkers(t *testing.T) {
 	if testing.Short() {
 		t.Skip("simulation run")
 	}
+	t.Parallel()
 	a := chaosTestOutcomes(t, 1)
 	b := chaosTestOutcomes(t, 4)
 	for i := range a {

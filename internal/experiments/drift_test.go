@@ -160,6 +160,7 @@ func TestDriftGateProtectsBlindSwapDoesNot(t *testing.T) {
 	if testing.Short() {
 		t.Skip("simulation run")
 	}
+	t.Parallel()
 	outs := driftTestOutcomes(t, 1)
 	if len(outs) != 3 {
 		t.Fatalf("drift outcomes = %d, want 3", len(outs))

@@ -105,6 +105,7 @@ func TestFig3Shape(t *testing.T) {
 	if testing.Short() {
 		t.Skip("simulation run")
 	}
+	t.Parallel()
 	l := NewLab(true, nil)
 	tables := Fig3(l)
 	if len(tables) != 1 {
@@ -129,6 +130,7 @@ func TestFig16Shape(t *testing.T) {
 	if testing.Short() {
 		t.Skip("simulation run")
 	}
+	t.Parallel()
 	l := NewLab(true, nil)
 	tables := Fig16(l)
 	if len(tables) != 2 {

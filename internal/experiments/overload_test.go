@@ -37,6 +37,7 @@ func TestOverloadBrownoutLadderEngages(t *testing.T) {
 	if testing.Short() {
 		t.Skip("simulation run")
 	}
+	t.Parallel()
 	outs := overloadTestOutcomes(t, 1)
 	if len(outs) != 3 {
 		t.Fatalf("overload outcomes = %d, want 3", len(outs))
@@ -114,6 +115,7 @@ func TestOverloadDeterministicAcrossWorkers(t *testing.T) {
 	if testing.Short() {
 		t.Skip("simulation run")
 	}
+	t.Parallel()
 	a := overloadTestOutcomes(t, 1)
 	b := overloadTestOutcomes(t, 4)
 	for i := range a {

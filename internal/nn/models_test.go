@@ -78,6 +78,7 @@ func TestCheckInputs(t *testing.T) {
 }
 
 func TestAllRegressorsTrainOnSynthetic(t *testing.T) {
+	t.Parallel()
 	rng := rand.New(rand.NewSource(3))
 	in, y := synthInputs(rng, 800, testDims)
 	vin, vy := synthInputs(rand.New(rand.NewSource(99)), 200, testDims)
@@ -103,15 +104,19 @@ func TestAllRegressorsTrainOnSynthetic(t *testing.T) {
 		{"mlp", NewMLP(rand.New(rand.NewSource(11)), testDims)},
 		{"lstm", NewLSTMModel(rand.New(rand.NewSource(12)), testDims)},
 	} {
-		tm := Train(tc.model, in, y, cfg)
-		rmse := tm.RMSE(vin, vy)
-		if rmse >= baseline*0.7 {
-			t.Fatalf("%s validation RMSE %.1f not better than 0.7×baseline %.1f", tc.name, rmse, baseline)
-		}
+		t.Run(tc.name, func(t *testing.T) {
+			t.Parallel()
+			tm := Train(tc.model, in, y, cfg)
+			rmse := tm.RMSE(vin, vy)
+			if rmse >= baseline*0.7 {
+				t.Fatalf("%s validation RMSE %.1f not better than 0.7×baseline %.1f", tc.name, rmse, baseline)
+			}
+		})
 	}
 }
 
 func TestFineTuneImprovesOnShiftedData(t *testing.T) {
+	t.Parallel()
 	rng := rand.New(rand.NewSource(4))
 	in, y := synthInputs(rng, 600, testDims)
 	tm := Train(NewLatencyCNN(rand.New(rand.NewSource(5)), testDims, 16), in, y,

@@ -121,8 +121,12 @@ stage "go test -race (full, by package)"
 go test -race -timeout 30m ./internal/experiments ./internal/workload ./internal/statplane
 
 stage "bench smoke"
-go test -run='^$' -bench='ConvForward|PredictBatch$|PredictShared|SimulatorThroughput|TrainEpoch|CNNTrainStep|BoostTrain' -benchtime=1x
-go test -run='^$' -bench=GEMM -benchtime=1x ./internal/tensor
+# Every in-package micro-benchmark under internal/ runs once, so none stops
+# compiling or running unnoticed; BenchmarkLiveServeOverhead fails here if
+# lifecycle.Live adds an allocation to the serve path. What the loop costs
+# end to end and per layer is measured by bench/ (make bench), and the
+# paper's tables by sinan-bench -exp.
+go test -run='^$' -bench=. -benchtime=1x ./internal/...
 
 stage "size"
 # The numbers every simplicity PR quotes: Go lines outside bench/, non-test
