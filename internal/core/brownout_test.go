@@ -51,7 +51,7 @@ func brownoutTestScheduler(t *testing.T, opts SchedulerOptions) (*shedModel, *Sc
 		dec := s.Decide(stateFor(app, 20, alloc, 0.3))
 		alloc = dec.Alloc
 	}
-	if s.brownLevel != BrownoutNone {
+	if s.carried.brownLevel != BrownoutNone {
 		t.Fatal("healthy warmup must not brown out")
 	}
 	return m, s, alloc
@@ -83,8 +83,8 @@ func TestBrownoutEscalatesOnShedsAndRecoversHysteretically(t *testing.T) {
 	if s.PredictSheds() != len(wantLevels) {
 		t.Fatalf("PredictSheds = %d, want %d", s.PredictSheds(), len(wantLevels))
 	}
-	if s.brownLevel != BrownoutHold {
-		t.Fatalf("level = %d after sustained shedding, want hold", s.brownLevel)
+	if s.carried.brownLevel != BrownoutHold {
+		t.Fatalf("level = %d after sustained shedding, want hold", s.carried.brownLevel)
 	}
 
 	// Recovery: each successful query is a batch-of-one probe at hold level;
@@ -98,19 +98,19 @@ func TestBrownoutEscalatesOnShedsAndRecoversHysteretically(t *testing.T) {
 		if got := m.batches[len(m.batches)-1]; got != 1 {
 			t.Fatalf("hold-level query batch = %d, want 1", got)
 		}
-		if i == 0 && s.brownLevel != BrownoutHold {
-			t.Fatalf("one healthy probe stepped the ladder down to %d: one lucky query must not flap it", s.brownLevel)
+		if i == 0 && s.carried.brownLevel != BrownoutHold {
+			t.Fatalf("one healthy probe stepped the ladder down to %d: one lucky query must not flap it", s.carried.brownLevel)
 		}
 		alloc = dec.Alloc
 	}
-	if s.brownLevel != BrownoutTopK {
-		t.Fatalf("level = %d after %d healthy probes, want top-k", s.brownLevel, brownoutRecover)
+	if s.carried.brownLevel != BrownoutTopK {
+		t.Fatalf("level = %d after %d healthy probes, want top-k", s.carried.brownLevel, brownoutRecover)
 	}
 	// A single shed resets the healthy streak and re-escalates immediately.
 	m.shed = true
 	s.Decide(stateFor(app, 20, alloc, 0.3))
-	if s.brownLevel != BrownoutHold {
-		t.Fatalf("shed at top-k should re-escalate to hold, got %d", s.brownLevel)
+	if s.carried.brownLevel != BrownoutHold {
+		t.Fatalf("shed at top-k should re-escalate to hold, got %d", s.carried.brownLevel)
 	}
 }
 
@@ -133,8 +133,8 @@ func TestBrownoutSlowQueriesEscalate(t *testing.T) {
 	if asked := m.batches[len(m.batches)-1]; asked > topKBatch {
 		t.Fatalf("the query after a slow one asked %d candidates, want at most the top-k %d", asked, topKBatch)
 	}
-	if s.brownLevel != BrownoutTopK {
-		t.Fatalf("level = %d after a slow query, want top-k", s.brownLevel)
+	if s.carried.brownLevel != BrownoutTopK {
+		t.Fatalf("level = %d after a slow query, want top-k", s.carried.brownLevel)
 	}
 	if s.PredictErrors() != 0 || s.PredictSheds() != 0 {
 		t.Fatalf("slow successes must not count as errors: errors=%d sheds=%d",
@@ -145,8 +145,8 @@ func TestBrownoutSlowQueriesEscalate(t *testing.T) {
 	for i := 1; i < brownoutRecover; i++ {
 		alloc = s.Decide(stateFor(app, 20, alloc, 0.3)).Alloc
 	}
-	if s.brownLevel != BrownoutNone {
-		t.Fatalf("level = %d after recovery, want none", s.brownLevel)
+	if s.carried.brownLevel != BrownoutNone {
+		t.Fatalf("level = %d after recovery, want none", s.carried.brownLevel)
 	}
 }
 
@@ -193,9 +193,9 @@ func TestNoBrownoutStaysRigid(t *testing.T) {
 		}
 		alloc = dec.Alloc
 	}
-	if s.brownLevel != BrownoutNone || s.BrownoutIntervals() != 0 {
+	if s.carried.brownLevel != BrownoutNone || s.BrownoutIntervals() != 0 {
 		t.Fatalf("rigid scheduler browned out: level=%d intervals=%d",
-			s.brownLevel, s.BrownoutIntervals())
+			s.carried.brownLevel, s.BrownoutIntervals())
 	}
 	// Sheds are still classified and counted even with the ladder disabled.
 	if s.PredictSheds() != 4 {

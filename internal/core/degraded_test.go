@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"sinan/internal/cluster"
+	"sinan/internal/dataset"
 	"sinan/internal/metrics"
 	"sinan/internal/nn"
 	"sinan/internal/runner"
@@ -43,7 +44,7 @@ func degradedTestScheduler(t *testing.T) (*flakyModel, *Scheduler, []float64) {
 		dec := s.Decide(stateFor(app, 20, alloc, 0.3))
 		alloc = dec.Alloc
 	}
-	if s.degraded {
+	if s.carried.degraded {
 		t.Fatal("healthy warmup must not degrade")
 	}
 	return m, s, alloc
@@ -60,7 +61,7 @@ func TestSchedulerDegradesOnPredictorErrorAndRecovers(t *testing.T) {
 	for i := 0; i < 5; i++ {
 		prev := append([]float64(nil), alloc...)
 		dec := s.Decide(stateFor(app, 20, alloc, 0.2))
-		if !dec.Degraded || !s.degraded {
+		if !dec.Degraded || !s.carried.degraded {
 			t.Fatalf("interval %d: scheduler should be degraded", i)
 		}
 		for j := range dec.Alloc {
@@ -84,7 +85,7 @@ func TestSchedulerDegradesOnPredictorErrorAndRecovers(t *testing.T) {
 
 	m.fail = false
 	dec = s.Decide(stateFor(app, 20, alloc, 0.3))
-	if dec.Degraded || s.degraded {
+	if dec.Degraded || s.carried.degraded {
 		t.Fatal("successful model query should end degraded mode")
 	}
 	if s.Recoveries() != 1 {
@@ -136,7 +137,7 @@ func TestImputeStatsHoldsLastValue(t *testing.T) {
 	_, s, alloc := degradedTestScheduler(t)
 
 	healthy := stateFor(app, 20, alloc, 0.4)
-	s.imputeStats(healthy) // records lastGood
+	s.carried.imputeStats(healthy) // records lastGood
 	want := healthy.Stats[0]
 
 	st := stateFor(app, 20, alloc, 0.4)
@@ -147,19 +148,19 @@ func TestImputeStatsHoldsLastValue(t *testing.T) {
 	st.Stats[0] = want // zero it the way the injector would
 	st.Stats[0].CPUUsage, st.Stats[0].RSS = 0, 0
 	zeroed := st.Stats[0]
-	s.imputeStats(st) // in place
+	s.carried.imputeStats(st) // in place
 	if st.Stats[0].CPUUsage != want.CPUUsage || st.Stats[0].RSS != want.RSS {
 		t.Fatalf("tier 0 not imputed: got %+v (zeroed %+v, want %+v)", st.Stats[0], zeroed, want)
 	}
 	if st.Stats[0].CPULimit != alloc[0] {
 		t.Fatalf("imputed CPU limit %v, want in-force alloc %v", st.Stats[0].CPULimit, alloc[0])
 	}
-	if s.staleFor[0] != 1 {
-		t.Fatalf("staleness not tracked: staleFor=%d", s.staleFor[0])
+	if s.carried.staleFor[0] != 1 {
+		t.Fatalf("staleness not tracked: staleFor=%d", s.carried.staleFor[0])
 	}
 	// A healthy report clears the staleness state.
-	s.imputeStats(stateFor(app, 20, alloc, 0.4))
-	if s.staleFor[0] != 0 {
+	s.carried.imputeStats(stateFor(app, 20, alloc, 0.4))
+	if s.carried.staleFor[0] != 0 {
 		t.Fatal("healthy report should clear staleness")
 	}
 }
@@ -194,9 +195,9 @@ func TestFallbackScalesSilentHotTierOnLastReading(t *testing.T) {
 func TestStaleBiasUpscalesSilentTier(t *testing.T) {
 	app := testApp()
 	_, s, _ := degradedTestScheduler(t)
-	s.staleFor[0] = staleCap + 1
+	s.carried.staleFor[0] = staleCap + 1
 	alloc := mkAlloc(app, 2)
-	out := s.biasStale(append([]float64(nil), alloc...))
+	out := s.carried.biasStale(append([]float64(nil), alloc...), s.tiers)
 	if out[0] <= alloc[0] {
 		t.Fatalf("stale tier not biased up: %v", out[0])
 	}
@@ -261,7 +262,7 @@ func TestSchedulerSurvivesTotalStatsBlackout(t *testing.T) {
 		}
 		alloc = dec.Alloc
 	}
-	for i, n := range s.staleFor {
+	for i, n := range s.carried.staleFor {
 		if n != 3*staleCap {
 			t.Fatalf("tier %d staleness = %d, want %d", i, n, 3*staleCap)
 		}
@@ -274,7 +275,7 @@ func TestSchedulerSurvivesTotalStatsBlackout(t *testing.T) {
 
 	// Recovery: one complete interval clears every tier's staleness.
 	s.Decide(stateFor(app, 20, alloc, 0.3))
-	for i, n := range s.staleFor {
+	for i, n := range s.carried.staleFor {
 		if n != 0 {
 			t.Fatalf("tier %d staleness survived recovery: %d", i, n)
 		}
@@ -334,5 +335,80 @@ func TestGarbagePredictionOnDownCandidateNeverReclaims(t *testing.T) {
 		if s.PredictErrors() != 1 || !dec.Degraded {
 			t.Fatalf("%s: predict errors %d, degraded %v; want the predictor-error path", name, s.PredictErrors(), dec.Degraded)
 		}
+	}
+}
+
+// The acceptance case for a carried state built directly: degraded, inside a
+// cool-down, browned out to the hold row, with tier 0 silent past staleCap.
+// No sequence of intervals reaches it from a fresh scheduler — a cool-down
+// starts only on an interval the model decided, which ends degraded mode —
+// so only a literal can test it. A quiet interval inside the cool-down holds
+// without asking the model. The violating interval after it asks the model
+// the hold row alone, and on the error the fallback ramps every tier with
+// the silent tier biased up on top. Neither interval reclaims, and both
+// decisions say degraded at the hold level.
+func TestDecideFromCombinedCarriedState(t *testing.T) {
+	app := testApp()
+	n := len(app.Tiers)
+	d := nn.Dims{N: n, T: 5, F: 6, M: 5}
+	m := &flakyModel{inner: &fakeModel{d: d, qos: 200, rmse: 10, needCores: 5}, fail: true}
+	s := NewScheduler(app, m, SchedulerOptions{})
+	alloc := mkAlloc(app, 1)
+	silent0 := func(p99 float64) runner.State {
+		st := stateFor(app, p99, alloc, 0.6) // busy enough for the fallback's step scaler
+		st.StatsOK = make([]bool, n)
+		for i := 1; i < n; i++ {
+			st.StatsOK[i] = true
+		}
+		st.Stats[0] = cluster.Stats{}
+		return st
+	}
+	statHist, latHist := metrics.NewHistory[[]float64](d.T), metrics.NewHistory[[]float64](d.T)
+	for i := 0; i < d.T; i++ {
+		st := stateFor(app, 20, alloc, 0.6)
+		dataset.PushWindow(statHist, latHist, d, st.Stats, st.Perc, 2.5*200)
+	}
+	s.carried = carried{
+		statHist: statHist, latHist: latHist,
+		downAge:  make([]int, n),
+		lastGood: make([]cluster.Stats, n),
+		staleFor: append([]int{staleCap + 1}, make([]int, n-1)...),
+		degraded: true, cooldown: 1, brownLevel: BrownoutHold,
+	}
+
+	check := func(name string, dec runner.Decision, want []float64) {
+		t.Helper()
+		if !dec.Degraded || dec.Brownout != BrownoutHold {
+			t.Fatalf("%s: Degraded %v, Brownout %d; want degraded at the hold level", name, dec.Degraded, dec.Brownout)
+		}
+		for i, a := range dec.Alloc {
+			if a != want[i] {
+				t.Fatalf("%s: tier %d allocated %v, want %v", name, i, a, want[i])
+			}
+			if a < alloc[i] || a > app.Tiers[i].MaxCPU || math.Abs(a*10-math.Round(a*10)) > 1e-9 {
+				t.Fatalf("%s: tier %d at %v breaks the invariants (was %v)", name, i, a, alloc[i])
+			}
+		}
+	}
+
+	dec := s.Decide(silent0(20))
+	check("quiet, in the cool-down", dec, alloc)
+	if m.calls != 0 || dec.PViol != 0 {
+		t.Fatalf("the cool-down asked the model %d times (PViol %v); it holds without asking", m.calls, dec.PViol)
+	}
+
+	dec = s.Decide(silent0(400))
+	ramp := make([]float64, n)
+	for i, tier := range app.Tiers {
+		ramp[i] = tier.ClampCPU(2*alloc[i] + 0.5)
+	}
+	unbiased := ramp[0]
+	ramp[0] = app.Tiers[0].ClampCPU(math.Max(ramp[0]*1.1, ramp[0]+0.2))
+	if ramp[0] == unbiased {
+		t.Fatal("the stale bias cannot show at this allocation")
+	}
+	check("violating, after the cool-down", dec, ramp)
+	if m.calls != 1 || s.CandidatesScored() != 1 || dec.PViol != 1 {
+		t.Fatalf("model asked %d times, %d candidates, PViol %v; want one hold-row query and the ramp", m.calls, s.CandidatesScored(), dec.PViol)
 	}
 }

@@ -303,6 +303,55 @@ func calibrateThresholds(bt *boost.Model, X [][]float64, y []bool) (pd, pu float
 	return pd, pu
 }
 
+// Predictor is the model interface the scheduler consults: batched
+// candidate evaluation plus the metadata its filters need. The context
+// carries all per-caller evaluation state (implementations must accept
+// nil and allocate a throwaway), the answer included: the returned tensor
+// and probabilities are owned by ctx and valid until its next use, for a
+// remote predictor as for a local one, so a caller that keeps them copies
+// and a warmed context makes a query allocate nothing. *HybridModel is the
+// production implementation; predsvc.Client is the remote one; tests
+// substitute fakes. A non-nil error means the model path is unavailable (RPC
+// failure, open circuit breaker, injected outage) — the scheduler then
+// falls back to its built-in conservative policy rather than crashing.
+type Predictor interface {
+	PredictBatch(ctx *PredictContext, in nn.Inputs) (*tensor.Dense, []float64, error)
+	Meta() ModelMeta
+}
+
+// SharedPredictor is the optional deduplicated fast path: candidates of one
+// decision interval share a single history window, so implementations take
+// it once plus per-candidate allocations instead of a batch of repeated
+// rows. *HybridModel and predsvc.Client implement it; predictors that do
+// not are served through PredictSharedAuto's expansion bridge.
+type SharedPredictor interface {
+	PredictShared(ctx *PredictContext, in nn.SharedInputs) (*tensor.Dense, []float64, error)
+}
+
+// PredictSharedAuto evaluates a shared-history candidate batch on any
+// Predictor: the deduplicated path when p implements SharedPredictor,
+// otherwise the window is expanded into ctx's scratch and sent down the
+// ordinary per-row PredictBatch. Either way the results are those of
+// PredictBatch on the expanded batch — bit-identical, per the shared-path
+// contract.
+func PredictSharedAuto(p Predictor, ctx *PredictContext, in nn.SharedInputs) (*tensor.Dense, []float64, error) {
+	if sp, ok := p.(SharedPredictor); ok {
+		return sp.PredictShared(ctx, in)
+	}
+	if ctx == nil {
+		ctx = NewPredictContext()
+	}
+	in.Expand(&ctx.expand)
+	return p.PredictBatch(ctx, ctx.expand)
+}
+
+// ModelMeta is the model metadata the scheduler's filters depend on.
+type ModelMeta struct {
+	D                nn.Dims
+	QoSMS, RMSEValid float64
+	Pd, Pu           float64
+}
+
 // PredictContext owns the per-caller scratch a hybrid prediction needs:
 // the CNN evaluation context plus the BT probability and feature-row
 // buffers. A trained HybridModel is immutable, so one instance is shared
@@ -348,22 +397,7 @@ func (m *HybridModel) PredictBatch(ctx *PredictContext, in nn.Inputs) (*tensor.D
 		ctx = NewPredictContext()
 	}
 	pred, latent := m.Lat.PredictWithLatentCtx(ctx.NN, in)
-	b := in.Batch()
-	if cap(ctx.PViol) < b {
-		ctx.PViol = make([]float64, b)
-	}
-	pv := ctx.PViol[:b]
-	need := latent.Shape[1] + 2*m.D.N
-	if cap(ctx.row) < need {
-		ctx.row = make([]float64, need)
-	}
-	row := ctx.row[:need]
-	rhRow := m.D.F * m.D.N * m.D.T
-	for i := 0; i < b; i++ {
-		btRowInto(row, latent, i, in.RH.Data[i*rhRow:(i+1)*rhRow], in.RC.Data[i*m.D.N:(i+1)*m.D.N], m.D)
-		pv[i] = m.Viol.PredictProb(row)
-	}
-	return pred, pv, nil
+	return pred, m.violations(ctx, latent, in.RH.Data, in.RC.Data, m.D.F*m.D.N*m.D.T, in.Batch()), nil
 }
 
 // PredictShared is the deduplicated form of PredictBatch: the history
@@ -378,21 +412,27 @@ func (m *HybridModel) PredictShared(ctx *PredictContext, in nn.SharedInputs) (*t
 		ctx = NewPredictContext()
 	}
 	pred, latent := m.Lat.PredictSharedCtx(ctx.NN, in)
-	b := in.Batch()
+	return pred, m.violations(ctx, latent, in.RH.Data, in.RC.Data, 0, in.Batch()), nil
+}
+
+// violations scores the b candidates of rc ([B,N]) on the Boosted Trees into
+// ctx.PViol. Candidate i's history window starts at rh[i*stride]: stride is
+// one window for a full batch and 0 for the one shared window.
+func (m *HybridModel) violations(ctx *PredictContext, latent *tensor.Dense, rh, rc []float64, stride, b int) []float64 {
+	win := m.D.F * m.D.N * m.D.T
 	if cap(ctx.PViol) < b {
 		ctx.PViol = make([]float64, b)
 	}
-	pv := ctx.PViol[:b]
 	need := latent.Shape[1] + 2*m.D.N
 	if cap(ctx.row) < need {
 		ctx.row = make([]float64, need)
 	}
-	row := ctx.row[:need]
-	for i := 0; i < b; i++ {
-		btRowInto(row, latent, i, in.RH.Data, in.RC.Data[i*m.D.N:(i+1)*m.D.N], m.D)
+	pv, row := ctx.PViol[:b], ctx.row[:need]
+	for i := range pv {
+		btRowInto(row, latent, i, rh[i*stride:i*stride+win], rc[i*m.D.N:(i+1)*m.D.N], m.D)
 		pv[i] = m.Viol.PredictProb(row)
 	}
-	return pred, pv, nil
+	return pv
 }
 
 // RebuildHybrid constructs a hybrid model around an existing (typically
@@ -438,14 +478,7 @@ func (o RetrainOptions) withDefaults() RetrainOptions {
 // is returned so the caller (or a prediction service) can swap atomically.
 func (m *HybridModel) Retrain(newData *dataset.Dataset, opts RetrainOptions) *HybridModel {
 	opts = opts.withDefaults()
-	var buf bytes.Buffer
-	if err := nn.Save(&buf, m.Lat); err != nil {
-		panic(err)
-	}
-	tuned, err := nn.Load(&buf)
-	if err != nil {
-		panic(err)
-	}
+	tuned := m.Lat.Clone()
 	tuned.FineTune(newData.Inputs(), newData.Targets(), nn.TrainConfig{
 		Epochs: opts.Epochs, Batch: 128, LR: opts.LR,
 		QoSMS: m.QoSMS, Seed: opts.Seed,

@@ -16,13 +16,13 @@ func IsOverload(err error) bool {
 }
 
 // CostReporter is optionally implemented by predictors that can report the
-// cost of their most recent successful PredictBatch in milliseconds
-// (predsvc.Client measures wall time; the fault injector reports its
-// injected slowdown deterministically). The scheduler's brownout ladder
-// treats a cost above SchedulerOptions.SlowPredictMS as overload pressure:
-// predictions that arrive late eat into the 1 s decision interval, and the
-// cure is fewer candidates, applied before the slowness turns into missed
-// intervals or timeouts.
+// cost of their most recent successful query in milliseconds — PredictShared,
+// which the scheduler calls, or PredictBatch (predsvc.Client measures wall
+// time; the fault injector reports its injected slowdown deterministically).
+// The brownout ladder treats a cost above SchedulerOptions.SlowPredictMS as
+// overload pressure: predictions that arrive late eat into the 1 s decision
+// interval, and the cure is fewer candidates, applied before the slowness
+// turns into missed intervals or timeouts.
 type CostReporter interface {
 	LastPredictMS() float64
 }
@@ -61,25 +61,24 @@ const (
 // brownoutPressure escalates the ladder one level in response to a shed,
 // slow, or failed model query. This is the only place the level rises, so a
 // NoBrownout scheduler stays at BrownoutNone by never climbing.
-func (s *Scheduler) brownoutPressure() {
-	s.brownGood = 0
-	if s.brownLevel < BrownoutHold && !s.Opts.NoBrownout {
-		s.brownLevel++
+func (c *carried) brownoutPressure(noBrownout bool) {
+	c.brownGood = 0
+	if c.brownLevel < BrownoutHold && !noBrownout {
+		c.brownLevel++
 	}
 }
 
-// brownoutObserve processes a successful model query: one that cost more than
-// SlowPredictMS is pressure like a failure, a healthy one counts toward
-// recovery.
-func (s *Scheduler) brownoutObserve() {
-	slow := s.Opts.SlowPredictMS
-	if cr, ok := s.M.(CostReporter); ok && slow > 0 && cr.LastPredictMS() > slow {
-		s.brownoutPressure()
-	} else if s.brownLevel > BrownoutNone {
-		s.brownGood++
-		if s.brownGood >= brownoutRecover {
-			s.brownLevel--
-			s.brownGood = 0
+// brownoutObserve processes a successful model query that cost costMS: one
+// that cost more than slowMS (when positive) is pressure like a failure, a
+// healthy one counts toward recovery.
+func (c *carried) brownoutObserve(noBrownout bool, slowMS, costMS float64) {
+	if slowMS > 0 && costMS > slowMS {
+		c.brownoutPressure(noBrownout)
+	} else if c.brownLevel > BrownoutNone {
+		c.brownGood++
+		if c.brownGood >= brownoutRecover {
+			c.brownLevel--
+			c.brownGood = 0
 		}
 	}
 }

@@ -144,7 +144,7 @@ func TestSchedulerPredictSteadyStateAllocs(t *testing.T) {
 	hot := stateFor(app, 10*m.QoSMS, alloc, 0.3)
 	var dec runner.Decision
 	ramp := func() {
-		s.cooldown = 1
+		s.carried.cooldown = 1
 		dec = s.Decide(hot)
 	}
 	if allocs := testing.AllocsPerRun(10, ramp); allocs > 0 {

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"cmp"
 	"errors"
 	"math"
 
@@ -56,84 +57,17 @@ const (
 	staleCap = 5
 )
 
-// Predictor is the model interface the scheduler consults: batched
-// candidate evaluation plus the metadata its filters need. The context
-// carries all per-caller evaluation state (implementations must accept
-// nil and allocate a throwaway), the answer included: the returned tensor
-// and probabilities are owned by ctx and valid until its next use, for a
-// remote predictor as for a local one, so a caller that keeps them copies
-// and a warmed context makes a query allocate nothing. *HybridModel is the
-// production implementation; predsvc.Client is the remote one; tests
-// substitute fakes. A non-nil error means the model path is unavailable (RPC
-// failure, open circuit breaker, injected outage) — the scheduler then
-// falls back to its built-in conservative policy rather than crashing.
-type Predictor interface {
-	PredictBatch(ctx *PredictContext, in nn.Inputs) (*tensor.Dense, []float64, error)
-	Meta() ModelMeta
-}
-
-// SharedPredictor is the optional deduplicated fast path: candidates of one
-// decision interval share a single history window, so implementations take
-// it once plus per-candidate allocations instead of a batch of repeated
-// rows. *HybridModel and predsvc.Client implement it; predictors that do
-// not are served through PredictSharedAuto's expansion bridge.
-type SharedPredictor interface {
-	PredictShared(ctx *PredictContext, in nn.SharedInputs) (*tensor.Dense, []float64, error)
-}
-
-// PredictSharedAuto evaluates a shared-history candidate batch on any
-// Predictor: the deduplicated path when p implements SharedPredictor,
-// otherwise the window is expanded into ctx's scratch and sent down the
-// ordinary per-row PredictBatch. Either way the results are those of
-// PredictBatch on the expanded batch — bit-identical, per the shared-path
-// contract.
-func PredictSharedAuto(p Predictor, ctx *PredictContext, in nn.SharedInputs) (*tensor.Dense, []float64, error) {
-	if sp, ok := p.(SharedPredictor); ok {
-		return sp.PredictShared(ctx, in)
-	}
-	if ctx == nil {
-		ctx = NewPredictContext()
-	}
-	in.Expand(&ctx.expand)
-	return p.PredictBatch(ctx, ctx.expand)
-}
-
-// ModelMeta is the model metadata the scheduler's filters depend on.
-type ModelMeta struct {
-	D                nn.Dims
-	QoSMS, RMSEValid float64
-	Pd, Pu           float64
-}
-
 // Scheduler is Sinan's online resource manager (Sec. 4.3). It implements
 // runner.Policy. Each interval runs three stages — enumerate Table 1, score
 // the rows on the model, choose the cheapest acceptable one — behind the
-// safety net; the scheduler itself keeps history, timers and wiring.
+// safety net. The Scheduler is wiring, plus the one carried value.
 type Scheduler struct {
 	M    Predictor
 	meta ModelMeta
 	Opts SchedulerOptions
 
-	tiers []cluster.TierConfig
-
-	statHist, latHist *metrics.History[[]float64]
-	lastPredP99       float64
-	lastPredValid     bool
-	downAge           []int // intervals since tier was last scaled down
-	mispredicted      int   // QoS violations the model did not predict
-	cooldown          int   // intervals to hold after an emergency upscale
-
-	// While the predictor errors (host down, breaker open, injected outage)
-	// the conservative built-in fallback decides; lastGood / staleFor back
-	// hold-last-value imputation of missing tier stats.
-	degraded  bool
-	noDownFor int // post-recovery intervals with reclamation suppressed
-	lastGood  []cluster.Stats
-	staleFor  []int // intervals each tier's stats have been missing
-
-	// Brownout ladder state (overload.go).
-	brownLevel int
-	brownGood  int // consecutive healthy queries at the current level
+	tiers   []cluster.TierConfig
+	carried carried
 
 	// Telemetry instruments ("sched.*"). AttachMetrics rebinds the handles
 	// onto a per-run registry, so nothing the scheduler decides from lives
@@ -157,33 +91,63 @@ type Scheduler struct {
 	rhRow, lhRow []float64
 
 	// allocs are the two buffers a written Decision.Alloc lives in, taken in
-	// turn (nextAlloc). A caller may pass a decision's Alloc back as the next
-	// State.Alloc — the decision is then read while the next is written — so
-	// one buffer would not do.
-	allocs    [2][]float64
-	allocTurn int
+	// turn (nextAlloc, carried.allocTurn). A caller may pass a decision's
+	// Alloc back as the next State.Alloc — the decision is then read while
+	// the next is written — so one buffer would not do.
+	allocs [2][]float64
+}
+
+// carried is the state one interval hands the next: the history windows, the
+// last prediction, the safety net's timers and counters (Sec. 4.3), degraded
+// mode with its stale-stats imputation, and the brownout ladder (overload.go).
+// Its methods, Decide and nextAlloc change it; a reset is one assignment.
+type carried struct {
+	statHist, latHist *metrics.History[[]float64]
+	lastPredP99       float64
+	lastPredValid     bool
+	downAge           []int // intervals since tier was last scaled down
+	mispredicted      int   // QoS violations the model did not predict
+	cooldown          int   // intervals to hold after an emergency upscale
+
+	// While the predictor errors (host down, breaker open, injected outage)
+	// the conservative built-in fallback decides; lastGood / staleFor back
+	// hold-last-value imputation of missing tier stats.
+	degraded  bool
+	noDownFor int // post-recovery intervals with reclamation suppressed
+	lastGood  []cluster.Stats
+	staleFor  []int // intervals each tier's stats have been missing
+
+	brownLevel int // brownout ladder level
+	brownGood  int // consecutive healthy queries at the current level
+	allocTurn  int // the Scheduler.allocs buffer the next decision writes
+}
+
+// newCarried is the state before the first interval: n tiers, windows of t.
+func newCarried(n, t int) carried {
+	c := carried{
+		statHist: metrics.NewHistory[[]float64](t),
+		latHist:  metrics.NewHistory[[]float64](t),
+		downAge:  make([]int, n),
+		lastGood: make([]cluster.Stats, n),
+		staleFor: make([]int, n),
+	}
+	for i := range c.downAge {
+		c.downAge[i] = 1 << 30
+	}
+	return c
 }
 
 // NewScheduler builds the scheduler for an application.
 func NewScheduler(app *apps.App, m Predictor, opts SchedulerOptions) *Scheduler {
-	opts = opts.withDefaults()
 	meta := m.Meta()
-	n := len(app.Tiers)
 	s := &Scheduler{
-		M:        m,
-		meta:     meta,
-		Opts:     opts,
-		tiers:    app.Tiers,
-		statHist: metrics.NewHistory[[]float64](meta.D.T),
-		latHist:  metrics.NewHistory[[]float64](meta.D.T),
-		downAge:  make([]int, n),
-		lastGood: make([]cluster.Stats, n),
-		staleFor: make([]int, n),
-		cands:    newCandidates(n),
-		predCtx:  NewPredictContext(),
-	}
-	for i := range s.downAge {
-		s.downAge[i] = 1 << 30
+		M:       m,
+		meta:    meta,
+		Opts:    opts.withDefaults(),
+		tiers:   app.Tiers,
+		carried: newCarried(len(app.Tiers), meta.D.T),
+		cands:   newCandidates(len(app.Tiers)),
+		predCtx: NewPredictContext(),
 	}
 	s.AttachMetrics(telemetry.NewRegistry())
 	return s
@@ -219,7 +183,7 @@ func (s *Scheduler) RefreshMeta() {
 
 // Mispredictions returns the count of QoS violations the model failed to
 // predict (the trust-erosion signal of Sec. 4.3), across every registry.
-func (s *Scheduler) Mispredictions() int { return s.mispredicted }
+func (s *Scheduler) Mispredictions() int { return s.carried.mispredicted }
 
 // PredictErrors returns the count of model queries that returned an error.
 func (s *Scheduler) PredictErrors() int { return int(s.predictErrors.Value()) }
@@ -263,10 +227,11 @@ func (s *Scheduler) Name() string { return "Sinan" }
 // → enumerate → score → choose → commit, and every path leaves through the
 // one return at the bottom, which is where the Decision is built.
 func (s *Scheduler) Decide(st runner.State) runner.Decision {
+	c := &s.carried
 	// The brownout level this interval's candidates are enumerated at.
 	// Pressure or relief below moves the ladder for the next interval only,
 	// so the recorded level matches the batch actually sent to the model.
-	level := s.brownLevel
+	level := c.brownLevel
 	var (
 		alloc          = st.Alloc // hold, unless a stage below says otherwise
 		predP99, pviol float64
@@ -275,18 +240,18 @@ func (s *Scheduler) Decide(st runner.State) runner.Decision {
 
 	// Observe: impute silent tiers, check the last prediction against what
 	// happened, extend the history windows.
-	s.imputeStats(st)
-	if s.noDownFor > 0 {
-		s.noDownFor--
+	c.imputeStats(st)
+	if c.noDownFor > 0 {
+		c.noDownFor--
 	}
 	violated := st.Perc.P99() > s.meta.QoSMS || st.Perc.Drops > 0
-	surprised := violated && s.lastPredValid && s.lastPredP99 <= s.meta.QoSMS-s.meta.RMSEValid
+	surprised := violated && c.lastPredValid && c.lastPredP99 <= s.meta.QoSMS-s.meta.RMSEValid
 	// The training recorder's own PushWindow and 2.5×QoS latency clip:
 	// deployment inputs stay on the training distribution by construction.
-	dataset.PushWindow(s.statHist, s.latHist, s.meta.D, st.Stats, st.Perc, 2.5*s.meta.QoSMS)
+	dataset.PushWindow(c.statHist, c.latHist, s.meta.D, st.Stats, st.Perc, 2.5*s.meta.QoSMS)
 	if !surprised {
-		for i := range s.downAge {
-			s.downAge[i]++
+		for i := range c.downAge {
+			c.downAge[i]++
 		}
 	}
 
@@ -295,19 +260,19 @@ func (s *Scheduler) Decide(st runner.State) runner.Decision {
 		// Safety mechanism: a QoS violation the model did not predict erodes
 		// trust and upscales every tier at once (Sec. 4.3), so the built-up
 		// queues drain before they cascade.
-		s.mispredicted++
+		c.mispredicted++
 		s.mispredictions.Inc()
-		s.cooldown = victimWindow
+		c.cooldown = victimWindow
 		alloc, pviol = s.boosted(st.Alloc), 1
 
-	case !s.statHist.Full():
+	case !c.statHist.Full():
 		// Bootstrapping: hold until the history window fills.
 
-	case s.cooldown > 0:
+	case c.cooldown > 0:
 		// Post-emergency cool-down: hold (or keep ramping, if latency is
 		// still past QoS) while queues drain and the history window refills
 		// with clean state, so the model does not reclaim into the spike.
-		s.cooldown--
+		c.cooldown--
 		if violated {
 			alloc, pviol = s.boosted(st.Alloc), 1
 		}
@@ -317,11 +282,11 @@ func (s *Scheduler) Decide(st runner.State) runner.Decision {
 			s.brownoutIntervals.Inc()
 		}
 		enumerate(s.cands, observation{
-			cur: st.Alloc, stats: st.Stats, stale: s.staleFor, downAge: s.downAge,
+			cur: st.Alloc, stats: st.Stats, stale: c.staleFor, downAge: c.downAge,
 			tiers: s.tiers, utilCap: s.Opts.UtilCap, level: level,
 		})
-		c := s.cands
-		s.candidatesScored.Add(int64(len(c.kind)))
+		cands := s.cands
+		s.candidatesScored.Add(int64(len(cands.kind)))
 
 		p99, pviols, err := s.score()
 		if err != nil {
@@ -333,59 +298,63 @@ func (s *Scheduler) Decide(st runner.State) runner.Decision {
 			if IsOverload(err) {
 				s.predictSheds.Inc()
 			}
-			s.brownoutPressure()
-			s.degraded = true
+			c.brownoutPressure(s.Opts.NoBrownout)
+			c.degraded = true
 			s.degradedIntervals.Inc()
 			alloc, pviol = s.fallback(st, violated)
 			break
 		}
-		s.brownoutObserve()
-		if s.degraded {
+		var costMS float64
+		if cr, ok := s.M.(CostReporter); ok {
+			costMS = cr.LastPredictMS()
+		}
+		c.brownoutObserve(s.Opts.NoBrownout, s.Opts.SlowPredictMS, costMS)
+		if c.degraded {
 			// A successful probe ends degraded mode. Suppress reclamation for
 			// a victim window, so the model decides from refreshed history
 			// before any capacity is taken away.
-			s.degraded = false
+			c.degraded = false
 			s.recoveries.Inc()
-			s.noDownFor = victimWindow
+			c.noDownFor = victimWindow
 		}
 
-		best, ok := choose(c.kind, c.total, p99, pviols, s.limits(st))
+		best, ok := choose(cands.kind, cands.total, p99, pviols, s.limits(st))
 		if !ok {
 			// No action is predicted safe: start the emergency ramp.
-			s.cooldown = victimWindow
+			c.cooldown = victimWindow
 			alloc, pviol = s.boosted(st.Alloc), 1
 			break
 		}
 		// Commit. The chosen row is a view into a buffer the next interval
 		// overwrites, so it is copied out once.
-		alloc = s.nextAlloc(c.row(best))
+		alloc = s.nextAlloc(cands.row(best))
 		for i, v := range alloc {
 			if v < st.Alloc[i] {
-				s.downAge[i] = 0
+				c.downAge[i] = 0
 			}
 		}
-		alloc = s.biasStale(alloc)
+		alloc = c.biasStale(alloc, s.tiers)
 		predP99, pviol, chosen = p99[best], pviols[best], true
 	}
 
 	// The one exit. A prediction is only held against the next interval's
 	// outcome when the model chose this interval's action.
-	s.lastPredValid, s.lastPredP99 = chosen, predP99
-	return runner.Decision{Alloc: alloc, PredP99MS: predP99, PViol: pviol, Degraded: s.degraded, Brownout: level}
+	c.lastPredValid, c.lastPredP99 = chosen, predP99
+	return runner.Decision{Alloc: alloc, PredP99MS: predP99, PViol: pviol, Degraded: c.degraded, Brownout: level}
 }
 
 // imputeStats fills in, in place, the stats of tiers whose agents dropped out
 // (st.StatsOK false; nil means all reported) with the last good reading, and
 // tracks staleness. The CPU limit comes from the allocation in force.
-func (s *Scheduler) imputeStats(st runner.State) {
+func (c *carried) imputeStats(st runner.State) {
 	for i := range st.Stats {
 		if st.StatsOK == nil || st.StatsOK[i] {
-			s.lastGood[i] = st.Stats[i]
-			s.staleFor[i] = 0
+			c.lastGood[i] = st.Stats[i]
+			c.staleFor[i] = 0
 			continue
 		}
-		s.staleFor[i]++
-		st.Stats[i] = s.lastGood[i]
+		c.staleFor[i]++
+		st.Stats[i] = c.lastGood[i]
 		if i < len(st.Alloc) {
 			st.Stats[i].CPULimit = st.Alloc[i]
 		}
@@ -398,7 +367,7 @@ func (s *Scheduler) imputeStats(st runner.State) {
 // Observed violations still trigger the emergency ramp.
 func (s *Scheduler) fallback(st runner.State, violated bool) (alloc []float64, pviol float64) {
 	if violated {
-		return s.biasStale(s.boosted(st.Alloc)), 1
+		return s.carried.biasStale(s.boosted(st.Alloc), s.tiers), 1
 	}
 	alloc = s.nextAlloc(st.Alloc)
 	for i := range alloc {
@@ -410,16 +379,16 @@ func (s *Scheduler) fallback(st runner.State, violated bool) (alloc []float64, p
 			alloc[i] = s.tiers[i].ClampCPU(math.Max(alloc[i]*1.1, alloc[i]+0.1))
 		}
 	}
-	return s.biasStale(alloc), 0
+	return s.carried.biasStale(alloc, s.tiers), 0
 }
 
 // biasStale upscales, in place, tiers whose stats have been missing beyond
 // the staleness cap: hold-last-value is only trustworthy briefly, after which
 // the safe assumption is that the silent tier needs more capacity, not less.
-func (s *Scheduler) biasStale(alloc []float64) []float64 {
+func (c *carried) biasStale(alloc []float64, tiers []cluster.TierConfig) []float64 {
 	for i := range alloc {
-		if s.staleFor[i] > staleCap {
-			alloc[i] = s.tiers[i].ClampCPU(math.Max(alloc[i]*1.1, alloc[i]+0.2))
+		if c.staleFor[i] > staleCap {
+			alloc[i] = tiers[i].ClampCPU(math.Max(alloc[i]*1.1, alloc[i]+0.2))
 		}
 	}
 	return alloc
@@ -444,28 +413,33 @@ func (s *Scheduler) boosted(cur []float64) []float64 {
 // previous decision's: Decision.Alloc stays valid through the next Decide,
 // and the Decide after that may overwrite it.
 func (s *Scheduler) nextAlloc(cur []float64) []float64 {
-	buf := append(s.allocs[s.allocTurn][:0], cur...)
-	s.allocs[s.allocTurn] = buf
-	s.allocTurn ^= 1
+	buf := append(s.allocs[s.carried.allocTurn][:0], cur...)
+	s.allocs[s.carried.allocTurn] = buf
+	s.carried.allocTurn ^= 1
 	return buf
 }
 
-// limits derives this interval's acceptance bounds from the scheduler's
-// trust in the model and the observed tail.
+// limits derives this interval's acceptance bounds: the model's calibration
+// or the options' override, then what the carried state says (trust).
 func (s *Scheduler) limits(st runner.State) limits {
 	qos := s.meta.QoSMS
-	lim := limits{pd: s.Opts.Pd, pu: s.Opts.Pu, latBound: qos - s.meta.RMSEValid}
-	if lim.pd == 0 {
-		lim.pd = s.meta.Pd
-	}
-	if lim.pu == 0 {
-		lim.pu = s.meta.Pu
-	}
-	if s.mispredicted > trustThreshold {
+	lim := limits{pd: cmp.Or(s.Opts.Pd, s.meta.Pd), pu: cmp.Or(s.Opts.Pu, s.meta.Pu), latBound: qos - s.meta.RMSEValid}
+	// Reclamations keep a headroom of 30% of QoS: the model's smooth response
+	// surface understates how sharp the queueing cliff is, so stepping down
+	// is only allowed while clearly inside the safe region.
+	lim.downBound = min(lim.latBound, 0.7*qos)
+	s.carried.trust(&lim, st.Perc.P99(), qos, s.meta.D.M)
+	return lim
+}
+
+// trust narrows lim by the scheduler's trust in the model and the observed
+// tail p99 against the QoS target qos; m is the latency history's width.
+func (c *carried) trust(lim *limits, p99, qos float64, m int) {
+	if c.mispredicted > trustThreshold {
 		// Reduced trust: stop reclaiming.
 		lim.pd = 0
 	}
-	if s.ultraSafe(st) {
+	if c.ultraSafe(p99, 0.5*qos, m) {
 		// The classifier claims danger while every recent interval sat far
 		// below QoS — the observations win (the inverse of the trust
 		// mechanism: consistent over-prediction must not freeze the scheduler
@@ -474,23 +448,17 @@ func (s *Scheduler) limits(st runner.State) limits {
 	}
 	// Nothing is reclaimed while the tail is past the target, nor right after
 	// a degraded-mode recovery, while the model re-earns its authority.
-	lim.hot = st.Perc.P99() > qos || s.noDownFor > 0
-	// Reclamations keep a headroom of 30% of QoS: the model's smooth response
-	// surface understates how sharp the queueing cliff is, so stepping down
-	// is only allowed while clearly inside the safe region.
-	lim.downBound = min(lim.latBound, 0.7*qos)
-	return lim
+	lim.hot = p99 > qos || c.noDownFor > 0
 }
 
-// ultraSafe reports whether the current and all remembered intervals ran
-// below half the QoS target.
-func (s *Scheduler) ultraSafe(st runner.State) bool {
-	bound := 0.5 * s.meta.QoSMS
-	if st.Perc.P99() >= bound {
+// ultraSafe reports whether the current tail p99 and the p99 column (the
+// last of m) of every remembered interval ran below bound.
+func (c *carried) ultraSafe(p99, bound float64, m int) bool {
+	if p99 >= bound {
 		return false
 	}
-	for i := 0; i < s.latHist.Len(); i++ {
-		if s.latHist.At(i)[s.meta.D.M-1] >= bound {
+	for i := 0; i < c.latHist.Len(); i++ {
+		if c.latHist.At(i)[m-1] >= bound {
 			return false
 		}
 	}
@@ -504,7 +472,7 @@ func (s *Scheduler) ultraSafe(st runner.State) bool {
 func (s *Scheduler) score() (p99, pviol []float64, err error) {
 	d := s.meta.D
 	b := len(s.cands.kind)
-	s.rhRow, s.lhRow = dataset.WindowInputsInto(s.rhRow, s.lhRow, d, s.statHist, s.latHist)
+	s.rhRow, s.lhRow = dataset.WindowInputsInto(s.rhRow, s.lhRow, d, s.carried.statHist, s.carried.latHist)
 	s.in.RH = tensor.View(s.in.RH, s.rhRow, 1, d.F, d.N, d.T)
 	s.in.LH = tensor.View(s.in.LH, s.lhRow, 1, d.T, d.M)
 	s.in.RC = tensor.View(s.in.RC, s.cands.rc[:b*d.N], b, d.N)

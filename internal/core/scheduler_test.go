@@ -318,7 +318,7 @@ func TestSchedulerVictimTracking(t *testing.T) {
 	}
 	// A victim candidate must now exist.
 	o := obsFor(app, stateFor(app, 20, dec.Alloc, 0.3))
-	o.downAge = s.downAge
+	o.downAge = s.carried.downAge
 	c := newCandidates(len(app.Tiers))
 	enumerate(c, o)
 	found := false

@@ -70,6 +70,30 @@ case " $* " in
     ;;
 esac
 
+stage "experiment hashes"
+# The quick fig11 and drift outputs are pinned by their sha256 in
+# EXPERIMENTS.md "Reproducing". The pins are read from that block, so a
+# re-record edits one file, and a reworded line that drops one fails here.
+# About 30 s on 2 vCPU; skipped under -short.
+case " $* " in
+*" -short "*) echo "skipped (-short)" ;;
+*)
+    pins=$(sed -nE 's@^go run ./cmd/sinan-bench -exp ([a-z0-9]+) -q 2>/dev/null \| sha256sum +# ([0-9a-f]{64}).*@\1 \2@p' EXPERIMENTS.md)
+    if [ "$(grep -c . <<<"$pins")" -ne 2 ]; then
+        echo "EXPERIMENTS.md \"Reproducing\" should pin two experiment hashes, found: $pins" >&2
+        exit 1
+    fi
+    while read -r exp want; do
+        got=$(go run ./cmd/sinan-bench -exp "$exp" -q 2>/dev/null | sha256sum | cut -d' ' -f1)
+        if [ "$got" != "$want" ]; then
+            echo "sinan-bench -exp $exp -q hashes to $got; EXPERIMENTS.md pins $want" >&2
+            exit 1
+        fi
+        echo "$exp $got"
+    done <<<"$pins"
+    ;;
+esac
+
 stage "go test -cpu 1,2,4 (kernels, sharding, scheduler pins)"
 # Training forks at two sites only, both split by GOMAXPROCS: nn's batchGrad
 # hands runs of consecutive gradient shards to workers, and core's
