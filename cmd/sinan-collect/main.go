@@ -16,7 +16,6 @@ import (
 	"sinan/internal/baselines"
 	"sinan/internal/collect"
 	"sinan/internal/lifecycle"
-	"sinan/internal/runner"
 )
 
 func main() {
@@ -37,73 +36,50 @@ func main() {
 	)
 	flag.Parse()
 
-	app, lo, hi := buildApp(*appName, *platform, *encrypt, *logsync, *replicas)
+	var opts []apps.Option
+	if *replicas > 1 {
+		opts = append(opts, apps.WithReplicaMult(*replicas))
+	}
+	if *encrypt {
+		opts = append(opts, apps.WithEncryption())
+	}
+	if *logsync {
+		opts = append(opts, apps.WithLogSync())
+	}
+	app, err := apps.Lookup(*appName, *platform, opts...)
+	if err != nil {
+		log.Fatal(err)
+	}
+	if (*encrypt || *logsync) && *appName != "social" {
+		log.Fatal("-encrypt / -logsync apply to the social app only")
+	}
+
+	cfg := collect.BanditSession(app, *seed)
+	switch *policy {
+	case "bandit":
+	case "random":
+		cfg.Policy = collect.NewRandom(app, *seed)
+	case "autoscale":
+		cfg.Policy = baselines.NewAutoScaleOpt()
+	default:
+		log.Fatalf("unknown policy %q", *policy)
+	}
+	lo, hi := app.LoadRange()
 	if *minRPS > 0 {
 		lo = *minRPS
 	}
 	if *maxRPS > 0 {
 		hi = *maxRPS
 	}
-
-	var pol runner.Policy
-	switch *policy {
-	case "bandit":
-		pol = collect.NewBandit(app, *seed)
-	case "random":
-		pol = collect.NewRandom(app, *seed)
-	case "autoscale":
-		pol = baselines.NewAutoScaleOpt()
-	default:
-		log.Fatalf("unknown policy %q", *policy)
-	}
+	cfg.Pattern = collect.SweepPattern{MinRPS: lo, MaxRPS: hi, SegmentLen: *segment, Seed: *seed}
+	cfg.Duration, cfg.K = *duration, *k
 
 	fmt.Fprintf(os.Stderr, "collecting %s for %.0fs with %s over [%.0f, %.0f] RPS...\n",
-		app.Name, *duration, pol.Name(), lo, hi)
-	ds := collect.Run(collect.Config{
-		App:      app,
-		Policy:   pol,
-		Pattern:  collect.SweepPattern{MinRPS: lo, MaxRPS: hi, SegmentLen: *segment, Seed: *seed},
-		Duration: *duration,
-		Seed:     *seed,
-		Dims:     collect.DefaultDims(app),
-		K:        *k,
-	})
+		app.Name, *duration, cfg.Policy.Name(), lo, hi)
+	ds := collect.Run(cfg)
 	if err := lifecycle.WriteAtomic(*out, ds.Save); err != nil {
 		log.Fatal(err)
 	}
 	fmt.Printf("wrote %d samples (violation rate %.1f%%) to %s\n",
 		ds.Len(), 100*ds.ViolationRate(), *out)
-}
-
-// buildApp constructs the requested application variant and returns it with
-// its default collection load range.
-func buildApp(name, platform string, encrypt, logsync bool, replicas int) (*apps.App, float64, float64) {
-	var opts []apps.Option
-	switch platform {
-	case "local":
-	case "gce":
-		opts = append(opts, apps.WithPlatform(apps.GCE))
-	default:
-		log.Fatalf("unknown platform %q", platform)
-	}
-	if replicas > 1 {
-		opts = append(opts, apps.WithReplicaMult(replicas))
-	}
-	switch name {
-	case "hotel":
-		if encrypt || logsync {
-			log.Fatal("-encrypt / -logsync apply to the social app only")
-		}
-		return apps.NewHotelReservation(opts...), 500, 3700
-	case "social":
-		if encrypt {
-			opts = append(opts, apps.WithEncryption())
-		}
-		if logsync {
-			opts = append(opts, apps.WithLogSync())
-		}
-		return apps.NewSocialNetwork(opts...), 50, 450
-	}
-	log.Fatalf("unknown app %q", name)
-	return nil, 0, 0
 }

@@ -36,14 +36,9 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	var app *apps.App
-	switch *appName {
-	case "hotel":
-		app = apps.NewHotelReservation()
-	case "social":
-		app = apps.NewSocialNetwork()
-	default:
-		log.Fatalf("unknown app %q", *appName)
+	app, err := apps.Lookup(*appName, apps.Local.Name)
+	if err != nil {
+		log.Fatal(err)
 	}
 	if len(app.Tiers) != ds.D.N {
 		log.Fatalf("dataset has %d tiers but %s has %d", ds.D.N, app.Name, len(app.Tiers))

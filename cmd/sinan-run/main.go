@@ -67,18 +67,9 @@ func main() {
 		log.Fatal("-seeds > 1 cannot be combined with -connect, -trace, -csv, or -stats-listen")
 	}
 
-	var opts []apps.Option
-	if *platform == "gce" {
-		opts = append(opts, apps.WithPlatform(apps.GCE))
-	}
-	var app *apps.App
-	switch *appName {
-	case "hotel":
-		app = apps.NewHotelReservation(opts...)
-	case "social":
-		app = apps.NewSocialNetwork(opts...)
-	default:
-		log.Fatalf("unknown app %q", *appName)
+	app, err := apps.Lookup(*appName, *platform)
+	if err != nil {
+		log.Fatal(err)
 	}
 
 	// Policies carry per-run state, so runs are built from a factory: every

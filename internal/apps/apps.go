@@ -33,6 +33,38 @@ type App struct {
 	QoSMS    float64 // end-to-end p99 QoS target, milliseconds
 	Tiers    []cluster.TierConfig
 	Requests []RequestType
+
+	// loadLo and loadHi bound the load its training data is collected
+	// over; the constructor sets them and every variant keeps them.
+	loadLo, loadHi float64
+}
+
+// LoadRange returns the load range, in emulated users (≈ RPS), that the
+// application's training data is collected over (Sec. 4.2): a range whose
+// QoS boundary falls inside it.
+func (a *App) LoadRange() (lo, hi float64) { return a.loadLo, a.loadHi }
+
+// Lookup builds the application a command line names: app "hotel" or
+// "social" on platform "local" or "gce", with opts applied after the
+// platform. An unknown name is an error.
+func Lookup(name, platform string, opts ...Option) (*App, error) {
+	var p Platform
+	switch platform {
+	case Local.Name:
+		p = Local
+	case GCE.Name:
+		p = GCE
+	default:
+		return nil, fmt.Errorf("unknown platform %q (want local | gce)", platform)
+	}
+	opts = append([]Option{WithPlatform(p)}, opts...)
+	switch name {
+	case "hotel":
+		return NewHotelReservation(opts...), nil
+	case "social":
+		return NewSocialNetwork(opts...), nil
+	}
+	return nil, fmt.Errorf("unknown app %q (want hotel | social)", name)
 }
 
 // TierNames returns the tier names in model order.

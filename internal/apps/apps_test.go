@@ -254,3 +254,65 @@ func max(a, b int) int {
 	}
 	return b
 }
+
+// TestLookup: the command-line names build the expected application on the
+// expected platform with its collection load range, and an unknown app or
+// platform name is an error.
+func TestLookup(t *testing.T) {
+	for _, tc := range []struct {
+		app, platform string
+		name          string
+		qos           float64
+		tiers         int
+		lo, hi        float64
+		replicas      int // of the stateless frontend tier
+	}{
+		{"hotel", "local", "hotel-reservation", 200, 17, 500, 3700, 1},
+		{"hotel", "gce", "hotel-reservation", 200, 17, 500, 3700, 2},
+		{"social", "local", "social-network", 500, 28, 50, 450, 1},
+		{"social", "gce", "social-network", 500, 28, 50, 450, 2},
+	} {
+		a, err := Lookup(tc.app, tc.platform)
+		if err != nil {
+			t.Fatalf("Lookup(%q, %q): %v", tc.app, tc.platform, err)
+		}
+		lo, hi := a.LoadRange()
+		if a.Name != tc.name || a.QoSMS != tc.qos || len(a.Tiers) != tc.tiers || lo != tc.lo || hi != tc.hi {
+			t.Errorf("Lookup(%q, %q) = %s, QoS %v, %d tiers, range [%v, %v]; want %s, %v, %d, [%v, %v]",
+				tc.app, tc.platform, a.Name, a.QoSMS, len(a.Tiers), lo, hi,
+				tc.name, tc.qos, tc.tiers, tc.lo, tc.hi)
+		}
+		if r := max(a.Tiers[0].Replicas, 1); r != tc.replicas {
+			t.Errorf("Lookup(%q, %q): %s has %d replicas, want %d", tc.app, tc.platform, a.Tiers[0].Name, r, tc.replicas)
+		}
+	}
+	for _, bad := range [][2]string{{"hotl", "local"}, {"", "local"}, {"social", "gcp"}, {"hotel", ""}} {
+		if a, err := Lookup(bad[0], bad[1]); err == nil {
+			t.Errorf("Lookup(%q, %q) = %s, want an error", bad[0], bad[1], a.Name)
+		}
+	}
+}
+
+// TestVariantsKeepLoadRange: every option and WithMix keep the load range
+// the constructor set.
+func TestVariantsKeepLoadRange(t *testing.T) {
+	for _, tc := range []struct {
+		build  func(...Option) *App
+		mix    map[string]float64
+		lo, hi float64
+	}{
+		{NewHotelReservation, map[string]float64{"Recommend": 0.5}, 500, 3700},
+		{NewSocialNetwork, MixW1, 50, 450},
+	} {
+		for _, a := range []*App{
+			tc.build(WithPlatform(GCE)),
+			tc.build(WithReplicaMult(3)),
+			tc.build(WithWorkScale(1.35)),
+			tc.build().WithMix(tc.mix),
+		} {
+			if lo, hi := a.LoadRange(); lo != tc.lo || hi != tc.hi {
+				t.Errorf("%s variant: range [%v, %v], want [%v, %v]", a.Name, lo, hi, tc.lo, tc.hi)
+			}
+		}
+	}
+}

@@ -147,9 +147,10 @@ func NewHotelReservation(opts ...Option) *App {
 	}
 
 	app := &App{
-		Name:  "hotel-reservation",
-		QoSMS: 200,
-		Tiers: tiers,
+		Name:   "hotel-reservation",
+		QoSMS:  200,
+		Tiers:  tiers,
+		loadLo: 500, loadHi: 3700,
 		Requests: []RequestType{
 			{Name: "SearchHotels", Weight: 0.60, Tree: search},
 			{Name: "Recommend", Weight: 0.39, Tree: recommend},

@@ -251,9 +251,10 @@ func NewSocialNetwork(opts ...Option) *App {
 	}
 
 	app := &App{
-		Name:  "social-network",
-		QoSMS: 500,
-		Tiers: tiers,
+		Name:   "social-network",
+		QoSMS:  500,
+		Tiers:  tiers,
+		loadLo: 50, loadHi: 450,
 		Requests: []RequestType{
 			{Name: ComposePost, Weight: 5, Tree: compose},
 			{Name: ReadHomeTimeline, Weight: 80, Tree: readHome},

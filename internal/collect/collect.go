@@ -324,6 +324,29 @@ type Config struct {
 	K        int // violation lookahead intervals
 }
 
+// BanditSession returns an application's collection session as the paper
+// runs it (Sec. 4.2): the information-gain bandit over a Sweep of the
+// application's load range (apps.App.LoadRange), both drawn from seed, the
+// DefaultDims model dimensions and a violation lookahead of K = 5
+// intervals. The caller sets Duration and may swap the Policy or Pattern.
+func BanditSession(app *apps.App, seed int64) Config {
+	lo, hi := app.LoadRange()
+	return Config{
+		App:     app,
+		Policy:  NewBandit(app, seed),
+		Pattern: Sweep(lo, hi, seed),
+		Seed:    seed,
+		Dims:    DefaultDims(app),
+		K:       5,
+	}
+}
+
+// Sweep returns the collection load pattern over [lo, hi] users: a new
+// pseudo-random level every 30 simulated seconds.
+func Sweep(lo, hi float64, seed int64) SweepPattern {
+	return SweepPattern{MinRPS: lo, MaxRPS: hi, SegmentLen: 30, Seed: seed}
+}
+
 // Run executes a collection session and returns the gathered dataset.
 func Run(cfg Config) *dataset.Dataset {
 	ds := dataset.New(cfg.Dims, cfg.K)

@@ -180,6 +180,23 @@ func TestSweepPattern(t *testing.T) {
 	}
 }
 
+// TestBanditSession: an application's session is the bandit over a 30 s
+// sweep of the app's load range, both from the session seed, with the
+// default dims and K = 5; the caller sets the duration.
+func TestBanditSession(t *testing.T) {
+	for _, app := range []*apps.App{apps.NewHotelReservation(), apps.NewSocialNetwork(apps.WithPlatform(apps.GCE))} {
+		cfg := BanditSession(app, 9)
+		lo, hi := app.LoadRange()
+		if want := (SweepPattern{MinRPS: lo, MaxRPS: hi, SegmentLen: 30, Seed: 9}); cfg.Pattern != want {
+			t.Errorf("%s: pattern %+v, want %+v", app.Name, cfg.Pattern, want)
+		}
+		if _, ok := cfg.Policy.(*Bandit); !ok || cfg.App != app || cfg.Seed != 9 || cfg.K != 5 ||
+			cfg.Dims != DefaultDims(app) || cfg.Duration != 0 {
+			t.Errorf("%s: session %+v", app.Name, cfg)
+		}
+	}
+}
+
 func TestCollectRunProducesBoundaryRichDataset(t *testing.T) {
 	if testing.Short() {
 		t.Skip("collection run")

@@ -112,7 +112,7 @@ func splitRows(ds *dataset.Dataset, seed int64) (train, val []int) {
 	return train, val
 }
 
-// fitTrees is the second stage shared by TrainHybrid and RebuildHybrid: it
+// fitTrees is the second stage shared by TrainHybrid and rebuildHybrid: it
 // evaluates the trained CNN on samples train and val of ds, fits the Boosted
 // Trees on Lf ⊕ allocation — with positive-class weighting, so the rare
 // violation samples are not drowned out — and calibrates the scheduler
@@ -435,12 +435,12 @@ func (m *HybridModel) violations(ctx *PredictContext, latent *tensor.Dense, rh, 
 	return pv
 }
 
-// RebuildHybrid constructs a hybrid model around an existing (typically
+// rebuildHybrid constructs a hybrid model around an existing (typically
 // fine-tuned) latency CNN: the Boosted Trees stage is retrained on the
 // CNN's latents over the given dataset and the scheduler thresholds are
 // recalibrated. This is the transfer-learning path of Sec. 5.4/5.5 — the
 // CNN adapts with a small learning rate, the cheap BT is refit outright.
-func RebuildHybrid(tm *nn.TrainedModel, ds *dataset.Dataset, qosMS float64) *HybridModel {
+func rebuildHybrid(tm *nn.TrainedModel, ds *dataset.Dataset, qosMS float64) *HybridModel {
 	train, val := splitRows(ds, 17)
 	m, _ := fitTrees(tm, ds, train, val, qosMS)
 	return m
@@ -483,7 +483,7 @@ func (m *HybridModel) Retrain(newData *dataset.Dataset, opts RetrainOptions) *Hy
 		Epochs: opts.Epochs, Batch: 128, LR: opts.LR,
 		QoSMS: m.QoSMS, Seed: opts.Seed,
 	})
-	out := RebuildHybrid(tuned, newData, m.QoSMS)
+	out := rebuildHybrid(tuned, newData, m.QoSMS)
 	out.K = m.K
 	return out
 }

@@ -26,7 +26,7 @@ func datasetDigest(ds *dataset.Dataset) uint64 {
 
 // Training gathers the dataset's rows through GatherInto and reads the
 // targets through Targets' view of the dataset's storage, normalising only
-// the copies each worker gathers. So TrainHybrid and RebuildHybrid (which
+// the copies each worker gathers. So TrainHybrid and rebuildHybrid (which
 // train and forward through the split's row lists) and Retrain (which
 // fine-tunes on every row of the dataset it is given) leave every float of
 // their dataset as it was.
@@ -37,9 +37,9 @@ func TestTrainHybridLeavesDatasetUntouched(t *testing.T) {
 	if got := datasetDigest(ds); got != before {
 		t.Fatalf("TrainHybrid wrote into its dataset: digest %#016x, was %#016x", got, before)
 	}
-	RebuildHybrid(m.Lat, ds, 200)
+	rebuildHybrid(m.Lat, ds, 200)
 	if got := datasetDigest(ds); got != before {
-		t.Fatalf("RebuildHybrid wrote into its dataset: digest %#016x, was %#016x", got, before)
+		t.Fatalf("rebuildHybrid wrote into its dataset: digest %#016x, was %#016x", got, before)
 	}
 	shifted := synthDataset(6, 200, 1.5)
 	before = datasetDigest(shifted)
@@ -78,14 +78,14 @@ func TestTrainHybridRowsMatchSplitCopy(t *testing.T) {
 
 // A split with an empty side has nothing to train on or no RMSEValid to
 // give the scheduler (0/0 would switch its latency filters off), so
-// TrainHybrid and RebuildHybrid refuse it, naming the sizes.
+// TrainHybrid and rebuildHybrid refuse it, naming the sizes.
 func TestTrainHybridRefusesEmptySplit(t *testing.T) {
 	ds := synthDataset(7, 40, 1.0)
 	for name, train := range map[string]func(){
 		"TrainHybrid, 1 row":    func() { TrainHybrid(ds.Select([]int{0}), 200, TrainOptions{Epochs: 1}) },
 		"TrainHybrid, 0 rows":   func() { TrainHybrid(ds.Select(nil), 200, TrainOptions{Epochs: 1}) },
-		"RebuildHybrid, 1 row":  func() { RebuildHybrid(nil, ds.Select([]int{0}), 200) },
-		"RebuildHybrid, 0 rows": func() { RebuildHybrid(nil, ds.Select(nil), 200) },
+		"rebuildHybrid, 1 row":  func() { rebuildHybrid(nil, ds.Select([]int{0}), 200) },
+		"rebuildHybrid, 0 rows": func() { rebuildHybrid(nil, ds.Select(nil), 200) },
 	} {
 		func() {
 			defer func() {

@@ -44,7 +44,7 @@ func Drift(l *Lab) []*Table {
 	shifted := apps.NewHotelReservation(apps.WithWorkScale(1.35))
 	// The gate's holdout is pinned from shifted-regime observations — the
 	// validation set an operator refreshes as new ground truth arrives.
-	hold := l.CollectApp(shifted, 500, 3700, l.scale(600, 900), 77)
+	hold := l.CollectApp(shifted, l.scale(600, 900), 77)
 
 	genuine := lifecycle.DefaultRetrain(core.RetrainOptions{Epochs: l.scaleInt(4, 8), Seed: 11})
 	cfg := lifecycle.Config{

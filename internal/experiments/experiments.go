@@ -123,19 +123,25 @@ type Lab struct {
 
 	logMu sync.Mutex
 
-	// collectFn and trainFn are seams for tests; they default to
+	// collectFn and trainFn are seams for tests; NewLab sets them to
 	// collect.Run and core.TrainHybrid.
 	collectFn func(collect.Config) *dataset.Dataset
 	trainFn   func(*dataset.Dataset, float64, core.TrainOptions) (*core.HybridModel, core.TrainReport)
 
-	hotelDSOnce, socialDSOnce sync.Once
-	hotelMOnce, socialMOnce   sync.Once
-	hotelDS                   *dataset.Dataset
-	socialDS                  *dataset.Dataset
-	hotelM                    *core.HybridModel
-	socialM                   *core.HybridModel
+	hotel, social cached
+}
 
-	hotelRep, socialRep core.TrainReport
+// cached is one application's training dataset and hybrid model, each
+// collected or trained at most once.
+type cached struct {
+	name                   string // "hotel" | "social", for collectSeconds and the log
+	app                    *apps.App
+	collectSeed, trainSeed int64
+
+	dsOnce, mOnce sync.Once
+	ds            *dataset.Dataset
+	m             *core.HybridModel
+	rep           core.TrainReport
 }
 
 // NewLab creates a lab; quick=true is the benchmark-friendly configuration.
@@ -146,6 +152,8 @@ func NewLab(quick bool, log io.Writer) *Lab {
 		Metrics:   telemetry.NewRegistry(),
 		collectFn: collect.Run,
 		trainFn:   core.TrainHybrid,
+		hotel:     cached{name: "hotel", app: apps.NewHotelReservation(), collectSeed: 42, trainSeed: 1},
+		social:    cached{name: "social", app: apps.NewSocialNetwork(), collectSeed: 43, trainSeed: 2},
 	}
 }
 
@@ -206,22 +214,18 @@ func (l *Lab) collectSeconds(appName string) float64 {
 
 func (l *Lab) epochs() int { return l.scaleInt(12, 16) }
 
-// CollectApp runs a bandit collection session for an app variant.
-func (l *Lab) CollectApp(app *apps.App, lo, hi float64, seconds float64, seed int64) *dataset.Dataset {
-	l.logf("collect: %s for %.0fs over [%.0f, %.0f] rps", app.Name, seconds, lo, hi)
-	collectFn := l.collectFn
-	if collectFn == nil {
-		collectFn = collect.Run
-	}
-	return collectFn(collect.Config{
-		App:      app,
-		Policy:   collect.NewBandit(app, seed),
-		Pattern:  collect.SweepPattern{MinRPS: lo, MaxRPS: hi, SegmentLen: 30, Seed: seed},
-		Duration: seconds,
-		Seed:     seed,
-		Dims:     collect.DefaultDims(app),
-		K:        5,
-	})
+// CollectApp runs an application's bandit collection session
+// (collect.BanditSession) for the given simulated seconds.
+func (l *Lab) CollectApp(app *apps.App, seconds float64, seed int64) *dataset.Dataset {
+	cfg := collect.BanditSession(app, seed)
+	cfg.Duration = seconds
+	return l.collect(cfg)
+}
+
+// collect runs one collection session through the lab's collector.
+func (l *Lab) collect(cfg collect.Config) *dataset.Dataset {
+	l.logf("collect: %s for %.0fs with %s", cfg.App.Name, cfg.Duration, cfg.Policy.Name())
+	return l.collectFn(cfg)
 }
 
 // HotelLoads returns the Fig. 11 load sweep for Hotel Reservation
@@ -241,58 +245,38 @@ func (l *Lab) SocialLoads() []float64 {
 	return []float64{50, 100, 150, 200, 250, 300, 350, 400, 450}
 }
 
-func (l *Lab) train(ds *dataset.Dataset, qos float64, opts core.TrainOptions) (*core.HybridModel, core.TrainReport) {
-	trainFn := l.trainFn
-	if trainFn == nil {
-		trainFn = core.TrainHybrid
-	}
-	return trainFn(ds, qos, opts)
-}
-
 // HotelDataset returns (collecting once) the hotel training dataset.
 // Concurrent callers block until the single collection finishes and then
 // share the artifact.
-func (l *Lab) HotelDataset() *dataset.Dataset {
-	l.hotelDSOnce.Do(func() {
-		l.hotelDS = l.CollectApp(apps.NewHotelReservation(), 500, 3700, l.collectSeconds("hotel"), 42)
-		l.logf("hotel dataset: %d samples, %.1f%% violations", l.hotelDS.Len(), 100*l.hotelDS.ViolationRate())
-	})
-	return l.hotelDS
-}
+func (l *Lab) HotelDataset() *dataset.Dataset { return l.cachedDataset(&l.hotel) }
 
 // SocialDataset returns (collecting once) the social-network dataset.
-func (l *Lab) SocialDataset() *dataset.Dataset {
-	l.socialDSOnce.Do(func() {
-		l.socialDS = l.CollectApp(apps.NewSocialNetwork(), 50, 450, l.collectSeconds("social"), 43)
-		l.logf("social dataset: %d samples, %.1f%% violations", l.socialDS.Len(), 100*l.socialDS.ViolationRate())
-	})
-	return l.socialDS
-}
+func (l *Lab) SocialDataset() *dataset.Dataset { return l.cachedDataset(&l.social) }
 
 // HotelModel returns (training once) the hotel hybrid model.
-func (l *Lab) HotelModel() (*core.HybridModel, core.TrainReport) {
-	l.hotelMOnce.Do(func() {
-		l.logf("train: hotel hybrid (%d epochs)", l.epochs())
-		l.hotelM, l.hotelRep = l.train(l.HotelDataset(), 200, core.TrainOptions{
-			Seed: 1, Epochs: l.epochs(),
-		})
-		l.logf("hotel model: valRMSE=%.1fms subQoS=%.1fms BTacc=%.3f",
-			l.hotelRep.ValRMSE, l.hotelRep.ValRMSESubQoS, l.hotelRep.ValAcc)
-	})
-	return l.hotelM, l.hotelRep
-}
+func (l *Lab) HotelModel() (*core.HybridModel, core.TrainReport) { return l.cachedModel(&l.hotel) }
 
 // SocialModel returns (training once) the social hybrid model.
-func (l *Lab) SocialModel() (*core.HybridModel, core.TrainReport) {
-	l.socialMOnce.Do(func() {
-		l.logf("train: social hybrid (%d epochs)", l.epochs())
-		l.socialM, l.socialRep = l.train(l.SocialDataset(), 500, core.TrainOptions{
-			Seed: 2, Epochs: l.epochs(),
-		})
-		l.logf("social model: valRMSE=%.1fms subQoS=%.1fms BTacc=%.3f",
-			l.socialRep.ValRMSE, l.socialRep.ValRMSESubQoS, l.socialRep.ValAcc)
+func (l *Lab) SocialModel() (*core.HybridModel, core.TrainReport) { return l.cachedModel(&l.social) }
+
+func (l *Lab) cachedDataset(c *cached) *dataset.Dataset {
+	c.dsOnce.Do(func() {
+		c.ds = l.CollectApp(c.app, l.collectSeconds(c.name), c.collectSeed)
+		l.logf("%s dataset: %d samples, %.1f%% violations", c.name, c.ds.Len(), 100*c.ds.ViolationRate())
 	})
-	return l.socialM, l.socialRep
+	return c.ds
+}
+
+func (l *Lab) cachedModel(c *cached) (*core.HybridModel, core.TrainReport) {
+	c.mOnce.Do(func() {
+		l.logf("train: %s hybrid (%d epochs)", c.name, l.epochs())
+		c.m, c.rep = l.trainFn(l.cachedDataset(c), c.app.QoSMS, core.TrainOptions{
+			Seed: c.trainSeed, Epochs: l.epochs(),
+		})
+		l.logf("%s model: valRMSE=%.1fms subQoS=%.1fms BTacc=%.3f",
+			c.name, c.rep.ValRMSE, c.rep.ValRMSESubQoS, c.rep.ValAcc)
+	})
+	return c.m, c.rep
 }
 
 // Registry maps experiment ids to their drivers.

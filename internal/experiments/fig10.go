@@ -29,12 +29,9 @@ func Fig10(l *Lab) []*Table {
 	dur := l.collectSeconds("social") * 0.8
 	mk := func(name string, pol runner.Policy, seed int64) *dataset.Dataset {
 		l.logf("fig10: collecting with %s", name)
-		return collect.Run(collect.Config{
-			App: app, Policy: pol,
-			Pattern:  collect.SweepPattern{MinRPS: 50, MaxRPS: 450, SegmentLen: 30, Seed: seed},
-			Duration: dur, Seed: seed,
-			Dims: collect.DefaultDims(app), K: 5,
-		})
+		cfg := collect.BanditSession(app, seed)
+		cfg.Policy, cfg.Duration = pol, dur
+		return collect.Run(cfg)
 	}
 	altDS := pmap(l, 2, func(i int) *dataset.Dataset {
 		if i == 0 {
@@ -61,7 +58,7 @@ func Fig10(l *Lab) []*Table {
 		if i == 1 {
 			ds = randDS
 		}
-		m, _ := l.train(ds, app.QoSMS, core.TrainOptions{Seed: 6, Epochs: l.epochs()})
+		m, _ := l.trainFn(ds, app.QoSMS, core.TrainOptions{Seed: 6, Epochs: l.epochs()})
 		return m
 	})
 	banditM, _ := l.SocialModel()

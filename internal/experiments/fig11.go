@@ -82,10 +82,12 @@ func Fig11(l *Lab) []*Table {
 func addSavingsNotes(tables []*Table) {
 	for _, t := range tables {
 		perLoad := map[string]map[string]float64{}
+		var loads []string // in the table's row order, so the sum's order is fixed
 		for _, row := range t.Rows {
 			load, pol, mean := row[0], row[1], row[2]
 			if perLoad[load] == nil {
 				perLoad[load] = map[string]float64{}
+				loads = append(loads, load)
 			}
 			var v float64
 			if _, err := sscanFloat(mean, &v); err == nil {
@@ -94,7 +96,8 @@ func addSavingsNotes(tables []*Table) {
 		}
 		var sum, maxSave float64
 		n := 0
-		for _, pols := range perLoad {
+		for _, load := range loads {
+			pols := perLoad[load]
 			s, okS := pols["Sinan"]
 			c, okC := pols["AutoScaleCons"]
 			if okS && okC && c > 0 {

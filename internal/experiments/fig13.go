@@ -44,7 +44,7 @@ func Fig13(l *Lab) []*Table {
 		if poolSecs < 600 {
 			poolSecs = 600
 		}
-		pool := l.CollectApp(sc.app, 50, 450, poolSecs, sc.seed)
+		pool := l.CollectApp(sc.app, poolSecs, sc.seed)
 		newTrain, newVal := pool.Split(0.8, sc.seed)
 
 		t := &Table{

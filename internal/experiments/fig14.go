@@ -7,7 +7,6 @@ import (
 	"sinan/internal/core"
 	"sinan/internal/harness"
 	"sinan/internal/metrics"
-	"sinan/internal/nn"
 	"sinan/internal/workload"
 )
 
@@ -24,13 +23,8 @@ func Fig14(l *Lab) []*Table {
 
 	// Transfer learning: fine-tune the local model with GCE samples.
 	l.logf("fig14: collecting GCE fine-tuning data")
-	gceDS := l.CollectApp(gceApp, 50, 450, l.scale(800, 2000), 91)
-	tuned := base.Lat.Clone()
-	tuned.FineTune(gceDS.Inputs(), gceDS.Targets(), nn.TrainConfig{
-		Epochs: l.scaleInt(8, 15), Batch: 128, LR: 0.0001, QoSMS: 500, Seed: 91,
-	})
-	// Rebuild the hybrid around the tuned CNN (BT retrained on GCE latents).
-	gceModel := core.RebuildHybrid(tuned, gceDS, 500)
+	gceDS := l.CollectApp(gceApp, l.scale(800, 2000), 91)
+	gceModel := base.Retrain(gceDS, core.RetrainOptions{Epochs: l.scaleInt(8, 15), Seed: 91})
 
 	loads := l.SocialLoads()
 	cpu := &Table{

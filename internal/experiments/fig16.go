@@ -103,8 +103,11 @@ func Table4(l *Lab) []*Table {
 		// every QoS violation it contains is caused by the pathology itself
 		// — exactly the "spikes despite low load" situation of Sec. 5.6 —
 		// and those are the timesteps LIME perturbs.
-		ds := l.CollectApp(app, 50, 350, l.scale(1500, 2500), seed)
-		stable := dataset.New(collect.DefaultDims(app), 5)
+		cfg := collect.BanditSession(app, seed)
+		cfg.Pattern = collect.Sweep(50, 350, seed)
+		cfg.Duration = l.scale(1500, 2500)
+		ds := l.collect(cfg)
+		stable := dataset.New(cfg.Dims, cfg.K)
 		rec := dataset.NewRecorder(stable, app.QoSMS)
 		generous := make([]float64, len(app.Tiers))
 		for i := range generous {

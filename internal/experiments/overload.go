@@ -16,6 +16,7 @@ import (
 	"sinan/internal/nn"
 	"sinan/internal/predsvc"
 	"sinan/internal/runner"
+	"sinan/internal/telemetry"
 	"sinan/internal/tensor"
 	"sinan/internal/workload"
 )
@@ -251,17 +252,9 @@ func driveOpenLoop(svc *predsvc.Service, args *predsvc.PredictArgs, rate float64
 	return servingOutcome{
 		ok: len(lats), shed: int(shed), expired: int(expired), failed: int(failed),
 		maxActive: int(maxActive),
-		p50:       servingQuantile(lats, 0.5),
-		p99:       servingQuantile(lats, 0.99),
+		p50:       telemetry.ExactQuantile(lats, 0.5),
+		p99:       telemetry.ExactQuantile(lats, 0.99),
 	}
-}
-
-func servingQuantile(sorted []float64, q float64) float64 {
-	if len(sorted) == 0 {
-		return 0
-	}
-	i := int(q * float64(len(sorted)-1))
-	return sorted[i]
 }
 
 // measurePredictMS times serial Predict calls through the service and

@@ -98,14 +98,6 @@ func Run(suite Suite, opt Options) []Outcome {
 	if n == 0 {
 		return nil
 	}
-	workers := opt.Workers
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > n {
-		workers = n
-	}
-
 	seeds := make([]int64, n)
 	for i, sp := range suite.Specs {
 		if sp.Policy == nil {
@@ -122,41 +114,22 @@ func Run(suite Suite, opt Options) []Outcome {
 		group = opt.Metrics.Group(suite.Name)
 	}
 
-	outcomes := make([]Outcome, n)
-	jobs := make(chan int)
-	completed := make(chan int)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := range jobs {
-				var reg *telemetry.Registry
-				if group != nil {
-					reg = group.Child(fmt.Sprintf("%03d-%s", i, suite.Specs[i].Name))
-				}
-				outcomes[i] = execute(i, suite.Specs[i], seeds[i], reg)
-				completed <- i
-			}
-		}()
-	}
-	go func() {
-		for i := 0; i < n; i++ {
-			jobs <- i
+	var mu sync.Mutex // serialises the progress count and its lines
+	done := 0
+	return Map(n, opt.Workers, func(i int) Outcome {
+		var reg *telemetry.Registry
+		if group != nil {
+			reg = group.Child(fmt.Sprintf("%03d-%s", i, suite.Specs[i].Name))
 		}
-		close(jobs)
-		wg.Wait()
-		close(completed)
-	}()
-
-	doneCount := 0
-	for i := range completed {
-		doneCount++
+		out := execute(i, suite.Specs[i], seeds[i], reg)
 		if opt.Progress != nil {
-			fmt.Fprintf(opt.Progress, "harness: %d/%d %s\n", doneCount, n, suite.Specs[i].Name)
+			mu.Lock()
+			done++
+			fmt.Fprintf(opt.Progress, "harness: %d/%d %s\n", done, n, suite.Specs[i].Name)
+			mu.Unlock()
 		}
-	}
-	return outcomes
+		return out
+	})
 }
 
 // One executes a single spec synchronously and returns its outcome — the

@@ -1,8 +1,10 @@
 package harness
 
 import (
+	"bytes"
 	"fmt"
 	"math"
+	"strings"
 	"testing"
 
 	"sinan/internal/apps"
@@ -148,5 +150,46 @@ func TestMapPreservesOrder(t *testing.T) {
 	}
 	if Map(0, 4, func(i int) int { return i }) != nil {
 		t.Fatal("empty Map should return nil")
+	}
+}
+
+// TestProgressOneLinePerRun: Options.Progress receives exactly one
+// "harness: k/n name" line per run, counting k up from 1, each spec's name
+// once, while the outcomes stay in spec order.
+func TestProgressOneLinePerRun(t *testing.T) {
+	app := apps.NewHotelReservation()
+	mk := func() runner.Policy { return &runner.Static{Label: "static"} }
+	s := Suite{Name: "progress", BaseSeed: 5}
+	const n = 7
+	for i := 0; i < n; i++ {
+		s.Specs = append(s.Specs, RunSpec{Name: fmt.Sprintf("run%d", i), App: app, Policy: mk,
+			Pattern: workload.Constant(600), Duration: 2})
+	}
+	var buf bytes.Buffer
+	outs := Run(s, Options{Workers: 3, Progress: &buf})
+
+	lines := strings.Split(strings.TrimSuffix(buf.String(), "\n"), "\n")
+	if len(lines) != n {
+		t.Fatalf("%d progress lines, want %d:\n%s", len(lines), n, buf.String())
+	}
+	seen := map[string]bool{}
+	for k, line := range lines {
+		prefix := fmt.Sprintf("harness: %d/%d ", k+1, n)
+		if !strings.HasPrefix(line, prefix) {
+			t.Fatalf("line %d = %q, want prefix %q", k, line, prefix)
+		}
+		name := strings.TrimPrefix(line, prefix)
+		if seen[name] {
+			t.Fatalf("run %q reported twice", name)
+		}
+		seen[name] = true
+	}
+	for i, o := range outs {
+		if o.Index != i || o.Spec.Name != s.Specs[i].Name {
+			t.Fatalf("outcome %d is spec %d (%q)", i, o.Index, o.Spec.Name)
+		}
+		if !seen[o.Spec.Name] {
+			t.Fatalf("run %q never reported", o.Spec.Name)
+		}
 	}
 }

@@ -156,6 +156,12 @@ stage "size"
 # The numbers every simplicity PR quotes: Go lines outside bench/, non-test
 # and test, and the length of the three documents a reader starts from.
 echo "non-test Go lines outside bench/: $(find . -name '*.go' ! -name '*_test.go' ! -path './bench/*' | xargs cat | wc -l)"
+# Where they are, so a change can show where its lines went; the parts sum to
+# the line above.
+for dir in cmd internal examples scripts; do
+    echo "  $dir/: $(find "./$dir" -name '*.go' ! -name '*_test.go' | xargs cat | wc -l)"
+done
+echo "  root package: $(find . -maxdepth 1 -name '*.go' ! -name '*_test.go' | xargs cat | wc -l)"
 echo "test Go lines outside bench/: $(find . -name '*_test.go' ! -path './bench/*' | xargs cat | wc -l)"
 for doc in DESIGN.md README.md ROADMAP.md; do
     echo "$doc lines: $(wc -l <"$doc")"

@@ -95,7 +95,7 @@ func Diurnal(min, max, period float64) Pattern {
 
 // CollectOptions configures training-data collection.
 type CollectOptions struct {
-	MinRPS, MaxRPS float64 // explored load range (0 = app defaults)
+	MinRPS, MaxRPS float64 // explored load range (both 0 = the app's LoadRange)
 	Duration       float64 // simulated seconds (0 = 3000)
 	Seed           int64
 	Lookahead      int // violation horizon K in intervals (0 = 5)
@@ -104,29 +104,18 @@ type CollectOptions struct {
 // Collect explores the application's resource-allocation space with the
 // information-gain bandit of Sec. 4.2 and returns the gathered dataset.
 func Collect(app *App, o CollectOptions) *Dataset {
-	lo, hi := o.MinRPS, o.MaxRPS
-	if lo == 0 && hi == 0 {
-		if app.Name == "hotel-reservation" {
-			lo, hi = 500, 3700
-		} else {
-			lo, hi = 50, 450
-		}
+	cfg := collect.BanditSession(app, o.Seed)
+	if o.MinRPS != 0 || o.MaxRPS != 0 {
+		cfg.Pattern = collect.Sweep(o.MinRPS, o.MaxRPS, o.Seed)
 	}
-	if o.Duration == 0 {
-		o.Duration = 3000
+	cfg.Duration = o.Duration
+	if cfg.Duration == 0 {
+		cfg.Duration = 3000
 	}
-	if o.Lookahead == 0 {
-		o.Lookahead = 5
+	if o.Lookahead != 0 {
+		cfg.K = o.Lookahead
 	}
-	return collect.Run(collect.Config{
-		App:      app,
-		Policy:   collect.NewBandit(app, o.Seed),
-		Pattern:  collect.SweepPattern{MinRPS: lo, MaxRPS: hi, SegmentLen: 30, Seed: o.Seed},
-		Duration: o.Duration,
-		Seed:     o.Seed,
-		Dims:     collect.DefaultDims(app),
-		K:        o.Lookahead,
-	})
+	return collect.Run(cfg)
 }
 
 // TrainOptions configures hybrid-model training.
