@@ -24,6 +24,7 @@ import (
 	"path/filepath"
 	"runtime"
 	"strings"
+	"time"
 
 	"sinan/internal/experiments"
 	"sinan/internal/harness"
@@ -32,8 +33,12 @@ import (
 )
 
 func main() {
+	var ids []string
+	for _, e := range experiments.All() {
+		ids = append(ids, e.ID)
+	}
 	var (
-		exp         = flag.String("exp", "all", "experiment id (fig3..fig16, table2..table4, chaos) or 'all'")
+		exp         = flag.String("exp", "all", "comma-separated experiment ids ("+strings.Join(ids, ", ")+") or 'all'")
 		full        = flag.Bool("full", false, "full-size runs (default: quick mode)")
 		list        = flag.Bool("list", false, "list available experiments")
 		csvDir      = flag.String("csv", "", "also write each table as CSV into this directory")
@@ -102,13 +107,21 @@ func main() {
 		}
 	}
 
+	// run runs one experiment and reports its wall seconds on stderr.
+	run := func(e experiments.Experiment) []*experiments.Table {
+		start := time.Now()
+		tables := e.Run(lab)
+		fmt.Fprintf(os.Stderr, "--- %s: %.1f s ---\n", e.ID, time.Since(start).Seconds())
+		return tables
+	}
+
 	if *par {
 		// Run whole experiments concurrently on the shared lab (its caches
 		// and the run harness are concurrency-safe); tables are buffered and
 		// rendered afterwards in the order the experiments were requested.
 		results := harness.Map(len(todo), runtime.GOMAXPROCS(0), func(i int) []*experiments.Table {
 			fmt.Fprintf(os.Stderr, "--- running %s: %s ---\n", todo[i].ID, todo[i].Title)
-			return todo[i].Run(lab)
+			return run(todo[i])
 		})
 		for i, tables := range results {
 			emit(todo[i], tables)
@@ -117,6 +130,6 @@ func main() {
 	}
 	for _, e := range todo {
 		fmt.Fprintf(os.Stderr, "\n--- running %s: %s ---\n", e.ID, e.Title)
-		emit(e, e.Run(lab))
+		emit(e, run(e))
 	}
 }

@@ -1,6 +1,7 @@
 package sinan
 
 import (
+	"fmt"
 	"io/fs"
 	"os"
 	"path/filepath"
@@ -159,6 +160,110 @@ func TestDocsCiteExistingDesignSections(t *testing.T) {
 				if title := strings.Join(strings.Fields(q[1]), " "); !titles[title] {
 					t.Errorf("%s cites DESIGN.md §%d %q, a paragraph title that section does not have", f, n, title)
 				}
+			}
+		}
+	}
+}
+
+// mdTable is one Markdown table of a document, with the paragraph that
+// introduces it.
+type mdTable struct {
+	line   int    // 1-based line of the header row
+	intro  string // the paragraph right above the table
+	header []string
+	rows   [][]string
+}
+
+// mdTables returns the document's Markdown tables in order.
+func mdTables(text string) []mdTable {
+	var tables []mdTable
+	lines := strings.Split(text, "\n")
+	for i := 0; i < len(lines); i++ {
+		if !strings.HasPrefix(lines[i], "|") {
+			continue
+		}
+		start := i
+		for start > 0 && strings.TrimSpace(lines[start-1]) == "" {
+			start--
+		}
+		begin := start
+		for begin > 0 && strings.TrimSpace(lines[begin-1]) != "" {
+			begin--
+		}
+		tab := mdTable{line: i + 1, intro: strings.Join(lines[begin:start], "\n"), header: mdCells(lines[i])}
+		for i += 2; i < len(lines) && strings.HasPrefix(lines[i], "|"); i++ {
+			tab.rows = append(tab.rows, mdCells(lines[i]))
+		}
+		tables = append(tables, tab)
+	}
+	return tables
+}
+
+func mdCells(line string) []string {
+	cells := strings.Split(strings.Trim(strings.TrimSpace(line), "|"), "|")
+	for i, c := range cells {
+		cells[i] = strings.TrimSpace(c)
+	}
+	return cells
+}
+
+var (
+	// goldenRefRE introduces a table drawn from one golden Fig. 11 table.
+	goldenRefRE = regexp.MustCompile("golden's\\s+`([^`]+)`\\s+table")
+	// oneOffRE introduces a table measured once, outside the golden; what
+	// follows the colon says where it came from.
+	oneOffRE = regexp.MustCompile(`One-off\s+measurement:\s+\S`)
+)
+
+// TestExperimentsTablesFromGolden: every table of EXPERIMENTS.md says in the
+// paragraph above it where its numbers come from. A table drawn from a
+// golden Fig. 11 table has one row per load and one "mean CPU / P(meet QoS)"
+// column per policy, and every cell equals the golden's; the headline table
+// is evaluated by TestHeadlineClaims; the rest are marked as one-off
+// measurements with their source.
+func TestExperimentsTablesFromGolden(t *testing.T) {
+	golden := goldenTables(t)
+	tables := mdTables(readDoc(t, "EXPERIMENTS.md"))
+	if len(tables) == 0 {
+		t.Fatal("EXPERIMENTS.md has no tables")
+	}
+	for _, tab := range tables {
+		m := goldenRefRE.FindStringSubmatch(tab.intro)
+		switch {
+		case m != nil:
+			checkFig11Sweep(t, tab, parseFig11(t, goldenTableNamed(t, golden, m[1])))
+		case strings.Contains(tab.intro, "TestHeadlineClaims"), oneOffRE.MatchString(tab.intro):
+		default:
+			t.Errorf("EXPERIMENTS.md:%d: the paragraph above the table names neither a golden table, TestHeadlineClaims, nor a one-off measurement with its source", tab.line)
+		}
+	}
+}
+
+// checkFig11Sweep compares a users × policy table of "mean CPU / P(meet
+// QoS)" cells with a golden Fig. 11 table, cell by cell, in the golden's
+// number formats.
+func checkFig11Sweep(t *testing.T, tab mdTable, f fig11) {
+	t.Helper()
+	want := map[[2]string]string{} // (users, policy) → cell
+	loads := map[string]bool{}
+	for policy, points := range f.points {
+		for _, p := range points {
+			users := strconv.FormatFloat(p.users, 'f', 0, 64)
+			want[[2]string{users, policy}] = fmt.Sprintf("%.1f / %.3f", p.cpu, p.meet)
+			loads[users] = true
+		}
+	}
+	if len(tab.rows) != len(loads) {
+		t.Errorf("EXPERIMENTS.md:%d: %d rows, the golden has %d loads", tab.line, len(tab.rows), len(loads))
+	}
+	for _, row := range tab.rows {
+		for i := 1; i < len(tab.header); i++ {
+			policy := strings.Fields(tab.header[i])[0]
+			w, ok := want[[2]string{row[0], policy}]
+			if !ok {
+				t.Errorf("EXPERIMENTS.md:%d: the golden has no %s row at %s users", tab.line, policy, row[0])
+			} else if got := strings.Join(strings.Fields(row[i]), " "); got != w {
+				t.Errorf("EXPERIMENTS.md:%d: %s at %s users reads %q, the golden %q", tab.line, policy, row[0], got, w)
 			}
 		}
 	}

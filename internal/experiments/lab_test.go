@@ -5,7 +5,6 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
-	"time"
 
 	"sinan/internal/collect"
 	"sinan/internal/core"
@@ -15,20 +14,40 @@ import (
 
 // fakeLab returns a quick lab whose collection and training are stubbed
 // with cheap counted fakes, so concurrency behaviour can be tested without
-// simulating or training anything.
-func fakeLab(collects, trains *atomic.Int32) *Lab {
+// simulating or training anything. The fakes block until release is closed,
+// so a test can hold the first caller inside a fake until every other
+// caller has started.
+func fakeLab(collects, trains *atomic.Int32, release <-chan struct{}) *Lab {
 	l := NewLab(true, nil)
 	l.collectFn = func(cfg collect.Config) *dataset.Dataset {
 		collects.Add(1)
-		time.Sleep(10 * time.Millisecond) // widen the race window
+		<-release
 		return dataset.New(nn.Dims{N: 2, T: 2, F: 2, M: 1}, cfg.K)
 	}
 	l.trainFn = func(ds *dataset.Dataset, qos float64, opts core.TrainOptions) (*core.HybridModel, core.TrainReport) {
 		trains.Add(1)
-		time.Sleep(10 * time.Millisecond)
+		<-release
 		return &core.HybridModel{QoSMS: qos, K: ds.K}, core.TrainReport{ValRMSE: 1}
 	}
 	return l
+}
+
+// runGated runs call(g) on n goroutines against fakes that block until all
+// n goroutines have started, and returns once every call has returned.
+func runGated(n int, release chan struct{}, call func(g int)) {
+	var started, done sync.WaitGroup
+	started.Add(n)
+	done.Add(n)
+	for g := 0; g < n; g++ {
+		go func(g int) {
+			defer done.Done()
+			started.Done()
+			call(g)
+		}(g)
+	}
+	started.Wait()
+	close(release)
+	done.Wait()
 }
 
 // TestLabConcurrentMemoization: N goroutines requesting the same cached
@@ -36,21 +55,16 @@ func fakeLab(collects, trains *atomic.Int32) *Lab {
 // all observe the same artifact.
 func TestLabConcurrentMemoization(t *testing.T) {
 	var collects, trains atomic.Int32
-	l := fakeLab(&collects, &trains)
+	release := make(chan struct{})
+	l := fakeLab(&collects, &trains, release)
 
 	const goroutines = 8
 	dss := make([]*dataset.Dataset, goroutines)
 	models := make([]*core.HybridModel, goroutines)
-	var wg sync.WaitGroup
-	for g := 0; g < goroutines; g++ {
-		wg.Add(1)
-		go func(g int) {
-			defer wg.Done()
-			dss[g] = l.SocialDataset()
-			models[g], _ = l.SocialModel()
-		}(g)
-	}
-	wg.Wait()
+	runGated(goroutines, release, func(g int) {
+		dss[g] = l.SocialDataset()
+		models[g], _ = l.SocialModel()
+	})
 
 	if n := collects.Load(); n != 1 {
 		t.Fatalf("social dataset collected %d times, want 1", n)
@@ -72,21 +86,16 @@ func TestLabConcurrentMemoization(t *testing.T) {
 // independently — concurrent mixed requests yield one run per artifact.
 func TestLabConcurrentDistinctArtifacts(t *testing.T) {
 	var collects, trains atomic.Int32
-	l := fakeLab(&collects, &trains)
+	release := make(chan struct{})
+	l := fakeLab(&collects, &trains, release)
 
-	var wg sync.WaitGroup
-	for g := 0; g < 6; g++ {
-		wg.Add(1)
-		go func(g int) {
-			defer wg.Done()
-			if g%2 == 0 {
-				l.HotelModel()
-			} else {
-				l.SocialModel()
-			}
-		}(g)
-	}
-	wg.Wait()
+	runGated(6, release, func(g int) {
+		if g%2 == 0 {
+			l.HotelModel()
+		} else {
+			l.SocialModel()
+		}
+	})
 
 	if n := collects.Load(); n != 2 {
 		t.Fatalf("collections = %d, want 2 (hotel + social)", n)

@@ -70,27 +70,29 @@ case " $* " in
     ;;
 esac
 
-stage "experiment hashes"
-# The quick fig11 and drift outputs are pinned by their sha256 in
-# EXPERIMENTS.md "Reproducing". The pins are read from that block, so a
-# re-record edits one file, and a reworded line that drops one fails here.
-# About 30 s on 2 vCPU; skipped under -short.
+stage "experiment golden"
+# Every experiment without a wall-clock column, rerun in quick mode and
+# compared byte for byte with internal/experiments/testdata/quick.txt, the
+# record EXPERIMENTS.md's tables and headline claims are tested against. -par
+# runs the experiments concurrently and must still print their tables in the
+# order requested. On a mismatch the diff's hunk headers name the table that
+# moved (no context lines, so each header is the title above its own line).
+# stderr shows each experiment's wall seconds. About 35 s on 2 vCPU; skipped
+# under -short.
 case " $* " in
 *" -short "*) echo "skipped (-short)" ;;
 *)
-    pins=$(sed -nE 's@^go run ./cmd/sinan-bench -exp ([a-z0-9]+) -q 2>/dev/null \| sha256sum +# ([0-9a-f]{64}).*@\1 \2@p' EXPERIMENTS.md)
-    if [ "$(grep -c . <<<"$pins")" -ne 2 ]; then
-        echo "EXPERIMENTS.md \"Reproducing\" should pin two experiment hashes, found: $pins" >&2
+    golden=internal/experiments/testdata/quick.txt
+    got=$(mktemp)
+    go run ./cmd/sinan-bench -exp fig3,fig4,fig9,fig10,fig11,fig12,fig13,fig14,fig16,table4,chaos,drift -q -par >"$got"
+    if ! cmp -s "$golden" "$got"; then
+        echo "sinan-bench -q output differs from $golden:" >&2
+        diff -U0 -F '^== ' "$golden" "$got" >&2 || true
+        rm -f "$got"
         exit 1
     fi
-    while read -r exp want; do
-        got=$(go run ./cmd/sinan-bench -exp "$exp" -q 2>/dev/null | sha256sum | cut -d' ' -f1)
-        if [ "$got" != "$want" ]; then
-            echo "sinan-bench -exp $exp -q hashes to $got; EXPERIMENTS.md pins $want" >&2
-            exit 1
-        fi
-        echo "$exp $got"
-    done <<<"$pins"
+    rm -f "$got"
+    echo "$(grep -c '^== ' "$golden") tables identical to $golden"
     ;;
 esac
 

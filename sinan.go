@@ -95,7 +95,7 @@ func Diurnal(min, max, period float64) Pattern {
 
 // CollectOptions configures training-data collection.
 type CollectOptions struct {
-	MinRPS, MaxRPS float64 // explored load range (both 0 = the app's LoadRange)
+	MinRPS, MaxRPS float64 // explored load range (a bound left 0 = the app's LoadRange bound)
 	Duration       float64 // simulated seconds (0 = 3000)
 	Seed           int64
 	Lookahead      int // violation horizon K in intervals (0 = 5)
@@ -104,10 +104,21 @@ type CollectOptions struct {
 // Collect explores the application's resource-allocation space with the
 // information-gain bandit of Sec. 4.2 and returns the gathered dataset.
 func Collect(app *App, o CollectOptions) *Dataset {
+	return collect.Run(collectConfig(app, o))
+}
+
+// collectConfig is the bandit session Collect runs: the app's recipe with
+// o's overrides applied, each load bound it leaves 0 taken from LoadRange.
+func collectConfig(app *App, o CollectOptions) collect.Config {
 	cfg := collect.BanditSession(app, o.Seed)
-	if o.MinRPS != 0 || o.MaxRPS != 0 {
-		cfg.Pattern = collect.Sweep(o.MinRPS, o.MaxRPS, o.Seed)
+	lo, hi := app.LoadRange()
+	if o.MinRPS != 0 {
+		lo = o.MinRPS
 	}
+	if o.MaxRPS != 0 {
+		hi = o.MaxRPS
+	}
+	cfg.Pattern = collect.Sweep(lo, hi, o.Seed)
 	cfg.Duration = o.Duration
 	if cfg.Duration == 0 {
 		cfg.Duration = 3000
@@ -115,7 +126,7 @@ func Collect(app *App, o CollectOptions) *Dataset {
 	if o.Lookahead != 0 {
 		cfg.K = o.Lookahead
 	}
-	return collect.Run(cfg)
+	return cfg
 }
 
 // TrainOptions configures hybrid-model training.

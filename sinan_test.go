@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"sinan/internal/apps"
+	"sinan/internal/collect"
 	"sinan/internal/core"
 	"sinan/internal/dataset"
 	"sinan/internal/lifecycle"
@@ -103,6 +104,28 @@ func TestCollectDefaultsPerApp(t *testing.T) {
 		t.Fatal("dims not derived from app")
 	}
 	_ = apps.MixW0
+}
+
+// TestCollectLoadBounds: each load bound CollectOptions leaves 0 is the
+// app's LoadRange bound, whether or not the other one is set.
+func TestCollectLoadBounds(t *testing.T) {
+	for _, app := range []*App{HotelReservation(), SocialNetwork()} {
+		lo, hi := app.LoadRange()
+		for _, c := range []struct {
+			min, max, wantLo, wantHi float64
+		}{
+			{0, 0, lo, hi},
+			{lo + 10, 0, lo + 10, hi},
+			{0, hi - 10, lo, hi - 10},
+			{lo + 10, hi - 10, lo + 10, hi - 10},
+		} {
+			cfg := collectConfig(app, CollectOptions{MinRPS: c.min, MaxRPS: c.max, Seed: 3})
+			got, ok := cfg.Pattern.(collect.SweepPattern)
+			if want := collect.Sweep(c.wantLo, c.wantHi, 3); !ok || got != want {
+				t.Errorf("%s MinRPS %v MaxRPS %v: pattern %+v, want %+v", app.Name, c.min, c.max, cfg.Pattern, want)
+			}
+		}
+	}
 }
 
 // tinyModel trains a small real hybrid on synthetic data (p99 rises as the
