@@ -2,6 +2,7 @@ package sinan
 
 import (
 	"fmt"
+	"math"
 	"regexp"
 	"slices"
 	"strconv"
@@ -358,5 +359,115 @@ func TestGoldenCoversEveryExperiment(t *testing.T) {
 	slices.Sort(all)
 	if !slices.Equal(covered, all) {
 		t.Errorf("the golden's experiments plus %q are %q, the experiments are %q", wallClockExperiments, covered, all)
+	}
+}
+
+// proseClaim is one number EXPERIMENTS.md's prose quotes from the golden.
+// pattern reads it (and its neighbours) from the document with its
+// whitespace collapsed; check compares them with the golden's cells.
+type proseClaim struct {
+	pattern *regexp.Regexp
+	check   func(t *testing.T, n []float64, tables map[string]*goldenTable) error
+}
+
+var proseClaims = map[string]proseClaim{
+	"Fig. 4: the two models' mean p99 bias": {
+		regexp.MustCompile(`measured \+([\d.]+) ms vs \+([\d.]+) ms mean bias, ≈ \+(\d+)% vs \+(\d+)% of the mean truth`),
+		func(t *testing.T, n []float64, tables map[string]*goldenTable) error {
+			g := goldenTableNamed(t, tables, "Fig. 4 —")
+			bias, share := column(t, g.header, "mean p99 bias (ms)"), column(t, g.header, "bias / mean truth")
+			for i, prefix := range []string{"multi-task NN", "two-stage CNN"} {
+				row := goldenRow(t, g, prefix)
+				if b := parseNum(t, row[bias]); b != n[i] {
+					return fmt.Errorf("%s's bias is %.1f ms, the prose says +%.1f", prefix, b, n[i])
+				}
+				if s := parseNum(t, strings.TrimSuffix(row[share], "%")); math.Round(s) != n[2+i] {
+					return fmt.Errorf("%s's bias is %.1f%% of the mean truth, the prose says ≈ +%.0f%%", prefix, s, n[2+i])
+				}
+			}
+			return nil
+		},
+	},
+	"Fig. 10: the random-collected model's bias": {
+		regexp.MustCompile(`grossly overestimates \(bias ≈ \+(\d+) ms\)`),
+		func(t *testing.T, n []float64, tables map[string]*goldenTable) error {
+			g := goldenTableNamed(t, tables, "Fig. 10 —")
+			b := parseNum(t, goldenRow(t, g, "random")[column(t, g.header, "pred bias (ms)")])
+			if math.Round(b/10)*10 != n[0] {
+				return fmt.Errorf("the random-collected model's bias is %.1f ms, the prose says ≈ +%.0f", b, n[0])
+			}
+			return nil
+		},
+	},
+	"D2: Sinan's Hotel savings over the loads": {
+		regexp.MustCompile(`on Hotel Reservation \(([\d.]+)–([\d.]+) % per load vs`),
+		func(t *testing.T, n []float64, tables map[string]*goldenTable) error {
+			hotel := parseFig11(t, goldenTableNamed(t, tables, "Fig. 11 — hotel:"))
+			lo, hi := math.Inf(1), math.Inf(-1)
+			for i, p := range hotel.points["Sinan"] {
+				s := math.Round(1000*(1-p.cpu/hotel.points["AutoScaleCons"][i].cpu)) / 10
+				lo, hi = min(lo, s), max(hi, s)
+			}
+			if lo != n[0] || hi != n[1] {
+				return fmt.Errorf("Sinan saves %.1f–%.1f %% of AutoScaleCons's CPU on Hotel, the prose says %.1f–%.1f", lo, hi, n[0], n[1])
+			}
+			return nil
+		},
+	},
+	"D3: Sinan's Social CPU with the emergency ramp": {
+		regexp.MustCompile(`Social ` + "`fig11`" + ` rises from (\d+)–(\d+) to [\d–]+ cores, and its savings against AutoScaleCons fall from ([\d.]+) % to`),
+		func(t *testing.T, n []float64, tables map[string]*goldenTable) error {
+			social := parseFig11(t, goldenTableNamed(t, tables, "Fig. 11 — social:"))
+			lo, hi := math.Inf(1), math.Inf(-1)
+			for _, p := range social.points["Sinan"] {
+				lo, hi = min(lo, math.Round(p.cpu)), max(hi, math.Round(p.cpu))
+			}
+			if lo != n[0] || hi != n[1] || social.avgSave != n[2] {
+				return fmt.Errorf("Sinan's Social mean CPU spans %.0f–%.0f cores and saves %.1f %%, the prose says %.0f–%.0f and %.1f %%", lo, hi, social.avgSave, n[0], n[1], n[2])
+			}
+			return nil
+		},
+	},
+}
+
+// goldenRow returns the one row of g whose first cell begins with prefix.
+func goldenRow(t *testing.T, g *goldenTable, prefix string) []string {
+	t.Helper()
+	var found []string
+	for _, row := range g.rows {
+		if strings.HasPrefix(row[0], prefix) {
+			if found != nil {
+				t.Fatalf("more than one golden row begins %q", prefix)
+			}
+			found = row
+		}
+	}
+	if found == nil {
+		t.Fatalf("no golden row begins %q", prefix)
+	}
+	return found
+}
+
+// TestProseNumbersFromGolden evaluates the numbers EXPERIMENTS.md's prose
+// quotes from the golden, which TestExperimentsTablesFromGolden (tables
+// only) does not read: a reworded sentence fails until its pattern follows,
+// and a re-record that moves a number fails until the prose does.
+func TestProseNumbersFromGolden(t *testing.T) {
+	tables := goldenTables(t)
+	doc := strings.Join(strings.Fields(readDoc(t, "EXPERIMENTS.md")), " ")
+	for name, c := range proseClaims {
+		m := c.pattern.FindAllStringSubmatch(doc, -1)
+		if len(m) != 1 {
+			t.Errorf("%s: EXPERIMENTS.md reads as %s %d times, want once", name, c.pattern, len(m))
+			continue
+		}
+		var n []float64
+		for _, s := range m[0][1:] {
+			v, _ := strconv.ParseFloat(s, 64)
+			n = append(n, v)
+		}
+		if err := c.check(t, n, tables); err != nil {
+			t.Errorf("%s: %v", name, err)
+		}
 	}
 }

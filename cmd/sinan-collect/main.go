@@ -28,7 +28,7 @@ func main() {
 		maxRPS   = flag.Float64("maxrps", 0, "maximum load (default: app preset)")
 		segment  = flag.Float64("segment", 30, "seconds per load level")
 		k        = flag.Int("k", 5, "violation lookahead intervals")
-		out      = flag.String("out", "dataset.gob", "output dataset path")
+		out      = flag.String("out", "dataset.bin", "output dataset path")
 		platform = flag.String("platform", "local", "platform: local | gce")
 		encrypt  = flag.Bool("encrypt", false, "social: enable AES post encryption variant")
 		logsync  = flag.Bool("logsync", false, "social: enable Redis log-sync pathology")

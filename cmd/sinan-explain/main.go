@@ -24,7 +24,7 @@ import (
 func main() {
 	var (
 		modelPath = flag.String("model", "sinan.model", "hybrid model path")
-		dataPath  = flag.String("data", "dataset.gob", "dataset the model was trained on")
+		dataPath  = flag.String("data", "dataset.bin", "dataset the model was trained on")
 		appName   = flag.String("app", "social", "application: hotel | social")
 		tier      = flag.String("tier", "", "tier to drill into (resource channels)")
 		topN      = flag.Int("top", 5, "tiers to list")

@@ -33,7 +33,7 @@ import (
 
 func main() {
 	var (
-		data     = flag.String("data", "dataset.gob", "input dataset path")
+		data     = flag.String("data", "dataset.bin", "input dataset path")
 		qos      = flag.Float64("qos", 200, "QoS target in ms (200 hotel, 500 social)")
 		epochs   = flag.Int("epochs", 12, "CNN training epochs")
 		lr       = flag.Float64("lr", 0.01, "CNN learning rate")

@@ -9,11 +9,11 @@
 package boost
 
 import (
-	"encoding/gob"
 	"fmt"
-	"io"
 	"math"
 	"sort"
+
+	"sinan/internal/wire"
 )
 
 // Config controls training.
@@ -447,45 +447,55 @@ func (g *grower) partition(rows []int, f, b int) int {
 	return nl
 }
 
-// Save writes the model as gob.
-func (m *Model) Save(w io.Writer) error {
-	return gob.NewEncoder(w).Encode(m)
+// Append appends the model's encoding to b: base (f64), dim and the tree
+// count (u32), then per tree its node count (u32) and per node feature,
+// left and right (u32) and threshold and weight (f64).
+func (m *Model) Append(b []byte) []byte {
+	b = wire.AppendU32(wire.AppendF64(b, m.Base), m.Dim, len(m.Trees))
+	for _, t := range m.Trees {
+		b = wire.AppendU32(b, len(t.Nodes))
+		for _, n := range t.Nodes {
+			b = wire.AppendF64(wire.AppendU32(b, n.Feature, int(n.Left), int(n.Right)), n.Threshold, n.Weight)
+		}
+	}
+	return b
 }
 
-// LoadModel reads a model saved with Save. Beyond the gob decode, every
-// tree is structurally validated — feature indices within Dim, child
-// indices within the node slice and strictly forward-pointing (no cycles) —
-// so a bit-flipped blob yields an error here instead of an out-of-range
-// panic or an infinite loop inside a later predict.
-func LoadModel(r io.Reader) (*Model, error) {
-	var m Model
-	if err := gob.NewDecoder(r).Decode(&m); err != nil {
-		return nil, err
-	}
+// nodeBytes is one node's encoded size.
+const nodeBytes = 3*4 + 2*8
+
+// ReadModel decodes a model Append wrote from r. Every count is checked
+// against the bytes left before anything is sized from it, and every tree
+// is structurally validated — feature indices within Dim, child indices
+// within the node slice and strictly forward-pointing (no cycles) — so a
+// bit-flipped model yields an error here instead of an out-of-range panic
+// or an infinite loop inside a later predict.
+func ReadModel(r *wire.Reader) (*Model, error) {
+	m := &Model{Base: r.F64(), Dim: int(int32(r.U32()))}
 	if m.Dim <= 0 {
-		return nil, fmt.Errorf("boost: corrupt model")
+		r.Fail(fmt.Errorf("dim %d", m.Dim))
 	}
-	for ti, t := range m.Trees {
-		if t == nil || len(t.Nodes) == 0 {
-			return nil, fmt.Errorf("boost: corrupt model: tree %d is empty", ti)
+	m.Trees = make([]*Tree, r.Count(4+nodeBytes))
+	for ti := range m.Trees {
+		t := &Tree{Nodes: make([]node, r.Count(nodeBytes))}
+		if len(t.Nodes) == 0 {
+			r.Fail(fmt.Errorf("tree %d is empty", ti))
 		}
-		for ni, n := range t.Nodes {
-			if n.Feature < 0 {
-				continue // leaf
+		for ni := range t.Nodes {
+			n := node{Feature: int(int32(r.U32())), Left: int32(r.U32()), Right: int32(r.U32()), Threshold: r.F64(), Weight: r.F64()}
+			// A split's children point strictly forward: trees are built by
+			// appending children after their parent, so a backward or self
+			// edge is corruption (and would loop predict forever).
+			if n.Feature >= m.Dim || n.Feature >= 0 && (n.Left <= int32(ni) || n.Right <= int32(ni) ||
+				int(n.Left) >= len(t.Nodes) || int(n.Right) >= len(t.Nodes)) {
+				r.Fail(fmt.Errorf("tree %d node %d splits on feature %d (dim %d) into %d/%d", ti, ni, n.Feature, m.Dim, n.Left, n.Right))
 			}
-			if n.Feature >= m.Dim {
-				return nil, fmt.Errorf("boost: corrupt model: tree %d node %d splits on feature %d (dim %d)",
-					ti, ni, n.Feature, m.Dim)
-			}
-			// Children must point strictly forward: trees are built by
-			// appending children after their parent, so any backward or
-			// self edge means corruption (and would loop predict forever).
-			if n.Left <= int32(ni) || n.Right <= int32(ni) ||
-				int(n.Left) >= len(t.Nodes) || int(n.Right) >= len(t.Nodes) {
-				return nil, fmt.Errorf("boost: corrupt model: tree %d node %d children %d/%d out of range",
-					ti, ni, n.Left, n.Right)
-			}
+			t.Nodes[ni] = n
 		}
+		m.Trees[ti] = t
 	}
-	return &m, nil
+	if err := r.Err(); err != nil {
+		return nil, fmt.Errorf("boost: corrupt model: %w", err)
+	}
+	return m, nil
 }

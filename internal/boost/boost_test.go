@@ -6,6 +6,8 @@ import (
 	"math"
 	"math/rand"
 	"testing"
+
+	"sinan/internal/wire"
 )
 
 // synthetic binary task: label = x0 + 2*x1 - x2 > 0.5 with noise.
@@ -126,16 +128,17 @@ func TestBoostSaveLoad(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	X, y := synthData(rng, 500, 0.1)
 	m := Train(X, y, Config{NumTrees: 20, MaxDepth: 3}, nil, nil)
-	var buf bytes.Buffer
-	if err := m.Save(&buf); err != nil {
-		t.Fatal(err)
-	}
-	m2, err := LoadModel(&buf)
+	b := m.Append(nil)
+	r := wire.NewReader(b)
+	m2, err := ReadModel(r)
 	if err != nil {
 		t.Fatal(err)
 	}
+	if r.Len() != 0 || !bytes.Equal(m2.Append(nil), b) {
+		t.Fatal("the decoded model does not encode back to the same bytes")
+	}
 	for i, x := range X {
-		if math.Abs(m.PredictProb(x)-m2.PredictProb(x)) > 1e-12 {
+		if m.PredictProb(x) != m2.PredictProb(x) {
 			t.Fatalf("loaded model diverges at %d", i)
 		}
 	}
@@ -196,7 +199,7 @@ func TestMinChildWeightLimitsSplits(t *testing.T) {
 }
 
 func TestLoadModelRejectsGarbage(t *testing.T) {
-	if _, err := LoadModel(bytes.NewReader([]byte("not a gob stream"))); err == nil {
+	if _, err := ReadModel(wire.NewReader([]byte("not a model"))); err == nil {
 		t.Fatal("garbage input should fail to load")
 	}
 }

@@ -6,8 +6,6 @@
 package core
 
 import (
-	"bytes"
-	"encoding/gob"
 	"fmt"
 	"io"
 	"math"
@@ -19,6 +17,7 @@ import (
 	"sinan/internal/dataset"
 	"sinan/internal/nn"
 	"sinan/internal/tensor"
+	"sinan/internal/wire"
 )
 
 // HybridModel bundles the two-stage predictor: the CNN estimates the next
@@ -488,51 +487,47 @@ func (m *HybridModel) Retrain(newData *dataset.Dataset, opts RetrainOptions) *Hy
 	return out
 }
 
-// hybridBlob is the gob wire format for a hybrid model. The CNN and BT are
-// nested as opaque byte blobs so each keeps its own encoding.
-type hybridBlob struct {
-	Lat, Viol        []byte
-	K                int
-	QoSMS, RMSEValid float64
-	Pd, Pu           float64
-}
-
-// Encode writes the hybrid model (CNN, BT, thresholds) to w as gob. This is
-// the raw payload form; the versioned, checksummed artifact envelope around
-// it — the only form that goes to disk — lives in internal/lifecycle.
-func (m *HybridModel) Encode(w io.Writer) error {
-	var latBuf, violBuf bytes.Buffer
-	if err := nn.Save(&latBuf, m.Lat); err != nil {
-		return err
-	}
-	if err := m.Viol.Save(&violBuf); err != nil {
-		return err
-	}
-	return gob.NewEncoder(w).Encode(hybridBlob{
-		Lat: latBuf.Bytes(), Viol: violBuf.Bytes(),
-		K: m.K, QoSMS: m.QoSMS, RMSEValid: m.RMSEValid, Pd: m.Pd, Pu: m.Pu,
-	})
-}
-
-// DecodeHybrid reads a model written with Encode. Corrupt input yields an
-// error, never a panic: the nested CNN and BT loaders validate shapes and
-// indices before constructing anything.
-func DecodeHybrid(r io.Reader) (*HybridModel, error) {
-	var blob hybridBlob
-	if err := gob.NewDecoder(r).Decode(&blob); err != nil {
-		return nil, fmt.Errorf("core: decoding hybrid blob: %w", err)
-	}
-	tm, err := nn.Load(bytes.NewReader(blob.Lat))
+// Encode renders the hybrid model as payload bytes, little-endian: the
+// CNN (nn.AppendModel), the trees (boost.Model.Append), then K (u32) and
+// QoSMS, RMSEValid, Pd, Pu (f64). The bytes are a function of the model.
+// This is the raw payload form; the versioned, checksummed artifact
+// envelope around it — the only form that goes to disk — lives in
+// internal/lifecycle.
+func (m *HybridModel) Encode() ([]byte, error) {
+	b, err := nn.AppendModel(nil, m.Lat)
 	if err != nil {
 		return nil, err
 	}
-	bt, err := boost.LoadModel(bytes.NewReader(blob.Viol))
+	b = wire.AppendU32(m.Viol.Append(b), m.K)
+	return wire.AppendF64(b, m.QoSMS, m.RMSEValid, m.Pd, m.Pu), nil
+}
+
+// DecodeHybrid decodes what Encode wrote. Corrupt input yields an error,
+// never a panic: the CNN and tree readers check every size against the
+// bytes left and validate shapes and indices before building anything, the
+// trees must read the features the CNN hands them, and no byte may be left
+// over.
+func DecodeHybrid(payload []byte) (*HybridModel, error) {
+	r := wire.NewReader(payload)
+	tm, err := nn.ReadModel(r)
 	if err != nil {
 		return nil, err
 	}
-	return &HybridModel{
-		Lat: tm, Viol: bt, D: tm.Model.Dims(),
-		K: blob.K, QoSMS: blob.QoSMS, RMSEValid: blob.RMSEValid,
-		Pd: blob.Pd, Pu: blob.Pu,
-	}, nil
+	bt, err := boost.ReadModel(r)
+	if err != nil {
+		return nil, err
+	}
+	m := &HybridModel{Lat: tm, Viol: bt, D: tm.Model.Dims(), K: int(r.U32())}
+	m.QoSMS, m.RMSEValid, m.Pd, m.Pu = r.F64(), r.F64(), r.F64(), r.F64()
+	if err := r.Err(); err != nil {
+		return nil, fmt.Errorf("core: hybrid model: %w", err)
+	}
+	if r.Len() != 0 {
+		return nil, fmt.Errorf("core: hybrid model: %d bytes after its end", r.Len())
+	}
+	cnn, ok := tm.Model.(*nn.LatencyCNN)
+	if !ok || bt.Dim != cnn.Latent+2*m.D.N {
+		return nil, fmt.Errorf("core: hybrid model: trees over %d features behind a %T of dims %+v", bt.Dim, tm.Model, m.D)
+	}
+	return m, nil
 }

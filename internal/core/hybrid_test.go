@@ -78,11 +78,11 @@ func TestTrainHybridEndToEnd(t *testing.T) {
 	}
 
 	// Encode/DecodeHybrid round-trips the whole hybrid.
-	var buf bytes.Buffer
-	if err := m.Encode(&buf); err != nil {
+	payload, err := m.Encode()
+	if err != nil {
 		t.Fatal(err)
 	}
-	m2, err := DecodeHybrid(&buf)
+	m2, err := DecodeHybrid(payload)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -158,4 +158,34 @@ func TestSinanMeetsQoSAndSavesCPU(t *testing.T) {
 		t.Fatalf("Sinan mean CPU %.1f should undercut AutoScaleOpt %.1f",
 			sinan.Meter.MeanAlloc(), opt.Meter.MeanAlloc())
 	}
+}
+
+// FuzzDecodeHybrid drives arbitrary bytes through the payload decoder, the
+// code behind the artifact's checksum: it must return an error or a model
+// that encodes back to the same bytes and predicts without panicking.
+func FuzzDecodeHybrid(f *testing.F) {
+	payload, err := tinyHotelHybrid(f).Encode()
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(payload)
+	f.Add(payload[:len(payload)/2])
+	f.Add(payload[:len(payload)-1])
+	flip := bytes.Clone(payload)
+	flip[len(flip)-40] ^= 0x08 // inside the trees
+	f.Add(flip)
+	f.Add([]byte{})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		m, err := DecodeHybrid(data)
+		if err != nil {
+			return
+		}
+		again, err := m.Encode()
+		if err != nil || !bytes.Equal(again, data) {
+			t.Fatalf("DecodeHybrid accepted %d bytes that encode back as %d others (%v)", len(data), len(again), err)
+		}
+		if _, _, err := m.PredictBatch(nil, hybridQueryBatch(m.D, 2)); err != nil {
+			t.Fatal(err)
+		}
+	})
 }

@@ -13,7 +13,7 @@ import (
 
 // tinyHotelHybrid builds a small but real hybrid model sized for the hotel
 // application's tier count, so it can drive a Scheduler in tests.
-func tinyHotelHybrid(t *testing.T) *HybridModel {
+func tinyHotelHybrid(t testing.TB) *HybridModel {
 	t.Helper()
 	app := testApp()
 	d := nn.Dims{N: len(app.Tiers), T: 5, F: 6, M: 5}

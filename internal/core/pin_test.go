@@ -3,6 +3,8 @@
 package core
 
 import (
+	"crypto/sha256"
+	"fmt"
 	"hash/fnv"
 	"math"
 	"math/rand"
@@ -106,5 +108,16 @@ func TestTrainHybridPinned(t *testing.T) {
 	}
 	if rep.NumTrees < 2 || rep.ValSamps != 70 {
 		t.Fatalf("pin dataset no longer exercises the trees or the split: %+v", rep)
+	}
+
+	// The payload's bytes are a function of the model, so they are pinned
+	// too: at every -cpu count and under -tags purego (check.sh runs both).
+	payload, err := m.Encode()
+	if err != nil {
+		t.Fatal(err)
+	}
+	const wantPayload = "72fa41d9e97db118c7442f207501502e1c0603fd9738b4ecc747105f46879f40"
+	if got := fmt.Sprintf("%x", sha256.Sum256(payload)); got != wantPayload {
+		t.Fatalf("encoded payload sha256 %s, want %s", got, wantPayload)
 	}
 }

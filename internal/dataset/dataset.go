@@ -17,7 +17,8 @@
 package dataset
 
 import (
-	"encoding/gob"
+	"bytes"
+	"cmp"
 	"fmt"
 	"io"
 	"math"
@@ -30,6 +31,7 @@ import (
 	"sinan/internal/metrics"
 	"sinan/internal/nn"
 	"sinan/internal/tensor"
+	"sinan/internal/wire"
 )
 
 // Dataset is a collection of samples: per-sample allocations and targets,
@@ -287,81 +289,86 @@ func (ds *Dataset) LatencyCDF() ([]float64, []float64) {
 	return vals, fracs
 }
 
-// file is a dataset on disk: gob of every sample's whole window, which is
-// the format whatever the in-memory storage.
-type file struct {
-	D nn.Dims
-	K int
+// fileMagic opens a dataset file. After it, little-endian: N, T, F, M, K
+// and the sample count (u32 each), then per sample its whole window — the
+// [F,N,T] history image and the [T,M] latency history — its allocation
+// (N), its targets (M), as f64, and its violation label (one byte, 0 or
+// 1). Whatever the in-memory storage, the file holds whole windows.
+var fileMagic = [8]byte{'S', 'I', 'N', 'D', 'S', '0', '0', '1'}
 
-	RH    []float64 // n × F·N·T
-	LH    []float64 // n × T·M
-	RC    []float64 // n × N
-	YLat  []float64 // n × M
-	YViol []bool    // n
-	Count int
-}
-
-func (f *file) encode(w io.Writer) error {
-	// A gob stream names its struct type: this is the name the format was
-	// first written under, so Save writes the bytes it always has.
-	type Dataset file
-	return gob.NewEncoder(w).Encode((*Dataset)(f))
-}
-
-// toFile lays the dataset out as on disk, each sample's window whole.
-func (ds *Dataset) toFile() *file {
-	in := ds.Inputs()
-	return &file{D: ds.D, K: ds.K, RH: in.RH.Data, LH: in.LH.Data, RC: ds.RC,
-		YLat: ds.YLat, YViol: ds.YViol, Count: ds.Count}
-}
-
-// Save writes the dataset as gob, each sample's window whole.
-func (ds *Dataset) Save(w io.Writer) error { return ds.toFile().encode(w) }
-
-// Load reads a dataset saved with Save. Input whose slices do not hold
-// exactly Count samples of its dimensions is an error, never a later panic.
-// The samples are appended in order, so the windows of a recorded run share
-// their steps again.
-func Load(r io.Reader) (*Dataset, error) {
-	var f file
-	if err := gob.NewDecoder(r).Decode(&f); err != nil {
-		return nil, err
-	}
-	d := f.D
-	if d.N <= 0 || d.T <= 0 || d.F <= 0 || d.M <= 0 || f.K < 0 ||
-		!holds(len(f.RH), f.Count, d.F, d.N, d.T) || !holds(len(f.LH), f.Count, d.T, d.M) ||
-		!holds(len(f.RC), f.Count, d.N) || !holds(len(f.YLat), f.Count, d.M) || len(f.YViol) != f.Count {
-		return nil, fmt.Errorf("dataset: %d samples of dims %+v (K %d) do not match slice lengths %d/%d/%d/%d/%d",
-			f.Count, d, f.K, len(f.RH), len(f.LH), len(f.RC), len(f.YLat), len(f.YViol))
-	}
-	ds := New(d, f.K)
+// Save writes the dataset to w.
+func (ds *Dataset) Save(w io.Writer) error {
+	d := ds.D
 	rhN, lhN, rcN := ds.rowSizes()
-	for i := 0; i < f.Count; i++ {
-		ds.Append(f.RH[i*rhN:(i+1)*rhN], f.LH[i*lhN:(i+1)*lhN], f.RC[i*rcN:(i+1)*rcN],
-			f.YLat[i*d.M:(i+1)*d.M], f.YViol[i])
+	b := append(make([]byte, 0, 32+ds.Count*ds.sampleBytes()), fileMagic[:]...)
+	b = wire.AppendU32(b, d.N, d.T, d.F, d.M, ds.K, ds.Count)
+	rh, lh := make([]float64, rhN), make([]float64, lhN)
+	for i := 0; i < ds.Count; i++ {
+		ds.window(i, rh, lh)
+		b = wire.AppendF64(wire.AppendF64(b, rh...), lh...)
+		b = wire.AppendF64(wire.AppendF64(b, ds.RC[i*rcN:(i+1)*rcN]...), ds.YLat[i*d.M:(i+1)*d.M]...)
+		b = append(b, 0)
+		if ds.YViol[i] {
+			b[len(b)-1] = 1
+		}
+	}
+	_, err := w.Write(b)
+	return err
+}
+
+// sampleBytes is one sample's encoded size.
+func (ds *Dataset) sampleBytes() int {
+	rhN, lhN, rcN := ds.rowSizes()
+	return 8*(rhN+lhN+rcN+ds.D.M) + 1
+}
+
+// Load decodes a dataset Save wrote. A count or dims the bytes left cannot
+// hold, a label other than 0 or 1, or a byte past the last sample is an
+// error, checked before anything is sized from it. The samples are
+// appended in order, so the windows of a recorded run share their steps
+// again.
+func Load(data []byte) (*Dataset, error) {
+	if !bytes.HasPrefix(data, fileMagic[:]) {
+		return nil, fmt.Errorf("dataset: not a %s file (a gob dataset, written before it, is no longer read; collect it again)", fileMagic[:])
+	}
+	r := wire.NewReader(data[len(fileMagic):])
+	d := nn.Dims{N: int(r.U32()), T: int(r.U32()), F: int(r.U32()), M: int(r.U32())}
+	ds := New(d, int(r.U32()))
+	if err := cmp.Or(r.Err(), d.Check()); err != nil {
+		return nil, fmt.Errorf("dataset: %w", err)
+	}
+	size := ds.sampleBytes()
+	n := r.Count(size)
+	if err := r.Err(); err != nil {
+		return nil, fmt.Errorf("dataset: %w", err)
+	}
+	if r.Len() != n*size {
+		return nil, fmt.Errorf("dataset: %d samples of dims %+v take %d bytes, %d follow", n, d, n*size, r.Len())
+	}
+	rhN, lhN, rcN := ds.rowSizes()
+	rh, lh, rc, ylat := make([]float64, rhN), make([]float64, lhN), make([]float64, rcN), make([]float64, d.M)
+	ds.Reserve(n)
+	for i := 0; i < n; i++ {
+		for _, x := range [...][]float64{rh, lh, rc, ylat} {
+			r.Floats(x)
+		}
+		v := r.Bytes(1)[0]
+		if v > 1 {
+			return nil, fmt.Errorf("dataset: sample %d's label is %d, not 0 or 1", i, v)
+		}
+		ds.Append(rh, lh, rc, ylat, v == 1)
 	}
 	return ds, nil
-}
-
-// holds reports whether n elements are exactly count rows of the given
-// positive shape, dividing so that no product can overflow.
-func holds(n, count int, shape ...int) bool {
-	ok := true
-	for _, s := range shape {
-		ok, n = ok && n%s == 0, n/s
-	}
-	return ok && n == count
 }
 
 // LoadFile reads a dataset from a file. Datasets are written with
 // lifecycle.WriteAtomic(path, ds.Save).
 func LoadFile(path string) (*Dataset, error) {
-	f, err := os.Open(path)
+	b, err := os.ReadFile(path)
 	if err != nil {
 		return nil, err
 	}
-	defer f.Close()
-	return Load(f)
+	return Load(b)
 }
 
 // Recorder assembles samples from a live (or simulated) run. Call Observe

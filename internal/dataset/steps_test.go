@@ -21,8 +21,8 @@ var specials = []float64{
 
 // fixture is a dataset holding both kinds of window: the chained windows of
 // a Recorder run, then two samples continuing nothing, the second holding
-// specials. testdata/whole-windows.gob is this dataset as Save wrote it
-// while every window was stored whole (e29c021).
+// specials. testdata/whole-windows.bin is this dataset as Save writes it:
+// whole windows, whatever the in-memory storage.
 func fixture() *Dataset {
 	ds := New(testDims, 2)
 	r := NewRecorder(ds, 60)
@@ -314,15 +314,15 @@ func TestAppendToSelectLeavesParent(t *testing.T) {
 	}
 }
 
-// A file written while every window was stored whole loads into the same
-// windows, fields and sharing as the dataset it was written from, and Save
-// still writes it byte for byte: the format has not moved.
+// The committed file loads into the same windows, fields and sharing as the
+// dataset it was written from, and Save still writes it byte for byte: the
+// format has not moved.
 func TestLoadReadsWholeWindowFile(t *testing.T) {
-	data, err := os.ReadFile("testdata/whole-windows.gob")
+	data, err := os.ReadFile("testdata/whole-windows.bin")
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := Load(bytes.NewReader(data))
+	got, err := Load(data)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -334,11 +334,7 @@ func TestLoadReadsWholeWindowFile(t *testing.T) {
 	if g, w := storedSteps(got), storedSteps(want); g != w {
 		t.Errorf("the file loads into %d steps, the dataset held %d", g, w)
 	}
-	var buf bytes.Buffer
-	if err := want.Save(&buf); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(buf.Bytes(), data) {
-		t.Fatalf("Save writes %d bytes that differ from the file's %d", buf.Len(), len(data))
+	if b := saved(t, want); !bytes.Equal(b, data) {
+		t.Fatalf("Save writes %d bytes that differ from the file's %d", len(b), len(data))
 	}
 }

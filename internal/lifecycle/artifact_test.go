@@ -3,7 +3,6 @@ package lifecycle
 import (
 	"bytes"
 	"encoding/binary"
-	"encoding/gob"
 	"errors"
 	"io"
 	"os"
@@ -23,11 +22,11 @@ func TestArtifactRoundTripParity(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Encode: %v", err)
 	}
-	if man.Schema != SchemaVersion || man.SHA256 == "" || man.PayloadLen <= 0 {
+	if man.SHA256 == "" || man.PayloadLen <= 0 {
 		t.Fatalf("manifest incomplete: %+v", man)
 	}
-	if man.D != m.D || man.K != m.K || man.QoSMS != m.QoSMS {
-		t.Fatalf("manifest fingerprint %+v does not match model", man)
+	if again, _, err := Encode(m, Manifest{Note: "parity", Samples: 400}); err != nil || !bytes.Equal(again, art) {
+		t.Fatalf("a second encoding of the model differs (%v)", err)
 	}
 	m2, man2, err := Decode(art)
 	if err != nil {
@@ -36,7 +35,7 @@ func TestArtifactRoundTripParity(t *testing.T) {
 	if man2 != man {
 		t.Fatalf("manifest changed across round trip: %+v vs %+v", man2, man)
 	}
-	if m2.Pd != m.Pd || m2.Pu != m.Pu || m2.RMSEValid != m.RMSEValid {
+	if m2.D != m.D || m2.K != m.K || m2.QoSMS != m.QoSMS || m2.Pd != m.Pd || m2.Pu != m.Pu || m2.RMSEValid != m.RMSEValid {
 		t.Fatalf("thresholds changed: pd %v→%v pu %v→%v", m.Pd, m2.Pd, m.Pu, m2.Pu)
 	}
 
@@ -123,8 +122,9 @@ func TestWriteAtomicKeepsDatasetOnFailedWrite(t *testing.T) {
 }
 
 // The envelope is the only file format: a corrupt envelope fails checksum
-// verification, and a bare model payload (what the retired raw-gob format
-// held) or junk is refused at the magic — nothing is sniffed or retried.
+// verification, an artifact of the retired gob format is refused by name,
+// and a bare model payload or junk is refused at the magic — nothing is
+// sniffed or retried.
 func TestReadFileAcceptsOnlyEnvelopes(t *testing.T) {
 	m := trainedHybrid(t)
 	dir := t.TempDir()
@@ -133,8 +133,8 @@ func TestReadFileAcceptsOnlyEnvelopes(t *testing.T) {
 		t.Fatal(err)
 	}
 	art[len(art)-1] ^= 0xFF
-	var payload bytes.Buffer
-	if err := m.Encode(&payload); err != nil {
+	payload, err := m.Encode()
+	if err != nil {
 		t.Fatal(err)
 	}
 	for name, tc := range map[string]struct {
@@ -142,7 +142,8 @@ func TestReadFileAcceptsOnlyEnvelopes(t *testing.T) {
 		want string
 	}{
 		"corrupt.model": {art, "checksum"},
-		"rawgob.model":  {payload.Bytes(), "magic"},
+		"gob.model":     {append([]byte("SINML001"), art[8:]...), "SINML001"},
+		"payload.model": {payload, "magic"},
 		"junk.model":    {[]byte("not a model"), "magic"},
 	} {
 		path := filepath.Join(dir, name)
@@ -165,8 +166,9 @@ func TestArtifactCorruptionNeverPanics(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// Truncations: every envelope boundary plus a stride through the body.
-	cuts := []int{0, 1, 4, 7, 8, 9, 11, 12, 13, 40, len(art) / 2, len(art) - 1}
+	// Truncations: inside and after every manifest field plus a stride
+	// through the payload.
+	cuts := []int{0, 1, 4, 7, 8, 9, 16, 32, 36, 40, 48, 60, 80, len(art) / 2, len(art) - 1}
 	for c := 16; c < len(art); c += 509 {
 		cuts = append(cuts, c)
 	}
@@ -190,49 +192,37 @@ func TestArtifactCorruptionNeverPanics(t *testing.T) {
 	}
 }
 
-func TestArtifactRejectsFingerprintMismatch(t *testing.T) {
+// The manifest's lengths are checked against the bytes present before
+// anything is read or sized from them.
+func TestReadManifestBounds(t *testing.T) {
+	if _, _, err := Decode([]byte("definitely not a model")); err == nil {
+		t.Fatal("garbage accepted")
+	}
 	m := trainedHybrid(t)
-	art, man, err := Encode(m, Manifest{})
+	art, _, err := Encode(m, Manifest{Note: "bounds"})
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Rewrite the envelope with a manifest whose QoS fingerprint disagrees
-	// with the payload, keeping the payload and its digest intact: the
-	// checksum passes, and the dims/QoS cross-check must still refuse it.
-	man.QoSMS++
-	hlen := int(binary.BigEndian.Uint32(art[8:12]))
-	payload := art[12+hlen:]
-	var header bytes.Buffer
-	if err := gob.NewEncoder(&header).Encode(man); err != nil {
-		t.Fatal(err)
-	}
-	tampered := append([]byte{}, artifactMagic[:]...)
-	var hl [4]byte
-	binary.BigEndian.PutUint32(hl[:], uint32(header.Len()))
-	tampered = append(tampered, hl[:]...)
-	tampered = append(tampered, header.Bytes()...)
-	tampered = append(tampered, payload...)
-	if _, _, err := Decode(tampered); err == nil {
-		t.Fatal("fingerprint mismatch decoded without error")
+	const payloadLen, noteLen = 32, 40 // offsets
+	for name, edit := range map[string]func([]byte){
+		"absurd note length":    func(b []byte) { binary.LittleEndian.PutUint32(b[noteLen:], 0xFFFFFFFF) },
+		"absurd payload length": func(b []byte) { binary.LittleEndian.PutUint64(b[payloadLen:], 1<<62) },
+		"short payload length":  func(b []byte) { binary.LittleEndian.PutUint64(b[payloadLen:], uint64(len(art)-100)) },
+	} {
+		mut := bytes.Clone(art)
+		edit(mut)
+		if _, _, err := Decode(mut); err == nil {
+			t.Errorf("%s accepted", name)
+		}
 	}
 }
 
-func TestReadManifestBounds(t *testing.T) {
-	// Not an artifact at all.
-	if _, err := ReadManifest(strings.NewReader("definitely not a model")); err == nil {
-		t.Fatal("garbage accepted")
-	}
-	// Valid magic, absurd header length.
-	b := append([]byte{}, artifactMagic[:]...)
-	b = append(b, 0xFF, 0xFF, 0xFF, 0xFF)
-	if _, _, err := Decode(b); err == nil {
-		t.Fatal("absurd header length accepted")
-	}
-}
-
-// FuzzArtifactDecode asserts the only contract corrupt bytes get: an error,
-// never a panic. Seeds cover a valid artifact, truncations, and bit flips;
-// `go test` runs the corpus, `go test -fuzz=FuzzArtifactDecode` explores.
+// FuzzArtifactDecode asserts the contract corrupt bytes get: an error,
+// never a panic, and bytes Decode accepts are what Encode writes for the
+// model and manifest they hold. Seeds cover a valid artifact, truncations,
+// and bit flips; `go test` runs the corpus, `go test
+// -fuzz=FuzzArtifactDecode` explores. The checksum stops almost every
+// mutation of the payload: core.FuzzDecodeHybrid fuzzes behind it.
 func FuzzArtifactDecode(f *testing.F) {
 	m := trainedHybrid(f)
 	art, _, err := Encode(m, Manifest{Note: "fuzz"})
@@ -249,8 +239,14 @@ func FuzzArtifactDecode(f *testing.F) {
 	f.Add([]byte{})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		m, man, err := Decode(data)
-		if err == nil && m == nil {
+		if err != nil {
+			return
+		}
+		if m == nil {
 			t.Fatalf("nil model without error (manifest %+v)", man)
+		}
+		if again, _, err := Encode(m, man); err != nil || !bytes.Equal(again, data) {
+			t.Fatalf("Decode accepted %d bytes that Encode writes back as %d others (%v)", len(data), len(again), err)
 		}
 	})
 }

@@ -60,6 +60,14 @@ type Dims struct {
 	M int // latency percentiles predicted
 }
 
+// The models' layer widths, read by their constructors and by spec.weights.
+// lstmRCOut is the width of LSTMModel's candidate-allocation encoding.
+const (
+	cnnC1, cnnC2, cnnRHOut, cnnLHOut, cnnRCOut = 8, 8, 24, 16, 16
+	mlpH1, mlpH2                               = 512, 256
+	lstmHidden, lstmRCOut, lstmHead            = 96, 16, 64
+)
+
 // Regressor is a latency predictor: Forward maps Inputs to predicted tail
 // latencies [B, M] (p95..p99 of the next decision interval). All per-call
 // state lives on the caller's Context; Forward resets the context tape,
@@ -97,7 +105,7 @@ func NewLatencyCNN(rng *rand.Rand, d Dims, latent int) *LatencyCNN {
 	if latent <= 0 {
 		latent = 32
 	}
-	const c1, c2, rhOut, lhOut, rcOut = 8, 8, 24, 16, 16
+	const c1, c2, rhOut, lhOut, rcOut = cnnC1, cnnC2, cnnRHOut, cnnLHOut, cnnRCOut
 	m := &LatencyCNN{dims: d, Latent: latent}
 	m.rhConv = &Sequential{Layers: []Layer{
 		NewConv2D(rng, "rh.conv1", d.F, c1, 3, 1), &ReLU{},
@@ -191,9 +199,9 @@ func NewMLP(rng *rand.Rand, d Dims) *MLP {
 		dims: d,
 		in:   in,
 		net: &Sequential{Layers: []Layer{
-			NewDense(rng, "mlp.fc1", in, 512), &ReLU{},
-			NewDense(rng, "mlp.fc2", 512, 256), &ReLU{},
-			NewDense(rng, "mlp.fc3", 256, d.M),
+			NewDense(rng, "mlp.fc1", in, mlpH1), &ReLU{},
+			NewDense(rng, "mlp.fc2", mlpH1, mlpH2), &ReLU{},
+			NewDense(rng, "mlp.fc3", mlpH2, d.M),
 		}},
 	}
 }
@@ -228,9 +236,6 @@ func (m *MLP) Backward(ctx *Context, dpred *tensor.Dense) {
 // Params implements Regressor.
 func (m *MLP) Params() []*Param { return m.net.Params() }
 
-// lstmRCOut is the width of LSTMModel's candidate-allocation encoding.
-const lstmRCOut = 16
-
 // LSTMModel is the recurrent baseline of Table 2: the resource history is
 // presented as a T-step sequence of [F·N + M] vectors (per-step resource
 // snapshot plus latency percentiles); the final hidden state is fused with
@@ -245,7 +250,7 @@ type LSTMModel struct {
 
 // NewLSTMModel builds the baseline LSTM regressor.
 func NewLSTMModel(rng *rand.Rand, d Dims) *LSTMModel {
-	const hidden = 96
+	const hidden = lstmHidden
 	return &LSTMModel{
 		dims:   d,
 		hidden: hidden,
@@ -254,8 +259,8 @@ func NewLSTMModel(rng *rand.Rand, d Dims) *LSTMModel {
 			NewDense(rng, "lstm.rc", d.N, lstmRCOut), &ReLU{},
 		}},
 		head: &Sequential{Layers: []Layer{
-			NewDense(rng, "lstm.head1", hidden+lstmRCOut, 64), &ReLU{},
-			NewDense(rng, "lstm.head2", 64, d.M),
+			NewDense(rng, "lstm.head1", hidden+lstmRCOut, lstmHead), &ReLU{},
+			NewDense(rng, "lstm.head2", lstmHead, d.M),
 		}},
 	}
 }

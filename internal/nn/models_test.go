@@ -2,11 +2,14 @@ package nn
 
 import (
 	"bytes"
+	"encoding/binary"
 	"math"
 	"math/rand"
+	"runtime"
 	"testing"
 
 	"sinan/internal/tensor"
+	"sinan/internal/wire"
 )
 
 var testDims = Dims{N: 6, T: 5, F: 4, M: 5}
@@ -312,6 +315,18 @@ func TestTapeFootprint(t *testing.T) {
 	}
 }
 
+// encoded is what AppendModel writes for tm.
+func encoded(t testing.TB, tm *TrainedModel) []byte {
+	b, err := AppendModel(nil, tm)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return b
+}
+
+// Every kind survives AppendModel → ReadModel with bit-identical
+// predictions, a second encoding writes the same bytes (the encoding is a
+// function of the model), and so does the decoded model's.
 func TestSaveLoadRoundTrip(t *testing.T) {
 	rng := rand.New(rand.NewSource(9))
 	in, y := synthInputs(rng, 200, testDims)
@@ -321,21 +336,102 @@ func TestSaveLoadRoundTrip(t *testing.T) {
 		NewLSTMModel(rand.New(rand.NewSource(22)), testDims),
 	} {
 		tm := Train(model, in, y, TrainConfig{Epochs: 2, Batch: 64, QoSMS: 500, Seed: 1})
-		var buf bytes.Buffer
-		if err := Save(&buf, tm); err != nil {
-			t.Fatal(err)
+		b := encoded(t, tm)
+		if again := encoded(t, tm); !bytes.Equal(again, b) {
+			t.Fatalf("%T: two encodings of one model differ", model)
 		}
-		loaded, err := Load(&buf)
+		r := wire.NewReader(b)
+		loaded, err := ReadModel(r)
 		if err != nil {
 			t.Fatal(err)
+		}
+		if r.Len() != 0 {
+			t.Fatalf("%T: ReadModel left %d bytes", model, r.Len())
+		}
+		if !bytes.Equal(encoded(t, loaded), b) {
+			t.Fatalf("%T: the decoded model encodes to other bytes", model)
 		}
 		want := tm.Predict(in)
 		got := loaded.Predict(in)
 		for i := range want.Data {
-			if math.Abs(want.Data[i]-got.Data[i]) > 1e-9 {
+			if want.Data[i] != got.Data[i] {
 				t.Fatalf("loaded model diverges at %d: %v vs %v", i, got.Data[i], want.Data[i])
 			}
 		}
+	}
+}
+
+// Saving one model twice writes the same bytes: nothing but the model, such
+// as a map's iteration order, may decide them.
+func TestSaveTwiceWritesIdenticalBytes(t *testing.T) {
+	rng := rand.New(rand.NewSource(9))
+	in, y := synthInputs(rng, 50, testDims)
+	tm := Train(NewLatencyCNN(rand.New(rand.NewSource(20)), testDims, 16), in, y,
+		TrainConfig{Epochs: 1, Batch: 64, QoSMS: 500, Seed: 1})
+	first := encoded(t, tm)
+	for i := 0; i < 20; i++ {
+		if !bytes.Equal(encoded(t, tm), first) {
+			t.Fatalf("save %d differs from the first", i+2)
+		}
+	}
+}
+
+// The header with the largest in-range dims and no weights after it is
+// refused before a model is built from it: the bytes its dims imply are
+// checked against the bytes left, so a short input cannot make ReadModel
+// allocate what a model of those dims holds (302 MB at N = T = 256 alone).
+func TestLoadLargestHeaderAllocatesLittle(t *testing.T) {
+	for _, s := range []spec{{"cnn", Dims{MaxDim, MaxDim, MaxDim, MaxDim}, MaxDim}, {"mlp", Dims{MaxDim, MaxDim, MaxDim, MaxDim}, 0}, {"lstm", Dims{MaxDim, MaxDim, MaxDim, MaxDim}, 0}} {
+		b := wire.AppendString(nil, s.kind)
+		for _, v := range []int{s.d.N, s.d.T, s.d.F, s.d.M, s.latent} {
+			b = binary.LittleEndian.AppendUint32(b, uint32(v))
+		}
+		b = wire.AppendF64(b, make([]float64, 2*MaxDim+4)...) // a whole normaliser
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		_, err := ReadModel(wire.NewReader(b))
+		runtime.ReadMemStats(&after)
+		if err == nil {
+			t.Fatalf("%s: a header without weights decoded", s.kind)
+		}
+		got := after.TotalAlloc - before.TotalAlloc
+		t.Logf("%s: %d-byte header refused with %d bytes allocated: %v", s.kind, len(b), got, err)
+		if got >= 1<<20 {
+			t.Errorf("%s: refusing a %d-byte header allocated %d bytes", s.kind, len(b), got)
+		}
+	}
+}
+
+// weights, which ReadModel checks the bytes left against, is the number of
+// floats the constructors' Params() hold, for every kind.
+func TestWeightsMatchesModels(t *testing.T) {
+	for _, d := range []Dims{testDims, {N: 28, T: 5, F: 6, M: 5}, {N: 1, T: 1, F: 1, M: 1}, {N: 3, T: 7, F: 2, M: 4}} {
+		for _, s := range []spec{{"cnn", d, 7}, {"mlp", d, 0}, {"lstm", d, 0}} {
+			n := 0
+			for _, p := range s.build().Params() {
+				n += len(p.W.Data)
+			}
+			if w := s.weights(); w != n {
+				t.Errorf("%s %+v: weights() = %d, Params() hold %d", s.kind, d, w, n)
+			}
+		}
+	}
+}
+
+// A clone predicts what its original does and shares no weights with it.
+func TestCloneCopiesWeights(t *testing.T) {
+	rng := rand.New(rand.NewSource(9))
+	in, y := synthInputs(rng, 50, testDims)
+	tm := Train(NewLatencyCNN(rand.New(rand.NewSource(20)), testDims, 16), in, y,
+		TrainConfig{Epochs: 1, Batch: 64, QoSMS: 500, Seed: 1})
+	c := tm.Clone()
+	if !bytes.Equal(encoded(t, c), encoded(t, tm)) {
+		t.Fatal("the clone encodes to other bytes")
+	}
+	c.Model.Params()[0].W.Data[0]++
+	c.Norm.RHMean[0]++
+	if bytes.Equal(encoded(t, c), encoded(t, tm)) {
+		t.Fatal("the clone shares weights or the normaliser with its original")
 	}
 }
 
@@ -383,15 +479,14 @@ func TestInputsSlice(t *testing.T) {
 }
 
 func TestLoadRejectsGarbage(t *testing.T) {
-	if _, err := Load(bytes.NewReader([]byte("garbage"))); err == nil {
+	if _, err := ReadModel(wire.NewReader([]byte("garbage"))); err == nil {
 		t.Fatal("corrupt stream should fail to load")
 	}
 }
 
 func TestSaveRejectsUnknownModel(t *testing.T) {
-	var buf bytes.Buffer
 	tm := &TrainedModel{Model: unknownModel{}, Norm: &Normalizer{}}
-	if err := Save(&buf, tm); err == nil {
+	if _, err := AppendModel(nil, tm); err == nil {
 		t.Fatal("unknown model type should not serialize")
 	}
 }

@@ -1,7 +1,8 @@
 // Package nn implements the neural-network substrate Sinan's latency
 // predictor is built on (the paper used MXNet): dense, convolutional, and
 // LSTM layers with backpropagation, SGD with momentum and weight decay, the
-// paper's φ-scaled squared loss (Eq. 1–2), and gob model serialization.
+// paper's φ-scaled squared loss (Eq. 1–2), and a model codec whose bytes are
+// a function of the model (serialize.go).
 // Everything is plain Go and deterministic given a seeded initialiser.
 package nn
 

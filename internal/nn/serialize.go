@@ -1,134 +1,129 @@
 package nn
 
 import (
-	"encoding/gob"
+	"cmp"
 	"fmt"
-	"io"
 	"math/rand"
+
+	"sinan/internal/wire"
 )
 
-// modelBlob is the gob wire format for a trained model.
-type modelBlob struct {
-	Kind   string
-	D      Dims
-	Latent int
-	K      int // multi-task violation horizon (unused otherwise)
-	Params map[string][]float64
-	Norm   Normalizer
-}
+// A model's encoding (DESIGN.md §12 "Artifacts") is its kind, dims and
+// latent width (0 unless cnn), the normaliser, then each parameter in
+// Params() order as name and weights. Every length is implied by the kind
+// and the dims, so the bytes are a function of the model alone.
 
-func kindOf(m Regressor) (string, int, error) {
-	switch v := m.(type) {
-	case *LatencyCNN:
-		return "cnn", v.Latent, nil
-	case *MLP:
-		return "mlp", 0, nil
-	case *LSTMModel:
-		return "lstm", 0, nil
-	default:
-		return "", 0, fmt.Errorf("nn: cannot serialize model type %T", m)
-	}
-}
+// MaxDim bounds each axis of a decoded Dims (and a CNN's latent width): no
+// deployment comes near it, and it keeps every size the dims imply far from
+// overflowing an int.
+const MaxDim = 1 << 12
 
-// Save writes a trained model (weights + normaliser) as gob.
-func Save(w io.Writer, tm *TrainedModel) error {
-	kind, latent, err := kindOf(tm.Model)
-	if err != nil {
-		return err
-	}
-	blob := modelBlob{
-		Kind:   kind,
-		D:      tm.Model.Dims(),
-		Latent: latent,
-		Params: map[string][]float64{},
-		Norm:   *tm.Norm,
-	}
-	for _, p := range tm.Model.Params() {
-		if _, dup := blob.Params[p.Name]; dup {
-			return fmt.Errorf("nn: duplicate parameter name %q", p.Name)
+// Check reports an axis outside 1..MaxDim.
+func (d Dims) Check() error {
+	for _, v := range [...]int{d.N, d.T, d.F, d.M} {
+		if v < 1 || v > MaxDim {
+			return fmt.Errorf("dims %+v out of range (each 1..%d)", d, MaxDim)
 		}
-		blob.Params[p.Name] = p.W.Data
-	}
-	return gob.NewEncoder(w).Encode(blob)
-}
-
-// Dimension sanity bounds for deserialized blobs. A corrupt or adversarial
-// blob can carry arbitrary Dims; constructing a model from huge or negative
-// dimensions would panic (or OOM) inside tensor allocation long before the
-// per-parameter length checks run, so validateBlob bounds everything first.
-const (
-	maxBlobDim    = 1 << 12 // per-axis bound (N, T, F, M, Latent)
-	maxBlobParams = 1 << 26 // total float64s across all parameter tensors
-)
-
-// validateBlob rejects blobs whose shape metadata cannot belong to a real
-// model, before any allocation is sized from it.
-func validateBlob(blob *modelBlob) error {
-	d := blob.D
-	for _, v := range []struct {
-		name string
-		val  int
-	}{
-		{"N", d.N}, {"T", d.T}, {"F", d.F}, {"M", d.M},
-	} {
-		if v.val <= 0 || v.val > maxBlobDim {
-			return fmt.Errorf("nn: blob dims.%s = %d out of range (1..%d)", v.name, v.val, maxBlobDim)
-		}
-	}
-	if blob.Kind == "cnn" && (blob.Latent <= 0 || blob.Latent > maxBlobDim) {
-		return fmt.Errorf("nn: blob latent = %d out of range (1..%d)", blob.Latent, maxBlobDim)
-	}
-	total := 0
-	for name, data := range blob.Params {
-		if len(data) > maxBlobParams {
-			return fmt.Errorf("nn: blob parameter %q has %d values", name, len(data))
-		}
-		total += len(data)
-		if total > maxBlobParams {
-			return fmt.Errorf("nn: blob parameters total %d+ values", total)
-		}
-	}
-	if len(blob.Norm.RHMean) != d.F || len(blob.Norm.RHStd) != d.F {
-		return fmt.Errorf("nn: blob normalizer lengths %d/%d, want F=%d",
-			len(blob.Norm.RHMean), len(blob.Norm.RHStd), d.F)
 	}
 	return nil
 }
 
-// Load reconstructs a trained model saved with Save. Corrupt input —
-// truncated, bit-flipped, or shape-mismatched — returns an error, never a
-// panic: the blob's dimensions are validated before any model is built from
-// them, and every parameter tensor's length is checked before copying.
-func Load(r io.Reader) (*TrainedModel, error) {
-	var blob modelBlob
-	if err := gob.NewDecoder(r).Decode(&blob); err != nil {
-		return nil, err
+// spec names a model's constructor and its arguments.
+type spec struct {
+	kind   string
+	d      Dims
+	latent int // cnn only
+}
+
+func specOf(m Regressor) (spec, error) {
+	switch v := m.(type) {
+	case *LatencyCNN:
+		return spec{"cnn", v.dims, v.Latent}, nil
+	case *MLP:
+		return spec{"mlp", v.dims, 0}, nil
+	case *LSTMModel:
+		return spec{"lstm", v.dims, 0}, nil
 	}
-	if err := validateBlob(&blob); err != nil {
-		return nil, err
-	}
+	return spec{}, fmt.Errorf("nn: cannot serialize model type %T", m)
+}
+
+// build constructs the model s names, its weights to be overwritten.
+func (s spec) build() Regressor {
 	rng := rand.New(rand.NewSource(0))
-	var model Regressor
-	switch blob.Kind {
+	switch s.kind {
 	case "cnn":
-		model = NewLatencyCNN(rng, blob.D, blob.Latent)
+		return NewLatencyCNN(rng, s.d, s.latent)
 	case "mlp":
-		model = NewMLP(rng, blob.D)
-	case "lstm":
-		model = NewLSTMModel(rng, blob.D)
-	default:
-		return nil, fmt.Errorf("nn: unknown model kind %q", blob.Kind)
+		return NewMLP(rng, s.d)
 	}
+	return NewLSTMModel(rng, s.d)
+}
+
+// weights is the number of floats the Params() of the model s names hold,
+// computed without building it, or -1 for an unknown kind or latent width.
+// TestWeightsMatchesModels keeps it equal to the constructors.
+func (s spec) weights() int {
+	d := s.d
+	dense := func(in, out int) int { return in*out + out }
+	switch {
+	case s.kind == "cnn" && s.latent >= 1 && s.latent <= MaxDim:
+		conv := func(cin, cout int) int { return cout*cin*9 + cout }
+		return conv(d.F, cnnC1) + conv(cnnC1, cnnC2) + dense(cnnC2*d.N*d.T, cnnRHOut) +
+			dense(d.T*d.M, cnnLHOut) + dense(d.N, cnnRCOut) +
+			dense(cnnRHOut+cnnLHOut+cnnRCOut, s.latent) + dense(s.latent, d.M)
+	case s.kind == "mlp" && s.latent == 0:
+		return dense(d.F*d.N*d.T+d.T*d.M+d.N, mlpH1) + dense(mlpH1, mlpH2) + dense(mlpH2, d.M)
+	case s.kind == "lstm" && s.latent == 0:
+		return dense(d.F*d.N+d.M+lstmHidden, 4*lstmHidden) + dense(d.N, lstmRCOut) +
+			dense(lstmHidden+lstmRCOut, lstmHead) + dense(lstmHead, d.M)
+	}
+	return -1
+}
+
+// AppendModel appends tm's encoding to b.
+func AppendModel(b []byte, tm *TrainedModel) ([]byte, error) {
+	s, err := specOf(tm.Model)
+	if err != nil {
+		return nil, err
+	}
+	b = wire.AppendU32(wire.AppendString(b, s.kind), s.d.N, s.d.T, s.d.F, s.d.M, s.latent)
+	n := tm.Norm
+	b = wire.AppendF64(wire.AppendF64(wire.AppendF64(b, n.RHMean...), n.RHStd...), n.LHMean, n.LHStd, n.RCMean, n.RCStd)
+	for _, p := range tm.Model.Params() {
+		b = wire.AppendF64(wire.AppendString(b, p.Name), p.W.Data...)
+	}
+	return b, nil
+}
+
+// ReadModel decodes a model AppendModel wrote from r. Corrupt input —
+// truncated, bit-flipped, or carrying hostile dims — is an error, never a
+// panic, and the bytes the dims imply are checked against the bytes left
+// before a model is sized from them.
+func ReadModel(r *wire.Reader) (*TrainedModel, error) {
+	s := spec{r.String(), Dims{N: int(r.U32()), T: int(r.U32()), F: int(r.U32()), M: int(r.U32())}, int(r.U32())}
+	if err := cmp.Or(r.Err(), s.d.Check()); err != nil {
+		return nil, fmt.Errorf("nn: %w", err)
+	}
+	w := s.weights()
+	if w < 0 {
+		return nil, fmt.Errorf("nn: unknown model kind %q with latent width %d", s.kind, s.latent)
+	}
+	if need := 8 * (2*s.d.F + 4 + w); need > r.Len() {
+		return nil, fmt.Errorf("nn: a %s of dims %+v takes %d bytes of floats, %d left", s.kind, s.d, need, r.Len())
+	}
+	norm := &Normalizer{RHMean: make([]float64, s.d.F), RHStd: make([]float64, s.d.F)}
+	r.Floats(norm.RHMean)
+	r.Floats(norm.RHStd)
+	norm.LHMean, norm.LHStd, norm.RCMean, norm.RCStd = r.F64(), r.F64(), r.F64(), r.F64()
+	model := s.build()
 	for _, p := range model.Params() {
-		data, ok := blob.Params[p.Name]
-		if !ok {
-			return nil, fmt.Errorf("nn: missing parameter %q", p.Name)
+		if name := r.String(); r.Err() == nil && name != p.Name {
+			return nil, fmt.Errorf("nn: parameter %q where %q belongs", name, p.Name)
 		}
-		if len(data) != len(p.W.Data) {
-			return nil, fmt.Errorf("nn: parameter %q size %d, want %d", p.Name, len(data), len(p.W.Data))
-		}
-		copy(p.W.Data, data)
+		r.Floats(p.W.Data)
 	}
-	norm := blob.Norm
-	return &TrainedModel{Model: model, Norm: &norm}, nil
+	if err := r.Err(); err != nil {
+		return nil, fmt.Errorf("nn: %w", err)
+	}
+	return &TrainedModel{Model: model, Norm: norm}, nil
 }

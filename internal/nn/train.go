@@ -1,11 +1,11 @@
 package nn
 
 import (
-	"bytes"
 	"fmt"
 	"io"
 	"math"
 	"math/rand"
+	"slices"
 
 	"sinan/internal/tensor"
 )
@@ -179,20 +179,25 @@ type TrainedModel struct {
 	Norm  *Normalizer
 }
 
-// Clone deep-copies the trained model through its serialised form, so the
-// copy shares no weights with the original. Inference never needs a clone
-// (share the instance, give each goroutine a Context); Clone exists for
-// flows that fine-tune divergent weight copies from one base model.
+// Clone deep-copies the trained model: a model of the same kind and dims
+// with the weights copied through Params(), so the copy shares no weights
+// with the original. Inference never needs a clone (share the instance,
+// give each goroutine a Context); Clone exists for flows that fine-tune
+// divergent weight copies from one base model. It panics only on a
+// Regressor this package does not define.
 func (tm *TrainedModel) Clone() *TrainedModel {
-	var buf bytes.Buffer
-	if err := Save(&buf, tm); err != nil {
-		panic(fmt.Sprintf("nn: clone failed to serialize: %v", err))
-	}
-	out, err := Load(&buf)
+	s, err := specOf(tm.Model)
 	if err != nil {
-		panic(fmt.Sprintf("nn: clone failed to deserialize: %v", err))
+		panic(err)
 	}
-	return out
+	model := s.build()
+	from := tm.Model.Params()
+	for i, p := range model.Params() {
+		copy(p.W.Data, from[i].W.Data)
+	}
+	norm := *tm.Norm
+	norm.RHMean, norm.RHStd = slices.Clone(norm.RHMean), slices.Clone(norm.RHStd)
+	return &TrainedModel{Model: model, Norm: &norm}
 }
 
 // Train fits a regressor on inputs (raw feature space) and targets in

@@ -66,9 +66,7 @@ func (noArgs) decode(b []byte) error {
 }
 
 func (a *PredictArgs) appendTo(b []byte) []byte {
-	b = binary.LittleEndian.AppendUint32(b, uint32(a.Batch))
-	b = binary.LittleEndian.AppendUint64(b, math.Float64bits(a.DeadlineMS))
-	return wire.AppendFloats(b, a.RH, a.LH, a.RC)
+	return wire.AppendFloats(wire.AppendF64(wire.AppendU32(b, a.Batch), a.DeadlineMS), a.RH, a.LH, a.RC)
 }
 
 // decode reuses a's slices: a connection's loop keeps one PredictArgs.
@@ -82,7 +80,7 @@ func (a *PredictArgs) decode(b []byte) error {
 }
 
 func (r *PredictReply) appendTo(b []byte) []byte {
-	return wire.AppendFloats(binary.LittleEndian.AppendUint32(b, uint32(r.M)), r.Lat, r.PViol)
+	return wire.AppendFloats(wire.AppendU32(b, r.M), r.Lat, r.PViol)
 }
 
 // decode reuses r's slices, which the client points at the caller's
@@ -98,23 +96,16 @@ func (r *PredictReply) decode(b []byte) error {
 
 func (r *MetaReply) appendTo(b []byte) []byte {
 	m := r.Meta
-	for _, d := range [...]int{m.D.N, m.D.T, m.D.F, m.D.M} {
-		b = binary.LittleEndian.AppendUint32(b, uint32(d))
-	}
-	for _, v := range [...]float64{m.QoSMS, m.RMSEValid, m.Pd, m.Pu} {
-		b = binary.LittleEndian.AppendUint64(b, math.Float64bits(v))
-	}
-	return b
+	return wire.AppendF64(wire.AppendU32(b, m.D.N, m.D.T, m.D.F, m.D.M), m.QoSMS, m.RMSEValid, m.Pd, m.Pu)
 }
 
 func (r *MetaReply) decode(b []byte) error {
 	if len(b) != metaReplyLen {
 		return wire.ErrMalformed
 	}
-	u32 := func(i int) int { return int(binary.LittleEndian.Uint32(b[4*i:])) }
-	f64 := func(i int) float64 { return math.Float64frombits(binary.LittleEndian.Uint64(b[16+8*i:])) }
-	r.Meta = core.ModelMeta{D: nn.Dims{N: u32(0), T: u32(1), F: u32(2), M: u32(3)},
-		QoSMS: f64(0), RMSEValid: f64(1), Pd: f64(2), Pu: f64(3)}
+	w := wire.NewReader(b)
+	r.Meta = core.ModelMeta{D: nn.Dims{N: int(w.U32()), T: int(w.U32()), F: int(w.U32()), M: int(w.U32())},
+		QoSMS: w.F64(), RMSEValid: w.F64(), Pd: w.F64(), Pu: w.F64()}
 	return nil
 }
 

@@ -193,7 +193,7 @@ func gobBody(t testing.TB, v any) rawBody {
 }
 
 // FuzzServeConn throws arbitrary bytes at the server's connection loop — the
-// frame reader, the raw Predict decoder, Meta's gob body and the retired
+// frame reader, the raw Predict decoder, Meta's empty body and the retired
 // kinds' — in front of a real Service. The loop must hang up or keep answering
 // without panicking and return once the peer is gone; afterwards the
 // service still answers a valid query and nothing is left in flight.

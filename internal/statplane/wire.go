@@ -26,11 +26,7 @@ const (
 const tierRecord = 4 + 8*8
 
 func appendTier(b []byte, tier int, s cluster.Stats) []byte {
-	b = binary.LittleEndian.AppendUint32(b, uint32(tier))
-	for _, v := range [...]float64{s.CPUUsage, s.CPULimit, s.RSS, s.Cache, s.NetRx, s.NetTx, s.QueueLen, s.Stalled} {
-		b = binary.LittleEndian.AppendUint64(b, math.Float64bits(v))
-	}
-	return b
+	return wire.AppendF64(wire.AppendU32(b, tier), s.CPUUsage, s.CPULimit, s.RSS, s.Cache, s.NetRx, s.NetTx, s.QueueLen, s.Stalled)
 }
 
 func readTier(b []byte) TierStats {
@@ -59,11 +55,7 @@ func decodeReport(r *Report, b []byte, part []int) error {
 }
 
 func appendAssign(b []byte, tiers []int) []byte {
-	b = binary.LittleEndian.AppendUint32(b, WireVersion)
-	for _, t := range tiers {
-		b = binary.LittleEndian.AppendUint32(b, uint32(t))
-	}
-	return b
+	return wire.AppendU32(wire.AppendU32(b, WireVersion), tiers...)
 }
 
 // ErrNoPartition is a hub's answer to a Hello when every partition is held.

@@ -1,7 +1,8 @@
 // Package wire is the one frame both network paths speak, predsvc's calls
 // and the stats plane's agent sessions (DESIGN.md §9, "Wire"): u32 n · u8
 // kind · n bytes of body, integers little-endian. What a kind's body holds
-// is the owning package's business.
+// is the owning package's business. The same integers and float bits are
+// the on-disk codecs of models and datasets, read back by Reader.
 package wire
 
 import (
@@ -73,9 +74,7 @@ func AppendFloats(b []byte, xs ...[]float64) []byte {
 		b = binary.LittleEndian.AppendUint32(b, uint32(len(x)))
 	}
 	for _, x := range xs {
-		for _, v := range x {
-			b = binary.LittleEndian.AppendUint64(b, math.Float64bits(v))
-		}
+		b = AppendF64(b, x...)
 	}
 	return b
 }
@@ -106,6 +105,94 @@ func ReadFloats(b []byte, header int, dst ...*[]float64) error {
 	}
 	return nil
 }
+
+// AppendF64 appends each value's bits and no count: the reader knows how
+// many to read (Reader.Floats).
+func AppendF64(b []byte, vs ...float64) []byte {
+	for _, v := range vs {
+		b = binary.LittleEndian.AppendUint64(b, math.Float64bits(v))
+	}
+	return b
+}
+
+// AppendU32 appends each value as a u32.
+func AppendU32(b []byte, vs ...int) []byte {
+	for _, v := range vs {
+		b = binary.LittleEndian.AppendUint32(b, uint32(v))
+	}
+	return b
+}
+
+// AppendString appends s's length as a u32, then its bytes.
+func AppendString(b []byte, s string) []byte { return append(AppendU32(b, len(s)), s...) }
+
+// Reader reads, front to back, what the Append helpers wrote: the on-disk
+// codecs of models and datasets. Every read checks the bytes left, so a
+// count is checked before the caller sizes anything from it. The first
+// error sticks: later reads return zeros, and Err reports it.
+type Reader struct {
+	b   []byte
+	err error
+}
+
+func NewReader(b []byte) *Reader { return &Reader{b: b} }
+func (r *Reader) Err() error     { return r.err }
+func (r *Reader) Len() int       { return len(r.b) } // bytes not yet read
+
+// Fail records err unless an error is recorded already.
+func (r *Reader) Fail(err error) {
+	if r.err == nil {
+		r.err = err
+	}
+}
+
+// Bytes returns the next n bytes, aliasing the input, or nil after an error.
+func (r *Reader) Bytes(n int) []byte {
+	if n > len(r.b) {
+		r.Fail(fmt.Errorf("wire: input ends %d bytes short", n-len(r.b)))
+	}
+	if r.err != nil {
+		return nil
+	}
+	b := r.b[:n:n]
+	r.b = r.b[n:]
+	return b
+}
+
+func (r *Reader) U32() uint32  { return binary.LittleEndian.Uint32(r.fixed(4)) }
+func (r *Reader) U64() uint64  { return binary.LittleEndian.Uint64(r.fixed(8)) }
+func (r *Reader) F64() float64 { return math.Float64frombits(r.U64()) }
+
+// fixed is Bytes for a field of n ≤ 8 bytes, zeros after an error.
+func (r *Reader) fixed(n int) []byte {
+	if b := r.Bytes(n); b != nil {
+		return b
+	}
+	return make([]byte, 8)
+}
+
+// Floats fills dst from the next 8·len(dst) bytes.
+func (r *Reader) Floats(dst []float64) {
+	if b := r.Bytes(8 * len(dst)); b != nil {
+		for i := range dst {
+			dst[i] = math.Float64frombits(binary.LittleEndian.Uint64(b[8*i:]))
+		}
+	}
+}
+
+// Count reads a u32 count of items of at least size bytes each and fails
+// unless that many can still follow. It returns 0 after an error.
+func (r *Reader) Count(size int) int {
+	n := int(r.U32())
+	if n > r.Len()/size {
+		r.Fail(fmt.Errorf("wire: %d items of %d bytes announced, %d bytes left", n, size, r.Len()))
+		return 0
+	}
+	return n
+}
+
+// String reads what AppendString wrote.
+func (r *Reader) String() string { return string(r.Bytes(r.Count(1))) }
 
 // Backoff is a capped doubling delay, not jittered: every program runs one
 // client per service and one agent per -id, so no replicas' retries could

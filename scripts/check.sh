@@ -37,6 +37,14 @@ fi
 
 stage "go vet"
 go vet ./...
+# Models and datasets go to disk in one hand-written layout (DESIGN.md §12
+# "Artifacts"); encoding/gob, whose map order made a saved model's bytes
+# differ from save to save, must not come back into any program.
+if go list -deps ./... | grep -qx encoding/gob; then
+    echo "encoding/gob is a dependency of:" >&2
+    go list -f '{{.ImportPath}} {{join .Imports " "}}' ./... | grep -w encoding/gob | cut -d' ' -f1 >&2
+    exit 1
+fi
 
 stage "go build"
 go build ./...

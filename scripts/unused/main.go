@@ -23,8 +23,8 @@
 // receiver type (T or *T) implements an interface that carries the method —
 // one declared in a non-test file of the module, or error, fmt.Stringer or
 // sort.Interface — since it is called through the interface; and an
-// exported field of a struct that reaches encoding/gob or encoding/json
-// (read by reflection). An allow-list entry that matches nothing fails the
+// exported field of a struct that reaches encoding/json (read by
+// reflection). An allow-list entry that matches nothing fails the
 // scan too, so an entry cannot outlive its reason. Run it through
 // scripts/unused.sh.
 package main
@@ -280,12 +280,9 @@ func run(dir string, allow map[string]string, out io.Writer) int {
 				if sel, ok := e.Fun.(*ast.SelectorExpr); ok {
 					id = sel.Sel
 				}
-				if f, ok := info.Uses[id].(*types.Func); ok && f.Pkg() != nil {
-					switch f.Pkg().Path() {
-					case "encoding/gob", "encoding/json":
-						for _, a := range e.Args {
-							w.reach(info.Types[a].Type)
-						}
+				if f, ok := info.Uses[id].(*types.Func); ok && f.Pkg() != nil && f.Pkg().Path() == "encoding/json" {
+					for _, a := range e.Args {
+						w.reach(info.Types[a].Type)
 					}
 				}
 			}

@@ -177,7 +177,8 @@ func assertSamePredictions(t *testing.T, want, got *Model, in nn.Inputs) {
 // README's own sequence: sinan-train writes its model with
 // lifecycle.WriteFile, and the public LoadModel — like sinan-explain's
 // loader, lifecycle.ReadFile — must read that file back to the same model.
-// (LoadModel used to expect a different, raw-gob format and failed here.)
+// (LoadModel used to expect a bare model payload, not the envelope, and
+// failed here.)
 func TestLoadModelReadsWhatTrainWrites(t *testing.T) {
 	m, in := tinyModel(t)
 	path := filepath.Join(t.TempDir(), "social.model")
