@@ -519,11 +519,8 @@ func DecodeHybrid(payload []byte) (*HybridModel, error) {
 	}
 	m := &HybridModel{Lat: tm, Viol: bt, D: tm.Model.Dims(), K: int(r.U32())}
 	m.QoSMS, m.RMSEValid, m.Pd, m.Pu = r.F64(), r.F64(), r.F64(), r.F64()
-	if err := r.Err(); err != nil {
+	if err := r.End(); err != nil {
 		return nil, fmt.Errorf("core: hybrid model: %w", err)
-	}
-	if r.Len() != 0 {
-		return nil, fmt.Errorf("core: hybrid model: %d bytes after its end", r.Len())
 	}
 	cnn, ok := tm.Model.(*nn.LatencyCNN)
 	if !ok || bt.Dim != cnn.Latent+2*m.D.N {

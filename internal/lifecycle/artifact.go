@@ -12,7 +12,6 @@ package lifecycle
 import (
 	"bytes"
 	"crypto/sha256"
-	"encoding/binary"
 	"encoding/hex"
 	"fmt"
 	"io"
@@ -64,9 +63,7 @@ func Encode(m *core.HybridModel, man Manifest) ([]byte, Manifest, error) {
 	man.PayloadLen = int64(len(payload))
 	man.SHA256 = hex.EncodeToString(sum[:])
 	b := append(make([]byte, 0, 76+len(man.Note)+len(payload)), artifactMagic[:]...) // 76: the fixed fields
-	for _, v := range [...]int64{int64(man.Version), int64(man.Samples), man.TrainedAtUnix, man.PayloadLen} {
-		b = binary.LittleEndian.AppendUint64(b, uint64(v))
-	}
+	b = wire.AppendU64(b, uint64(man.Version), uint64(man.Samples), uint64(man.TrainedAtUnix), uint64(man.PayloadLen))
 	return append(append(wire.AppendString(b, man.Note), sum[:]...), payload...), man, nil
 }
 

@@ -288,20 +288,18 @@ func serveRaw(t *testing.T, h handler) (addr string, stop func()) {
 	return l.Addr().String(), func() { srv.Close() }
 }
 
-type expiringSinan struct{ unknownSinan }
+type expiringSinan struct{ metaOnlySinan }
 
-func (expiringSinan) Meta(*struct{}, *MetaReply) error { return nil }
 func (expiringSinan) predict(*serveScratch, *PredictArgs, *PredictReply, bool) error {
 	return ErrExpired
 }
 
 // stallSinan holds every predict until release is closed.
 type stallSinan struct {
-	unknownSinan
+	metaOnlySinan
 	release chan struct{}
 }
 
-func (s stallSinan) Meta(*struct{}, *MetaReply) error { return nil }
 func (s stallSinan) predict(*serveScratch, *PredictArgs, *PredictReply, bool) error {
 	<-s.release
 	return nil
@@ -314,7 +312,8 @@ func TestClientCountsDeadlineExceeded(t *testing.T) {
 	d := nn.Dims{N: 4, T: 3, F: 6, M: 5}
 
 	// Wire form: the server answers "expired" over a healthy connection.
-	addr, stop := serveRaw(t, expiringSinan{})
+	meta := metaOnlySinan{meta: core.ModelMeta{D: d}}
+	addr, stop := serveRaw(t, expiringSinan{meta})
 	defer stop()
 	c, err := dialWith(addr, quickOpts())
 	if err != nil {
@@ -338,7 +337,7 @@ func TestClientCountsDeadlineExceeded(t *testing.T) {
 	}
 
 	// Local form: the client's own deadline fires first.
-	stall := stallSinan{release: make(chan struct{})}
+	stall := stallSinan{meta, make(chan struct{})}
 	addr2, stop2 := serveRaw(t, stall)
 	defer stop2()
 	defer close(stall.release) // runs first, so stop2 has nothing left to wait for

@@ -6,21 +6,14 @@
 package predsvc
 
 import (
-	"encoding/binary"
+	"cmp"
 	"fmt"
-	"math"
 	"net"
 	"time"
 
 	"sinan/internal/core"
 	"sinan/internal/nn"
 	"sinan/internal/wire"
-)
-
-const (
-	predictArgsHeader  = 12 // u32 Batch · f64 DeadlineMS, then the counts and floats of RH, LH, RC
-	predictReplyHeader = 4  // u32 M, then the counts and floats of Lat, PViol
-	metaReplyLen       = 48 // u32 N, T, F, M · f64 QoSMS, RMSEValid, Pd, Pu
 )
 
 // The kind byte: of a request frame, then of a reply frame. A request of any
@@ -47,7 +40,8 @@ type handler interface {
 	Meta(*struct{}, *MetaReply) error
 }
 
-// body is a request or reply: a fixed header and raw bits.
+// body is a request or reply. decode is a run of wire.Reader reads and the
+// Reader's one end check.
 type body interface {
 	appendTo(b []byte) []byte
 	decode(b []byte) error
@@ -57,13 +51,7 @@ type body interface {
 type noArgs struct{}
 
 func (noArgs) appendTo(b []byte) []byte { return b }
-
-func (noArgs) decode(b []byte) error {
-	if len(b) != 0 {
-		return wire.ErrMalformed
-	}
-	return nil
-}
+func (noArgs) decode(b []byte) error    { return wire.NewReader(b).End() }
 
 func (a *PredictArgs) appendTo(b []byte) []byte {
 	return wire.AppendFloats(wire.AppendF64(wire.AppendU32(b, a.Batch), a.DeadlineMS), a.RH, a.LH, a.RC)
@@ -71,12 +59,10 @@ func (a *PredictArgs) appendTo(b []byte) []byte {
 
 // decode reuses a's slices: a connection's loop keeps one PredictArgs.
 func (a *PredictArgs) decode(b []byte) error {
-	if err := wire.ReadFloats(b, predictArgsHeader, &a.RH, &a.LH, &a.RC); err != nil {
-		return err
-	}
-	a.Batch = int(binary.LittleEndian.Uint32(b))
-	a.DeadlineMS = math.Float64frombits(binary.LittleEndian.Uint64(b[4:]))
-	return nil
+	w := wire.NewReader(b)
+	a.Batch, a.DeadlineMS = int(w.U32()), w.F64()
+	w.FloatRuns(&a.RH, &a.LH, &a.RC)
+	return w.End()
 }
 
 func (r *PredictReply) appendTo(b []byte) []byte {
@@ -87,11 +73,10 @@ func (r *PredictReply) appendTo(b []byte) []byte {
 // core.PredictContext: the answer is the caller's, valid until that
 // context's next use, and a warmed context decodes without allocating.
 func (r *PredictReply) decode(b []byte) error {
-	if err := wire.ReadFloats(b, predictReplyHeader, &r.Lat, &r.PViol); err != nil {
-		return err
-	}
-	r.M = int(binary.LittleEndian.Uint32(b))
-	return nil
+	w := wire.NewReader(b)
+	r.M = int(w.U32())
+	w.FloatRuns(&r.Lat, &r.PViol)
+	return w.End()
 }
 
 func (r *MetaReply) appendTo(b []byte) []byte {
@@ -99,14 +84,13 @@ func (r *MetaReply) appendTo(b []byte) []byte {
 	return wire.AppendF64(wire.AppendU32(b, m.D.N, m.D.T, m.D.F, m.D.M), m.QoSMS, m.RMSEValid, m.Pd, m.Pu)
 }
 
+// decode refuses dims nn.Dims.Check refuses: a scheduler sizes its history
+// rings by them.
 func (r *MetaReply) decode(b []byte) error {
-	if len(b) != metaReplyLen {
-		return wire.ErrMalformed
-	}
 	w := wire.NewReader(b)
-	r.Meta = core.ModelMeta{D: nn.Dims{N: int(w.U32()), T: int(w.U32()), F: int(w.U32()), M: int(w.U32())},
-		QoSMS: w.F64(), RMSEValid: w.F64(), Pd: w.F64(), Pu: w.F64()}
-	return nil
+	d := nn.Dims{N: int(w.U32()), T: int(w.U32()), F: int(w.U32()), M: int(w.U32())}
+	r.Meta = core.ModelMeta{D: d, QoSMS: w.F64(), RMSEValid: w.F64(), Pd: w.F64(), Pu: w.F64()}
+	return cmp.Or(w.End(), d.Check())
 }
 
 // roundTrip sends one request and reads its reply under one deadline. A nil

@@ -9,6 +9,7 @@ import (
 	"net"
 	"reflect"
 	"runtime"
+	"strings"
 	"testing"
 	"time"
 
@@ -102,6 +103,11 @@ const (
 	retiredRollback
 )
 
+// The fixed part of each body in bytes: a predict request's u32 Batch · f64
+// DeadlineMS and a reply's u32 M, each followed by its float runs, and
+// Meta's whole reply.
+const argsFixed, replyFixed, metaLen = 12, 4, 48
+
 // frame builds one frame by hand.
 func frame(kind byte, body []byte) []byte {
 	b := binary.LittleEndian.AppendUint32(nil, uint32(len(body)))
@@ -157,9 +163,9 @@ func TestBrokenFramesAreErrors(t *testing.T) {
 		got   body
 		want  any
 	}{
-		{wireSeeds(frame(methodPredict, args.appendTo(nil)), predictArgsHeader+12, predictArgsHeader), new(PredictArgs), args},
-		{wireSeeds(frame(statusOK, reply.appendTo(nil)), predictReplyHeader+8, predictReplyHeader), new(PredictReply), reply},
-		{wireSeeds(frame(statusOK, meta.appendTo(nil)), metaReplyLen, 0), new(MetaReply), meta},
+		{wireSeeds(frame(methodPredict, args.appendTo(nil)), argsFixed+12, argsFixed), new(PredictArgs), args},
+		{wireSeeds(frame(statusOK, reply.appendTo(nil)), replyFixed+8, replyFixed), new(PredictReply), reply},
+		{wireSeeds(frame(statusOK, meta.appendTo(nil)), metaLen, 0), new(MetaReply), meta},
 	} {
 		for i, seed := range tc.seeds {
 			w := &wire.Conn{Conn: readConn{r: bytes.NewReader(seed)}}
@@ -173,6 +179,39 @@ func TestBrokenFramesAreErrors(t *testing.T) {
 				t.Errorf("whole frame decoded as %+v, want %+v", tc.got, tc.want)
 			}
 		}
+	}
+}
+
+// requireReencodes is the codec oracle over every whole frame in data: a
+// body any of the four decoders accepts re-encodes to the same bytes.
+func requireReencodes(t *testing.T, data []byte) {
+	w := &wire.Conn{Conn: readConn{r: bytes.NewReader(data)}}
+	for {
+		_, b, err := w.Recv()
+		if err != nil {
+			return
+		}
+		for _, v := range []body{new(PredictArgs), new(PredictReply), new(MetaReply), noArgs{}} {
+			if v.decode(b) == nil && !bytes.Equal(v.appendTo(nil), b) {
+				t.Fatalf("%T accepted the body %x and re-encodes it as %x", v, b, v.appendTo(nil))
+			}
+		}
+	}
+}
+
+// A Meta reply's dims size the scheduler's history rings, so Dial refuses
+// dims that nn.Dims.Check refuses instead of handing them on.
+func TestDialRefusesMetaDimsOutOfRange(t *testing.T) {
+	for _, T := range []int{0, nn.MaxDim + 1} {
+		addr, stop := serveRaw(t, metaOnlySinan{meta: core.ModelMeta{D: nn.Dims{N: 4, T: T, F: 6, M: 5}, QoSMS: 200}})
+		c, err := Dial(addr)
+		if err == nil {
+			c.Close()
+			t.Errorf("Dial accepted a Meta reply with T = %d", T)
+		} else if !strings.Contains(err.Error(), "out of range") {
+			t.Errorf("Dial with T = %d: %v, want the dims refused", T, err)
+		}
+		stop()
 	}
 }
 
@@ -196,7 +235,8 @@ func gobBody(t testing.TB, v any) rawBody {
 // frame reader, the raw Predict decoder, Meta's empty body and the retired
 // kinds' — in front of a real Service. The loop must hang up or keep answering
 // without panicking and return once the peer is gone; afterwards the
-// service still answers a valid query and nothing is left in flight.
+// service still answers a valid query and nothing is left in flight. Every
+// whole frame fed also goes through requireReencodes.
 func FuzzServeConn(f *testing.F) {
 	m := tinyHybrid(f)
 	shared := mkShared(m.D, 3)
@@ -209,10 +249,10 @@ func FuzzServeConn(f *testing.F) {
 	}
 	predictShared := frame(methodPredictShared, sharedArgs.appendTo(nil))
 	update := frame(retiredUpdateModel, gobBody(f, &struct{ Artifact []byte }{artifact}))
-	for _, seed := range wireSeeds(predictShared, predictArgsHeader+12, predictArgsHeader) {
+	for _, seed := range wireSeeds(predictShared, argsFixed+12, argsFixed) {
 		f.Add(seed)
 	}
-	for _, seed := range wireSeeds(frame(methodPredict, fullArgs.appendTo(nil)), predictArgsHeader+12, predictArgsHeader) {
+	for _, seed := range wireSeeds(frame(methodPredict, fullArgs.appendTo(nil)), argsFixed+12, argsFixed) {
 		f.Add(seed)
 	}
 	for _, seed := range wireSeeds(update, 0, 0) {
@@ -231,6 +271,7 @@ func FuzzServeConn(f *testing.F) {
 	f.Add(append(bytes.Clone(predictShared), update...)) // two requests back to back
 
 	f.Fuzz(func(t *testing.T, data []byte) {
+		requireReencodes(t, data)
 		svc := NewServiceWith(m, ServiceOptions{})
 		client, server := net.Pipe()
 		returned := make(chan struct{})
@@ -265,7 +306,8 @@ func FuzzServeConn(f *testing.F) {
 // FuzzClientReply answers one PredictShared with arbitrary bytes. The client
 // must return an error or a result of the shape it asked for — never panic,
 // never size anything by an unchecked count — and must not wait past its
-// call deadline for bytes that never come.
+// call deadline for bytes that never come. The bytes also go through
+// requireReencodes.
 func FuzzClientReply(f *testing.F) {
 	d := nn.Dims{N: 4, T: 3, F: 6, M: 5}
 	const batch = 2
@@ -274,7 +316,7 @@ func FuzzClientReply(f *testing.F) {
 		good.Lat[i] = float64(i) + 0.5
 	}
 	good.PViol[1] = math.NaN()
-	for _, seed := range wireSeeds(frame(statusOK, good.appendTo(nil)), predictReplyHeader+8, predictReplyHeader) {
+	for _, seed := range wireSeeds(frame(statusOK, good.appendTo(nil)), replyFixed+8, replyFixed) {
 		f.Add(seed)
 	}
 	wrongShape := *good
@@ -289,6 +331,7 @@ func FuzzClientReply(f *testing.F) {
 
 	in := mkShared(d, batch)
 	f.Fuzz(func(t *testing.T, data []byte) {
+		requireReencodes(t, data)
 		opts := quickOpts()
 		opts.CallTimeout = 30 * time.Millisecond
 		c := newClient("", opts)

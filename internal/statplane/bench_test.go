@@ -1,7 +1,7 @@
 package statplane
 
 import (
-	"encoding/binary"
+	"slices"
 	"testing"
 
 	"sinan/internal/cluster"
@@ -30,30 +30,24 @@ func BenchmarkReportEncode(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		rep.Seq++
-		buf = binary.LittleEndian.AppendUint64(append(buf[:0], 0, 0, 0, 0, kindReport), rep.Seq)
-		buf = binary.LittleEndian.AppendUint64(buf, uint64(rep.Interval))
-		for _, ts := range rep.Tiers {
-			buf = appendTier(buf, ts.Tier, ts.Stats)
-		}
+		buf = appendReport(append(buf[:0], 0, 0, 0, 0, kindReport), rep)
 	}
 }
 
-// BenchmarkReportDecode measures the hub's per-report decode into the
-// Report its read loop reuses.
+// BenchmarkReportDecode measures the hub's per-report work in its read loop:
+// the decode into the Report it reuses, then the filter that keeps the
+// session's own partition (the same DeleteFunc as Hub.handle).
 func BenchmarkReportDecode(b *testing.B) {
 	rep := benchReport(4)
-	body := binary.LittleEndian.AppendUint64(nil, rep.Seq)
-	body = binary.LittleEndian.AppendUint64(body, uint64(rep.Interval))
-	for _, ts := range rep.Tiers {
-		body = appendTier(body, ts.Tier, ts.Stats)
-	}
+	body := appendReport(nil, rep)
 	part := []int{0, 1, 2, 3}
 	var out Report
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		if err := decodeReport(&out, body, part); err != nil {
+		if err := decodeReport(&out, body); err != nil {
 			b.Fatal(err)
 		}
+		out.Tiers = slices.DeleteFunc(out.Tiers, func(ts TierStats) bool { return !slices.Contains(part, ts.Tier) })
 	}
 }
 

@@ -3,6 +3,7 @@ package statplane
 import (
 	"bytes"
 	"encoding/binary"
+	"fmt"
 	"io"
 	"net"
 	"testing"
@@ -32,7 +33,38 @@ func sampleBody(interval int64, tiers ...int) []byte {
 }
 
 func reportFrame(seq uint64, interval int64, tiers ...int) []byte {
-	return frame(kindReport, append(binary.LittleEndian.AppendUint64(nil, seq), sampleBody(interval, tiers...)...))
+	return frame(kindReport, append(wire.AppendU64(nil, seq), sampleBody(interval, tiers...)...))
+}
+
+// appendReport is what decodeReport reads: the agent's u64 seq · the
+// Sample's body it echoes.
+func appendReport(b []byte, r Report) []byte {
+	b = wire.AppendU64(b, r.Seq, uint64(r.Interval))
+	for _, ts := range r.Tiers {
+		b = appendTier(b, ts.Tier, ts.Stats)
+	}
+	return b
+}
+
+// readConn is the reading half of a connection over bytes in memory.
+type readConn struct {
+	net.Conn
+	r io.Reader
+}
+
+func (c readConn) Read(p []byte) (int, error) { return c.r.Read(p) }
+
+// splitFrames returns the kind and a copy of the body of each whole frame at
+// the front of data.
+func splitFrames(data []byte) (kinds []byte, bodies [][]byte) {
+	in := wire.Conn{Conn: readConn{r: bytes.NewReader(data)}}
+	for {
+		kind, b, err := in.Recv()
+		if err != nil {
+			return kinds, bodies
+		}
+		kinds, bodies = append(kinds, kind), append(bodies, bytes.Clone(b))
+	}
 }
 
 // feedHub plays one agent connection against h.handle over net.Pipe: it
@@ -62,7 +94,9 @@ func feedHub(t *testing.T, h *Hub, data []byte) {
 // connection — first as a whole connection, then as what follows a valid
 // Hello — and requires the hub to hang up or keep reading without
 // panicking, to keep its partition bookkeeping in range, and to assemble
-// full-width snapshots afterwards.
+// full-width snapshots afterwards. The codec oracle holds for both of the
+// hub's decoders: a Report body decodeReport accepts re-encodes to the same
+// bytes, and so does the Hello a session was opened on.
 func FuzzHubConn(f *testing.F) {
 	hello := helloFrame(WireVersion, "fuzz")
 	rep := reportFrame(1, 0, 1, 99, 0xFFFFFFFF) // one tier of the partition, two outside it
@@ -85,6 +119,13 @@ func FuzzHubConn(f *testing.F) {
 	}
 
 	f.Fuzz(func(t *testing.T, data []byte) {
+		_, bodies := splitFrames(data)
+		for _, b := range bodies {
+			var rep Report
+			if decodeReport(&rep, b) == nil && !bytes.Equal(appendReport(nil, rep), b) {
+				t.Fatalf("decodeReport accepted %x, which re-encodes as %x", b, appendReport(nil, rep))
+			}
+		}
 		const tiers = 4
 		h, err := NewHub("127.0.0.1:0", HubConfig{
 			Sampler: &fixedSampler{}, NumTiers: tiers, IntervalSec: 1,
@@ -112,6 +153,13 @@ func FuzzHubConn(f *testing.F) {
 		if got := h.Agents(); got < 1 || got > h.Partitions() {
 			t.Fatalf("agents = %d after a valid Hello, want 1..%d", got, h.Partitions())
 		}
+		h.mu.Lock()
+		for _, sess := range h.sessions {
+			if sess.name != "fuzz" && !bytes.HasPrefix(data, helloFrame(WireVersion, sess.name)) {
+				t.Fatalf("a session named %q was opened on a Hello that does not re-encode to %x", sess.name, data[:min(len(data), 64)])
+			}
+		}
+		h.mu.Unlock()
 		// Both connections are gone: the next interval assembles with every
 		// tier flagged missing instead of waiting or panicking.
 		st := h.Collect(1, 2)
@@ -127,7 +175,9 @@ func FuzzHubConn(f *testing.F) {
 // up. The session must return once the bytes are spent or stop
 // parsing, without panicking, and everything it wrote must be well formed:
 // its Hello, then Reports with consecutive sequence numbers, each carrying
-// a whole Sample body.
+// the body of the Sample it answers. The codec oracle holds for the agent's
+// decoders: the partition the session returns re-encodes to the Assign it
+// was read from, and a Report relays only a Sample the agent accepted.
 func FuzzAgentSession(f *testing.F) {
 	assign := frame(kindAssign, appendAssign(nil, []int{0, 1}))
 	samples := append(frame(kindSample, sampleBody(0, 0, 1)), frame(kindSample, sampleBody(1, 0, 1))...)
@@ -145,10 +195,12 @@ func FuzzAgentSession(f *testing.F) {
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		agentEnd, hubEnd := net.Pipe()
+		kinds, bodies := splitFrames(data)
 		agent := &WireAgent{Name: "fuzz"}
 		returned := make(chan struct{})
+		var tiers []int
 		go func() {
-			agent.Session(agentEnd)
+			tiers, _ = agent.Session(agentEnd)
 			agentEnd.Close() // what sinan-agent does; unblocks the Write below
 			close(returned)
 		}()
@@ -167,8 +219,16 @@ func FuzzAgentSession(f *testing.F) {
 				if err != nil {
 					return
 				}
-				if kind != kindReport || len(b) < 16 || (len(b)-16)%tierRecord != 0 || binary.LittleEndian.Uint64(b) != seq {
-					bad = "a frame after the Hello is not the next whole Report"
+				// Report seq answers the frame after the Assign, data's
+				// frame seq, which must be a Sample the agent accepted.
+				if kind != kindReport || seq >= uint64(len(bodies)) || kinds[seq] != kindSample ||
+					!bytes.Equal(b, append(wire.AppendU64(nil, seq), bodies[seq]...)) {
+					bad = "a frame after the Hello is not the Report of the next Sample"
+					return
+				}
+				var rep Report
+				if err := decodeReport(&rep, b); err != nil {
+					bad = fmt.Sprintf("Report %d relays a Sample body the hub cannot read: %v", seq, err)
 					return
 				}
 			}
@@ -185,6 +245,9 @@ func FuzzAgentSession(f *testing.F) {
 		<-read
 		if bad != "" {
 			t.Fatal(bad)
+		}
+		if tiers != nil && !bytes.HasPrefix(data, frame(kindAssign, appendAssign(nil, tiers))) {
+			t.Fatalf("the session took the partition %v from an Assign that does not re-encode to it", tiers)
 		}
 	})
 }

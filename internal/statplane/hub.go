@@ -1,7 +1,6 @@
 package statplane
 
 import (
-	"encoding/binary"
 	"net"
 	"slices"
 	"sync"
@@ -138,20 +137,24 @@ func (h *Hub) handle(conn net.Conn) {
 	in := wire.Conn{Conn: conn}
 	conn.SetReadDeadline(time.Now().Add(5 * time.Second))
 	kind, b, err := in.Recv()
-	if err != nil || kind != kindHello || len(b) <= 4 || binary.LittleEndian.Uint32(b) != WireVersion {
+	r := wire.NewReader(b)
+	version, name := r.U32(), string(r.Bytes(r.Len()))
+	if err != nil || kind != kindHello || r.End() != nil || version != WireVersion || name == "" {
 		return
 	}
 	conn.SetReadDeadline(time.Time{})
-	sess := h.attach(string(b[4:]), conn)
+	sess := h.attach(name, conn)
 	if sess == nil {
 		return
 	}
 	rep := Report{Agent: sess.name}
 	for {
 		kind, b, err := in.Recv()
-		if err != nil || kind != kindReport || decodeReport(&rep, b, sess.tiers) != nil {
+		if err != nil || kind != kindReport || decodeReport(&rep, b) != nil {
 			break
 		}
+		// A session reports for its own partition only.
+		rep.Tiers = slices.DeleteFunc(rep.Tiers, func(ts TierStats) bool { return !slices.Contains(sess.tiers, ts.Tier) })
 		h.agg.OfferReport(rep)
 	}
 	sess.mu.Lock()
@@ -224,7 +227,7 @@ func (h *Hub) Collect(interval int64, now float64) IntervalState {
 	h.mu.Unlock()
 	for _, sess := range sessions {
 		sess.mu.Lock()
-		b := binary.LittleEndian.AppendUint64(sess.out.Begin(kindSample), uint64(interval))
+		b := wire.AppendU64(sess.out.Begin(kindSample), uint64(interval))
 		for _, t := range sess.tiers {
 			b = appendTier(b, t, h.cfg.Sampler.SampleTier(t))
 		}

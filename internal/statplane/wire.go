@@ -1,11 +1,9 @@
 package statplane
 
 import (
-	"encoding/binary"
 	"errors"
-	"math"
+	"fmt"
 	"net"
-	"slices"
 
 	"sinan/internal/cluster"
 	"sinan/internal/wire"
@@ -22,36 +20,24 @@ const (
 	kindReport                 // agent → hub: u64 seq · the Sample's body
 )
 
-// tierRecord is a tier in a Sample or Report: u32 tier · cluster.Stats' 8 f64.
-const tierRecord = 4 + 8*8
-
+// A tier in a Sample or Report is u32 tier · cluster.Stats' 8 f64.
 func appendTier(b []byte, tier int, s cluster.Stats) []byte {
 	return wire.AppendF64(wire.AppendU32(b, tier), s.CPUUsage, s.CPULimit, s.RSS, s.Cache, s.NetRx, s.NetTx, s.QueueLen, s.Stalled)
 }
 
-func readTier(b []byte) TierStats {
-	var s cluster.Stats
-	for i, v := range [...]*float64{&s.CPUUsage, &s.CPULimit, &s.RSS, &s.Cache, &s.NetRx, &s.NetTx, &s.QueueLen, &s.Stalled} {
-		*v = math.Float64frombits(binary.LittleEndian.Uint64(b[4+8*i:]))
-	}
-	return TierStats{Tier: int(binary.LittleEndian.Uint32(b)), Stats: s}
+func readTier(r *wire.Reader) TierStats {
+	return TierStats{Tier: int(r.U32()), Stats: cluster.Stats{CPUUsage: r.F64(), CPULimit: r.F64(), RSS: r.F64(),
+		Cache: r.F64(), NetRx: r.F64(), NetTx: r.F64(), QueueLen: r.F64(), Stalled: r.F64()}}
 }
 
-// decodeReport reads a Report body into r, reusing r.Tiers, and keeps only
-// the tiers of part: a session reports for its own partition.
-func decodeReport(r *Report, b []byte, part []int) error {
-	if len(b) < 16 || (len(b)-16)%tierRecord != 0 {
-		return wire.ErrMalformed
+// decodeReport reads a Report body into rep, reusing rep.Tiers.
+func decodeReport(rep *Report, b []byte) error {
+	r := wire.NewReader(b)
+	rep.Seq, rep.Interval, rep.Tiers = r.U64(), int64(r.U64()), rep.Tiers[:0]
+	for r.Len() > 0 {
+		rep.Tiers = append(rep.Tiers, readTier(r))
 	}
-	r.Seq = binary.LittleEndian.Uint64(b)
-	r.Interval = int64(binary.LittleEndian.Uint64(b[8:]))
-	r.Tiers = r.Tiers[:0]
-	for b = b[16:]; len(b) > 0; b = b[tierRecord:] {
-		if ts := readTier(b); slices.Contains(part, ts.Tier) {
-			r.Tiers = append(r.Tiers, ts)
-		}
-	}
-	return nil
+	return r.End()
 }
 
 func appendAssign(b []byte, tiers []int) []byte {
@@ -78,39 +64,51 @@ type WireAgent struct {
 // parse. It returns the partition assigned (nil if none) and why it ended.
 func (a *WireAgent) Session(conn net.Conn) (tiers []int, err error) {
 	in, out := wire.Conn{Conn: conn}, wire.Conn{Conn: conn}
-	hello := binary.LittleEndian.AppendUint32(out.Begin(kindHello), WireVersion)
-	if err := out.Send(append(hello, a.Name...)); err != nil {
+	if err := out.Send(append(wire.AppendU32(out.Begin(kindHello), WireVersion), a.Name...)); err != nil {
 		return nil, err
 	}
 	kind, b, err := in.Recv()
-	switch {
-	case err != nil:
+	if err != nil {
 		return nil, err
-	case kind != kindAssign || len(b) < 4 || len(b)%4 != 0 || binary.LittleEndian.Uint32(b) != WireVersion:
-		return nil, errors.New("statplane: the hub did not answer Hello with an Assign of this wire version")
-	case len(b) == 4:
-		return nil, ErrNoPartition
 	}
-	for b = b[4:]; len(b) > 0; b = b[4:] {
-		tiers = append(tiers, int(binary.LittleEndian.Uint32(b)))
+	r := wire.NewReader(b)
+	if kind != kindAssign || r.U32() != WireVersion {
+		return nil, errors.New("statplane: the hub did not answer Hello with an Assign of this wire version")
+	}
+	for r.Len() > 0 {
+		tiers = append(tiers, int(r.U32()))
+	}
+	if err := r.End(); err != nil {
+		return nil, fmt.Errorf("statplane: Assign: %w", err)
+	}
+	if tiers == nil {
+		return nil, ErrNoPartition
 	}
 	for {
 		kind, b, err := in.Recv()
 		if err != nil {
 			return tiers, err
 		}
-		if kind != kindSample || len(b) < 8 || (len(b)-8)%tierRecord != 0 {
-			return tiers, wire.ErrMalformed
+		if kind != kindSample {
+			return tiers, fmt.Errorf("statplane: frame kind %d where a Sample belongs", kind)
+		}
+		r := wire.NewReader(b)
+		interval := int64(r.U64())
+		for r.Len() > 0 {
+			readTier(r) // relayed as they are, but only whole
+		}
+		if err := r.End(); err != nil {
+			return tiers, fmt.Errorf("statplane: Sample: %w", err)
 		}
 		a.seq++
 		v := Deliver
 		if a.Gate != nil {
-			v = a.Gate(a.seq, int64(binary.LittleEndian.Uint64(b)))
+			v = a.Gate(a.seq, interval)
 		}
 		if v == Drop {
 			continue
 		}
-		report := append(binary.LittleEndian.AppendUint64(out.Begin(kindReport), a.seq), b...)
+		report := append(wire.AppendU64(out.Begin(kindReport), a.seq), b...)
 		err = out.Send(report)
 		if err == nil && v == Duplicate {
 			err = out.Send(report) // a retransmit racing its original: the same seq twice

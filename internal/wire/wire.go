@@ -2,12 +2,13 @@
 // and the stats plane's agent sessions (DESIGN.md §9, "Wire"): u32 n · u8
 // kind · n bytes of body, integers little-endian. What a kind's body holds
 // is the owning package's business. The same integers and float bits are
-// the on-disk codecs of models and datasets, read back by Reader.
+// the on-disk codecs of models and datasets. Every frame body and every file
+// is read back by Reader, and this package is the only one that imports
+// encoding/binary.
 package wire
 
 import (
 	"encoding/binary"
-	"errors"
 	"fmt"
 	"io"
 	"math"
@@ -24,9 +25,6 @@ const (
 	// 256 candidates at Social Network size (256 × 893 floats ≈ 1.8 MB).
 	MaxFrame = 8 << 20
 )
-
-// ErrMalformed is a whole frame whose body does not parse.
-var ErrMalformed = errors.New("wire: malformed frame body")
 
 // Conn is a connection and the byte buffer its frames are built in and read
 // into, so a warmed Conn allocates nothing. A body Recv returns aliases the
@@ -68,7 +66,8 @@ func (c *Conn) Recv() (kind byte, body []byte, err error) {
 	return kind, body, err
 }
 
-// AppendFloats appends every slice's length as a u32, then every float's bits.
+// AppendFloats appends every slice's length as a u32, then every float's bits
+// (Reader.FloatRuns).
 func AppendFloats(b []byte, xs ...[]float64) []byte {
 	for _, x := range xs {
 		b = binary.LittleEndian.AppendUint32(b, uint32(len(x)))
@@ -77,33 +76,6 @@ func AppendFloats(b []byte, xs ...[]float64) []byte {
 		b = AppendF64(b, x...)
 	}
 	return b
-}
-
-// ReadFloats decodes what AppendFloats wrote after b's first header bytes
-// into the storage dst already has. The lengths must account for exactly the
-// bytes present: checked in 64 bits, before anything is sliced or sized.
-func ReadFloats(b []byte, header int, dst ...*[]float64) error {
-	if len(b) < header+4*len(dst) {
-		return ErrMalformed
-	}
-	counts, b := b[header:header+4*len(dst)], b[header+4*len(dst):]
-	var sum uint64
-	for i := range dst {
-		sum += uint64(binary.LittleEndian.Uint32(counts[4*i:]))
-	}
-	if 8*sum != uint64(len(b)) {
-		return ErrMalformed
-	}
-	for i, d := range dst {
-		n := int(binary.LittleEndian.Uint32(counts[4*i:]))
-		x := slices.Grow((*d)[:0], n)[:n]
-		for j := range x { // advancing b costs half of what indexing b[8*j:] does
-			x[j] = math.Float64frombits(binary.LittleEndian.Uint64(b))
-			b = b[8:]
-		}
-		*d = x
-	}
-	return nil
 }
 
 // AppendF64 appends each value's bits and no count: the reader knows how
@@ -123,13 +95,21 @@ func AppendU32(b []byte, vs ...int) []byte {
 	return b
 }
 
+// AppendU64 appends each value as a u64.
+func AppendU64(b []byte, vs ...uint64) []byte {
+	for _, v := range vs {
+		b = binary.LittleEndian.AppendUint64(b, v)
+	}
+	return b
+}
+
 // AppendString appends s's length as a u32, then its bytes.
 func AppendString(b []byte, s string) []byte { return append(AppendU32(b, len(s)), s...) }
 
-// Reader reads, front to back, what the Append helpers wrote: the on-disk
-// codecs of models and datasets. Every read checks the bytes left, so a
-// count is checked before the caller sizes anything from it. The first
-// error sticks: later reads return zeros, and Err reports it.
+// Reader reads, front to back, what the Append helpers wrote: every frame
+// body and every file. Every read checks the bytes left, so a count is
+// checked before the caller sizes anything from it. The first error sticks:
+// later reads return zeros, and Err and End report it.
 type Reader struct {
 	b   []byte
 	err error
@@ -139,11 +119,21 @@ func NewReader(b []byte) *Reader { return &Reader{b: b} }
 func (r *Reader) Err() error     { return r.err }
 func (r *Reader) Len() int       { return len(r.b) } // bytes not yet read
 
-// Fail records err unless an error is recorded already.
+// Fail records err unless an error is recorded already, and drops the bytes
+// left: Len is 0 from the first error on, so a read-until-empty loop ends.
 func (r *Reader) Fail(err error) {
 	if r.err == nil {
 		r.err = err
 	}
+	r.b = nil
+}
+
+// End is a decoder's last call: the first error, or one if bytes are left.
+func (r *Reader) End() error {
+	if r.err == nil && len(r.b) > 0 {
+		return fmt.Errorf("wire: %d bytes after the end", len(r.b))
+	}
+	return r.err
 }
 
 // Bytes returns the next n bytes, aliasing the input, or nil after an error.
@@ -174,21 +164,46 @@ func (r *Reader) fixed(n int) []byte {
 // Floats fills dst from the next 8·len(dst) bytes.
 func (r *Reader) Floats(dst []float64) {
 	if b := r.Bytes(8 * len(dst)); b != nil {
-		for i := range dst {
-			dst[i] = math.Float64frombits(binary.LittleEndian.Uint64(b[8*i:]))
+		for i := range dst { // advancing b costs half of what indexing b[8*i:] does
+			dst[i] = math.Float64frombits(binary.LittleEndian.Uint64(b))
+			b = b[8:]
 		}
+	}
+}
+
+// FloatRuns reads what AppendFloats wrote into the storage dst already has.
+// The counts, summed in 64 bits, must fit in the bytes left before any
+// slice is sized from them.
+func (r *Reader) FloatRuns(dst ...*[]float64) {
+	counts := r.Bytes(4 * len(dst))
+	if counts == nil {
+		return
+	}
+	var sum uint64
+	for c := counts; len(c) > 0; c = c[4:] {
+		sum += uint64(binary.LittleEndian.Uint32(c))
+	}
+	if 8*sum > uint64(len(r.b)) {
+		r.Fail(fmt.Errorf("wire: %d floats announced, %d bytes left", sum, len(r.b)))
+		return
+	}
+	for _, d := range dst {
+		n := int(binary.LittleEndian.Uint32(counts))
+		counts = counts[4:]
+		*d = slices.Grow((*d)[:0], n)[:n]
+		r.Floats(*d)
 	}
 }
 
 // Count reads a u32 count of items of at least size bytes each and fails
 // unless that many can still follow. It returns 0 after an error.
 func (r *Reader) Count(size int) int {
-	n := int(r.U32())
-	if n > r.Len()/size {
+	n := r.U32()
+	if uint64(n) > uint64(r.Len()/size) { // not int(n): negative where int has 32 bits
 		r.Fail(fmt.Errorf("wire: %d items of %d bytes announced, %d bytes left", n, size, r.Len()))
 		return 0
 	}
-	return n
+	return int(n)
 }
 
 // String reads what AppendString wrote.

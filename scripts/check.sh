@@ -45,6 +45,16 @@ if go list -deps ./... | grep -qx encoding/gob; then
     go list -f '{{.ImportPath}} {{join .Imports " "}}' ./... | grep -w encoding/gob | cut -d' ' -f1 >&2
     exit 1
 fi
+# Every frame body and every file is written by internal/wire's Append
+# helpers and read by its one Reader (DESIGN.md §9 "Wire"), so no other
+# program package imports encoding/binary. bench/ is the benchmark's own code,
+# exempt.
+binary_importers=$(go list -f '{{.ImportPath}} {{join .Imports " "}}' ./... | grep -w encoding/binary | cut -d' ' -f1 | grep -vx -e sinan/internal/wire -e sinan/bench || true)
+if [ -n "$binary_importers" ]; then
+    echo "encoding/binary is imported outside internal/wire by:" >&2
+    echo "$binary_importers" >&2
+    exit 1
+fi
 
 stage "go build"
 go build ./...
