@@ -6,9 +6,10 @@
 //
 //	sinan-serve -model hotel.model -addr :9090
 //
-// The service answers Predict, PredictShared and Meta in length-prefixed
-// frames over TCP; schedulers connect with predsvc.Dial and use the remote model
-// exactly like a local one. Admission control protects the server under
+// The service answers Predict (one history window shared by every candidate,
+// or one per candidate) and Meta in length-prefixed frames over TCP;
+// schedulers connect with predsvc.Dial and use the remote model exactly like
+// a local one. Admission control protects the server under
 // overload: -max-active bounds concurrent predictions (0 = GOMAXPROCS,
 // negative disables the gate) and -max-queue bounds the LIFO burst queue
 // (0 = 4x max-active, negative = no queue). Excess load is shed with a

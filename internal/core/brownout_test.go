@@ -27,12 +27,12 @@ func (m *shedModel) Meta() ModelMeta { return m.inner.Meta() }
 
 func (m *shedModel) LastPredictMS() float64 { return m.costMS }
 
-func (m *shedModel) PredictBatch(ctx *PredictContext, in nn.Inputs) (*tensor.Dense, []float64, error) {
+func (m *shedModel) PredictShared(ctx *PredictContext, in nn.SharedInputs) (*tensor.Dense, []float64, error) {
 	m.batches = append(m.batches, in.Batch())
 	if m.shed {
 		return nil, nil, testShedErr{}
 	}
-	return m.inner.PredictBatch(ctx, in)
+	return m.inner.PredictShared(ctx, in)
 }
 
 // topKBatch bounds a query at BrownoutTopK: the hold row, every single-tier

@@ -43,12 +43,8 @@ func (m *scriptedModel) Meta() ModelMeta {
 
 func (m *scriptedModel) LastPredictMS() float64 { return m.costMS }
 
-func (m *scriptedModel) PredictBatch(_ *PredictContext, in nn.Inputs) (*tensor.Dense, []float64, error) {
-	// The expanded form repeats one window per row; row 0 is all of it.
-	return m.score(in.RH.Data[:m.d.F*m.d.N*m.d.T], in.LH.Data[:m.d.T*m.d.M], in.RC)
-}
-
-func (m *scriptedModel) score(rh, lh []float64, rc *tensor.Dense) (*tensor.Dense, []float64, error) {
+func (m *scriptedModel) PredictShared(_ *PredictContext, in nn.SharedInputs) (*tensor.Dense, []float64, error) {
+	rh, lh, rc := in.RH.Data, in.LH.Data, in.RC
 	b := rc.Shape[0]
 	pinFloats(m.h, float64(b))
 	pinFloats(m.h, rh...)
@@ -90,14 +86,6 @@ func (m *scriptedModel) score(rh, lh []float64, rc *tensor.Dense) (*tensor.Dense
 		pred.Data[int(m.step%uint64(b))*m.d.M+m.d.M-1] = math.NaN()
 	}
 	return pred, pv, nil
-}
-
-// sharedScripted adds the deduplicated query form, so the pin covers both
-// dispatch paths.
-type sharedScripted struct{ *scriptedModel }
-
-func (s sharedScripted) PredictShared(_ *PredictContext, in nn.SharedInputs) (*tensor.Dense, []float64, error) {
-	return s.score(in.RH.Data, in.LH.Data, in.RC)
 }
 
 func pinFloats(h hash.Hash64, vs ...float64) {
@@ -198,14 +186,10 @@ type pinOutcome struct {
 	s                          *Scheduler
 }
 
-func runPinScript(app *apps.App, opts SchedulerOptions, shared bool) pinOutcome {
+func runPinScript(app *apps.App, opts SchedulerOptions) pinOutcome {
 	n := len(app.Tiers)
 	m := &scriptedModel{d: nn.Dims{N: n, T: 5, F: 6, M: 5}, h: fnv.New64a()}
-	var p Predictor = m
-	if shared {
-		p = sharedScripted{m}
-	}
-	s := NewScheduler(app, p, opts)
+	s := NewScheduler(app, m, opts)
 	out := pinOutcome{s: s}
 
 	alloc := make([]float64, n)
@@ -305,18 +289,17 @@ func runPinScript(app *apps.App, opts SchedulerOptions, shared bool) pinOutcome 
 // platform and needs no build constraint.
 func TestDecideSequencePinned(t *testing.T) {
 	for _, arm := range []struct {
-		name   string
-		app    *apps.App
-		opts   SchedulerOptions
-		shared bool
-		want   uint64
+		name string
+		app  *apps.App
+		opts SchedulerOptions
+		want uint64
 	}{
-		{"hotel/plain", apps.NewHotelReservation(), SchedulerOptions{}, false, 0x1825682dec261383},
-		{"social/shared", apps.NewSocialNetwork(), SchedulerOptions{}, true, 0x116d9136265cb9d0},
-		{"hotel/rigid-utilcap/shared", apps.NewHotelReservation(), SchedulerOptions{NoBrownout: true, UtilCap: 0.99}, true, 0x0ef6c31e210b1c94},
-		{"social/thresholds-noslow/plain", apps.NewSocialNetwork(), SchedulerOptions{Pd: 0.125, Pu: 0.375, SlowPredictMS: -1}, false, 0x3ffcae3bce63f574},
+		{"hotel", apps.NewHotelReservation(), SchedulerOptions{}, 0x1825682dec261383},
+		{"social", apps.NewSocialNetwork(), SchedulerOptions{}, 0x116d9136265cb9d0},
+		{"hotel/rigid-utilcap", apps.NewHotelReservation(), SchedulerOptions{NoBrownout: true, UtilCap: 0.99}, 0x0ef6c31e210b1c94},
+		{"social/thresholds-noslow", apps.NewSocialNetwork(), SchedulerOptions{Pd: 0.125, Pu: 0.375, SlowPredictMS: -1}, 0x3ffcae3bce63f574},
 	} {
-		out := runPinScript(arm.app, arm.opts, arm.shared)
+		out := runPinScript(arm.app, arm.opts)
 		if out.digest != arm.want {
 			t.Errorf("%s: decision digest %#016x, want %#016x", arm.name, out.digest, arm.want)
 		}

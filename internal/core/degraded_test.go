@@ -25,12 +25,12 @@ var errHostDown = errors.New("model host down")
 
 func (f *flakyModel) Meta() ModelMeta { return f.inner.Meta() }
 
-func (f *flakyModel) PredictBatch(ctx *PredictContext, in nn.Inputs) (*tensor.Dense, []float64, error) {
+func (f *flakyModel) PredictShared(ctx *PredictContext, in nn.SharedInputs) (*tensor.Dense, []float64, error) {
 	f.calls++
 	if f.fail {
 		return nil, nil, errHostDown
 	}
-	return f.inner.PredictBatch(ctx, in)
+	return f.inner.PredictShared(ctx, in)
 }
 
 func degradedTestScheduler(t *testing.T) (*flakyModel, *Scheduler, []float64) {
@@ -291,8 +291,8 @@ type garbageDownModel struct {
 	p99, pviol float64 // substituted on down candidates unless zero
 }
 
-func (g *garbageDownModel) PredictBatch(ctx *PredictContext, in nn.Inputs) (*tensor.Dense, []float64, error) {
-	pred, pv, err := g.fakeModel.PredictBatch(ctx, in)
+func (g *garbageDownModel) PredictShared(ctx *PredictContext, in nn.SharedInputs) (*tensor.Dense, []float64, error) {
+	pred, pv, err := g.fakeModel.PredictShared(ctx, in)
 	for i := range pv {
 		if total(in.RC.Data[i*g.d.N:(i+1)*g.d.N]) >= g.cur-1e-9 {
 			continue

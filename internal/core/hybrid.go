@@ -302,46 +302,33 @@ func calibrateThresholds(bt *boost.Model, X [][]float64, y []bool) (pd, pu float
 	return pd, pu
 }
 
-// Predictor is the model interface the scheduler consults: batched
-// candidate evaluation plus the metadata its filters need. The context
-// carries all per-caller evaluation state (implementations must accept
-// nil and allocate a throwaway), the answer included: the returned tensor
-// and probabilities are owned by ctx and valid until its next use, for a
-// remote predictor as for a local one, so a caller that keeps them copies
-// and a warmed context makes a query allocate nothing. *HybridModel is the
-// production implementation; predsvc.Client is the remote one; tests
+// Predictor is the model interface the scheduler consults: one query over
+// a candidate batch plus the metadata its filters need. The query's
+// nn.SharedInputs carries W history windows, W = 1 (one window shared by
+// every candidate, what the scheduler sends) or W = B (row i reads window
+// i, what the lifecycle gate replays). The context carries all per-caller
+// evaluation state (implementations must accept nil and allocate a
+// throwaway), the answer included: the returned [B, M] latencies (ms) and B
+// violation probabilities are owned by ctx and valid until its next use,
+// for a remote predictor as for a local one, so a caller that keeps them
+// copies and a warmed context makes a query allocate nothing. *HybridModel
+// is the production implementation; predsvc.Client is the remote one; tests
 // substitute fakes. A non-nil error means the model path is unavailable (RPC
 // failure, open circuit breaker, injected outage) — the scheduler then
 // falls back to its built-in conservative policy rather than crashing.
 type Predictor interface {
-	PredictBatch(ctx *PredictContext, in nn.Inputs) (*tensor.Dense, []float64, error)
+	PredictShared(ctx *PredictContext, in nn.SharedInputs) (*tensor.Dense, []float64, error)
 	Meta() ModelMeta
 }
 
-// SharedPredictor is the optional deduplicated fast path: candidates of one
-// decision interval share a single history window, so implementations take
-// it once plus per-candidate allocations instead of a batch of repeated
-// rows. *HybridModel and predsvc.Client implement it; predictors that do
-// not are served through PredictSharedAuto's expansion bridge.
+// SharedPredictor is the two-method form the benchmark harness still
+// embeds: PredictShared beside PredictBatch, the W = B query under its old
+// name. *HybridModel and predsvc.Client keep PredictBatch for it as a
+// one-line call, which the scheduler never makes. ROADMAP item 7(ii) ports
+// the harness off it and 7(iii) deletes it.
 type SharedPredictor interface {
+	PredictBatch(ctx *PredictContext, in nn.Inputs) (*tensor.Dense, []float64, error)
 	PredictShared(ctx *PredictContext, in nn.SharedInputs) (*tensor.Dense, []float64, error)
-}
-
-// PredictSharedAuto evaluates a shared-history candidate batch on any
-// Predictor: the deduplicated path when p implements SharedPredictor,
-// otherwise the window is expanded into ctx's scratch and sent down the
-// ordinary per-row PredictBatch. Either way the results are those of
-// PredictBatch on the expanded batch — bit-identical, per the shared-path
-// contract.
-func PredictSharedAuto(p Predictor, ctx *PredictContext, in nn.SharedInputs) (*tensor.Dense, []float64, error) {
-	if sp, ok := p.(SharedPredictor); ok {
-		return sp.PredictShared(ctx, in)
-	}
-	if ctx == nil {
-		ctx = NewPredictContext()
-	}
-	in.Expand(&ctx.expand)
-	return p.PredictBatch(ctx, ctx.expand)
 }
 
 // ModelMeta is the model metadata the scheduler's filters depend on.
@@ -367,11 +354,6 @@ type PredictContext struct {
 	Lat   *tensor.Dense
 	PViol []float64
 	row   []float64
-
-	// expand holds the materialised full-batch form of shared-history
-	// inputs for predictors without a PredictShared fast path (see
-	// PredictSharedAuto).
-	expand nn.Inputs
 }
 
 // NewPredictContext returns an empty prediction context.
@@ -384,41 +366,33 @@ func (m *HybridModel) Meta() ModelMeta {
 	return ModelMeta{D: m.D, QoSMS: m.QoSMS, RMSEValid: m.RMSEValid, Pd: m.Pd, Pu: m.Pu}
 }
 
-// PredictBatch evaluates candidate allocations sharing one history window:
-// inputs must already be assembled as a batch with identical RH/LH rows and
-// per-candidate RC rows. It returns per-candidate predicted latencies (ms,
+// PredictShared implements Predictor. At W = 1 the CNN trunk runs once
+// with its activations broadcast across the candidate batch, at roughly 1/B
+// of the trunk compute, and every Boosted Trees row reads the one window;
+// the answer is bit-identical to W = B over that window repeated, which the
+// parity tests pin. It returns per-candidate predicted latencies (ms,
 // [B, M]) and violation probabilities, both owned by ctx and valid until
 // its next use. A nil ctx allocates a throwaway context. The error is
 // always nil for an in-process model — it exists so remote predictors
 // (predsvc.Client) can surface RPC failures through the same interface.
-func (m *HybridModel) PredictBatch(ctx *PredictContext, in nn.Inputs) (*tensor.Dense, []float64, error) {
-	if ctx == nil {
-		ctx = NewPredictContext()
-	}
-	pred, latent := m.Lat.PredictWithLatentCtx(ctx.NN, in)
-	return pred, m.violations(ctx, latent, in.RH.Data, in.RC.Data, m.D.F*m.D.N*m.D.T, in.Batch()), nil
-}
-
-// PredictShared is the deduplicated form of PredictBatch: the history
-// window arrives once ([1,F,N,T] / [1,T,M]) with per-candidate allocations
-// [B,N], the CNN trunk runs once with its activations broadcast across the
-// candidate batch, and the Boosted Trees rows read the one shared window.
-// Outputs are bit-identical to PredictBatch on the expanded batch — the
-// parity tests pin that — at roughly 1/B of the trunk compute. Ownership
-// and error semantics match PredictBatch.
 func (m *HybridModel) PredictShared(ctx *PredictContext, in nn.SharedInputs) (*tensor.Dense, []float64, error) {
 	if ctx == nil {
 		ctx = NewPredictContext()
 	}
 	pred, latent := m.Lat.PredictSharedCtx(ctx.NN, in)
-	return pred, m.violations(ctx, latent, in.RH.Data, in.RC.Data, 0, in.Batch()), nil
+	return pred, m.violations(ctx, latent, in), nil
 }
 
-// violations scores the b candidates of rc ([B,N]) on the Boosted Trees into
-// ctx.PViol. Candidate i's history window starts at rh[i*stride]: stride is
-// one window for a full batch and 0 for the one shared window.
-func (m *HybridModel) violations(ctx *PredictContext, latent *tensor.Dense, rh, rc []float64, stride, b int) []float64 {
-	win := m.D.F * m.D.N * m.D.T
+// PredictBatch is PredictShared at W = B, kept for SharedPredictor only;
+// ROADMAP item 7(iii) deletes it.
+func (m *HybridModel) PredictBatch(ctx *PredictContext, in nn.Inputs) (*tensor.Dense, []float64, error) {
+	return m.PredictShared(ctx, nn.SharedInputs(in))
+}
+
+// violations scores in's B candidates on the Boosted Trees into ctx.PViol.
+// Candidate i reads window i mod W: its own at W = B, the one at W = 1.
+func (m *HybridModel) violations(ctx *PredictContext, latent *tensor.Dense, in nn.SharedInputs) []float64 {
+	win, w, b := m.D.F*m.D.N*m.D.T, in.Windows(), in.Batch()
 	if cap(ctx.PViol) < b {
 		ctx.PViol = make([]float64, b)
 	}
@@ -426,9 +400,10 @@ func (m *HybridModel) violations(ctx *PredictContext, latent *tensor.Dense, rh, 
 	if cap(ctx.row) < need {
 		ctx.row = make([]float64, need)
 	}
-	pv, row := ctx.PViol[:b], ctx.row[:need]
+	pv, row, rh, rc := ctx.PViol[:b], ctx.row[:need], in.RH.Data, in.RC.Data
 	for i := range pv {
-		btRowInto(row, latent, i, rh[i*stride:i*stride+win], rc[i*m.D.N:(i+1)*m.D.N], m.D)
+		k := i % w
+		btRowInto(row, latent, i, rh[k*win:(k+1)*win], rc[i*m.D.N:(i+1)*m.D.N], m.D)
 		pv[i] = m.Viol.PredictProb(row)
 	}
 	return pv

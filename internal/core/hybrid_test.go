@@ -184,7 +184,7 @@ func FuzzDecodeHybrid(f *testing.F) {
 		if err != nil || !bytes.Equal(again, data) {
 			t.Fatalf("DecodeHybrid accepted %d bytes that encode back as %d others (%v)", len(data), len(again), err)
 		}
-		if _, _, err := m.PredictBatch(nil, hybridQueryBatch(m.D, 2)); err != nil {
+		if _, _, err := m.PredictShared(nil, hybridQueryBatch(m.D, 2)); err != nil {
 			t.Fatal(err)
 		}
 	})

@@ -16,9 +16,9 @@ func IsOverload(err error) bool {
 }
 
 // CostReporter is optionally implemented by predictors that can report the
-// cost of their most recent successful query in milliseconds — PredictShared,
-// which the scheduler calls, or PredictBatch (predsvc.Client measures wall
-// time; the fault injector reports its injected slowdown deterministically).
+// cost of their most recent successful PredictShared in milliseconds
+// (predsvc.Client measures wall time; the fault injector reports its
+// injected slowdown deterministically).
 // The brownout ladder treats a cost above SchedulerOptions.SlowPredictMS as
 // overload pressure: predictions that arrive late eat into the 1 s decision
 // interval, and the cure is fewer candidates, applied before the slowness

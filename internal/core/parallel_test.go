@@ -50,8 +50,8 @@ func tinyHotelHybrid(t testing.TB) *HybridModel {
 	}
 }
 
-func hybridQueryBatch(d nn.Dims, b int) nn.Inputs {
-	in := nn.Inputs{
+func hybridQueryBatch(d nn.Dims, b int) nn.SharedInputs {
+	in := nn.SharedInputs{
 		RH: tensor.New(b, d.F, d.N, d.T),
 		LH: tensor.New(b, d.T, d.M),
 		RC: tensor.New(b, d.N),
@@ -71,7 +71,7 @@ func hybridQueryBatch(d nn.Dims, b int) nn.Inputs {
 func TestSharedHybridConcurrentPredictBitIdentical(t *testing.T) {
 	m := tinyHotelHybrid(t)
 	in := hybridQueryBatch(m.D, 50)
-	wantLat, wantPV, _ := m.PredictBatch(nil, in)
+	wantLat, wantPV, _ := m.PredictShared(nil, in)
 	wantLat = wantLat.Clone()
 	wantPV = append([]float64(nil), wantPV...)
 
@@ -83,7 +83,7 @@ func TestSharedHybridConcurrentPredictBitIdentical(t *testing.T) {
 			defer wg.Done()
 			ctx := NewPredictContext()
 			for iter := 0; iter < 5; iter++ {
-				lat, pv, _ := m.PredictBatch(ctx, in)
+				lat, pv, _ := m.PredictShared(ctx, in)
 				for i := range wantLat.Data {
 					if lat.Data[i] != wantLat.Data[i] {
 						t.Errorf("latency diverges at %d: %v vs %v", i, lat.Data[i], wantLat.Data[i])

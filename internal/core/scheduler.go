@@ -465,10 +465,11 @@ func (c *carried) ultraSafe(p99, bound float64, m int) bool {
 	return true
 }
 
-// score evaluates the enumerated candidates in one shared-history model
-// query (PredictSharedAuto) and returns each row's predicted p99 and
-// violation probability. The window and the candidate rows are wrapped in
-// reusable view headers, not copied; the payload gauge records what was sent.
+// score evaluates the enumerated candidates in one model query over the
+// one history window they share (W = 1) and returns each row's predicted
+// p99 and violation probability. The window and the candidate rows are
+// wrapped in reusable view headers, not copied; the payload gauge records
+// what was sent.
 func (s *Scheduler) score() (p99, pviol []float64, err error) {
 	d := s.meta.D
 	b := len(s.cands.kind)
@@ -476,13 +477,8 @@ func (s *Scheduler) score() (p99, pviol []float64, err error) {
 	s.in.RH = tensor.View(s.in.RH, s.rhRow, 1, d.F, d.N, d.T)
 	s.in.LH = tensor.View(s.in.LH, s.lhRow, 1, d.T, d.M)
 	s.in.RC = tensor.View(s.in.RC, s.cands.rc[:b*d.N], b, d.N)
-	winFloats := len(s.rhRow) + len(s.lhRow)
-	if _, shared := s.M.(SharedPredictor); shared {
-		s.payloadFloats.Set(float64(winFloats + b*d.N))
-	} else {
-		s.payloadFloats.Set(float64(b * (winFloats + d.N)))
-	}
-	pred, pviol, err := PredictSharedAuto(s.M, s.predCtx, s.in)
+	s.payloadFloats.Set(float64(len(s.rhRow) + len(s.lhRow) + b*d.N))
+	pred, pviol, err := s.M.PredictShared(s.predCtx, s.in)
 	if err == nil {
 		s.p99, err = predictedP99(s.p99[:0], pred, pviol, d.M)
 	}

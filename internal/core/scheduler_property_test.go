@@ -41,7 +41,7 @@ func (f *chaosModel) next() float64 {
 	return float64(f.seed>>11) / float64(1<<53)
 }
 
-func (f *chaosModel) PredictBatch(_ *PredictContext, in nn.Inputs) (*tensor.Dense, []float64, error) {
+func (f *chaosModel) PredictShared(_ *PredictContext, in nn.SharedInputs) (*tensor.Dense, []float64, error) {
 	if f.fail > 0 && f.next() < f.fail {
 		if f.next() < 0.5 {
 			return nil, nil, testShedErr{}
@@ -269,7 +269,7 @@ func (p *paranoidModel) Meta() ModelMeta {
 	return ModelMeta{D: p.d, QoSMS: p.qos, RMSEValid: 10, Pd: 0.2, Pu: 0.4}
 }
 
-func (p *paranoidModel) PredictBatch(_ *PredictContext, in nn.Inputs) (*tensor.Dense, []float64, error) {
+func (p *paranoidModel) PredictShared(_ *PredictContext, in nn.SharedInputs) (*tensor.Dense, []float64, error) {
 	b := in.Batch()
 	pred := tensor.New(b, p.d.M)
 	pv := make([]float64, b)

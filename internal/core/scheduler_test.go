@@ -24,7 +24,7 @@ func (f *fakeModel) Meta() ModelMeta {
 	return ModelMeta{D: f.d, QoSMS: f.qos, RMSEValid: f.rmse, Pd: 0.25, Pu: 0.5}
 }
 
-func (f *fakeModel) PredictBatch(_ *PredictContext, in nn.Inputs) (*tensor.Dense, []float64, error) {
+func (f *fakeModel) PredictShared(_ *PredictContext, in nn.SharedInputs) (*tensor.Dense, []float64, error) {
 	b := in.Batch()
 	pred := tensor.New(b, f.d.M)
 	pv := make([]float64, b)

@@ -32,79 +32,64 @@ func sharedQueryBatch(d nn.Dims, b int) nn.SharedInputs {
 	return in
 }
 
+// fullBatchAnswer is the hybrid's answer computed the way the full-batch
+// path always has: the CNN over every row, then each row's own window and
+// allocation into the trees.
+func fullBatchAnswer(m *HybridModel, in nn.Inputs) (lat, pviol []float64) {
+	pred, latent := m.Lat.PredictWithLatent(in)
+	win := m.D.F * m.D.N * m.D.T
+	row := make([]float64, latent.Shape[1]+2*m.D.N)
+	pviol = make([]float64, in.Batch())
+	for i := range pviol {
+		btRowInto(row, latent, i, in.RH.Data[i*win:(i+1)*win], in.RC.Data[i*m.D.N:(i+1)*m.D.N], m.D)
+		pviol[i] = m.Viol.PredictProb(row)
+	}
+	return pred.Data, pviol
+}
+
 // TestHybridPredictSharedBitIdentical pins the end-to-end contract for the
-// whole hybrid: latency predictions AND violation probabilities from the
-// shared path must equal the expanded full-batch path bit for bit — the BT
-// feature rows (latent ⊕ alloc ⊕ usage/alloc) are assembled from the same
-// floats either way.
+// whole hybrid: latency predictions AND violation probabilities at W = 1
+// must equal the full-batch answer on the expanded batch bit for bit — the
+// BT feature rows (latent ⊕ alloc ⊕ usage/alloc) are assembled from the
+// same floats either way — and so must the W = B query of that batch. A
+// W = B batch whose windows differ must give each row its own window's
+// answer.
 func TestHybridPredictSharedBitIdentical(t *testing.T) {
 	m := tinyHotelHybrid(t)
+	ctx := NewPredictContext()
 	for _, b := range []int{1, 3, 50} {
 		in := sharedQueryBatch(m.D, b)
 		var full nn.Inputs
 		in.Expand(&full)
-		wantLat, wantPV, err := m.PredictBatch(nil, full)
-		if err != nil {
-			t.Fatal(err)
-		}
-		wantLat = wantLat.Clone()
-		wantPV = append([]float64(nil), wantPV...)
-
-		gotLat, gotPV, err := m.PredictShared(nil, in)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if gotLat.Shape[0] != b || len(gotPV) != b {
-			t.Fatalf("b=%d: shared shapes %v/%d", b, gotLat.Shape, len(gotPV))
-		}
-		for i := range wantLat.Data {
-			if gotLat.Data[i] != wantLat.Data[i] {
-				t.Fatalf("b=%d: lat[%d] shared %v != full %v", b, i, gotLat.Data[i], wantLat.Data[i])
+		wantLat, wantPV := fullBatchAnswer(m, full)
+		check := func(form string, in nn.SharedInputs) {
+			t.Helper()
+			gotLat, gotPV, err := m.PredictShared(ctx, in)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if gotLat.Shape[0] != b || len(gotPV) != b {
+				t.Fatalf("b=%d %s: shapes %v/%d", b, form, gotLat.Shape, len(gotPV))
+			}
+			for i := range wantLat {
+				if gotLat.Data[i] != wantLat[i] {
+					t.Fatalf("b=%d %s: lat[%d] %v != full %v", b, form, i, gotLat.Data[i], wantLat[i])
+				}
+			}
+			for i := range wantPV {
+				if gotPV[i] != wantPV[i] {
+					t.Fatalf("b=%d %s: pviol[%d] %v != full %v", b, form, i, gotPV[i], wantPV[i])
+				}
 			}
 		}
-		for i := range wantPV {
-			if gotPV[i] != wantPV[i] {
-				t.Fatalf("b=%d: pviol[%d] shared %v != full %v", b, i, gotPV[i], wantPV[i])
-			}
+		check("W = 1", in)
+		check("W = B", nn.SharedInputs(full))
+
+		for i := range full.RH.Data {
+			full.RH.Data[i] += float64(i%(7*b+3)) * 0.01 // every row's window its own
 		}
-	}
-}
-
-// plainPredictor hides the hybrid's shared path, leaving only the
-// core.Predictor surface.
-type plainPredictor struct{ m *HybridModel }
-
-func (p plainPredictor) Meta() ModelMeta { return p.m.Meta() }
-func (p plainPredictor) PredictBatch(ctx *PredictContext, in nn.Inputs) (*tensor.Dense, []float64, error) {
-	return p.m.PredictBatch(ctx, in)
-}
-
-// TestPredictSharedAutoFallback proves the scheduler-facing dispatch: a
-// predictor without a shared path gets the expanded batch and produces the
-// same answer, so Scheduler.score never needs to branch.
-func TestPredictSharedAutoFallback(t *testing.T) {
-	m := tinyHotelHybrid(t)
-	in := sharedQueryBatch(m.D, 9)
-	wantLat, wantPV, err := m.PredictShared(nil, in)
-	if err != nil {
-		t.Fatal(err)
-	}
-	wantLat = wantLat.Clone()
-	wantPV = append([]float64(nil), wantPV...)
-
-	gotLat, gotPV, err := PredictSharedAuto(plainPredictor{m}, nil, in)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range wantLat.Data {
-		if gotLat.Data[i] != wantLat.Data[i] {
-			t.Fatalf("fallback lat[%d] = %v, want %v", i, gotLat.Data[i], wantLat.Data[i])
-		}
-	}
-	for i := range wantPV {
-		if gotPV[i] != wantPV[i] {
-			t.Fatalf("fallback pviol[%d] = %v, want %v", i, gotPV[i], wantPV[i])
-		}
+		wantLat, wantPV = fullBatchAnswer(m, full)
+		check("W = B, distinct windows", nn.SharedInputs(full))
 	}
 }
 
@@ -193,57 +178,28 @@ func TestBTRowChannelLayout(t *testing.T) {
 	}
 }
 
-// sharedFake upgrades the scheduler tests' fakeModel to a SharedPredictor
-// by expanding internally — its answers are unchanged, only the dispatch
-// in Scheduler.score differs.
-type sharedFake struct{ *fakeModel }
-
-func (s sharedFake) PredictShared(ctx *PredictContext, in nn.SharedInputs) (*tensor.Dense, []float64, error) {
-	if ctx == nil {
-		ctx = NewPredictContext()
-	}
-	in.Expand(&ctx.expand)
-	return s.fakeModel.PredictBatch(ctx, ctx.expand)
-}
-
 // TestSchedulerPayloadGauge pins the sched.predict.payload_floats
-// accounting: against a shared-capable predictor one decision ships the
-// history window once plus B allocation rows; against a plain predictor it
-// ships the expanded batch. The two gauges must describe the same
-// candidate count B — and the shared payload must be the smaller one.
+// accounting: one decision ships the history window once plus B allocation
+// rows.
 func TestSchedulerPayloadGauge(t *testing.T) {
 	app := testApp()
 	d := nn.Dims{N: len(app.Tiers), T: 5, F: 6, M: 5}
 	alloc := mkAlloc(app, 4)
-
-	decideOnce := func(m Predictor) float64 {
-		f := &fakeModel{d: d, qos: 200, rmse: 10, needCores: 10}
-		if _, shared := m.(SharedPredictor); shared {
-			m = sharedFake{f}
-		} else {
-			m = f
-		}
-		s, reg := NewScheduler(app, m, SchedulerOptions{}), telemetry.NewRegistry()
-		s.AttachMetrics(reg)
-		for i := 0; i < d.T; i++ {
-			s.Decide(stateFor(app, 20, alloc, 0.3))
-		}
+	m := &shedModel{inner: &fakeModel{d: d, qos: 200, rmse: 10, needCores: 10}}
+	s, reg := NewScheduler(app, m, SchedulerOptions{}), telemetry.NewRegistry()
+	s.AttachMetrics(reg)
+	for i := 0; i <= d.T; i++ {
 		s.Decide(stateFor(app, 20, alloc, 0.3))
-		return reg.Gauge("sched.predict.payload_floats").Value()
 	}
-
-	plain := decideOnce(&fakeModel{})
-	shared := decideOnce(sharedFake{})
-	winFloats := float64(d.F*d.N*d.T + d.T*d.M)
-	perCand := float64(d.N)
-	b := plain / (winFloats + perCand)
-	if b < 2 || b != float64(int(b)) {
-		t.Fatalf("plain payload %v does not describe an integer batch (b=%v)", plain, b)
+	if len(m.batches) == 0 {
+		t.Fatal("no model query")
 	}
-	if want := winFloats + b*perCand; shared != want {
-		t.Fatalf("shared payload = %v, want %v (b=%v)", shared, want, b)
+	b := m.batches[len(m.batches)-1]
+	if b < 2 {
+		t.Fatalf("last query scored %d candidates, want several", b)
 	}
-	if shared >= plain {
-		t.Fatalf("shared payload %v not smaller than expanded %v", shared, plain)
+	got := reg.Gauge("sched.predict.payload_floats").Value()
+	if want := float64(d.F*d.N*d.T + d.T*d.M + b*d.N); got != want {
+		t.Fatalf("payload = %v, want %v (b=%d)", got, want, b)
 	}
 }

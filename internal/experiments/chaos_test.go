@@ -25,7 +25,7 @@ func (f *cheapPredictor) Meta() core.ModelMeta {
 	return core.ModelMeta{D: f.d, QoSMS: f.qos, RMSEValid: 10, Pd: 0.25, Pu: 0.5}
 }
 
-func (f *cheapPredictor) PredictBatch(_ *core.PredictContext, in nn.Inputs) (*tensor.Dense, []float64, error) {
+func (f *cheapPredictor) PredictShared(_ *core.PredictContext, in nn.SharedInputs) (*tensor.Dense, []float64, error) {
 	b := in.Batch()
 	pred := tensor.New(b, f.d.M)
 	pv := make([]float64, b)

@@ -24,7 +24,7 @@ func (w *wildPredictor) Meta() core.ModelMeta {
 	return core.ModelMeta{D: w.d, QoSMS: w.qos, RMSEValid: 10, Pd: 0.25, Pu: 0.5}
 }
 
-func (w *wildPredictor) PredictBatch(_ *core.PredictContext, in nn.Inputs) (*tensor.Dense, []float64, error) {
+func (w *wildPredictor) PredictShared(_ *core.PredictContext, in nn.SharedInputs) (*tensor.Dense, []float64, error) {
 	b := in.Batch()
 	pred := tensor.New(b, w.d.M)
 	pv := make([]float64, b)
@@ -50,14 +50,16 @@ func (s *sneakyPredictor) Meta() core.ModelMeta {
 	return core.ModelMeta{D: s.d, QoSMS: s.qos, RMSEValid: 10, Pd: 0.25, Pu: 0.5}
 }
 
-func (s *sneakyPredictor) PredictBatch(_ *core.PredictContext, in nn.Inputs) (*tensor.Dense, []float64, error) {
+func (s *sneakyPredictor) PredictShared(_ *core.PredictContext, in nn.SharedInputs) (*tensor.Dense, []float64, error) {
 	b := in.Batch()
 	pred := tensor.New(b, s.d.M)
 	pv := make([]float64, b)
 	row := s.d.F * s.d.N * s.d.T
 	for i := 0; i < b; i++ {
 		lat, p := 20.0, 0.01
-		if in.RH.Data[i*row] < 0 { // holdout sentinel: answer truthfully
+		// Row i's window, the one window at W = 1, carries the holdout
+		// sentinel in a gate replay: answer truthfully.
+		if in.RH.Data[i%in.Windows()*row] < 0 {
 			totalC := 0.0
 			for _, v := range in.RC.Data[i*s.d.N : (i+1)*s.d.N] {
 				totalC += v

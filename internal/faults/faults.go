@@ -386,33 +386,15 @@ func (f *faultyPredictor) Meta() core.ModelMeta { return f.base.Meta() }
 // while healthy.
 func (f *faultyPredictor) LastPredictMS() float64 { return f.in.lastCostMS }
 
-func (f *faultyPredictor) PredictBatch(ctx *core.PredictContext, in nn.Inputs) (*tensor.Dense, []float64, error) {
-	batch := 1
-	if in.RH != nil {
-		batch = in.Batch()
-	}
-	cost, err := f.inject(batch)
-	if err != nil {
-		return nil, nil, err
-	}
-	out, pviol, err := f.base.PredictBatch(ctx, in)
-	if err == nil {
-		f.in.lastCostMS = cost
-	}
-	return out, pviol, err
-}
-
-// PredictShared implements core.SharedPredictor so fault windows cover the
-// deduplicated path too: the same injected failures and load model apply
-// (load still scales with the candidate count — shedding is about batch
-// work, not wire bytes), then the call delegates through PredictSharedAuto,
-// which expands for base predictors without a shared path.
+// PredictShared implements core.Predictor: the injector's current fault
+// state decides the call (load scales with the candidate count — shedding
+// is about batch work, not wire bytes), then the base model answers.
 func (f *faultyPredictor) PredictShared(ctx *core.PredictContext, in nn.SharedInputs) (*tensor.Dense, []float64, error) {
 	cost, err := f.inject(in.Batch())
 	if err != nil {
 		return nil, nil, err
 	}
-	out, pviol, err := core.PredictSharedAuto(f.base, ctx, in)
+	out, pviol, err := f.base.PredictShared(ctx, in)
 	if err == nil {
 		f.in.lastCostMS = cost
 	}

@@ -27,7 +27,7 @@ type okPredictor struct{ calls int }
 
 func (p *okPredictor) Meta() core.ModelMeta { return core.ModelMeta{QoSMS: 200} }
 
-func (p *okPredictor) PredictBatch(_ *core.PredictContext, in nn.Inputs) (*tensor.Dense, []float64, error) {
+func (p *okPredictor) PredictShared(_ *core.PredictContext, in nn.SharedInputs) (*tensor.Dense, []float64, error) {
 	p.calls++
 	return tensor.New(1, 1), []float64{0}, nil
 }
@@ -78,15 +78,15 @@ func TestPredictorOutageWindow(t *testing.T) {
 	p := inj.Predictor(base)
 
 	eng.Run(5)
-	if _, _, err := p.PredictBatch(nil, nn.Inputs{}); err != nil {
+	if _, _, err := p.PredictShared(nil, batchInputs(1)); err != nil {
 		t.Fatalf("before outage: %v", err)
 	}
 	eng.Run(15)
-	if _, _, err := p.PredictBatch(nil, nn.Inputs{}); !errors.Is(err, ErrOutage) {
+	if _, _, err := p.PredictShared(nil, batchInputs(1)); !errors.Is(err, ErrOutage) {
 		t.Fatalf("during outage want ErrOutage, got %v", err)
 	}
 	eng.Run(25)
-	if _, _, err := p.PredictBatch(nil, nn.Inputs{}); err != nil {
+	if _, _, err := p.PredictShared(nil, batchInputs(1)); err != nil {
 		t.Fatalf("after outage: %v", err)
 	}
 	if base.calls != 2 {
@@ -107,11 +107,11 @@ func TestPredictorSlowdownVsDeadline(t *testing.T) {
 	p := inj.Predictor(&okPredictor{})
 
 	eng.Run(15)
-	if _, _, err := p.PredictBatch(nil, nn.Inputs{}); !errors.Is(err, ErrTimeout) {
+	if _, _, err := p.PredictShared(nil, batchInputs(1)); !errors.Is(err, ErrTimeout) {
 		t.Fatalf("2s added latency vs 1s deadline should time out, got %v", err)
 	}
 	eng.Run(35)
-	if _, _, err := p.PredictBatch(nil, nn.Inputs{}); err != nil {
+	if _, _, err := p.PredictShared(nil, batchInputs(1)); err != nil {
 		t.Fatalf("sub-deadline slowdown should still answer: %v", err)
 	}
 	n := reg.Snapshot().Counters
@@ -230,7 +230,7 @@ func TestRPCBlipsFailSomeCallsDeterministically(t *testing.T) {
 		p := inj.Predictor(&okPredictor{})
 		eng.Run(1)
 		for i := 0; i < 200; i++ {
-			if _, _, err := p.PredictBatch(nil, nn.Inputs{}); err != nil {
+			if _, _, err := p.PredictShared(nil, batchInputs(1)); err != nil {
 				if !errors.Is(err, ErrBlip) {
 					t.Fatalf("unexpected error kind: %v", err)
 				}

@@ -13,8 +13,8 @@ import (
 
 // batchInputs builds a minimal input set whose only meaningful property is
 // its batch dimension.
-func batchInputs(b int) nn.Inputs {
-	return nn.Inputs{RH: tensor.New(b, 1, 1, 1)}
+func batchInputs(b int) nn.SharedInputs {
+	return nn.SharedInputs{RC: tensor.New(b, 1)}
 }
 
 func TestOverloadPlanDeterministicAndBounded(t *testing.T) {
@@ -59,9 +59,8 @@ func TestPredictorOverloadShedsByBatchSize(t *testing.T) {
 	}
 
 	eng.Run(5)
-	// Healthy calls — including the nil-input probes other tests use — pass
-	// through and report zero cost.
-	if _, _, err := p.PredictBatch(nil, nn.Inputs{}); err != nil {
+	// Healthy calls pass through and report zero cost.
+	if _, _, err := p.PredictShared(nil, batchInputs(1)); err != nil {
 		t.Fatalf("before window: %v", err)
 	}
 	if cr.LastPredictMS() != 0 {
@@ -70,7 +69,7 @@ func TestPredictorOverloadShedsByBatchSize(t *testing.T) {
 
 	eng.Run(15)
 	// Value 2.0 × batch 64 / ShedRefBatch 64 = load 2.0 ≥ 1: certain shed.
-	_, _, err := p.PredictBatch(nil, batchInputs(64))
+	_, _, err := p.PredictShared(nil, batchInputs(64))
 	if !errors.Is(err, ErrShed) {
 		t.Fatalf("full batch under overload want ErrShed, got %v", err)
 	}
@@ -80,7 +79,7 @@ func TestPredictorOverloadShedsByBatchSize(t *testing.T) {
 	// Batch-of-one probes: load 2/64 ≈ 0.03, so nearly all succeed.
 	okCalls := 0
 	for i := 0; i < 50; i++ {
-		if _, _, err := p.PredictBatch(nil, batchInputs(1)); err == nil {
+		if _, _, err := p.PredictShared(nil, batchInputs(1)); err == nil {
 			okCalls++
 			want := 2.0 / ShedRefBatch * inj.Deadline * 1000
 			if math.Abs(cr.LastPredictMS()-want) > 1e-9 {
@@ -95,7 +94,7 @@ func TestPredictorOverloadShedsByBatchSize(t *testing.T) {
 	}
 
 	eng.Run(25)
-	if _, _, err := p.PredictBatch(nil, batchInputs(64)); err != nil {
+	if _, _, err := p.PredictShared(nil, batchInputs(64)); err != nil {
 		t.Fatalf("after window: %v", err)
 	}
 	if cr.LastPredictMS() != 0 {
@@ -120,7 +119,7 @@ func TestPredictorSlowReportsCost(t *testing.T) {
 	cr := p.(core.CostReporter)
 
 	eng.Run(15)
-	if _, _, err := p.PredictBatch(nil, batchInputs(4)); err != nil {
+	if _, _, err := p.PredictShared(nil, batchInputs(4)); err != nil {
 		t.Fatalf("sub-deadline slowdown should answer: %v", err)
 	}
 	if cr.LastPredictMS() != 400 {

@@ -59,20 +59,20 @@ func BenchmarkLiveSwap(b *testing.B) {
 func BenchmarkLiveServeOverhead(b *testing.B) {
 	l, m := benchLive()
 	hold := buildHoldout(m.d, 200, 8)
-	in := hold.Inputs()
+	in := nn.SharedInputs(hold.Inputs())
 	ctx := core.NewPredictContext()
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, _, err := l.PredictBatch(ctx, in); err != nil {
+		if _, _, err := l.PredictShared(ctx, in); err != nil {
 			b.Fatal(err)
 		}
 	}
 	b.StopTimer()
 	// Allocations attributable to Live itself: the wrapped call minus the
 	// model's own cost (the fake allocates its output tensor each call).
-	direct := testing.AllocsPerRun(1000, func() { m.PredictBatch(ctx, in) })
-	wrapped := testing.AllocsPerRun(1000, func() { l.PredictBatch(ctx, in) })
+	direct := testing.AllocsPerRun(1000, func() { m.PredictShared(ctx, in) })
+	wrapped := testing.AllocsPerRun(1000, func() { l.PredictShared(ctx, in) })
 	if wrapped != direct {
 		b.Fatalf("Live adds %.0f allocs per predict (wrapped %.0f, direct %.0f)", wrapped-direct, wrapped, direct)
 	}

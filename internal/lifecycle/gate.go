@@ -50,8 +50,9 @@ type GateReport struct {
 }
 
 // Gate validates candidate models by replaying a pinned holdout set through
-// core.Predictor.PredictBatch — the same entry point live traffic uses — and
-// comparing candidate RMSE against the live model's. A Gate is safe for
+// core.Predictor.PredictShared — the same entry point live traffic uses, at
+// one history window per row — and comparing candidate RMSE against the
+// live model's. A Gate is safe for
 // concurrent use (validations serialize on an internal mutex).
 type Gate struct {
 	cfg GateConfig
@@ -93,7 +94,7 @@ func NewGate(cfg GateConfig) (*Gate, error) {
 // an error: a model that emits NaN must never be promoted, and NaN would
 // otherwise poison the comparison into accepting anything.
 func (g *Gate) rmse(p core.Predictor, ctx *core.PredictContext) (float64, error) {
-	pred, _, err := p.PredictBatch(ctx, g.in)
+	pred, _, err := p.PredictShared(ctx, nn.SharedInputs(g.in))
 	if err != nil {
 		return 0, err
 	}

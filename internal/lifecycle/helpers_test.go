@@ -30,7 +30,7 @@ func (f *fakeModel) Meta() core.ModelMeta {
 	return core.ModelMeta{D: f.d, QoSMS: f.qos, RMSEValid: 10, Pd: 0.25, Pu: 0.5}
 }
 
-func (f *fakeModel) PredictBatch(_ *core.PredictContext, in nn.Inputs) (*tensor.Dense, []float64, error) {
+func (f *fakeModel) PredictShared(_ *core.PredictContext, in nn.SharedInputs) (*tensor.Dense, []float64, error) {
 	b := in.Batch()
 	pred := tensor.New(b, f.d.M)
 	pv := make([]float64, b)
@@ -40,7 +40,7 @@ func (f *fakeModel) PredictBatch(_ *core.PredictContext, in nn.Inputs) (*tensor.
 		for _, v := range in.RC.Data[i*f.d.N : (i+1)*f.d.N] {
 			total += v
 		}
-		marked := in.RH.Data[i*rowF] == holdoutMark
+		marked := in.RH.Data[i%in.Windows()*rowF] == holdoutMark // row i's window, or the one at W = 1
 		lat, p := f.eval(total, marked)
 		pv[i] = p
 		for m := 0; m < f.d.M; m++ {
@@ -150,9 +150,9 @@ func trainedHybrid(t testing.TB) *core.HybridModel {
 // latency tensor and violation probabilities.
 func predictAll(t testing.TB, m core.Predictor, ds *dataset.Dataset) (*tensor.Dense, []float64) {
 	t.Helper()
-	pred, pv, err := m.PredictBatch(core.NewPredictContext(), ds.Inputs())
+	pred, pv, err := m.PredictShared(core.NewPredictContext(), nn.SharedInputs(ds.Inputs()))
 	if err != nil {
-		t.Fatalf("PredictBatch: %v", err)
+		t.Fatalf("PredictShared: %v", err)
 	}
 	return pred, pv
 }

@@ -23,8 +23,8 @@ const historyDepth = 4
 // through it. Swapping is a single pointer store, so there is never an
 // instant at which a predict call can fail because of a swap — zero
 // predictor unavailability across promotions and rollbacks, by
-// construction. Live implements core.Predictor, core.SharedPredictor and
-// core.CostReporter; predictions never take the mutex.
+// construction. Live implements core.Predictor and core.CostReporter;
+// predictions never take the mutex.
 //
 // Two numbers describe the served model. The identity version names the
 // model itself: Install assigns the next unused one and Rollback restores
@@ -113,41 +113,18 @@ func (l *Live) LastPredictMS() float64 {
 	return 0
 }
 
-// PredictBatch implements core.Predictor: the live model answers, and while
-// a candidate is in shadow it scores the same inputs on the side — its
-// answer checked, then discarded. A shadow candidate can never
-// affect the caller's answer or the call's availability: candidate errors
-// are noted in the tap, not returned.
-func (l *Live) PredictBatch(ctx *core.PredictContext, in nn.Inputs) (*tensor.Dense, []float64, error) {
-	slot := l.cur.Load()
-	pred, pviol, err := slot.p.PredictBatch(ctx, in)
-	if err != nil {
-		return pred, pviol, err
-	}
-	if tap := l.shadow.Load(); tap != nil {
-		tap.observe(pred, func(c core.Predictor, ctx *core.PredictContext) (*tensor.Dense, []float64, error) {
-			return c.PredictBatch(ctx, in)
-		})
-	}
-	return pred, pviol, nil
-}
-
-// PredictShared implements core.SharedPredictor: the shared-history batch
-// is routed through the live model's own shared path when it has one
-// (expanding otherwise, via PredictSharedAuto), so a swap from a
-// shared-capable model to a plain one — or back — never changes what the
-// scheduler can call. A shadow candidate scores the same shared batch on
-// its best path, mirroring PredictBatch's discipline.
+// PredictShared implements core.Predictor: the live model answers, and
+// while a candidate is in shadow it scores the same inputs on the side —
+// its answer checked, then discarded. A shadow candidate can never affect
+// the caller's answer or the call's availability: candidate errors are
+// noted in the tap, not returned.
 func (l *Live) PredictShared(ctx *core.PredictContext, in nn.SharedInputs) (*tensor.Dense, []float64, error) {
-	slot := l.cur.Load()
-	pred, pviol, err := core.PredictSharedAuto(slot.p, ctx, in)
+	pred, pviol, err := l.cur.Load().p.PredictShared(ctx, in)
 	if err != nil {
 		return pred, pviol, err
 	}
 	if tap := l.shadow.Load(); tap != nil {
-		tap.observe(pred, func(c core.Predictor, ctx *core.PredictContext) (*tensor.Dense, []float64, error) {
-			return core.PredictSharedAuto(c, ctx, in)
-		})
+		tap.observe(pred, in)
 	}
 	return pred, pviol, nil
 }
@@ -192,16 +169,16 @@ type shadowTap struct {
 	bad error // why the candidate was disqualified; nil while clean
 }
 
-// observe runs one candidate evaluation — eval must answer the inputs the
-// live model just answered, in livePred's [B, M] shape plus B violation
-// probabilities — and checks its answer against the live prediction's shape.
-func (t *shadowTap) observe(livePred *tensor.Dense, eval func(core.Predictor, *core.PredictContext) (*tensor.Dense, []float64, error)) {
+// observe evaluates the candidate on in, the inputs the live model just
+// answered with livePred, and checks its answer against the live
+// prediction's shape.
+func (t *shadowTap) observe(livePred *tensor.Dense, in nn.SharedInputs) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	if t.bad != nil {
 		return
 	}
-	candPred, candPViol, err := eval(t.cand, t.ctx)
+	candPred, candPViol, err := t.cand.PredictShared(t.ctx, in)
 	if err != nil {
 		t.bad = fmt.Errorf("predict error: %w", err)
 		return

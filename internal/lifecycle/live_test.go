@@ -96,8 +96,8 @@ type spoiled struct {
 	spoil func(pred *tensor.Dense, pviol []float64)
 }
 
-func (s spoiled) PredictBatch(ctx *core.PredictContext, in nn.Inputs) (*tensor.Dense, []float64, error) {
-	pred, pviol, err := s.fakeModel.PredictBatch(ctx, in)
+func (s spoiled) PredictShared(ctx *core.PredictContext, in nn.SharedInputs) (*tensor.Dense, []float64, error) {
+	pred, pviol, err := s.fakeModel.PredictShared(ctx, in)
 	s.spoil(pred, pviol)
 	return pred, pviol, err
 }
@@ -108,7 +108,7 @@ func (s spoiled) PredictBatch(ctx *core.PredictContext, in nn.Inputs) (*tensor.D
 // clean, and the live model answers throughout.
 func TestShadowTapDisqualifiesAnyNonFinite(t *testing.T) {
 	hold := buildHoldout(nn.Dims{N: 4, T: 5, F: 6, M: 5}, 200, 8)
-	in := hold.Inputs()
+	in := nn.SharedInputs(hold.Inputs())
 	ctx := core.NewPredictContext()
 	for name, spoil := range map[string]func(*tensor.Dense, []float64){
 		"NaN pviol, finite p99":   func(_ *tensor.Dense, pv []float64) { pv[1] = math.NaN() },
@@ -117,7 +117,7 @@ func TestShadowTapDisqualifiesAnyNonFinite(t *testing.T) {
 	} {
 		l := NewLive(liveFake(8), 1)
 		l.Shadow(spoiled{liveFake(8), spoil})
-		if _, _, err := l.PredictBatch(ctx, in); err != nil {
+		if _, _, err := l.PredictShared(ctx, in); err != nil {
 			t.Fatalf("%s: live predict failed because of the candidate: %v", name, err)
 		}
 		if _, bad, ok := l.SettleShadow(); !ok || bad == nil {
@@ -129,12 +129,57 @@ func TestShadowTapDisqualifiesAnyNonFinite(t *testing.T) {
 	cand := liveFake(8)
 	l.Shadow(cand)
 	for i := 0; i < 2; i++ {
-		if _, _, err := l.PredictBatch(ctx, in); err != nil {
+		if _, _, err := l.PredictShared(ctx, in); err != nil {
 			t.Fatalf("live predict %d with a clean candidate in shadow: %v", i, err)
 		}
 	}
 	got, bad, ok := l.SettleShadow()
 	if !ok || bad != nil || got != core.Predictor(cand) || l.shadow.Load() != nil {
 		t.Fatalf("clean candidate after 2 calls: settle = %v, %v", bad, ok)
+	}
+}
+
+// Live with a candidate in shadow answers exactly what its model answers, at
+// W = 1 and at W = B: the tap scores on a context of its own, so the
+// caller's answer is the model's, bit for bit. The W = 1 query is answered
+// like W = B over its window repeated.
+func TestLiveWithShadowAnswersLikeItsModel(t *testing.T) {
+	m := trainedHybrid(t)
+	d := m.D
+	full := nn.SharedInputs(lcSynthDataset(2, 6).Inputs())
+	one := nn.SharedInputs{
+		RH: tensor.FromSlice(full.RH.Data[:d.F*d.N*d.T], 1, d.F, d.N, d.T),
+		LH: tensor.FromSlice(full.LH.Data[:d.T*d.M], 1, d.T, d.M),
+		RC: full.RC,
+	}
+	var expanded nn.Inputs
+	one.Expand(&expanded)
+	for name, c := range map[string]struct{ in, ref nn.SharedInputs }{
+		"W = 1": {one, nn.SharedInputs(expanded)},
+		"W = B": {full, full},
+	} {
+		wantLat, wantPV, err := m.PredictShared(nil, c.ref)
+		if err != nil {
+			t.Fatal(err)
+		}
+		l := NewLive(m, 1)
+		l.Shadow(m)
+		gotLat, gotPV, err := l.PredictShared(core.NewPredictContext(), c.in)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		for i, w := range wantLat.Data {
+			if gotLat.Data[i] != w {
+				t.Fatalf("%s: lat[%d] = %v, model alone %v", name, i, gotLat.Data[i], w)
+			}
+		}
+		for i, w := range wantPV {
+			if gotPV[i] != w {
+				t.Fatalf("%s: pviol[%d] = %v, model alone %v", name, i, gotPV[i], w)
+			}
+		}
+		if _, bad, ok := l.SettleShadow(); !ok || bad != nil {
+			t.Fatalf("%s: the candidate settled %v, %v; want clean", name, bad, ok)
+		}
 	}
 }

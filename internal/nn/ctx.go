@@ -44,8 +44,8 @@ type Context struct {
 	latOut *tensor.Dense
 	views  [3]*tensor.Dense
 
-	// expand holds the materialised full-batch form of SharedInputs for
-	// regressors without a trunk/head split (see PredictSharedCtx).
+	// expand holds a W = 1 SharedInputs expanded to W = B for regressors
+	// without a trunk/head split (see PredictSharedCtx).
 	expand Inputs
 }
 

@@ -6,8 +6,10 @@ import (
 	"math/rand"
 	"reflect"
 	"runtime"
+	"runtime/debug"
 	"sync"
 	"testing"
+	"time"
 
 	"sinan/internal/tensor"
 )
@@ -245,8 +247,15 @@ func TestBoundGradSetReceivesAndFlushes(t *testing.T) {
 
 // allocsPerRun is testing.AllocsPerRun at the test's GOMAXPROCS:
 // AllocsPerRun sets GOMAXPROCS to 1 while it counts, where nothing forks.
+// The count is process-wide, and the runtime's own goroutines allocate after
+// a collection (the unique package's map cleanup, new Ms, the scavenger's
+// timer). So a collection runs before the window opens, the caller sleeps
+// while that work runs, and no collection starts inside the window.
 func allocsPerRun(runs int, fn func()) float64 {
 	fn()
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	runtime.GC()
+	time.Sleep(time.Millisecond)
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
 	for i := 0; i < runs; i++ {

@@ -6,12 +6,12 @@ import (
 	"sinan/internal/tensor"
 )
 
-// SharedInputs is one decision interval's candidate batch in deduplicated
-// form: every candidate shares the same history window, so RH and LH carry
-// exactly one row ([1,F,N,T] / [1,T,M]) while RC holds the per-candidate
-// allocations [B,N]. This is the shape the scheduler naturally produces —
-// the expanded Inputs form with B bit-identical history rows exists only
-// for models without a trunk/head split (see Expand).
+// SharedInputs is one model query: B candidate allocation rows RC ([B,N])
+// and W history windows RH ([W,F,N,T]) / LH ([W,T,M]), where W is either 1
+// or B. At W = 1 every candidate shares the one window — the shape the
+// scheduler produces, since all of a decision interval's candidates read the
+// same history. At W = B row i reads window i: a training, gate or holdout
+// batch, which is an Inputs converted with SharedInputs(in).
 type SharedInputs struct {
 	RH *tensor.Dense
 	LH *tensor.Dense
@@ -21,10 +21,13 @@ type SharedInputs struct {
 // Batch returns the candidate count.
 func (in SharedInputs) Batch() int { return in.RC.Shape[0] }
 
-// Expand materialises the full-batch Inputs form into dst, reusing dst's
+// Windows returns W, the number of history windows: 1 or Batch().
+func (in SharedInputs) Windows() int { return in.RH.Shape[0] }
+
+// Expand materialises the W = 1 form as W = B into dst, reusing dst's
 // buffers: the history window is repeated across every candidate row and
-// the allocations are copied through. The expansion is the compatibility
-// bridge to per-row Predictors; shared-aware models never need it.
+// the allocations are copied through. It serves regressors without a
+// trunk/head split; shared-aware models never need it.
 func (in SharedInputs) Expand(dst *Inputs) {
 	b := in.Batch()
 	dst.RH = tensor.Ensure(dst.RH, b, in.RH.Shape[1], in.RH.Shape[2], in.RH.Shape[3])
@@ -78,17 +81,20 @@ func (m *LatencyCNN) ForwardShared(ctx *Context, in SharedInputs) *tensor.Dense 
 	return m.head.Forward(ctx, ctx.Latent)
 }
 
-// PredictSharedCtx evaluates a shared-history candidate batch on a
-// caller-owned context: normalisation and the history trunk run once, the
-// per-candidate head runs at width B. For regressors without a trunk/head
-// split (the MLP and LSTM baselines) the batch is expanded and takes the
-// ordinary per-row path — same results, no savings. Both returned tensors
-// are owned by ctx and valid until its next use; latent is nil for models
-// that expose none.
+// PredictSharedCtx evaluates a candidate batch on a caller-owned context.
+// At W = B it is the full-batch path every row takes in training. At W = 1
+// normalisation and the history trunk run once and the per-candidate head
+// runs at width B; regressors without a trunk/head split (the MLP and LSTM
+// baselines) get the window expanded to W = B instead — same results, no
+// savings. Both returned tensors are owned by ctx and valid until its next
+// use; latent is nil for models that expose none.
 func (tm *TrainedModel) PredictSharedCtx(ctx *Context, in SharedInputs) (*tensor.Dense, *tensor.Dense) {
 	d := tm.Model.Dims()
 	if err := checkSharedInputs(in, d); err != nil {
 		panic(err)
+	}
+	if in.Windows() > 1 {
+		return tm.predict(ctx, Inputs(in), true)
 	}
 	sr, ok := tm.Model.(SharedRegressor)
 	if !ok {
@@ -97,8 +103,8 @@ func (tm *TrainedModel) PredictSharedCtx(ctx *Context, in SharedInputs) (*tensor
 	}
 	// The normaliser is per-element (per-channel z-scores), so normalising
 	// the single window row is bit-identical to normalising B copies of it.
-	tm.Norm.ApplyInto(&ctx.norm, Inputs{RH: in.RH, LH: in.LH, RC: in.RC}, d)
-	pred := sr.ForwardShared(ctx, SharedInputs{RH: ctx.norm.RH, LH: ctx.norm.LH, RC: ctx.norm.RC})
+	tm.Norm.ApplyInto(&ctx.norm, Inputs(in), d)
+	pred := sr.ForwardShared(ctx, SharedInputs(ctx.norm))
 	b := in.Batch()
 	ctx.out = tensor.Ensure(ctx.out, b, d.M)
 	copy(ctx.out.Data, pred.Data)
@@ -106,16 +112,21 @@ func (tm *TrainedModel) PredictSharedCtx(ctx *Context, in SharedInputs) (*tensor
 	return ctx.out, ctx.Latent
 }
 
-// checkSharedInputs validates shared-input shapes against dims.
+// checkSharedInputs validates the shapes against dims: W windows of RH and
+// of LH, with W = 1 or W = B.
 func checkSharedInputs(in SharedInputs, d Dims) error {
-	if len(in.RH.Shape) != 4 || in.RH.Shape[0] != 1 || in.RH.Shape[1] != d.F || in.RH.Shape[2] != d.N || in.RH.Shape[3] != d.T {
-		return fmt.Errorf("nn: shared RH shape %v, want [1,%d,%d,%d]", in.RH.Shape, d.F, d.N, d.T)
-	}
-	if len(in.LH.Shape) != 3 || in.LH.Shape[0] != 1 || in.LH.Shape[1] != d.T || in.LH.Shape[2] != d.M {
-		return fmt.Errorf("nn: shared LH shape %v, want [1,%d,%d]", in.LH.Shape, d.T, d.M)
-	}
 	if len(in.RC.Shape) != 2 || in.RC.Shape[1] != d.N {
 		return fmt.Errorf("nn: shared RC shape %v, want [B,%d]", in.RC.Shape, d.N)
+	}
+	if len(in.RH.Shape) != 4 || in.RH.Shape[1] != d.F || in.RH.Shape[2] != d.N || in.RH.Shape[3] != d.T {
+		return fmt.Errorf("nn: shared RH shape %v, want [W,%d,%d,%d]", in.RH.Shape, d.F, d.N, d.T)
+	}
+	w, b := in.Windows(), in.Batch()
+	if w != 1 && w != b {
+		return fmt.Errorf("nn: %d history windows for %d candidates, want 1 or %d", w, b, b)
+	}
+	if len(in.LH.Shape) != 3 || in.LH.Shape[0] != w || in.LH.Shape[1] != d.T || in.LH.Shape[2] != d.M {
+		return fmt.Errorf("nn: shared LH shape %v, want [%d,%d,%d]", in.LH.Shape, w, d.T, d.M)
 	}
 	return nil
 }

@@ -62,6 +62,18 @@ func TestPredictSharedBitIdentical(t *testing.T) {
 				t.Fatalf("b=%d: latent[%d] shared %v != full %v", b, i, gotLat.Data[i], wantLat.Data[i])
 			}
 		}
+		// W = B, one window per row, is the full-batch path itself.
+		gotPred, gotLat = tm.PredictSharedCtx(NewContext(), SharedInputs(full))
+		for i := range wantPred.Data {
+			if gotPred.Data[i] != wantPred.Data[i] {
+				t.Fatalf("b=%d: pred[%d] at W = B %v != full %v", b, i, gotPred.Data[i], wantPred.Data[i])
+			}
+		}
+		for i := range wantLat.Data {
+			if gotLat.Data[i] != wantLat.Data[i] {
+				t.Fatalf("b=%d: latent[%d] at W = B %v != full %v", b, i, gotLat.Data[i], wantLat.Data[i])
+			}
+		}
 	}
 }
 
@@ -113,21 +125,32 @@ func TestPredictSharedFallbackExpands(t *testing.T) {
 	}
 }
 
-// TestPredictSharedRejectsShapes pins the validation: a multi-row history
-// window is exactly the redundancy this path exists to eliminate, so it is
-// refused loudly rather than silently accepted.
+// TestPredictSharedRejectsShapes pins the validation: W history windows
+// must be 1 or B, and RH and LH must carry the same W. Anything else is
+// refused loudly rather than read as some other row-to-window mapping.
 func TestPredictSharedRejectsShapes(t *testing.T) {
 	rng := rand.New(rand.NewSource(13))
 	trainIn, y := synthInputs(rng, 32, testDims)
 	tm := Train(NewLatencyCNN(rand.New(rand.NewSource(14)), testDims, 8), trainIn, y,
 		TrainConfig{Epochs: 1, Batch: 16, QoSMS: 200, Seed: 1})
 
-	bad := sharedCase(rng, 4, testDims)
-	bad.RH = tensor.New(2, testDims.F, testDims.N, testDims.T) // batch dim must be 1
-	defer func() {
-		if recover() == nil {
-			t.Fatal("PredictShared accepted a multi-row history window")
-		}
-	}()
-	tm.PredictSharedCtx(NewContext(), bad)
+	d := testDims
+	for name, bad := range map[string]func(in *SharedInputs){
+		"W = 2, B = 3": func(in *SharedInputs) {
+			in.RH, in.LH = tensor.New(2, d.F, d.N, d.T), tensor.New(2, d.T, d.M)
+		},
+		"LH's W 3, RH's 1": func(in *SharedInputs) { in.LH = tensor.New(3, d.T, d.M) },
+		"LH's W 1, RH's 3": func(in *SharedInputs) { in.RH = tensor.New(3, d.F, d.N, d.T) },
+	} {
+		in := sharedCase(rng, 3, d)
+		bad(&in)
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("%s: PredictSharedCtx accepted RH %v, LH %v, RC %v", name, in.RH.Shape, in.LH.Shape, in.RC.Shape)
+				}
+			}()
+			tm.PredictSharedCtx(NewContext(), in)
+		}()
+	}
 }

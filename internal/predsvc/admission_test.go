@@ -182,7 +182,7 @@ func TestServerSkipsWorkItsCallerAbandoned(t *testing.T) {
 
 	done := make(chan error, 1)
 	go func() {
-		_, _, err := c.PredictBatch(nil, mkBatch(m.D, 2))
+		_, _, err := c.PredictShared(nil, mkBatch(m.D, 2))
 		done <- err
 	}()
 	waitUntil(t, "request queued", func() bool { return svc.StatsSnapshot().Queued == 1 })
@@ -246,7 +246,7 @@ func TestClientCountsShedsWithoutRetrying(t *testing.T) {
 	defer c.Close()
 
 	in := mkBatch(m.D, 3)
-	_, _, err = c.PredictBatch(nil, in)
+	_, _, err = c.PredictShared(nil, in)
 	if !IsOverloaded(err) || !core.IsOverload(err) {
 		t.Fatalf("client error %v must classify as overload on both layers", err)
 	}
@@ -257,7 +257,7 @@ func TestClientCountsShedsWithoutRetrying(t *testing.T) {
 
 	// The slot frees up; the same connection serves the next call.
 	hold()
-	if _, _, err := c.PredictBatch(nil, in); err != nil {
+	if _, _, err := c.PredictShared(nil, in); err != nil {
 		t.Fatalf("predict after recovery: %v", err)
 	}
 	if st := c.Stats(); st.Redials != 1 {
@@ -271,7 +271,7 @@ type unknownSinan struct{}
 
 var errUnknownMethod = errors.New("predsvc: unknown method")
 
-func (unknownSinan) predict(*serveScratch, *PredictArgs, *PredictReply, bool) error {
+func (unknownSinan) predict(*serveScratch, *PredictArgs, *PredictReply) error {
 	return errUnknownMethod
 }
 func (unknownSinan) Meta(*struct{}, *MetaReply) error { return errUnknownMethod }
@@ -290,7 +290,7 @@ func serveRaw(t *testing.T, h handler) (addr string, stop func()) {
 
 type expiringSinan struct{ metaOnlySinan }
 
-func (expiringSinan) predict(*serveScratch, *PredictArgs, *PredictReply, bool) error {
+func (expiringSinan) predict(*serveScratch, *PredictArgs, *PredictReply) error {
 	return ErrExpired
 }
 
@@ -300,7 +300,7 @@ type stallSinan struct {
 	release chan struct{}
 }
 
-func (s stallSinan) predict(*serveScratch, *PredictArgs, *PredictReply, bool) error {
+func (s stallSinan) predict(*serveScratch, *PredictArgs, *PredictReply) error {
 	<-s.release
 	return nil
 }
@@ -320,7 +320,7 @@ func TestClientCountsDeadlineExceeded(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer c.Close()
-	_, _, err = c.PredictBatch(nil, mkBatch(d, 2))
+	_, _, err = c.PredictShared(nil, mkBatch(d, 2))
 	if err == nil || IsOverloaded(err) {
 		t.Fatalf("expired predict returned %v", err)
 	}
@@ -329,7 +329,7 @@ func TestClientCountsDeadlineExceeded(t *testing.T) {
 		t.Fatalf("stats = %+v, want 1 deadline loss, 0 sheds", st)
 	}
 	// The next call finds the connection the expiry arrived on.
-	if _, _, err := c.PredictBatch(nil, mkBatch(d, 2)); !IsExpired(err) {
+	if _, _, err := c.PredictShared(nil, mkBatch(d, 2)); !IsExpired(err) {
 		t.Fatalf("second expired predict returned %v", err)
 	}
 	if st := c.Stats(); st.Redials != 1 || st.DeadlineExceeded != 2 {
@@ -348,7 +348,7 @@ func TestClientCountsDeadlineExceeded(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer c2.Close()
-	if _, _, err := c2.PredictBatch(nil, mkBatch(d, 2)); err == nil {
+	if _, _, err := c2.PredictShared(nil, mkBatch(d, 2)); err == nil {
 		t.Fatal("predict against a stalled server should time out")
 	}
 	if st := c2.Stats(); st.DeadlineExceeded != 1 {
@@ -356,10 +356,11 @@ func TestClientCountsDeadlineExceeded(t *testing.T) {
 	}
 }
 
-// Kinds 4–6 once carried UpdateModel, Stats and Rollback. A Service now
+// Kind 1 once carried a predict query with one history window per
+// candidate, and kinds 4–6 UpdateModel, Stats and Rollback. A Service now
 // answers each with an unknown-method error frame — even a well-formed
-// model artifact installs nothing — and the same connection then serves a
-// Predict without a redial.
+// query or model artifact is not acted on — and the same connection then
+// serves a Predict without a redial.
 func TestRetiredMethodsAreUnknownAndKeepConnection(t *testing.T) {
 	m := tinyHybrid(t)
 	srv, svc, err := ListenAndServe("127.0.0.1:0", m)
@@ -376,10 +377,12 @@ func TestRetiredMethodsAreUnknownAndKeepConnection(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	full := mkBatch(m.D, 2)
 	for kind, args := range map[byte]rawBody{
-		retiredUpdateModel: gobBody(t, &struct{ Artifact []byte }{artifact}),
-		retiredStats:       gobBody(t, &struct{}{}),
-		retiredRollback:    gobBody(t, &struct{}{}),
+		retiredPredictPerRow: (&PredictArgs{RH: full.RH.Data, LH: full.LH.Data, RC: full.RC.Data, Batch: 2}).appendTo(nil),
+		retiredUpdateModel:   gobBody(t, &struct{ Artifact []byte }{artifact}),
+		retiredStats:         gobBody(t, &struct{}{}),
+		retiredRollback:      gobBody(t, &struct{}{}),
 	} {
 		c.mu.Lock()
 		err := c.callOnce(kind, args, rawBody(nil), time.Second)
@@ -390,7 +393,10 @@ func TestRetiredMethodsAreUnknownAndKeepConnection(t *testing.T) {
 			t.Errorf("kind %d: %v (connection kept: %v), want an unknown-method error frame and the connection kept", kind, err, kept)
 		}
 	}
-	if _, _, err := c.PredictBatch(nil, mkBatch(m.D, 2)); err != nil {
+	if rows := svc.Metrics().Counter("server.rpc.predict.rows").Value(); rows != 0 {
+		t.Errorf("%d rows predicted by the retired kinds, want 0", rows)
+	}
+	if _, _, err := c.PredictShared(nil, full); err != nil {
 		t.Fatalf("predict after the retired kinds: %v", err)
 	}
 	if st := c.Stats(); st.Redials != 1 {
@@ -468,7 +474,7 @@ func TestServerCloseRacesOverloadedQueue(t *testing.T) {
 				return // lost the race with Close before dialing; fine
 			}
 			defer c.Close()
-			if _, _, err := c.PredictBatch(nil, mkBatch(m.D, 2)); err == nil {
+			if _, _, err := c.PredictShared(nil, mkBatch(m.D, 2)); err == nil {
 				succeeded.Add(1)
 			}
 		}()

@@ -29,13 +29,12 @@ import (
 	"sinan/internal/wire"
 )
 
-// PredictArgs is one model query, in either of two layouts told apart by
-// the method. Predict takes a full batch: RH ([Batch·F·N·T]) and LH
-// ([Batch·T·M]) repeat the history per candidate. PredictShared takes the
-// deduplicated form: every candidate of a decision interval shares one
-// history window, so RH ([F·N·T]) and LH ([T·M]) are sent once — against a
-// Social Network-sized batch that shrinks the payload by roughly the batch
-// size. RC carries the per-candidate allocations ([Batch·N]) in both.
+// PredictArgs is one model query: RC carries the per-candidate allocations
+// ([Batch·N]) and RH ([W·F·N·T]) and LH ([W·T·M]) carry W history windows,
+// W = 1 or W = Batch (nn.SharedInputs), which the server reads off RH's
+// length. The scheduler sends W = 1 — every candidate of a decision interval
+// shares one window — which against a Social Network-sized batch shrinks the
+// payload by roughly the batch size.
 //
 // DeadlineMS, when positive, is the caller's remaining deadline budget in
 // milliseconds, measured from the server's receipt of the request (a
@@ -89,7 +88,7 @@ type Service struct {
 // in-process call gets a fresh one.
 type serveScratch struct {
 	ctx *core.PredictContext
-	in  nn.Inputs
+	in  nn.SharedInputs
 }
 
 func newServeScratch() *serveScratch { return &serveScratch{ctx: core.NewPredictContext()} }
@@ -132,21 +131,20 @@ func (s *Service) Swap(m *core.HybridModel) {
 	s.versionG.Set(float64(s.live.Generation()))
 }
 
-// Predict serves a full batch in process, with a fresh serving scratch; a
-// connection serves both predict methods through predict with its own.
+// Predict serves a query in process, with a fresh serving scratch; a
+// connection serves its queries through predict with its own.
 func (s *Service) Predict(args *PredictArgs, reply *PredictReply) error {
-	return s.predict(newServeScratch(), args, reply, false)
+	return s.predict(newServeScratch(), args, reply)
 }
 
-// predict is the one serving path behind both RPC methods, served with sc's
-// context and views. Requests pass the admission gate before touching the
-// model: saturated, the gate queues briefly and sheds (ErrOverloaded) or
-// expires (ErrExpired) the rest, so admitted requests keep bounded latency
-// no matter the offered load. Validation happens before admission —
-// malformed requests are refused, not shed. A shared request carries one
-// history window for all candidates; only the expected history length and
-// the model entry point differ.
-func (s *Service) predict(sc *serveScratch, args *PredictArgs, reply *PredictReply, shared bool) error {
+// predict is the one serving path, served with sc's context and views.
+// Requests pass the admission gate before touching the model: saturated,
+// the gate queues briefly and sheds (ErrOverloaded) or expires (ErrExpired)
+// the rest, so admitted requests keep bounded latency no matter the offered
+// load. Validation happens before admission: a malformed request — RH and
+// LH not holding the same W windows, W = 1 or Batch, or RC not Batch rows —
+// is refused, not shed.
+func (s *Service) predict(sc *serveScratch, args *PredictArgs, reply *PredictReply) error {
 	start := s.gate.now()
 	s.inflight.Add(1)
 	defer func() {
@@ -158,11 +156,10 @@ func (s *Service) predict(sc *serveScratch, args *PredictArgs, reply *PredictRep
 		s.rejected.Inc()
 		return fmt.Errorf("predsvc: non-positive batch %d", args.Batch)
 	}
-	windows := args.Batch // history windows on the wire: one per candidate, or one for all
-	if shared {
-		windows = 1
-	}
-	if len(args.RH) != windows*d.F*d.N*d.T ||
+	win := d.F * d.N * d.T
+	windows := len(args.RH) / win // one for all candidates, or one each
+	if (windows != 1 && windows != args.Batch) ||
+		len(args.RH) != windows*win ||
 		len(args.LH) != windows*d.T*d.M ||
 		len(args.RC) != args.Batch*d.N {
 		s.rejected.Inc()
@@ -182,13 +179,7 @@ func (s *Service) predict(sc *serveScratch, args *PredictArgs, reply *PredictRep
 	in.RH = tensor.View(in.RH, args.RH, windows, d.F, d.N, d.T)
 	in.LH = tensor.View(in.LH, args.LH, windows, d.T, d.M)
 	in.RC = tensor.View(in.RC, args.RC, args.Batch, d.N)
-	var pred *tensor.Dense
-	var pviol []float64
-	if shared {
-		pred, pviol, err = s.live.PredictShared(sc.ctx, nn.SharedInputs(*in))
-	} else {
-		pred, pviol, err = s.live.PredictBatch(sc.ctx, *in)
-	}
+	pred, pviol, err := s.live.PredictShared(sc.ctx, *in)
 	if err != nil {
 		return err
 	}
@@ -366,7 +357,7 @@ var defaultClientOptions = clientOptions{
 // telemetry registry (the counters under "client.*"); the struct form is
 // kept so experiment tables and tests keep working unchanged.
 type ClientStats struct {
-	Calls            int // PredictBatch invocations
+	Calls            int // predict calls, fast-failed ones included
 	Errors           int // invocations that returned an error
 	Retries          int // extra attempts after a failed one
 	Redials          int // reconnections established
@@ -528,29 +519,16 @@ func (c *Client) LastPredictMS() float64 {
 	return c.lastCostMS
 }
 
-// PredictBatch implements core.Predictor by delegating to the service. The
+// PredictShared implements core.Predictor by delegating to the service. The
 // reply is decoded into ctx (its Lat and PViol), which owns the answer until
 // its next use, as with a local model; the shared Client keeps nothing of
-// it. A nil ctx gets fresh buffers.
-func (c *Client) PredictBatch(ctx *core.PredictContext, in nn.Inputs) (*tensor.Dense, []float64, error) {
-	return c.predict(methodPredict, ctx, in)
-}
-
-// PredictShared implements core.SharedPredictor over the wire: one history
-// window plus per-candidate allocation rows per query, answered into ctx
-// like PredictBatch.
+// it. A nil ctx gets fresh buffers. The call is breaker-checked: bounded
+// retries with backoff and a fresh connection, typed shed and expiry
+// handling, breaker and latency accounting on the way out. When the service
+// stays down the error is returned to the scheduler, which runs its
+// degraded fallback policy, and repeated failures trip the circuit breaker
+// so subsequent calls fail fast until a cooldown probe succeeds.
 func (c *Client) PredictShared(ctx *core.PredictContext, in nn.SharedInputs) (*tensor.Dense, []float64, error) {
-	return c.predict(methodPredictShared, ctx, nn.Inputs(in))
-}
-
-// predict is the one breaker-checked call behind both query forms: bounded
-// retries with backoff and a fresh connection, typed shed and
-// expiry handling, breaker and latency accounting on the way out. When the
-// service stays down — or does not know the method — the error is returned
-// to the scheduler, which runs its degraded fallback policy, and repeated
-// failures trip the circuit breaker so subsequent calls fail fast until a
-// cooldown probe succeeds.
-func (c *Client) predict(method byte, ctx *core.PredictContext, in nn.Inputs) (*tensor.Dense, []float64, error) {
 	if ctx == nil {
 		ctx = core.NewPredictContext()
 	}
@@ -561,7 +539,7 @@ func (c *Client) predict(method byte, ctx *core.PredictContext, in nn.Inputs) (*
 		RH:    in.RH.Data,
 		LH:    in.LH.Data,
 		RC:    in.RC.Data,
-		Batch: in.RC.Shape[0], // candidates; in the shared form RH/LH hold one window
+		Batch: in.Batch(),
 		// Propagate the per-call deadline so the server can drop this
 		// request once we have given up waiting for it.
 		DeadlineMS: float64(c.opts.CallTimeout) / float64(time.Millisecond),
@@ -580,7 +558,7 @@ func (c *Client) predict(method byte, ctx *core.PredictContext, in nn.Inputs) (*
 	start := c.now()
 	var err error
 	for attempt := 0; ; attempt++ {
-		err = c.callOnce(method, args, reply, c.opts.CallTimeout)
+		err = c.callOnce(methodPredict, args, reply, c.opts.CallTimeout)
 		if m := c.meta.D.M; err == nil && (reply.M != m || len(reply.Lat) != args.Batch*m || len(reply.PViol) != args.Batch) {
 			// It would panic the view below or the scheduler's indexing.
 			err = fmt.Errorf("predsvc: reply of %d latencies (M = %d), %d violation probabilities does not answer %d candidates × %d percentiles", len(reply.Lat), reply.M, len(reply.PViol), args.Batch, m)
@@ -620,6 +598,12 @@ func (c *Client) predict(method byte, ctx *core.PredictContext, in nn.Inputs) (*
 	c.breakerFailure()
 	c.errs.Inc()
 	return nil, nil, fmt.Errorf("predsvc: predict RPC failed after %d attempts: %w", c.opts.MaxRetries+1, err)
+}
+
+// PredictBatch is PredictShared at W = B, kept for core.SharedPredictor
+// only; ROADMAP item 7(iii) deletes it.
+func (c *Client) PredictBatch(ctx *core.PredictContext, in nn.Inputs) (*tensor.Dense, []float64, error) {
+	return c.PredictShared(ctx, nn.SharedInputs(in))
 }
 
 // callOnce performs one attempt on the current connection (dialing a fresh

@@ -57,8 +57,10 @@ func hybridOf(t testing.TB, d nn.Dims) *core.HybridModel {
 	}
 }
 
-func mkBatch(d nn.Dims, b int) nn.Inputs {
-	in := nn.Inputs{
+// mkBatch builds a query of b candidates with one history window each
+// (W = B); mkShared is the W = 1 form.
+func mkBatch(d nn.Dims, b int) nn.SharedInputs {
+	in := nn.SharedInputs{
 		RH: tensor.New(b, d.F, d.N, d.T),
 		LH: tensor.New(b, d.T, d.M),
 		RC: tensor.New(b, d.N),
@@ -91,17 +93,17 @@ func TestRemotePredictionMatchesLocal(t *testing.T) {
 	}
 
 	in := mkBatch(m.D, 7)
-	wantLat, wantPV, err := m.PredictBatch(nil, in)
+	wantLat, wantPV, err := m.PredictShared(nil, in)
 	if err != nil {
 		t.Fatal(err)
 	}
-	gotLat, gotPV, err := c.PredictBatch(nil, in)
+	gotLat, gotPV, err := c.PredictShared(nil, in)
 	if err != nil {
 		t.Fatal(err)
 	}
 	requireSameBits(t, "lat", gotLat.Data, wantLat.Data)
 	requireSameBits(t, "pviol", gotPV, wantPV)
-	requireRawBitsOnTheWire(t, false)
+	requireRawBitsOnTheWire(t, mkBatch)
 }
 
 func requireSameBits(t *testing.T, what string, got, want []float64) {
@@ -126,7 +128,7 @@ type bitsSinan struct {
 }
 
 func (s *bitsSinan) Meta(_ *struct{}, r *MetaReply) error { r.Meta = s.meta; return nil }
-func (s *bitsSinan) predict(_ *serveScratch, a *PredictArgs, r *PredictReply, _ bool) error {
+func (s *bitsSinan) predict(_ *serveScratch, a *PredictArgs, r *PredictReply) error {
 	s.got = PredictArgs{RH: slices.Clone(a.RH), LH: slices.Clone(a.LH), RC: slices.Clone(a.RC), Batch: a.Batch, DeadlineMS: a.DeadlineMS}
 	*r = s.reply
 	return nil
@@ -136,8 +138,8 @@ func (s *bitsSinan) predict(_ *serveScratch, a *PredictArgs, r *PredictReply, _ 
 // both directions: the values an arithmetic or textual encoding would
 // disturb — −0, a subnormal, ±Inf, a NaN carrying a payload, a signalling
 // NaN — arrive at the server's handler and back at the client's caller with
-// every bit in place.
-func requireRawBitsOnTheWire(t *testing.T, shared bool) {
+// every bit in place, in a query that mk builds.
+func requireRawBitsOnTheWire(t *testing.T, mk func(nn.Dims, int) nn.SharedInputs) {
 	t.Helper()
 	special := []float64{
 		math.Copysign(0, -1), math.SmallestNonzeroFloat64, -math.SmallestNonzeroFloat64,
@@ -164,20 +166,11 @@ func requireRawBitsOnTheWire(t *testing.T, shared bool) {
 	}
 	defer c.Close()
 
-	in := mkBatch(d, batch)
-	if shared {
-		in = nn.Inputs(mkShared(d, batch))
-	}
+	in := mk(d, batch)
 	fill(in.RH.Data, 3)
 	fill(in.LH.Data, 4)
 	fill(in.RC.Data, 5)
-	var lat *tensor.Dense
-	var pv []float64
-	if shared {
-		lat, pv, err = c.PredictShared(nil, nn.SharedInputs(in))
-	} else {
-		lat, pv, err = c.PredictBatch(nil, in)
-	}
+	lat, pv, err := c.PredictShared(nil, in)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -226,7 +219,7 @@ func TestSwapReplacesModel(t *testing.T) {
 	}
 }
 
-// Swaps racing a storm of in-process Predicts and PredictShareds: no
+// Swaps racing a storm of in-process Predicts, at W = B and W = 1: no
 // prediction may fail and the generation counts every swap. Run under -race
 // this is the service's half of the "zero predictor unavailability"
 // guarantee.
@@ -241,9 +234,8 @@ func TestLifecycleMutationsRacePredict(t *testing.T) {
 	var wg sync.WaitGroup
 	errs := make(chan error, predictors)
 	for p := 0; p < predictors; p++ {
-		call, args := svc.Predict, full
+		args := full
 		if p%2 == 1 {
-			call = func(a *PredictArgs, r *PredictReply) error { return serveShared(svc, a, r) }
 			args = shared
 		}
 		wg.Add(1)
@@ -251,7 +243,7 @@ func TestLifecycleMutationsRacePredict(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < 200; i++ {
 				var reply PredictReply
-				if err := call(args, &reply); err != nil {
+				if err := svc.Predict(args, &reply); err != nil {
 					errs <- err
 					return
 				}

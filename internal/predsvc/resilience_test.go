@@ -49,14 +49,14 @@ func TestClientRecoversAcrossServerRestart(t *testing.T) {
 	defer c.Close()
 
 	in := mkBatch(m.D, 3)
-	if _, _, err := c.PredictBatch(nil, in); err != nil {
+	if _, _, err := c.PredictShared(nil, in); err != nil {
 		t.Fatalf("healthy predict failed: %v", err)
 	}
 
 	if err := srv.Close(); err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := c.PredictBatch(nil, in); err == nil {
+	if _, _, err := c.PredictShared(nil, in); err == nil {
 		t.Fatal("predict against a closed server should error")
 	}
 
@@ -71,7 +71,7 @@ func TestClientRecoversAcrossServerRestart(t *testing.T) {
 	var lastErr error
 	recovered := false
 	for i := 0; i < 10; i++ {
-		if _, _, lastErr = c.PredictBatch(nil, in); lastErr == nil {
+		if _, _, lastErr = c.PredictShared(nil, in); lastErr == nil {
 			recovered = true
 			break
 		}
@@ -115,7 +115,7 @@ func TestBreakerOpenHalfOpenClosed(t *testing.T) {
 
 	in := mkBatch(m.D, 2)
 	for i := 0; i < 3; i++ {
-		if _, _, err := c.PredictBatch(nil, in); err == nil {
+		if _, _, err := c.PredictShared(nil, in); err == nil {
 			t.Fatalf("call %d against dead server should fail", i)
 		}
 	}
@@ -124,7 +124,7 @@ func TestBreakerOpenHalfOpenClosed(t *testing.T) {
 	}
 
 	// Open: fail fast, no network activity.
-	_, _, err = c.PredictBatch(nil, in)
+	_, _, err = c.PredictShared(nil, in)
 	if !errors.Is(err, ErrUnavailable) {
 		t.Fatalf("open breaker should return ErrUnavailable, got %v", err)
 	}
@@ -134,7 +134,7 @@ func TestBreakerOpenHalfOpenClosed(t *testing.T) {
 
 	// Half-open probe that fails re-opens immediately (server still down).
 	clock = clock.Add(31 * time.Second)
-	if _, _, err := c.PredictBatch(nil, in); errors.Is(err, ErrUnavailable) || err == nil {
+	if _, _, err := c.PredictShared(nil, in); errors.Is(err, ErrUnavailable) || err == nil {
 		t.Fatalf("half-open probe should hit the network and fail, got %v", err)
 	}
 	if st := c.Stats(); st.BreakerOpens != 2 {
@@ -148,13 +148,13 @@ func TestBreakerOpenHalfOpenClosed(t *testing.T) {
 	}
 	defer srv2.Close()
 	clock = clock.Add(31 * time.Second)
-	if _, _, err := c.PredictBatch(nil, in); err != nil {
+	if _, _, err := c.PredictShared(nil, in); err != nil {
 		t.Fatalf("half-open probe against live server failed: %v", err)
 	}
 	if c.state != breakerClosed {
 		t.Fatalf("successful probe should close the breaker, state=%d", c.state)
 	}
-	if _, _, err := c.PredictBatch(nil, in); err != nil {
+	if _, _, err := c.PredictShared(nil, in); err != nil {
 		t.Fatalf("closed breaker should pass calls: %v", err)
 	}
 }
@@ -239,7 +239,7 @@ func TestSwapRacesInflightPredicts(t *testing.T) {
 			defer c.Close()
 			in := mkBatch(m1.D, 3)
 			for i := 0; i < 25; i++ {
-				if _, _, err := c.PredictBatch(nil, in); err != nil {
+				if _, _, err := c.PredictShared(nil, in); err != nil {
 					t.Errorf("predict during swap storm: %v", err)
 					return
 				}
@@ -315,7 +315,7 @@ type slowSvc struct {
 	entered, release chan struct{}
 }
 
-func (s *slowSvc) predict(*serveScratch, *PredictArgs, *PredictReply, bool) error {
+func (s *slowSvc) predict(*serveScratch, *PredictArgs, *PredictReply) error {
 	s.entered <- struct{}{}
 	<-s.release
 	return nil
@@ -326,7 +326,7 @@ func (s *slowSvc) predict(*serveScratch, *PredictArgs, *PredictReply, bool) erro
 var _ core.Predictor = (*Client)(nil)
 
 // metaOnlySinan answers Meta and nothing else: a peer that does not know
-// the predict methods.
+// the predict method.
 type metaOnlySinan struct {
 	unknownSinan
 	meta core.ModelMeta
@@ -422,7 +422,7 @@ type replySinan struct {
 }
 
 func (s *replySinan) Meta(_ *struct{}, r *MetaReply) error { r.Meta = s.meta; return nil }
-func (s *replySinan) predict(_ *serveScratch, _ *PredictArgs, r *PredictReply, _ bool) error {
+func (s *replySinan) predict(_ *serveScratch, _ *PredictArgs, r *PredictReply) error {
 	*r = *s.reply.Load()
 	return nil
 }
@@ -461,7 +461,7 @@ func TestClientRejectsMisshapenReply(t *testing.T) {
 		if i%2 == 0 {
 			_, _, err = c.PredictShared(nil, mkShared(d, batch))
 		} else {
-			_, _, err = c.PredictBatch(nil, mkBatch(d, batch))
+			_, _, err = c.PredictShared(nil, mkBatch(d, batch))
 		}
 		if err == nil || !strings.Contains(err.Error(), "does not answer") {
 			t.Fatalf("%s: err = %v, want a shape error", tc.name, err)

@@ -2,6 +2,7 @@ package predsvc
 
 import (
 	"fmt"
+	"slices"
 	"sync"
 	"testing"
 
@@ -58,32 +59,34 @@ func TestRemotePredictSharedMatchesLocal(t *testing.T) {
 	}
 	requireSameBits(t, "lat", gotLat.Data, wantLat.Data)
 	requireSameBits(t, "pviol", gotPV, wantPV)
-	requireRawBitsOnTheWire(t, true)
+	requireRawBitsOnTheWire(t, mkShared)
 }
 
-// TestPredictSharedValidatesLengths: PredictShared refuses payloads whose
-// history arrives per candidate (the redundancy this wire form exists to
-// eliminate) or whose RC rows disagree with the batch — and Predict on the
-// same server still demands full-batch lengths.
+// TestPredictSharedValidatesLengths: the server reads W off RH's length and
+// refuses a query whose W is neither 1 nor Batch, whose LH carries another W
+// than RH, or whose RC rows disagree with the batch. Both W = 1 and W = B
+// pass, and answer alike.
 func TestPredictSharedValidatesLengths(t *testing.T) {
 	m := tinyHybrid(t)
 	svc := NewServiceWith(m, ServiceOptions{})
 	d := m.D
-	b := 4
+	const b = 3
 	in := mkShared(d, b)
 	var full nn.Inputs
 	in.Expand(&full)
+	two := PredictArgs{RH: full.RH.Data[:2*d.F*d.N*d.T], LH: full.LH.Data[:2*d.T*d.M], RC: in.RC.Data, Batch: b}
 
 	var reply PredictReply
-	cases := []PredictArgs{
-		{RH: full.RH.Data, LH: in.LH.Data, RC: in.RC.Data, Batch: b},     // per-candidate RH
-		{RH: in.RH.Data, LH: full.LH.Data, RC: in.RC.Data, Batch: b},     // per-candidate LH
-		{RH: in.RH.Data, LH: in.LH.Data, RC: in.RC.Data[:d.N], Batch: b}, // short RC
-		{RH: in.RH.Data, LH: in.LH.Data, RC: in.RC.Data, Batch: 0},       // no batch
+	cases := map[string]PredictArgs{
+		"W = 2, B = 3":     two,
+		"RH's W 3, LH's 1": {RH: full.RH.Data, LH: in.LH.Data, RC: in.RC.Data, Batch: b},
+		"RH's W 1, LH's 3": {RH: in.RH.Data, LH: full.LH.Data, RC: in.RC.Data, Batch: b},
+		"short RC":         {RH: in.RH.Data, LH: in.LH.Data, RC: in.RC.Data[:d.N], Batch: b},
+		"no batch":         {RH: in.RH.Data, LH: in.LH.Data, RC: in.RC.Data, Batch: 0},
 	}
-	for i, args := range cases {
-		if err := serveShared(svc, &args, &reply); err == nil {
-			t.Fatalf("case %d: malformed shared args accepted", i)
+	for name, args := range cases {
+		if err := svc.Predict(&args, &reply); err == nil {
+			t.Fatalf("%s: malformed args accepted", name)
 		}
 	}
 	rejected := svc.Metrics().Counter("server.rpc.predict.rejected").Value()
@@ -91,24 +94,17 @@ func TestPredictSharedValidatesLengths(t *testing.T) {
 		t.Fatalf("rejected = %d, want %d", rejected, len(cases))
 	}
 
-	// Well-formed shared args pass; Predict still wants expanded lengths.
-	good := PredictArgs{RH: in.RH.Data, LH: in.LH.Data, RC: in.RC.Data, Batch: b}
-	if err := serveShared(svc, &good, &reply); err != nil {
+	one := PredictArgs{RH: in.RH.Data, LH: in.LH.Data, RC: in.RC.Data, Batch: b}
+	if err := svc.Predict(&one, &reply); err != nil {
 		t.Fatal(err)
 	}
-	v1short := PredictArgs{RH: in.RH.Data, LH: in.LH.Data, RC: in.RC.Data, Batch: b}
-	if err := svc.Predict(&v1short, &reply); err == nil {
-		t.Fatal("Predict accepted shared-sized history")
-	}
-	v1 := PredictArgs{RH: full.RH.Data, LH: full.LH.Data, RC: full.RC.Data, Batch: b}
-	if err := svc.Predict(&v1, &reply); err != nil {
+	want := PredictReply{Lat: slices.Clone(reply.Lat), PViol: slices.Clone(reply.PViol)}
+	each := PredictArgs{RH: full.RH.Data, LH: full.LH.Data, RC: full.RC.Data, Batch: b}
+	if err := svc.Predict(&each, &reply); err != nil {
 		t.Fatal(err)
 	}
-}
-
-// serveShared serves a shared request in process, as a connection would.
-func serveShared(svc *Service, args *PredictArgs, reply *PredictReply) error {
-	return svc.predict(newServeScratch(), args, reply, true)
+	requireSameBits(t, "lat at W = B", reply.Lat, want.Lat)
+	requireSameBits(t, "pviol at W = B", reply.PViol, want.PViol)
 }
 
 // TestSwapDuringPredictShared hammers the shared path from several
@@ -146,7 +142,7 @@ func TestSwapDuringPredictShared(t *testing.T) {
 			args := PredictArgs{RH: in.RH.Data, LH: in.LH.Data, RC: in.RC.Data, Batch: in.Batch()}
 			for r := 0; r < rounds; r++ {
 				var reply PredictReply
-				if err := serveShared(svc, &args, &reply); err != nil {
+				if err := svc.Predict(&args, &reply); err != nil {
 					errc <- err
 					return
 				}

@@ -17,13 +17,13 @@ import (
 )
 
 // The kind byte: of a request frame, then of a reply frame. A request of any
-// other kind is answered as an unknown method.
+// other kind is answered as an unknown method. Kind 1 carried a predict
+// query with one history window per candidate before kind 2 took both forms.
 const (
-	methodPredict byte = 1 + iota
-	methodPredictShared
-	methodMeta
-	statusOK  byte = 0
-	statusErr byte = 1 // the body is the handler error's message
+	methodPredict byte = 2
+	methodMeta    byte = 3
+	statusOK      byte = 0
+	statusErr     byte = 1 // the body is the handler error's message
 )
 
 // remoteError is an error the peer's handler returned, carried by its
@@ -34,9 +34,9 @@ type remoteError string
 func (e remoteError) Error() string { return string(e) }
 
 // handler is what a connection dispatches to: *Service, or a test's fake.
-// predict answers either predict method with the connection's scratch.
+// predict answers a query with the connection's scratch.
 type handler interface {
-	predict(sc *serveScratch, args *PredictArgs, reply *PredictReply, shared bool) error
+	predict(sc *serveScratch, args *PredictArgs, reply *PredictReply) error
 	Meta(*struct{}, *MetaReply) error
 }
 
@@ -130,9 +130,9 @@ func serveConn(conn net.Conn, h handler) {
 		}
 		var out body
 		switch method {
-		case methodPredict, methodPredictShared:
+		case methodPredict:
 			if err = args.decode(b); err == nil {
-				err = h.predict(sc, &args, &reply, method == methodPredictShared)
+				err = h.predict(sc, &args, &reply)
 			}
 			out = &reply
 		case methodMeta:

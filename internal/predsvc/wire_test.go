@@ -95,8 +95,12 @@ func warmRoundTrip(t *testing.T) func() {
 	return call
 }
 
-// The request kinds Stats, UpdateModel and Rollback used before they were
-// retired; a server answers them as unknown methods.
+// The request kinds that were retired; a server answers them as unknown
+// methods. Kind 1 carried a predict query with one history window per
+// candidate, which kind 2 now takes as W = B; 4–6 were Stats, UpdateModel
+// and Rollback.
+const retiredPredictPerRow byte = 1
+
 const (
 	retiredStats byte = 4 + iota
 	retiredUpdateModel
@@ -243,18 +247,20 @@ func FuzzServeConn(f *testing.F) {
 	sharedArgs := &PredictArgs{RH: shared.RH.Data, LH: shared.LH.Data, RC: shared.RC.Data, Batch: 3, DeadlineMS: 1000}
 	full := mkBatch(m.D, 2)
 	fullArgs := &PredictArgs{RH: full.RH.Data, LH: full.LH.Data, RC: full.RC.Data, Batch: 2}
+	fullBody := fullArgs.appendTo(nil)
 	artifact, _, err := lifecycle.Encode(m, lifecycle.Manifest{Note: "fuzz"})
 	if err != nil {
 		f.Fatal(err)
 	}
-	predictShared := frame(methodPredictShared, sharedArgs.appendTo(nil))
+	predictShared := frame(methodPredict, sharedArgs.appendTo(nil))
 	update := frame(retiredUpdateModel, gobBody(f, &struct{ Artifact []byte }{artifact}))
 	for _, seed := range wireSeeds(predictShared, argsFixed+12, argsFixed) {
 		f.Add(seed)
 	}
-	for _, seed := range wireSeeds(frame(methodPredict, fullArgs.appendTo(nil)), argsFixed+12, argsFixed) {
+	for _, seed := range wireSeeds(frame(methodPredict, fullBody), argsFixed+12, argsFixed) {
 		f.Add(seed)
 	}
+	f.Add(frame(retiredPredictPerRow, fullBody))
 	for _, seed := range wireSeeds(update, 0, 0) {
 		f.Add(seed)
 	}
@@ -291,8 +297,8 @@ func FuzzServeConn(f *testing.F) {
 		}
 
 		var reply PredictReply
-		if err := serveShared(svc, sharedArgs, &reply); err != nil {
-			t.Fatalf("valid PredictShared after the fuzzed connection: %v", err)
+		if err := svc.predict(newServeScratch(), sharedArgs, &reply); err != nil {
+			t.Fatalf("valid predict after the fuzzed connection: %v", err)
 		}
 		if reply.M != m.D.M || len(reply.Lat) != 3*m.D.M || len(reply.PViol) != 3 {
 			t.Fatalf("reply of %d latencies (M = %d), %d violation probabilities to 3 candidates", len(reply.Lat), reply.M, len(reply.PViol))

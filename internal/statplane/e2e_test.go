@@ -24,7 +24,7 @@ func (p *safePredictor) Meta() core.ModelMeta {
 	return core.ModelMeta{D: p.d, QoSMS: 200, RMSEValid: 10, Pd: 0.25, Pu: 0.5}
 }
 
-func (p *safePredictor) PredictBatch(_ *core.PredictContext, in nn.Inputs) (*tensor.Dense, []float64, error) {
+func (p *safePredictor) PredictShared(_ *core.PredictContext, in nn.SharedInputs) (*tensor.Dense, []float64, error) {
 	b := in.Batch()
 	pred := tensor.New(b, p.d.M)
 	pv := make([]float64, b)

@@ -99,7 +99,7 @@ func feedHub(t *testing.T, h *Hub, data []byte) {
 // bytes, and so does the Hello a session was opened on.
 func FuzzHubConn(f *testing.F) {
 	hello := helloFrame(WireVersion, "fuzz")
-	rep := reportFrame(1, 0, 1, 99, 0xFFFFFFFF) // one tier of the partition, two outside it
+	rep := reportFrame(1, 0, 1, 99, -1) // one tier of the partition, two outside it (-1 goes out as the u32 0xFFFFFFFF)
 	broken := bytes.Clone(rep)
 	binary.LittleEndian.PutUint32(broken, uint32(len(broken)-wire.Header-1)) // a record cut short
 	broken = broken[:len(broken)-1]

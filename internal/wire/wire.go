@@ -21,8 +21,9 @@ const (
 	Header = 5 // u32 body length, u8 kind
 
 	// MaxFrame caps the body length a peer may announce, checked before any
-	// buffer grows. The largest legitimate frame is a full-batch Predict of
-	// 256 candidates at Social Network size (256 × 893 floats ≈ 1.8 MB).
+	// buffer grows. The largest legitimate frame is a Predict of 256
+	// candidates with one history window each at Social Network size
+	// (256 × 893 floats ≈ 1.8 MB).
 	MaxFrame = 8 << 20
 )
 

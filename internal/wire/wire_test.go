@@ -95,8 +95,8 @@ func TestBackoffSchedules(t *testing.T) {
 				t.Errorf("%s.Delay(%d) = %v, want %v", tc.name, n, got, want)
 			}
 		}
-		if got, want := tc.b.Delay(1<<40), tc.want[len(tc.want)-1]; got != want {
-			t.Errorf("%s.Delay(2⁴⁰) = %v, want %v", tc.name, got, want)
+		if got, want := tc.b.Delay(math.MaxInt), tc.want[len(tc.want)-1]; got != want {
+			t.Errorf("%s.Delay(MaxInt) = %v, want %v", tc.name, got, want)
 		}
 	}
 }

@@ -142,11 +142,13 @@ stage "portable leaves (-tags purego) and other architectures"
 # else — builds the Go leaves instead, so the same bit-for-bit tests and the
 # same weight, tree and decision pins run through the path every other
 # architecture takes; the arm64 build catches a name only the amd64 files
-# declare.
+# declare, and the 386 vet compiles every package and test where int has 32
+# bits (a constant that overflows it, or a decoder's int(U32()), shows there).
 go test -tags purego -cpu 1,2,4 ./internal/tensor ./internal/nn "$@"
 go test -tags purego -run "$core_tests" ./internal/core "$@"
 GOARCH=arm64 go build ./...
 GOARCH=arm64 go vet ./internal/tensor
+GOARCH=386 go vet ./...
 
 stage "go test -race (short)"
 go test -race -short -timeout 30m ./... "$@"

@@ -160,8 +160,8 @@ func tinyModel(t *testing.T) (*Model, nn.Inputs) {
 
 func assertSamePredictions(t *testing.T, want, got *Model, in nn.Inputs) {
 	t.Helper()
-	wantLat, wantPV, _ := want.PredictBatch(core.NewPredictContext(), in)
-	gotLat, gotPV, _ := got.PredictBatch(core.NewPredictContext(), in)
+	wantLat, wantPV, _ := want.PredictShared(core.NewPredictContext(), nn.SharedInputs(in))
+	gotLat, gotPV, _ := got.PredictShared(core.NewPredictContext(), nn.SharedInputs(in))
 	for i := range wantLat.Data {
 		if gotLat.Data[i] != wantLat.Data[i] {
 			t.Fatalf("latency %d diverged after the file round trip: %v != %v", i, gotLat.Data[i], wantLat.Data[i])
