@@ -12,9 +12,10 @@
 // a local one. Admission control protects the server under
 // overload: -max-active bounds concurrent predictions (0 = GOMAXPROCS,
 // negative disables the gate) and -max-queue bounds the LIFO burst queue
-// (0 = 4x max-active, negative = no queue). Excess load is shed with a
-// typed overload error; requests whose propagated deadline expires while
-// queued are dropped unexecuted.
+// (0 = 4x max-active, negative = no queue). Excess load is answered with a
+// shed reply status and a request whose propagated deadline expires while
+// queued with an expired one, both unexecuted; the client reads them as
+// predsvc.ErrOverloaded and predsvc.ErrExpired.
 //
 // With -metrics-addr the server also exposes its telemetry registry as live
 // JSON — admission outcomes, the Predict RPC latency histogram (p50/p95/

@@ -228,7 +228,7 @@ func btFeatures(ws []featureWorker, tm *nn.TrainedModel, ds *dataset.Dataset, ro
 			for s, hi := w*n/nw, (w+1)*n/nw; s < hi; s += chunk {
 				e := min(s+chunk, hi)
 				ds.GatherInto(buf, rows[s:e])
-				p, latent := tm.PredictWithLatentCtx(ws[w].ctx, *buf)
+				p, latent := tm.PredictSharedCtx(ws[w].ctx, nn.SharedInputs(*buf))
 				copy(pred[s*d.M:], p.Data)
 				for i := s; i < e; i++ {
 					X[i], y[i] = flat[i*width:(i+1)*width:(i+1)*width], ds.YViol[rows[i]]

@@ -84,7 +84,7 @@ func Fig4(l *Lab) []*Table {
 	vIn := val.Inputs()
 	norm.ApplyInto(&vNorm, vIn, d)
 	mtPred, _ := mt.Forward(ctx, vNorm)
-	cnnPred := sm.Lat.Predict(vIn)
+	cnnPred, _ := sm.Lat.PredictWithLatent(vIn)
 
 	// Bias is evaluated on the sub-QoS region — the operating range the
 	// scheduler's decisions live in, where the φ-scaled CNN is calibrated.

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"errors"
 	"fmt"
 	"math/rand"
 	"sort"
@@ -236,9 +237,9 @@ func driveOpenLoop(svc *predsvc.Service, args *predsvc.PredictArgs, rate float64
 					mu.Lock()
 					lats = append(lats, ms)
 					mu.Unlock()
-				case predsvc.IsOverloaded(err):
+				case core.IsOverload(err):
 					atomic.AddInt64(&shed, 1)
-				case predsvc.IsExpired(err):
+				case errors.Is(err, predsvc.ErrExpired):
 					atomic.AddInt64(&expired, 1)
 				default:
 					atomic.AddInt64(&failed, 1)

@@ -88,7 +88,7 @@ func Table2(l *Lab) []*Table {
 		const reps = 5
 		inferStart := time.Now()
 		for r := 0; r < reps; r++ {
-			tm.Predict(pin)
+			tm.PredictWithLatent(pin)
 		}
 		inferMS := float64(time.Since(inferStart).Milliseconds()) / reps
 

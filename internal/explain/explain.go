@@ -27,9 +27,9 @@ type Importance struct {
 }
 
 // Model is the prediction interface LIME explains: milliseconds p99 for a
-// batch of inputs.
+// batch of inputs, one history window per row (the latent is not read).
 type Model interface {
-	Predict(in nn.Inputs) *tensor.Dense
+	PredictWithLatent(in nn.Inputs) (*tensor.Dense, *tensor.Dense)
 }
 
 // TierImportance ranks tiers by their influence on the model's latency
@@ -114,7 +114,7 @@ func rank(m Model, samples nn.Inputs, d nn.Dims, groups []featureGroup) []Import
 		}
 	}
 
-	pred := m.Predict(batch)
+	pred, _ := m.PredictWithLatent(batch)
 	y := make([]float64, rows)
 	for i := 0; i < rows; i++ {
 		y[i] = pred.At(i, d.M-1) // explain the p99 prediction

@@ -42,7 +42,7 @@ type linearModel struct {
 	hotChan int
 }
 
-func (m *linearModel) Predict(in nn.Inputs) *tensor.Dense {
+func (m *linearModel) PredictWithLatent(in nn.Inputs) (*tensor.Dense, *tensor.Dense) {
 	b := in.Batch()
 	out := tensor.New(b, m.d.M)
 	rhRow := m.d.F * m.d.N * m.d.T
@@ -61,7 +61,7 @@ func (m *linearModel) Predict(in nn.Inputs) *tensor.Dense {
 			out.Set(v, i, mm)
 		}
 	}
-	return out
+	return out, nil
 }
 
 func synthSamples(d nn.Dims, n int) nn.Inputs {

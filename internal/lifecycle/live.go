@@ -26,11 +26,9 @@ const historyDepth = 4
 // construction. Live implements core.Predictor and core.CostReporter;
 // predictions never take the mutex.
 //
-// Two numbers describe the served model. The identity version names the
-// model itself: Install assigns the next unused one and Rollback restores
-// the displaced model's. The generation counts served-model changes: 1 at
-// birth, +1 per Install or Rollback, never going back — it is what the
-// prediction service exports as its "server.lifecycle.version" gauge.
+// The identity version names the served model: Install assigns the next
+// unused one and Rollback restores the displaced model's. The prediction
+// service exports it as its "server.lifecycle.version" gauge.
 type Live struct {
 	cur    atomic.Pointer[liveSlot]
 	shadow atomic.Pointer[shadowTap]
@@ -38,7 +36,6 @@ type Live struct {
 	mu          sync.Mutex  // serializes Install, Rollback and shadow changes
 	history     []*liveSlot // displaced models, newest last
 	nextVersion int
-	generation  atomic.Int64
 }
 
 type liveSlot struct {
@@ -50,7 +47,6 @@ type liveSlot struct {
 func NewLive(p core.Predictor, version int) *Live {
 	l := &Live{nextVersion: version + 1}
 	l.cur.Store(&liveSlot{p: p, version: version})
-	l.generation.Store(1)
 	return l
 }
 
@@ -59,10 +55,6 @@ func (l *Live) Current() core.Predictor { return l.cur.Load().p }
 
 // Version returns the identity version of the live model.
 func (l *Live) Version() int { return l.cur.Load().version }
-
-// Generation returns how many models have been served so far, counting the
-// first and every Install and Rollback since.
-func (l *Live) Generation() int { return int(l.generation.Load()) }
 
 // Install atomically makes p the live model under a fresh identity version,
 // which it returns. The displaced model is retained as the next rollback
@@ -76,7 +68,6 @@ func (l *Live) Install(p core.Predictor) int {
 	if over := len(l.history) - historyDepth; over > 0 {
 		l.history = append(l.history[:0], l.history[over:]...)
 	}
-	l.generation.Add(1)
 	return v
 }
 
@@ -96,7 +87,6 @@ func (l *Live) Rollback() (int, bool) {
 	prev := l.history[n-1]
 	l.history = l.history[:n-1]
 	l.cur.Store(prev)
-	l.generation.Add(1)
 	return prev.version, true
 }
 

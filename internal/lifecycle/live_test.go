@@ -38,36 +38,35 @@ func TestLiveHistoryDepthDropsOldest(t *testing.T) {
 }
 
 // Rollback with nothing displaced reports false and leaves the served
-// model, its identity version and the generation exactly as they were.
+// model and its identity version exactly as they were.
 func TestLiveRollbackOnEmptyChangesNothing(t *testing.T) {
 	m := liveFake(0)
 	l := NewLive(m, 7)
 	if v, ok := l.Rollback(); ok || v != 0 {
 		t.Fatalf("rollback on empty history = v%d, %v", v, ok)
 	}
-	if l.Current() != core.Predictor(m) || l.Version() != 7 || l.Generation() != 1 || len(l.history) != 0 {
-		t.Fatalf("empty rollback changed state: v%d generation %d depth %d", l.Version(), l.Generation(), len(l.history))
+	if l.Current() != core.Predictor(m) || l.Version() != 7 || len(l.history) != 0 {
+		t.Fatalf("empty rollback changed state: v%d depth %d", l.Version(), len(l.history))
 	}
 }
 
-// The identity version names the model, the generation counts changes:
-// rolling back restores the displaced model's version while the generation
-// keeps advancing, and the next install never reuses a version.
-func TestLiveRollbackRestoresVersionGenerationAdvances(t *testing.T) {
+// The identity version names the model: rolling back restores the
+// displaced model's version, and the next install never reuses a version.
+func TestLiveRollbackRestoresVersion(t *testing.T) {
 	first, second := liveFake(0), liveFake(1)
 	l := NewLive(first, 1)
 	l.Install(second)
-	if l.Version() != 2 || l.Generation() != 2 {
-		t.Fatalf("after install: v%d generation %d, want 2/2", l.Version(), l.Generation())
+	if l.Version() != 2 {
+		t.Fatalf("after install: v%d, want v2", l.Version())
 	}
 	if v, ok := l.Rollback(); !ok || v != 1 {
 		t.Fatalf("rollback = v%d, %v; want v1", v, ok)
 	}
-	if l.Current() != core.Predictor(first) || l.Version() != 1 || l.Generation() != 3 {
-		t.Fatalf("after rollback: v%d generation %d, want the first model at 1/3", l.Version(), l.Generation())
+	if l.Current() != core.Predictor(first) || l.Version() != 1 {
+		t.Fatalf("after rollback: v%d, want the first model at v1", l.Version())
 	}
-	if v := l.Install(second); v != 3 || l.Generation() != 4 {
-		t.Fatalf("reinstall got v%d generation %d, want 3/4", v, l.Generation())
+	if v := l.Install(second); v != 3 {
+		t.Fatalf("reinstall got v%d, want v3", v)
 	}
 }
 

@@ -163,8 +163,8 @@ func TestManagerShadowDisqualifiesNaNCandidate(t *testing.T) {
 			m.GateAccepted(), m.GateRejected())
 	}
 	// The served model first: the counters below only show the mechanisms ran.
-	if m.Live().Generation() != 1 {
-		t.Fatalf("the live model changed %d times; the flaky candidate must never be installed", m.Live().Generation()-1)
+	if v := m.Live().Version(); v != 1 || m.Rollbacks() != 0 {
+		t.Fatalf("the live model is v%d after %d rollbacks; the flaky candidate must never be installed", v, m.Rollbacks())
 	}
 	if m.ShadowRejected() != 1 || m.Promotions() != 0 {
 		t.Fatalf("shadow scoring should disqualify (shadowRejected=%d promotions=%d)",
@@ -184,9 +184,9 @@ func TestManagerCountsFailedRetrains(t *testing.T) {
 	if m.Retrains() < 2 || errs != int64(m.Retrains()) {
 		t.Fatalf("%d retrains, %d counted as errors; want at least 2, each one an error", m.Retrains(), errs)
 	}
-	if m.Live().Generation() != 1 || m.GateAccepted()+m.GateRejected() != 0 {
-		t.Fatalf("a failed retrain reached the gate or the live model (generation %d, gate %d/%d)",
-			m.Live().Generation(), m.GateAccepted(), m.GateRejected())
+	if m.Live().Version() != 1 || m.Rollbacks() != 0 || m.GateAccepted()+m.GateRejected() != 0 {
+		t.Fatalf("a failed retrain reached the gate or the live model (v%d, %d rollbacks, gate %d/%d)",
+			m.Live().Version(), m.Rollbacks(), m.GateAccepted(), m.GateRejected())
 	}
 	assertAlwaysServed(t, m, res)
 }

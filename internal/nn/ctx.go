@@ -43,10 +43,6 @@ type Context struct {
 	out    *tensor.Dense
 	latOut *tensor.Dense
 	views  [3]*tensor.Dense
-
-	// expand holds a W = 1 SharedInputs expanded to W = B for regressors
-	// without a trunk/head split (see PredictSharedCtx).
-	expand Inputs
 }
 
 // NewContext returns an empty context. The zero value is also usable.

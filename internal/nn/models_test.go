@@ -351,8 +351,8 @@ func TestSaveLoadRoundTrip(t *testing.T) {
 		if !bytes.Equal(encoded(t, loaded), b) {
 			t.Fatalf("%T: the decoded model encodes to other bytes", model)
 		}
-		want := tm.Predict(in)
-		got := loaded.Predict(in)
+		want, _ := tm.PredictWithLatent(in)
+		got, _ := loaded.PredictWithLatent(in)
 		for i := range want.Data {
 			if want.Data[i] != got.Data[i] {
 				t.Fatalf("loaded model diverges at %d: %v vs %v", i, got.Data[i], want.Data[i])
@@ -440,11 +440,13 @@ func TestPredictWithLatentMatchesPredict(t *testing.T) {
 	in, y := synthInputs(rng, 100, testDims)
 	tm := Train(NewLatencyCNN(rand.New(rand.NewSource(23)), testDims, 16), in, y,
 		TrainConfig{Epochs: 2, Batch: 64, QoSMS: 500, Seed: 2})
-	p1 := tm.Predict(in)
+	ctx := NewContext()
+	tm.PredictSharedCtx(ctx, SharedInputs(in)) // a warmed context answers the same
+	p1, _ := tm.PredictSharedCtx(ctx, SharedInputs(in))
 	p2, latent := tm.PredictWithLatent(in)
 	for i := range p1.Data {
 		if p1.Data[i] != p2.Data[i] {
-			t.Fatal("PredictWithLatent diverges from Predict")
+			t.Fatal("PredictWithLatent diverges from PredictSharedCtx")
 		}
 	}
 	if latent == nil || latent.Shape[1] != 16 {

@@ -29,7 +29,7 @@ func trainTiny(seed int64) (*TrainedModel, Inputs) {
 // Run under -race this also proves the model itself is never written.
 func TestSharedModelConcurrentPredictBitIdentical(t *testing.T) {
 	tm, qin := trainTiny(31)
-	want := tm.Predict(qin).Clone()
+	want, _ := tm.PredictWithLatent(qin)
 
 	const workers = 8
 	var wg sync.WaitGroup
@@ -39,7 +39,7 @@ func TestSharedModelConcurrentPredictBitIdentical(t *testing.T) {
 			defer wg.Done()
 			ctx := NewContext()
 			for iter := 0; iter < 5; iter++ {
-				got := tm.PredictCtx(ctx, qin)
+				got, _ := tm.PredictSharedCtx(ctx, SharedInputs(qin))
 				for i := range want.Data {
 					if got.Data[i] != want.Data[i] {
 						t.Errorf("concurrent prediction diverges at %d: %v vs %v",
@@ -265,13 +265,14 @@ func allocsPerRun(runs int, fn func()) float64 {
 	return float64(after.Mallocs-before.Mallocs) / float64(runs)
 }
 
-// The steady-state predict path on a warmed-up context must not allocate:
-// every buffer the forward pass touches lives on the Context and is reused.
+// The steady-state predict path at W = B on a warmed-up context must not
+// allocate: every buffer the forward pass touches lives on the Context and
+// is reused.
 func TestPredictCtxSteadyStateAllocs(t *testing.T) {
 	tm, qin := trainTiny(51)
 	ctx := NewContext()
-	tm.PredictCtx(ctx, qin)
-	allocs := allocsPerRun(20, func() { tm.PredictCtx(ctx, qin) })
+	tm.PredictSharedCtx(ctx, SharedInputs(qin))
+	allocs := allocsPerRun(20, func() { tm.PredictSharedCtx(ctx, SharedInputs(qin)) })
 	if allocs != 0 {
 		t.Fatalf("steady-state predict allocates %.0f objects per call, want 0", allocs)
 	}

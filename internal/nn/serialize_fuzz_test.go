@@ -45,7 +45,7 @@ func FuzzLoad(f *testing.F) {
 		}
 		d := loaded.Model.Dims()
 		probeIn, _ := synthInputs(rand.New(rand.NewSource(79)), 4, d)
-		pred := loaded.Predict(probeIn)
+		pred, _ := loaded.PredictWithLatent(probeIn)
 		if pred.Shape[0] != 4 || pred.Shape[1] != d.M {
 			t.Fatalf("prediction shape %v, want [4 %d]", pred.Shape, d.M)
 		}

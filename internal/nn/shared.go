@@ -26,8 +26,8 @@ func (in SharedInputs) Windows() int { return in.RH.Shape[0] }
 
 // Expand materialises the W = 1 form as W = B into dst, reusing dst's
 // buffers: the history window is repeated across every candidate row and
-// the allocations are copied through. It serves regressors without a
-// trunk/head split; shared-aware models never need it.
+// the allocations are copied through. No program path takes it; the parity
+// tests build their W = B reference with it.
 func (in SharedInputs) Expand(dst *Inputs) {
 	b := in.Batch()
 	dst.RH = tensor.Ensure(dst.RH, b, in.RH.Shape[1], in.RH.Shape[2], in.RH.Shape[3])
@@ -38,28 +38,20 @@ func (in SharedInputs) Expand(dst *Inputs) {
 	copy(dst.RC.Data, in.RC.Data)
 }
 
-// SharedRegressor is implemented by regressors whose inference factors into
-// a history trunk (a function of RH/LH only) and a per-candidate head: given
-// the deduplicated SharedInputs, ForwardShared runs the trunk once and
-// evaluates only the head per candidate. The contract is bit-identical
-// outputs to Forward on the expanded batch — the same floating-point ops on
-// the same values, just never repeated. ForwardShared is inference-only: it
-// does not leave a tape a Backward pass could consume.
-type SharedRegressor interface {
-	Regressor
-	ForwardShared(ctx *Context, in SharedInputs) *tensor.Dense
-}
-
-// ForwardShared implements SharedRegressor: the conv stack and latency-
-// history encoder see the single window row, and only the allocation encoder
-// and head run at width B. Per-sample kernels (Dense rows, im2col columns,
-// ReLU) are row-independent with a fixed accumulation order, so a batch-1
-// activation stands for B identical rows bit for bit. The trunk's fusion
-// layer never sees the concatenated [B, rh|lh|rc] batch either: a row of
-// x·W is a sum in ascending column of x, so its first rh+lh terms — the same
-// for every candidate — are summed once, copied into each row, and the
-// per-candidate rc columns continue the sum from there. Stores the latent Lf
-// in ctx.Latent, like Forward.
+// ForwardShared is the CNN's W = 1 inference: the history trunk (a function
+// of RH/LH only) runs once and only the per-candidate head runs at width B,
+// with outputs bit-identical to Forward on the W = B batch — the same
+// floating-point ops on the same values, just never repeated. The conv stack
+// and latency-history encoder see the single window row, and only the
+// allocation encoder and head run at width B. Per-sample kernels (Dense
+// rows, im2col columns, ReLU) are row-independent with a fixed accumulation
+// order, so a batch-1 activation stands for B identical rows bit for bit.
+// The trunk's fusion layer never sees the concatenated [B, rh|lh|rc] batch
+// either: a row of x·W is a sum in ascending column of x, so its first
+// rh+lh terms — the same for every candidate — are summed once, copied into
+// each row, and the per-candidate rc columns continue the sum from there.
+// Stores the latent Lf in ctx.Latent, like Forward. It is inference-only:
+// it leaves no tape a Backward pass could consume.
 func (m *LatencyCNN) ForwardShared(ctx *Context, in SharedInputs) *tensor.Dense {
 	ctx.Reset()
 	rh := m.rhConv.Forward(ctx, in.RH) // [1, rhOut] — trunk, once
@@ -81,40 +73,37 @@ func (m *LatencyCNN) ForwardShared(ctx *Context, in SharedInputs) *tensor.Dense 
 	return m.head.Forward(ctx, ctx.Latent)
 }
 
-// PredictSharedCtx evaluates a candidate batch on a caller-owned context.
-// At W = B it is the full-batch path every row takes in training. At W = 1
-// normalisation and the history trunk run once and the per-candidate head
-// runs at width B; regressors without a trunk/head split (the MLP and LSTM
-// baselines) get the window expanded to W = B instead — same results, no
-// savings. Both returned tensors are owned by ctx and valid until its next
-// use; latent is nil for models that expose none.
+// PredictSharedCtx evaluates a candidate batch on a caller-owned context;
+// it is the one way to evaluate a trained model. At W = B it is the
+// full-batch path every row takes in training. At W = 1 the model is a
+// LatencyCNN: normalisation and the history trunk run once and the
+// per-candidate head runs at width B. Both returned tensors are owned by
+// ctx and valid until its next use; latent is nil for models that expose
+// none.
 func (tm *TrainedModel) PredictSharedCtx(ctx *Context, in SharedInputs) (*tensor.Dense, *tensor.Dense) {
-	d := tm.Model.Dims()
-	if err := checkSharedInputs(in, d); err != nil {
+	if err := checkSharedInputs(in, tm.Model); err != nil {
 		panic(err)
 	}
-	if in.Windows() > 1 {
-		return tm.predict(ctx, Inputs(in), true)
-	}
-	sr, ok := tm.Model.(SharedRegressor)
-	if !ok {
-		in.Expand(&ctx.expand)
-		return tm.predict(ctx, ctx.expand, true)
+	cnn, ok := tm.Model.(*LatencyCNN)
+	if !ok || in.Windows() > 1 {
+		return tm.predict(ctx, Inputs(in))
 	}
 	// The normaliser is per-element (per-channel z-scores), so normalising
 	// the single window row is bit-identical to normalising B copies of it.
+	d := cnn.Dims()
 	tm.Norm.ApplyInto(&ctx.norm, Inputs(in), d)
-	pred := sr.ForwardShared(ctx, SharedInputs(ctx.norm))
-	b := in.Batch()
-	ctx.out = tensor.Ensure(ctx.out, b, d.M)
+	pred := cnn.ForwardShared(ctx, SharedInputs(ctx.norm))
+	ctx.out = tensor.Ensure(ctx.out, in.Batch(), d.M)
 	copy(ctx.out.Data, pred.Data)
 	tensor.ScaleInPlace(ctx.out, 1/yScale)
 	return ctx.out, ctx.Latent
 }
 
-// checkSharedInputs validates the shapes against dims: W windows of RH and
-// of LH, with W = 1 or W = B.
-func checkSharedInputs(in SharedInputs, d Dims) error {
+// checkSharedInputs validates the shapes against m's dims: W windows of RH
+// and of LH, with W = 1 or W = B. Only a LatencyCNN has a history trunk to
+// share, so any other regressor takes one window per candidate.
+func checkSharedInputs(in SharedInputs, m Regressor) error {
+	d := m.Dims()
 	if len(in.RC.Shape) != 2 || in.RC.Shape[1] != d.N {
 		return fmt.Errorf("nn: shared RC shape %v, want [B,%d]", in.RC.Shape, d.N)
 	}
@@ -127,6 +116,9 @@ func checkSharedInputs(in SharedInputs, d Dims) error {
 	}
 	if len(in.LH.Shape) != 3 || in.LH.Shape[0] != w || in.LH.Shape[1] != d.T || in.LH.Shape[2] != d.M {
 		return fmt.Errorf("nn: shared LH shape %v, want [%d,%d,%d]", in.LH.Shape, w, d.T, d.M)
+	}
+	if _, ok := m.(*LatencyCNN); !ok && w != b {
+		return fmt.Errorf("nn: %T has no history trunk to share: %d history windows for %d candidates, want %d", m, w, b, b)
 	}
 	return nil
 }

@@ -2,6 +2,7 @@ package nn
 
 import (
 	"math/rand"
+	"strings"
 	"testing"
 
 	"sinan/internal/tensor"
@@ -101,56 +102,55 @@ func TestPredictSharedContextReuse(t *testing.T) {
 	}
 }
 
-// TestPredictSharedFallbackExpands covers regressors without a trunk/head
-// split: PredictShared must transparently expand and match the full-batch
-// path, so callers never need to know which kind of model they hold.
-func TestPredictSharedFallbackExpands(t *testing.T) {
-	rng := rand.New(rand.NewSource(11))
-	trainIn, y := synthInputs(rng, 48, testDims)
-	tm := Train(NewMLP(rand.New(rand.NewSource(12)), testDims), trainIn, y,
-		TrainConfig{Epochs: 1, Batch: 16, QoSMS: 200, Seed: 1})
-
-	if _, ok := tm.Model.(SharedRegressor); ok {
-		t.Fatal("MLP unexpectedly implements SharedRegressor; fallback test needs a plain Regressor")
-	}
-	in := sharedCase(rng, 6, testDims)
-	var full Inputs
-	in.Expand(&full)
-	want := tm.Predict(full)
-	got, _ := tm.PredictSharedCtx(NewContext(), in)
-	for i := range want.Data {
-		if got.Data[i] != want.Data[i] {
-			t.Fatalf("fallback pred[%d] = %v, want %v", i, got.Data[i], want.Data[i])
-		}
-	}
-}
-
 // TestPredictSharedRejectsShapes pins the validation: W history windows
 // must be 1 or B, and RH and LH must carry the same W. Anything else is
-// refused loudly rather than read as some other row-to-window mapping.
+// refused loudly rather than read as some other row-to-window mapping. Only
+// the CNN has a history trunk to share, so the MLP and LSTM baselines are
+// refused at W = 1 and answer at W = B.
 func TestPredictSharedRejectsShapes(t *testing.T) {
 	rng := rand.New(rand.NewSource(13))
 	trainIn, y := synthInputs(rng, 32, testDims)
-	tm := Train(NewLatencyCNN(rand.New(rand.NewSource(14)), testDims, 8), trainIn, y,
-		TrainConfig{Epochs: 1, Batch: 16, QoSMS: 200, Seed: 1})
+	train := func(m Regressor) *TrainedModel {
+		return Train(m, trainIn, y, TrainConfig{Epochs: 1, Batch: 16, QoSMS: 200, Seed: 1})
+	}
+	cnn := train(NewLatencyCNN(rand.New(rand.NewSource(14)), testDims, 8))
+	mlp := train(NewMLP(rand.New(rand.NewSource(15)), testDims))
+	lstm := train(NewLSTMModel(rand.New(rand.NewSource(16)), testDims))
 
 	d := testDims
-	for name, bad := range map[string]func(in *SharedInputs){
-		"W = 2, B = 3": func(in *SharedInputs) {
+	keep := func(in *SharedInputs) {}
+	for _, c := range []struct {
+		name string
+		tm   *TrainedModel
+		bad  func(in *SharedInputs)
+		want string
+	}{
+		{"W = 2, B = 3", cnn, func(in *SharedInputs) {
 			in.RH, in.LH = tensor.New(2, d.F, d.N, d.T), tensor.New(2, d.T, d.M)
-		},
-		"LH's W 3, RH's 1": func(in *SharedInputs) { in.LH = tensor.New(3, d.T, d.M) },
-		"LH's W 1, RH's 3": func(in *SharedInputs) { in.RH = tensor.New(3, d.F, d.N, d.T) },
+		}, "history windows"},
+		{"LH's W 3, RH's 1", cnn, func(in *SharedInputs) { in.LH = tensor.New(3, d.T, d.M) }, "LH shape"},
+		{"LH's W 1, RH's 3", cnn, func(in *SharedInputs) { in.RH = tensor.New(3, d.F, d.N, d.T) }, "LH shape"},
+		{"MLP at W = 1", mlp, keep, "no history trunk"},
+		{"LSTM at W = 1", lstm, keep, "no history trunk"},
 	} {
 		in := sharedCase(rng, 3, d)
-		bad(&in)
+		c.bad(&in)
 		func() {
 			defer func() {
-				if recover() == nil {
-					t.Errorf("%s: PredictSharedCtx accepted RH %v, LH %v, RC %v", name, in.RH.Shape, in.LH.Shape, in.RC.Shape)
+				err, _ := recover().(error)
+				if err == nil || !strings.Contains(err.Error(), c.want) {
+					t.Errorf("%s: PredictSharedCtx on RH %v, LH %v, RC %v refused with %v, want an error naming %q",
+						c.name, in.RH.Shape, in.LH.Shape, in.RC.Shape, err, c.want)
 				}
 			}()
-			tm.PredictSharedCtx(NewContext(), in)
+			c.tm.PredictSharedCtx(NewContext(), in)
 		}()
+	}
+	for _, tm := range []*TrainedModel{mlp, lstm} {
+		var full Inputs
+		sharedCase(rng, 3, d).Expand(&full)
+		if pred, _ := tm.PredictSharedCtx(NewContext(), SharedInputs(full)); pred.Shape[0] != 3 {
+			t.Errorf("%T at W = B: prediction shape %v, want 3 rows", tm.Model, pred.Shape)
+		}
 	}
 }

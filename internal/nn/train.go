@@ -169,8 +169,8 @@ const minShard = 16
 //
 // After training a TrainedModel is an immutable value: all per-call state
 // lives on a caller-owned Context, so one shared instance serves any
-// number of goroutines — truly in parallel — via PredictCtx /
-// PredictWithLatentCtx (or the allocating Predict convenience wrappers).
+// number of goroutines — truly in parallel — via PredictSharedCtx (or the
+// allocating PredictWithLatent).
 // Train and FineTune mutate the weights and must not run concurrently
 // with inference on the same instance; retraining flows hand a copy to
 // FineTune instead (see Clone).
@@ -348,42 +348,23 @@ func (sh *trainShard) gather(tm *TrainedModel, src Rows, y *tensor.Dense, idx []
 // shows in the output.
 const PredictChunk = 64
 
-// Predict returns latency predictions in milliseconds for raw-space inputs.
-// It allocates a fresh Context per call and is therefore trivially safe
-// for concurrent use; hot paths should hold a Context and call PredictCtx.
-func (tm *TrainedModel) Predict(in Inputs) *tensor.Dense {
-	return tm.PredictCtx(NewContext(), in)
-}
-
-// PredictCtx is Predict evaluating on a caller-owned context: after the
-// first call with a given batch shape, the steady state allocates nothing.
-// The returned tensor is owned by ctx and valid until its next use.
-func (tm *TrainedModel) PredictCtx(ctx *Context, in Inputs) *tensor.Dense {
-	out, _ := tm.predict(ctx, in, false)
-	return out
-}
-
-// PredictWithLatent returns millisecond predictions plus the latent Lf for
-// models that expose one (LatencyCNN); latent is nil otherwise. Fresh
-// context per call, like Predict.
+// PredictWithLatent is PredictSharedCtx at W = B on a fresh context: one
+// history window per row, trivially safe for concurrent use. Hot paths hold
+// a Context and call PredictSharedCtx.
 func (tm *TrainedModel) PredictWithLatent(in Inputs) (*tensor.Dense, *tensor.Dense) {
-	return tm.PredictWithLatentCtx(NewContext(), in)
+	return tm.PredictSharedCtx(NewContext(), SharedInputs(in))
 }
 
-// PredictWithLatentCtx is PredictWithLatent on a caller-owned context.
-// Both returned tensors are owned by ctx and valid until its next use.
-func (tm *TrainedModel) PredictWithLatentCtx(ctx *Context, in Inputs) (*tensor.Dense, *tensor.Dense) {
-	return tm.predict(ctx, in, true)
-}
-
-func (tm *TrainedModel) predict(ctx *Context, in Inputs, wantLatent bool) (*tensor.Dense, *tensor.Dense) {
+// predict is the full-batch path: in's rows are normalised and forwarded
+// PredictChunk at a time, and a LatencyCNN's latent rows are gathered
+// beside the predictions. latent is nil for any other regressor.
+func (tm *TrainedModel) predict(ctx *Context, in Inputs) (*tensor.Dense, *tensor.Dense) {
 	d := tm.Model.Dims()
 	n := in.Batch()
 	ctx.out = tensor.Ensure(ctx.out, n, d.M)
 	cnn, isCNN := tm.Model.(*LatencyCNN)
-	wantLatent = wantLatent && isCNN
 	var latent *tensor.Dense
-	if wantLatent {
+	if isCNN {
 		ctx.latOut = tensor.Ensure(ctx.latOut, n, cnn.Latent)
 		latent = ctx.latOut
 	}
@@ -395,7 +376,7 @@ func (tm *TrainedModel) predict(ctx *Context, in Inputs, wantLatent bool) (*tens
 		tm.Norm.ApplyInto(&ctx.norm, ctx.chunk(in, s, e), d)
 		pred := tm.Model.Forward(ctx, ctx.norm)
 		copy(ctx.out.Data[s*d.M:e*d.M], pred.Data)
-		if wantLatent {
+		if isCNN {
 			copy(latent.Data[s*cnn.Latent:e*cnn.Latent], ctx.Latent.Data)
 		}
 	}
@@ -426,7 +407,7 @@ func (c *Context) chunk(in Inputs, s, e int) Inputs {
 
 // RMSE evaluates root-mean-squared error (ms) of the model on a dataset.
 func (tm *TrainedModel) RMSE(in Inputs, yMS *tensor.Dense) float64 {
-	pred := tm.Predict(in)
+	pred, _ := tm.PredictWithLatent(in)
 	s := 0.0
 	for i := range pred.Data {
 		d := pred.Data[i] - yMS.Data[i]

@@ -28,7 +28,6 @@ import (
 	"errors"
 	"fmt"
 	"runtime"
-	"strings"
 	"sync"
 	"time"
 
@@ -58,30 +57,6 @@ var ErrExpired = errors.New("predsvc: request deadline expired before execution"
 // overload-classified (errors.Is ErrOverloaded) so clients count it as a
 // shed rather than a transport failure.
 var errDraining = fmt.Errorf("predsvc: server draining: %w", ErrOverloaded)
-
-// IsOverloaded reports whether err is a load-shed response — either the
-// local typed sentinel (possibly wrapped) or its wire form, since a server
-// error crosses the wire as its message.
-func IsOverloaded(err error) bool {
-	if err == nil {
-		return false
-	}
-	var o interface{ Overloaded() bool }
-	if errors.As(err, &o) && o.Overloaded() {
-		return true
-	}
-	return strings.Contains(err.Error(), ErrOverloaded.Error()) ||
-		strings.Contains(err.Error(), "predsvc: server draining")
-}
-
-// IsExpired reports whether err is a deadline-expiry drop, local or wire
-// form.
-func IsExpired(err error) bool {
-	if err == nil {
-		return false
-	}
-	return errors.Is(err, ErrExpired) || strings.Contains(err.Error(), ErrExpired.Error())
-}
 
 // ServiceOptions tunes the service's admission control. The zero value
 // means "use defaults" for every field.

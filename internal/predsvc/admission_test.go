@@ -188,7 +188,7 @@ func TestServerSkipsWorkItsCallerAbandoned(t *testing.T) {
 	waitUntil(t, "request queued", func() bool { return svc.StatsSnapshot().Queued == 1 })
 	offset.Store(int64(time.Hour)) // long past the caller's CallTimeout
 	hold()
-	if err := <-done; !IsExpired(err) {
+	if err := <-done; !errors.Is(err, ErrExpired) {
 		t.Fatalf("abandoned request returned %v, want the server's expiry", err)
 	}
 	if rows := svc.Metrics().Counter("server.rpc.predict.rows").Value(); rows != 0 {
@@ -213,7 +213,7 @@ func TestServicePredictShedsWhenSaturated(t *testing.T) {
 	if !errors.Is(err, ErrOverloaded) || !core.IsOverload(err) {
 		t.Fatalf("saturated Predict returned %v, want typed overload", err)
 	}
-	if err := svc.Predict(&PredictArgs{Batch: 0}, &PredictReply{}); err == nil || IsOverloaded(err) {
+	if err := svc.Predict(&PredictArgs{Batch: 0}, &PredictReply{}); err == nil || core.IsOverload(err) {
 		t.Fatalf("malformed request must be refused, not shed: %v", err)
 	}
 	st := svc.StatsSnapshot()
@@ -247,7 +247,7 @@ func TestClientCountsShedsWithoutRetrying(t *testing.T) {
 
 	in := mkBatch(m.D, 3)
 	_, _, err = c.PredictShared(nil, in)
-	if !IsOverloaded(err) || !core.IsOverload(err) {
+	if !errors.Is(err, ErrOverloaded) || !core.IsOverload(err) {
 		t.Fatalf("client error %v must classify as overload on both layers", err)
 	}
 	st := c.Stats()
@@ -294,6 +294,37 @@ func (expiringSinan) predict(*serveScratch, *PredictArgs, *PredictReply) error {
 	return ErrExpired
 }
 
+// quotingSinan fails every predict with a plain error whose message quotes
+// ErrOverloaded's and ErrExpired's.
+type quotingSinan struct{ metaOnlySinan }
+
+func (quotingSinan) predict(*serveScratch, *PredictArgs, *PredictReply) error {
+	return fmt.Errorf("model failed near %q and %q", ErrOverloaded.Error(), ErrExpired.Error())
+}
+
+// A reply is a shed or an expiry by its status, not by its message: a
+// handler error that quotes both texts is an ordinary failure, retried and
+// counted as an error, with no shed and no deadline loss.
+func TestClientClassifiesRepliesByStatus(t *testing.T) {
+	d := nn.Dims{N: 4, T: 3, F: 6, M: 5}
+	addr, stop := serveRaw(t, quotingSinan{metaOnlySinan{meta: core.ModelMeta{D: d}}})
+	defer stop()
+	opts := quickOpts()
+	opts.MaxRetries = 1
+	c, err := dialWith(addr, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	_, _, err = c.PredictShared(nil, mkBatch(d, 2))
+	if err == nil || core.IsOverload(err) || errors.Is(err, ErrOverloaded) || errors.Is(err, ErrExpired) {
+		t.Fatalf("predict failing with a quoted overload returned %v, want a plain error", err)
+	}
+	if st := c.Stats(); st.Sheds != 0 || st.DeadlineExceeded != 0 || st.Errors != 1 || st.Retries != 1 {
+		t.Fatalf("stats = %+v, want 1 error after 1 retry, no shed, no deadline loss", st)
+	}
+}
+
 // stallSinan holds every predict until release is closed.
 type stallSinan struct {
 	metaOnlySinan
@@ -306,8 +337,8 @@ func (s stallSinan) predict(*serveScratch, *PredictArgs, *PredictReply) error {
 }
 
 // Deadline losses are counted apart from sheds and generic errors — both the
-// server-side drop (which crosses the wire as its message) and the client's
-// own call deadline.
+// server-side drop (which crosses the wire as its own reply status) and the
+// client's own call deadline.
 func TestClientCountsDeadlineExceeded(t *testing.T) {
 	d := nn.Dims{N: 4, T: 3, F: 6, M: 5}
 
@@ -321,7 +352,7 @@ func TestClientCountsDeadlineExceeded(t *testing.T) {
 	}
 	defer c.Close()
 	_, _, err = c.PredictShared(nil, mkBatch(d, 2))
-	if err == nil || IsOverloaded(err) {
+	if !errors.Is(err, ErrExpired) || core.IsOverload(err) {
 		t.Fatalf("expired predict returned %v", err)
 	}
 	st := c.Stats()
@@ -329,7 +360,7 @@ func TestClientCountsDeadlineExceeded(t *testing.T) {
 		t.Fatalf("stats = %+v, want 1 deadline loss, 0 sheds", st)
 	}
 	// The next call finds the connection the expiry arrived on.
-	if _, _, err := c.PredictShared(nil, mkBatch(d, 2)); !IsExpired(err) {
+	if _, _, err := c.PredictShared(nil, mkBatch(d, 2)); !errors.Is(err, ErrExpired) {
 		t.Fatalf("second expired predict returned %v", err)
 	}
 	if st := c.Stats(); st.Redials != 1 || st.DeadlineExceeded != 2 {
@@ -388,7 +419,7 @@ func TestRetiredMethodsAreUnknownAndKeepConnection(t *testing.T) {
 		err := c.callOnce(kind, args, rawBody(nil), time.Second)
 		kept := c.conn != nil
 		c.mu.Unlock()
-		var remote remoteError
+		var remote *remoteError
 		if !errors.As(err, &remote) || !strings.Contains(err.Error(), fmt.Sprintf("unknown method %d", kind)) || !kept {
 			t.Errorf("kind %d: %v (connection kept: %v), want an unknown-method error frame and the connection kept", kind, err, kept)
 		}
@@ -402,8 +433,8 @@ func TestRetiredMethodsAreUnknownAndKeepConnection(t *testing.T) {
 	if st := c.Stats(); st.Redials != 1 {
 		t.Errorf("redials = %d, want 1: an unknown method keeps the connection", st.Redials)
 	}
-	if g := svc.live.Generation(); g != 1 {
-		t.Errorf("model generation %d after the retired kinds, want 1", g)
+	if v := svc.live.Version(); v != 1 {
+		t.Errorf("model version %d after the retired kinds, want 1", v)
 	}
 }
 

@@ -79,7 +79,7 @@ type Service struct {
 	inflight  *telemetry.Gauge     // Predict RPCs between entry and reply
 	rejected  *telemetry.Counter   // malformed requests refused pre-admission
 	predicted *telemetry.Counter   // candidate rows served (batch sizes summed)
-	versionG  *telemetry.Gauge     // current model generation
+	versionG  *telemetry.Gauge     // the served model's identity version
 }
 
 // serveScratch is what a request is served with: a prediction context and
@@ -122,13 +122,12 @@ func (s *Service) Metrics() *telemetry.Registry { return s.reg }
 // Swap replaces the served model unconditionally (the in-process trusted
 // path: the caller has already decided, and m must keep the served dims).
 // In-flight requests finish on the model they loaded; new requests see the
-// new one. The generation counter, exported as the
-// "server.lifecycle.version" gauge, advances.
+// new one. The new model's identity version, exported as the
+// "server.lifecycle.version" gauge, is the next unused one.
 func (s *Service) Swap(m *core.HybridModel) {
 	s.swapMu.Lock()
 	defer s.swapMu.Unlock()
-	s.live.Install(m)
-	s.versionG.Set(float64(s.live.Generation()))
+	s.versionG.Set(float64(s.live.Install(m)))
 }
 
 // Predict serves a query in process, with a fresh serving scratch; a
@@ -570,7 +569,7 @@ func (c *Client) PredictShared(ctx *core.PredictContext, in nn.SharedInputs) (*t
 			ctx.PViol = reply.PViol
 			return ctx.Lat, ctx.PViol, nil
 		}
-		if IsOverloaded(err) {
+		if core.IsOverload(err) {
 			// Shed: the service is alive but saturated. Retrying now would
 			// add exactly the load it is shedding, so fail the call with
 			// the typed overload error — the scheduler answers by browning
@@ -582,7 +581,7 @@ func (c *Client) PredictShared(ctx *core.PredictContext, in nn.SharedInputs) (*t
 			c.breakerFailure()
 			return nil, nil, fmt.Errorf("predsvc: predict shed by overloaded service: %w", ErrOverloaded)
 		}
-		if IsExpired(err) {
+		if errors.Is(err, ErrExpired) {
 			// The server dropped the request as already-expired: a deadline
 			// loss, but over a healthy connection — retry without redialing.
 			c.deadlineExceeded.Inc()
@@ -617,7 +616,7 @@ func (c *Client) callOnce(method byte, args, reply body, timeout time.Duration) 
 		}
 	}
 	err := roundTrip(c.conn, method, args, reply, timeout)
-	if _, remote := err.(remoteError); err == nil || remote {
+	if _, remote := err.(*remoteError); err == nil || remote {
 		return err
 	}
 	c.dropConn()

@@ -220,7 +220,7 @@ func TestSwapReplacesModel(t *testing.T) {
 }
 
 // Swaps racing a storm of in-process Predicts, at W = B and W = 1: no
-// prediction may fail and the generation counts every swap. Run under -race
+// prediction may fail and every swap installs the next version. Run under -race
 // this is the service's half of the "zero predictor unavailability"
 // guarantee.
 func TestLifecycleMutationsRacePredict(t *testing.T) {
@@ -262,8 +262,8 @@ func TestLifecycleMutationsRacePredict(t *testing.T) {
 	for err := range errs {
 		t.Fatalf("predict racing swaps: %v", err)
 	}
-	if g := svc.live.Generation(); g != 1+swaps {
-		t.Fatalf("generation %d after %d swaps, want %d", g, swaps, 1+swaps)
+	if v := svc.live.Version(); v != 1+swaps {
+		t.Fatalf("version %d after %d swaps, want %d", v, swaps, 1+swaps)
 	}
 	if v := svc.Metrics().Gauge("server.lifecycle.version").Value(); v != 1+swaps {
 		t.Fatalf("server.lifecycle.version = %v, want %d", v, 1+swaps)

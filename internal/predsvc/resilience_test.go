@@ -361,7 +361,7 @@ func TestUnknownMethodIsPlainErrorAndSchedulerDegrades(t *testing.T) {
 	// frame over a connection that stays in sync, not a hang-up.
 	c.mu.Lock()
 	err = c.callOnce(0x7f, noArgs{}, noArgs{}, time.Second)
-	var remote remoteError
+	var remote *remoteError
 	if !errors.As(err, &remote) || !strings.Contains(err.Error(), "unknown method 127") || c.conn == nil {
 		t.Errorf("unknown method byte: %v (connection kept: %v), want an error frame and the connection kept", err, c.conn != nil)
 	}

@@ -7,6 +7,7 @@ package predsvc
 
 import (
 	"cmp"
+	"errors"
 	"fmt"
 	"net"
 	"time"
@@ -24,14 +25,32 @@ const (
 	methodMeta    byte = 3
 	statusOK      byte = 0
 	statusErr     byte = 1 // the body is the handler error's message
+	statusShed    byte = 2 // ErrOverloaded: the gate shed the request; the body is the message
+	statusExpired byte = 3 // ErrExpired: its deadline passed in the queue; the body is the message
 )
 
 // remoteError is an error the peer's handler returned, carried by its
-// message (classification stays by text: IsOverloaded and friends). Its
+// message and classified by the reply's status alone: a shed unwraps to
+// ErrOverloaded and an expiry to ErrExpired, whatever the text says. Its
 // frame was whole, so unlike every other error it keeps the connection.
-type remoteError string
+type remoteError struct {
+	msg  string
+	kind error // ErrOverloaded, ErrExpired or nil
+}
 
-func (e remoteError) Error() string { return string(e) }
+func (e *remoteError) Error() string { return e.msg }
+func (e *remoteError) Unwrap() error { return e.kind }
+
+// errStatus is the reply status that carries err.
+func errStatus(err error) byte {
+	switch {
+	case errors.Is(err, ErrOverloaded):
+		return statusShed
+	case errors.Is(err, ErrExpired):
+		return statusExpired
+	}
+	return statusErr
+}
 
 // handler is what a connection dispatches to: *Service, or a test's fake.
 // predict answers a query with the connection's scratch.
@@ -94,7 +113,7 @@ func (r *MetaReply) decode(b []byte) error {
 }
 
 // roundTrip sends one request and reads its reply under one deadline. A nil
-// or remoteError result leaves the connection in sync; any other does not.
+// or *remoteError result leaves the connection in sync; any other does not.
 func roundTrip(w *wire.Conn, method byte, args, reply body, timeout time.Duration) error {
 	_ = w.SetDeadline(time.Now().Add(timeout)) // fails only on a closed connection, and then so does the Write
 	if err := w.Send(args.appendTo(w.Begin(method))); err != nil {
@@ -105,7 +124,11 @@ func roundTrip(w *wire.Conn, method byte, args, reply body, timeout time.Duratio
 	case err != nil:
 		return err
 	case status == statusErr:
-		return remoteError(b)
+		return &remoteError{string(b), nil}
+	case status == statusShed:
+		return &remoteError{string(b), ErrOverloaded}
+	case status == statusExpired:
+		return &remoteError{string(b), ErrExpired}
 	case status != statusOK:
 		return fmt.Errorf("predsvc: unknown reply status %d", status)
 	}
@@ -148,7 +171,7 @@ func serveConn(conn net.Conn, h handler) {
 			err = w.Send(out.appendTo(w.Begin(statusOK)))
 		}
 		// After a failed Write this second one fails too, and ends the loop.
-		if err != nil && w.Send(append(w.Begin(statusErr), err.Error()...)) != nil {
+		if err != nil && w.Send(append(w.Begin(errStatus(err)), err.Error()...)) != nil {
 			return
 		}
 	}

@@ -275,6 +275,9 @@ func FuzzServeConn(f *testing.F) {
 	f.Add(frame(0x7f, []byte("no such method")))
 	f.Add(frame(methodMeta, nil))
 	f.Add(append(bytes.Clone(predictShared), update...)) // two requests back to back
+	expired := *sharedArgs
+	expired.DeadlineMS = 1e-9 // expired on arrival: answered with statusExpired
+	f.Add(frame(methodPredict, expired.appendTo(nil)))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		requireReencodes(t, data)
@@ -332,6 +335,9 @@ func FuzzClientReply(f *testing.F) {
 		f.Add(seed)
 	}
 	f.Add(frame(statusErr, []byte(ErrExpired.Error())))
+	f.Add(frame(statusShed, []byte(ErrOverloaded.Error())))
+	f.Add(frame(statusExpired, []byte(ErrExpired.Error())))
+	f.Add(frame(statusShed, nil))
 	f.Add(frame(0x7f, []byte("no such status")))
 	f.Add(frame(statusOK, gobBody(f, &MetaReply{}))) // a gob body where floats belong
 

@@ -56,6 +56,8 @@ var allowed = map[string]string{
 	"cluster.TierConfig.MaxQueue": "application data no built-in app sets; the cluster tests set 1–2 to reach the admission-drop path",
 	"cluster.Tier.AliveFraction":  "TestReplicaCrashWindowDrivesAliveFraction (faults) checks a crash window halves the tier and the restart restores it; no stats channel or counter carries the fraction",
 	"lifecycle.Manager.Live":      "TestDriftGateProtectsBlindSwapDoesNot (experiments) checks which model each arm ends on; no program-visible value names the served model",
+	"nn.SharedInputs.Expand":      "builds the W = B twin of a W = 1 query that TestPredictSharedBitIdentical, TestPredictSharedContextReuse (nn), TestHybridPredictSharedBitIdentical (core), TestPredictSharedValidatesLengths (predsvc) and TestLiveWithShadowAnswersLikeItsModel (lifecycle) compare against",
+	"predsvc.remoteError.Unwrap":  "errors.Is and errors.As call it through the standard library's Unwrap interface: a shed or expiry reply matches ErrOverloaded or ErrExpired by it (TestClientCountsShedsWithoutRetrying, TestClientCountsDeadlineExceeded)",
 }
 
 func main() { os.Exit(run(".", allowed, os.Stdout)) }
