@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"sinan/internal/nn"
+	"sinan/internal/runner"
 	"sinan/internal/tensor"
 )
 
@@ -66,8 +67,12 @@ func TestBrownoutEscalatesOnShedsAndRecoversHysteretically(t *testing.T) {
 
 	m.shed = true
 	wantLevels := []int{BrownoutNone, BrownoutTopK, BrownoutHold, BrownoutHold}
+	sheds := 0
 	for i, want := range wantLevels {
 		dec := s.Decide(stateFor(app, 20, alloc, 0.3))
+		if dec.Branch == runner.BranchPredictShed {
+			sheds++
+		}
 		// What the ladder saves: each shed shrinks the next question.
 		if asked := m.batches[len(m.batches)-1]; want == BrownoutTopK && asked > topKBatch || want == BrownoutHold && asked != 1 {
 			t.Fatalf("shed %d: asked an overloaded model %d candidates at level %d", i, asked, want)
@@ -80,8 +85,8 @@ func TestBrownoutEscalatesOnShedsAndRecoversHysteretically(t *testing.T) {
 		}
 		alloc = dec.Alloc
 	}
-	if s.PredictSheds() != len(wantLevels) {
-		t.Fatalf("PredictSheds = %d, want %d", s.PredictSheds(), len(wantLevels))
+	if sheds != len(wantLevels) {
+		t.Fatalf("shed intervals = %d, want %d", sheds, len(wantLevels))
 	}
 	if s.carried.brownLevel != BrownoutHold {
 		t.Fatalf("level = %d after sustained shedding, want hold", s.carried.brownLevel)
@@ -136,9 +141,8 @@ func TestBrownoutSlowQueriesEscalate(t *testing.T) {
 	if s.carried.brownLevel != BrownoutTopK {
 		t.Fatalf("level = %d after a slow query, want top-k", s.carried.brownLevel)
 	}
-	if s.PredictErrors() != 0 || s.PredictSheds() != 0 {
-		t.Fatalf("slow successes must not count as errors: errors=%d sheds=%d",
-			s.PredictErrors(), s.PredictSheds())
+	if s.PredictErrors() != 0 {
+		t.Fatalf("slow successes must not count as errors or sheds: errors=%d", s.PredictErrors())
 	}
 
 	// Healthy-again queries recover with the same hysteresis.
@@ -191,15 +195,14 @@ func TestNoBrownoutStaysRigid(t *testing.T) {
 		if dec.Brownout != BrownoutNone {
 			t.Fatalf("rigid scheduler reported brownout level %d", dec.Brownout)
 		}
+		// Sheds are still classified even with the ladder disabled.
+		if dec.Branch != runner.BranchPredictShed {
+			t.Fatalf("interval %d decided by %v, want predict-shed", i, dec.Branch)
+		}
 		alloc = dec.Alloc
 	}
-	if s.carried.brownLevel != BrownoutNone || s.BrownoutIntervals() != 0 {
-		t.Fatalf("rigid scheduler browned out: level=%d intervals=%d",
-			s.carried.brownLevel, s.BrownoutIntervals())
-	}
-	// Sheds are still classified and counted even with the ladder disabled.
-	if s.PredictSheds() != 4 {
-		t.Fatalf("PredictSheds = %d, want 4", s.PredictSheds())
+	if s.carried.brownLevel != BrownoutNone {
+		t.Fatalf("rigid scheduler browned out: level=%d", s.carried.brownLevel)
 	}
 }
 

@@ -61,8 +61,8 @@ func TestSchedulerDegradesOnPredictorErrorAndRecovers(t *testing.T) {
 	for i := 0; i < 5; i++ {
 		prev := append([]float64(nil), alloc...)
 		dec := s.Decide(stateFor(app, 20, alloc, 0.2))
-		if !dec.Degraded || !s.carried.degraded {
-			t.Fatalf("interval %d: scheduler should be degraded", i)
+		if !dec.Degraded || !s.carried.degraded || dec.Branch != runner.BranchPredictError {
+			t.Fatalf("interval %d: scheduler should be degraded on a predictor error, decided by %v", i, dec.Branch)
 		}
 		for j := range dec.Alloc {
 			if dec.Alloc[j] < prev[j] {
@@ -71,8 +71,8 @@ func TestSchedulerDegradesOnPredictorErrorAndRecovers(t *testing.T) {
 		}
 		alloc = dec.Alloc
 	}
-	if s.PredictErrors() != 5 || s.DegradedIntervals() != 5 {
-		t.Fatalf("counters: errors=%d degraded=%d, want 5/5", s.PredictErrors(), s.DegradedIntervals())
+	if s.PredictErrors() != 5 {
+		t.Fatalf("predict errors = %d, want 5", s.PredictErrors())
 	}
 
 	// High utilisation while degraded must provoke a conservative upscale.
@@ -87,9 +87,6 @@ func TestSchedulerDegradesOnPredictorErrorAndRecovers(t *testing.T) {
 	dec = s.Decide(stateFor(app, 20, alloc, 0.3))
 	if dec.Degraded || s.carried.degraded {
 		t.Fatal("successful model query should end degraded mode")
-	}
-	if s.Recoveries() != 1 {
-		t.Fatalf("recoveries = %d, want 1", s.Recoveries())
 	}
 	// Post-recovery grace: no reclamation until the victim window expires.
 	preTotal := total(alloc)

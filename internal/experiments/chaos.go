@@ -8,7 +8,6 @@ import (
 	"sinan/internal/core"
 	"sinan/internal/faults"
 	"sinan/internal/harness"
-	"sinan/internal/lifecycle"
 	"sinan/internal/runner"
 	"sinan/internal/workload"
 )
@@ -72,26 +71,12 @@ func Chaos(l *Lab) []*Table {
 	return tables
 }
 
-// chaosRow renders one manager's outcome; the scheduler counters apply only
-// to Sinan arms.
+// chaosRow renders one manager's outcome; the scheduler's tallies, folded
+// from the trace, apply only to Sinan arms.
 func chaosRow(run harness.Outcome) []string {
-	res := run.Result
-	degraded := 0
-	for _, row := range res.Trace {
-		if row.Degraded {
-			degraded++
-		}
-	}
-	errs, recov := "-", "-"
-	if s, ok := schedulerOf(run.Policy); ok {
-		errs = fmt.Sprintf("%d", s.PredictErrors())
-		recov = fmt.Sprintf("%d", s.Recoveries())
-	}
-	return []string{
-		run.Spec.Name,
-		f3(res.Meter.MeetProb()), f1(res.Meter.MeanAlloc()),
-		fmt.Sprintf("%d", degraded), errs, recov,
-	}
+	res, t := run.Result, tallyOf(run.Result.Trace)
+	return append([]string{run.Spec.Name, f3(res.Meter.MeetProb()), f1(res.Meter.MeanAlloc()),
+		fmt.Sprintf("%d", t.degraded)}, t.cells(t.predictErrors, t.recoveries)...)
 }
 
 // chaosSpecs builds the five managed runs of one chaos scenario. model is
@@ -140,17 +125,51 @@ func chaosSpecs(app *apps.App, model core.Predictor, name string, load, dur, war
 	}
 }
 
-// schedulerOf unwraps the Sinan scheduler from a chaos policy, if any.
-func schedulerOf(p runner.Policy) (*core.Scheduler, bool) {
-	switch v := p.(type) {
-	case *core.Scheduler:
-		return v, true
-	case *latchingPolicy:
-		return v.s, true
-	case *lifecycle.Manager:
-		return v.Scheduler(), true
+// tally is what the Sinan scheduler did over one run, folded from the
+// per-interval record each TraceRow copies from its runner.Decision.
+type tally struct {
+	sinan                                  bool // some row was decided by the scheduler
+	mispredictions, predictErrors, sheds   int
+	degraded, recoveries, brownout, scored int
+}
+
+func tallyOf(trace []runner.TraceRow) (t tally) {
+	for i, row := range trace {
+		t.sinan = t.sinan || row.Branch != runner.BranchNone
+		switch row.Branch {
+		case runner.BranchSurprised:
+			t.mispredictions++
+		case runner.BranchPredictShed:
+			t.sheds++
+			fallthrough
+		case runner.BranchPredictError:
+			t.predictErrors++
+		}
+		if row.Brownout > 0 && row.Scored > 0 {
+			t.brownout++
+		}
+		t.scored += int(row.Scored)
+		// Degraded is cleared only where a successful query ends degraded mode.
+		if row.Degraded {
+			t.degraded++
+		} else if i > 0 && trace[i-1].Degraded {
+			t.recoveries++
+		}
 	}
-	return nil, false
+	return t
+}
+
+// cells renders counts of t for a table row, each "-" when no interval of
+// the run was decided by the scheduler.
+func (t tally) cells(counts ...int) []string {
+	out := make([]string, len(counts))
+	for i, n := range counts {
+		out[i] = "-"
+		if t.sinan {
+			out[i] = fmt.Sprintf("%d", n)
+		}
+	}
+	return out
 }
 
 // latchingPolicy emulates the pre-fallback failure mode: the first
@@ -168,11 +187,11 @@ func (p *latchingPolicy) Decide(st runner.State) runner.Decision {
 	if p.dead {
 		return runner.Decision{Alloc: st.Alloc}
 	}
-	before := p.s.PredictErrors()
 	dec := p.s.Decide(st)
-	if p.s.PredictErrors() > before {
+	switch dec.Branch {
+	case runner.BranchPredictError, runner.BranchPredictShed: // the record of the fatal query stays
 		p.dead = true
-		return runner.Decision{Alloc: st.Alloc}
+		return runner.Decision{Alloc: st.Alloc, Branch: dec.Branch, Scored: dec.Scored}
 	}
 	return dec
 }

@@ -78,16 +78,16 @@ func TestChaosFallbackDegradesAndRecovers(t *testing.T) {
 	}
 
 	fb := byName["hotel/sinan-fallback"]
-	s, ok := schedulerOf(fb.Policy)
-	if !ok {
+	s := tallyOf(fb.Result.Trace)
+	if !s.sinan {
 		t.Fatal("fallback policy is not a Sinan scheduler")
 	}
-	if s.PredictErrors() == 0 {
+	if s.predictErrors == 0 {
 		t.Fatal("fault schedule never reached the predictor")
 	}
-	if s.DegradedIntervals() == 0 || s.Recoveries() == 0 {
-		t.Fatalf("fallback never cycled degraded→recovered: degraded=%d recoveries=%d",
-			s.DegradedIntervals(), s.Recoveries())
+	if s.recoveries == 0 {
+		t.Fatalf("fallback never cycled degraded→recovered: errors=%d recoveries=%d",
+			s.predictErrors, s.recoveries)
 	}
 	degraded := 0
 	lastDegraded := -1
@@ -127,8 +127,8 @@ func TestChaosFallbackDegradesAndRecovers(t *testing.T) {
 	if c := ls.Result.Metrics.Snapshot().Counters; c["faults.reports.dropped"] == 0 || c["faults.reports.duplicated"] == 0 {
 		t.Fatalf("lossy plane never dropped/duplicated: %v", c)
 	}
-	if sLS, _ := schedulerOf(ls.Policy); sLS.PredictErrors() != 0 {
-		t.Fatalf("lossy-stats arm saw %d predictor errors, want 0", sLS.PredictErrors())
+	if sLS := tallyOf(ls.Result.Trace); sLS.predictErrors != 0 {
+		t.Fatalf("lossy-stats arm saw %d predictor errors, want 0", sLS.predictErrors)
 	}
 	if len(ls.Result.Trace) == 0 || ls.Result.Completed == 0 {
 		t.Fatal("lossy-stats run did not complete")
@@ -141,8 +141,8 @@ func TestChaosFallbackDegradesAndRecovers(t *testing.T) {
 			t.Fatal("no-fault run should stay model-driven")
 		}
 	}
-	if sNF, _ := schedulerOf(nf.Policy); sNF.PredictErrors() != 0 {
-		t.Fatalf("no-fault run saw %d predictor errors", sNF.PredictErrors())
+	if sNF := tallyOf(nf.Result.Trace); sNF.predictErrors != 0 {
+		t.Fatalf("no-fault run saw %d predictor errors", sNF.predictErrors)
 	}
 	pinTable(t, outs, chaosRow, 0x7ad222d67d24fe24)
 }

@@ -82,7 +82,6 @@ func Drift(l *Lab) []*Table {
 func driftRow(run harness.Outcome) []string {
 	res := run.Result
 	retr, gates, shrej, promos, rolls, ver := "-", "-", "-", "-", "-", "-"
-	errs := "-"
 	if m, ok := run.Policy.(*lifecycle.Manager); ok {
 		retr = fmt.Sprintf("%d", m.Retrains())
 		gates = fmt.Sprintf("%d/%d", m.GateAccepted(), m.GateRejected())
@@ -91,14 +90,12 @@ func driftRow(run harness.Outcome) []string {
 		rolls = fmt.Sprintf("%d", m.Rollbacks())
 		ver = fmt.Sprintf("v%d", m.Version())
 	}
-	if s, ok := schedulerOf(run.Policy); ok {
-		errs = fmt.Sprintf("%d", s.PredictErrors())
-	}
-	return []string{
+	t := tallyOf(res.Trace)
+	return append([]string{
 		run.Spec.Name,
 		f3(res.Meter.MeetProb()), f1(res.Meter.MeanAlloc()),
-		retr, gates, shrej, promos, rolls, ver, errs,
-	}
+		retr, gates, shrej, promos, rolls, ver,
+	}, t.cells(t.predictErrors)...)
 }
 
 // driftSpecs builds the three arms of one drift scenario over a shared

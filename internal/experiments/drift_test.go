@@ -212,12 +212,12 @@ func TestDriftGateProtectsBlindSwapDoesNot(t *testing.T) {
 
 	// Zero predictor unavailability, every arm, across every swap.
 	for name, o := range byName {
-		s, ok := schedulerOf(o.Policy)
-		if !ok {
+		s := tallyOf(o.Result.Trace)
+		if !s.sinan {
 			t.Fatalf("%s: no scheduler", name)
 		}
-		if n := s.PredictErrors(); n != 0 {
-			t.Fatalf("%s: prediction path errored %d times", name, n)
+		if s.predictErrors != 0 {
+			t.Fatalf("%s: prediction path errored %d times", name, s.predictErrors)
 		}
 		for _, row := range o.Result.Trace {
 			if row.Degraded {

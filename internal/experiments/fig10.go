@@ -1,8 +1,6 @@
 package experiments
 
 import (
-	"fmt"
-
 	"sinan/internal/apps"
 	"sinan/internal/baselines"
 	"sinan/internal/collect"
@@ -96,12 +94,11 @@ func Fig10(l *Lab) []*Table {
 		if n > 0 {
 			bias /= float64(n)
 		}
-		sched := run.Policy.(*core.Scheduler)
-		t.Rows = append(t.Rows, []string{
+		tl := tallyOf(res.Trace)
+		t.Rows = append(t.Rows, append([]string{
 			variants[i].name, pct(variants[i].ds.ViolationRate()), f1(bias),
 			pct(res.Meter.MeetProb()), f1(res.Meter.MeanAlloc()),
-			fmt.Sprintf("%d", sched.Mispredictions()),
-		})
+		}, tl.cells(tl.mispredictions)...))
 		l.logf("fig10: %s deployed (bias %.1f, meet %.3f)", variants[i].name, bias, res.Meter.MeetProb())
 	}
 	return []*Table{t}

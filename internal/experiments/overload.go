@@ -72,20 +72,11 @@ func Overload(l *Lab) []*Table {
 
 // overloadRow renders one manager's outcome of the scheduler-side scenario.
 func overloadRow(run harness.Outcome) []string {
-	res := run.Result
-	brown, sheds, degr, errs, cands := "-", "-", "-", "-", "-"
-	if s, ok := schedulerOf(run.Policy); ok {
-		brown = fmt.Sprintf("%d", s.BrownoutIntervals())
-		sheds = fmt.Sprintf("%d", s.PredictSheds())
-		degr = fmt.Sprintf("%d", s.DegradedIntervals())
-		errs = fmt.Sprintf("%d", s.PredictErrors())
-		cands = fmt.Sprintf("%d", s.CandidatesScored())
-	}
-	return []string{
-		run.Spec.Name,
-		f3(res.Meter.MeetProb()), f1(res.Meter.MeanAlloc()),
-		brown, degr, sheds, errs, cands,
-	}
+	res, t := run.Result, tallyOf(run.Result.Trace)
+	// "degraded ivals" is the intervals the fallback decided: exactly those
+	// whose query failed, so the "pred errors" fold.
+	return append([]string{run.Spec.Name, f3(res.Meter.MeetProb()), f1(res.Meter.MeanAlloc())},
+		t.cells(t.brownout, t.predictErrors, t.sheds, t.predictErrors, t.scored)...)
 }
 
 // overloadSchedulerSpecs builds the three managed runs of the scheduler-side

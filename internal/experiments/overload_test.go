@@ -46,17 +46,17 @@ func TestOverloadBrownoutLadderEngages(t *testing.T) {
 	for _, o := range outs {
 		byName[o.Spec.Name] = o
 	}
-	brown, _ := schedulerOf(byName["hotel/sinan-brownout"].Policy)
-	rigid, _ := schedulerOf(byName["hotel/sinan-rigid"].Policy)
-	nofault, _ := schedulerOf(byName["hotel/sinan-nofault"].Policy)
-	if brown == nil || rigid == nil || nofault == nil {
+	brown := tallyOf(byName["hotel/sinan-brownout"].Result.Trace)
+	rigid := tallyOf(byName["hotel/sinan-rigid"].Result.Trace)
+	nofault := tallyOf(byName["hotel/sinan-nofault"].Result.Trace)
+	if !brown.sinan || !rigid.sinan || !nofault.sinan {
 		t.Fatal("overload policies are not Sinan schedulers")
 	}
 
 	// The fault schedule reached the prediction path and the ladder answered.
-	if brown.PredictSheds() == 0 || brown.BrownoutIntervals() == 0 {
+	if brown.sheds == 0 || brown.brownout == 0 {
 		t.Fatalf("ladder never engaged: sheds=%d brownout intervals=%d",
-			brown.PredictSheds(), brown.BrownoutIntervals())
+			brown.sheds, brown.brownout)
 	}
 	bt := byName["hotel/sinan-brownout"].Result.Trace
 	maxLevel := 0
@@ -83,27 +83,27 @@ func TestOverloadBrownoutLadderEngages(t *testing.T) {
 
 	// The rigid baseline keeps full batches: no brownout anywhere, far more
 	// sheds, and more intervals spent on the blind fallback.
-	if rigid.BrownoutIntervals() != 0 {
-		t.Fatalf("rigid variant browned out %d intervals", rigid.BrownoutIntervals())
+	if rigid.brownout != 0 {
+		t.Fatalf("rigid variant browned out %d intervals", rigid.brownout)
 	}
 	for i, row := range rt {
 		if row.Brownout != core.BrownoutNone {
 			t.Fatalf("rigid trace records brownout level %d at interval %d", row.Brownout, i)
 		}
 	}
-	if rigid.PredictSheds() <= brown.PredictSheds() {
+	if rigid.sheds <= brown.sheds {
 		t.Fatalf("full batches should be shed more often: rigid=%d brownout=%d",
-			rigid.PredictSheds(), brown.PredictSheds())
+			rigid.sheds, brown.sheds)
 	}
-	if rigid.DegradedIntervals() <= brown.DegradedIntervals() {
+	if rigid.predictErrors <= brown.predictErrors {
 		t.Fatalf("brownout should cut time on the blind fallback: rigid=%d brownout=%d",
-			rigid.DegradedIntervals(), brown.DegradedIntervals())
+			rigid.predictErrors, brown.predictErrors)
 	}
 
 	// The no-fault anchor stays clean.
-	if nofault.PredictErrors() != 0 || nofault.BrownoutIntervals() != 0 {
+	if nofault.predictErrors != 0 || nofault.brownout != 0 {
 		t.Fatalf("no-fault run saw errors=%d brownout=%d",
-			nofault.PredictErrors(), nofault.BrownoutIntervals())
+			nofault.predictErrors, nofault.brownout)
 	}
 	pinTable(t, outs, overloadRow, 0x19ff3bed1064ebc1)
 }

@@ -111,15 +111,14 @@ type Manager struct {
 	fresh *dataset.Dataset
 	rec   *dataset.Recorder
 
-	state       State
-	ewma        float64
-	cooldown    int
-	attempts    int
-	shadowLeft  int
-	probLeft    int
-	probAge     int
-	breaches    int
-	lastMispred int64
+	state      State
+	ewma       float64
+	cooldown   int
+	attempts   int
+	shadowLeft int
+	probLeft   int
+	probAge    int
+	breaches   int
 
 	// Telemetry ("lifecycle.*"); deterministic — everything advances on the
 	// run's simulated intervals.
@@ -191,12 +190,10 @@ func (m *Manager) Decide(st runner.State) runner.Decision {
 	dec := m.sched.Decide(st)
 
 	violated := st.Perc.P99() > m.qos || st.Perc.Drops > 0
-	mis := m.sched.Mispredictions()
 	sig := 0.0
-	if violated || int64(mis) > m.lastMispred {
+	if violated || dec.Branch == runner.BranchSurprised {
 		sig = 1
 	}
-	m.lastMispred = int64(mis)
 	m.ewma = ewmaAlpha*sig + (1-ewmaAlpha)*m.ewma
 
 	m.rec.Observe(st.Stats, st.Perc, dec.Alloc)
@@ -300,10 +297,6 @@ func (m *Manager) rollback() {
 	m.sched.RefreshMeta()
 	m.ewma = 0
 }
-
-// Scheduler exposes the wrapped Sinan scheduler (trust counters, degraded
-// state, predict errors).
-func (m *Manager) Scheduler() *core.Scheduler { return m.sched }
 
 // Live exposes the hot-swappable predictor.
 func (m *Manager) Live() *Live { return m.live }

@@ -583,10 +583,8 @@ func (c *Client) PredictShared(ctx *core.PredictContext, in nn.SharedInputs) (*t
 		}
 		if errors.Is(err, ErrExpired) {
 			// The server dropped the request as already-expired: a deadline
-			// loss, but over a healthy connection — retry without redialing.
+			// loss over a connection that, like every whole reply's, stays up.
 			c.deadlineExceeded.Inc()
-		} else {
-			c.dropConn()
 		}
 		if attempt >= c.opts.MaxRetries {
 			break

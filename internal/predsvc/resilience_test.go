@@ -374,6 +374,27 @@ func TestUnknownMethodIsPlainErrorAndSchedulerDegrades(t *testing.T) {
 	requireSchedulerDegrades(t, app, c)
 }
 
+// A handler's error is a whole reply frame over a healthy connection, so
+// the retry goes out on that connection instead of a redialed one.
+func TestHandlerErrorRetriesWithoutRedial(t *testing.T) {
+	d := nn.Dims{N: 4, T: 3, F: 6, M: 5}
+	addr, stop := serveRaw(t, metaOnlySinan{meta: core.ModelMeta{D: d}})
+	defer stop()
+	opts := quickOpts()
+	opts.MaxRetries = 1
+	c, err := dialWith(addr, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	if _, _, err := c.PredictShared(nil, mkShared(d, 2)); err == nil {
+		t.Fatal("predict against an always-failing handler succeeded")
+	}
+	if st := c.Stats(); st.Errors != 1 || st.Retries != 1 || st.Redials != 1 {
+		t.Fatalf("stats = %+v, want 1 error after 1 retry on the 1 connection dialed", st)
+	}
+}
+
 // requireSchedulerDegrades drives a scheduler on a client whose every model
 // query fails, over a calm over-provisioned state a healthy model would
 // reclaim from: it must degrade and never reclaim.
@@ -429,7 +450,8 @@ func (s *replySinan) predict(_ *serveScratch, _ *PredictArgs, r *PredictReply) e
 
 // A reply whose shape does not answer the query is a predictor failure, not
 // a panic in tensor.FromSlice or an index out of range in the scheduler: the
-// call errors, counts, feeds the breaker and costs the peer the connection.
+// call errors, counts and feeds the breaker. The reply was a whole frame, so
+// the connection stays up.
 func TestClientRejectsMisshapenReply(t *testing.T) {
 	app := apps.NewHotelReservation()
 	d := nn.Dims{N: len(app.Tiers), T: 3, F: 6, M: 5}
@@ -466,10 +488,10 @@ func TestClientRejectsMisshapenReply(t *testing.T) {
 		if err == nil || !strings.Contains(err.Error(), "does not answer") {
 			t.Fatalf("%s: err = %v, want a shape error", tc.name, err)
 		}
-		// Errors count, and every call had to dial afresh: the connection
-		// that carried a misshapen reply was dropped.
-		if st := c.Stats(); st.Errors != i+1 || st.Redials != i+1 {
-			t.Fatalf("%s: stats = %+v, want %d errors over %d connections", tc.name, st, i+1, i+1)
+		// Errors count, and every call went out on the connection dialed
+		// first: a misshapen reply is a whole frame.
+		if st := c.Stats(); st.Errors != i+1 || st.Redials != 1 {
+			t.Fatalf("%s: stats = %+v, want %d errors over 1 connection", tc.name, st, i+1)
 		}
 	}
 	if st := c.Stats(); st.BreakerOpens != 1 {

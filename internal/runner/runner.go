@@ -43,8 +43,31 @@ type Decision struct {
 	PredP99MS float64   // model-predicted p99 for the chosen action (0 if n/a)
 	PViol     float64   // model-predicted violation probability (0 if n/a)
 	Degraded  bool      // decided by a fallback path, not the model
+	Branch    Branch    // the scheduler path that decided (BranchNone for any other policy)
+	Scored    int32     // candidate rows sent to the model this interval
 	Brownout  int       // brownout ladder level that shaped the decision (0 = full)
 }
+
+// Branch names the path through the Sinan scheduler's Decide that produced a
+// decision. Every per-run tally of the scheduler (mispredictions, predictor
+// errors, sheds, recoveries) is a fold over the trace's branches.
+type Branch uint8
+
+const (
+	BranchNone         Branch = iota // not decided by the scheduler
+	BranchSurprised                  // a violation the model did not predict: the emergency ramp
+	BranchBootstrap                  // the history window is still filling: hold
+	BranchCooldown                   // the cool-down after a ramp: hold, or keep ramping
+	BranchPredictError               // the model query failed: the fallback decided
+	BranchPredictShed                // the model query was shed as overload: the fallback decided
+	BranchNoSafeRow                  // no scored row is predicted safe: the emergency ramp
+	BranchChosen                     // the model chose a row
+)
+
+var branchNames = [...]string{"-", "surprised", "bootstrap", "cooldown", "predict-error", "predict-shed", "no-safe-row", "chosen"}
+
+// String returns the branch's name as the trace CSV prints it.
+func (b Branch) String() string { return branchNames[b] }
 
 // Policy decides per-tier CPU allocations once per decision interval.
 //
@@ -79,6 +102,8 @@ type TraceRow struct {
 	Total     float64   // aggregate allocated cores
 	Alloc     []float64 // per-tier allocation in force during the interval (capped: a cut of one per-run array)
 	Degraded  bool      // the decision came from a fallback path
+	Branch    Branch    // the scheduler path that decided
+	Scored    int32     // candidate rows sent to the model
 	Brownout  int       // brownout ladder level that shaped the decision
 }
 
@@ -246,6 +271,8 @@ func Run(cfg Config) *Result {
 				Total:     totalOf(state.Alloc),
 				Alloc:     row,
 				Degraded:  dec.Degraded,
+				Branch:    dec.Branch,
+				Scored:    dec.Scored,
 				Brownout:  dec.Brownout,
 			})
 		}

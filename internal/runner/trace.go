@@ -11,7 +11,7 @@ import (
 // per-tier allocations). This is the log format the repository's processing
 // helpers and external plotting consume.
 func WriteTraceCSV(w io.Writer, trace []TraceRow, tierNames []string) error {
-	cols := []string{"time_s", "rps", "p99_ms", "drops", "pred_p99_ms", "p_viol", "total_cpu", "degraded", "brownout"}
+	cols := []string{"time_s", "rps", "p99_ms", "drops", "pred_p99_ms", "p_viol", "total_cpu", "degraded", "brownout", "branch", "scored"}
 	for _, n := range tierNames {
 		cols = append(cols, "cpu_"+sanitize(n))
 	}
@@ -29,6 +29,8 @@ func WriteTraceCSV(w io.Writer, trace []TraceRow, tierNames []string) error {
 			fmt.Sprintf("%.2f", row.Total),
 			fmt.Sprintf("%d", b2i(row.Degraded)),
 			fmt.Sprintf("%d", row.Brownout),
+			row.Branch.String(),
+			fmt.Sprintf("%d", row.Scored),
 		}
 		for i := range tierNames {
 			v := 0.0
